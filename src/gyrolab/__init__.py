@@ -115,7 +115,6 @@ from .mappings import (
     bracket_associativity_violation,
     inner_mapping_group,
     is_inner_abelian,
-    kinyon_check,
     mlt_inn_orders,
     multiplication_group,
 )

@@ -183,6 +183,10 @@ class SuiteContext:
         return self._get("bracket", lambda: commutator_bracket_table(self.loop))
 
     @property
+    def bracket_violation(self):
+        return self._get("bracket-assoc", lambda: bracket_associativity_violation(self.loop))
+
+    @property
     def exponent(self):
         return self._get("exp", lambda: group_exponent(self.G))
 
@@ -631,7 +635,7 @@ def _check_quotient_center_group(ctx):
 def _check_bracket_iff_nine(ctx):
     stmt = ("the loop-commutator bracket is associative iff "
             "[[x,y],z]^9 == [x,[y,z]]^9 for all triples")
-    bw = bracket_associativity_violation(ctx.loop)
+    bw = ctx.bracket_violation
     nine_ok, nw = nine_identity(ctx.G)
     if (bw is None) == nine_ok:
         return passed("bracket-assoc-iff-ninth-power", stmt,
@@ -643,7 +647,7 @@ def _check_bracket_iff_nine(ctx):
 def _check_bracket_not_associative(ctx):
     stmt = ("for a class-3 group of order coprime to 3, the loop-commutator "
             "bracket is not associative")
-    bw = bracket_associativity_violation(ctx.loop)
+    bw = ctx.bracket_violation
     if bw is not None:
         return passed("bracket-not-associative", stmt,
                       details={"witness_triple": list(bw)})

@@ -27,7 +27,7 @@ from .fileio import (
 from .groups import nilpotency_class
 from .gyro import build_gyro, is_gyrogroup
 from .invariants import invariant_bundle, loop_nilpotency_class
-from .mappings import is_inner_abelian, mlt_inn_orders
+from .mappings import inner_mapping_group, multiplication_group
 from .report import summarize
 from .search import search_scan
 
@@ -60,14 +60,14 @@ def _cmd_analyze(args) -> int:
             for key, idx in bundle.to_dict().items()
         }
         doc["loop_class"] = loop_nilpotency_class(L)
-        abelian, wit = is_inner_abelian(L)
-        doc["inner_mapping_abelian"] = abelian
+        inn = inner_mapping_group(L)
+        wit = inn.generator_commuting_violation()
+        doc["inner_mapping_abelian"] = wit is None
         if wit is not None:
             doc["inner_mapping_witness"] = list(wit)
         try:
-            mlt, inn = mlt_inn_orders(L)
-            doc["multiplication_group_order"] = mlt
-            doc["inner_mapping_group_order"] = inn
+            doc["multiplication_group_order"] = multiplication_group(L).order()
+            doc["inner_mapping_group_order"] = inn.order()
         except OrderCapExceeded as exc:
             doc["multiplication_group_order"] = None
             doc["inner_mapping_group_order"] = None

@@ -24,6 +24,7 @@ from .errors import (
     NotNormal,
     OrderCapExceeded,
 )
+from .perms import RowIndex, _mulclose, composites
 
 log = logging.getLogger(__name__)
 
@@ -155,6 +156,7 @@ def is_index_perm(line: np.ndarray) -> bool:
 
 def associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (a, b, c) with (ab)c != a(bc) in lexicographic order, else None."""
+    table = np.asarray(table)
     n = table.shape[0]
     for a in range(n):
         left = table[table[a], :]        # [b, c] -> (ab)c
@@ -263,38 +265,26 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     deterministic.  Raises OrderCapExceeded past the cap (default order_cap()).
     """
     cap = cap if cap is not None else order_cap()
-    gens: list[tuple[int, ...]] = []
+    rows: list[tuple[int, ...]] = []
     for gi, g in enumerate(generators):
         t = tuple(int(v) for v in g)
         if len(t) != degree or sorted(t) != list(range(degree)):
             raise NotABijection("generator", gi)
-        if t not in gens:
-            gens.append(t)
+        rows.append(t)
+    gens = RowIndex(degree, np.int32)
+    gens.add(np.array(rows, dtype=np.int32).reshape(-1, degree))
 
-    ident = tuple(range(degree))
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    elements: list[tuple[int, ...]] = [ident]
-    frontier = [ident]
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for h in frontier:
-            for g in gens:
-                p = tuple(g[h[i]] for i in range(degree))
-                if p not in index:
-                    index[p] = len(elements)
-                    elements.append(p)
-                    new.append(p)
-                    if len(elements) > cap:
-                        raise OrderCapExceeded(cap, len(elements))
-        frontier = new
-
-    n = len(elements)
+    index = _mulclose(gens.rows, degree, cap)
+    E = index.rows
+    n = len(E)
     table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            table[i, j] = index[tuple(p[q[k]] for k in range(degree))]
+    flat = table.reshape(-1)
+    lo = 0
+    for slab in composites(E, E):                 # E[i] o E[j], j outer: table[j, i]
+        flat[lo:lo + len(slab)] = index.add(slab)
+        lo += len(slab)
     names = _default_names(n)
-    return _group_unchecked(table, names, name=name or f"perm-closure-{degree}")
+    return _group_unchecked(table.T, names, name=name or f"perm-closure-{degree}")
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NotRightLoop
 from .groups import FiniteGroup, nilpotency_class
 from .loops import FiniteLoop, loop_from_table
+from .perms import RowIndex
 from .report import CheckReport, failed, passed
 
 GYRO_AXIOMS_STATEMENT = ("every gyration is an automorphism of the loop and "
@@ -82,23 +83,12 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
     n = L.order
     T, rdiv = L.table, L.right_division
     ids = np.empty((n, n), dtype=np.int32)
-    perms: list[np.ndarray] = []
-    seen: dict[bytes, int] = {}
+    index = RowIndex(n, rdiv.dtype)
     for y in range(n):
-        xy = T[:, y]
-        xyz = T[xy, :]                            # [x, z] -> (x*y)*z
-        divisors = np.broadcast_to(T[y, :][None, :], (n, n))
-        gy = rdiv[xyz, divisors]                  # [x, z] -> gyr(y,z)(x)
-        cols = np.ascontiguousarray(gy.T)         # row z = images of gyr(y,z)
-        for z in range(n):
-            key = cols[z].tobytes()
-            gid = seen.get(key)
-            if gid is None:
-                gid = len(perms)
-                seen[key] = gid
-                perms.append(cols[z].copy())
-            ids[y, z] = gid
-    return GyrationTable(ids, perms)
+        xyz = T[T[:, y], :]                       # [x, z] -> (x*y)*z
+        gy = rdiv[xyz, T[y, :][None, :]]          # [x, z] -> gyr(y,z)(x)
+        ids[y] = index.add(gy.T)                  # row z = images of gyr(y,z)
+    return GyrationTable(ids, list(index.rows))
 
 
 def _automorphism_violation(L: FiniteLoop, p: np.ndarray) -> tuple[int, int] | None:
@@ -145,12 +135,13 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None,
                       details={**details, "axiom": "automorphism"})
 
     # pairing axiom: gyr(a, b) == gyr(a*b, a)^-1
-    inverse_id = np.full(len(gt.perms), -1, dtype=np.int32)
-    key_to_id = {p.tobytes(): i for i, p in enumerate(gt.perms)}
-    for gid, p in enumerate(gt.perms):
-        q = np.empty(n, dtype=p.dtype)
-        q[p] = np.arange(n, dtype=p.dtype)
-        inverse_id[gid] = key_to_id.get(np.ascontiguousarray(q).tobytes(), -1)
+    perms = np.array(gt.perms)
+    inverses = np.empty_like(perms)
+    np.put_along_axis(inverses, perms, np.arange(n, dtype=perms.dtype)[None, :], axis=1)
+    index = RowIndex(n, perms.dtype)
+    index.add(perms)
+    inverse_id = index.add(inverses)
+    inverse_id[inverse_id >= len(perms)] = -1             # inverse is no gyration
 
     partner = gt.ids[L.table, np.broadcast_to(np.arange(n)[:, None], (n, n))]
     pairing_ok = gt.ids == inverse_id[partner]

@@ -21,7 +21,14 @@ from .errors import (
     NotRightLoop,
     NotWellDefined,
 )
-from .groups import FiniteGroup, _default_names, _find_identity, _relabel, is_index_perm
+from .groups import (
+    FiniteGroup,
+    _default_names,
+    _find_identity,
+    _relabel,
+    associativity_violation,
+    is_index_perm,
+)
 
 
 class FiniteLoop:
@@ -133,17 +140,8 @@ def divide(L: FiniteLoop, mode: str, a: int, b: int) -> int:
     raise ValueError(f"mode must be 'right' or 'left', got {mode!r}")
 
 
-def table_associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
-    """First (x, y, z) with (x*y)*z != x*(y*z), or None if associative."""
-    T = np.asarray(table)
-    n = T.shape[0]
-    for x in range(n):
-        lhs = T[T[x], :]
-        rhs = T[x, T]
-        if not np.array_equal(lhs, rhs):
-            flat = int(np.argmax(lhs != rhs))
-            return (x, flat // n, flat % n)
-    return None
+# The group-table scan needs only the table, so loop tables use it as is.
+table_associativity_violation = associativity_violation
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotALoop, OrderCapExceeded
-from .loops import (
-    FiniteLoop,
-    normal_subloop_violation,
-    quotient_loop,
-    table_associativity_violation,
-)
-from .invariants import commutator_bracket_table, loop_center, nucleus
-from .report import CheckReport, failed, passed, skipped
+from .errors import NotALoop
+from .gyro import gyration_table
+from .invariants import commutator_bracket_table
+from .loops import FiniteLoop, table_associativity_violation
+from .perms import RowIndex, _mulclose
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 CLOSURE_CAP_ENV = "GYROLAB_CLOSURE_CAP"
@@ -44,41 +40,19 @@ def translations(L: FiniteLoop, x: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(L.table[x]), np.array(L.table[:, x])
 
 
-def _mulclose(generators: list[tuple[int, ...]], degree: int,
-              cap: int) -> list[tuple[int, ...]]:
-    """Breadth-first closure under composition; deterministic element order."""
-    ident = tuple(range(degree))
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for h in frontier:
-            for g in generators:
-                p = tuple(g[h[i]] for i in range(degree))
-                if p not in index:
-                    index[p] = len(elements)
-                    elements.append(p)
-                    new.append(p)
-                    if len(elements) > cap:
-                        raise OrderCapExceeded(cap, len(elements))
-        frontier = new
-    return elements
-
-
 @dataclass
 class PermGroup:
-    """A permutation group given by generators; elements enumerated on demand."""
+    """A permutation group given by distinct generator rows; elements enumerated on demand."""
 
     degree: int
-    generators: tuple[tuple[int, ...], ...]
+    generators: np.ndarray
     labels: tuple[str, ...]
-    _elements: list[tuple[int, ...]] | None = field(default=None, repr=False)
+    _elements: np.ndarray | None = field(default=None, repr=False)
 
-    def elements(self, cap: int | None = None) -> list[tuple[int, ...]]:
+    def elements(self, cap: int | None = None) -> np.ndarray:
         if self._elements is None:
-            self._elements = _mulclose(list(self.generators), self.degree,
-                                       cap if cap is not None else closure_cap())
+            self._elements = _mulclose(self.generators, self.degree,
+                                       cap if cap is not None else closure_cap()).rows
         return self._elements
 
     def order(self, cap: int | None = None) -> int:
@@ -88,11 +62,10 @@ class PermGroup:
         """First pair of generators (by label) that fail to commute."""
         gens = self.generators
         for i in range(len(gens)):
-            gi = np.array(gens[i])
-            for j in range(i + 1, len(gens)):
-                gj = np.array(gens[j])
-                if not np.array_equal(gi[gj], gj[gi]):
-                    return (self.labels[i], self.labels[j])
+            later = gens[i + 1:]
+            bad = np.flatnonzero((gens[i][later] != later[:, gens[i]]).any(axis=1))
+            if len(bad):
+                return (self.labels[i], self.labels[i + 1 + int(bad[0])])
         return None
 
     def is_abelian(self) -> bool:
@@ -105,7 +78,7 @@ class PermGroup:
             nxt = []
             for p in frontier:
                 for g in self.generators:
-                    q = g[p]
+                    q = int(g[p])
                     if q not in seen:
                         seen.add(q)
                         nxt.append(q)
@@ -113,65 +86,53 @@ class PermGroup:
         return frozenset(seen)
 
 
-def _dedup(perms: list[np.ndarray], labels: list[str]):
-    out_p: list[tuple[int, ...]] = []
-    out_l: list[str] = []
-    seen: set[tuple[int, ...]] = set()
-    for p, lab in zip(perms, labels):
-        t = tuple(int(v) for v in p)
-        if t not in seen:
-            seen.add(t)
-            out_p.append(t)
-            out_l.append(lab)
-    return tuple(out_p), tuple(out_l)
+def _new_labels(index: RowIndex, slab: np.ndarray, label) -> list[str]:
+    """Add a slab of rows to the index; label(i) names each new row at its
+    first occurrence i in the slab."""
+    start = len(index)
+    ids, first = np.unique(index.add(slab), return_index=True)
+    return [label(int(i)) for i in first[ids >= start]]
 
 
 def multiplication_group(L: FiniteLoop) -> PermGroup:
     """Mlt(L) = group generated by all left and right translations."""
     if not L.is_loop:
         raise NotALoop("multiplication group needs a full loop")
-    perms: list[np.ndarray] = []
-    labels: list[str] = []
-    for x in range(L.order):
-        perms.append(np.array(L.table[x]))
-        labels.append(f"L[{x}]")
-    for x in range(L.order):
-        perms.append(np.array(L.table[:, x]))
-        labels.append(f"R[{x}]")
-    gens, labs = _dedup(perms, labels)
-    return PermGroup(L.order, gens, labs)
+    T = L.table
+    index = RowIndex(L.order, T.dtype)
+    labels = (_new_labels(index, T, lambda x: f"L[{x}]")
+              + _new_labels(index, T.T, lambda x: f"R[{x}]"))
+    return PermGroup(L.order, index.rows, tuple(labels))
 
 
-def inner_generators(L: FiniteLoop) -> tuple[list[np.ndarray], list[str]]:
-    """All R(x,y), L(x,y), T(x) image arrays with their labels (undeduplicated)."""
+def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The distinct R(x,y), L(x,y), T(x) image rows, each labelled at its first
+    occurrence in that order.
+
+    R(x,y) is the gyration of (x, y), so the R part is gyration_table's.
+    """
     if not L.is_loop:
         raise NotALoop("inner mappings need a full loop")
-    T, rdiv, ldiv = L.table, L.right_division, L.left_division
+    T, ldiv = L.table, L.left_division
     n = L.order
-    perms: list[np.ndarray] = []
-    labels: list[str] = []
+    gt = gyration_table(L)
+    index = RowIndex(n, T.dtype)
+    index.add(np.array(gt.perms))
+    first = np.unique(gt.ids, return_index=True)[1]
+    labels = [f"R({i // n},{i % n})" for i in first.tolist()]
     for x in range(n):
-        tx = T[:, x]
-        for y in range(n):
-            perms.append(rdiv[:, T[x, y]][T[tx, y]])        # ((t*x)*y)/(x*y)
-            labels.append(f"R({x},{y})")
-    for x in range(n):
-        row_x = T[x]
-        for y in range(n):
-            perms.append(ldiv[T[y, x]][T[y, row_x]])        # (y*x)\(y*(x*t))
-            labels.append(f"L({x},{y})")
-    for x in range(n):
-        perms.append(ldiv[x][T[:, x]])                      # x\(t*x)
-        labels.append(f"T({x})")
-    return perms, labels
+        slab = ldiv[T[:, x][:, None], T[:, T[x]]]           # [y, t] -> (y*x)\(y*(x*t))
+        labels += _new_labels(index, slab, lambda y: f"L({x},{y})")
+    slab = ldiv[np.arange(n)[:, None], T.T]                 # [x, t] -> x\(t*x)
+    labels += _new_labels(index, slab, lambda x: f"T({x})")
+    return index.rows, tuple(labels)
 
 
 def inner_mapping_group(L: FiniteLoop) -> PermGroup:
-    perms, labels = inner_generators(L)
-    for p, lab in zip(perms, labels):
-        assert int(p[0]) == 0, f"inner generator {lab} moves the identity"
-    gens, labs = _dedup(perms, labels)
-    return PermGroup(L.order, gens, labs)
+    gens, labels = inner_generators(L)
+    moved = np.flatnonzero(gens[:, 0] != 0)
+    assert not len(moved), f"inner generator {labels[moved[0]]} moves the identity"
+    return PermGroup(L.order, gens, labels)
 
 
 def is_inner_abelian(L: FiniteLoop) -> tuple[bool, tuple[str, str] | None]:
@@ -191,78 +152,4 @@ def mlt_inn_orders(L: FiniteLoop, cap: int | None = None) -> tuple[int, int]:
 
 def bracket_associativity_violation(L: FiniteLoop) -> tuple[int, int, int] | None:
     """First triple where the loop-commutator bracket fails to associate."""
-    B = commutator_bracket_table(L)
-    n = L.order
-    for x in range(n):
-        lhs = B[B[x], :]
-        rhs = B[x, B]
-        if not np.array_equal(lhs, rhs):
-            flat = int(np.argmax(lhs != rhs))
-            return (x, flat // n, flat % n)
-    return None
-
-
-def kinyon_check(L: FiniteLoop) -> list[CheckReport]:
-    """Evaluate three structural hypotheses and their conjectured conclusion.
-
-    (a) L/N(L) is an abelian group, (b) L/Z(L) is a group, (c) the
-    loop-commutator bracket is associative; conclusion: Inn(L) abelian.
-    Each is reported separately so partial hypothesis failures stay visible.
-    """
-    reports: list[CheckReport] = []
-
-    stmt_a = "the quotient by the nucleus is an abelian group"
-    N = nucleus(L, "full")
-    w = normal_subloop_violation(L, N)
-    if w is not None:
-        reports.append(failed("kinyon-quotient-by-nucleus-abelian-group", stmt_a,
-                              witness=w, details={"defect": "nucleus-not-normal"}))
-    else:
-        Q, _ = quotient_loop(L, N)
-        bad = table_associativity_violation(Q.table)
-        if bad is not None:
-            reports.append(failed("kinyon-quotient-by-nucleus-abelian-group",
-                                  stmt_a, witness=bad,
-                                  details={"defect": "not-associative"}))
-        elif not np.array_equal(Q.table, Q.table.T):
-            flat = int(np.argmax(Q.table != Q.table.T))
-            reports.append(failed("kinyon-quotient-by-nucleus-abelian-group",
-                                  stmt_a,
-                                  witness=(flat // Q.order, flat % Q.order),
-                                  details={"defect": "not-commutative"}))
-        else:
-            reports.append(passed("kinyon-quotient-by-nucleus-abelian-group", stmt_a))
-
-    stmt_b = "the quotient by the center is a group"
-    Z = loop_center(L)
-    w = normal_subloop_violation(L, Z)
-    if w is not None:
-        reports.append(failed("kinyon-quotient-by-center-group", stmt_b,
-                              witness=w, details={"defect": "center-not-normal"}))
-    else:
-        Q, _ = quotient_loop(L, Z)
-        bad = table_associativity_violation(Q.table)
-        if bad is not None:
-            reports.append(failed("kinyon-quotient-by-center-group", stmt_b,
-                                  witness=bad))
-        else:
-            reports.append(passed("kinyon-quotient-by-center-group", stmt_b))
-
-    stmt_c = "the loop-commutator bracket is associative"
-    bad = bracket_associativity_violation(L)
-    if bad is not None:
-        reports.append(failed("kinyon-bracket-associative", stmt_c, witness=bad))
-    else:
-        reports.append(passed("kinyon-bracket-associative", stmt_c))
-
-    stmt_d = "the inner mapping group is abelian"
-    try:
-        ok, w = is_inner_abelian(L)
-    except OrderCapExceeded as exc:
-        reports.append(skipped("kinyon-inner-abelian", stmt_d, reason=str(exc)))
-    else:
-        if ok:
-            reports.append(passed("kinyon-inner-abelian", stmt_d))
-        else:
-            reports.append(failed("kinyon-inner-abelian", stmt_d, witness=w))
-    return reports
+    return table_associativity_violation(commutator_bracket_table(L))

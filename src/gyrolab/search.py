@@ -169,5 +169,5 @@ def search_scan(sources: Sequence[str], jobs: int = 1,
     else:
         work = partial(evaluate_source, max_order=max_order)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(work, sources, chunksize=8))
+            records = list(pool.map(work, sources))
     return SearchSummary(records=records)

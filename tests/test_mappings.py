@@ -6,10 +6,10 @@ from gyrolab import (
     catalog_group,
     inner_mapping_group,
     is_inner_abelian,
-    kinyon_check,
     loop_from_group,
     mlt_inn_orders,
     multiplication_group,
+    verify_suite,
 )
 from gyrolab.mappings import (
     bracket_associativity_violation,
@@ -67,15 +67,28 @@ def test_bracket_associativity(d16_loop, heis3_loop):
     assert bracket_associativity_violation(heis3_loop) is None
 
 
-def test_kinyon_conditions_d16(d16_loop):
-    reports = kinyon_check(d16_loop)
-    by_id = {r.check_id: r for r in reports}
-    assert by_id["kinyon-quotient-by-nucleus-abelian-group"].status == "pass"
-    assert by_id["kinyon-quotient-by-center-group"].status == "pass"
-    assert by_id["kinyon-bracket-associative"].status == "fail"
-    assert by_id["kinyon-bracket-associative"].witness == (1, 8, 8)
-    assert by_id["kinyon-inner-abelian"].status == "fail"
+def _suite_by_id(G, selection):
+    return {r.check_id: r for r in verify_suite(G, selection=selection)}
+
+
+def test_kinyon_conditions_d16(d16):
+    # the hypotheses and conclusion of Kinyon's question, as suite checks
+    by_id = _suite_by_id(d16, ["quotient-by-nucleus-abelian-group",
+                               "quotient-by-center-group",
+                               "bracket-not-associative",
+                               "inner-mapping-group-not-abelian"])
+    assert by_id["quotient-by-nucleus-abelian-group"].status == "pass"
+    assert by_id["quotient-by-center-group"].status == "pass"
+    assert by_id["bracket-not-associative"].status == "pass"
+    assert by_id["bracket-not-associative"].details["witness_triple"] == [1, 8, 8]
+    assert by_id["inner-mapping-group-not-abelian"].status == "pass"
 
 
 def test_kinyon_conditions_heis3(heis3_loop):
-    assert all(r.status == "pass" for r in kinyon_check(heis3_loop))
+    by_id = _suite_by_id(catalog_group("heisenberg:3"),
+                         ["quotient-by-nucleus-abelian-group",
+                          "quotient-by-center-group",
+                          "bracket-assoc-iff-ninth-power"])
+    assert all(r.status == "pass" for r in by_id.values())
+    assert by_id["bracket-assoc-iff-ninth-power"].details["bracket_associative"] is True
+    assert is_inner_abelian(heis3_loop) == (True, None)
