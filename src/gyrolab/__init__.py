@@ -36,8 +36,10 @@ from .cocycle import (
 )
 from .errors import (
     GyrolabError,
+    InvariantViolated,
     NoIdentity,
     NotABijection,
+    NotACocycle,
     NotALoop,
     NotASubgroup,
     NotASubloop,

@@ -30,7 +30,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NotASubgroup, NotCentral, ValueOutsideCenter
+from .errors import (
+    InvariantViolated,
+    NotACocycle,
+    NotASubgroup,
+    NotCentral,
+    ValueOutsideCenter,
+)
 from .groups import FiniteGroup, _subgroup_witness, is_subgroup, quotient_group
 from .loops import FiniteLoop, loop_from_table
 
@@ -105,11 +111,14 @@ def factor_set(G: FiniteGroup, T: Transversal) -> FactorSet:
     r_prod = G.table[np.ix_(reps, reps)]                 # rep(x) rep(y)
     values = G.table[r_prod, G.inverse[reps[Q.table]]]
     _check_in_center(values, T.center)
-    assert (values[0, :] == 0).all() and (values[:, 0] == 0).all(), \
-        "normalized transversal must give a normalized factor set"
+    off = np.flatnonzero(values[0] | values[:, 0])         # f(e, k) or f(k, e) != e
+    if len(off):
+        k = int(off[0])
+        raise NotACocycle("is not normalized", (0, k) if values[0, k] else (k, 0))
     fs = FactorSet(G, T.center, Q, values)
     bad = cocycle_violation(fs)
-    assert bad is None, f"factor set of a transversal failed the cocycle identity at {bad}"
+    if bad is not None:
+        raise NotACocycle("fails the cocycle identity", bad)
     return fs
 
 
@@ -150,7 +159,8 @@ class GyroFactorSet:
 def gyro_factor_set(f: FactorSet, q_circ: FiniteLoop) -> GyroFactorSet:
     """tf(x, y) = f(y, y^-1)^-1 f(y^-1, x) f(y, y) f(y^-1 x, y^2)."""
     G, Q, v = f.group, f.quotient, f.values
-    assert q_circ.order == Q.order, "quotient loop must live on the quotient group"
+    if q_circ.order != Q.order:
+        raise InvariantViolated("quotient loop must live on the quotient group")
     q = Q.order
     values = np.empty((q, q), dtype=np.int32)
     for y in range(q):
@@ -217,7 +227,8 @@ def verify_extension_isomorphism(built: FiniteLoop, target: FiniteLoop,
 def transversal_tau(t1: Transversal, t2: Transversal) -> np.ndarray:
     """tau(x) = rep2(x) rep1(x)^-1, the central difference of two transversals."""
     G = t1.group
-    assert t1.center == t2.center, "transversals must share the central subgroup"
+    if t1.center != t2.center:
+        raise InvariantViolated("transversals must share the central subgroup")
     tau = G.table[t2.reps, G.inverse[t1.reps]]
     member = set(t1.center)
     for q, v in enumerate(tau.tolist()):

@@ -50,6 +50,23 @@ class OrderCapExceeded(GyrolabError):
         super().__init__(f"enumeration passed {reached} elements, cap is {cap}")
 
 
+class InvariantViolated(GyrolabError):
+    """A condition the package guarantees by construction does not hold."""
+
+    def __init__(self, detail: str):
+        self.detail = detail
+        super().__init__(f"invariant violated: {detail}")
+
+
+class NotACocycle(GyrolabError):
+    """A factor set is not a normalized 2-cocycle; witness is a cell or a triple."""
+
+    def __init__(self, detail: str, witness: tuple):
+        self.detail = detail
+        self.witness = witness
+        super().__init__(f"factor set {detail} at {witness}")
+
+
 class UnknownSpec(GyrolabError):
     def __init__(self, spec: str, detail: str = ""):
         self.spec = spec

@@ -11,7 +11,9 @@ Group file schema (JSON object):
 
 Exactly one of "table" / "generators" must be present.  Indices are 0-based;
 if the identity of a table sits at an index other than 0 it is relocated on
-load (the group records the original index in `relabeled_from`).
+load (the group records the original index in `relabeled_from`).  A
+declared order or degree above order_cap() raises OrderCapExceeded before
+the table is built.
 
 Report documents are schema-versioned JSON with sorted keys so identical runs
 serialize byte-identically; per-check wall-clock timing is deliberately left
@@ -27,8 +29,14 @@ import numpy as np
 
 from ._version import __version__
 from .catalog import catalog_group
-from .errors import ParseError
-from .groups import FiniteGroup, group_center, group_from_permutations, group_from_table
+from .errors import OrderCapExceeded, ParseError
+from .groups import (
+    FiniteGroup,
+    group_center,
+    group_from_permutations,
+    group_from_table,
+    order_cap,
+)
 from .report import CheckReport, summarize
 
 REPORT_SCHEMA = "gyrolab-report/1"
@@ -37,6 +45,12 @@ SEARCH_SCHEMA = "gyrolab-search/1"
 
 # ---------------------------------------------------------------------------
 # group files
+
+def _check_cap(declared: int) -> None:
+    """Refuse a declared order or degree past order_cap() before any n x n work."""
+    if declared > order_cap():
+        raise OrderCapExceeded(order_cap(), declared)
+
 
 def parse_group_file(path) -> FiniteGroup:
     p = Path(path)
@@ -66,6 +80,7 @@ def parse_group_file(path) -> FiniteGroup:
         order = doc.get("order")
         if not isinstance(order, int) or order < 1:
             raise ParseError(str(path), "field 'order' must be a positive integer")
+        _check_cap(order)
         try:
             arr = np.asarray(doc["table"], dtype=np.int32)
         except (TypeError, ValueError) as exc:
@@ -86,6 +101,7 @@ def parse_group_file(path) -> FiniteGroup:
     degree = doc.get("degree")
     if not isinstance(degree, int) or degree < 1:
         raise ParseError(str(path), "field 'degree' must be a positive integer")
+    _check_cap(degree)
     gens = doc["generators"]
     if not isinstance(gens, list) or not gens:
         raise ParseError(str(path), "field 'generators' must be a non-empty list")

@@ -78,16 +78,24 @@ class GyrationTable:
 
 
 def gyration_table(L: FiniteLoop) -> GyrationTable:
+    """All gyrations gyr(y,z) = R_{y*z}^-1 o R_z o R_y, R_a the right translation by a."""
     if L.right_division is None:
         raise NotRightLoop(-1)
     n = L.order
-    T, rdiv = L.table, L.right_division
+    T = L.table
+    # row a of R is R_a and row a of Rinv is R_a^-1, so each slab row reads
+    # one contiguous row of each; slabs hold flat offsets into Rinv, in int32
+    # whenever n*n fits, which halves the bytes a slab moves
+    offset = np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
+    R = np.ascontiguousarray(T.T, dtype=offset)
+    Rinv = np.ascontiguousarray(L.right_division.T).ravel()
+    base = np.arange(n, dtype=offset) * n
     ids = np.empty((n, n), dtype=np.int32)
-    index = RowIndex(n, rdiv.dtype)
+    index = RowIndex(n, Rinv.dtype)
     for y in range(n):
-        xyz = T[T[:, y], :]                       # [x, z] -> (x*y)*z
-        gy = rdiv[xyz, T[y, :][None, :]]          # [x, z] -> gyr(y,z)(x)
-        ids[y] = index.add(gy.T)                  # row z = images of gyr(y,z)
+        xyz = R.take(R[y], axis=1)                # [z, x] -> (x*y)*z
+        xyz += base[T[y]][:, None]                # offset of row y*z of Rinv
+        ids[y] = index.add(Rinv.take(xyz))        # row z = images of gyr(y,z)
     return GyrationTable(ids, list(index.rows))
 
 

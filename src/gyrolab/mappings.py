@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotALoop
+from .errors import InvariantViolated, NotALoop
 from .gyro import gyration_table
 from .invariants import commutator_bracket_table
 from .loops import FiniteLoop, table_associativity_violation
@@ -131,7 +131,8 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
 def inner_mapping_group(L: FiniteLoop) -> PermGroup:
     gens, labels = inner_generators(L)
     moved = np.flatnonzero(gens[:, 0] != 0)
-    assert not len(moved), f"inner generator {labels[moved[0]]} moves the identity"
+    if len(moved):
+        raise InvariantViolated(f"inner generator {labels[moved[0]]} moves the identity")
     return PermGroup(L.order, gens, labels)
 
 

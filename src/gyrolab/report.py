@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvariantViolated
+
 
 @dataclass
 class CheckReport:
@@ -25,9 +27,10 @@ class CheckReport:
     timing: float | None = None
 
     def __post_init__(self):
-        assert self.status in ("pass", "fail", "skipped"), self.status
-        if self.status == "fail":
-            assert self.witness is not None, f"failing check {self.check_id} lacks a witness"
+        if self.status not in ("pass", "fail", "skipped"):
+            raise InvariantViolated(f"check {self.check_id} has status {self.status!r}")
+        if self.status == "fail" and self.witness is None:
+            raise InvariantViolated(f"failing check {self.check_id} lacks a witness")
 
     @property
     def passed(self) -> bool:

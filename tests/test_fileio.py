@@ -6,6 +6,7 @@ import pytest
 from gyrolab import (
     NotAssociative,
     NotLatinSquare,
+    OrderCapExceeded,
     ParseError,
     catalog_group,
     parse_group_file,
@@ -103,6 +104,22 @@ def test_math_validation_propagates(tmp_path):
     ]})
     with pytest.raises(NotAssociative):
         parse_group_file(nonassoc)
+
+
+def test_declared_size_past_order_cap_is_refused_before_parsing(tmp_path, monkeypatch):
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "4")
+    # the cap is checked before the table is read, so a bogus table still
+    # gives OrderCapExceeded rather than a ParseError
+    table = _write(tmp_path, "t.json", {"order": 5, "table": "not read"})
+    with pytest.raises(OrderCapExceeded) as exc:
+        parse_group_file(table)
+    assert (exc.value.cap, exc.value.reached) == (4, 5)
+    gens = _write(tmp_path, "g.json", {"degree": 8, "generators": "not read"})
+    with pytest.raises(OrderCapExceeded):
+        parse_group_file(gens)
+    ok = _write(tmp_path, "k.json", {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                                           [2, 3, 0, 1], [3, 2, 1, 0]]})
+    assert parse_group_file(ok).order == 4
 
 
 def test_resolve_group(tmp_path):

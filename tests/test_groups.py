@@ -1,7 +1,12 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gyrolab import (
+    build_gyro,
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
@@ -23,7 +28,7 @@ from gyrolab import (
     subgroup_generated,
     subset_exponent,
 )
-from gyrolab.groups import normality_violation
+from gyrolab.groups import _relabel, associativity_violation, normality_violation
 
 KLEIN = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 
@@ -191,3 +196,86 @@ def test_element_order_and_powers(d16):
     p3 = d16.power_array(3)
     assert d16.names[p3[r]] == "r3"
     assert p3[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Light's associativity test in group_from_table against the full scan
+
+def _renamed(table, perm):
+    """The same operation with element i renamed perm[i]."""
+    inv = np.argsort(perm)
+    return perm[table[np.ix_(inv, inv)]]
+
+
+def _expected_witness(table):
+    """associativity_violation on the table as group_from_table sees it,
+    identity moved to index 0."""
+    ar = np.arange(len(table))
+    e = next(i for i in ar if (table[i] == ar).all() and (table[:, i] == ar).all())
+    if e:
+        table, _ = _relabel(table, [str(i) for i in ar], e)
+    return associativity_violation(table)
+
+
+@pytest.mark.parametrize("spec", ["wreath33", "product:wreath33,cyclic:3", "heisenberg:5"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_relabelled_group_tables_are_accepted(spec, seed):
+    G = catalog_group(spec)
+    perm = np.random.default_rng(seed).permutation(G.order)
+    H = group_from_table(_renamed(G.table, perm))
+    assert H.order == G.order
+    assert H.relabeled_from == (int(perm[0]) or None)
+
+
+@pytest.mark.parametrize("spec", ["wreath33", "dihedral:32"])
+@pytest.mark.parametrize("identity_at", [0, 5])
+def test_twisted_table_rejected_with_full_scan_witness(spec, identity_at):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # dihedral:32 has class 4
+        twisted = build_gyro(catalog_group(spec)).loop.table.astype(np.int64)
+    perm = np.arange(len(twisted))
+    perm[[0, identity_at]] = perm[[identity_at, 0]]
+    table = _renamed(twisted, perm)
+    expected = _expected_witness(table)
+    assert expected is not None
+    with pytest.raises(NotAssociative) as exc:
+        group_from_table(table)
+    assert exc.value.triple == expected
+
+
+def _random_latin_with_identity(n, rng):
+    """Latin square with identity 0, filled cell by cell in random candidate
+    order with backtracking."""
+    T = np.zeros((n, n), dtype=np.int64)
+    T[0], T[:, 0] = np.arange(n), np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        candidates = sorted(set(range(n)) - set(T[i, :j].tolist()) - set(T[:i, j].tolist()))
+        rng.shuffle(candidates)
+        for v in candidates:
+            T[i, j] = v
+            if fill(k + 1):
+                return True
+        return False
+
+    assert fill(0)
+    return T
+
+
+@given(n=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_light_test_agrees_with_full_scan(n, seed):
+    rng = random.Random(seed)
+    perm = np.array(rng.sample(range(n), n))
+    table = _renamed(_random_latin_with_identity(n, rng), perm)
+    expected = _expected_witness(table)
+    try:
+        G = group_from_table(table)
+    except NotAssociative as exc:
+        assert exc.triple == expected
+    else:
+        assert expected is None
+        assert G.order == n

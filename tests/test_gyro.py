@@ -11,7 +11,10 @@ from gyrolab import (
     gyration_table,
     is_gyrogroup,
 )
+from gyrolab import gyro
+from gyrolab.gyro import GyrationTable
 from gyrolab.loops import loop_from_table
+from gyrolab.perms import RowIndex
 
 
 def test_definition_pointwise(d16, d16_loop):
@@ -97,3 +100,30 @@ def test_class_four_source_warns_and_fails_pairing():
     assert rep.status == "fail"
     assert rep.details["axiom"] == "pairing"
     assert rep.witness == (1, 16)
+
+
+def _ref_gyration_table(L):
+    """The column-wise kernel gyration_table replaced: a 2-D gather per y."""
+    n = L.order
+    T, rdiv = L.table, L.right_division
+    ids = np.empty((n, n), dtype=np.int32)
+    index = RowIndex(n, rdiv.dtype)
+    for y in range(n):
+        xyz = T[T[:, y], :]                       # [x, z] -> (x*y)*z
+        gy = rdiv[xyz, T[y, :][None, :]]          # [x, z] -> gyr(y,z)(x)
+        ids[y] = index.add(gy.T)                  # row z = images of gyr(y,z)
+    return GyrationTable(ids, list(index.rows))
+
+
+@pytest.mark.parametrize("spec", ["wreath33", "product:dihedral:16,cyclic:5",
+                                  "heisenberg:5", "dihedral:32"])
+def test_gyration_table_matches_column_kernel(spec, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # dihedral:32 has class 4
+        gc = build_gyro(catalog_group(spec))
+    got, ref = gyration_table(gc.loop), _ref_gyration_table(gc.loop)
+    assert np.array_equal(got.ids, ref.ids)
+    assert np.array_equal(np.array(got.perms), np.array(ref.perms))
+    report = is_gyrogroup(gc.loop, source=gc.source).to_dict()
+    monkeypatch.setattr(gyro, "gyration_table", _ref_gyration_table)
+    assert report == is_gyrogroup(gc.loop, source=gc.source).to_dict()
