@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OrderCapExceeded, UnknownSpec
-from .groups import FiniteGroup, _group_unchecked, direct_product, order_cap
+from .errors import UnknownSpec
+from .groups import FiniteGroup, _group_unchecked, check_order_cap, direct_product
 
 CATALOG_HELP: list[tuple[str, str]] = [
     ("trivial", "one-element group"),
@@ -155,8 +155,7 @@ def _heisenberg(p: int) -> FiniteGroup:
 
 def _unitriangular4(p: int) -> FiniteGroup:
     n = p ** 6
-    if n > order_cap():
-        raise OrderCapExceeded(order_cap(), n)
+    check_order_cap(n)
     # parameters (a12, a13, a14, a23, a24, a34), mixed-radix rank base p
     digits = np.array(np.unravel_index(np.arange(n), (p,) * 6)).T.astype(np.int32)
     a12, a13, a14 = digits[:, 0], digits[:, 1], digits[:, 2]
@@ -236,8 +235,7 @@ def catalog_group(spec: str) -> FiniteGroup:
         raise UnknownSpec(spec)
     family, _, raw = spec.partition(":")
     value = _int_param(spec, raw)
-    if value > order_cap():
-        raise OrderCapExceeded(order_cap(), value)
+    check_order_cap(value)
     if family == "cyclic":
         if value < 1:
             raise UnknownSpec(spec, "order must be >= 1")
@@ -257,8 +255,7 @@ def catalog_group(spec: str) -> FiniteGroup:
     if family == "heisenberg":
         if not _is_prime(value):
             raise UnknownSpec(spec, "parameter must be prime")
-        if value ** 3 > order_cap():
-            raise OrderCapExceeded(order_cap(), value ** 3)
+        check_order_cap(value ** 3)
         return _heisenberg(value)
     if family == "unitriangular4":
         if not _is_prime(value):

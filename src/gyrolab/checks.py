@@ -23,22 +23,26 @@ from .cocycle import (
 from .errors import NotASubloop, NotWellDefined, WrongClass
 from .groups import (
     FiniteGroup,
+    _slab_witness,
     _subgroup_witness,
+    first_violation,
     group_center,
     group_exponent,
     is_subgroup,
     is_two_engel,
     nilpotency_class,
     normality_violation,
+    offset_dtype,
     quotient_group,
     subgroup_as_group,
 )
 from .gyro import build_gyro, is_gyrogroup
 from .invariants import (
+    NUCLEUS_KINDS,
     commutant,
     commutator_bracket_table,
     loop_nilpotency_class,
-    nucleus,
+    nuclei,
 )
 from .loops import (
     FiniteLoop,
@@ -81,17 +85,14 @@ def class2_criterion(G: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
 
 
 def nine_identity(G: FiniteGroup) -> tuple[bool, tuple[int, int, int] | None]:
-    """Whether [[x,y],z]^9 == [x,[y,z]]^9 for all triples."""
+    """Whether [[x,y],z]^9 == [x,[y,z]]^9 for all triples, with the least
+    failing (x, y, z) when not."""
     cm = G.commutator_table()
     p9 = G.power_array(9)
-    n = G.order
-    for x in range(n):
-        lhs = p9[cm[cm[x], :]]
-        rhs = p9[cm[x, cm]]
-        if not np.array_equal(lhs, rhs):
-            flat = int(np.argmax(lhs != rhs))
-            return False, (x, flat // n, flat % n)
-    return True, None
+    # [y, z] -> [[x,y],z]^9 against [x,[y,z]]^9
+    w = first_violation(G.order, lambda x: p9.take(cm.take(cm[x], axis=0))
+                        != p9.take(cm[x].take(cm)))
+    return w is None, w
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,11 @@ class SuiteContext:
         return self._get("com", lambda: commutant(self.loop))
 
     def nuc(self, kind: str):
-        return self._get(("nuc", kind), lambda: nucleus(self.loop, kind))
+        """A nucleus of the loop; all kinds come from one cached nuclei pass."""
+        if kind == "full":
+            return self._get(("nuc", "full"), lambda: (
+                self.nuc("left") & self.nuc("middle") & self.nuc("right")))
+        return self._get("nuclei", lambda: nuclei(self.loop))[NUCLEUS_KINDS.index(kind)]
 
     @property
     def zl(self):
@@ -217,26 +222,23 @@ class SuiteContext:
         non-central associator (None when absent)."""
         def run():
             G, L = self.G, self.loop
-            cm, n = self.cm, self.n
-            T, rdiv = L.table, L.right_division
+            n = self.n
+            offset = offset_dtype(n)
+            T = L.table.astype(offset, copy=False)
+            rdiv = L.right_division.ravel()
+            cmT = self.cm.T
+            K = np.ascontiguousarray(self.cm[G.inverse, :].T)   # [y, z] -> [z^-1, y]
             zmask = self.zmask()
             formula_bad = None
             central_bad = None
-            cm_invz_y = cm[G.inverse, :]           # [z, y] -> [z^-1, y]
             for x in range(n):
-                lhs = T[T[x], :]                    # [y, z] -> (x*y)*z
-                rhs = T[x, T]                       # [y, z] -> x*(y*z)
-                assoc = rdiv[lhs, rhs]              # A(x, y, z)
+                # A(x, y, z) = ((x*y)*z) / (x*(y*z)), one flat take of rdiv
+                assoc = rdiv.take(T.take(T[x], axis=0) * n + T[x].take(T))
                 if formula_bad is None:
-                    expected = cm[cm_invz_y, x].T   # [y, z] -> [[z^-1, y], x]
-                    if not np.array_equal(assoc, expected):
-                        flat = int(np.argmax(assoc != expected))
-                        formula_bad = (x, flat // n, flat % n)
+                    # [y, z] -> [[z^-1, y], x]
+                    formula_bad = _slab_witness(x, assoc != cmT[x].take(K))
                 if central_bad is None:
-                    okc = zmask[assoc]
-                    if not okc.all():
-                        flat = int(np.argmax(~okc))
-                        central_bad = (x, flat // n, flat % n)
+                    central_bad = _slab_witness(x, ~zmask.take(assoc))
                 if formula_bad is not None and central_bad is not None:
                     break
             return formula_bad, central_bad
@@ -385,36 +387,46 @@ def _check_mid_in_left(ctx):
     return failed("middle-nucleus-in-left", stmt, witness=(min(diff),))
 
 
+def _expansion_tables(ctx):
+    """The group table, flat, and the commutator table, in offset dtype."""
+    offset = offset_dtype(ctx.n)
+    return (ctx.G.table.astype(offset, copy=False).ravel(),
+            ctx.cm.astype(offset, copy=False))
+
+
 def _check_commutator_expansion_left(ctx):
+    """[xy, z] = [x,[y,z]] [y,z] [x,z] is a law of every group: it follows
+    from associativity alone.  On a table that is a group it cannot fail, so
+    what the scan tests is the associativity of the table it is given."""
     stmt = "[x y, z] = [x,[y,z]] [y,z] [x,z] for all triples"
-    G, cm, n = ctx.G, ctx.cm, ctx.n
-    T = G.table
-    for x in range(n):
-        lhs = cm[T[x], :]
-        inner = cm[x, cm]                       # [y, z] -> [x, [y, z]]
-        rhs = T[T[inner, cm], np.broadcast_to(cm[x][None, :], (n, n))]
-        if not np.array_equal(lhs, rhs):
-            flat = int(np.argmax(lhs != rhs))
-            return failed("commutator-expansion-left", stmt,
-                          witness=(x, flat // n, flat % n))
-    return passed("commutator-expansion-left", stmt)
+    T, n = ctx.G.table, ctx.n
+    Tf, cm = _expansion_tables(ctx)
+
+    def slab(x):
+        a = Tf.take(cm[x].take(cm) * n + cm)            # [y, z] -> [x,[y,z]] [y,z]
+        return cm.take(T[x], axis=0) != Tf.take(a * n + cm[x])
+    w = first_violation(n, slab)
+    if w is None:
+        return passed("commutator-expansion-left", stmt)
+    return failed("commutator-expansion-left", stmt, witness=w)
 
 
 def _check_commutator_expansion_right(ctx):
+    """[x, yz] = [x,y] [y,[x,z]] [x,z] is a law of every group: it follows
+    from associativity alone.  On a table that is a group it cannot fail, so
+    what the scan tests is the associativity of the table it is given."""
     stmt = "[x, y z] = [x,y] [y,[x,z]] [x,z] for all triples"
-    G, cm, n = ctx.G, ctx.cm, ctx.n
-    T = G.table
-    for x in range(n):
-        lhs = cm[x, T]
-        t1 = np.broadcast_to(cm[x][:, None], (n, n))        # [y, z] -> [x, y]
-        t2 = cm[:, cm[x]]                                   # [y, z] -> [y, [x, z]]
-        t3 = np.broadcast_to(cm[x][None, :], (n, n))        # [y, z] -> [x, z]
-        rhs = T[T[t1, t2], t3]
-        if not np.array_equal(lhs, rhs):
-            flat = int(np.argmax(lhs != rhs))
-            return failed("commutator-expansion-right", stmt,
-                          witness=(x, flat // n, flat % n))
-    return passed("commutator-expansion-right", stmt)
+    T, n = ctx.G.table, ctx.n
+    Tf, cm = _expansion_tables(ctx)
+
+    def slab(x):
+        # [y, z] -> [x,y] [y,[x,z]]
+        u = Tf.take(cm.take(cm[x], axis=1) + (cm[x] * n)[:, None])
+        return cm[x].take(T) != Tf.take(u * n + cm[x])
+    w = first_violation(n, slab)
+    if w is None:
+        return passed("commutator-expansion-right", stmt)
+    return failed("commutator-expansion-right", stmt, witness=w)
 
 
 def _check_commutant_identities(ctx):

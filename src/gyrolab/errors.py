@@ -44,10 +44,16 @@ class NotABijection(GyrolabError):
 
 
 class OrderCapExceeded(GyrolabError):
-    def __init__(self, cap: int, reached: int):
+    """An enumeration, or a declared or constructed order, passed the cap.
+
+    The message defaults to the closure's wording; order checks pass their
+    own.
+    """
+
+    def __init__(self, cap: int, reached: int, message: str = ""):
         self.cap = cap
         self.reached = reached
-        super().__init__(f"enumeration passed {reached} elements, cap is {cap}")
+        super().__init__(message or f"enumeration passed {reached} elements, cap is {cap}")
 
 
 class InvariantViolated(GyrolabError):

@@ -29,13 +29,13 @@ import numpy as np
 
 from ._version import __version__
 from .catalog import catalog_group
-from .errors import OrderCapExceeded, ParseError
+from .errors import ParseError
 from .groups import (
     FiniteGroup,
+    check_order_cap,
     group_center,
     group_from_permutations,
     group_from_table,
-    order_cap,
 )
 from .report import CheckReport, summarize
 
@@ -45,12 +45,6 @@ SEARCH_SCHEMA = "gyrolab-search/1"
 
 # ---------------------------------------------------------------------------
 # group files
-
-def _check_cap(declared: int) -> None:
-    """Refuse a declared order or degree past order_cap() before any n x n work."""
-    if declared > order_cap():
-        raise OrderCapExceeded(order_cap(), declared)
-
 
 def parse_group_file(path) -> FiniteGroup:
     p = Path(path)
@@ -80,7 +74,7 @@ def parse_group_file(path) -> FiniteGroup:
         order = doc.get("order")
         if not isinstance(order, int) or order < 1:
             raise ParseError(str(path), "field 'order' must be a positive integer")
-        _check_cap(order)
+        check_order_cap(order, "declared order")
         try:
             arr = np.asarray(doc["table"], dtype=np.int32)
         except (TypeError, ValueError) as exc:
@@ -101,7 +95,7 @@ def parse_group_file(path) -> FiniteGroup:
     degree = doc.get("degree")
     if not isinstance(degree, int) or degree < 1:
         raise ParseError(str(path), "field 'degree' must be a positive integer")
-    _check_cap(degree)
+    check_order_cap(degree, "declared degree")
     gens = doc["generators"]
     if not isinstance(gens, list) or not gens:
         raise ParseError(str(path), "field 'generators' must be a non-empty list")

@@ -39,6 +39,14 @@ def order_cap() -> int:
     return int(raw) if raw else DEFAULT_ORDER_CAP
 
 
+def check_order_cap(size: int, what: str = "order") -> None:
+    """Refuse a declared or constructed size past order_cap() before any
+    n x n work; the message names the size, e.g. "order 729 exceeds cap 100"."""
+    cap = order_cap()
+    if size > cap:
+        raise OrderCapExceeded(cap, size, f"{what} {size} exceeds cap {cap}")
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
@@ -155,17 +163,43 @@ def is_index_perm(line: np.ndarray) -> bool:
     return bool((np.bincount(line, minlength=n) == 1).all())
 
 
+def offset_dtype(n: int):
+    """Integer dtype for flat offsets i*n + j into an n x n table: int32
+    whenever n*n fits, which halves the bytes a slab moves."""
+    return np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
+
+
+def first_violation(n: int, slab) -> tuple[int, int, int] | None:
+    """Least (x, y, z) in lexicographic order with slab(x)[y, z] True, else None.
+
+    slab(x) returns the n x n boolean failure mask of one x; the scan stops
+    at the first x whose mask has a True cell.  The one-witness cubic scans
+    (associativity, the ninth-power identity, the commutator expansions) all
+    go through here; the associator scan, with two witnesses, reads each
+    mask with _slab_witness.
+    """
+    for x in range(n):
+        w = _slab_witness(x, slab(x))
+        if w is not None:
+            return w
+    return None
+
+
+def _slab_witness(x: int, bad: np.ndarray) -> tuple[int, int, int] | None:
+    """(x, y, z) for the first True cell [y, z] of a square mask, else None."""
+    flat = int(np.argmax(bad))
+    if not bad.flat[flat]:
+        return None
+    n = bad.shape[1]
+    return (x, flat // n, flat % n)
+
+
 def associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (a, b, c) with (ab)c != a(bc) in lexicographic order, else None."""
-    table = np.asarray(table)
-    n = table.shape[0]
-    for a in range(n):
-        left = table[table[a], :]        # [b, c] -> (ab)c
-        right = table[a, table]          # [b, c] -> a(bc)
-        if not np.array_equal(left, right):
-            flat = int(np.argmax(left != right))
-            return (a, flat // n, flat % n)
-    return None
+    T = np.asarray(table)
+    # [b, c] -> (ab)c against a(bc): rows of T taken by row a, and row a
+    # taken by all of T; both read whole contiguous rows
+    return first_violation(T.shape[0], lambda a: T.take(T[a], axis=0) != T[a].take(T))
 
 
 def _right_generators(table: np.ndarray) -> list[int]:
@@ -331,8 +365,7 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
     """Componentwise product; pair (a, b) gets index a*|B| + b."""
     n = A.order * B.order
-    if n > order_cap():
-        raise OrderCapExceeded(order_cap(), n)
+    check_order_cap(n)
     nb = B.order
     table = (A.table[:, None, :, None].astype(np.int64) * nb
              + B.table[None, :, None, :]).reshape(n, n).astype(np.int32)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRightLoop
-from .groups import FiniteGroup, nilpotency_class
+from .groups import FiniteGroup, nilpotency_class, offset_dtype
 from .loops import FiniteLoop, loop_from_table
 from .perms import RowIndex
 from .report import CheckReport, failed, passed
@@ -84,9 +84,8 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
     n = L.order
     T = L.table
     # row a of R is R_a and row a of Rinv is R_a^-1, so each slab row reads
-    # one contiguous row of each; slabs hold flat offsets into Rinv, in int32
-    # whenever n*n fits, which halves the bytes a slab moves
-    offset = np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
+    # one contiguous row of each; slabs hold flat offsets into Rinv
+    offset = offset_dtype(n)
     R = np.ascontiguousarray(T.T, dtype=offset)
     Rinv = np.ascontiguousarray(L.right_division.T).ravel()
     base = np.arange(n, dtype=offset) * n

@@ -32,18 +32,41 @@ def _nucleus_member(L: FiniteLoop, a: int, kind: str) -> bool:
     raise ValueError(f"unknown nucleus kind {kind!r}")
 
 
+def nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The left, middle and right nuclei by definition, in one pass over x.
+
+    For each x the [y, z] slab of (x y) z == x (y z) holds all three
+    definitions: x is in the left nucleus when the whole slab holds, y is in
+    the middle nucleus when its row holds for every x, and z is in the right
+    nucleus when its column holds for every x.
+    """
+    T = L.table
+    n = L.order
+    left = np.zeros(n, dtype=bool)
+    middle = np.ones(n, dtype=bool)
+    right = np.ones(n, dtype=bool)
+    for x in range(n):
+        eq = T.take(T[x], axis=0) == T[x].take(T)     # [y, z]: (xy)z == x(yz)
+        left[x] = eq.all()
+        middle &= eq.all(axis=1)
+        right &= eq.all(axis=0)
+    return tuple(frozenset(int(i) for i in np.flatnonzero(m))
+                 for m in (left, middle, right))
+
+
 def nucleus(L: FiniteLoop, kind: str = "full") -> frozenset[int]:
     """Nucleus by definition: elements that associate in the given slot.
 
     kind "left" fixes a in (a x) y == a (x y), "middle" in (x a) y == x (a y),
     "right" in (x y) a == x (y a); "full" is the intersection of the three.
+    All kinds come from the one pass of nuclei(L).
     """
-    if kind == "full":
-        sets = [nucleus(L, k) for k in NUCLEUS_KINDS]
-        return sets[0] & sets[1] & sets[2]
-    if kind not in NUCLEUS_KINDS:
+    if kind != "full" and kind not in NUCLEUS_KINDS:
         raise ValueError(f"unknown nucleus kind {kind!r}")
-    return frozenset(a for a in range(L.order) if _nucleus_member(L, a, kind))
+    sets = nuclei(L)
+    if kind == "full":
+        return sets[0] & sets[1] & sets[2]
+    return sets[NUCLEUS_KINDS.index(kind)]
 
 
 def commutant(L: FiniteLoop) -> frozenset[int]:
@@ -139,9 +162,7 @@ class InvariantBundle:
 
 
 def invariant_bundle(L: FiniteLoop) -> InvariantBundle:
-    left = nucleus(L, "left")
-    middle = nucleus(L, "middle")
-    right = nucleus(L, "right")
+    left, middle, right = nuclei(L)
     nuc = left & middle & right
     com = commutant(L)
     return InvariantBundle(left, middle, right, nuc, com, com & nuc)

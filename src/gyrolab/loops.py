@@ -28,6 +28,7 @@ from .groups import (
     _relabel,
     associativity_violation,
     is_index_perm,
+    offset_dtype,
 )
 
 
@@ -197,36 +198,39 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     """First failure of x*N == N*x, x*(y*N) == (x*y)*N, (N*x)*y == N*(x*y).
 
     Returns None when N is normal, else a tagged witness tuple.  Cosets are
-    compared as sets.
+    compared as sets.  Rows and columns of a loop are permutations, so both
+    sides of each product identity have |N| distinct elements and equality
+    is containment.  Once u*N == N*u for every u, one membership table
+    in_N[u, v] (v in u*N, which is N*u) serves both product tests.
     """
     S = frozenset(int(x) for x in N)
     if not is_subloop(L, S):
         raise NotASubloop(subloop_witness(L, S))
     lst = sorted(S)
-    n, k = L.order, len(lst)
-    T = L.table
+    n = L.order
+    T = L.table.astype(offset_dtype(n), copy=False)
+    xN = T[:, lst]                                      # [x, i] -> x*n_i
+    Nx = T[lst, :].T                                    # [x, i] -> n_i*x
 
-    xN = np.sort(T[:, lst], axis=1)                     # rows: x*N
-    Nx = np.sort(T[lst, :].T, axis=1)                   # rows: N*x
-    eq = (xN == Nx).all(axis=1)
+    eq = (np.sort(xN, axis=1) == np.sort(Nx, axis=1)).all(axis=1)
     if not eq.all():
         return ("left-right-coset", int(np.argmax(~eq)))
 
-    yN = T[:, lst]                                      # [y, i] -> y*n_i
+    # flat: offset u*n + v; the slabs below are [i, y] with u = x*y
+    in_N = np.zeros((n, n), dtype=bool)
+    in_N[np.arange(n)[:, None], xN] = True
+    in_N = in_N.ravel()
+
+    yN = np.ascontiguousarray(xN.T)                     # [i, y] -> y*n_i
     for x in range(n):
-        lhs = np.sort(T[x, yN], axis=1)                 # rows by y: x*(y*N)
-        rhs = np.sort(T[T[x], :][:, lst], axis=1)       # rows by y: (x*y)*N
-        rows_eq = (lhs == rhs).all(axis=1)
-        if not rows_eq.all():
-            return ("product-left", x, int(np.argmax(~rows_eq)))
+        ok = in_N.take(T[x].take(yN) + T[x] * n).all(axis=0)
+        if not ok.all():                                # x*(y*N) != (x*y)*N
+            return ("product-left", x, int(np.argmax(~ok)))
 
     for x in range(n):
-        Nx_row = T[lst, x]                              # N*x
-        lhs = np.sort(T[Nx_row, :], axis=0).T           # rows by y: (N*x)*y
-        rhs = np.sort(T[lst, :][:, T[x]], axis=0).T     # rows by y: N*(x*y)
-        rows_eq = (lhs == rhs).all(axis=1)
-        if not rows_eq.all():
-            return ("product-right", x, int(np.argmax(~rows_eq)))
+        ok = in_N.take(T.take(Nx[x], axis=0) + T[x] * n).all(axis=0)
+        if not ok.all():                                # (N*x)*y != N*(x*y)
+            return ("product-right", x, int(np.argmax(~ok)))
     return None
 
 

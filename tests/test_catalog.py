@@ -120,6 +120,13 @@ def test_bad_specs(bad):
         catalog_group(bad)
 
 
-def test_catalog_order_cap():
-    with pytest.raises(OrderCapExceeded):
+def test_catalog_order_cap(monkeypatch):
+    with pytest.raises(OrderCapExceeded, match="^order 100000 exceeds cap 10000$"):
         catalog_group("cyclic:100000")
+    # the product and heisenberg guards name the constructed order; specs
+    # built earlier come from the cache, so these two are built nowhere else
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "100")
+    with pytest.raises(OrderCapExceeded, match="^order 128 exceeds cap 100$"):
+        catalog_group("product:dihedral:16,dihedral:8")
+    with pytest.raises(OrderCapExceeded, match="^order 343 exceeds cap 100$"):
+        catalog_group("heisenberg:7")

@@ -114,8 +114,9 @@ def test_declared_size_past_order_cap_is_refused_before_parsing(tmp_path, monkey
     with pytest.raises(OrderCapExceeded) as exc:
         parse_group_file(table)
     assert (exc.value.cap, exc.value.reached) == (4, 5)
+    assert str(exc.value) == "declared order 5 exceeds cap 4"
     gens = _write(tmp_path, "g.json", {"degree": 8, "generators": "not read"})
-    with pytest.raises(OrderCapExceeded):
+    with pytest.raises(OrderCapExceeded, match="^declared degree 8 exceeds cap 4$"):
         parse_group_file(gens)
     ok = _write(tmp_path, "k.json", {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2],
                                                            [2, 3, 0, 1], [3, 2, 1, 0]]})
