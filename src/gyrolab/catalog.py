@@ -214,10 +214,16 @@ def _int_param(spec: str, raw: str) -> int:
         raise UnknownSpec(spec, f"parameter {raw!r} is not an integer") from None
 
 
-@lru_cache(maxsize=None)
 def catalog_group(spec: str) -> FiniteGroup:
-    """Build the group named by a catalog spec string (results are cached)."""
-    spec = spec.strip()
+    """The group named by a catalog spec string.  Builds are cached; the order
+    cap is checked on every call, so it also holds for a cached group."""
+    G = _build(spec.strip())
+    check_order_cap(G.order)
+    return G
+
+
+@lru_cache(maxsize=None)
+def _build(spec: str) -> FiniteGroup:
     if spec == "trivial":
         return _group_unchecked(np.zeros((1, 1), dtype=np.int32), ["e"], name="trivial")
     if spec == "wreath33":
@@ -262,3 +268,6 @@ def catalog_group(spec: str) -> FiniteGroup:
             raise UnknownSpec(spec, "parameter must be prime")
         return _unitriangular4(value)
     raise UnknownSpec(spec)
+
+
+catalog_group.cache_clear = _build.cache_clear

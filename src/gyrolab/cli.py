@@ -14,7 +14,7 @@ from pathlib import Path
 from ._version import __version__
 from .catalog import CATALOG_HELP
 from .checks import suite_check_ids, verify_suite
-from .errors import GyrolabError, OrderCapExceeded
+from .errors import GyrolabError, InvariantViolated
 from .fileio import (
     dumps_json,
     export_text,
@@ -65,13 +65,11 @@ def _cmd_analyze(args) -> int:
         doc["inner_mapping_abelian"] = wit is None
         if wit is not None:
             doc["inner_mapping_witness"] = list(wit)
-        try:
-            doc["multiplication_group_order"] = multiplication_group(L).order()
-            doc["inner_mapping_group_order"] = inn.order()
-        except OrderCapExceeded as exc:
-            doc["multiplication_group_order"] = None
-            doc["inner_mapping_group_order"] = None
-            doc["mapping_groups_capped_at"] = exc.cap
+        # two independent chains: Mlt from the translations, Inn from R, L, T
+        mlt, inn_order = multiplication_group(L).order(), inn.order()
+        if mlt != L.order * inn_order:
+            raise InvariantViolated(f"|Mlt| = {mlt} but |L| * |Inn| = {L.order} * {inn_order}")
+        doc.update(multiplication_group_order=mlt, inner_mapping_group_order=inn_order)
         doc["gyro_axioms"] = is_gyrogroup(L, source=G).to_dict()
     _emit(dumps_json(doc), args.out)
     return 0

@@ -66,21 +66,23 @@ def gyration(L: FiniteLoop, y: int, z: int) -> np.ndarray:
     return col[T[T[:, y], z]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GyrationTable:
     """All n^2 gyrations, deduplicated: ids[y, z] indexes into perms."""
 
     ids: np.ndarray
-    perms: list[np.ndarray]
+    perms: tuple[np.ndarray, ...]
 
     def perm(self, y: int, z: int) -> np.ndarray:
         return self.perms[int(self.ids[y, z])]
 
 
 def gyration_table(L: FiniteLoop) -> GyrationTable:
-    """All gyrations gyr(y,z) = R_{y*z}^-1 o R_z o R_y, R_a the right translation by a."""
+    """All gyrations gyr(y,z) = R_{y*z}^-1 o R_z o R_y (R_a: right translation), cached on L."""
     if L.right_division is None:
         raise NotRightLoop(-1)
+    if "gyr" in L._cache:
+        return L._cache["gyr"]
     n = L.order
     T = L.table
     # row a of R is R_a and row a of Rinv is R_a^-1, so each slab row reads
@@ -95,7 +97,11 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
         xyz = R.take(R[y], axis=1)                # [z, x] -> (x*y)*z
         xyz += base[T[y]][:, None]                # offset of row y*z of Rinv
         ids[y] = index.add(Rinv.take(xyz))        # row z = images of gyr(y,z)
-    return GyrationTable(ids, list(index.rows))
+    rows = index.rows
+    for read_only in (ids, rows):
+        read_only.setflags(write=False)
+    L._cache["gyr"] = GyrationTable(ids, tuple(rows))
+    return L._cache["gyr"]
 
 
 def _automorphism_violation(L: FiniteLoop, p: np.ndarray) -> tuple[int, int] | None:

@@ -41,7 +41,7 @@ class FiniteLoop:
     """
 
     __slots__ = ("order", "table", "names", "is_right_loop", "is_loop",
-                 "right_division", "left_division", "name", "_name_index")
+                 "right_division", "left_division", "name", "_name_index", "_cache")
 
     def __init__(self, table: np.ndarray, names: Sequence[str],
                  is_right_loop: bool, is_loop: bool,
@@ -56,6 +56,7 @@ class FiniteLoop:
         self.left_division = left_division
         self.name = name
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
+        self._cache: dict = {}
         table.setflags(write=False)
         for d in (right_division, left_division):
             if d is not None:

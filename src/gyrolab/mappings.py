@@ -13,8 +13,7 @@ the orbit-stabilizer count |Mlt| = |L| * |Inn| cross-checks.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +21,8 @@ from .errors import InvariantViolated, NotALoop
 from .gyro import gyration_table
 from .invariants import commutator_bracket_table
 from .loops import FiniteLoop, table_associativity_violation
-from .perms import RowIndex, _mulclose
-
-DEFAULT_CLOSURE_CAP = 1_000_000
-CLOSURE_CAP_ENV = "GYROLAB_CLOSURE_CAP"
-
-
-def closure_cap() -> int:
-    raw = os.environ.get(CLOSURE_CAP_ENV, "").strip()
-    return int(raw) if raw else DEFAULT_CLOSURE_CAP
+from .perms import RowIndex, chain_order
+from .perms import _mulclose  # noqa: F401  perfbench/tracer.py wraps it by this name
 
 
 def translations(L: FiniteLoop, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -42,21 +34,14 @@ def translations(L: FiniteLoop, x: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class PermGroup:
-    """A permutation group given by distinct generator rows; elements enumerated on demand."""
+    """A permutation group given by distinct generator rows; order() uses a stabilizer chain."""
 
     degree: int
     generators: np.ndarray
     labels: tuple[str, ...]
-    _elements: np.ndarray | None = field(default=None, repr=False)
 
-    def elements(self, cap: int | None = None) -> np.ndarray:
-        if self._elements is None:
-            self._elements = _mulclose(self.generators, self.degree,
-                                       cap if cap is not None else closure_cap()).rows
-        return self._elements
-
-    def order(self, cap: int | None = None) -> int:
-        return len(self.elements(cap))
+    def order(self) -> int:
+        return chain_order(self.generators, self.degree)
 
     def generator_commuting_violation(self) -> tuple[str, str] | None:
         """First pair of generators (by label) that fail to commute."""
@@ -67,9 +52,6 @@ class PermGroup:
             if len(bad):
                 return (self.labels[i], self.labels[i + 1 + int(bad[0])])
         return None
-
-    def is_abelian(self) -> bool:
-        return self.generator_commuting_violation() is None
 
     def orbit_of(self, point: int) -> frozenset[int]:
         seen = {point}
@@ -146,9 +128,8 @@ def is_inner_abelian(L: FiniteLoop) -> tuple[bool, tuple[str, str] | None]:
     return (w is None), w
 
 
-def mlt_inn_orders(L: FiniteLoop, cap: int | None = None) -> tuple[int, int]:
-    return (multiplication_group(L).order(cap),
-            inner_mapping_group(L).order(cap))
+def mlt_inn_orders(L: FiniteLoop) -> tuple[int, int]:
+    return multiplication_group(L).order(), inner_mapping_group(L).order()
 
 
 def bracket_associativity_violation(L: FiniteLoop) -> tuple[int, int, int] | None:

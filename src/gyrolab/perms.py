@@ -6,6 +6,7 @@ one image row per permutation.  RowIndex numbers distinct rows exactly (keyed
 on their bytes) in first-occurrence order; _mulclose enumerates the group a
 set of rows generates, breadth first.  Composites are formed in slabs of at
 most CHUNK_CELLS cells, so no step holds every candidate of a closure level.
+chain_order counts such a group from a stabilizer chain, listing no elements.
 """
 
 from __future__ import annotations
@@ -83,3 +84,63 @@ def _mulclose(generators: np.ndarray, degree: int, cap: int) -> RowIndex:
                 raise OrderCapExceeded(cap, cap + 1)
         lo = hi
     return index
+
+
+def chain_order(generators: np.ndarray, degree: int) -> int:
+    """Order of the group the rows generate, by Knuth's deterministic
+    Schreier-Sims (Knuth 1991, "Efficient representation of perm groups").
+
+    Level k keeps the strong generators that fix 0..k-1 and, once they move k,
+    the orbit of k with a (representative, inverse) pair per point, so the
+    base points are the least points moved.  add is Knuth's step A: an h that
+    does not sift joins level k unsifted, and every level before the next base
+    point or the least point h moves.  A work item is a level and its pending
+    images tau (step B; recursion would go as deep as an orbit is long): a new
+    orbit point takes tau as its representative and queues tau's images under
+    the level's generators, and otherwise tau's Schreier generator is added to
+    level k + 1 unless it sifts.  The order is the product of the orbit lengths.
+    """
+    gens = np.asarray(generators).reshape(-1, degree)
+    ident = np.arange(degree, dtype=gens.dtype)
+    strong: list[list[np.ndarray]] = [[] for _ in range(degree)]
+    orbits: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+    work: list[tuple[int, list[np.ndarray]]] = []
+
+    def sifts(h: np.ndarray, k: int) -> bool:
+        for b in sorted(p for p in orbits if p >= k):
+            rep = orbits[b].get(int(h[b]))
+            if rep is None:
+                return False
+            h = rep[1][h]
+        return bool((h == ident).all())
+
+    def add(k: int, h: np.ndarray) -> None:
+        stop = min([b for b in orbits if b >= k] + [int(np.argmax(h != ident))])
+        for t in range(k, stop + 1):
+            strong[t].append(h)
+        orbits.setdefault(stop, {stop: (ident, ident)})
+        work.append((stop, [h[rep] for rep, _ in orbits[stop].values()]))
+
+    for g in gens:
+        if not sifts(g, 0):
+            add(0, g)
+        while work:
+            k, pending = work[-1]
+            if not pending:
+                work.pop()
+                continue
+            tau = pending.pop()
+            rep = orbits[k].get(int(tau[k]))
+            if rep is None:
+                inverse = np.empty_like(tau)
+                inverse[tau] = ident
+                orbits[k][int(tau[k])] = (tau, inverse)
+                work.append((k, [s[tau] for s in strong[k]]))
+            else:
+                h = rep[1][tau]
+                if not sifts(h, k + 1):
+                    add(k + 1, h)
+    order = 1                                 # a Python int: |Sym(n)| passes int64
+    for orbit in orbits.values():
+        order *= len(orbit)
+    return order

@@ -123,10 +123,20 @@ def test_bad_specs(bad):
 def test_catalog_order_cap(monkeypatch):
     with pytest.raises(OrderCapExceeded, match="^order 100000 exceeds cap 10000$"):
         catalog_group("cyclic:100000")
-    # the product and heisenberg guards name the constructed order; specs
-    # built earlier come from the cache, so these two are built nowhere else
+    # the product and heisenberg guards name the constructed order
     monkeypatch.setenv("GYROLAB_ORDER_CAP", "100")
     with pytest.raises(OrderCapExceeded, match="^order 128 exceeds cap 100$"):
         catalog_group("product:dihedral:16,dihedral:8")
     with pytest.raises(OrderCapExceeded, match="^order 343 exceeds cap 100$"):
         catalog_group("heisenberg:7")
+
+
+def test_catalog_order_cap_applies_to_cached_groups(monkeypatch):
+    G = catalog_group("heisenberg:5")
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "100")
+    with pytest.raises(OrderCapExceeded, match="^order 125 exceeds cap 100$"):
+        catalog_group("heisenberg:5")
+    monkeypatch.delenv("GYROLAB_ORDER_CAP")
+    assert catalog_group("heisenberg:5") is G
+    catalog_group.cache_clear()
+    assert catalog_group("heisenberg:5") is not G

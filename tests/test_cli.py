@@ -1,10 +1,16 @@
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 import gyrolab.checks as checks
+import gyrolab.cli
 from gyrolab.cli import main
 from gyrolab.report import failed
+
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 
 
 def test_catalog_listing(capsys):
@@ -31,6 +37,30 @@ def test_analyze_d16(capsys):
     assert doc["inner_mapping_abelian"] is False
     assert doc["multiplication_group_order"] == 256
     assert doc["invariant_names"]["center"] == ["e", "r4"]
+
+
+@pytest.mark.parametrize("label, spec", [("analyze-dihedral16", "dihedral:16"),
+                                         ("analyze-wreath33", "wreath33"),
+                                         ("analyze-heisenberg5", "heisenberg:5")])
+def test_analyze_documents_match_benchmark_goldens(label, spec, capsys):
+    # the benchmark's analyze-ladder goldens, read only: byte-identical documents
+    expected = json.loads(GOLDENS.read_text())["analyze-ladder"][label]["sha256"]
+    assert main(["analyze", "--group", spec]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+def test_analyze_refuses_mlt_not_loop_order_times_inn(monkeypatch, capsys):
+    # Inn from a dropped generator set is too small for |Mlt| = |L| * |Inn|
+    real = gyrolab.cli.inner_mapping_group
+
+    def one_generator(L):
+        inn = real(L)
+        return dataclasses.replace(inn, generators=inn.generators[:1], labels=inn.labels[:1])
+
+    monkeypatch.setattr(gyrolab.cli, "inner_mapping_group", one_generator)
+    assert main(["analyze", "--group", "dihedral:16"]) == 2
+    err = capsys.readouterr().err
+    assert "invariant violated" in err and "|Mlt| = 256" in err
 
 
 def test_verify_exit_zero_and_determinism(tmp_path):

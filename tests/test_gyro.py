@@ -68,6 +68,17 @@ def test_gyration_table_dedup(d16_loop):
     assert tuple(gt.perms[0]) == tuple(range(16))
 
 
+def test_gyration_table_is_built_once_per_loop(d16):
+    L = build_gyro(d16).loop
+    gt = gyration_table(L)
+    assert gyration_table(L) is gt
+    assert gyration_table(build_gyro(d16).loop) is not gt
+    with pytest.raises(ValueError):
+        gt.ids[0, 0] = 1
+    with pytest.raises(ValueError):
+        gt.perms[0][0] = 1
+
+
 def test_axioms_pass_on_catalog():
     for spec in ("dihedral:16", "quaternion:16", "semidihedral:16", "wreath33"):
         G = catalog_group(spec)

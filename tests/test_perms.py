@@ -4,13 +4,17 @@ The reference functions below are the original pure-Python closure and
 dedup: a breadth-first closure over tuples (frontier element h outer,
 generator g inner, p = g o h) and an order-preserving tuple-set dedup.
 Element order fixes the indices of permutation-file groups and so every
-witness reported on them, so the layer must reproduce it exactly.
+witness reported on them, so the layer must reproduce it exactly.  The
+stabilizer-chain order (chain_order) must equal the closure's length.
 """
 
+import warnings
 from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gyrolab import (
     OrderCapExceeded,
@@ -23,10 +27,11 @@ from gyrolab import (
     multiplication_group,
     subgroup_generated,
 )
-from gyrolab.mappings import closure_cap, inner_generators
+from gyrolab.mappings import inner_generators
 from gyrolab import perms
 
 LADDER = ["dihedral:16", "wreath33", "heisenberg:5"]
+CAP = 1_000_000
 
 
 def _ref_mulclose(generators, degree, cap):
@@ -92,7 +97,7 @@ def _ref_group_table(degree, generators):
         t = tuple(int(v) for v in g)
         if t not in gens:
             gens.append(t)
-    elements, index = _ref_mulclose(gens, degree, closure_cap())
+    elements, index = _ref_mulclose(gens, degree, CAP)
     return np.array([[index[tuple(map(p.__getitem__, q))] for q in elements]
                      for p in elements])
 
@@ -111,8 +116,8 @@ def test_mlt_matches_tuple_reference(ladder_loop):
     gens, labels = _ref_mlt_generators(ladder_loop)
     assert _as_tuples(M.generators) == gens
     assert M.labels == tuple(labels)
-    elements, _ = _ref_mulclose(gens, ladder_loop.order, closure_cap())
-    assert _as_tuples(M.elements()) == elements
+    elements, _ = _ref_mulclose(gens, ladder_loop.order, CAP)
+    assert _as_tuples(perms._mulclose(M.generators, M.degree, CAP).rows) == elements
 
 
 def test_inn_matches_tuple_reference(ladder_loop):
@@ -121,8 +126,8 @@ def test_inn_matches_tuple_reference(ladder_loop):
     assert _as_tuples(inn.generators) == gens
     assert inn.labels == tuple(labels)
     assert inner_generators(ladder_loop)[1] == tuple(labels)
-    elements, _ = _ref_mulclose(gens, ladder_loop.order, closure_cap())
-    assert _as_tuples(inn.elements()) == elements
+    elements, _ = _ref_mulclose(gens, ladder_loop.order, CAP)
+    assert _as_tuples(perms._mulclose(inn.generators, inn.degree, CAP).rows) == elements
 
 
 def test_mlt_order_is_loop_order_times_inn_order(ladder_loop):
@@ -131,14 +136,15 @@ def test_mlt_order_is_loop_order_times_inn_order(ladder_loop):
 
 
 def test_closure_order_does_not_depend_on_chunk_size(monkeypatch, d16_loop):
-    expected = _as_tuples(multiplication_group(d16_loop).elements())
+    M = multiplication_group(d16_loop)
+    expected = _as_tuples(perms._mulclose(M.generators, M.degree, CAP).rows)
     monkeypatch.setattr(perms, "CHUNK_CELLS", 5)
-    assert _as_tuples(multiplication_group(d16_loop).elements()) == expected
+    assert _as_tuples(perms._mulclose(M.generators, M.degree, CAP).rows) == expected
 
 
 def test_closure_cap_message_names_cap_plus_one(d16_loop):
     with pytest.raises(OrderCapExceeded, match="passed 11 elements, cap is 10"):
-        multiplication_group(d16_loop).order(cap=10)
+        perms._mulclose(multiplication_group(d16_loop).generators, 16, 10)
     rot, refl = [1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]
     with pytest.raises(OrderCapExceeded, match="passed 11 elements, cap is 10"):
         group_from_permutations(8, [rot, refl], cap=10)
@@ -178,3 +184,40 @@ def test_gyration_table_matches_tuple_reference(spec):
     assert _as_tuples(gt.perms) == distinct
     assert gt.ids.tolist() == [[gid[tuple(int(v) for v in raw[y * n + z])]
                                 for z in range(n)] for y in range(n)]
+
+
+@st.composite
+def _generator_sets(draw):
+    """1-3 random permutations of degree <= 8, or a sparse set of transpositions."""
+    degree = draw(st.integers(1, 8))
+    if degree > 1 and draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, degree - 1), st.integers(0, degree - 1))
+                              .filter(lambda p: p[0] != p[1]), min_size=1, max_size=4))
+        gens = []
+        for a, b in pairs:
+            g = list(range(degree))
+            g[a], g[b] = b, a
+            gens.append(g)
+    else:
+        gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return degree, np.array(gens, dtype=np.int32)
+
+
+@given(_generator_sets())
+def test_chain_order_matches_closure(case):
+    degree, gens = case
+    assert perms.chain_order(gens, degree) == len(perms._mulclose(gens, degree, CAP))
+
+
+@pytest.mark.parametrize("spec", LADDER + ["product:dihedral:16,cyclic:5", "dihedral:32"])
+def test_mlt_and_inn_orders_match_closure(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # dihedral:32 has class 4
+        L = build_gyro(catalog_group(spec)).loop
+    for group in (multiplication_group(L), inner_mapping_group(L)):
+        assert group.order() == len(perms._mulclose(group.generators, group.degree, CAP))
+
+
+def test_mlt_order_at_729():
+    L = build_gyro(catalog_group("unitriangular4:3")).loop
+    assert multiplication_group(L).order() == 531_441
