@@ -12,8 +12,10 @@ Group file schema (JSON object):
 Exactly one of "table" / "generators" must be present.  Indices are 0-based;
 if the identity of a table sits at an index other than 0 it is relocated on
 load (the group records the original index in `relabeled_from`).  A
-declared order or degree above order_cap() raises OrderCapExceeded before
-the table is built.
+file larger than max_group_file_bytes(order_cap()) raises OrderCapExceeded
+before it is read, and a declared order or degree above order_cap() before
+the table is built.  The name and each entry of "names" hold at most
+MAX_NAME_CHARS characters.
 
 Report documents are schema-versioned JSON with sorted keys so identical runs
 serialize byte-identically; per-check wall-clock timing is deliberately left
@@ -29,25 +31,51 @@ import numpy as np
 
 from ._version import __version__
 from .catalog import catalog_group
-from .errors import ParseError
+from .errors import OrderCapExceeded, ParseError
 from .groups import (
     FiniteGroup,
     check_order_cap,
     group_center,
     group_from_permutations,
     group_from_table,
+    order_cap,
 )
 from .report import CheckReport, summarize
 
 REPORT_SCHEMA = "gyrolab-report/1"
 SEARCH_SCHEMA = "gyrolab-search/1"
 
+MAX_NAME_CHARS = 256
+
 
 # ---------------------------------------------------------------------------
 # group files
 
+def max_group_file_bytes(cap: int) -> int:
+    """The largest group file read under order cap `cap`: cap^2 integers (a
+    full table, or cap generators of degree cap) at 16 bytes of separator
+    and indentation each plus their digits, cap names of MAX_NAME_CHARS
+    characters at up to 12 bytes each (a JSON surrogate-pair escape), and
+    4 KiB for the other fields."""
+    return cap * cap * (16 + len(str(cap))) + cap * (12 * MAX_NAME_CHARS + 16) + 4096
+
+
+def _check_name(path, value: str, what: str) -> None:
+    if len(value) > MAX_NAME_CHARS:
+        raise ParseError(str(path), f"{what} is longer than {MAX_NAME_CHARS} characters")
+
+
 def parse_group_file(path) -> FiniteGroup:
     p = Path(path)
+    try:
+        size = p.stat().st_size
+    except OSError as exc:
+        raise ParseError(str(path), f"cannot read: {exc}") from exc
+    cap = order_cap()
+    bound = max_group_file_bytes(cap)
+    if size > bound:
+        raise OrderCapExceeded(cap, size, f"file of {size} bytes exceeds {bound} bytes, "
+                                          f"the bound for order cap {cap}")
     try:
         text = p.read_text()
     except OSError as exc:
@@ -69,6 +97,7 @@ def parse_group_file(path) -> FiniteGroup:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ParseError(str(path), "field 'name' must be a string")
+    _check_name(path, name, "field 'name'")
 
     if has_table:
         order = doc.get("order")
@@ -90,6 +119,8 @@ def parse_group_file(path) -> FiniteGroup:
                     or not all(isinstance(s, str) for s in names)):
                 raise ParseError(str(path),
                                  f"field 'names' must be a list of {order} strings")
+            for i, s in enumerate(names):
+                _check_name(path, s, f"names[{i}]")
         return group_from_table(arr, names=names, name=name or p.stem)
 
     degree = doc.get("degree")

@@ -169,6 +169,13 @@ def offset_dtype(n: int):
     return np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
 
 
+def elem_dtype(n: int):
+    """Compact dtype for element indices 0..n-1: uint16 while n <= 65535,
+    otherwise int32.  Under NEP 50 a uint16 array times n stays uint16 and
+    wraps, so cast to offset_dtype(n) before forming any offset i*n + j."""
+    return np.uint16 if n <= np.iinfo(np.uint16).max else np.int32
+
+
 def first_violation(n: int, slab) -> tuple[int, int, int] | None:
     """Least (x, y, z) in lexicographic order with slab(x)[y, z] True, else None.
 

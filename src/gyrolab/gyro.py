@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRightLoop
-from .groups import FiniteGroup, nilpotency_class, offset_dtype
+from .groups import (
+    FiniteGroup,
+    _right_generators,
+    elem_dtype,
+    nilpotency_class,
+    offset_dtype,
+)
 from .loops import FiniteLoop, loop_from_table
 from .perms import RowIndex
 from .report import CheckReport, failed, passed
@@ -83,25 +89,85 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
         raise NotRightLoop(-1)
     if "gyr" in L._cache:
         return L._cache["gyr"]
-    n = L.order
     T = L.table
-    # row a of R is R_a and row a of Rinv is R_a^-1, so each slab row reads
-    # one contiguous row of each; slabs hold flat offsets into Rinv
-    offset = offset_dtype(n)
-    R = np.ascontiguousarray(T.T, dtype=offset)
-    Rinv = np.ascontiguousarray(L.right_division.T).ravel()
-    base = np.arange(n, dtype=offset) * n
-    ids = np.empty((n, n), dtype=np.int32)
-    index = RowIndex(n, Rinv.dtype)
-    for y in range(n):
-        xyz = R.take(R[y], axis=1)                # [z, x] -> (x*y)*z
-        xyz += base[T[y]][:, None]                # offset of row y*z of Rinv
-        ids[y] = index.add(Rinv.take(xyz))        # row z = images of gyr(y,z)
-    rows = index.rows
+    index = RowIndex(L.order, elem_dtype(L.order))
+    # row a of T.T is R_a and row a of right_division.T is R_a^-1
+    ids = _map_family(T.T, L.right_division.T, T, _right_generators(T), index)
+    rows = index.rows.astype(T.dtype)
     for read_only in (ids, rows):
         read_only.setflags(write=False)
     L._cache["gyr"] = GyrationTable(ids, tuple(rows))
     return L._cache["gyr"]
+
+
+# Maps that share a fingerprint are checked against a candidate only in
+# groups of at least this many; a smaller group costs more in Python-level
+# calls than its rows cost to compute and hash.
+MIN_VERIFY_ROWS = 16
+
+
+def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray,
+                probes, index: RowIndex) -> np.ndarray:
+    """Ids in index of the maps M(x,y) = A_{P[x,y]}^-1 o A_y o A_x, as ids[x, y].
+
+    Row a of A is the permutation A_a and row a of Ainv is its inverse.  Maps
+    not yet in index are added in first-occurrence order, x major.
+
+    Per x, the maps are grouped by their images of the probe points (their
+    fingerprint).  A group of at least MIN_VERIFY_ROWS maps takes as
+    candidate k the id last seen in a group with that fingerprint, and is
+    checked on every point: M(x,y) = P_k exactly when A_y A_x P_k^-1 =
+    A_{P[x,y]}, one shared-index gather and one row gather for the group.
+    Every map without a verified candidate is computed in full and added to
+    index in y order, so new ids arise only there and equal the ids of
+    hashing every map.  While the maps so far have repeated fewer than
+    MIN_VERIFY_ROWS times on average, as in a random loop, a slab skips the
+    fingerprints and computes every map in full.
+    """
+    n = len(A)
+    elem, offset = elem_dtype(n), offset_dtype(n)
+    A = np.ascontiguousarray(A, dtype=elem)
+    Ainv = np.ascontiguousarray(Ainv, dtype=elem).ravel()
+    P = np.asarray(P)
+    probes = np.asarray(probes, dtype=np.intp)
+    ids = np.empty((n, n), dtype=np.int32)
+    seen: dict[int, int] = {}                     # fingerprint -> last id in a group
+    inverses: dict[int, np.ndarray] = {}
+    start = len(index)
+    for x in range(n):
+        Ax = A[x]
+        base = P[x].astype(offset) * n            # offset of row P[x,y] of Ainv
+        if (len(index) - start) * MIN_VERIFY_ROWS > x * n:   # maps rarely repeat
+            ids[x] = index.add(Ainv.take(A.take(Ax, axis=1) + base[:, None]))
+            continue
+        images = Ainv.take(A.take(Ax[probes], axis=1) + base[:, None])
+        key = np.zeros(n, dtype=np.int64)
+        for col in images.T:                      # [y, j] -> M(x,y)(probe j)
+            key = key * n + col                   # wraps past 2^63: a collision at worst
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        ends = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, n)
+        starts = np.append(0, ends[:-1])
+        big = np.flatnonzero(ends - starts >= MIN_VERIFY_ROWS).tolist()
+        groups = {int(key[starts[g]]): order[starts[g]:ends[g]] for g in big}
+        slab = np.full(n, -1, dtype=np.int64)
+        for fingerprint, Y in groups.items():
+            k = seen.get(fingerprint)
+            if k is None:
+                continue
+            if k not in inverses:
+                inverses[k] = np.empty(n, dtype=elem)
+                inverses[k][index.rows[k]] = np.arange(n, dtype=elem)
+            ok = (A.take(Y, axis=0).take(Ax.take(inverses[k]), axis=1)
+                  == A.take(P[x].take(Y), axis=0)).all(axis=1)
+            slab[Y[ok]] = k
+        rest = np.flatnonzero(slab < 0)
+        if len(rest):
+            rows = A if len(rest) == n else A.take(rest, axis=0)
+            slab[rest] = index.add(Ainv.take(rows.take(Ax, axis=1) + base[rest][:, None]))
+        seen.update((fingerprint, int(slab[Y[-1]])) for fingerprint, Y in groups.items())
+        ids[x] = slab
+    return ids
 
 
 def _automorphism_violation(L: FiniteLoop, p: np.ndarray) -> tuple[int, int] | None:

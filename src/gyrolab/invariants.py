@@ -104,14 +104,6 @@ def loop_associator(L: FiniteLoop, x: int, y: int, z: int) -> int:
     return int(L.right_division[T[T[x, y], z], T[x, T[y, z]]])
 
 
-def associator_plane(L: FiniteLoop, x: int) -> np.ndarray:
-    """Associators A(x, y, z) for one fixed x, as a (y, z) matrix."""
-    T = L.table
-    lhs = T[T[x], :]                    # [y, z] -> (x*y)*z
-    rhs = T[x, T]                       # [y, z] -> x*(y*z)
-    return L.right_division[lhs, rhs]
-
-
 def loop_upper_central_series(L: FiniteLoop) -> list[frozenset[int]]:
     """Z_0 = {0}, Z_{i+1} = preimage of the center of L/Z_i; stops when stable."""
     if not L.is_loop:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolated, NotALoop
-from .gyro import gyration_table
+from .groups import _right_generators, elem_dtype
+from .gyro import _map_family, gyration_table
 from .invariants import commutator_bracket_table
 from .loops import FiniteLoop, table_associativity_violation
 from .perms import RowIndex, chain_order
@@ -76,6 +77,13 @@ def _new_labels(index: RowIndex, slab: np.ndarray, label) -> list[str]:
     return [label(int(i)) for i in first[ids >= start]]
 
 
+def _first_labels(ids: np.ndarray, start: int, name: str) -> list[str]:
+    """name(x,y) for each id from start on, at its first occurrence ids[x, y]."""
+    n = ids.shape[1]
+    found, first = np.unique(ids, return_index=True)
+    return [f"{name}({i // n},{i % n})" for i in first[found >= start].tolist()]
+
+
 def multiplication_group(L: FiniteLoop) -> PermGroup:
     """Mlt(L) = group generated by all left and right translations."""
     if not L.is_loop:
@@ -91,23 +99,24 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
     """The distinct R(x,y), L(x,y), T(x) image rows, each labelled at its first
     occurrence in that order.
 
-    R(x,y) is the gyration of (x, y), so the R part is gyration_table's.
+    R(x,y) is the gyration of (x, y), so the R part is gyration_table's; the
+    L part comes from the same kernel, gyro._map_family.
     """
     if not L.is_loop:
         raise NotALoop("inner mappings need a full loop")
     T, ldiv = L.table, L.left_division
     n = L.order
     gt = gyration_table(L)
-    index = RowIndex(n, T.dtype)
+    index = RowIndex(n, elem_dtype(n))
     index.add(np.array(gt.perms))
-    first = np.unique(gt.ids, return_index=True)[1]
-    labels = [f"R({i // n},{i % n})" for i in first.tolist()]
-    for x in range(n):
-        slab = ldiv[T[:, x][:, None], T[:, T[x]]]           # [y, t] -> (y*x)\(y*(x*t))
-        labels += _new_labels(index, slab, lambda y: f"L({x},{y})")
+    labels = _first_labels(gt.ids, 0, "R")
+    # L(x,y) = L_{y*x}^-1 o L_y o L_x: row a of T is L_a, row a of ldiv is L_a^-1
+    start = len(index)
+    ids = _map_family(T, ldiv, T.T, _right_generators(T), index)
+    labels += _first_labels(ids, start, "L")
     slab = ldiv[np.arange(n)[:, None], T.T]                 # [x, t] -> x\(t*x)
     labels += _new_labels(index, slab, lambda x: f"T({x})")
-    return index.rows, tuple(labels)
+    return index.rows.astype(T.dtype), tuple(labels)
 
 
 def inner_mapping_group(L: FiniteLoop) -> PermGroup:

@@ -16,10 +16,12 @@ from gyrolab import (
     write_group_file,
 )
 from gyrolab.fileio import (
+    MAX_NAME_CHARS,
     dumps_json,
     export_text,
     gather_sources,
     matrix_csv,
+    max_group_file_bytes,
 )
 
 
@@ -121,6 +123,46 @@ def test_declared_size_past_order_cap_is_refused_before_parsing(tmp_path, monkey
     ok = _write(tmp_path, "k.json", {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2],
                                                            [2, 3, 0, 1], [3, 2, 1, 0]]})
     assert parse_group_file(ok).order == 4
+
+
+def test_oversized_file_is_refused_before_it_is_read(tmp_path, monkeypatch):
+    big = tmp_path / "c64.json"
+    write_group_file(catalog_group("cyclic:64"), big)
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "4")
+    bound = max_group_file_bytes(4)
+    size = big.stat().st_size
+    assert size > bound
+
+    def no_read(self, *args, **kwargs):
+        raise AssertionError("the file was read")
+
+    monkeypatch.setattr(type(big), "read_text", no_read)
+    with pytest.raises(OrderCapExceeded) as exc:
+        parse_group_file(big)
+    assert (exc.value.cap, exc.value.reached) == (4, size)
+    assert str(exc.value) == (f"file of {size} bytes exceeds {bound} bytes, "
+                              "the bound for order cap 4")
+
+
+def test_files_the_cap_admits_are_under_the_byte_bound(tmp_path, monkeypatch):
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "16")
+    G = catalog_group("dihedral:16")
+    p = tmp_path / "d16.json"
+    write_group_file(G, p)
+    doc = json.loads(p.read_text())
+    doc["names"] = ["\U0001d54f" * (MAX_NAME_CHARS - 2) + f"{i:02d}" for i in range(16)]
+    doc["name"] = "n" * MAX_NAME_CHARS
+    p.write_text(json.dumps(doc, indent=4))
+    assert parse_group_file(p).order == 16
+
+
+@pytest.mark.parametrize("field", ["name", "names"])
+def test_names_longer_than_the_cap_are_refused(tmp_path, field):
+    long = "x" * (MAX_NAME_CHARS + 1)
+    doc = {"order": 2, "table": [[0, 1], [1, 0]]}
+    doc[field] = long if field == "name" else ["e", long]
+    with pytest.raises(ParseError, match=f"longer than {MAX_NAME_CHARS} characters"):
+        parse_group_file(_write(tmp_path, "n.json", doc))
 
 
 def test_resolve_group(tmp_path):

@@ -12,6 +12,7 @@ from gyrolab import (
     is_gyrogroup,
 )
 from gyrolab import gyro
+from gyrolab.groups import _right_generators, elem_dtype
 from gyrolab.gyro import GyrationTable
 from gyrolab.loops import loop_from_table
 from gyrolab.perms import RowIndex
@@ -138,3 +139,126 @@ def test_gyration_table_matches_column_kernel(spec, monkeypatch):
     report = is_gyrogroup(gc.loop, source=gc.source).to_dict()
     monkeypatch.setattr(gyro, "gyration_table", _ref_gyration_table)
     assert report == is_gyrogroup(gc.loop, source=gc.source).to_dict()
+
+
+def _ref_l_family(T, ldiv):
+    """The per-x L-slab loop inner_generators ran before the shared kernel:
+    ids[x, y] of L(x,y): t -> (y*x)\\(y*(x*t)), in first-occurrence order."""
+    n = len(T)
+    ids = np.empty((n, n), dtype=np.int32)
+    index = RowIndex(n, ldiv.dtype)
+    for x in range(n):
+        ids[x] = index.add(ldiv[T[:, x][:, None], T[:, T[x]]])   # [y, t]
+    return ids, index.rows
+
+
+def _l_family(T, ldiv, probes=None, index=None):
+    """The kernel on the L family: A = T, A^-1 = ldiv, P = T.T."""
+    index = RowIndex(len(T), np.int32) if index is None else index
+    probes = _right_generators(T) if probes is None else probes
+    return gyro._map_family(T, ldiv, T.T, probes, index), index.rows
+
+
+def _assert_families_match(L):
+    got, ref = gyration_table(L), _ref_gyration_table(L)
+    assert got.ids.dtype == np.int32 and got.perms[0].dtype == L.table.dtype
+    assert np.array_equal(got.ids, ref.ids)
+    assert np.array_equal(np.array(got.perms), np.array(ref.perms))
+    if L.left_division is not None:
+        ids, rows = _l_family(L.table, L.left_division)
+        ref_ids, ref_rows = _ref_l_family(L.table, L.left_division)
+        assert np.array_equal(ids, ref_ids)
+        assert np.array_equal(rows, ref_rows)
+
+
+@pytest.mark.parametrize("n,seed", [(6, 0), (8, 1), (12, 2), (16, 3), (24, 4), (32, 5), (64, 6)])
+def test_families_match_references_on_switched_loops(n, seed, switched_table):
+    _assert_families_match(loop_from_table(switched_table(n, seed)))
+
+
+def _column_swapped(n, seed, columns):
+    """A right loop of order n whose rows are not permutations: the table of
+    Z_n with two cells off row 0 swapped in each of a few random columns."""
+    rng = np.random.default_rng(seed)
+    T = np.add.outer(np.arange(n), np.arange(n)) % n
+    for a in rng.choice(np.arange(1, n), columns, replace=False):
+        r1, r2 = rng.choice(np.arange(1, n), 2, replace=False)
+        T[[r1, r2], a] = T[[r2, r1], a]
+    return T
+
+
+@pytest.mark.parametrize("n,seed,columns", [(12, 0, 3), (40, 1, 2), (64, 2, 1)])
+def test_families_match_references_on_lenient_right_loops(n, seed, columns):
+    L = loop_from_table(_column_swapped(n, seed, columns), lenient=True)
+    assert L.is_right_loop and not L.is_loop
+    _assert_families_match(L)
+    # the L family of the opposite table is the gyration family
+    op, op_div = L.table.T, L.right_division.T
+    ref = _ref_gyration_table(L)
+    for ids, rows in (_ref_l_family(op, op_div), _l_family(op, op_div)):
+        assert np.array_equal(ids, ref.ids)
+        assert np.array_equal(rows, np.array(ref.perms))
+
+
+def test_families_match_references_past_uint16_offsets():
+    L = build_gyro(catalog_group("product:wreath33,cyclic:4")).loop
+    assert L.order ** 2 > np.iinfo(np.uint16).max      # a wrapped offset would show
+    _assert_families_match(L)
+
+
+def _colliding_groups(L, gt):
+    """Groups of at least MIN_VERIFY_ROWS maps of one slab that share their
+    images of the probe points but are not all the same map."""
+    probes = _right_generators(L.table)
+    count = 0
+    for y in range(L.order):
+        fingerprints = np.array(gt.perms)[gt.ids[y]][:, probes]
+        _, group = np.unique(fingerprints, axis=0, return_inverse=True)
+        for g in np.flatnonzero(np.bincount(group) >= gyro.MIN_VERIFY_ROWS):
+            count += len(np.unique(gt.ids[y][group == g])) > 1
+    return count
+
+
+def test_colliding_probe_images_fall_back_to_full_rows(switched_table):
+    # one intercalate switch in a group table: many maps differ from a map
+    # seen earlier only off the probe points, so their candidates fail
+    L = loop_from_table(switched_table(64, 0, switches=1))
+    assert _colliding_groups(L, _ref_gyration_table(L)) > 0
+    _assert_families_match(L)
+
+
+@pytest.mark.parametrize("spec", ["wreath33", "dihedral:16"])
+def test_families_match_references_when_every_fingerprint_collides(spec):
+    # every map fixes the identity, so probe 0 gives all maps one fingerprint
+    L = build_gyro(catalog_group(spec)).loop
+    ids, rows = _l_family(L.table, L.left_division, probes=[0])
+    ref_ids, ref_rows = _ref_l_family(L.table, L.left_division)
+    assert len(ref_rows) > 1
+    assert np.array_equal(ids, ref_ids)
+    assert np.array_equal(rows, ref_rows)
+
+
+class _CountingIndex(RowIndex):
+    computed = 0
+
+    def add(self, slab):
+        self.computed += len(slab)
+        return super().add(slab)
+
+
+@pytest.mark.parametrize("spec", ["wreath33", "product:dihedral:16,cyclic:5"])
+def test_verified_maps_are_not_recomputed(spec):
+    # on a gyrogroup each distinct map is computed in full in about one slab;
+    # every other row is accepted by verification against its candidate
+    L = build_gyro(catalog_group(spec)).loop
+    T, n = L.table, L.order
+    for A, Ainv, P in ((T.T, L.right_division.T, T), (T, L.left_division, T.T)):
+        index = _CountingIndex(n, np.int32)
+        gyro._map_family(A, Ainv, P, _right_generators(T), index)
+        assert index.computed <= (len(index) + 1) * n
+
+
+def test_elem_dtype():
+    assert elem_dtype(729) == np.uint16
+    assert elem_dtype(65535) == np.uint16
+    assert elem_dtype(65536) == np.int32

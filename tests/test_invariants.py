@@ -15,7 +15,16 @@ from gyrolab import (
     loop_upper_central_series,
     nucleus,
 )
-from gyrolab.invariants import associator_plane
+
+
+def associator_plane(L, x):
+    """Associators A(x, y, z) for one fixed x, as a (y, z) matrix, by one
+    2-D gather: the reference loop_associator is checked against."""
+    T = L.table
+    lhs = T[T[x], :]                    # [y, z] -> (x*y)*z
+    rhs = T[x, T]                       # [y, z] -> x*(y*z)
+    return L.right_division[lhs, rhs]
+
 
 # brute-forced nucleus/commutant data for the three order-16 class-3 groups;
 # all share the same invariant skeleton

@@ -27,6 +27,7 @@ from gyrolab import (
     multiplication_group,
     subgroup_generated,
 )
+from gyrolab.loops import loop_from_table
 from gyrolab.mappings import inner_generators
 from gyrolab import perms
 
@@ -128,6 +129,18 @@ def test_inn_matches_tuple_reference(ladder_loop):
     assert inner_generators(ladder_loop)[1] == tuple(labels)
     elements, _ = _ref_mulclose(gens, ladder_loop.order, CAP)
     assert _as_tuples(perms._mulclose(inn.generators, inn.degree, CAP).rows) == elements
+
+
+@pytest.mark.parametrize("n,seed,switches", [(6, 0, None), (12, 1, None), (32, 2, None),
+                                             (64, 3, None), (64, 0, 1)])
+def test_inner_generators_match_tuple_reference_on_switched_loops(n, seed, switches,
+                                                                 switched_table):
+    L = loop_from_table(switched_table(n, seed, switches))
+    gens, labels = inner_generators(L)
+    ref_gens, ref_labels = _ref_inner_generators(L)
+    assert gens.dtype == L.table.dtype
+    assert _as_tuples(gens) == ref_gens
+    assert labels == tuple(ref_labels)
 
 
 def test_mlt_order_is_loop_order_times_inn_order(ladder_loop):
