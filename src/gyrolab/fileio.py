@@ -12,10 +12,10 @@ Group file schema (JSON object):
 Exactly one of "table" / "generators" must be present.  Indices are 0-based;
 if the identity of a table sits at an index other than 0 it is relocated on
 load (the group records the original index in `relabeled_from`).  A
-file larger than max_group_file_bytes(order_cap()) raises OrderCapExceeded
-before it is read, and a declared order or degree above order_cap() before
-the table is built.  The name and each entry of "names" hold at most
-MAX_NAME_CHARS characters.
+file longer than max_group_file_bytes(order_cap()) raises OrderCapExceeded
+once that many bytes and one more are read, and a declared order or degree
+above order_cap() before the table is built.  The name and each entry of
+"names" hold at most MAX_NAME_CHARS characters.
 
 Report documents are schema-versioned JSON with sorted keys so identical runs
 serialize byte-identically; per-check wall-clock timing is deliberately left
@@ -46,18 +46,23 @@ REPORT_SCHEMA = "gyrolab-report/1"
 SEARCH_SCHEMA = "gyrolab-search/1"
 
 MAX_NAME_CHARS = 256
+# Whitespace and separators allowed per table cell: json.dumps at indent k
+# puts 3k + 2 on each, so this admits indents up to 10.
+CELL_LAYOUT_BYTES = 32
+READ_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
 # group files
 
 def max_group_file_bytes(cap: int) -> int:
-    """The largest group file read under order cap `cap`: cap^2 integers (a
-    full table, or cap generators of degree cap) at 16 bytes of separator
-    and indentation each plus their digits, cap names of MAX_NAME_CHARS
-    characters at up to 12 bytes each (a JSON surrogate-pair escape), and
-    4 KiB for the other fields."""
-    return cap * cap * (16 + len(str(cap))) + cap * (12 * MAX_NAME_CHARS + 16) + 4096
+    """The longest group file read under order cap `cap`: cap^2 integers (a
+    full table, or cap generators of degree cap) at CELL_LAYOUT_BYTES plus
+    their digits each, cap names of MAX_NAME_CHARS characters at up to 12
+    bytes each (a JSON surrogate-pair escape), and 4 KiB for the other
+    fields."""
+    return (cap * cap * (CELL_LAYOUT_BYTES + len(str(cap)))
+            + cap * (12 * MAX_NAME_CHARS + 16) + 4096)
 
 
 def _check_name(path, value: str, what: str) -> None:
@@ -67,24 +72,31 @@ def _check_name(path, value: str, what: str) -> None:
 
 def parse_group_file(path) -> FiniteGroup:
     p = Path(path)
-    try:
-        size = p.stat().st_size
-    except OSError as exc:
-        raise ParseError(str(path), f"cannot read: {exc}") from exc
     cap = order_cap()
     bound = max_group_file_bytes(cap)
-    if size > bound:
-        raise OrderCapExceeded(cap, size, f"file of {size} bytes exceeds {bound} bytes, "
-                                          f"the bound for order cap {cap}")
+    data = bytearray()
     try:
-        text = p.read_text()
+        with p.open("rb") as f:
+            # at most bound + 1 bytes, also from a pipe or a device
+            while len(data) <= bound:
+                chunk = f.read(min(READ_CHUNK, bound + 1 - len(data)))
+                if not chunk:
+                    break
+                data += chunk
     except OSError as exc:
         raise ParseError(str(path), f"cannot read: {exc}") from exc
+    if len(data) > bound:
+        raise OrderCapExceeded(cap, len(data),
+                               f"file is longer than {bound} bytes, the bound for order "
+                               f"cap {cap}, which counts whitespace: at most "
+                               f"{CELL_LAYOUT_BYTES} bytes of it per table cell")
     try:
-        doc = json.loads(text)
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path),
                          f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), f"not UTF-8 text: {exc.reason}") from exc
     if not isinstance(doc, dict):
         raise ParseError(str(path), "top level must be a JSON object")
 

@@ -104,6 +104,8 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
 # groups of at least this many; a smaller group costs more in Python-level
 # calls than its rows cost to compute and hash.
 MIN_VERIFY_ROWS = 16
+# Fingerprints are taken for blocks of slabs holding about this many maps.
+FINGERPRINT_BLOCK = 1 << 14
 
 
 def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray,
@@ -114,15 +116,14 @@ def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray,
     not yet in index are added in first-occurrence order, x major.
 
     Per x, the maps are grouped by their images of the probe points (their
-    fingerprint).  A group of at least MIN_VERIFY_ROWS maps takes as
-    candidate k the id last seen in a group with that fingerprint, and is
-    checked on every point: M(x,y) = P_k exactly when A_y A_x P_k^-1 =
-    A_{P[x,y]}, one shared-index gather and one row gather for the group.
-    Every map without a verified candidate is computed in full and added to
-    index in y order, so new ids arise only there and equal the ids of
-    hashing every map.  While the maps so far have repeated fewer than
-    MIN_VERIFY_ROWS times on average, as in a random loop, a slab skips the
-    fingerprints and computes every map in full.
+    fingerprint), which are taken for a block of x at a time.  A group of at
+    least MIN_VERIFY_ROWS maps takes as candidate k the id last seen in a
+    group with that fingerprint, and is checked on every point: M(x,y) = P_k
+    exactly when A_y A_x P_k^-1 = A_{P[x,y]}, one shared-index gather and
+    one row gather for the group.  Every map without a verified candidate is
+    computed in full and added to index in y order, so new ids arise only
+    there and equal the ids of hashing every map.  A slab with no group of
+    MIN_VERIFY_ROWS maps, as in a random loop, is thus computed in full.
     """
     n = len(A)
     elem, offset = elem_dtype(n), offset_dtype(n)
@@ -133,40 +134,48 @@ def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray,
     ids = np.empty((n, n), dtype=np.int32)
     seen: dict[int, int] = {}                     # fingerprint -> last id in a group
     inverses: dict[int, np.ndarray] = {}
-    start = len(index)
-    for x in range(n):
-        Ax = A[x]
-        base = P[x].astype(offset) * n            # offset of row P[x,y] of Ainv
-        if (len(index) - start) * MIN_VERIFY_ROWS > x * n:   # maps rarely repeat
-            ids[x] = index.add(Ainv.take(A.take(Ax, axis=1) + base[:, None]))
-            continue
-        images = Ainv.take(A.take(Ax[probes], axis=1) + base[:, None])
-        key = np.zeros(n, dtype=np.int64)
-        for col in images.T:                      # [y, j] -> M(x,y)(probe j)
-            key = key * n + col                   # wraps past 2^63: a collision at worst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        ends = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, n)
-        starts = np.append(0, ends[:-1])
-        big = np.flatnonzero(ends - starts >= MIN_VERIFY_ROWS).tolist()
-        groups = {int(key[starts[g]]): order[starts[g]:ends[g]] for g in big}
-        slab = np.full(n, -1, dtype=np.int64)
-        for fingerprint, Y in groups.items():
-            k = seen.get(fingerprint)
-            if k is None:
+    step = max(1, FINGERPRINT_BLOCK // n)
+    for lo in range(0, n, step):
+        xs = np.arange(lo, min(lo + step, n))
+        bases = P[xs].astype(offset) * n          # [x, y] -> offset of row P[x,y] of Ainv
+        images = Ainv.take(A.take(A[xs][:, probes], axis=1).transpose(1, 0, 2)
+                           + bases[:, :, None])   # [x, y, j] -> M(x,y)(probe j)
+        keys = np.zeros(bases.shape, dtype=np.int64)
+        for j in range(len(probes)):
+            keys = keys * n + images[:, :, j]     # wraps past 2^63: a collision at worst
+        order = np.argsort(keys, axis=1, kind="stable")
+        ranked = np.take_along_axis(keys, order, axis=1)
+        fresh = np.ones(keys.shape, dtype=bool)   # a group starts here
+        fresh[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        starts = np.flatnonzero(fresh)
+        ends = np.append(starts[1:], fresh.size)
+        big = np.flatnonzero(ends - starts >= MIN_VERIFY_ROWS)
+        order, ranked = order.ravel(), ranked.ravel()
+        groups: dict[int, dict[int, np.ndarray]] = {}   # x -> fingerprint -> ys
+        for s, e in zip(starts[big].tolist(), ends[big].tolist()):
+            groups.setdefault(lo + s // n, {})[int(ranked[s])] = order[s:e]
+        for x, base in zip(xs.tolist(), bases):
+            Ax = A[x]
+            if x not in groups:
+                ids[x] = index.add(Ainv.take(A.take(Ax, axis=1) + base[:, None]))
                 continue
-            if k not in inverses:
-                inverses[k] = np.empty(n, dtype=elem)
-                inverses[k][index.rows[k]] = np.arange(n, dtype=elem)
-            ok = (A.take(Y, axis=0).take(Ax.take(inverses[k]), axis=1)
-                  == A.take(P[x].take(Y), axis=0)).all(axis=1)
-            slab[Y[ok]] = k
-        rest = np.flatnonzero(slab < 0)
-        if len(rest):
-            rows = A if len(rest) == n else A.take(rest, axis=0)
-            slab[rest] = index.add(Ainv.take(rows.take(Ax, axis=1) + base[rest][:, None]))
-        seen.update((fingerprint, int(slab[Y[-1]])) for fingerprint, Y in groups.items())
-        ids[x] = slab
+            slab = np.full(n, -1, dtype=np.int64)
+            for fingerprint, Y in groups[x].items():
+                k = seen.get(fingerprint)
+                if k is None:
+                    continue
+                if k not in inverses:
+                    inverses[k] = np.empty(n, dtype=elem)
+                    inverses[k][index.rows[k]] = np.arange(n, dtype=elem)
+                ok = (A.take(Y, axis=0).take(Ax.take(inverses[k]), axis=1)
+                      == A.take(P[x].take(Y), axis=0)).all(axis=1)
+                slab[Y[ok]] = k
+            rest = np.flatnonzero(slab < 0)
+            if len(rest):
+                rows = A if len(rest) == n else A.take(rest, axis=0)
+                slab[rest] = index.add(Ainv.take(rows.take(Ax, axis=1) + base[rest][:, None]))
+            seen.update((fingerprint, int(slab[Y[-1]])) for fingerprint, Y in groups[x].items())
+            ids[x] = slab
     return ids
 
 

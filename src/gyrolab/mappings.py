@@ -69,19 +69,10 @@ class PermGroup:
         return frozenset(seen)
 
 
-def _new_labels(index: RowIndex, slab: np.ndarray, label) -> list[str]:
-    """Add a slab of rows to the index; label(i) names each new row at its
-    first occurrence i in the slab."""
-    start = len(index)
-    ids, first = np.unique(index.add(slab), return_index=True)
-    return [label(int(i)) for i in first[ids >= start]]
-
-
-def _first_labels(ids: np.ndarray, start: int, name: str) -> list[str]:
-    """name(x,y) for each id from start on, at its first occurrence ids[x, y]."""
-    n = ids.shape[1]
+def _new_labels(ids: np.ndarray, start: int, label) -> list[str]:
+    """label(i) for each id from start on, i its first occurrence in ids (flattened)."""
     found, first = np.unique(ids, return_index=True)
-    return [f"{name}({i // n},{i % n})" for i in first[found >= start].tolist()]
+    return [label(i) for i in first[found >= start].tolist()]
 
 
 def multiplication_group(L: FiniteLoop) -> PermGroup:
@@ -90,8 +81,9 @@ def multiplication_group(L: FiniteLoop) -> PermGroup:
         raise NotALoop("multiplication group needs a full loop")
     T = L.table
     index = RowIndex(L.order, T.dtype)
-    labels = (_new_labels(index, T, lambda x: f"L[{x}]")
-              + _new_labels(index, T.T, lambda x: f"R[{x}]"))
+    labels = _new_labels(index.add(T), 0, lambda x: f"L[{x}]")
+    start = len(index)
+    labels += _new_labels(index.add(T.T), start, lambda x: f"R[{x}]")
     return PermGroup(L.order, index.rows, tuple(labels))
 
 
@@ -109,13 +101,14 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
     gt = gyration_table(L)
     index = RowIndex(n, elem_dtype(n))
     index.add(np.array(gt.perms))
-    labels = _first_labels(gt.ids, 0, "R")
+    labels = _new_labels(gt.ids, 0, lambda i: f"R({i // n},{i % n})")
     # L(x,y) = L_{y*x}^-1 o L_y o L_x: row a of T is L_a, row a of ldiv is L_a^-1
     start = len(index)
     ids = _map_family(T, ldiv, T.T, _right_generators(T), index)
-    labels += _first_labels(ids, start, "L")
+    labels += _new_labels(ids, start, lambda i: f"L({i // n},{i % n})")
+    start = len(index)
     slab = ldiv[np.arange(n)[:, None], T.T]                 # [x, t] -> x\(t*x)
-    labels += _new_labels(index, slab, lambda x: f"T({x})")
+    labels += _new_labels(index.add(slab), start, lambda x: f"T({x})")
     return index.rows.astype(T.dtype), tuple(labels)
 
 

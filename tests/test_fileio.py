@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gyrolab import (
     write_group_file,
 )
 from gyrolab.fileio import (
+    CELL_LAYOUT_BYTES,
     MAX_NAME_CHARS,
     dumps_json,
     export_text,
@@ -92,6 +94,13 @@ def test_parse_errors(tmp_path, doc, fragment):
     assert fragment in str(exc.value)
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "\xe9", "order": 1, "table": [[0]]}')
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        parse_group_file(p)
+
+
 def test_math_validation_propagates(tmp_path):
     latin_bad = _write(tmp_path, "lat.json",
                        {"order": 3, "table": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]})
@@ -125,23 +134,73 @@ def test_declared_size_past_order_cap_is_refused_before_parsing(tmp_path, monkey
     assert parse_group_file(ok).order == 4
 
 
-def test_oversized_file_is_refused_before_it_is_read(tmp_path, monkeypatch):
+def _no_read_text(monkeypatch):
+    def no_read(self, *args, **kwargs):
+        raise AssertionError("the file was read whole")
+
+    monkeypatch.setattr(Path, "read_text", no_read)
+
+
+def test_oversized_file_is_refused_after_at_most_the_bound(tmp_path, monkeypatch):
     big = tmp_path / "c64.json"
     write_group_file(catalog_group("cyclic:64"), big)
     monkeypatch.setenv("GYROLAB_ORDER_CAP", "4")
     bound = max_group_file_bytes(4)
-    size = big.stat().st_size
-    assert size > bound
-
-    def no_read(self, *args, **kwargs):
-        raise AssertionError("the file was read")
-
-    monkeypatch.setattr(type(big), "read_text", no_read)
+    assert big.stat().st_size > bound
+    _no_read_text(monkeypatch)
     with pytest.raises(OrderCapExceeded) as exc:
         parse_group_file(big)
-    assert (exc.value.cap, exc.value.reached) == (4, size)
-    assert str(exc.value) == (f"file of {size} bytes exceeds {bound} bytes, "
-                              "the bound for order cap 4")
+    assert (exc.value.cap, exc.value.reached) == (4, bound + 1)
+    assert str(exc.value) == (f"file is longer than {bound} bytes, the bound for order cap 4, "
+                              f"which counts whitespace: at most {CELL_LAYOUT_BYTES} bytes "
+                              "of it per table cell")
+
+
+class _Endless:
+    """A file object that never ends, counting the bytes it serves."""
+
+    served = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self, size=-1):
+        assert size >= 0, "unbounded read"
+        self.served += size
+        return b" " * size
+
+
+def test_endless_source_is_refused_after_at_most_the_bound(tmp_path, monkeypatch):
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "4")
+    stream = _Endless()
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: stream)
+    _no_read_text(monkeypatch)
+    with pytest.raises(OrderCapExceeded, match="file is longer than"):
+        parse_group_file(tmp_path / "pipe")
+    assert stream.served == max_group_file_bytes(4) + 1
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+def test_device_that_reports_size_zero_is_bounded(monkeypatch):
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "4")
+    with pytest.raises(OrderCapExceeded) as exc:
+        resolve_group("file:/dev/zero")
+    assert exc.value.reached == max_group_file_bytes(4) + 1
+
+
+def test_table_at_the_cap_is_read_at_the_widest_admitted_indent(tmp_path, monkeypatch):
+    # json.dumps at indent 10 puts 3 * 10 + 2 = CELL_LAYOUT_BYTES on each table cell
+    G = catalog_group("cyclic:320")
+    doc = {"name": G.name, "order": G.order, "table": G.table.tolist(), "names": list(G.names)}
+    p = tmp_path / "c320.json"
+    p.write_text(json.dumps(doc, indent=10))
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "320")
+    assert p.stat().st_size > G.order ** 2 * CELL_LAYOUT_BYTES
+    back = parse_group_file(p)
+    assert back.order == 320 and np.array_equal(back.table, G.table)
 
 
 def test_files_the_cap_admits_are_under_the_byte_bound(tmp_path, monkeypatch):

@@ -247,9 +247,12 @@ class _CountingIndex(RowIndex):
 
 
 @pytest.mark.parametrize("spec", ["wreath33", "product:dihedral:16,cyclic:5"])
-def test_verified_maps_are_not_recomputed(spec):
+@pytest.mark.parametrize("block", [1, 7 * 81, gyro.FINGERPRINT_BLOCK])
+def test_verified_maps_are_not_recomputed(spec, block, monkeypatch):
     # on a gyrogroup each distinct map is computed in full in about one slab;
-    # every other row is accepted by verification against its candidate
+    # every other row is accepted by verification against its candidate,
+    # whether fingerprints are taken one slab at a time, for 7, or for all
+    monkeypatch.setattr(gyro, "FINGERPRINT_BLOCK", block)
     L = build_gyro(catalog_group(spec)).loop
     T, n = L.table, L.order
     for A, Ainv, P in ((T.T, L.right_division.T, T), (T, L.left_division, T.T)):
