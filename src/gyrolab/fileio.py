@@ -70,14 +70,14 @@ def _check_name(path, value: str, what: str) -> None:
         raise ParseError(str(path), f"{what} is longer than {MAX_NAME_CHARS} characters")
 
 
-def parse_group_file(path) -> FiniteGroup:
-    p = Path(path)
-    cap = order_cap()
+def _read_group_text(path, cap: int) -> str:
+    """The text of a group file, read in chunks: at most
+    max_group_file_bytes(cap) bytes and one more, also from a pipe or a
+    device."""
     bound = max_group_file_bytes(cap)
     data = bytearray()
     try:
-        with p.open("rb") as f:
-            # at most bound + 1 bytes, also from a pipe or a device
+        with Path(path).open("rb") as f:
             while len(data) <= bound:
                 chunk = f.read(min(READ_CHUNK, bound + 1 - len(data)))
                 if not chunk:
@@ -91,12 +91,19 @@ def parse_group_file(path) -> FiniteGroup:
                                f"cap {cap}, which counts whitespace: at most "
                                f"{CELL_LAYOUT_BYTES} bytes of it per table cell")
     try:
-        doc = json.loads(data)
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), f"not UTF-8 text: {exc.reason}") from exc
+
+
+def parse_group_file(path) -> FiniteGroup:
+    p = Path(path)
+    text = _read_group_text(p, order_cap())
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path),
                          f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(str(path), f"not UTF-8 text: {exc.reason}") from exc
     if not isinstance(doc, dict):
         raise ParseError(str(path), "top level must be a JSON object")
 

@@ -105,7 +105,7 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
 # calls than its rows cost to compute and hash.
 MIN_VERIFY_ROWS = 16
 # Fingerprints are taken for blocks of slabs holding about this many maps.
-FINGERPRINT_BLOCK = 1 << 14
+FINGERPRINT_BLOCK = 1 << 12
 
 
 def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray,
