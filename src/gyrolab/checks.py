@@ -28,11 +28,11 @@ from .groups import (
     first_violation,
     group_center,
     group_exponent,
+    index_table,
     is_subgroup,
     is_two_engel,
     nilpotency_class,
     normality_violation,
-    offset_dtype,
     quotient_group,
     subgroup_as_group,
 )
@@ -88,10 +88,20 @@ def nine_identity(G: FiniteGroup) -> tuple[bool, tuple[int, int, int] | None]:
     """Whether [[x,y],z]^9 == [x,[y,z]]^9 for all triples, with the least
     failing (x, y, z) when not."""
     cm = G.commutator_table()
-    p9 = G.power_array(9)
-    # [y, z] -> [[x,y],z]^9 against [x,[y,z]]^9
-    w = first_violation(G.order, lambda x: p9.take(cm.take(cm[x], axis=0))
-                        != p9.take(cm[x].take(cm)))
+    n = G.order
+    cmi = index_table(cm, n)
+    p9cm = G.power_array(9).take(cmi)             # [a, b] -> [a, b]^9
+    lhs = np.empty_like(p9cm)
+    rhs = np.empty_like(p9cm)
+    bad = np.empty((n, n), dtype=bool)
+
+    def slab(x):
+        # [y, z] -> [[x,y],z]^9, rows of p9cm taken by [x,y], against
+        # [x,[y,z]]^9, row x of p9cm taken by all of cm
+        np.take(p9cm, cmi[x], axis=0, out=lhs, mode="clip")
+        np.take(p9cm[x], cmi, out=rhs, mode="clip")
+        return np.not_equal(lhs, rhs, out=bad)
+    w = first_violation(n, slab)
     return w is None, w
 
 
@@ -223,22 +233,31 @@ class SuiteContext:
         def run():
             G, L = self.G, self.loop
             n = self.n
-            offset = offset_dtype(n)
-            T = L.table.astype(offset, copy=False)
-            rdiv = L.right_division.ravel()
-            cmT = self.cm.T
-            K = np.ascontiguousarray(self.cm[G.inverse, :].T)   # [y, z] -> [z^-1, y]
-            zmask = self.zmask()
+            T = L.table
+            Ti = index_table(T, n)
+            # a / b at the flat offset b*n + a
+            rdivT = np.ascontiguousarray(L.right_division.T).ravel()
+            noncentral = ~self.zmask()[rdivT]             # at the same offsets
+            K = index_table(self.cm[G.inverse, :].T, n)    # [y, z] -> [z^-1, y]
+            off = np.empty((n, n), dtype=np.intp)
+            vals = np.empty_like(T)
+            expected = np.empty_like(T)
+            bad = np.empty((n, n), dtype=bool)
             formula_bad = None
             central_bad = None
             for x in range(n):
-                # A(x, y, z) = ((x*y)*z) / (x*(y*z)), one flat take of rdiv
-                assoc = rdiv.take(T.take(T[x], axis=0) * n + T[x].take(T))
+                # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset
+                # (x*(y*z))*n + (x*y)*z; (x*y)*z are the rows of T taken by
+                # row x
+                np.take(Ti[x] * n, Ti, out=off, mode="clip")
+                np.add(off, np.take(T, T[x], axis=0, out=vals, mode="clip"), out=off)
                 if formula_bad is None:
                     # [y, z] -> [[z^-1, y], x]
-                    formula_bad = _slab_witness(x, assoc != cmT[x].take(K))
+                    np.take(rdivT, off, out=vals, mode="clip")
+                    np.take(self.cm[:, x], K, out=expected, mode="clip")
+                    formula_bad = _slab_witness(x, np.not_equal(vals, expected, out=bad))
                 if central_bad is None:
-                    central_bad = _slab_witness(x, ~zmask.take(assoc))
+                    central_bad = _slab_witness(x, np.take(noncentral, off, out=bad, mode="clip"))
                 if formula_bad is not None and central_bad is not None:
                     break
             return formula_bad, central_bad
@@ -387,24 +406,29 @@ def _check_mid_in_left(ctx):
     return failed("middle-nucleus-in-left", stmt, witness=(min(diff),))
 
 
-def _expansion_tables(ctx):
-    """The group table, flat, and the commutator table, in offset dtype."""
-    offset = offset_dtype(ctx.n)
-    return (ctx.G.table.astype(offset, copy=False).ravel(),
-            ctx.cm.astype(offset, copy=False))
-
-
 def _check_commutator_expansion_left(ctx):
     """[xy, z] = [x,[y,z]] [y,z] [x,z] is a law of every group: it follows
     from associativity alone.  On a table that is a group it cannot fail, so
     what the scan tests is the associativity of the table it is given."""
     stmt = "[x y, z] = [x,[y,z]] [y,z] [x,z] for all triples"
-    T, n = ctx.G.table, ctx.n
-    Tf, cm = _expansion_tables(ctx)
+    T, cm, n = ctx.G.table, ctx.cm, ctx.n
+    Tf = T.ravel()
+    cmi = index_table(cm, n)
+    ar = np.arange(n)
+    off = np.empty((n, n), dtype=np.intp)
+    lhs = np.empty_like(T)
+    rhs = np.empty_like(T)
+    bad = np.empty((n, n), dtype=bool)
 
     def slab(x):
-        a = Tf.take(cm[x].take(cm) * n + cm)            # [y, z] -> [x,[y,z]] [y,z]
-        return cm.take(T[x], axis=0) != Tf.take(a * n + cm[x])
+        # [x,[y,z]] [y,z] is f[c] = T[[x, c], c] at c = [y, z]; f is scaled
+        # by n here, to be the row offset of each cell into T
+        fn = Tf.take(cmi[x] * n + ar).astype(np.intp) * n
+        np.take(fn, cmi, out=off, mode="clip")
+        np.add(off, cmi[x], out=off)                  # + [x, z]
+        np.take(Tf, off, out=rhs, mode="clip")
+        np.take(cm, T[x], axis=0, out=lhs, mode="clip")   # [xy, z]
+        return np.not_equal(lhs, rhs, out=bad)
     w = first_violation(n, slab)
     if w is None:
         return passed("commutator-expansion-left", stmt)
@@ -416,13 +440,28 @@ def _check_commutator_expansion_right(ctx):
     from associativity alone.  On a table that is a group it cannot fail, so
     what the scan tests is the associativity of the table it is given."""
     stmt = "[x, y z] = [x,y] [y,[x,z]] [x,z] for all triples"
-    T, n = ctx.G.table, ctx.n
-    Tf, cm = _expansion_tables(ctx)
+    T, cm, n = ctx.G.table, ctx.cm, ctx.n
+    Tf = T.ravel()
+    # the slab is built as its transpose [z, y], so that [y,[x,z]] is a
+    # row take of cm.T
+    TiT = index_table(T.T, n)
+    cmTi = index_table(cm.T, n)
+    off = np.empty((n, n), dtype=np.intp)
+    vals = np.empty_like(T)
+    lhs = np.empty_like(T)
+    bad = np.empty((n, n), dtype=bool)
 
     def slab(x):
-        # [y, z] -> [x,y] [y,[x,z]]
-        u = Tf.take(cm.take(cm[x], axis=1) + (cm[x] * n)[:, None])
-        return cm[x].take(T) != Tf.take(u * n + cm[x])
+        cx = cm[x].astype(np.intp)                    # [x, c]
+        # [z, y] -> u = [x,y] [y,[x,z]], then u [x,z]
+        np.take(cmTi, cx, axis=0, out=off, mode="clip")
+        np.add(off, cx * n, out=off)
+        np.take(Tf, off, out=vals, mode="clip")
+        np.multiply(vals, n, out=off, dtype=np.intp)
+        np.add(off, cx[:, None], out=off)
+        np.take(Tf, off, out=vals, mode="clip")
+        np.take(cm[x], TiT, out=lhs, mode="clip")    # [x, yz]
+        return np.not_equal(lhs, vals, out=bad).T
     w = first_violation(n, slab)
     if w is None:
         return passed("commutator-expansion-right", stmt)

@@ -229,8 +229,9 @@ def search_document(summary_dict: dict) -> dict:
 # exports
 
 def matrix_csv(matrix) -> str:
-    rows = np.asarray(matrix)
-    return "\n".join(",".join(str(int(v)) for v in row) for row in rows) + "\n"
+    """One line of comma-separated integers per row, each line ended by a newline."""
+    rows = np.asarray(matrix, dtype=np.int64).tolist()
+    return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
 
 
 def export_circ_table(G: FiniteGroup) -> dict:

@@ -172,18 +172,37 @@ def offset_dtype(n: int):
 def elem_dtype(n: int):
     """Compact dtype for element indices 0..n-1: uint16 while n <= 65535,
     otherwise int32.  Under NEP 50 a uint16 array times n stays uint16 and
-    wraps, so cast to offset_dtype(n) before forming any offset i*n + j."""
+    wraps, so cast to offset_dtype(n) before forming any offset i*n + j.
+
+    These dtypes are for values.  An array passed as the indices of
+    np.take is intp (see index_table): numpy copies any other index array
+    into a fresh intp array on every call.
+    """
     return np.uint16 if n <= np.iinfo(np.uint16).max else np.int32
+
+
+def index_table(table, n: int) -> np.ndarray:
+    """An intp copy of a table of indices into 0..n-1, built once per scan.
+
+    The scans take with mode="clip" and out=, the one mode in which numpy
+    writes straight into out ("raise" gathers into a fresh buffer first),
+    so the range that "raise" would check is checked here, once.
+    """
+    idx = np.array(table, dtype=np.intp, order="C")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"index table has entries outside 0..{n - 1}")
+    return idx
 
 
 def first_violation(n: int, slab) -> tuple[int, int, int] | None:
     """Least (x, y, z) in lexicographic order with slab(x)[y, z] True, else None.
 
     slab(x) returns the n x n boolean failure mask of one x; the scan stops
-    at the first x whose mask has a True cell.  The one-witness cubic scans
-    (associativity, the ninth-power identity, the commutator expansions) all
-    go through here; the associator scan, with two witnesses, reads each
-    mask with _slab_witness.
+    at the first x whose mask has a True cell.  slab may return the same
+    buffer on every call: each mask is read before slab is called again.
+    The one-witness cubic scans (associativity, the ninth-power identity,
+    the commutator expansions) all go through here; the associator scan,
+    with two witnesses, reads each mask with _slab_witness.
     """
     for x in range(n):
         w = _slab_witness(x, slab(x))
@@ -193,20 +212,42 @@ def first_violation(n: int, slab) -> tuple[int, int, int] | None:
 
 
 def _slab_witness(x: int, bad: np.ndarray) -> tuple[int, int, int] | None:
-    """(x, y, z) for the first True cell [y, z] of a square mask, else None."""
-    flat = int(np.argmax(bad))
-    if not bad.flat[flat]:
+    """(x, y, z) for the first True cell [y, z] of a square mask, else None.
+
+    The mask may be a transposed view: any() reads it in memory order, and
+    only a failing mask is copied, by argmax, to find its first cell."""
+    if not bad.any():
         return None
+    flat = int(np.argmax(bad))
     n = bad.shape[1]
     return (x, flat // n, flat % n)
 
 
+def associativity_slabs(table: np.ndarray):
+    """slab(x) for first_violation: the [y, z] mask of (x y) z != x (y z).
+
+    (x y) z reads the rows of T taken by row x, and x (y z) row x taken by
+    all of T; both read whole contiguous rows.  Every call writes into the
+    same three n x n buffers, allocated here once, with one intp copy of T
+    as the indices.
+    """
+    T = np.ascontiguousarray(table)
+    n = T.shape[0]
+    Ti = index_table(T, n)
+    lhs = np.empty_like(T)
+    rhs = np.empty_like(T)
+    bad = np.empty((n, n), dtype=bool)
+
+    def slab(x):
+        np.take(T, Ti[x], axis=0, out=lhs, mode="clip")
+        np.take(T[x], Ti, out=rhs, mode="clip")
+        return np.not_equal(lhs, rhs, out=bad)
+    return slab
+
+
 def associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (a, b, c) with (ab)c != a(bc) in lexicographic order, else None."""
-    T = np.asarray(table)
-    # [b, c] -> (ab)c against a(bc): rows of T taken by row a, and row a
-    # taken by all of T; both read whole contiguous rows
-    return first_violation(T.shape[0], lambda a: T.take(T[a], axis=0) != T[a].take(T))
+    return first_violation(len(table), associativity_slabs(table))
 
 
 def _right_generators(table: np.ndarray) -> list[int]:

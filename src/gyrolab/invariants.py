@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotALoop
+from .groups import associativity_slabs
 from .loops import FiniteLoop, quotient_loop
 
 NUCLEUS_KINDS = ("left", "middle", "right")
@@ -35,21 +36,23 @@ def _nucleus_member(L: FiniteLoop, a: int, kind: str) -> bool:
 def nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """The left, middle and right nuclei by definition, in one pass over x.
 
-    For each x the [y, z] slab of (x y) z == x (y z) holds all three
-    definitions: x is in the left nucleus when the whole slab holds, y is in
-    the middle nucleus when its row holds for every x, and z is in the right
-    nucleus when its column holds for every x.
+    For each x the [y, z] slab of (x y) z != x (y z) holds all three
+    definitions: x is in the left nucleus when no cell of the slab fails,
+    y is in the middle nucleus when its row holds for every x, and z is in
+    the right nucleus when its column holds for every x.  The slabs are
+    those of associativity_violation, written into buffers reused for
+    every x.
     """
-    T = L.table
     n = L.order
+    slab = associativity_slabs(L.table)
     left = np.zeros(n, dtype=bool)
     middle = np.ones(n, dtype=bool)
     right = np.ones(n, dtype=bool)
     for x in range(n):
-        eq = T.take(T[x], axis=0) == T[x].take(T)     # [y, z]: (xy)z == x(yz)
-        left[x] = eq.all()
-        middle &= eq.all(axis=1)
-        right &= eq.all(axis=0)
+        bad = slab(x)                                 # [y, z]: (xy)z != x(yz)
+        left[x] = not bad.any()
+        middle &= ~bad.any(axis=1)
+        right &= ~bad.any(axis=0)
     return tuple(frozenset(int(i) for i in np.flatnonzero(m))
                  for m in (left, middle, right))
 

@@ -49,6 +49,16 @@ def test_analyze_documents_match_benchmark_goldens(label, spec, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("label, spec", [("verify-wreath33-cyclic4", "product:wreath33,cyclic:4"),
+                                         ("verify-dihedral16-cyclic5", "product:dihedral:16,cyclic:5")])
+def test_verify_documents_match_benchmark_goldens(label, spec, tmp_path):
+    # the benchmark's verify-class3 goldens, read only: byte-identical documents
+    golden = json.loads(GOLDENS.read_text())["verify-class3"][label]
+    out = tmp_path / f"{label}.json"
+    assert main(["verify", "--group", spec, "--out", str(out)]) == golden["exit"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
+
+
 def test_analyze_refuses_mlt_not_loop_order_times_inn(monkeypatch, capsys):
     # Inn from a dropped generator set is too small for |Mlt| = |L| * |Inn|
     real = gyrolab.cli.inner_mapping_group

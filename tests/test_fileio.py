@@ -264,6 +264,15 @@ def test_matrix_csv():
     assert matrix_csv([[0, 1], [2, 3]]) == "0,1\n2,3\n"
 
 
+def test_matrix_csv_matches_per_cell_format_on_arrays_and_lists(d16):
+    table = catalog_group("heisenberg:5").table
+    assert table.dtype == np.int32
+    for m in (table, table.tolist(), d16.table[:3], [[7, 10, 123]]):
+        rows = np.asarray(m)
+        expected = "\n".join(",".join(str(int(v)) for v in row) for row in rows) + "\n"
+        assert matrix_csv(m) == expected
+
+
 def test_export_circ_table_csv(d16):
     text = export_text(d16, "circ-table", "csv")
     rows = text.strip().split("\n")

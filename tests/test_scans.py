@@ -8,8 +8,12 @@ inputs and on failing ones: twisted tables wrapped as (non-associative)
 "groups", a class-4 source, and random loops.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +28,14 @@ from gyrolab import (
     nucleus,
     subloop_generated,
 )
+import gyrolab
 from gyrolab import checks
-from gyrolab.groups import FiniteGroup, _group_unchecked, associativity_violation
+from gyrolab.groups import (
+    FiniteGroup,
+    _group_unchecked,
+    associativity_violation,
+    first_violation,
+)
 from gyrolab.gyro import GyroConstruction
 from gyrolab.invariants import NUCLEUS_KINDS, _nucleus_member, nuclei
 from gyrolab.loops import loop_from_table, normal_subloop_violation
@@ -330,3 +340,106 @@ def test_group_scans_match_reference_on_random_tables():
         ctx = SuiteContext(H)
         ctx._cache["gyro"] = GyroConstruction(H, L, None)
         assert ctx.associator_scan() == _ref_associator_scan(ctx)
+
+
+# ---------------------------------------------------------------------------
+# buffers reused across slabs
+
+def _late_failing_table(m, Q):
+    """Z_m x Q with the index q*m + h of (h, q): every x below m has Q's
+    identity as its Q part and passes every scan, so a failure of the
+    non-associative loop Q is first met at x >= m, after m slabs."""
+    h = np.arange(m)
+    Z = (h[:, None] + h[None, :]) % m
+    return (Q[:, None, :, None] * m + Z[None, :, None, :]).reshape(m * len(Q), -1)
+
+
+def test_late_witnesses_after_many_passing_slabs():
+    rng = np.random.default_rng(3)
+    m = 24
+    for _ in range(4):
+        Q = _random_loop(8, rng.integers(0, 1 << 30, size=3))
+        if associativity_violation(Q.table) is None:
+            continue
+        L = loop_from_table(_late_failing_table(m, Q.table))
+        n = L.order
+        H = FiniteGroup(L.table.copy(), [str(i) for i in range(n)],
+                        np.argmax(L.table == 0, axis=1).astype(np.int32))
+        w = associativity_violation(L.table)
+        assert w == _ref_associativity_violation(L.table) and w[0] >= m
+        assert nuclei(L) == _ref_nuclei(L)
+        left, right = _expansions(H)
+        assert (left, right) == (_ref_expansion_left(H), _ref_expansion_right(H))
+        assert nine_identity(H) == _ref_nine_identity(H)
+        ctx = SuiteContext(H)
+        ctx._cache["gyro"] = GyroConstruction(H, L, None)
+        formula, central = ctx.associator_scan()
+        assert (formula, central) == _ref_associator_scan(ctx)
+        for witness in (left, right, formula, central):
+            assert witness is None or witness[0] >= m
+
+
+def test_nuclei_and_associativity_past_uint16_cells():
+    # n = 324: n * n = 104,976 cells, past what a uint16 offset holds
+    L = _gyro("product:wreath33,cyclic:4").loop
+    assert L.order ** 2 > np.iinfo(np.uint16).max
+    for M in (L, _opposite(L)):
+        assert nuclei(M) == _ref_nuclei(M)
+        assert associativity_violation(M.table) == _ref_associativity_violation(M.table)
+
+
+def test_first_violation_reads_each_mask_before_the_next_call():
+    # one buffer for every x, as the kernels' slabs return it; the failing
+    # cell of x = 3 is cleared again by the call for x = 4
+    buf = np.zeros((5, 5), dtype=bool)
+    calls = []
+
+    def slab(x):
+        calls.append(x)
+        buf[:] = False
+        buf[2, 1] = x == 3
+        return buf
+    assert first_violation(5, slab) == (3, 2, 1)
+    assert calls == [0, 1, 2, 3]
+    assert first_violation(3, slab) is None
+
+    def transposed(x):
+        buf[:] = False
+        buf[1, 4] = x == 2                 # cell [4, 1] of the view
+        return buf.T
+    assert first_violation(5, transposed) == (2, 4, 1)
+
+
+
+def test_out_of_range_table_is_refused_not_clipped():
+    # the scans take with mode="clip", so the range is checked once up front
+    with pytest.raises(IndexError):
+        associativity_violation(np.array([[0, 1], [1, 2]]))
+    with pytest.raises(IndexError):
+        associativity_violation(np.array([[0, 1], [-1, 0]]))
+
+
+FAULT_PROBE = """
+import resource
+from gyrolab import catalog_group
+from gyrolab.groups import associativity_violation
+T = catalog_group("product:wreath33,cyclic:4").table
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert associativity_violation(T) is None
+print(len(T), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts minor faults on Linux")
+def test_associativity_scan_does_not_fault_per_slab():
+    # a fresh interpreter, so that the count does not depend on what earlier
+    # tests left in the allocator; fresh n x n temporaries for every slab
+    # fault about 380 pages per x at n = 324, one set of buffers about none
+    pytest.importorskip("resource")
+    src = str(Path(gyrolab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    n, faults = map(int, out.split())
+    assert faults < 20 * n, faults
