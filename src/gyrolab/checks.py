@@ -39,9 +39,9 @@ from .groups import (
 from .gyro import build_gyro, is_gyrogroup
 from .invariants import (
     NUCLEUS_KINDS,
+    _loop_class,
     commutant,
     commutator_bracket_table,
-    loop_nilpotency_class,
     nuclei,
 )
 from .loops import (
@@ -72,8 +72,12 @@ def class2_criterion(G: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
     cls = nilpotency_class(G)
     if cls != 3:
         raise WrongClass("exactly 3", cls)
-    L = build_gyro(G).loop
-    C = commutant(L)
+    return _cube_criterion(G, commutant(build_gyro(G).loop))
+
+
+def _cube_criterion(G: FiniteGroup, C: frozenset[int]) -> tuple[bool, tuple[int, int] | None]:
+    """Whether every [x,y]^3 lies in C, the commutant of the twisted loop,
+    with the least failing (x, y) when not."""
     mask = np.zeros(G.order, dtype=bool)
     mask[sorted(C)] = True
     cubes = G.power_array(3)[G.commutator_table()]
@@ -152,11 +156,58 @@ class SuiteContext:
         self.G = G
         self.n = G.order
         self._cache: dict = {}
+        self._sets: dict = {}
 
     def _get(self, key, fn):
         if key not in self._cache:
             self._cache[key] = fn()
         return self._cache[key]
+
+    def _per_set(self, op: str, S, fn):
+        """fn() once per (op, set) in this suite.  The nuclei, the commutant
+        and the loop center are often the same set, so a set-level result
+        is computed once however many kinds share it.  An outcome that
+        raised NotASubloop or NotWellDefined is kept and raised again."""
+        key = (op, frozenset(S))
+        if key not in self._sets:
+            try:
+                self._sets[key] = (fn(), None)
+            except (NotASubloop, NotWellDefined) as exc:
+                self._sets[key] = (None, exc)
+        value, exc = self._sets[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    def normal_subloop(self, S):
+        """normal_subloop_violation(loop, S)."""
+        return self._per_set("normal-subloop", S,
+                             lambda: normal_subloop_violation(self.loop, S))
+
+    def quotient(self, S) -> tuple[FiniteLoop, np.ndarray]:
+        """quotient_loop(loop, S)."""
+        return self._per_set("quotient", S, lambda: quotient_loop(self.loop, S))
+
+    def quotient_associativity(self, S):
+        """The associativity witness of the table of loop/S, None when
+        associative; raises as quotient(S) does."""
+        return self._per_set("quotient-assoc", S, lambda: (
+            table_associativity_violation(self.quotient(S)[0].table)))
+
+    def group_normality(self, S):
+        """normality_violation(G, S)."""
+        return self._per_set("group-normal", S,
+                             lambda: normality_violation(self.G, sorted(S)))
+
+    def subgroup_class(self, S):
+        """The nilpotency class of S as a subgroup of G."""
+        return self._per_set("subgroup-class", S,
+                             lambda: nilpotency_class(subgroup_as_group(self.G, S)[0]))
+
+    def induced_associativity(self, S):
+        """_induced_violation(loop table, S)."""
+        return self._per_set("induced-assoc", S,
+                             lambda: _induced_violation(self.loop.table, S))
 
     @property
     def cls(self):
@@ -187,11 +238,14 @@ class SuiteContext:
 
     @property
     def zl(self):
+        """The loop center, by the definition of loop_center: the commutant
+        met with the nucleus."""
         return self._get("zl", lambda: self.com & self.nuc("full"))
 
     @property
     def loop_class(self):
-        return self._get("lc", lambda: loop_nilpotency_class(self.loop))
+        """loop_nilpotency_class(loop), with its series started from zl."""
+        return self._get("lc", lambda: _loop_class(self.loop, self.zl))
 
     @property
     def bracket(self):
@@ -295,7 +349,7 @@ def _check_commutant_subloop(ctx):
 
 def _check_commutant_normal(ctx):
     stmt = "the commutant of the twisted loop is a normal subloop"
-    w = normal_subloop_violation(ctx.loop, ctx.com)
+    w = ctx.normal_subloop(ctx.com)
     if w is None:
         return passed("commutant-normal-subloop", stmt)
     return failed("commutant-normal-subloop", stmt, witness=w)
@@ -346,7 +400,7 @@ def _check_nuclei_subgroups(ctx):
 def _check_nuclei_normal_in_group(ctx):
     stmt = "each nucleus of the twisted loop is normal in the source group"
     for kind in ("left", "middle", "right", "full"):
-        w = normality_violation(ctx.G, sorted(ctx.nuc(kind)))
+        w = ctx.group_normality(ctx.nuc(kind))
         if w is not None:
             return failed("nuclei-normal-in-group", stmt, witness=(kind,) + w)
     return passed("nuclei-normal-in-group", stmt)
@@ -355,36 +409,42 @@ def _check_nuclei_normal_in_group(ctx):
 def _check_nuclei_class(ctx):
     stmt = "each nucleus, as a subgroup of the source, has nilpotency class <= 2"
     for kind in ("left", "middle", "right", "full"):
-        H, _ = subgroup_as_group(ctx.G, ctx.nuc(kind))
-        c = nilpotency_class(H)
+        c = ctx.subgroup_class(ctx.nuc(kind))
         if c is None or c > 2:
             return failed("nuclei-class-at-most-2", stmt, witness=(kind, str(c)))
     return passed("nuclei-class-at-most-2", stmt)
 
 
+def _induced_violation(T: np.ndarray, S) -> tuple | None:
+    """Whether the product of the table T restricted to S is a closed,
+    associative operation: ("not-closed", v) with v the least product
+    outside S, the least failing triple of S, or None."""
+    lst = np.array(sorted(S), dtype=np.intp)
+    pos = np.full(len(T), -1, dtype=np.intp)
+    pos[lst] = np.arange(len(lst))
+    sub = T[np.ix_(lst, lst)]
+    local = pos[sub]                                  # the products as positions in lst
+    if (local < 0).any():
+        return ("not-closed", int(sub[local < 0].min()))
+    bad = table_associativity_violation(local)
+    if bad is None:
+        return None
+    return tuple(int(lst[i]) for i in bad)
+
+
 def _check_nuclei_induced_group(ctx):
     stmt = "the twisted product restricted to each nucleus is associative (a group)"
-    T = ctx.loop.table
     for kind in ("left", "middle", "right", "full"):
-        lst = sorted(ctx.nuc(kind))
-        local = {g: i for i, g in enumerate(lst)}
-        sub = T[np.ix_(lst, lst)]
-        if not all(int(v) in local for v in np.unique(sub)):
-            bad = next(int(v) for v in np.unique(sub) if int(v) not in local)
-            return failed("nuclei-induced-op-associative", stmt,
-                          witness=(kind, "not-closed", bad))
-        relabeled = np.array([[local[int(v)] for v in row] for row in sub])
-        bad = table_associativity_violation(relabeled)
-        if bad is not None:
-            return failed("nuclei-induced-op-associative", stmt,
-                          witness=(kind, lst[bad[0]], lst[bad[1]], lst[bad[2]]))
+        w = ctx.induced_associativity(ctx.nuc(kind))
+        if w is not None:
+            return failed("nuclei-induced-op-associative", stmt, witness=(kind,) + w)
     return passed("nuclei-induced-op-associative", stmt)
 
 
 def _check_nuclei_normal_subloops(ctx):
     stmt = "each nucleus is a normal subloop of the twisted loop"
     for kind in ("left", "middle", "right", "full"):
-        w = normal_subloop_violation(ctx.loop, ctx.nuc(kind))
+        w = ctx.normal_subloop(ctx.nuc(kind))
         if w is not None:
             return failed("nuclei-normal-subloops", stmt, witness=(kind,) + w)
     return passed("nuclei-normal-subloops", stmt)
@@ -442,26 +502,33 @@ def _check_commutator_expansion_right(ctx):
     stmt = "[x, y z] = [x,y] [y,[x,z]] [x,z] for all triples"
     T, cm, n = ctx.G.table, ctx.cm, ctx.n
     Tf = T.ravel()
-    # the slab is built as its transpose [z, y], so that [y,[x,z]] is a
-    # row take of cm.T
-    TiT = index_table(T.T, n)
-    cmTi = index_table(cm.T, n)
-    off = np.empty((n, n), dtype=np.intp)
-    vals = np.empty_like(T)
+    Ti = index_table(T, n)
+    # for fixed x the right side depends on z only through v = [x,z], which
+    # takes m <= n values: g[y, j] = ([x,y] [y,v_j]) v_j is an n x m table,
+    # and the slab takes its columns by the rank of [x,z].  The n x m
+    # buffers are allocated once, for the largest m of any x
+    m_max = max(len(np.unique(row)) for row in cm)
+    off = np.empty(n * m_max, dtype=np.intp)
+    val = np.empty(n * m_max, dtype=T.dtype)
     lhs = np.empty_like(T)
+    rhs = np.empty_like(T)
     bad = np.empty((n, n), dtype=bool)
 
     def slab(x):
-        cx = cm[x].astype(np.intp)                    # [x, c]
-        # [z, y] -> u = [x,y] [y,[x,z]], then u [x,z]
-        np.take(cmTi, cx, axis=0, out=off, mode="clip")
-        np.add(off, cx * n, out=off)
-        np.take(Tf, off, out=vals, mode="clip")
-        np.multiply(vals, n, out=off, dtype=np.intp)
-        np.add(off, cx[:, None], out=off)
-        np.take(Tf, off, out=vals, mode="clip")
-        np.take(cm[x], TiT, out=lhs, mode="clip")    # [x, yz]
-        return np.not_equal(lhs, vals, out=bad).T
+        vs, zi = np.unique(cm[x], return_inverse=True)   # [x, z] = vs[zi[z]]
+        v = vs.astype(np.intp)
+        m = len(v)
+        o = off[:n * m].reshape(n, m)
+        g = val[:n * m].reshape(n, m)
+        np.take(cm, v, axis=1, out=g, mode="clip")        # [y, v_j]
+        np.add(g, cm[x, :, None].astype(np.intp) * n, out=o)
+        np.take(Tf, o, out=g, mode="clip")                # [x,y] [y,v_j]
+        np.multiply(g, n, out=o, dtype=np.intp)
+        np.add(o, v, out=o)
+        np.take(Tf, o, out=g, mode="clip")                # ([x,y] [y,v_j]) v_j
+        np.take(g, zi, axis=1, out=rhs, mode="clip")
+        np.take(cm[x], Ti, out=lhs, mode="clip")          # [x, yz]
+        return np.not_equal(lhs, rhs, out=bad)
     w = first_violation(n, slab)
     if w is None:
         return passed("commutator-expansion-right", stmt)
@@ -538,10 +605,9 @@ def _check_commutant_equals_group_center(ctx):
 def _check_quotient_by_commutant_group(ctx):
     stmt = "the twisted loop modulo its commutant is a group"
     try:
-        Q, _ = quotient_loop(ctx.loop, ctx.com)
+        bad = ctx.quotient_associativity(ctx.com)
     except (NotASubloop, NotWellDefined) as exc:
         return failed("quotient-by-commutant-group", stmt, witness=exc.witness)
-    bad = table_associativity_violation(Q.table)
     if bad is None:
         return passed("quotient-by-commutant-group", stmt)
     return failed("quotient-by-commutant-group", stmt, witness=bad)
@@ -554,13 +620,13 @@ def _check_quotient_commutant_matches(ctx):
     if not is_subgroup(ctx.G, C):
         return failed("quotient-by-commutant-matches-gyro-of-quotient", stmt,
                       witness=("commutant-not-a-subgroup",))
-    w = normality_violation(ctx.G, sorted(C))
+    w = ctx.group_normality(C)
     if w is not None:
         return failed("quotient-by-commutant-matches-gyro-of-quotient", stmt,
                       witness=("commutant-not-normal",) + w)
     QG, _ = quotient_group(ctx.G, C)
     circ_of_quotient = build_gyro(QG).loop
-    quotient_of_circ, _ = quotient_loop(ctx.loop, C)
+    quotient_of_circ, _ = ctx.quotient(C)
     if np.array_equal(circ_of_quotient.table, quotient_of_circ.table):
         return passed("quotient-by-commutant-matches-gyro-of-quotient", stmt)
     diff = circ_of_quotient.table != quotient_of_circ.table
@@ -595,7 +661,7 @@ def _check_class3_equivalence(ctx):
 def _check_class2_criterion(ctx):
     stmt = ("for a class-3 group, all [x,y]^3 lie in the commutant iff the "
             "twisted loop has class <= 2")
-    crit, w = class2_criterion(ctx.G)
+    crit, w = _cube_criterion(ctx.G, ctx.com)
     small = ctx.loop_class is not None and ctx.loop_class <= 2
     if crit == small:
         return passed("class2-criterion", stmt,
@@ -657,13 +723,14 @@ def _check_associators_central(ctx):
 
 def _check_quotient_nucleus_abelian(ctx):
     stmt = "the twisted loop modulo its nucleus is an abelian group"
+    N = ctx.nuc("full")
     try:
-        Q, _ = quotient_loop(ctx.loop, ctx.nuc("full"))
+        bad = ctx.quotient_associativity(N)
     except (NotASubloop, NotWellDefined) as exc:
         return failed("quotient-by-nucleus-abelian-group", stmt, witness=exc.witness)
-    bad = table_associativity_violation(Q.table)
     if bad is not None:
         return failed("quotient-by-nucleus-abelian-group", stmt, witness=bad)
+    Q, _ = ctx.quotient(N)
     if not np.array_equal(Q.table, Q.table.T):
         flat = int(np.argmax(Q.table != Q.table.T))
         return failed("quotient-by-nucleus-abelian-group", stmt,
@@ -674,10 +741,9 @@ def _check_quotient_nucleus_abelian(ctx):
 def _check_quotient_center_group(ctx):
     stmt = "the twisted loop modulo its center is a group"
     try:
-        Q, _ = quotient_loop(ctx.loop, ctx.zl)
+        bad = ctx.quotient_associativity(ctx.zl)
     except (NotASubloop, NotWellDefined) as exc:
         return failed("quotient-by-center-group", stmt, witness=exc.witness)
-    bad = table_associativity_violation(Q.table)
     if bad is None:
         return passed("quotient-by-center-group", stmt)
     return failed("quotient-by-center-group", stmt, witness=bad)

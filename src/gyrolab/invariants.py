@@ -109,14 +109,22 @@ def loop_associator(L: FiniteLoop, x: int, y: int, z: int) -> int:
 
 def loop_upper_central_series(L: FiniteLoop) -> list[frozenset[int]]:
     """Z_0 = {0}, Z_{i+1} = preimage of the center of L/Z_i; stops when stable."""
+    return _upper_central_series(L, None)
+
+
+def _upper_central_series(L: FiniteLoop, center) -> list[frozenset[int]]:
+    """The series of loop_upper_central_series, started from the center of
+    L when the caller has it already (None: loop_center(L) is taken here)."""
     if not L.is_loop:
         raise NotALoop("central series needs a full loop")
     n = L.order
     chain: list[frozenset[int]] = [frozenset({0})]
     current = L
     proj = np.arange(n)
+    zc = center
     while len(chain[-1]) < n:
-        zc = loop_center(current)
+        if zc is None:
+            zc = loop_center(current)
         z_orig = frozenset(i for i in range(n) if int(proj[i]) in zc)
         if z_orig == chain[-1]:
             break                        # stalled: not nilpotent
@@ -125,12 +133,19 @@ def loop_upper_central_series(L: FiniteLoop) -> list[frozenset[int]]:
             break
         current, qproj = quotient_loop(current, zc)
         proj = qproj[proj]
+        zc = None
     return chain
 
 
 def loop_nilpotency_class(L: FiniteLoop) -> int | None:
     """Length of the upper central series if it reaches L, else None."""
-    chain = loop_upper_central_series(L)
+    return _loop_class(L, None)
+
+
+def _loop_class(L: FiniteLoop, center) -> int | None:
+    """loop_nilpotency_class(L), with the series started from the given
+    center of L (None: computed)."""
+    chain = _upper_central_series(L, center)
     if len(chain[-1]) == L.order:
         return len(chain) - 1
     return None

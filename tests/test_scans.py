@@ -2,8 +2,8 @@
 
 Each _ref_* function below is the earlier kernel, kept as the reference:
 per-element nuclei, the associator scan, both commutator expansions, the
-ninth-power identity, the group-table associativity scan and the sort-based
-subloop normality test.  Verdicts and witnesses must be equal, on passing
+ninth-power identity, the group-table associativity scan, the sort-based
+subloop normality test and the dict relabel of a nucleus's induced product.  Verdicts and witnesses must be equal, on passing
 inputs and on failing ones: twisted tables wrapped as (non-associative)
 "groups", a class-4 source, and random loops.
 """
@@ -11,6 +11,7 @@ inputs and on failing ones: twisted tables wrapped as (non-associative)
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -24,6 +25,8 @@ from gyrolab import (
     build_gyro,
     catalog_group,
     commutant,
+    loop_center,
+    loop_nilpotency_class,
     nine_identity,
     nucleus,
     subloop_generated,
@@ -135,6 +138,19 @@ def _ref_nine_identity(G):
     return True, None
 
 
+def _ref_induced_violation(T, S):
+    lst = sorted(S)
+    local = {g: i for i, g in enumerate(lst)}
+    sub = T[np.ix_(lst, lst)]
+    if not all(int(v) in local for v in np.unique(sub)):
+        return ("not-closed", next(int(v) for v in np.unique(sub) if int(v) not in local))
+    relabeled = np.array([[local[int(v)] for v in row] for row in sub])
+    bad = associativity_violation(relabeled)
+    if bad is None:
+        return None
+    return (lst[bad[0]], lst[bad[1]], lst[bad[2]])
+
+
 def _ref_normal_subloop_violation(L, N):
     lst = sorted(N)
     n, T = L.order, L.table
@@ -236,6 +252,27 @@ def test_normal_subloop_matches_reference_on_catalog_loops(spec):
     for M in (L, _opposite(L)):
         for S in sorted(subloops, key=sorted):
             assert normal_subloop_violation(M, S) == _ref_normal_subloop_violation(M, S)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_induced_op_matches_reference(spec):
+    # subloops (closed; associative or not) and seeded subsets that do not
+    # close, in the twisted loop and its opposite
+    L = _gyro(spec).loop
+    rng = np.random.default_rng(4)
+    sets = {subloop_generated(L, {a, b}) for a in range(0, L.order, 3) for b in range(a, L.order, 5)}
+    sets |= {frozenset({0, *rng.choice(L.order, size=k).tolist()}) for k in (1, 2, 3, 5, 8)}
+    sets |= set(nuclei(L)) | {commutant(L), frozenset(range(L.order))}
+    tags = Counter()
+    for M in (L, _opposite(L)):
+        for S in sorted(sets, key=sorted):
+            w = checks._induced_violation(M.table, S)
+            assert w == _ref_induced_violation(M.table, S), sorted(S)
+            tags["none" if w is None else "not-closed" if w[0] == "not-closed" else "triple"] += 1
+    expected = {"none", "not-closed"}
+    if associativity_violation(L.table) is not None:
+        expected.add("triple")                 # at least the whole loop
+    assert set(tags) == expected, tags
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +480,83 @@ def test_associativity_scan_does_not_fault_per_slab():
                          capture_output=True, text=True).stdout
     n, faults = map(int, out.split())
     assert faults < 20 * n, faults
+
+
+# ---------------------------------------------------------------------------
+# the right expansion read through the values of [x, z]
+
+def _as_group(table, inverse=None):
+    """A table wrapped as a "group" with no checks, with its right inverses
+    unless an inverse map is given."""
+    n = len(table)
+    if inverse is None:
+        inverse = np.argmax(np.asarray(table) == 0, axis=1)
+    return FiniteGroup(np.array(table, dtype=np.int32), [str(i) for i in range(n)],
+                       np.asarray(inverse, dtype=np.int32))
+
+
+@pytest.mark.parametrize("n, choices", [(12, [5, 99]), (40, [7, 123, 4567])])
+def test_expansion_right_with_n_values_of_the_commutator(n, choices):
+    # with every inverse sent to the identity, [x, y] = x y, so on a Latin
+    # table [x, z] takes all n values for every x and the n x m tables are
+    # n x n
+    L = _random_loop(n, choices)
+    H = _as_group(L.table, np.zeros(n))
+    assert all(len(np.unique(row)) == n for row in H.commutator_table())
+    w = _expansions(H)[1]
+    assert w == _ref_expansion_right(H)
+    assert w is not None
+
+
+@pytest.mark.parametrize("m", [5, 40])
+def test_expansion_right_witness_past_half_the_slabs(m):
+    # this order-8 loop first fails the law at x = 6, so Z_m x Q, indexed
+    # q*m + h, first fails at x = 6m, past n/2 = 4m; m = 40 gives n = 320,
+    # whose n * n cells are past what uint16 holds
+    Q = _random_loop(8, [660155962, 379779733])
+    assert _ref_expansion_right(_as_group(Q.table))[0] == 6
+    H = _as_group(_late_failing_table(m, Q.table))
+    w = _expansions(H)[1]
+    assert w == _ref_expansion_right(H)
+    assert w[0] == 6 * m >= H.order / 2
+
+
+def test_expansion_right_allocates_its_buffers_once():
+    # dihedral:326: [x, z] takes n/2 = 163 values for each reflection x.
+    # The scan's buffers are an intp copy of T, two value slabs, a mask and
+    # the two n x m tables at the largest m; a fresh n x n value slab for
+    # every x (about 415 KiB here) raises the traced peak past them.  Minor
+    # faults do not show it: the allocator hands the freed slab back
+    ctx = SuiteContext(catalog_group("dihedral:326"))
+    n, cm = ctx.n, ctx.cm
+    m = max(len(np.unique(row)) for row in cm)
+    assert m == n // 2
+    intp, item = np.dtype(np.intp).itemsize, cm.itemsize
+    buffers = n * n * (intp + 2 * item + 1) + n * m * (intp + item)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert checks._check_commutator_expansion_right(ctx).status == "pass"
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 256 * 1024, (peak, buffers)
+
+
+def test_suite_loop_class_starts_from_the_center():
+    # a commutative loop of order 10 with center {0, 5}: its series started
+    # from the center gives class 2, from the commutant (all of it) class 1
+    L = _random_loop(10, [621592837])
+    assert commutant(L) == frozenset(range(10)) and loop_center(L) == {0, 5}
+    H = _as_group(L.table)
+    ctx = SuiteContext(H)
+    ctx._cache["gyro"] = GyroConstruction(H, L, None)
+    assert ctx.zl == loop_center(L)
+    assert ctx.loop_class == loop_nilpotency_class(L) == 2
+
+
+def test_expansion_right_past_uint16_cells():
+    gc = _gyro("product:wreath33,cyclic:4")
+    assert gc.source.order ** 2 > np.iinfo(np.uint16).max
+    for G in (gc.source, _wrapped(gc)):
+        assert _expansions(G)[1] == _ref_expansion_right(G)
