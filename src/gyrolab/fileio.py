@@ -229,9 +229,15 @@ def search_document(summary_dict: dict) -> dict:
 # exports
 
 def matrix_csv(matrix) -> str:
-    """One line of comma-separated integers per row, each line ended by a newline."""
-    rows = np.asarray(matrix, dtype=np.int64).tolist()
-    return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
+    """One line of comma-separated integers per row, each line ended by a newline.
+
+    Each cell is looked up in the list of the decimal strings of the values
+    from the least to the largest, so no cell is formatted on its own."""
+    m = np.asarray(matrix)
+    lo, hi = (int(m.min()), int(m.max())) if m.size else (0, -1)
+    words = [str(v) for v in range(lo, hi + 1)]
+    rows = (m - lo if lo else m).tolist()
+    return "\n".join(",".join(map(words.__getitem__, row)) for row in rows) + "\n"
 
 
 def export_circ_table(G: FiniteGroup) -> dict:
@@ -285,11 +291,21 @@ _EXPORTERS = {
     "factor-set": export_factor_set,
 }
 
-# which matrix a CSV export of each kind dumps
-_CSV_FIELD = {
-    "circ-table": "table",
-    "gyration-table": "ids",
-    "factor-set": "twisted",
+def _gyration_ids(G: FiniteGroup) -> np.ndarray:
+    from .gyro import build_gyro, gyration_table
+    return gyration_table(build_gyro(G).loop).ids
+
+
+def _circ_table(G: FiniteGroup) -> np.ndarray:
+    from .gyro import build_gyro
+    return build_gyro(G).loop.table
+
+
+# the matrix a CSV export of each kind dumps, built without its JSON document
+_CSV_MATRIX = {
+    "circ-table": _circ_table,
+    "gyration-table": _gyration_ids,
+    "factor-set": lambda G: export_factor_set(G)["twisted"],
 }
 
 
@@ -300,9 +316,9 @@ def export_document(G: FiniteGroup, what: str) -> dict:
 
 
 def export_text(G: FiniteGroup, what: str, fmt: str) -> str:
+    if fmt == "csv" and what in _CSV_MATRIX:
+        return matrix_csv(_CSV_MATRIX[what](G))
     doc = export_document(G, what)
     if fmt == "json":
         return dumps_json(doc)
-    if fmt == "csv":
-        return matrix_csv(doc[_CSV_FIELD[what]])
     raise ValueError(f"unknown export format {fmt!r}")

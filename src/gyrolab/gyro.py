@@ -6,6 +6,19 @@ map x -> ((x*y)*z) / (y*z) (right division), which measures the deviation
 from associativity; the axioms checked by is_gyrogroup are that every
 gyration is an automorphism of the loop and that gyr(a, b) equals the
 inverse of gyr(a*b, a).
+
+On the twisted table of any group G the gyrations are conjugations in G:
+gyr(y, z) is x -> c^-1 x c with c = y z^-1 y^-1 z.  With w = y*z = z^-1 y z^2,
+
+  (x*y)*z       = (yz)^-1 x (yz) w,
+  (c^-1 x c)*w  = (cw)^-1 x (cw) w,
+  cw            = y z^-1 y^-1 z z^-1 y z^2 = yz,
+
+and right division in the twisted table is unique (its columns are
+permutations), so ((x*y)*z) / w = c^-1 x c.  Two pairs share a gyration
+exactly when their c lie in the same coset of Z(G).  gyration_table uses
+this closed form on a loop that build_gyro made from a table passing
+Light's associativity test, and the generic kernel _map_family otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +31,10 @@ import numpy as np
 from .errors import NotRightLoop
 from .groups import (
     FiniteGroup,
+    _light_associative,
     _right_generators,
     elem_dtype,
+    group_center,
     nilpotency_class,
     offset_dtype,
 )
@@ -60,6 +75,7 @@ def build_gyro(G: FiniteGroup) -> GyroConstruction:
             "be a loop", stacklevel=2)
     loop = loop_from_table(np.array(twisted), names=G.names, lenient=True,
                            name=f"gyro({G.name})" if G.name else "gyro")
+    loop._cache["source"] = G                     # for gyration_table's closed form
     return GyroConstruction(G, loop, cls)
 
 
@@ -84,20 +100,95 @@ class GyrationTable:
 
 
 def gyration_table(L: FiniteLoop) -> GyrationTable:
-    """All gyrations gyr(y,z) = R_{y*z}^-1 o R_z o R_y (R_a: right translation), cached on L."""
+    """All gyrations gyr(y,z) = R_{y*z}^-1 o R_z o R_y (R_a: right translation), cached on L.
+
+    ids[y, z] numbers the distinct gyrations in row-major first-occurrence
+    order.  On a loop built by build_gyro from a group table, gyr(y,z) is
+    conjugation by c = y z^-1 y^-1 z in the group (see the module
+    docstring: (x*y)*z = (yz)^-1 x (yz) w and (c^-1 x c)*w = (cw)^-1 x (cw) w
+    with w = y*z and cw = yz), so the table is read off c in O(n^2) by
+    _conjugation_family.  That holds only for an associative source, so the
+    closed form is taken when the recorded source has identity 0, true
+    inverses and passes Light's test; every other loop goes through the
+    generic kernel _map_family.  Both give the same ids and rows.
+    """
     if L.right_division is None:
         raise NotRightLoop(-1)
     if "gyr" in L._cache:
         return L._cache["gyr"]
     T = L.table
-    index = RowIndex(L.order, elem_dtype(L.order))
-    # row a of T.T is R_a and row a of right_division.T is R_a^-1
-    ids = _map_family(T.T, L.right_division.T, T, _right_generators(T), index)
-    rows = index.rows.astype(T.dtype)
+    G = L._cache.get("source")
+    if G is not None and _is_group_table(G):
+        ids, rows = _conjugation_family(G)
+    else:
+        index = RowIndex(L.order, elem_dtype(L.order))
+        # row a of T.T is R_a and row a of right_division.T is R_a^-1
+        ids = _map_family(T.T, L.right_division.T, T, _right_generators(T), index)
+        rows = index.rows
+    rows = rows.astype(T.dtype)
     for read_only in (ids, rows):
         read_only.setflags(write=False)
     L._cache["gyr"] = GyrationTable(ids, tuple(rows))
     return L._cache["gyr"]
+
+
+def _is_group_table(G: FiniteGroup) -> bool:
+    """Whether G's table and inverse array are a group's: identity 0, a
+    right inverse at each inverse[g], and associative by Light's test."""
+    T, n = G.table, G.order
+    ar = np.arange(n)
+    return bool(np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar)
+                and (T[ar, G.inverse] == 0).all() and _light_associative(T))
+
+
+# Conjugators c[y, z] are computed for blocks of rows holding about this many
+# cells, so that no step holds n^2 index values.
+CONJUGATOR_BLOCK = 1 << 16
+
+
+def _conjugation_family(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """ids[y, z] and the distinct rows of the gyrations of G's twisted loop.
+
+    gyr(y,z) is x -> c^-1 x c with c = y z^-1 y^-1 z, and two conjugators
+    give the same map exactly when they share a coset of Z(G), labelled here
+    by its least element.  ids ranks the labels of c[y, z] in row-major
+    first-occurrence order, the numbering of _map_family; row k conjugates
+    by the label of id k.  G must be a group (see _is_group_table).
+    """
+    n = G.order
+    flat = np.ascontiguousarray(G.table).ravel()
+    inv = G.inverse.astype(np.intp)
+    label = G.table[:, sorted(group_center(G))].min(axis=1)   # least element of g Z(G)
+    rank = np.full(n, -1, dtype=np.int32)         # label -> id
+    reps: list[int] = []                          # label of each id
+    ids = np.empty((n, n), dtype=np.int32)
+    ar = np.arange(n)
+    step = max(1, CONJUGATOR_BLOCK // n)
+    for lo in range(0, n, step):
+        ys = ar[lo:lo + step]
+        off = flat.take(ys[:, None] * n + inv).astype(np.intp)   # [y, z] -> y z^-1
+        off *= n
+        off += inv[ys, None]
+        off = flat.take(off).astype(np.intp)      # y z^-1 y^-1
+        off *= n
+        off += ar
+        lab = label.take(flat.take(off))          # label of c[y, z]
+        got = rank.take(lab)
+        fresh = got < 0
+        if fresh.any():
+            new, first = np.unique(lab[fresh], return_index=True)
+            new = new[np.argsort(first, kind="stable")]
+            rank[new] = np.arange(len(reps), len(reps) + len(new))
+            reps.extend(new.tolist())
+            got = rank.take(lab)
+        ids[lo:lo + step] = got
+    reps_arr = np.array(reps, dtype=np.intp)
+    rows = np.empty((len(reps), n), dtype=G.table.dtype)
+    for lo in range(0, len(reps), step):
+        c = reps_arr[lo:lo + step, None]
+        left = flat.take(inv[c] * n + ar).astype(np.intp)    # [k, x] -> c^-1 x
+        rows[lo:lo + step] = flat.take(left * n + c)
+    return ids, rows
 
 
 # Maps that share a fingerprint are checked against a candidate only in

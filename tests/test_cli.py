@@ -59,6 +59,23 @@ def test_verify_documents_match_benchmark_goldens(label, spec, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
 
 
+@pytest.mark.parametrize("label", ["export-gyration-729", "export-factor-set-243"])
+def test_file_exports_match_benchmark_goldens(label, tmp_path, monkeypatch):
+    # the benchmark's files-roundtrip goldens, read only, on the seed-0 inputs
+    # it writes: byte-identical exports of the relabelled 729 and 243 tables
+    monkeypatch.syspath_prepend(str(GOLDENS.parent))
+    from workloads import WORKLOADS, write_inputs
+
+    golden = json.loads(GOLDENS.read_text())["files-roundtrip"][label]
+    monkeypatch.chdir(tmp_path)
+    write_inputs(0)
+    op = next(op for op in WORKLOADS["files-roundtrip"].ops if op.label == label)
+    out = Path(op.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    assert main(op.cli_argv()) == golden["exit"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
+
+
 def test_analyze_refuses_mlt_not_loop_order_times_inn(monkeypatch, capsys):
     # Inn from a dropped generator set is too small for |Mlt| = |L| * |Inn|
     real = gyrolab.cli.inner_mapping_group

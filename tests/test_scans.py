@@ -482,6 +482,24 @@ def test_associativity_scan_does_not_fault_per_slab():
     assert faults < 20 * n, faults
 
 
+def test_associativity_scan_allocates_its_buffers_once():
+    # The scan's buffers are an intp copy of T, two value slabs and a mask;
+    # a fresh n x n array for every x (about 410 KiB here) raises the traced
+    # peak past them, which the fault count above cannot see: the allocator
+    # hands the freed slab back on the next x
+    T = catalog_group("product:wreath33,cyclic:4").table
+    n = len(T)
+    buffers = n * n * (np.dtype(np.intp).itemsize + 2 * T.itemsize + 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert associativity_violation(T) is None
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 256 * 1024, (peak, buffers)
+
+
 # ---------------------------------------------------------------------------
 # the right expansion read through the values of [x, z]
 
