@@ -465,20 +465,27 @@ def derived_subgroup(G: FiniteGroup) -> frozenset[int]:
 
 
 def lower_central_series(G: FiniteGroup) -> list[frozenset[int]]:
-    """gamma_1 = G, gamma_{i+1} = <[gamma_i, G]>; stops when stable."""
-    full = frozenset(range(G.order))
-    series = [full]
+    """gamma_1 = G, gamma_{i+1} = <[gamma_i, G]>; stops when stable.
+
+    Computed once per group and cached; each call returns a new list.
+    """
+    if "lcs" not in G._cache:
+        G._cache["lcs"] = _lower_central_series(G)
+    return list(G._cache["lcs"])
+
+
+def _lower_central_series(G: FiniteGroup) -> tuple[frozenset[int], ...]:
+    series = [frozenset(range(G.order))]
     cm = G.commutator_table()
     while True:
-        cur = sorted(series[-1])
-        values = np.unique(cm[cur, :])
+        values = np.unique(cm[sorted(series[-1]), :])
         nxt = subgroup_generated(G, (int(v) for v in values))
         if nxt == series[-1]:
             break
         series.append(nxt)
         if nxt == frozenset({0}):
             break
-    return series
+    return tuple(series)
 
 
 def nilpotency_class(G: FiniteGroup) -> int | None:

@@ -16,9 +16,16 @@ gyr(y, z) is x -> c^-1 x c with c = y z^-1 y^-1 z.  With w = y*z = z^-1 y z^2,
 
 and right division in the twisted table is unique (its columns are
 permutations), so ((x*y)*z) / w = c^-1 x c.  Two pairs share a gyration
-exactly when their c lie in the same coset of Z(G).  gyration_table uses
-this closed form on a loop that build_gyro made from a table passing
-Light's associativity test, and the generic kernel _map_family otherwise.
+exactly when their c lie in the same coset of Z(G).
+
+Both n^2 families of inner mappings, the gyrations and Inn's L(x,y), take
+one of two paths.  On a loop that build_gyro made from a table passing
+Light's associativity test (_central_labels), gyration_table reads the
+gyrations off c in O(n^2) (_conjugation_family), and inner_generators
+computes L(x,y) with _map_family for the pairs of least elements of the
+cosets of Z(G) alone: multiplying x or y by a central element changes no map
+built from translations and divisions (see _map_family).  Every other loop
+computes both families with _map_family over all n^2 pairs.
 """
 
 from __future__ import annotations
@@ -32,11 +39,9 @@ from .errors import NotRightLoop
 from .groups import (
     FiniteGroup,
     _light_associative,
-    _right_generators,
     elem_dtype,
     group_center,
     nilpotency_class,
-    offset_dtype,
 )
 from .loops import FiniteLoop, loop_from_table
 from .perms import RowIndex
@@ -75,7 +80,7 @@ def build_gyro(G: FiniteGroup) -> GyroConstruction:
             "be a loop", stacklevel=2)
     loop = loop_from_table(np.array(twisted), names=G.names, lenient=True,
                            name=f"gyro({G.name})" if G.name else "gyro")
-    loop._cache["source"] = G                     # for gyration_table's closed form
+    loop._cache["source"] = G                     # for _central_labels
     return GyroConstruction(G, loop, cls)
 
 
@@ -108,22 +113,23 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
     docstring: (x*y)*z = (yz)^-1 x (yz) w and (c^-1 x c)*w = (cw)^-1 x (cw) w
     with w = y*z and cw = yz), so the table is read off c in O(n^2) by
     _conjugation_family.  That holds only for an associative source, so the
-    closed form is taken when the recorded source has identity 0, true
-    inverses and passes Light's test; every other loop goes through the
-    generic kernel _map_family.  Both give the same ids and rows.
+    closed form is taken when _central_labels finds one; every other loop
+    goes through _map_family over all pairs.  Both give the same ids and rows.
+    The coset pairs that inner_generators uses would also serve here, but
+    they cost n^3 / |Z(G)|^2 cells where the closed form costs n^2.
     """
     if L.right_division is None:
         raise NotRightLoop(-1)
     if "gyr" in L._cache:
         return L._cache["gyr"]
     T = L.table
-    G = L._cache.get("source")
-    if G is not None and _is_group_table(G):
-        ids, rows = _conjugation_family(G)
+    label = _central_labels(L)
+    if label is not None:
+        ids, rows = _conjugation_family(L._cache["source"], label)
     else:
         index = RowIndex(L.order, elem_dtype(L.order))
         # row a of T.T is R_a and row a of right_division.T is R_a^-1
-        ids = _map_family(T.T, L.right_division.T, T, _right_generators(T), index)
+        ids = _map_family(T.T, L.right_division.T, T, index)
         rows = index.rows
     rows = rows.astype(T.dtype)
     for read_only in (ids, rows):
@@ -141,29 +147,44 @@ def _is_group_table(G: FiniteGroup) -> bool:
                 and (T[ar, G.inverse] == 0).all() and _light_associative(T))
 
 
-# Conjugators c[y, z] are computed for blocks of rows holding about this many
-# cells, so that no step holds n^2 index values.
-CONJUGATOR_BLOCK = 1 << 16
+# The n^2 families are computed in blocks of about this many cells, so that no
+# step holds n^2 index values.
+BLOCK_CELLS = 1 << 16
 
 
-def _conjugation_family(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+def _central_labels(L: FiniteLoop) -> np.ndarray | None:
+    """label[x], the least element of the coset x Z(G), when build_gyro
+    recorded a source G that passes _is_group_table; None otherwise.
+
+    Both inner-mapping families read it, so Light's test and the center run
+    once per loop: the result is cached on L.
+    """
+    if "central_labels" not in L._cache:
+        G = L._cache.get("source")
+        L._cache["central_labels"] = (
+            G.table[:, sorted(group_center(G))].min(axis=1)
+            if G is not None and _is_group_table(G) else None)
+    return L._cache["central_labels"]
+
+
+def _conjugation_family(G: FiniteGroup, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ids[y, z] and the distinct rows of the gyrations of G's twisted loop.
 
     gyr(y,z) is x -> c^-1 x c with c = y z^-1 y^-1 z, and two conjugators
-    give the same map exactly when they share a coset of Z(G), labelled here
-    by its least element.  ids ranks the labels of c[y, z] in row-major
-    first-occurrence order, the numbering of _map_family; row k conjugates
-    by the label of id k.  G must be a group (see _is_group_table).
+    give the same map exactly when they share a coset of Z(G), whose least
+    element is label[c] (see _central_labels).  ids ranks the labels of
+    c[y, z] in row-major first-occurrence order, the numbering of
+    _map_family; row k conjugates by the label of id k.  G must be a group
+    (see _is_group_table).
     """
     n = G.order
     flat = np.ascontiguousarray(G.table).ravel()
     inv = G.inverse.astype(np.intp)
-    label = G.table[:, sorted(group_center(G))].min(axis=1)   # least element of g Z(G)
     rank = np.full(n, -1, dtype=np.int32)         # label -> id
     reps: list[int] = []                          # label of each id
     ids = np.empty((n, n), dtype=np.int32)
     ar = np.arange(n)
-    step = max(1, CONJUGATOR_BLOCK // n)
+    step = max(1, BLOCK_CELLS // n)
     for lo in range(0, n, step):
         ys = ar[lo:lo + step]
         off = flat.take(ys[:, None] * n + inv).astype(np.intp)   # [y, z] -> y z^-1
@@ -191,83 +212,47 @@ def _conjugation_family(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     return ids, rows
 
 
-# Maps that share a fingerprint are checked against a candidate only in
-# groups of at least this many; a smaller group costs more in Python-level
-# calls than its rows cost to compute and hash.
-MIN_VERIFY_ROWS = 16
-# Fingerprints are taken for blocks of slabs holding about this many maps.
-FINGERPRINT_BLOCK = 1 << 12
-
-
-def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray,
-                probes, index: RowIndex) -> np.ndarray:
+def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray, index: RowIndex,
+                reps: np.ndarray | None = None) -> np.ndarray:
     """Ids in index of the maps M(x,y) = A_{P[x,y]}^-1 o A_y o A_x, as ids[x, y].
 
     Row a of A is the permutation A_a and row a of Ainv is its inverse.  Maps
     not yet in index are added in first-occurrence order, x major.
 
-    Per x, the maps are grouped by their images of the probe points (their
-    fingerprint), which are taken for a block of x at a time.  A group of at
-    least MIN_VERIFY_ROWS maps takes as candidate k the id last seen in a
-    group with that fingerprint, and is checked on every point: M(x,y) = P_k
-    exactly when A_y A_x P_k^-1 = A_{P[x,y]}, one shared-index gather and
-    one row gather for the group.  Every map without a verified candidate is
-    computed in full and added to index in y order, so new ids arise only
-    there and equal the ids of hashing every map.  A slab with no group of
-    MIN_VERIFY_ROWS maps, as in a random loop, is thus computed in full.
+    When reps is given, M(x,y) depends only on the classes of x and y, and
+    reps[x] is the least element of the class of x; the maps are computed
+    for the pairs of representatives alone, in row-major order, and their
+    ids spread to all n^2 pairs with one gather.  As reps[x] <= x, the first
+    occurrence of a map is always at such a pair, so the ids are those of
+    every pair.
+
+    The classes inner_generators passes are the cosets x Z(G) of a twisted
+    loop's source (_central_labels).  For w in Z(G) the twisted product
+    a*b = b^-1 a b^2 gives (xw)*t = (x*t)w and t*(yw) = (t*y)w, so
+    (aw)\\(bw) = a\\b and (aw)/(bw) = a/b, and every map built from
+    translations and divisions ignores w:
+    gyr(yw,z) = gyr(y,zw) = gyr(y,z) and L(xw,y) = L(x,yw) = L(x,y).  This
+    holds in every group, with no class hypothesis.
     """
     n = len(A)
-    elem, offset = elem_dtype(n), offset_dtype(n)
+    elem = elem_dtype(n)
     A = np.ascontiguousarray(A, dtype=elem)
-    Ainv = np.ascontiguousarray(Ainv, dtype=elem).ravel()
-    P = np.asarray(P)
-    probes = np.asarray(probes, dtype=np.intp)
-    ids = np.empty((n, n), dtype=np.int32)
-    seen: dict[int, int] = {}                     # fingerprint -> last id in a group
-    inverses: dict[int, np.ndarray] = {}
-    step = max(1, FINGERPRINT_BLOCK // n)
-    for lo in range(0, n, step):
-        xs = np.arange(lo, min(lo + step, n))
-        bases = P[xs].astype(offset) * n          # [x, y] -> offset of row P[x,y] of Ainv
-        images = Ainv.take(A.take(A[xs][:, probes], axis=1).transpose(1, 0, 2)
-                           + bases[:, :, None])   # [x, y, j] -> M(x,y)(probe j)
-        keys = np.zeros(bases.shape, dtype=np.int64)
-        for j in range(len(probes)):
-            keys = keys * n + images[:, :, j]     # wraps past 2^63: a collision at worst
-        order = np.argsort(keys, axis=1, kind="stable")
-        ranked = np.take_along_axis(keys, order, axis=1)
-        fresh = np.ones(keys.shape, dtype=bool)   # a group starts here
-        fresh[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        starts = np.flatnonzero(fresh)
-        ends = np.append(starts[1:], fresh.size)
-        big = np.flatnonzero(ends - starts >= MIN_VERIFY_ROWS)
-        order, ranked = order.ravel(), ranked.ravel()
-        groups: dict[int, dict[int, np.ndarray]] = {}   # x -> fingerprint -> ys
-        for s, e in zip(starts[big].tolist(), ends[big].tolist()):
-            groups.setdefault(lo + s // n, {})[int(ranked[s])] = order[s:e]
-        for x, base in zip(xs.tolist(), bases):
-            Ax = A[x]
-            if x not in groups:
-                ids[x] = index.add(Ainv.take(A.take(Ax, axis=1) + base[:, None]))
-                continue
-            slab = np.full(n, -1, dtype=np.int64)
-            for fingerprint, Y in groups[x].items():
-                k = seen.get(fingerprint)
-                if k is None:
-                    continue
-                if k not in inverses:
-                    inverses[k] = np.empty(n, dtype=elem)
-                    inverses[k][index.rows[k]] = np.arange(n, dtype=elem)
-                ok = (A.take(Y, axis=0).take(Ax.take(inverses[k]), axis=1)
-                      == A.take(P[x].take(Y), axis=0)).all(axis=1)
-                slab[Y[ok]] = k
-            rest = np.flatnonzero(slab < 0)
-            if len(rest):
-                rows = A if len(rest) == n else A.take(rest, axis=0)
-                slab[rest] = index.add(Ainv.take(rows.take(Ax, axis=1) + base[rest][:, None]))
-            seen.update((fingerprint, int(slab[Y[-1]])) for fingerprint, Y in groups[x].items())
-            ids[x] = slab
-    return ids
+    flat, flat_inv = A.ravel(), np.ascontiguousarray(Ainv, dtype=elem).ravel()
+    keep = np.arange(n) if reps is None else np.flatnonzero(reps == np.arange(n))
+    k = len(keep)
+    ids = np.empty(k * k, dtype=np.int32)
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, k * k, step):
+        pair = np.arange(lo, min(lo + step, k * k))
+        xs, ys = keep[pair // k], keep[pair % k]
+        inner = flat.take(ys[:, None] * n + A[xs])               # A_y(A_x(t))
+        outer = P[xs, ys].astype(np.intp)[:, None] * n + inner
+        ids[lo:lo + step] = index.add(flat_inv.take(outer))
+    ids = ids.reshape(k, k)
+    if reps is None:
+        return ids
+    at = np.searchsorted(keep, reps)              # class of x -> its position in keep
+    return ids[np.ix_(at, at)]
 
 
 def _automorphism_violation(L: FiniteLoop, p: np.ndarray) -> tuple[int, int] | None:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolated, NotALoop
-from .groups import _right_generators, elem_dtype
-from .gyro import _map_family, gyration_table
+from .groups import elem_dtype
+from .gyro import _central_labels, _map_family, gyration_table
 from .invariants import commutator_bracket_table
 from .loops import FiniteLoop, table_associativity_violation
 from .perms import RowIndex, chain_order
@@ -91,8 +91,11 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
     """The distinct R(x,y), L(x,y), T(x) image rows, each labelled at its first
     occurrence in that order.
 
-    R(x,y) is the gyration of (x, y), so the R part is gyration_table's; the
-    L part comes from the same kernel, gyro._map_family.
+    R(x,y) is the gyration of (x, y), so the R part is gyration_table's.  The
+    L part comes from gyro._map_family: on a loop that build_gyro made from a
+    group G it is computed for the pairs of least elements of the cosets of
+    Z(G) alone (L(xw,y) = L(x,yw) = L(x,y) for w in Z(G), see there), and on
+    every other loop for all n^2 pairs.
     """
     if not L.is_loop:
         raise NotALoop("inner mappings need a full loop")
@@ -104,7 +107,7 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
     labels = _new_labels(gt.ids, 0, lambda i: f"R({i // n},{i % n})")
     # L(x,y) = L_{y*x}^-1 o L_y o L_x: row a of T is L_a, row a of ldiv is L_a^-1
     start = len(index)
-    ids = _map_family(T, ldiv, T.T, _right_generators(T), index)
+    ids = _map_family(T, ldiv, T.T, index, reps=_central_labels(L))
     labels += _new_labels(ids, start, lambda i: f"L({i // n},{i % n})")
     start = len(index)
     slab = ldiv[np.arange(n)[:, None], T.T]                 # [x, t] -> x\(t*x)

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 
@@ -28,7 +29,10 @@ from gyrolab import (
     subgroup_generated,
     subset_exponent,
 )
+from gyrolab import groups
+from gyrolab.cli import main
 from gyrolab.groups import _relabel, associativity_violation, normality_violation
+from gyrolab.search import evaluate_source
 
 KLEIN = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 
@@ -279,3 +283,21 @@ def test_light_test_agrees_with_full_scan(n, seed):
     else:
         assert expected is None
         assert G.order == n
+
+
+def test_lower_central_series_is_computed_once_per_group(tmp_path, monkeypatch, capsys):
+    # a class-3 search source asks for the class in evaluate_source,
+    # class2_criterion and build_gyro, and analyze in build_gyro and the
+    # document; a group file is parsed afresh for each call
+    computed = []
+    series = groups._lower_central_series
+    monkeypatch.setattr(groups, "_lower_central_series",
+                        lambda G: computed.append(G) or series(G))
+    G = catalog_group("wreath33")
+    path = tmp_path / "w81.json"
+    path.write_text(json.dumps({"order": G.order, "table": G.table.tolist()}))
+    rec = evaluate_source(f"file:{path}")
+    assert (rec.status, rec.group_class, len(computed)) == ("miss", 3, 1)
+    assert main(["analyze", "--group", f"file:{path}"]) == 0
+    assert len(computed) == 2 and computed[0] is not computed[1]
+    assert '"group_class": 3' in capsys.readouterr().out

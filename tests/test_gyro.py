@@ -12,9 +12,9 @@ from gyrolab import (
     gyration_table,
     is_gyrogroup,
 )
-from gyrolab import gyro
+from gyrolab import gyro, mappings
 from gyrolab.fileio import parse_group_file
-from gyrolab.groups import _group_unchecked, _right_generators, elem_dtype
+from gyrolab.groups import _group_unchecked, elem_dtype, group_center
 from gyrolab.gyro import GyrationTable
 from gyrolab.loops import loop_from_table
 from gyrolab.mappings import inner_generators
@@ -150,16 +150,37 @@ def _ref_l_family(T, ldiv):
     n = len(T)
     ids = np.empty((n, n), dtype=np.int32)
     index = RowIndex(n, ldiv.dtype)
+    flat = np.ascontiguousarray(ldiv).ravel()
     for x in range(n):
-        ids[x] = index.add(ldiv[T[:, x][:, None], T[:, T[x]]])   # [y, t]
+        ids[x] = index.add(flat.take(T[:, x][:, None] * n + T[:, T[x]]))   # [y, t]
     return ids, index.rows
 
 
-def _l_family(T, ldiv, probes=None, index=None):
-    """The kernel on the L family: A = T, A^-1 = ldiv, P = T.T."""
-    index = RowIndex(len(T), np.int32) if index is None else index
-    probes = _right_generators(T) if probes is None else probes
-    return gyro._map_family(T, ldiv, T.T, probes, index), index.rows
+def _l_family(T, ldiv):
+    """The kernel on the L family over all pairs: A = T, A^-1 = ldiv, P = T.T."""
+    index = RowIndex(len(T), np.int32)
+    return gyro._map_family(T, ldiv, T.T, index), index.rows
+
+
+def _ref_inner_generators(L, r_ids, r_rows):
+    """inner_generators rebuilt one row at a time from references: R(x,y)
+    from the given gyration ids and rows, L(x,y) from _ref_l_family and T(x)
+    from its definition, each labelled where its row first occurs."""
+    n, T, ldiv = L.order, L.table, L.left_division
+    index, labels = RowIndex(n, T.dtype), []
+
+    def add(row, label):
+        if index.add(row[None])[0] == len(labels):       # a new row
+            labels.append(label)
+
+    l_ids, l_rows = _ref_l_family(T, ldiv)
+    for kind, ids, rows in (("R", r_ids, r_rows), ("L", l_ids, l_rows)):
+        _, first = np.unique(ids, return_index=True)
+        for i, row in zip(first.tolist(), rows):
+            add(row, f"{kind}({i // n},{i % n})")
+    for x in range(n):
+        add(ldiv[x, T[:, x]], f"T({x})")                  # t -> x\(t*x)
+    return index.rows, tuple(labels)
 
 
 def _assert_families_match(L):
@@ -209,83 +230,36 @@ def test_families_match_references_past_uint16_offsets():
     _assert_families_match(L)
 
 
-def _colliding_groups(L, gt):
-    """Groups of at least MIN_VERIFY_ROWS maps of one slab that share their
-    images of the probe points but are not all the same map."""
-    probes = _right_generators(L.table)
-    count = 0
-    for y in range(L.order):
-        fingerprints = np.array(gt.perms)[gt.ids[y]][:, probes]
-        _, group = np.unique(fingerprints, axis=0, return_inverse=True)
-        for g in np.flatnonzero(np.bincount(group) >= gyro.MIN_VERIFY_ROWS):
-            count += len(np.unique(gt.ids[y][group == g])) > 1
-    return count
-
-
-def test_colliding_probe_images_fall_back_to_full_rows(switched_table):
-    # one intercalate switch in a group table: many maps differ from a map
-    # seen earlier only off the probe points, so their candidates fail
-    L = loop_from_table(switched_table(64, 0, switches=1))
-    assert _colliding_groups(L, _ref_gyration_table(L)) > 0
-    _assert_families_match(L)
-
-
-@pytest.mark.parametrize("spec", ["wreath33", "dihedral:16"])
-def test_families_match_references_when_every_fingerprint_collides(spec):
-    # every map fixes the identity, so probe 0 gives all maps one fingerprint
-    L = build_gyro(catalog_group(spec)).loop
-    ids, rows = _l_family(L.table, L.left_division, probes=[0])
-    ref_ids, ref_rows = _ref_l_family(L.table, L.left_division)
-    assert len(ref_rows) > 1
-    assert np.array_equal(ids, ref_ids)
-    assert np.array_equal(rows, ref_rows)
-
-
-class _CountingIndex(RowIndex):
-    computed = 0
-
-    def add(self, slab):
-        self.computed += len(slab)
-        return super().add(slab)
-
-
-@pytest.mark.parametrize("spec", ["wreath33", "product:dihedral:16,cyclic:5"])
-@pytest.mark.parametrize("block", [1, 7 * 81, gyro.FINGERPRINT_BLOCK])
-def test_verified_maps_are_not_recomputed(spec, block, monkeypatch):
-    # on a gyrogroup each distinct map is computed in full in about one slab;
-    # every other row is accepted by verification against its candidate,
-    # whether fingerprints are taken one slab at a time, for 7, or for all
-    monkeypatch.setattr(gyro, "FINGERPRINT_BLOCK", block)
-    L = build_gyro(catalog_group(spec)).loop
-    T, n = L.table, L.order
-    for A, Ainv, P in ((T.T, L.right_division.T, T), (T, L.left_division, T.T)):
-        index = _CountingIndex(n, np.int32)
-        gyro._map_family(A, Ainv, P, _right_generators(T), index)
-        assert index.computed <= (len(index) + 1) * n
-
-
 # ---------------------------------------------------------------------------
 # the closed form: gyr(y,z) is conjugation by y z^-1 y^-1 z in the source group
 
 def _generic_gyrations(L):
     """ids and rows of gyration_table's generic path, _map_family on the
-    right translations."""
+    right translations over all pairs."""
     T = L.table
     index = RowIndex(L.order, elem_dtype(L.order))
-    ids = gyro._map_family(T.T, L.right_division.T, T, _right_generators(T), index)
+    ids = gyro._map_family(T.T, L.right_division.T, T, index)
     return ids, index.rows.astype(T.dtype)
 
 
-def _gyrations_by_path(L, monkeypatch):
-    """gyration_table(L) and whether it took the closed form."""
-    calls = []
-    closed_form = gyro._conjugation_family
+def _spy_paths(monkeypatch):
+    """The paths the two families take, in call order: "closed" when
+    gyration_table reads the conjugation form, and "cosets" or "all" for the
+    pairs inner_generators computes L(x,y) on."""
+    paths = []
+    closed_form, kernel = gyro._conjugation_family, mappings._map_family
     monkeypatch.setattr(gyro, "_conjugation_family",
-                        lambda G: calls.append(G) or closed_form(G))
-    return gyration_table(L), bool(calls)
+                        lambda *args: paths.append("closed") or closed_form(*args))
+    monkeypatch.setattr(mappings, "_map_family", lambda *args, reps=None: paths.append(
+        "all" if reps is None else "cosets") or kernel(*args, reps=reps))
+    return paths
 
 
-def _assert_equals_generic(gt, L):
+def _assert_equals_references(L, monkeypatch, paths):
+    """Both families of L take the given paths and give the ids and rows of
+    the all-pairs kernel (gyrations) and of the references (Inn's generators)."""
+    taken = _spy_paths(monkeypatch)
+    gt = gyration_table(L)
     ids, rows = _generic_gyrations(L)
     perms = np.array(gt.perms)
     assert gt.ids.dtype == ids.dtype == np.int32
@@ -294,22 +268,30 @@ def _assert_equals_generic(gt, L):
     assert np.array_equal(perms, rows)
     assert not gt.ids.flags.writeable
     assert not any(p.flags.writeable for p in gt.perms)
+    if L.is_loop:
+        gens, labels = inner_generators(L)
+        ref_gens, ref_labels = _ref_inner_generators(L, ids, rows)
+        assert gens.dtype == L.table.dtype
+        assert np.array_equal(gens, ref_gens)
+        assert labels == ref_labels
+    assert taken == [p for p in paths if L.is_loop or p == "closed"]
 
 
-@pytest.mark.parametrize("spec", ["dihedral:16", "dihedral:32", "dihedral:6", "dihedral:10",
+@pytest.mark.parametrize("spec", ["dihedral:16", "quaternion:16", "semidihedral:16",
+                                  "dihedral:32", "dihedral:6", "dihedral:10", "dihedral:202",
                                   "wreath33", "heisenberg:5", "product:dihedral:16,cyclic:5",
                                   "product:dihedral:6,cyclic:4", "product:wreath33,cyclic:4",
                                   "unitriangular4:3"])
 def test_closed_form_gyrations_equal_the_generic_kernel(spec, monkeypatch):
-    # class 4 (dihedral:32) and not nilpotent (dihedral:6, dihedral:10) too:
-    # the identity holds in every group; product:wreath33,cyclic:4 and
-    # unitriangular4:3 have n^2 past what uint16 holds
+    # class 4 (dihedral:32) and not nilpotent (dihedral:6, dihedral:10,
+    # dihedral:202) too: both laws hold in every group, and a trivial center
+    # (dihedral:10, dihedral:202) makes every pair a coset pair;
+    # product:wreath33,cyclic:4 and unitriangular4:3 have n^2 past what
+    # uint16 holds
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         L = build_gyro(catalog_group(spec)).loop
-    gt, closed = _gyrations_by_path(L, monkeypatch)
-    assert closed
-    _assert_equals_generic(gt, L)
+    _assert_equals_references(L, monkeypatch, ["closed", "cosets"])
 
 
 def test_closed_form_on_a_relabelled_file_group(tmp_path, monkeypatch):
@@ -325,18 +307,20 @@ def test_closed_form_on_a_relabelled_file_group(tmp_path, monkeypatch):
     H = parse_group_file(path)
     assert H.relabeled_from == perm[0] != 0
     L = build_gyro(H).loop
-    gt, closed = _gyrations_by_path(L, monkeypatch)
-    assert closed and len(gt.perms) > 1
-    _assert_equals_generic(gt, L)
+    _assert_equals_references(L, monkeypatch, ["closed", "cosets"])
+    assert len(gyration_table(L).perms) > 1
 
 
 def test_inner_generators_do_not_depend_on_the_gyration_path(monkeypatch):
     # labels of Inn's generators come from the gyration ids: the same rows
-    # and labels in the same order whichever path built them
+    # and labels in the same order whichever paths built the two families;
+    # _is_group_table, the gate of _central_labels, switches both
     G = catalog_group("wreath33")
+    paths = _spy_paths(monkeypatch)
     closed = inner_generators(build_gyro(G).loop)
     monkeypatch.setattr(gyro, "_is_group_table", lambda G: False)
     generic = inner_generators(build_gyro(G).loop)
+    assert paths == ["closed", "cosets", "all"]
     assert np.array_equal(closed[0], generic[0])
     assert closed[1] == generic[1]
 
@@ -350,17 +334,16 @@ def test_non_associative_source_takes_the_generic_kernel(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         L = build_gyro(H).loop
-    assert not np.array_equal(gyro._conjugation_family(H)[0], _generic_gyrations(L)[0])
-    gt, closed = _gyrations_by_path(L, monkeypatch)
-    assert not closed
-    _assert_equals_generic(gt, L)
+    label = H.table[:, sorted(group_center(H))].min(axis=1)
+    assert not np.array_equal(gyro._conjugation_family(H, label)[0], _generic_gyrations(L)[0])
+    assert gyro._central_labels(L) is None
+    _assert_equals_references(L, monkeypatch, ["all"])
 
 
 def test_loop_without_a_source_takes_the_generic_kernel(monkeypatch):
     L = loop_from_table(build_gyro(catalog_group("wreath33")).loop.table)
-    gt, closed = _gyrations_by_path(L, monkeypatch)
-    assert not closed and len(gt.perms) == 3
-    _assert_equals_generic(gt, L)
+    _assert_equals_references(L, monkeypatch, ["all"])
+    assert len(gyration_table(L).perms) == 3
 
 
 def test_elem_dtype():

@@ -8,6 +8,7 @@ from gyrolab import (
     build_gyro,
     catalog_group,
     divide,
+    group_center,
     group_commutator,
     gyration,
     mlt_inn_orders,
@@ -120,6 +121,30 @@ def test_gyration_defining_equation(spec, data):
     x, y, z = _draw_elements(data, L.order, 3)
     f = gyration(L, y, z)
     assert T[T[x, y], z] == T[f[x], T[y, z]]
+
+
+# twisted loops of groups with and without a nontrivial center, nilpotent or
+# not (dihedral:10, dihedral:20) and of class 4 (dihedral:32)
+CENTER_SPECS = ["dihedral:10", "dihedral:20", "dihedral:32", "quaternion:16",
+                "heisenberg:3", "wreath33"]
+
+
+@given(spec=st.sampled_from(CENTER_SPECS), data=st.data())
+def test_central_factors_change_no_inner_mapping(spec, data):
+    # for w in Z(G): gyr(yw,z) = gyr(y,zw) = gyr(y,z) and L(xw,y) = L(x,yw)
+    # = L(x,y), with L(x,y): t -> (y*x)\(y*(x*t)); xw is the group product
+    G, L = catalog_group(spec), _loop(spec)
+    T = L.table
+    w = data.draw(st.sampled_from(sorted(group_center(G))))
+    x, y, z, t = _draw_elements(data, G.order, 4)
+    gyr = gyration(L, y, z)
+    assert np.array_equal(gyration(L, G.mul(y, w), z), gyr)
+    assert np.array_equal(gyration(L, y, G.mul(z, w)), gyr)
+
+    def image(a, b):                              # L(a,b)(t)
+        return divide(L, "left", int(T[b, a]), int(T[b, T[a, t]]))
+
+    assert image(G.mul(x, w), y) == image(x, G.mul(y, w)) == image(x, y)
 
 
 @given(spec=st.sampled_from(LOOP_SPECS), data=st.data())
