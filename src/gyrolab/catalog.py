@@ -72,137 +72,65 @@ def _cyclic(n: int) -> FiniteGroup:
     return _group_unchecked(table.astype(np.int32), names, name=f"cyclic:{n}")
 
 
-def _dihedral(m: int) -> FiniteGroup:
+def _semidirect(m: int, t: int, name: str) -> FiniteGroup:
+    """C_(m/2) : C_2 with s r s^-1 = r^t: index e*(m/2) + k is s^e r^k, and
+    s^e1 r^k1 * s^e2 r^k2 = s^(e1+e2) r^(t^e2 k1 + k2) since r^k s = s r^(t k)."""
     n = m // 2
-    table = np.empty((m, m), dtype=np.int32)
-    for e1 in (0, 1):
-        for k1 in range(n):
-            i = e1 * n + k1
-            for e2 in (0, 1):
-                for k2 in range(n):
-                    j = e2 * n + k2
-                    # r^k s = s r^-k, so s^e1 r^k1 * s^e2 r^k2 folds k1 by the
-                    # sign of the second reflection part
-                    eps = (e1 + e2) % 2
-                    k = (k2 + (1 - 2 * e2) * k1) % n
-                    table[i, j] = eps * n + k
+    e, k = np.divmod(np.arange(m), n)
+    twist = np.where(e == 1, t, 1)                      # t^e2 per column
+    table = ((e[:, None] + e) % 2) * n + (k[:, None] * twist + k) % n
     names = ["e"] + [_power_name("r", k) for k in range(1, n)]
     names += ["s"] + ["s" + _power_name("r", k) for k in range(1, n)]
-    return _group_unchecked(table, names, name=f"dihedral:{m}")
+    return _group_unchecked(table, names, name=name)
 
 
 def _quaternion(m: int) -> FiniteGroup:
-    h, q = m // 2, m // 4
-    table = np.empty((m, m), dtype=np.int32)
-    for j1 in (0, 1):
-        for i1 in range(h):
-            a = j1 * h + i1
-            for j2 in (0, 1):
-                for i2 in range(h):
-                    b = j2 * h + i2
-                    i = (i1 + (1 - 2 * j1) * i2) % h
-                    if j1 and j2:
-                        i = (i + q) % h     # b^2 = a^(m/4)
-                    j = (j1 + j2) % 2
-                    table[a, b] = j * h + i
+    """Index j*(m/2) + i is a^i b^j; a^i1 b^j1 * a^i2 b^j2 =
+    a^(i1 + (-1)^j1 i2 + [j1 j2] m/4) b^(j1+j2), using b^2 = a^(m/4)."""
+    h = m // 2
+    j, i = np.divmod(np.arange(m), h)
+    a = (i[:, None] + (1 - 2 * j[:, None]) * i + (j[:, None] & j) * (m // 4)) % h
+    table = ((j[:, None] + j) % 2) * h + a
     names = ["e"] + [_power_name("a", k) for k in range(1, h)]
     names += ["b"] + [_power_name("a", k) + "b" for k in range(1, h)]
     return _group_unchecked(table, names, name=f"quaternion:{m}")
 
 
-def _semidihedral(m: int) -> FiniteGroup:
-    n = m // 2
-    t = m // 4 - 1                          # s r s^-1 = r^t
-    table = np.empty((m, m), dtype=np.int32)
-    for e1 in (0, 1):
-        for k1 in range(n):
-            i = e1 * n + k1
-            for e2 in (0, 1):
-                for k2 in range(n):
-                    j = e2 * n + k2
-                    if e2:
-                        eps, k = (e1 + 1) % 2, (t * k1 + k2) % n
-                    else:
-                        eps, k = e1, (k1 + k2) % n
-                    table[i, j] = eps * n + k
-    names = ["e"] + [_power_name("r", k) for k in range(1, n)]
-    names += ["s"] + ["s" + _power_name("r", k) for k in range(1, n)]
-    return _group_unchecked(table, names, name=f"semidihedral:{m}")
+# the matrix entries a_ij of each unitriangular family, in rank-digit order
+_UPPER_ENTRIES = {
+    "heisenberg": [(1, 2), (2, 3), (1, 3)],
+    "unitriangular4": [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+}
 
 
-def _heisenberg(p: int) -> FiniteGroup:
-    n = p ** 3
-
-    def rank(a, b, c):
-        return (a * p + b) * p + c
-
-    table = np.empty((n, n), dtype=np.int32)
-    names = [""] * n
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                i = rank(a1, b1, c1)
-                names[i] = f"({a1},{b1},{c1})"
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            table[i, rank(a2, b2, c2)] = rank(
-                                (a1 + a2) % p, (b1 + b2) % p,
-                                (c1 + c2 + a1 * b2) % p)
+def _unitriangular(p: int, entries: list[tuple[int, int]], name: str) -> FiniteGroup:
+    """Upper unitriangular matrices over F_p, indexed by the mixed-radix rank
+    of their entries a_ij in the order given; the product has entries
+    c_ij = a_ij + b_ij + sum over i < l < j of a_il b_lj."""
+    n = p ** len(entries)
+    digits = np.array(np.unravel_index(np.arange(n), (p,) * len(entries))).astype(np.int32)
+    a = dict(zip(entries, digits))
+    table = np.zeros((n, n), dtype=np.int32)
+    for i, j in entries:
+        c = a[i, j][:, None] + a[i, j]
+        for l in range(i + 1, j):
+            c += a[i, l][:, None] * a[l, j]
+        table *= p
+        table += c % p
+    names = ["(" + ",".join(map(str, d)) + ")" for d in digits.T.tolist()]
     names[0] = "e"
-    return _group_unchecked(table, names, name=f"heisenberg:{p}")
-
-
-def _unitriangular4(p: int) -> FiniteGroup:
-    n = p ** 6
-    check_order_cap(n)
-    # parameters (a12, a13, a14, a23, a24, a34), mixed-radix rank base p
-    digits = np.array(np.unravel_index(np.arange(n), (p,) * 6)).T.astype(np.int32)
-    a12, a13, a14 = digits[:, 0], digits[:, 1], digits[:, 2]
-    a23, a24, a34 = digits[:, 3], digits[:, 4], digits[:, 5]
-
-    def col(v):
-        return v[None, :]
-
-    def row(v):
-        return v[:, None]
-
-    c12 = (row(a12) + col(a12)) % p
-    c23 = (row(a23) + col(a23)) % p
-    c34 = (row(a34) + col(a34)) % p
-    c13 = (row(a13) + col(a13) + row(a12) * col(a23)) % p
-    c24 = (row(a24) + col(a24) + row(a23) * col(a34)) % p
-    c14 = (row(a14) + col(a14) + row(a12) * col(a24) + row(a13) * col(a34)) % p
-    table = ((((c12.astype(np.int64) * p + c13) * p + c14) * p + c23) * p + c24) * p + c34
-    names = ["(" + ",".join(str(int(d)) for d in digits[i]) + ")" for i in range(n)]
-    names[0] = "e"
-    return _group_unchecked(table.astype(np.int32), names, name=f"unitriangular4:{p}")
+    return _group_unchecked(table, names, name=name)
 
 
 def _wreath33() -> FiniteGroup:
-    n = 81
-
-    def rank(k, v):
-        return ((k * 3 + v[0]) * 3 + v[1]) * 3 + v[2]
-
-    def unrank(i):
-        v2 = i % 3
-        i //= 3
-        v1 = i % 3
-        i //= 3
-        v0 = i % 3
-        return i // 3, (v0, v1, v2)
-
-    table = np.empty((n, n), dtype=np.int32)
-    names = [""] * n
-    for i in range(n):
-        k1, v1 = unrank(i)
-        names[i] = f"({v1[0]},{v1[1]},{v1[2]};{k1})"
-        for j in range(n):
-            k2, v2 = unrank(j)
-            shifted = tuple(v2[(t - k1) % 3] for t in range(3))
-            prod = tuple((v1[t] + shifted[t]) % 3 for t in range(3))
-            table[i, j] = rank((k1 + k2) % 3, prod)
+    """C3 wr C3: index ((k*3 + v0)*3 + v1)*3 + v2 is (v; k), and
+    (v; k) * (w; l) = (v + w shifted by k; k + l), (w shifted by k)_t = w_(t-k)."""
+    digits = np.array(np.unravel_index(np.arange(81), (3,) * 4))
+    k, v = digits[0], digits[1:].T                      # v[i] = (v0, v1, v2)
+    shift = (np.arange(3) - k[:, None]) % 3             # [i, t] -> t - k_i
+    prod = (v[:, None, :] + v[np.arange(81)[None, :, None], shift[:, None, :]]) % 3
+    table = ((k[:, None] + k) % 3) * 27 + prod @ np.array([9, 3, 1])
+    names = [f"({a},{b},{c};{kk})" for kk, a, b, c in digits.T.tolist()]
     names[0] = "e"
     return _group_unchecked(table, names, name="wreath33")
 
@@ -249,7 +177,7 @@ def _build(spec: str) -> FiniteGroup:
     if family == "dihedral":
         if value < 2 or value % 2:
             raise UnknownSpec(spec, "order must be even and >= 2")
-        return _dihedral(value)
+        return _semidirect(value, -1, f"dihedral:{value}")
     if family == "quaternion":
         if value < 8 or not _is_power_of_two(value):
             raise UnknownSpec(spec, "order must be a power of two >= 8")
@@ -257,16 +185,13 @@ def _build(spec: str) -> FiniteGroup:
     if family == "semidihedral":
         if value < 16 or not _is_power_of_two(value):
             raise UnknownSpec(spec, "order must be a power of two >= 16")
-        return _semidihedral(value)
-    if family == "heisenberg":
+        return _semidirect(value, value // 4 - 1, f"semidihedral:{value}")
+    if family in _UPPER_ENTRIES:
         if not _is_prime(value):
             raise UnknownSpec(spec, "parameter must be prime")
-        check_order_cap(value ** 3)
-        return _heisenberg(value)
-    if family == "unitriangular4":
-        if not _is_prime(value):
-            raise UnknownSpec(spec, "parameter must be prime")
-        return _unitriangular4(value)
+        entries = _UPPER_ENTRIES[family]
+        check_order_cap(value ** len(entries))
+        return _unitriangular(value, entries, f"{family}:{value}")
     raise UnknownSpec(spec)
 
 

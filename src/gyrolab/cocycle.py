@@ -91,17 +91,22 @@ class FactorSet:
 
     def local_values(self) -> np.ndarray:
         """Values as positions within the sorted center list (for export)."""
-        pos = {g: i for i, g in enumerate(self.center)}
-        return np.vectorize(pos.__getitem__)(self.values)
+        return _center_positions(self.values, self.center)
 
 
-def _check_in_center(values: np.ndarray, center: tuple[int, ...]) -> None:
-    member = set(center)
-    flat = values.ravel()
-    for k, v in enumerate(flat.tolist()):
-        if v not in member:
-            q = values.shape[1]
-            raise ValueOutsideCenter((k // q, k % q), int(v))
+def _center_positions(values: np.ndarray, center: tuple[int, ...]) -> np.ndarray:
+    """Position of each value of a q x q table in the sorted center list.
+
+    ValueOutsideCenter names the first cell, in row-major order, whose value
+    is not in the center."""
+    c = np.asarray(center)
+    pos = np.searchsorted(c, values).clip(max=len(c) - 1)
+    bad = c[pos] != values
+    if bad.any():
+        k = int(np.argmax(bad))
+        q = values.shape[1]
+        raise ValueOutsideCenter((k // q, k % q), int(values.flat[k]))
+    return pos
 
 
 def factor_set(G: FiniteGroup, T: Transversal) -> FactorSet:
@@ -110,7 +115,7 @@ def factor_set(G: FiniteGroup, T: Transversal) -> FactorSet:
     Q = T.quotient
     r_prod = G.table[np.ix_(reps, reps)]                 # rep(x) rep(y)
     values = G.table[r_prod, G.inverse[reps[Q.table]]]
-    _check_in_center(values, T.center)
+    _center_positions(values, T.center)                  # every value is central
     off = np.flatnonzero(values[0] | values[:, 0])         # f(e, k) or f(k, e) != e
     if len(off):
         k = int(off[0])
@@ -152,8 +157,7 @@ class GyroFactorSet:
 
     def local_values(self) -> np.ndarray:
         """Values as positions within the sorted center list (for export)."""
-        pos = {g: i for i, g in enumerate(self.center)}
-        return np.vectorize(pos.__getitem__)(self.values)
+        return _center_positions(self.values, self.center)
 
 
 def gyro_factor_set(f: FactorSet, q_circ: FiniteLoop) -> GyroFactorSet:
@@ -161,18 +165,12 @@ def gyro_factor_set(f: FactorSet, q_circ: FiniteLoop) -> GyroFactorSet:
     G, Q, v = f.group, f.quotient, f.values
     if q_circ.order != Q.order:
         raise InvariantViolated("quotient loop must live on the quotient group")
-    q = Q.order
-    values = np.empty((q, q), dtype=np.int32)
-    for y in range(q):
-        yinv = Q.inv(y)
-        y2 = Q.mul(y, y)
-        t0 = G.inv(int(v[y, yinv]))
-        t2 = int(v[y, y])
-        for x in range(q):
-            yx = Q.mul(yinv, x)
-            acc = G.mul(G.mul(G.mul(t0, int(v[yinv, x])), t2), int(v[yx, y2]))
-            values[x, y] = acc
-    _check_in_center(values, f.center)
+    mul, x, yinv = G.table, np.arange(Q.order)[:, None], Q.inverse
+    y = x.T
+    # [x, y] cells: f(y, y^-1)^-1 f(y^-1, x) f(y, y) f(y^-1 x, y^2)
+    values = mul[mul[mul[G.inverse[v[y, yinv]], v[yinv, x]], v[y, y]],
+                 v[Q.table[yinv, x], Q.table[y, y]]]
+    _center_positions(values, f.center)                  # every value is central
     return GyroFactorSet(G, f.center, Q, q_circ, values)
 
 
@@ -185,16 +183,10 @@ def build_gyro_extension(z_part: FiniteGroup, q_part: FiniteLoop,
     so that deliberately corrupted factor sets stay representable.
     """
     nz, nq = z_part.order, q_part.order
-    pos = {g: i for i, g in enumerate(tf.center)}
-    tf_local = np.vectorize(pos.__getitem__)(tf.values).astype(np.int32)
-    n = nz * nq
-    table = np.empty((n, n), dtype=np.int32)
-    for a in range(nz):
-        for b in range(nz):
-            ab = z_part.mul(a, b)
-            zsum = z_part.table[ab, tf_local]             # [x, y] -> a b tf(x,y)
-            block = zsum.astype(np.int64) * nq + q_part.table
-            table[a * nq:(a + 1) * nq, b * nq:(b + 1) * nq] = block
+    tf_local = tf.local_values()
+    # [a, x, b, y] -> index of (a b tf(x, y), x * y)
+    zsum = z_part.table[z_part.table[:, None, :, None], tf_local[None, :, None, :]]
+    table = (zsum * nq + q_part.table[None, :, None, :]).reshape(nz * nq, nz * nq)
     names = [f"({z_part.names[a]},{q_part.names[x]})"
              for a in range(nz) for x in range(nq)]
     names[0] = "e"

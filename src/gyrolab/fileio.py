@@ -124,7 +124,7 @@ def parse_group_file(path) -> FiniteGroup:
             raise ParseError(str(path), "field 'order' must be a positive integer")
         check_order_cap(order, "declared order")
         try:
-            arr = np.asarray(doc["table"], dtype=np.int32)
+            arr = np.asarray(doc["table"])
         except (TypeError, ValueError) as exc:
             raise ParseError(str(path),
                              f"field 'table' is not a rectangular integer array: {exc}") from exc
@@ -132,6 +132,12 @@ def parse_group_file(path) -> FiniteGroup:
             raise ParseError(str(path),
                              f"field 'table' has shape {tuple(arr.shape)}, "
                              f"expected ({order}, {order})")
+        # a dtype check, not a scan: JSON floats, booleans and integers past
+        # int64 come back as float, bool and object arrays
+        i32 = np.iinfo(np.int32)
+        if arr.dtype.kind not in "iu" or arr.min() < i32.min or arr.max() > i32.max:
+            raise ParseError(str(path), "field 'table' must hold integers in the int32 range")
+        arr = arr.astype(np.int32)
         names = doc.get("names")
         if names is not None:
             if (not isinstance(names, list) or len(names) != order

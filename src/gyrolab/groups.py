@@ -287,12 +287,13 @@ def _light_associative(table: np.ndarray) -> bool:
 
 
 def _find_identity(table: np.ndarray) -> int | None:
-    n = table.shape[0]
-    ar = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
-            return e
-    return None
+    """The least e whose row and column are both the identity map, else None.
+
+    Only rows with e*0 = 0 can qualify: one in a Latin table."""
+    ar = np.arange(table.shape[0])
+    cand = np.flatnonzero(table[:, 0] == 0)
+    both = (table[cand] == ar).all(axis=1) & (table[:, cand] == ar[:, None]).all(axis=0)
+    return int(cand[np.argmax(both)]) if both.any() else None
 
 
 def _relabel(table: np.ndarray, names: list[str], e: int):
@@ -410,13 +411,18 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     return _group_unchecked(table.T, names, name=name or f"perm-closure-{degree}")
 
 
+def _product_table(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The componentwise product of two tables, pair (a, b) at index a*|B| + b;
+    the order cap is checked before the table is allocated."""
+    na, nb = len(A), len(B)
+    check_order_cap(na * nb)
+    table = A[:, None, :, None].astype(np.int32) * nb + B[None, :, None, :]
+    return table.reshape(na * nb, na * nb)
+
+
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
     """Componentwise product; pair (a, b) gets index a*|B| + b."""
-    n = A.order * B.order
-    check_order_cap(n)
-    nb = B.order
-    table = (A.table[:, None, :, None].astype(np.int64) * nb
-             + B.table[None, :, None, :]).reshape(n, n).astype(np.int32)
+    table = _product_table(A.table, B.table)
     names = [f"{na}|{nbm}" for na in A.names for nbm in B.names]
     names[0] = "e"
     return _group_unchecked(table, names, name=name or f"{A.name}x{B.name}")
@@ -557,6 +563,14 @@ def normality_violation(G: FiniteGroup, S: Sequence[int]) -> tuple[int, int] | N
     return (flat // len(lst), lst[flat % len(lst)])
 
 
+def _coset_labels(table: np.ndarray, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, proj) for the cosets x*N of N = members: reps holds the least
+    element of each coset, ascending, and proj[x] is the position in reps of
+    the least element of x*N, so the coset of the identity is label 0."""
+    reps, proj = np.unique(table[:, members].min(axis=1), return_inverse=True)
+    return reps, proj.astype(np.int32)
+
+
 def quotient_group(G: FiniteGroup, N: Iterable[int],
                    name: str = "") -> tuple[FiniteGroup, np.ndarray]:
     """Quotient by a normal subgroup; returns (Q, projection).
@@ -571,13 +585,8 @@ def quotient_group(G: FiniteGroup, N: Iterable[int],
     if bad is not None:
         raise NotNormal(bad)
 
-    lst = sorted(S)
-    reps_of_elem = G.table[:, lst].min(axis=1)            # least element of gN
-    rep_values = np.unique(reps_of_elem)
-    label_of_rep = {int(r): i for i, r in enumerate(rep_values)}
-    proj = np.array([label_of_rep[int(r)] for r in reps_of_elem], dtype=np.int32)
-    q = len(rep_values)
-    qtable = proj[G.table[np.ix_(rep_values, rep_values)]].astype(np.int32)
+    rep_values, proj = _coset_labels(G.table, sorted(S))
+    qtable = proj[G.table[np.ix_(rep_values, rep_values)]]
     qnames = [f"[{G.names[int(r)]}]" for r in rep_values]
     Q = _group_unchecked(qtable, qnames, name=name or f"{G.name}/N")
     return Q, proj
@@ -594,9 +603,9 @@ def subgroup_as_group(G: FiniteGroup, S: Iterable[int],
     if not is_subgroup(G, Sf):
         raise NotASubgroup(_subgroup_witness(G, Sf))
     lst = sorted(Sf)
-    local = {g: i for i, g in enumerate(lst)}
-    sub = G.table[np.ix_(lst, lst)]
-    table = np.array([[local[int(v)] for v in row] for row in sub], dtype=np.int32)
+    local = np.empty(G.order, dtype=np.int32)
+    local[lst] = np.arange(len(lst))
+    table = local[G.table[np.ix_(lst, lst)]]
     names = [G.names[g] for g in lst]
     H = _group_unchecked(table, names, name=name or f"{G.name}-sub{len(lst)}")
     return H, lst

@@ -23,8 +23,10 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _coset_labels,
     _default_names,
     _find_identity,
+    _product_table,
     _relabel,
     associativity_violation,
     is_index_perm,
@@ -107,18 +109,12 @@ def loop_from_table(table, names: Sequence[str] | None = None,
         raise NotRightLoop(bad)
 
     rdiv = ldiv = None
-    if cols_ok:
+    if cols_ok:                                 # rdiv[x*a, a] = x
         rdiv = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            inv_col = np.empty(n, dtype=np.int32)
-            inv_col[arr[:, a]] = ar
-            rdiv[:, a] = inv_col
-    if rows_ok:
+        rdiv[arr, ar] = ar[:, None]
+    if rows_ok:                                 # ldiv[a, a*y] = y
         ldiv = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            inv_row = np.empty(n, dtype=np.int32)
-            inv_row[arr[a]] = ar
-            ldiv[a] = inv_row
+        ldiv[ar[:, None], arr] = ar
     return FiniteLoop(arr, name_list, cols_ok, cols_ok and rows_ok,
                       rdiv, ldiv, name=name)
 
@@ -244,43 +240,33 @@ def quotient_loop(L: FiniteLoop, N: Iterable[int],
     """Quotient by a normal subloop; returns (Q, projection).
 
     Cosets x*N are labeled by least element index.  Well-definedness is
-    verified cellwise: for each pair of cosets every representative product
-    must land in the same coset, otherwise NotWellDefined carries the first
-    offending cell (a non-normal N surfaces here).
+    verified cellwise: each product a*b must land in the coset of the
+    product of the least elements of the cosets of a and b, otherwise
+    NotWellDefined carries the offending cell (a, b) least in the order
+    (coset of a, coset of b, a, b) (a non-normal N surfaces here).
     """
     S = frozenset(int(x) for x in N)
     if not is_subloop(L, S):
         raise NotASubloop(subloop_witness(L, S))
     lst = sorted(S)
-    n = L.order
     T = L.table
-
-    coset_rows = T[:, lst]                               # x*N as rows
-    reps_of_elem = coset_rows.min(axis=1)
+    rep_values, proj = _coset_labels(T, lst)
     # cosets of a normal subloop partition the set; verify to catch bad input
-    sets_sorted = np.sort(coset_rows, axis=1)
-    for x in range(n):
-        r = int(reps_of_elem[x])
-        if not np.array_equal(sets_sorted[x], sets_sorted[r]):
-            raise NotWellDefined(("coset-overlap", x, r))
-    rep_values = np.unique(reps_of_elem)
-    label_of_rep = {int(r): i for i, r in enumerate(rep_values)}
-    proj = np.array([label_of_rep[int(r)] for r in reps_of_elem], dtype=np.int32)
+    sets_sorted = np.sort(T[:, lst], axis=1)
+    reps_of_elem = rep_values[proj]
+    overlap = (sets_sorted != sets_sorted[reps_of_elem]).any(axis=1)
+    if overlap.any():
+        x = int(np.argmax(overlap))
+        raise NotWellDefined(("coset-overlap", x, int(reps_of_elem[x])))
 
-    q = len(rep_values)
-    qtable = np.empty((q, q), dtype=np.int32)
-    blocks = [np.flatnonzero(proj == i) for i in range(q)]
-    for i in range(q):
-        Ai = blocks[i]
-        for j in range(q):
-            cells = proj[T[np.ix_(Ai, blocks[j])]]
-            first = int(cells.flat[0])
-            if not (cells == first).all():
-                bad = int(np.argmax((cells != first).ravel()))
-                a = int(Ai[bad // len(blocks[j])])
-                b = int(blocks[j][bad % len(blocks[j])])
-                raise NotWellDefined((a, b))
-            qtable[i, j] = first
+    # the product of two cosets is that of their least elements; the witness
+    # is the least (proj[a], proj[b], a, b) among the cells that disagree
+    qtable = proj[T[np.ix_(rep_values, rep_values)]]
+    bad = proj[T] != qtable[proj[:, None], proj]
+    if bad.any():
+        a, b = np.nonzero(bad)                          # row-major (a, b) order
+        k = int(np.argmin(proj[a].astype(np.int64) * len(rep_values) + proj[b]))
+        raise NotWellDefined((int(a[k]), int(b[k])))
     qnames = [f"[{L.names[int(r)]}]" for r in rep_values]
     Q = loop_from_table(qtable, names=qnames, lenient=True,
                         name=name or f"{L.name}/N")
@@ -289,10 +275,7 @@ def quotient_loop(L: FiniteLoop, N: Iterable[int],
 
 def loop_direct_product(A: FiniteLoop, B: FiniteLoop, name: str = "") -> FiniteLoop:
     """Componentwise product with index pairing (a, b) -> a*|B| + b."""
-    nb = B.order
-    n = A.order * nb
-    table = (A.table[:, None, :, None].astype(np.int64) * nb
-             + B.table[None, :, None, :]).reshape(n, n)
+    table = _product_table(A.table, B.table)
     names = [f"{na}|{nbm}" for na in A.names for nbm in B.names]
     names[0] = "e"
     return loop_from_table(table, names=names, lenient=True,

@@ -9,6 +9,7 @@ from gyrolab import (
     group_exponent,
     nilpotency_class,
 )
+from gyrolab.groups import _group_unchecked
 
 ORDERS = {
     "trivial": 1,
@@ -140,3 +141,139 @@ def test_catalog_order_cap_applies_to_cached_groups(monkeypatch):
     assert catalog_group("heisenberg:5") is G
     catalog_group.cache_clear()
     assert catalog_group("heisenberg:5") is not G
+
+
+# ---------------------------------------------------------------------------
+# references: the per-cell builders that the whole-array ones replaced
+
+def _power_name(base, k):
+    return "" if k == 0 else base if k == 1 else f"{base}{k}"
+
+
+def _ref_dihedral(m):
+    n = m // 2
+    table = np.empty((m, m), dtype=np.int32)
+    for e1 in (0, 1):
+        for k1 in range(n):
+            for e2 in (0, 1):
+                for k2 in range(n):
+                    k = (k2 + (1 - 2 * e2) * k1) % n
+                    table[e1 * n + k1, e2 * n + k2] = (e1 + e2) % 2 * n + k
+    names = ["e"] + [_power_name("r", k) for k in range(1, n)]
+    names += ["s"] + ["s" + _power_name("r", k) for k in range(1, n)]
+    return _group_unchecked(table, names, name=f"dihedral:{m}")
+
+
+def _ref_quaternion(m):
+    h, q = m // 2, m // 4
+    table = np.empty((m, m), dtype=np.int32)
+    for j1 in (0, 1):
+        for i1 in range(h):
+            for j2 in (0, 1):
+                for i2 in range(h):
+                    i = (i1 + (1 - 2 * j1) * i2) % h
+                    if j1 and j2:
+                        i = (i + q) % h
+                    table[j1 * h + i1, j2 * h + i2] = (j1 + j2) % 2 * h + i
+    names = ["e"] + [_power_name("a", k) for k in range(1, h)]
+    names += ["b"] + [_power_name("a", k) + "b" for k in range(1, h)]
+    return _group_unchecked(table, names, name=f"quaternion:{m}")
+
+
+def _ref_semidihedral(m):
+    n = m // 2
+    t = m // 4 - 1
+    table = np.empty((m, m), dtype=np.int32)
+    for e1 in (0, 1):
+        for k1 in range(n):
+            for e2 in (0, 1):
+                for k2 in range(n):
+                    if e2:
+                        eps, k = (e1 + 1) % 2, (t * k1 + k2) % n
+                    else:
+                        eps, k = e1, (k1 + k2) % n
+                    table[e1 * n + k1, e2 * n + k2] = eps * n + k
+    names = ["e"] + [_power_name("r", k) for k in range(1, n)]
+    names += ["s"] + ["s" + _power_name("r", k) for k in range(1, n)]
+    return _group_unchecked(table, names, name=f"semidihedral:{m}")
+
+
+def _ref_heisenberg(p):
+    n = p ** 3
+
+    def rank(a, b, c):
+        return (a * p + b) * p + c
+
+    table = np.empty((n, n), dtype=np.int32)
+    names = [""] * n
+    for a1 in range(p):
+        for b1 in range(p):
+            for c1 in range(p):
+                i = rank(a1, b1, c1)
+                names[i] = f"({a1},{b1},{c1})"
+                for a2 in range(p):
+                    for b2 in range(p):
+                        for c2 in range(p):
+                            table[i, rank(a2, b2, c2)] = rank(
+                                (a1 + a2) % p, (b1 + b2) % p,
+                                (c1 + c2 + a1 * b2) % p)
+    names[0] = "e"
+    return _group_unchecked(table, names, name=f"heisenberg:{p}")
+
+
+def _ref_unitriangular4(p):
+    n = p ** 6
+    digits = np.array(np.unravel_index(np.arange(n), (p,) * 6)).T.astype(np.int32)
+    a12, a13, a14, a23, a24, a34 = digits.T
+    r, c = (lambda v: v[:, None]), (lambda v: v[None, :])
+    c12 = (r(a12) + c(a12)) % p
+    c23 = (r(a23) + c(a23)) % p
+    c34 = (r(a34) + c(a34)) % p
+    c13 = (r(a13) + c(a13) + r(a12) * c(a23)) % p
+    c24 = (r(a24) + c(a24) + r(a23) * c(a34)) % p
+    c14 = (r(a14) + c(a14) + r(a12) * c(a24) + r(a13) * c(a34)) % p
+    table = ((((c12.astype(np.int64) * p + c13) * p + c14) * p + c23) * p + c24) * p + c34
+    names = ["(" + ",".join(str(int(d)) for d in digits[i]) + ")" for i in range(n)]
+    names[0] = "e"
+    return _group_unchecked(table.astype(np.int32), names, name=f"unitriangular4:{p}")
+
+
+def _ref_wreath33():
+    def rank(k, v):
+        return ((k * 3 + v[0]) * 3 + v[1]) * 3 + v[2]
+
+    def unrank(i):
+        return i // 27, (i // 9 % 3, i // 3 % 3, i % 3)
+
+    table = np.empty((81, 81), dtype=np.int32)
+    names = [""] * 81
+    for i in range(81):
+        k1, v1 = unrank(i)
+        names[i] = f"({v1[0]},{v1[1]},{v1[2]};{k1})"
+        for j in range(81):
+            k2, v2 = unrank(j)
+            shifted = tuple(v2[(t - k1) % 3] for t in range(3))
+            prod = tuple((v1[t] + shifted[t]) % 3 for t in range(3))
+            table[i, j] = rank((k1 + k2) % 3, prod)
+    names[0] = "e"
+    return _group_unchecked(table, names, name="wreath33")
+
+
+REFERENCES = (
+    [(f"dihedral:{m}", _ref_dihedral, m) for m in (*range(2, 65, 2), 202)]
+    + [(f"quaternion:{m}", _ref_quaternion, m) for m in (8, 16, 32, 64, 128)]
+    + [(f"semidihedral:{m}", _ref_semidihedral, m) for m in (16, 32, 64, 128)]
+    + [(f"heisenberg:{p}", _ref_heisenberg, p) for p in (2, 3, 5, 7)]
+    + [(f"unitriangular4:{p}", _ref_unitriangular4, p) for p in (2, 3)]
+    + [("wreath33", lambda _: _ref_wreath33(), None)]
+)
+
+
+@pytest.mark.parametrize("spec,ref,param", REFERENCES, ids=[r[0] for r in REFERENCES])
+def test_builders_match_the_per_cell_references(spec, ref, param):
+    G, R = catalog_group(spec), ref(param)
+    assert G.table.dtype == R.table.dtype
+    assert np.array_equal(G.table, R.table)
+    assert G.names == R.names
+    assert np.array_equal(G.inverse, R.inverse)
+    assert G.name == R.name

@@ -6,6 +6,7 @@ import pytest
 from gyrolab import (
     NotASubgroup,
     NotCentral,
+    ValueOutsideCenter,
     build_gyro,
     build_gyro_extension,
     catalog_group,
@@ -127,3 +128,52 @@ def test_mutated_twisted_factor_set_breaks_reconstruction(d16):
     ok, witness = verify_extension_isomorphism(built_bad, target, T)
     assert not ok
     assert witness == (1, 1)           # failure localized at the mutated cell
+
+
+def _ref_gyro_values(f):
+    """tf(x, y) cell by cell with scalar products, unchecked."""
+    G, Q, v = f.group, f.quotient, f.values
+    q = Q.order
+    values = np.empty((q, q), dtype=np.int32)
+    for y in range(q):
+        yinv = Q.inv(y)
+        t0, t2 = G.inv(int(v[y, yinv])), int(v[y, y])
+        for x in range(q):
+            yx = Q.mul(yinv, x)
+            values[x, y] = G.mul(G.mul(G.mul(t0, int(v[yinv, x])), t2),
+                                 int(v[yx, Q.mul(y, y)]))
+    return values
+
+
+@pytest.mark.parametrize("spec,policy", [
+    ("dihedral:16", "least-index"), ("dihedral:16", "random-seeded"),
+    ("unitriangular4:2", "least-index"), ("heisenberg:3", "random-seeded"),
+    ("quaternion:16", "least-index"), ("wreath33", "random-seeded"),
+])
+def test_gyro_factor_set_matches_the_per_cell_reference(spec, policy):
+    G, Z, T, fs, tf, built, target = _pipeline(spec, policy=policy, seed=7)
+    assert np.array_equal(tf.values, _ref_gyro_values(fs))
+    for values, local in ((fs.values, fs.local_values()), (tf.values, tf.local_values())):
+        pos = {g: i for i, g in enumerate(sorted(Z))}
+        assert local.tolist() == [[pos[int(v)] for v in row] for row in values]
+
+
+def test_value_outside_center_names_the_first_cell_in_row_major_order(d16):
+    T = make_transversal(d16, group_center(d16))
+    fs = factor_set(d16, T)
+    vals = fs.values.copy()
+    vals[2, 3] = 1                           # r is not central
+    vals[1, 5] = 2
+    bad = dataclasses.replace(fs, values=vals)
+    with pytest.raises(ValueOutsideCenter) as exc:
+        bad.local_values()
+    assert (exc.value.cell, exc.value.value) == ((1, 5), 2)
+
+    ref = _ref_gyro_values(bad)
+    outside = ~np.isin(ref, fs.center)
+    k = int(np.argmax(outside))
+    cell = (k // ref.shape[1], k % ref.shape[1])
+    assert outside.sum() > 1 and cell != (1, 5)
+    with pytest.raises(ValueOutsideCenter) as exc:
+        gyro_factor_set(bad, build_gyro(T.quotient).loop)
+    assert (exc.value.cell, exc.value.value) == (cell, int(ref[cell]))

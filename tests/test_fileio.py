@@ -25,6 +25,8 @@ from gyrolab.fileio import (
     matrix_csv,
     max_group_file_bytes,
 )
+from gyrolab.cli import main
+from gyrolab.search import evaluate_source
 
 
 def _write(tmp_path, name, obj):
@@ -92,6 +94,18 @@ def test_parse_errors(tmp_path, doc, fragment):
     with pytest.raises(ParseError) as exc:
         parse_group_file(p)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("cell", [0.5, 4294967296, -4294967296, 2 ** 64, True])
+def test_table_cells_that_are_not_int32_integers_are_parse_errors(tmp_path, cell):
+    # 0.5 used to be truncated to the trivial group, 2^32 raised OverflowError
+    p = _write(tmp_path, "cell.json", {"order": 1, "table": [[cell]]})
+    with pytest.raises(ParseError, match="field 'table' must hold integers"):
+        parse_group_file(p)
+    assert main(["analyze", "--group", f"file:{p}"]) == 2
+    rec = evaluate_source(f"file:{p}")
+    assert rec.status == "error"
+    assert rec.reason.startswith("ParseError: ") and "field 'table'" in rec.reason
 
 
 def test_non_utf8_file_is_a_parse_error(tmp_path):

@@ -31,7 +31,12 @@ from gyrolab import (
 )
 from gyrolab import groups
 from gyrolab.cli import main
-from gyrolab.groups import _relabel, associativity_violation, normality_violation
+from gyrolab.groups import (
+    _find_identity,
+    _relabel,
+    associativity_violation,
+    normality_violation,
+)
 from gyrolab.search import evaluate_source
 
 KLEIN = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
@@ -301,3 +306,31 @@ def test_lower_central_series_is_computed_once_per_group(tmp_path, monkeypatch, 
     assert main(["analyze", "--group", f"file:{path}"]) == 0
     assert len(computed) == 2 and computed[0] is not computed[1]
     assert '"group_class": 3' in capsys.readouterr().out
+
+
+def test_find_identity_matches_the_per_candidate_scan():
+    def ref(T):
+        ar = np.arange(len(T))
+        return next((e for e in range(len(T))
+                     if np.array_equal(T[e], ar) and np.array_equal(T[:, e], ar)), None)
+
+    rng = np.random.default_rng(0)
+    for spec in ("cyclic:1", "dihedral:16", "wreath33"):
+        T = catalog_group(spec).table
+        for _ in range(5):
+            p = rng.permutation(len(T))                 # identity moves to p[0]
+            moved = p[T[np.ix_(np.argsort(p), np.argsort(p))]]
+            assert _find_identity(moved) == ref(moved) == p[0]
+    broken = KLEIN.copy()
+    broken[0, 1] = 2                                     # row 0 is no longer e's
+    assert _find_identity(broken) == ref(broken) is None
+    assert _find_identity(np.array([[0, 1], [1, 1]])) == 0   # row and column suffice
+
+
+def test_subgroup_as_group_matches_the_dict_reindex():
+    G = catalog_group("wreath33")
+    for S in (group_center(G), derived_subgroup(G), subgroup_generated(G, [5, 30])):
+        H, members = subgroup_as_group(G, S)
+        local = {g: i for i, g in enumerate(members)}
+        ref = [[local[int(v)] for v in row] for row in G.table[np.ix_(members, members)]]
+        assert members == sorted(S) and H.table.tolist() == ref

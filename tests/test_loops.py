@@ -5,6 +5,7 @@ from gyrolab import (
     NotASubloop,
     NotRightLoop,
     NotWellDefined,
+    OrderCapExceeded,
     build_gyro,
     catalog_group,
     divide,
@@ -104,3 +105,102 @@ def test_loop_direct_product():
     assert P.is_loop
     # product works coordinatewise
     assert P.table[1 * 3 + 1, 2 * 3 + 2] == A.table[1, 2] * 3 + B.table[1, 2]
+
+
+def test_loop_direct_product_checks_the_order_cap(monkeypatch):
+    A = build_gyro(catalog_group("dihedral:16")).loop
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "100")
+    with pytest.raises(OrderCapExceeded, match="^order 256 exceeds cap 100$"):
+        loop_direct_product(A, A)
+
+
+# ---------------------------------------------------------------------------
+# references: the per-column division tables and the per-block quotient that
+# the whole-array versions replaced
+
+def _ref_divisions(T):
+    n = len(T)
+    ar = np.arange(n)
+    rdiv = np.empty((n, n), dtype=np.int32)
+    ldiv = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        inv_col = np.empty(n, dtype=np.int32)
+        inv_col[T[:, a]] = ar
+        rdiv[:, a] = inv_col
+        inv_row = np.empty(n, dtype=np.int32)
+        inv_row[T[a]] = ar
+        ldiv[a] = inv_row
+    return rdiv, ldiv
+
+
+def _ref_quotient(L, S):
+    """(quotient table, projection), or NotWellDefined from the first bad
+    block in (coset, coset) order and its first bad cell."""
+    lst = sorted(S)
+    n = L.order
+    T = L.table
+    coset_rows = T[:, lst]
+    reps_of_elem = coset_rows.min(axis=1)
+    sets_sorted = np.sort(coset_rows, axis=1)
+    for x in range(n):
+        r = int(reps_of_elem[x])
+        if not np.array_equal(sets_sorted[x], sets_sorted[r]):
+            raise NotWellDefined(("coset-overlap", x, r))
+    rep_values = np.unique(reps_of_elem)
+    label_of_rep = {int(r): i for i, r in enumerate(rep_values)}
+    proj = np.array([label_of_rep[int(r)] for r in reps_of_elem], dtype=np.int32)
+    q = len(rep_values)
+    qtable = np.empty((q, q), dtype=np.int32)
+    blocks = [np.flatnonzero(proj == i) for i in range(q)]
+    for i in range(q):
+        Ai = blocks[i]
+        for j in range(q):
+            cells = proj[T[np.ix_(Ai, blocks[j])]]
+            first = int(cells.flat[0])
+            if not (cells == first).all():
+                bad = int(np.argmax((cells != first).ravel()))
+                a = int(Ai[bad // len(blocks[j])])
+                b = int(blocks[j][bad % len(blocks[j])])
+                raise NotWellDefined((a, b))
+            qtable[i, j] = first
+    return qtable, proj
+
+
+def _quotient_outcome(quotient, L, S):
+    try:
+        Q, proj = quotient(L, S)
+    except NotWellDefined as exc:
+        return "raised", exc.witness
+    return "ok", getattr(Q, "table", Q).tolist(), proj.tolist()
+
+
+def _reference_loops(switched_table):
+    loops = [build_gyro(catalog_group("dihedral:16")).loop]
+    loops += [loop_from_table(switched_table(n, 0, 8)) for n in (8, 12, 16, 24, 32, 48)]
+    return loops
+
+
+def test_division_tables_match_the_per_column_inverse(switched_table):
+    for L in _reference_loops(switched_table):
+        rdiv, ldiv = _ref_divisions(L.table)
+        assert np.array_equal(L.right_division, rdiv)
+        assert np.array_equal(L.left_division, ldiv)
+    # a right loop whose rows repeat keeps only its right division table
+    T = build_gyro(catalog_group("dihedral:16")).loop.table.copy()
+    T[1, 3], T[2, 3] = T[2, 3], T[1, 3]
+    M = loop_from_table(T, lenient=True)
+    assert M.left_division is None
+    assert np.array_equal(M.right_division, _ref_divisions(M.table)[0])
+
+
+def test_quotient_loop_matches_the_block_reference(switched_table):
+    kinds = set()
+    for L in _reference_loops(switched_table):
+        n = L.order
+        subsets = {subloop_generated(L, (a, b)) for a in range(n) for b in range(a, n)}
+        for S in sorted(subsets - {frozenset(range(n))}, key=sorted):
+            got = _quotient_outcome(quotient_loop, L, S)
+            assert got == _quotient_outcome(_ref_quotient, L, S), (L, sorted(S))
+            if got[0] == "raised":
+                kinds.add("coset-overlap" if got[1][0] == "coset-overlap" else "cell")
+    assert kinds == {"coset-overlap", "cell"}       # both witness kinds occur
