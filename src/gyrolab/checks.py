@@ -23,9 +23,11 @@ from .cocycle import (
 from .errors import NotASubloop, NotWellDefined, WrongClass
 from .groups import (
     FiniteGroup,
-    _slab_witness,
+    _mark,
     _subgroup_witness,
+    first_cell,
     first_violation,
+    first_violations,
     group_center,
     group_exponent,
     index_table,
@@ -33,6 +35,7 @@ from .groups import (
     is_two_engel,
     nilpotency_class,
     normality_violation,
+    pair_slabs,
     quotient_group,
     subgroup_as_group,
 )
@@ -78,34 +81,18 @@ def class2_criterion(G: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
 def _cube_criterion(G: FiniteGroup, C: frozenset[int]) -> tuple[bool, tuple[int, int] | None]:
     """Whether every [x,y]^3 lies in C, the commutant of the twisted loop,
     with the least failing (x, y) when not."""
-    mask = np.zeros(G.order, dtype=bool)
-    mask[sorted(C)] = True
     cubes = G.power_array(3)[G.commutator_table()]
-    ok = mask[cubes]
-    if ok.all():
-        return True, None
-    flat = int(np.argmax(~ok))
-    return False, (flat // G.order, flat % G.order)
+    w = first_cell(~_mark(G.order, C)[cubes])
+    return w is None, w
 
 
 def nine_identity(G: FiniteGroup) -> tuple[bool, tuple[int, int, int] | None]:
     """Whether [[x,y],z]^9 == [x,[y,z]]^9 for all triples, with the least
     failing (x, y, z) when not."""
     cm = G.commutator_table()
-    n = G.order
-    cmi = index_table(cm, n)
-    p9cm = G.power_array(9).take(cmi)             # [a, b] -> [a, b]^9
-    lhs = np.empty_like(p9cm)
-    rhs = np.empty_like(p9cm)
-    bad = np.empty((n, n), dtype=bool)
-
-    def slab(x):
-        # [y, z] -> [[x,y],z]^9, rows of p9cm taken by [x,y], against
-        # [x,[y,z]]^9, row x of p9cm taken by all of cm
-        np.take(p9cm, cmi[x], axis=0, out=lhs, mode="clip")
-        np.take(p9cm[x], cmi, out=rhs, mode="clip")
-        return np.not_equal(lhs, rhs, out=bad)
-    w = first_violation(n, slab)
+    # values [a, b] -> [a, b]^9 read through index cm: [[x,y],z]^9 against
+    # [x,[y,z]]^9
+    w = first_violation(G.order, pair_slabs(G.power_array(9)[cm], cm))
     return w is None, w
 
 
@@ -115,7 +102,7 @@ def nine_identity(G: FiniteGroup) -> tuple[bool, tuple[int, int, int] | None]:
 def charset_left_nucleus(G: FiniteGroup) -> frozenset[int]:
     """{a : [a, [x, y^-1]] = e for all x, y}."""
     cm = G.commutator_table()
-    K = np.unique(cm[:, G.inverse])
+    K = np.flatnonzero(_mark(G.order, cm[:, G.inverse].ravel()))
     rows_ok = (cm[:, K] == 0).all(axis=1)
     return frozenset(int(i) for i in np.flatnonzero(rows_ok))
 
@@ -268,9 +255,7 @@ class SuiteContext:
         return self.n % 3 != 0
 
     def zmask(self):
-        mask = np.zeros(self.n, dtype=bool)
-        mask[sorted(self.zg)] = True
-        return mask
+        return _mark(self.n, self.zg)
 
     def names_for(self, witness):
         out = []
@@ -296,25 +281,20 @@ class SuiteContext:
             off = np.empty((n, n), dtype=np.intp)
             vals = np.empty_like(T)
             expected = np.empty_like(T)
-            bad = np.empty((n, n), dtype=bool)
-            formula_bad = None
-            central_bad = None
-            for x in range(n):
+            formula_bad = np.empty((n, n), dtype=bool)
+            central_bad = np.empty((n, n), dtype=bool)
+
+            def slab(x):
                 # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset
                 # (x*(y*z))*n + (x*y)*z; (x*y)*z are the rows of T taken by
                 # row x
                 np.take(Ti[x] * n, Ti, out=off, mode="clip")
                 np.add(off, np.take(T, T[x], axis=0, out=vals, mode="clip"), out=off)
-                if formula_bad is None:
-                    # [y, z] -> [[z^-1, y], x]
-                    np.take(rdivT, off, out=vals, mode="clip")
-                    np.take(self.cm[:, x], K, out=expected, mode="clip")
-                    formula_bad = _slab_witness(x, np.not_equal(vals, expected, out=bad))
-                if central_bad is None:
-                    central_bad = _slab_witness(x, np.take(noncentral, off, out=bad, mode="clip"))
-                if formula_bad is not None and central_bad is not None:
-                    break
-            return formula_bad, central_bad
+                np.take(rdivT, off, out=vals, mode="clip")
+                np.take(self.cm[:, x], K, out=expected, mode="clip")   # [[z^-1, y], x]
+                return (np.not_equal(vals, expected, out=formula_bad),
+                        np.take(noncentral, off, out=central_bad, mode="clip"))
+            return tuple(first_violations(n, slab))
         return self._get("assoc-scan", run)
 
 
@@ -387,32 +367,43 @@ def _check_char_commutant(ctx):
     return failed("char-commutant", stmt, witness=_set_mismatch_witness(brute, char))
 
 
-def _check_nuclei_subgroups(ctx):
-    stmt = "each nucleus of the twisted loop is a subgroup of the source group"
-    for kind in ("left", "middle", "right", "full"):
-        N = ctx.nuc(kind)
-        if not is_subgroup(ctx.G, N):
-            return failed("nuclei-subgroups-of-group", stmt,
-                          witness=(kind,) + _subgroup_witness(ctx.G, frozenset(N)))
-    return passed("nuclei-subgroups-of-group", stmt)
+def _check_each_nucleus(check_id, stmt, violation):
+    """check_id passes when violation(ctx, N) is None for the left, middle,
+    right and full nucleus N, in that order; the witness of the first that
+    fails is its kind followed by the violation."""
+    def run(ctx):
+        for kind in ("left", "middle", "right", "full"):
+            w = violation(ctx, ctx.nuc(kind))
+            if w is not None:
+                return failed(check_id, stmt, witness=(kind,) + w)
+        return passed(check_id, stmt)
+    return run
 
 
-def _check_nuclei_normal_in_group(ctx):
-    stmt = "each nucleus of the twisted loop is normal in the source group"
-    for kind in ("left", "middle", "right", "full"):
-        w = ctx.group_normality(ctx.nuc(kind))
-        if w is not None:
-            return failed("nuclei-normal-in-group", stmt, witness=(kind,) + w)
-    return passed("nuclei-normal-in-group", stmt)
+def _class_violation(ctx, N):
+    c = ctx.subgroup_class(N)
+    return None if c is not None and c <= 2 else (str(c),)
 
 
-def _check_nuclei_class(ctx):
-    stmt = "each nucleus, as a subgroup of the source, has nilpotency class <= 2"
-    for kind in ("left", "middle", "right", "full"):
-        c = ctx.subgroup_class(ctx.nuc(kind))
-        if c is None or c > 2:
-            return failed("nuclei-class-at-most-2", stmt, witness=(kind, str(c)))
-    return passed("nuclei-class-at-most-2", stmt)
+_check_nuclei_subgroups = _check_each_nucleus(
+    "nuclei-subgroups-of-group",
+    "each nucleus of the twisted loop is a subgroup of the source group",
+    lambda ctx, N: None if is_subgroup(ctx.G, N) else _subgroup_witness(ctx.G, frozenset(N)))
+_check_nuclei_normal_in_group = _check_each_nucleus(
+    "nuclei-normal-in-group",
+    "each nucleus of the twisted loop is normal in the source group",
+    SuiteContext.group_normality)
+_check_nuclei_class = _check_each_nucleus(
+    "nuclei-class-at-most-2",
+    "each nucleus, as a subgroup of the source, has nilpotency class <= 2",
+    _class_violation)
+_check_nuclei_induced_group = _check_each_nucleus(
+    "nuclei-induced-op-associative",
+    "the twisted product restricted to each nucleus is associative (a group)",
+    SuiteContext.induced_associativity)
+_check_nuclei_normal_subloops = _check_each_nucleus(
+    "nuclei-normal-subloops", "each nucleus is a normal subloop of the twisted loop",
+    SuiteContext.normal_subloop)
 
 
 def _induced_violation(T: np.ndarray, S) -> tuple | None:
@@ -430,24 +421,6 @@ def _induced_violation(T: np.ndarray, S) -> tuple | None:
     if bad is None:
         return None
     return tuple(int(lst[i]) for i in bad)
-
-
-def _check_nuclei_induced_group(ctx):
-    stmt = "the twisted product restricted to each nucleus is associative (a group)"
-    for kind in ("left", "middle", "right", "full"):
-        w = ctx.induced_associativity(ctx.nuc(kind))
-        if w is not None:
-            return failed("nuclei-induced-op-associative", stmt, witness=(kind,) + w)
-    return passed("nuclei-induced-op-associative", stmt)
-
-
-def _check_nuclei_normal_subloops(ctx):
-    stmt = "each nucleus is a normal subloop of the twisted loop"
-    for kind in ("left", "middle", "right", "full"):
-        w = ctx.normal_subloop(ctx.nuc(kind))
-        if w is not None:
-            return failed("nuclei-normal-subloops", stmt, witness=(kind,) + w)
-    return passed("nuclei-normal-subloops", stmt)
 
 
 def _check_mid_eq_right(ctx):
@@ -507,7 +480,9 @@ def _check_commutator_expansion_right(ctx):
     # takes m <= n values: g[y, j] = ([x,y] [y,v_j]) v_j is an n x m table,
     # and the slab takes its columns by the rank of [x,z].  The n x m
     # buffers are allocated once, for the largest m of any x
-    m_max = max(len(np.unique(row)) for row in cm)
+    present = np.zeros((n, n), dtype=bool)
+    present[np.arange(n)[:, None], cm] = True
+    m_max = int(present.sum(axis=1).max())
     off = np.empty(n * m_max, dtype=np.intp)
     val = np.empty(n * m_max, dtype=T.dtype)
     lhs = np.empty_like(T)
@@ -563,10 +538,9 @@ def _check_commutant_identities(ctx):
             ("[a^3,x]=e", cm[a3] == 0),
         ]
         for tag, ok in checks:
-            if not np.asarray(ok).all():
-                x = int(np.argmax(~np.asarray(ok)))
+            if not ok.all():
                 return failed("commutant-element-identities", stmt,
-                              witness=(tag, a, x))
+                              witness=(tag, a) + first_cell(~ok))
     return passed("commutant-element-identities", stmt)
 
 
@@ -602,15 +576,32 @@ def _check_commutant_equals_group_center(ctx):
     return failed("commutant-equals-group-center", stmt, witness=bad)
 
 
-def _check_quotient_by_commutant_group(ctx):
-    stmt = "the twisted loop modulo its commutant is a group"
-    try:
-        bad = ctx.quotient_associativity(ctx.com)
-    except (NotASubloop, NotWellDefined) as exc:
-        return failed("quotient-by-commutant-group", stmt, witness=exc.witness)
-    if bad is None:
-        return passed("quotient-by-commutant-group", stmt)
-    return failed("quotient-by-commutant-group", stmt, witness=bad)
+def _check_quotient_group(check_id, what, subset, abelian=False):
+    """check_id: the loop modulo subset(ctx), its `what`, is a group, and
+    an abelian one when asked."""
+    stmt = f"the twisted loop modulo its {what} is {'an abelian' if abelian else 'a'} group"
+
+    def run(ctx):
+        S = subset(ctx)
+        try:
+            bad = ctx.quotient_associativity(S)
+        except (NotASubloop, NotWellDefined) as exc:
+            return failed(check_id, stmt, witness=exc.witness)
+        if bad is None and abelian:
+            Q = ctx.quotient(S)[0].table
+            bad = first_cell(Q != Q.T)
+        if bad is None:
+            return passed(check_id, stmt)
+        return failed(check_id, stmt, witness=bad)
+    return run
+
+
+_check_quotient_by_commutant_group = _check_quotient_group(
+    "quotient-by-commutant-group", "commutant", lambda ctx: ctx.com)
+_check_quotient_center_group = _check_quotient_group(
+    "quotient-by-center-group", "center", lambda ctx: ctx.zl)
+_check_quotient_nucleus_abelian = _check_quotient_group(
+    "quotient-by-nucleus-abelian-group", "nucleus", lambda ctx: ctx.nuc("full"), abelian=True)
 
 
 def _check_quotient_commutant_matches(ctx):
@@ -627,35 +618,28 @@ def _check_quotient_commutant_matches(ctx):
     QG, _ = quotient_group(ctx.G, C)
     circ_of_quotient = build_gyro(QG).loop
     quotient_of_circ, _ = ctx.quotient(C)
-    if np.array_equal(circ_of_quotient.table, quotient_of_circ.table):
+    w = first_cell(circ_of_quotient.table != quotient_of_circ.table)
+    if w is None:
         return passed("quotient-by-commutant-matches-gyro-of-quotient", stmt)
-    diff = circ_of_quotient.table != quotient_of_circ.table
-    flat = int(np.argmax(diff))
-    q = QG.order
-    return failed("quotient-by-commutant-matches-gyro-of-quotient", stmt,
-                  witness=(flat // q, flat % q))
+    return failed("quotient-by-commutant-matches-gyro-of-quotient", stmt, witness=w)
 
 
-def _check_class2_equivalence(ctx):
-    stmt = ("with order coprime to 3, the group has class exactly 2 iff the "
-            "twisted loop has class exactly 2")
-    lhs, rhs = (ctx.cls == 2), (ctx.loop_class == 2)
-    if lhs == rhs:
-        return passed("class2-equivalence", stmt,
-                      details={"group_class": ctx.cls, "loop_class": ctx.loop_class})
-    return failed("class2-equivalence", stmt,
-                  witness=("group-class", str(ctx.cls), "loop-class", str(ctx.loop_class)))
+def _check_class_equivalence(k):
+    check_id = f"class{k}-equivalence"
+    stmt = (f"with order coprime to 3, the group has class exactly {k} iff the "
+            f"twisted loop has class exactly {k}")
+
+    def run(ctx):
+        if (ctx.cls == k) == (ctx.loop_class == k):
+            return passed(check_id, stmt,
+                          details={"group_class": ctx.cls, "loop_class": ctx.loop_class})
+        return failed(check_id, stmt,
+                      witness=("group-class", str(ctx.cls), "loop-class", str(ctx.loop_class)))
+    return run
 
 
-def _check_class3_equivalence(ctx):
-    stmt = ("with order coprime to 3, the group has class exactly 3 iff the "
-            "twisted loop has class exactly 3")
-    lhs, rhs = (ctx.cls == 3), (ctx.loop_class == 3)
-    if lhs == rhs:
-        return passed("class3-equivalence", stmt,
-                      details={"group_class": ctx.cls, "loop_class": ctx.loop_class})
-    return failed("class3-equivalence", stmt,
-                  witness=("group-class", str(ctx.cls), "loop-class", str(ctx.loop_class)))
+_check_class2_equivalence = _check_class_equivalence(2)
+_check_class3_equivalence = _check_class_equivalence(3)
 
 
 def _check_class2_criterion(ctx):
@@ -670,22 +654,18 @@ def _check_class2_criterion(ctx):
     return failed("class2-criterion", stmt, witness=witness)
 
 
-def _check_two_engel(ctx):
-    stmt = "a 2-Engel source gives a twisted loop of class <= 2"
-    if ctx.loop_class is not None and ctx.loop_class <= 2:
-        return passed("two-engel-implies-class2", stmt,
-                      details={"loop_class": ctx.loop_class})
-    return failed("two-engel-implies-class2", stmt,
-                  witness=("loop-class", str(ctx.loop_class)))
+def _check_loop_class_at_most_2(check_id, source):
+    stmt = f"{source} source gives a twisted loop of class <= 2"
+
+    def run(ctx):
+        if ctx.loop_class is not None and ctx.loop_class <= 2:
+            return passed(check_id, stmt, details={"loop_class": ctx.loop_class})
+        return failed(check_id, stmt, witness=("loop-class", str(ctx.loop_class)))
+    return run
 
 
-def _check_exponent3(ctx):
-    stmt = "an exponent-3 source gives a twisted loop of class <= 2"
-    if ctx.loop_class is not None and ctx.loop_class <= 2:
-        return passed("exponent3-implies-class2", stmt,
-                      details={"loop_class": ctx.loop_class})
-    return failed("exponent3-implies-class2", stmt,
-                  witness=("loop-class", str(ctx.loop_class)))
+_check_two_engel = _check_loop_class_at_most_2("two-engel-implies-class2", "a 2-Engel")
+_check_exponent3 = _check_loop_class_at_most_2("exponent3-implies-class2", "an exponent-3")
 
 
 def _check_circ_commutator_formula(ctx):
@@ -698,11 +678,10 @@ def _check_circ_commutator_formula(ctx):
     cm2 = cm[np.broadcast_to(ar[:, None], (n, n)), cm]      # [x, [x, y]]
     cm3 = cm[np.broadcast_to(ar[None, :], (n, n)), cm]      # [y, [x, y]]
     expected = T[T[cube[cm], sq[cm2]], sq[cm3]]
-    B = ctx.bracket
-    if np.array_equal(B, expected):
+    w = first_cell(ctx.bracket != expected)
+    if w is None:
         return passed("circ-commutator-formula", stmt)
-    flat = int(np.argmax(B != expected))
-    return failed("circ-commutator-formula", stmt, witness=(flat // n, flat % n))
+    return failed("circ-commutator-formula", stmt, witness=w)
 
 
 def _check_associator_formula(ctx):
@@ -719,34 +698,6 @@ def _check_associators_central(ctx):
     if central_bad is None:
         return passed("associators-central", stmt)
     return failed("associators-central", stmt, witness=central_bad)
-
-
-def _check_quotient_nucleus_abelian(ctx):
-    stmt = "the twisted loop modulo its nucleus is an abelian group"
-    N = ctx.nuc("full")
-    try:
-        bad = ctx.quotient_associativity(N)
-    except (NotASubloop, NotWellDefined) as exc:
-        return failed("quotient-by-nucleus-abelian-group", stmt, witness=exc.witness)
-    if bad is not None:
-        return failed("quotient-by-nucleus-abelian-group", stmt, witness=bad)
-    Q, _ = ctx.quotient(N)
-    if not np.array_equal(Q.table, Q.table.T):
-        flat = int(np.argmax(Q.table != Q.table.T))
-        return failed("quotient-by-nucleus-abelian-group", stmt,
-                      witness=(flat // Q.order, flat % Q.order))
-    return passed("quotient-by-nucleus-abelian-group", stmt)
-
-
-def _check_quotient_center_group(ctx):
-    stmt = "the twisted loop modulo its center is a group"
-    try:
-        bad = ctx.quotient_associativity(ctx.zl)
-    except (NotASubloop, NotWellDefined) as exc:
-        return failed("quotient-by-center-group", stmt, witness=exc.witness)
-    if bad is None:
-        return passed("quotient-by-center-group", stmt)
-    return failed("quotient-by-center-group", stmt, witness=bad)
 
 
 def _check_bracket_iff_nine(ctx):

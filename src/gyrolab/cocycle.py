@@ -37,7 +37,15 @@ from .errors import (
     NotCentral,
     ValueOutsideCenter,
 )
-from .groups import FiniteGroup, _subgroup_witness, is_subgroup, quotient_group
+from .groups import (
+    FiniteGroup,
+    _mark,
+    _subgroup_witness,
+    first_cell,
+    first_violation,
+    is_subgroup,
+    quotient_group,
+)
 from .loops import FiniteLoop, loop_from_table
 
 
@@ -62,11 +70,10 @@ def make_transversal(G: FiniteGroup, Z: Iterable[int], policy: str = "least-inde
     Zs = frozenset(int(z) for z in Z)
     if not is_subgroup(G, Zs):
         raise NotASubgroup(_subgroup_witness(G, Zs))
-    for z in sorted(Zs):
-        row, col = G.table[z], G.table[:, z]
-        if not np.array_equal(row, col):
-            x = int(np.argmax(row != col))
-            raise NotCentral((z, x))
+    zl = sorted(Zs)
+    bad = first_cell(G.table[zl] != G.table[:, zl].T)        # [k, x]: z_k x != x z_k
+    if bad is not None:
+        raise NotCentral((zl[bad[0]], bad[1]))
     Q, proj = quotient_group(G, Zs)
     cosets = [np.flatnonzero(proj == q) for q in range(Q.order)]
     if policy == "least-index":
@@ -101,11 +108,9 @@ def _center_positions(values: np.ndarray, center: tuple[int, ...]) -> np.ndarray
     is not in the center."""
     c = np.asarray(center)
     pos = np.searchsorted(c, values).clip(max=len(c) - 1)
-    bad = c[pos] != values
-    if bad.any():
-        k = int(np.argmax(bad))
-        q = values.shape[1]
-        raise ValueOutsideCenter((k // q, k % q), int(values.flat[k]))
+    bad = first_cell(c[pos] != values)
+    if bad is not None:
+        raise ValueOutsideCenter(bad, int(values[bad]))
     return pos
 
 
@@ -133,16 +138,12 @@ def cocycle_violation(f: FactorSet) -> tuple[int, int, int] | None:
     Products of the (central) values are taken in the base group; order does
     not matter since the values commute with everything.
     """
-    mul, Q, v = f.group.table, f.quotient, f.values
-    q = Q.order
-    for x in range(q):
-        # lhs[y, z] = f(x,y) * f(xy, z);  rhs[y, z] = f(y,z) * f(x, yz)
-        lhs = mul[np.broadcast_to(v[x][:, None], (q, q)), v[Q.table[x], :]]
-        rhs = mul[v, v[x, Q.table]]
-        if not np.array_equal(lhs, rhs):
-            flat = int(np.argmax(lhs != rhs))
-            return (x, flat // q, flat % q)
-    return None
+    mul, Qt, v = f.group.table, f.quotient.table, f.values
+
+    def slab(x):
+        # [y, z]: f(x,y) * f(xy, z) against f(y,z) * f(x, yz)
+        return mul[v[x][:, None], v[Qt[x], :]] != mul[v, v[x, Qt]]
+    return first_violation(len(Qt), slab)
 
 
 @dataclass(frozen=True)
@@ -205,15 +206,11 @@ def verify_extension_isomorphism(built: FiniteLoop, target: FiniteLoop,
     nz, nq = len(T.center), T.quotient.order
     z_members = np.array(T.center, dtype=np.int32)
     phi = G.table[np.repeat(z_members, nq), np.tile(T.reps, nz)]
-    if np.bincount(phi, minlength=G.order).max() != 1:
-        return False, (int(np.argmax(np.bincount(phi, minlength=G.order) > 1)), -1)
-    lhs = phi[built.table]
-    rhs = target.table[np.ix_(phi, phi)]
-    if np.array_equal(lhs, rhs):
-        return True, None
-    flat = int(np.argmax(lhs != rhs))
-    n = built.order
-    return False, (flat // n, flat % n)
+    repeated = first_cell(np.bincount(phi, minlength=G.order) > 1)
+    if repeated is not None:
+        return False, repeated + (-1,)
+    w = first_cell(phi[built.table] != target.table[np.ix_(phi, phi)])
+    return w is None, w
 
 
 def transversal_tau(t1: Transversal, t2: Transversal) -> np.ndarray:
@@ -222,10 +219,9 @@ def transversal_tau(t1: Transversal, t2: Transversal) -> np.ndarray:
     if t1.center != t2.center:
         raise InvariantViolated("transversals must share the central subgroup")
     tau = G.table[t2.reps, G.inverse[t1.reps]]
-    member = set(t1.center)
-    for q, v in enumerate(tau.tolist()):
-        if v not in member:
-            raise ValueOutsideCenter((q, q), int(v))
+    bad = first_cell(~_mark(G.order, t1.center)[tau])
+    if bad is not None:
+        raise ValueOutsideCenter(bad, int(tau[bad]))
     return tau
 
 
@@ -244,9 +240,5 @@ def gyro_coboundary_relate(tf: GyroFactorSet, tg: GyroFactorSet,
     Lq = tf.quotient_loop
     t_prod = G.table[np.ix_(tau, tau)]
     rhs = G.table[G.table[t_prod, tf.values], G.inverse[tau[Lq.table]]]
-    ok = tg.values == rhs
-    if ok.all():
-        return True, None
-    flat = int(np.argmax(~ok))
-    q = Lq.order
-    return False, (flat // q, flat % q)
+    w = first_cell(tg.values != rhs)
+    return w is None, w

@@ -132,7 +132,7 @@ class NotCentral(GyrolabError):
 class ValueOutsideCenter(GyrolabError):
     """A factor-set value landed outside the chosen central subgroup."""
 
-    def __init__(self, cell: tuple[int, int], value: int):
+    def __init__(self, cell: tuple[int, ...], value: int):
         self.cell = cell
         self.value = value
         super().__init__(f"factor-set value {value} at cell {cell} is outside the center")

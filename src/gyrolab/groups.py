@@ -194,60 +194,112 @@ def index_table(table, n: int) -> np.ndarray:
     return idx
 
 
-def first_violation(n: int, slab) -> tuple[int, int, int] | None:
-    """Least (x, y, z) in lexicographic order with slab(x)[y, z] True, else None.
+def first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
+    """The least True cell of a mask of any rank, in row-major order, else None.
 
-    slab(x) returns the n x n boolean failure mask of one x; the scan stops
-    at the first x whose mask has a True cell.  slab may return the same
-    buffer on every call: each mask is read before slab is called again.
-    The one-witness cubic scans (associativity, the ninth-power identity,
-    the commutator expansions) all go through here; the associator scan,
-    with two witnesses, reads each mask with _slab_witness.
-    """
-    for x in range(n):
-        w = _slab_witness(x, slab(x))
-        if w is not None:
-            return w
-    return None
-
-
-def _slab_witness(x: int, bad: np.ndarray) -> tuple[int, int, int] | None:
-    """(x, y, z) for the first True cell [y, z] of a square mask, else None.
-
-    The mask may be a transposed view: any() reads it in memory order, and
-    only a failing mask is copied, by argmax, to find its first cell."""
-    if not bad.any():
+    This is the one witness rule of the package.  The mask may be a
+    transposed view: any() reads it in memory order, and only a failing
+    mask is copied, by argmax, to find its first cell."""
+    if not mask.any():
         return None
-    flat = int(np.argmax(bad))
-    n = bad.shape[1]
-    return (x, flat // n, flat % n)
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
-def associativity_slabs(table: np.ndarray):
-    """slab(x) for first_violation: the [y, z] mask of (x y) z != x (y z).
+def first_violations(n: int, slab) -> list[tuple[int, ...] | None]:
+    """The least witness (x, ...) of each mask that slab(x) returns, else None.
 
-    (x y) z reads the rows of T taken by row x, and x (y z) row x taken by
-    all of T; both read whole contiguous rows.  Every call writes into the
-    same three n x n buffers, allocated here once, with one intp copy of T
-    as the indices.
+    slab(x) returns a tuple of failure masks for one x, and the witness of
+    mask k is x followed by first_cell of the k-th mask at the least x where
+    it has a True cell.  The scan stops once every mask has a witness.  slab
+    may return the same buffers on every call: each mask is read before slab
+    is called again.  Every cubic scan that looks for a witness goes
+    through here.
     """
-    T = np.ascontiguousarray(table)
-    n = T.shape[0]
-    Ti = index_table(T, n)
-    lhs = np.empty_like(T)
-    rhs = np.empty_like(T)
+    found: list = []
+    for x in range(n):
+        masks = slab(x)
+        found += [None] * (len(masks) - len(found))
+        for k, mask in enumerate(masks):
+            if found[k] is None and (cell := first_cell(mask)) is not None:
+                found[k] = (x,) + cell
+        if None not in found:
+            break
+    return found
+
+
+def first_violation(n: int, slab) -> tuple[int, ...] | None:
+    """Least (x, ...) with a True cell in the one mask slab(x), else None."""
+    return (first_violations(n, lambda x: (slab(x),)) or [None])[0]
+
+
+def pair_slabs(values: np.ndarray, index: np.ndarray):
+    """slab(x) for first_violation: the [y, z] mask of
+    values[index[x, y], z] != values[x, index[y, z]].
+
+    With values = index = T it is (x y) z != x (y z).  The left side reads
+    the rows of values taken by row x of index, the right side row x of
+    values taken by all of index; both read whole contiguous rows.  Every
+    call writes into the same three n x n buffers, allocated here once, with
+    one intp copy of index as the take indices.
+    """
+    V = np.ascontiguousarray(values)
+    n = V.shape[0]
+    idx = index_table(index, n)
+    lhs = np.empty_like(V)
+    rhs = np.empty_like(V)
     bad = np.empty((n, n), dtype=bool)
 
     def slab(x):
-        np.take(T, Ti[x], axis=0, out=lhs, mode="clip")
-        np.take(T[x], Ti, out=rhs, mode="clip")
+        np.take(V, idx[x], axis=0, out=lhs, mode="clip")
+        np.take(V[x], idx, out=rhs, mode="clip")
         return np.not_equal(lhs, rhs, out=bad)
     return slab
 
 
 def associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (a, b, c) with (ab)c != a(bc) in lexicographic order, else None."""
-    return first_violation(len(table), associativity_slabs(table))
+    return first_violation(len(table), pair_slabs(table, table))
+
+
+def _mark(n: int, values) -> np.ndarray:
+    """The length-n mask of values: an index array read from a table, or an
+    iterable of ints, which must lie in 0..n-1 (a negative index would wrap)."""
+    if not isinstance(values, np.ndarray):
+        values = [int(v) for v in values]
+        if not all(0 <= v < n for v in values):
+            raise IndexError(f"element indices must lie in 0..{n - 1}")
+    mask = np.zeros(n, dtype=bool)
+    mask[values] = True
+    return mask
+
+
+def generated(tables: Sequence[np.ndarray], seed, n: int) -> frozenset[int]:
+    """The least subset of 0..n-1 that holds seed and every t[a, b] with a, b
+    in it, for each n x n table t.
+
+    Semi-naive: each round takes only the pairs with at least one element
+    that the round before added, and marks the products in a mask.  seed is
+    an index array or an iterable of ints; repeats cost nothing.
+    """
+    member = _mark(n, seed)
+    new = np.flatnonzero(member)
+    while len(new):
+        cur = np.flatnonzero(member)
+        hit = np.zeros(n, dtype=bool)
+        for t in tables:
+            hit[t[np.ix_(new, cur)]] = True
+            hit[t[np.ix_(cur, new)]] = True
+        hit &= ~member
+        member |= hit
+        new = np.flatnonzero(hit)
+    return frozenset(np.flatnonzero(member).tolist())
+
+
+def closed_under(tables: Sequence[np.ndarray], members, n: int) -> bool:
+    """Whether t[a, b] lies in members for all a, b in members and every table t."""
+    member = _mark(n, members)
+    lst = np.flatnonzero(member)
+    return all(member[t[np.ix_(lst, lst)]].all() for t in tables)
 
 
 def _right_generators(table: np.ndarray) -> list[int]:
@@ -265,8 +317,8 @@ def _right_generators(table: np.ndarray) -> list[int]:
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while len(frontier):
-            prods = np.unique(table[np.ix_(frontier, gens)])
-            frontier = prods[~reached[prods]]
+            hit = _mark(n, table[np.ix_(frontier, gens)])
+            frontier = np.flatnonzero(hit & ~reached)
             reached[frontier] = True
     return gens
 
@@ -339,8 +391,7 @@ def group_from_table(table, names: Sequence[str] | None = None,
     if n == 0:
         raise NoIdentity()
     if arr.min() < 0 or arr.max() >= n:
-        flat = int(np.argmax((arr < 0) | (arr >= n)))
-        cell = (flat // n, flat % n)
+        cell = first_cell((arr < 0) | (arr >= n))
         raise NotLatinSquare("row", cell[0], cell, int(arr[cell]))
     arr = arr.astype(np.int32)
     name_list = list(names) if names is not None else _default_names(n)
@@ -381,14 +432,13 @@ def _group_unchecked(table: np.ndarray, names: Sequence[str], name: str = "") ->
 
 
 def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
-                            name: str = "", cap: int | None = None) -> FiniteGroup:
+                            name: str = "") -> FiniteGroup:
     """Close a generating set of permutations under composition.
 
     Permutations are image lists acting on the left.  Enumeration is
     breadth-first starting from the identity, which makes element indices
-    deterministic.  Raises OrderCapExceeded past the cap (default order_cap()).
+    deterministic.  Raises OrderCapExceeded past order_cap().
     """
-    cap = cap if cap is not None else order_cap()
     rows: list[tuple[int, ...]] = []
     for gi, g in enumerate(generators):
         t = tuple(int(v) for v in g)
@@ -398,7 +448,7 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     gens = RowIndex(degree, np.int32)
     gens.add(np.array(rows, dtype=np.int32).reshape(-1, degree))
 
-    index = _mulclose(gens.rows, degree, cap)
+    index = _mulclose(gens.rows, degree, order_cap())
     E = index.rows
     n = len(E)
     table = np.empty((n, n), dtype=np.int32)
@@ -432,32 +482,16 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
 # subgroups, series, centres
 
 def is_subgroup(G: FiniteGroup, subset: Iterable[int]) -> bool:
+    """Whether subset holds the identity and is closed under the product;
+    a finite such set holds every inverse too."""
     S = frozenset(int(s) for s in subset)
-    if 0 not in S:
-        return False
-    lst = sorted(S)
-    prods = G.table[np.ix_(lst, lst)]
-    if not all(int(v) in S for v in np.unique(prods)):
-        return False
-    return all(G.inv(a) in S for a in lst)
+    return 0 in S and closed_under([G.table], S, G.order)
 
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing the seed (breadth-first closure)."""
-    members = {0}
-    for s in seed:
-        members.add(int(s))
-        members.add(G.inv(int(s)))
-    frontier = sorted(members)
-    while frontier:
-        cur = sorted(members)
-        prods = set(np.unique(G.table[np.ix_(frontier, cur)]).tolist())
-        prods |= set(np.unique(G.table[np.ix_(cur, frontier)]).tolist())
-        new = {int(v) for v in prods if v not in members}
-        new |= {G.inv(v) for v in new if G.inv(v) not in members and G.inv(v) not in new}
-        members |= new
-        frontier = sorted(new)
-    return frozenset(members)
+    """Smallest subgroup containing the seed: its closure under the product,
+    with the identity (a finite closed set holds every inverse)."""
+    return generated([G.table], [0, *seed], G.order)
 
 
 def group_center(G: FiniteGroup) -> frozenset[int]:
@@ -466,8 +500,7 @@ def group_center(G: FiniteGroup) -> frozenset[int]:
 
 
 def derived_subgroup(G: FiniteGroup) -> frozenset[int]:
-    values = np.unique(G.commutator_table())
-    return subgroup_generated(G, (int(v) for v in values))
+    return generated([G.table], G.commutator_table().ravel(), G.order)
 
 
 def lower_central_series(G: FiniteGroup) -> list[frozenset[int]]:
@@ -484,8 +517,7 @@ def _lower_central_series(G: FiniteGroup) -> tuple[frozenset[int], ...]:
     series = [frozenset(range(G.order))]
     cm = G.commutator_table()
     while True:
-        values = np.unique(cm[sorted(series[-1]), :])
-        nxt = subgroup_generated(G, (int(v) for v in values))
+        nxt = generated([G.table], cm[sorted(series[-1]), :].ravel(), G.order)
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -529,13 +561,8 @@ def _subgroup_witness(G: FiniteGroup, S: frozenset[int]) -> tuple:
 def is_two_engel(G: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
     """Whether [[x, y], y] = e for all x, y; witness is the first failing pair."""
     cm = G.commutator_table()
-    n = G.order
-    cols = np.broadcast_to(np.arange(n)[None, :], (n, n))
-    vals = cm[cm, cols]
-    if (vals == 0).all():
-        return True, None
-    flat = int(np.argmax(vals != 0))
-    return False, (flat // n, flat % n)
+    w = first_cell(cm[cm, np.arange(G.order)] != 0)
+    return w is None, w
 
 
 def group_exponent(G: FiniteGroup) -> int:
@@ -551,16 +578,9 @@ def group_exponent(G: FiniteGroup) -> int:
 def normality_violation(G: FiniteGroup, S: Sequence[int]) -> tuple[int, int] | None:
     """First (g, s) with g s g^-1 outside S, scanning g then s ascending."""
     lst = sorted(int(s) for s in S)
-    n = G.order
-    member = np.zeros(n, dtype=bool)
-    member[lst] = True
-    gs = G.table[:, lst]                                  # [g, k] -> g * s_k
-    conj = G.table[gs, G.inverse[:, None]]                # [g, k] -> g s_k g^-1
-    bad = ~member[conj]
-    if not bad.any():
-        return None
-    flat = int(np.argmax(bad))
-    return (flat // len(lst), lst[flat % len(lst)])
+    conj = G.table[G.table[:, lst], G.inverse[:, None]]  # [g, k] -> g s_k g^-1
+    w = first_cell(~_mark(G.order, lst)[conj])
+    return None if w is None else (w[0], lst[w[1]])
 
 
 def _coset_labels(table: np.ndarray, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,9 @@ from .errors import NotRightLoop
 from .groups import (
     FiniteGroup,
     _light_associative,
+    _mark,
     elem_dtype,
+    first_cell,
     group_center,
     nilpotency_class,
 )
@@ -258,12 +260,7 @@ def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray, index: RowIndex,
 def _automorphism_violation(L: FiniteLoop, p: np.ndarray) -> tuple[int, int] | None:
     """First (u, v) with p(u*v) != p(u)*p(v), else None."""
     T = L.table
-    lhs = p[T]
-    rhs = T[np.ix_(p, p)]
-    if np.array_equal(lhs, rhs):
-        return None
-    flat = int(np.argmax(lhs != rhs))
-    return (flat // L.order, flat % L.order)
+    return first_cell(p[T] != T[np.ix_(p, p)])
 
 
 def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None,
@@ -291,9 +288,7 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None,
     details: dict = {"distinct_gyrations": len(gt.perms)}
 
     if bad_perm_ids:
-        mask = np.isin(gt.ids, sorted(bad_perm_ids))
-        flat = int(np.argmax(mask))
-        a, b = flat // n, flat % n
+        a, b = first_cell(_mark(len(gt.perms), bad_perm_ids)[gt.ids])
         u, v = inner_witness[int(gt.ids[a, b])]
         return failed(check_id, GYRO_AXIOMS_STATEMENT, witness=(a, b, u, v),
                       details={**details, "axiom": "automorphism"})
@@ -314,9 +309,8 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None,
                                np.broadcast_to(np.arange(n)[:, None], (n, n))]
         details["pairing_group_product_reading"] = bool(
             (gt.ids == inverse_id[partner_group]).all())
-    if not pairing_ok.all():
-        flat = int(np.argmax(~pairing_ok))
-        return failed(check_id, GYRO_AXIOMS_STATEMENT,
-                      witness=(flat // n, flat % n),
+    w = first_cell(~pairing_ok)
+    if w is not None:
+        return failed(check_id, GYRO_AXIOMS_STATEMENT, witness=w,
                       details={**details, "axiom": "pairing"})
     return passed(check_id, GYRO_AXIOMS_STATEMENT, details=details)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotALoop
-from .groups import associativity_slabs
+from .groups import pair_slabs
 from .loops import FiniteLoop, quotient_loop
 
 NUCLEUS_KINDS = ("left", "middle", "right")
@@ -41,10 +41,10 @@ def nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], frozenset[int
     y is in the middle nucleus when its row holds for every x, and z is in
     the right nucleus when its column holds for every x.  The slabs are
     those of associativity_violation, written into buffers reused for
-    every x.
+    every x; it is a reduction over all x, so it does not stop early.
     """
     n = L.order
-    slab = associativity_slabs(L.table)
+    slab = pair_slabs(L.table, L.table)
     left = np.zeros(n, dtype=bool)
     middle = np.ones(n, dtype=bool)
     right = np.ones(n, dtype=bool)

@@ -29,7 +29,10 @@ from .groups import (
     _product_table,
     _relabel,
     associativity_violation,
-    is_index_perm,
+    closed_under,
+    first_cell,
+    first_violation,
+    generated,
     offset_dtype,
 )
 
@@ -85,6 +88,11 @@ def loop_from_table(table, names: Sequence[str] | None = None,
     defective rows/columns (flags come back false and the corresponding
     division table is None) so that broken tables remain inspectable; an
     identity is required in both modes.
+
+    The division tables decide Latin-ness: each is scattered into a table
+    filled with -1, and column a is a permutation exactly when every b has
+    an x with x*a = b, that is when column a of right_division holds no -1;
+    the rows are read off left_division the same way.
     """
     arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -102,21 +110,17 @@ def loop_from_table(table, names: Sequence[str] | None = None,
         arr, name_list = _relabel(arr, name_list, e)
 
     ar = np.arange(n)
-    cols_ok = bool((np.sort(arr, axis=0) == ar[:, None]).all())
-    rows_ok = bool((np.sort(arr, axis=1) == ar).all())
-    if not cols_ok and not lenient:
-        bad = next(j for j in range(n) if not is_index_perm(arr[:, j]))
-        raise NotRightLoop(bad)
-
-    rdiv = ldiv = None
-    if cols_ok:                                 # rdiv[x*a, a] = x
-        rdiv = np.empty((n, n), dtype=np.int32)
-        rdiv[arr, ar] = ar[:, None]
-    if rows_ok:                                 # ldiv[a, a*y] = y
-        ldiv = np.empty((n, n), dtype=np.int32)
-        ldiv[ar[:, None], arr] = ar
+    rdiv = np.full((n, n), -1, dtype=np.int32)
+    rdiv[arr, ar] = ar[:, None]                 # rdiv[x*a, a] = x
+    bad_col = first_cell(rdiv.min(axis=0) < 0)
+    if bad_col is not None and not lenient:
+        raise NotRightLoop(bad_col[0])
+    ldiv = np.full((n, n), -1, dtype=np.int32)
+    ldiv[ar[:, None], arr] = ar                 # ldiv[a, a*y] = y
+    cols_ok = bad_col is None
+    rows_ok = bool(ldiv.min() >= 0)
     return FiniteLoop(arr, name_list, cols_ok, cols_ok and rows_ok,
-                      rdiv, ldiv, name=name)
+                      rdiv if cols_ok else None, ldiv if rows_ok else None, name=name)
 
 
 def loop_from_group(G: FiniteGroup) -> FiniteLoop:
@@ -150,32 +154,21 @@ def is_subloop(L: FiniteLoop, subset: Iterable[int]) -> bool:
     if not L.is_loop:
         raise NotALoop("subloop tests need a full loop")
     S = frozenset(int(x) for x in subset)
-    if not S:
-        return False
-    lst = sorted(S)
-    # right_division is indexed [b, a], but closure over all pairs from S is
-    # symmetric in the two index roles, so np.ix_ works for all three tables
-    for tab in (L.table, L.right_division, L.left_division):
-        if not all(int(v) in S for v in np.unique(tab[np.ix_(lst, lst)])):
-            return False
-    return True
+    return bool(S) and closed_under(_loop_tables(L), S, L.order)
 
 
 def subloop_generated(L: FiniteLoop, seed: Iterable[int]) -> frozenset[int]:
     """Smallest subloop containing the seed."""
     if not L.is_loop:
         raise NotALoop("subloop closure needs a full loop")
-    members = {0} | {int(x) for x in seed}
-    while True:
-        lst = sorted(members)
-        new: set[int] = set()
-        for tab in (L.table, L.right_division, L.left_division):
-            for v in np.unique(tab[np.ix_(lst, lst)]).tolist():
-                if v not in members:
-                    new.add(int(v))
-        if not new:
-            return frozenset(members)
-        members |= new
+    return generated(_loop_tables(L), [0, *seed], L.order)
+
+
+def _loop_tables(L: FiniteLoop) -> tuple[np.ndarray, ...]:
+    """The product and both divisions.  right_division is indexed [b, a],
+    but closure over all pairs of a set is symmetric in the two index roles,
+    so it serves as it is."""
+    return (L.table, L.right_division, L.left_division)
 
 
 def subloop_witness(L: FiniteLoop, S: frozenset[int]) -> tuple:
@@ -209,25 +202,25 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     xN = T[:, lst]                                      # [x, i] -> x*n_i
     Nx = T[lst, :].T                                    # [x, i] -> n_i*x
 
-    eq = (np.sort(xN, axis=1) == np.sort(Nx, axis=1)).all(axis=1)
-    if not eq.all():
-        return ("left-right-coset", int(np.argmax(~eq)))
+    bad = first_cell((np.sort(xN, axis=1) != np.sort(Nx, axis=1)).any(axis=1))
+    if bad is not None:
+        return ("left-right-coset",) + bad
 
-    # flat: offset u*n + v; the slabs below are [i, y] with u = x*y
+    # flat: offset u*n + v; each slab below is [i, y] with u = x*y, reduced
+    # over i to the mask of the failing y
     in_N = np.zeros((n, n), dtype=bool)
     in_N[np.arange(n)[:, None], xN] = True
     in_N = in_N.ravel()
 
     yN = np.ascontiguousarray(xN.T)                     # [i, y] -> y*n_i
-    for x in range(n):
-        ok = in_N.take(T[x].take(yN) + T[x] * n).all(axis=0)
-        if not ok.all():                                # x*(y*N) != (x*y)*N
-            return ("product-left", x, int(np.argmax(~ok)))
-
-    for x in range(n):
-        ok = in_N.take(T.take(Nx[x], axis=0) + T[x] * n).all(axis=0)
-        if not ok.all():                                # (N*x)*y != N*(x*y)
-            return ("product-right", x, int(np.argmax(~ok)))
+    w = first_violation(n, lambda x: ~in_N.take(        # x*(y*N) != (x*y)*N
+        T[x].take(yN) + T[x] * n).all(axis=0))
+    if w is not None:
+        return ("product-left",) + w
+    w = first_violation(n, lambda x: ~in_N.take(        # (N*x)*y != N*(x*y)
+        T.take(Nx[x], axis=0) + T[x] * n).all(axis=0))
+    if w is not None:
+        return ("product-right",) + w
     return None
 
 
@@ -254,9 +247,9 @@ def quotient_loop(L: FiniteLoop, N: Iterable[int],
     # cosets of a normal subloop partition the set; verify to catch bad input
     sets_sorted = np.sort(T[:, lst], axis=1)
     reps_of_elem = rep_values[proj]
-    overlap = (sets_sorted != sets_sorted[reps_of_elem]).any(axis=1)
-    if overlap.any():
-        x = int(np.argmax(overlap))
+    overlap = first_cell((sets_sorted != sets_sorted[reps_of_elem]).any(axis=1))
+    if overlap is not None:
+        x = overlap[0]
         raise NotWellDefined(("coset-overlap", x, int(reps_of_elem[x])))
 
     # the product of two cosets is that of their least elements; the witness

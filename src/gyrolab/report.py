@@ -36,8 +36,8 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "check_id": self.check_id,
             "statement": self.statement,
             "status": self.status,
@@ -46,9 +46,6 @@ class CheckReport:
             "reason": self.reason,
             "details": self.details,
         }
-        if include_timing:
-            doc["timing"] = self.timing
-        return doc
 
 
 def passed(check_id: str, statement: str, details: dict | None = None) -> CheckReport:

@@ -93,6 +93,18 @@ def test_reconstruction_trivial_quotient():
     assert ok
 
 
+def test_transversal_tau_names_the_least_rep_outside_its_coset(d16):
+    T1 = make_transversal(d16, group_center(d16))
+    reps = T1.reps.copy()
+    reps[5], reps[3] = T1.reps[6], T1.reps[4]     # both move to another coset
+    T2 = dataclasses.replace(T1, reps=reps)
+    with pytest.raises(ValueOutsideCenter) as exc:
+        transversal_tau(T1, T2)
+    assert exc.value.cell == (3,)
+    assert exc.value.value == d16.mul(int(reps[3]), d16.inv(int(T1.reps[3])))
+    assert (transversal_tau(T1, T1) == 0).all()
+
+
 @pytest.mark.parametrize("spec", ["dihedral:16", "unitriangular4:2"])
 def test_two_transversals_coboundary(spec):
     G = catalog_group(spec)

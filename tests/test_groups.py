@@ -122,11 +122,12 @@ def test_permutation_closure_dihedral():
     assert nilpotency_class(G) == 3
 
 
-def test_permutation_closure_cap():
+def test_permutation_closure_cap(monkeypatch):
     rot = [1, 2, 3, 4, 5, 6, 7, 0]
     refl = [0, 7, 6, 5, 4, 3, 2, 1]
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "10")
     with pytest.raises(OrderCapExceeded):
-        group_from_permutations(8, [rot, refl], cap=10)
+        group_from_permutations(8, [rot, refl])
 
 
 def test_symmetric3_not_nilpotent():

@@ -1,4 +1,5 @@
-"""Invariant guards raise GyrolabError subclasses, so they hold under -O."""
+"""Guards run in a fresh interpreter: invariant guards raise GyrolabError
+subclasses, so they hold under -O, and no CLI command imports numpy.ma."""
 
 import os
 import subprocess
@@ -35,3 +36,27 @@ def test_invariant_guards_survive_optimized_mode():
         "invariant violated: failing check some-check lacks a witness",
         "invariant violated: a right inverse is not a left inverse",
     ]
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from pathlib import Path
+from gyrolab.cli import main
+
+out = Path(sys.argv[1])
+(out / "sources.txt").write_text("wreath33\\nheisenberg:3\\ndihedral:16\\n")
+for argv in (["analyze", "--group", "dihedral:16"], ["verify", "--group", "dihedral:16"],
+             ["search", "--inputs", str(out / "sources.txt"), "--jobs", "1"],
+             ["export", "--group", "dihedral:16", "--what", "factor-set"],
+             ["export", "--group", "wreath33", "--what", "gyration-table", "--format", "csv"]):
+    main(argv + ["--out", str(out / "doc")])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_never_imports_numpy_ma(tmp_path):
+    # the first plain np.unique call imports numpy.ma, about 20 ms per process
+    out = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.splitlines()[-1] == "False"

@@ -43,6 +43,45 @@ def test_strict_rejects_broken_column(d16_loop):
     assert exc.value.column == 5
 
 
+def _ref_latin_flags(T):
+    """(first column that is not a permutation or None, rows all permutations)
+    by sorting, as loop_from_table decided them before its division scatters."""
+    ar = np.arange(len(T))
+    bad_cols = np.flatnonzero((np.sort(T, axis=0) != ar[:, None]).any(axis=0))
+    return (int(bad_cols[0]) if len(bad_cols) else None,
+            bool((np.sort(T, axis=1) == ar).all()))
+
+
+def test_latin_flags_from_the_division_scatters_match_the_sorts(switched_table):
+    rng = np.random.default_rng(5)
+    seen = set()
+    for n in (8, 16, 24):
+        base = switched_table(n, 2)
+        for _ in range(40):
+            T = base.copy()
+            r, c, r2, c2 = rng.integers(1, n, 4).tolist()
+            kind = int(rng.integers(0, 4))
+            if kind == 1:                              # one cell: rows and columns break
+                T[r, c] = (T[r, c] + 1) % n
+            elif kind == 2:                            # swap in a column: rows break
+                T[[r, r2], c] = T[[r2, r], c]
+            elif kind == 3:                            # swap in a row: columns break
+                T[r, [c, c2]] = T[r, [c2, c]]
+            bad_col, rows_ok = _ref_latin_flags(T)
+            M = loop_from_table(T, lenient=True)
+            assert (M.is_right_loop, M.is_loop) == (bad_col is None, bad_col is None and rows_ok)
+            assert (M.right_division is None) == (bad_col is not None)
+            assert (M.left_division is None) == (not rows_ok)
+            if bad_col is None:
+                loop_from_table(T)
+            else:
+                with pytest.raises(NotRightLoop) as exc:
+                    loop_from_table(T)
+                assert exc.value.column == bad_col
+            seen.add((bad_col is None, rows_ok))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_lenient_flags_broken_row(d16_loop):
     # swapping two entries inside a column keeps every column a permutation
     # (right loop survives) but makes rows 1 and 2 repeat values

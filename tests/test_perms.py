@@ -155,12 +155,13 @@ def test_closure_order_does_not_depend_on_chunk_size(monkeypatch, d16_loop):
     assert _as_tuples(perms._mulclose(M.generators, M.degree, CAP).rows) == expected
 
 
-def test_closure_cap_message_names_cap_plus_one(d16_loop):
+def test_closure_cap_message_names_cap_plus_one(d16_loop, monkeypatch):
     with pytest.raises(OrderCapExceeded, match="passed 11 elements, cap is 10"):
         perms._mulclose(multiplication_group(d16_loop).generators, 16, 10)
     rot, refl = [1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]
+    monkeypatch.setenv("GYROLAB_ORDER_CAP", "10")
     with pytest.raises(OrderCapExceeded, match="passed 11 elements, cap is 10"):
-        group_from_permutations(8, [rot, refl], cap=10)
+        group_from_permutations(8, [rot, refl])
 
 
 def _relabelled_regular(spec, seed=0):
