@@ -268,7 +268,8 @@ class SuiteContext:
 
     def associator_scan(self):
         """One pass over all triples: first formula violation and first
-        non-central associator (None when absent)."""
+        non-central associator (None when absent).  Once a mask has its
+        witness, the slabs of later x skip it."""
         def run():
             G, L = self.G, self.loop
             n = self.n
@@ -284,17 +285,22 @@ class SuiteContext:
             formula_bad = np.empty((n, n), dtype=bool)
             central_bad = np.empty((n, n), dtype=bool)
 
-            def slab(x):
+            def slab(x, open_):
                 # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset
                 # (x*(y*z))*n + (x*y)*z; (x*y)*z are the rows of T taken by
                 # row x
+                formula_open, central_open = open_
                 np.take(Ti[x] * n, Ti, out=off, mode="clip")
                 np.add(off, np.take(T, T[x], axis=0, out=vals, mode="clip"), out=off)
-                np.take(rdivT, off, out=vals, mode="clip")
-                np.take(self.cm[:, x], K, out=expected, mode="clip")   # [[z^-1, y], x]
-                return (np.not_equal(vals, expected, out=formula_bad),
-                        np.take(noncentral, off, out=central_bad, mode="clip"))
-            return tuple(first_violations(n, slab))
+                formula = central = None
+                if formula_open:
+                    np.take(rdivT, off, out=vals, mode="clip")
+                    np.take(self.cm[:, x], K, out=expected, mode="clip")   # [[z^-1, y], x]
+                    formula = np.not_equal(vals, expected, out=formula_bad)
+                if central_open:
+                    central = np.take(noncentral, off, out=central_bad, mode="clip")
+                return formula, central
+            return tuple(first_violations(n, 2, slab))
         return self._get("assoc-scan", run)
 
 

@@ -120,7 +120,7 @@ def parse_group_file(path) -> FiniteGroup:
 
     if has_table:
         order = doc.get("order")
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise ParseError(str(path), "field 'order' must be a positive integer")
         check_order_cap(order, "declared order")
         try:
@@ -132,10 +132,14 @@ def parse_group_file(path) -> FiniteGroup:
             raise ParseError(str(path),
                              f"field 'table' has shape {tuple(arr.shape)}, "
                              f"expected ({order}, {order})")
-        # a dtype check, not a scan: JSON floats, booleans and integers past
-        # int64 come back as float, bool and object arrays
+        # a dtype check: JSON floats, integers past int64 and all-boolean
+        # tables come back as float, object and bool arrays, but booleans
+        # among integers come back as integers, so the cells are scanned for
+        # them when the text holds a JSON boolean at all
         i32 = np.iinfo(np.int32)
-        if arr.dtype.kind not in "iu" or arr.min() < i32.min or arr.max() > i32.max:
+        if (arr.dtype.kind not in "iu" or arr.min() < i32.min or arr.max() > i32.max
+                or (("true" in text or "false" in text)
+                    and any(type(v) is bool for row in doc["table"] for v in row))):
             raise ParseError(str(path), "field 'table' must hold integers in the int32 range")
         arr = arr.astype(np.int32)
         names = doc.get("names")
@@ -149,7 +153,7 @@ def parse_group_file(path) -> FiniteGroup:
         return group_from_table(arr, names=names, name=name or p.stem)
 
     degree = doc.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise ParseError(str(path), "field 'degree' must be a positive integer")
     check_order_cap(degree, "declared degree")
     gens = doc["generators"]
@@ -157,7 +161,7 @@ def parse_group_file(path) -> FiniteGroup:
         raise ParseError(str(path), "field 'generators' must be a non-empty list")
     for i, g in enumerate(gens):
         if (not isinstance(g, list) or len(g) != degree
-                or not all(isinstance(v, int) for v in g)):
+                or not all(type(v) is int for v in g)):
             raise ParseError(str(path),
                              f"generator {i} must be a list of {degree} integers")
     return group_from_permutations(degree, gens, name=name or p.stem)

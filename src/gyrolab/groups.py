@@ -25,7 +25,7 @@ from .errors import (
     NotNormal,
     OrderCapExceeded,
 )
-from .perms import RowIndex, _mulclose, composites
+from .perms import RowIndex, _mulclose, base_table
 
 log = logging.getLogger(__name__)
 
@@ -205,22 +205,23 @@ def first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
-def first_violations(n: int, slab) -> list[tuple[int, ...] | None]:
-    """The least witness (x, ...) of each mask that slab(x) returns, else None.
+def first_violations(n: int, count: int, slab) -> list[tuple[int, ...] | None]:
+    """The least witness (x, ...) of each of count masks, else None.
 
-    slab(x) returns a tuple of failure masks for one x, and the witness of
-    mask k is x followed by first_cell of the k-th mask at the least x where
-    it has a True cell.  The scan stops once every mask has a witness.  slab
-    may return the same buffers on every call: each mask is read before slab
-    is called again.  Every cubic scan that looks for a witness goes
-    through here.
+    slab(x, open) returns a tuple of count failure masks for one x, where
+    open[k] says whether mask k still lacks a witness; a mask that is not
+    open is never read, so slab may skip computing it (and return None in
+    its place).  The witness of mask k is x followed by first_cell of the
+    k-th mask at the least x where it has a True cell.  The scan stops once
+    every mask has a witness.  slab may return the same buffers on every
+    call: each mask is read before slab is called again.  Every cubic scan
+    that looks for a witness goes through here.
     """
-    found: list = []
+    found: list = [None] * count
     for x in range(n):
-        masks = slab(x)
-        found += [None] * (len(masks) - len(found))
-        for k, mask in enumerate(masks):
-            if found[k] is None and (cell := first_cell(mask)) is not None:
+        open_ = tuple(w is None for w in found)
+        for k, mask in enumerate(slab(x, open_)):
+            if open_[k] and (cell := first_cell(mask)) is not None:
                 found[k] = (x,) + cell
         if None not in found:
             break
@@ -229,7 +230,7 @@ def first_violations(n: int, slab) -> list[tuple[int, ...] | None]:
 
 def first_violation(n: int, slab) -> tuple[int, ...] | None:
     """Least (x, ...) with a True cell in the one mask slab(x), else None."""
-    return (first_violations(n, lambda x: (slab(x),)) or [None])[0]
+    return first_violations(n, 1, lambda x, _open: (slab(x),))[0]
 
 
 def pair_slabs(values: np.ndarray, index: np.ndarray):
@@ -437,7 +438,8 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
 
     Permutations are image lists acting on the left.  Enumeration is
     breadth-first starting from the identity, which makes element indices
-    deterministic.  Raises OrderCapExceeded past order_cap().
+    deterministic; the table is read from the elements' base images
+    (perms.base_table).  Raises OrderCapExceeded past order_cap().
     """
     rows: list[tuple[int, ...]] = []
     for gi, g in enumerate(generators):
@@ -448,17 +450,10 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     gens = RowIndex(degree, np.int32)
     gens.add(np.array(rows, dtype=np.int32).reshape(-1, degree))
 
-    index = _mulclose(gens.rows, degree, order_cap())
-    E = index.rows
-    n = len(E)
-    table = np.empty((n, n), dtype=np.int32)
-    flat = table.reshape(-1)
-    lo = 0
-    for slab in composites(E, E):                 # E[i] o E[j], j outer: table[j, i]
-        flat[lo:lo + len(slab)] = index.add(slab)
-        lo += len(slab)
-    names = _default_names(n)
-    return _group_unchecked(table.T, names, name=name or f"perm-closure-{degree}")
+    E = _mulclose(gens.rows, degree, order_cap()).rows
+    table = base_table(gens.rows, E)
+    return _group_unchecked(table, _default_names(len(E)),
+                            name=name or f"perm-closure-{degree}")
 
 
 def _product_table(A: np.ndarray, B: np.ndarray) -> np.ndarray:

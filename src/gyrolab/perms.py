@@ -6,14 +6,16 @@ one image row per permutation.  RowIndex numbers distinct rows exactly (keyed
 on their bytes) in first-occurrence order; _mulclose enumerates the group a
 set of rows generates, breadth first.  Composites are formed in slabs of at
 most CHUNK_CELLS cells, so no step holds every candidate of a closure level.
-chain_order counts such a group from a stabilizer chain, listing no elements.
+base_table reads the Cayley table of an enumerated group from the images of
+a base, in row blocks of about CHUNK_CELLS cells.  chain_order counts such a
+group from a stabilizer chain, listing no elements.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import OrderCapExceeded
+from .errors import InvariantViolated, OrderCapExceeded
 
 CHUNK_CELLS = 1 << 18
 
@@ -84,6 +86,52 @@ def _mulclose(generators: np.ndarray, degree: int, cap: int) -> RowIndex:
                 raise OrderCapExceeded(cap, cap + 1)
         lo = hi
     return index
+
+
+def base_table(generators: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """table[i, j], the row of elements[i] o elements[j] among the elements:
+    the int32 Cayley table of the group the generator rows generate, whose
+    distinct elements are the rows of elements (as _mulclose lists them).
+
+    An element is fixed by its images of a base (Sims 1970; Seress 2003,
+    ch. 4).  The base is taken from the points some generator moves, in
+    increasing order: a point b is kept when it splits a class of the ranks
+    so far, the new ranks being the dense ranks of rank * degree + E[:, b];
+    it is complete once all n ranks differ, which is checked on the elements
+    themselves.  The composite E[i] o E[j] is an element, so its ranks are
+    read the same way from its base images E[i, E[j, b]], by searchsorted
+    against each kept point's sorted keys.  That is n^2 |B| cells and no
+    hashing; every key is below n * degree, so none overflows int64.
+    """
+    E = np.ascontiguousarray(elements)
+    n, degree = E.shape
+    gens = np.asarray(generators).reshape(-1, degree)
+    moved = np.flatnonzero((gens != np.arange(degree)).any(axis=0))
+    rank = np.zeros(n, dtype=np.intp)
+    levels: list[tuple[np.ndarray, np.ndarray]] = []   # (E[:, b], keys) per base point b
+    classes = 1
+    for b in moved.tolist():
+        if classes == n:
+            break
+        images = E[:, b].copy()                   # read once per row block below
+        keys, split = np.unique(rank * degree + images, return_inverse=True)
+        if len(keys) > classes:
+            levels.append((images, keys))
+            rank, classes = split, len(keys)
+    if classes < n:
+        raise InvariantViolated("two elements agree on every point the generators move")
+    elem = np.empty(n, dtype=np.int32)
+    elem[rank] = np.arange(n, dtype=np.int32)
+    flat = E.ravel()
+    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, CHUNK_CELLS // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n), dtype=np.intp)[:, None] * degree
+        crank = 0
+        for images, keys in levels:               # images[j] = E[j, b]
+            crank = np.searchsorted(keys, crank * degree + flat.take(rows + images))
+        table[lo:lo + step] = elem.take(crank)
+    return table
 
 
 def chain_order(generators: np.ndarray, degree: int) -> int:

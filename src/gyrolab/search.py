@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
-from .checks import class2_criterion, nine_identity
+from .checks import _cube_criterion, nine_identity
 from .groups import derived_subgroup, nilpotency_class, subset_exponent
 from .gyro import build_gyro
-from .invariants import loop_nilpotency_class
+from .invariants import commutant, loop_nilpotency_class
 from .mappings import is_inner_abelian
 
 SKIP_NOT_3_GROUP = "not-a-3-group"
@@ -126,7 +126,8 @@ def evaluate_source(source: str, max_order: int | None = None) -> SearchRecord:
 
         conditions: dict = {}
         witnesses: dict = {}
-        all_cubes_inside, cube_wit = class2_criterion(G)
+        L = build_gyro(G).loop                # for the cube criterion and a hit's payoff
+        all_cubes_inside, cube_wit = _cube_criterion(G, commutant(L))
         conditions[COND_CUBES] = not all_cubes_inside
         if cube_wit is not None:
             witnesses[COND_CUBES] = [int(v) for v in cube_wit]
@@ -143,7 +144,6 @@ def evaluate_source(source: str, max_order: int | None = None) -> SearchRecord:
         rec.witnesses = witnesses or None
         if all(conditions[k] is True for k in (COND_CUBES, COND_EXP, COND_NINE)):
             rec.status = "hit"
-            L = build_gyro(G).loop
             abelian, _ = is_inner_abelian(L)
             rec.payoff = {
                 "inner_mapping_abelian": abelian,

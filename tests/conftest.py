@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gyrolab import build_gyro, catalog_group
+from gyrolab import build_gyro, catalog_group, subgroup_generated
 
 settings.register_profile(
     "workbench",
@@ -57,3 +57,25 @@ def _switched_table(n, seed, switches=None):
 def switched_table():
     """Factory (n, seed, switches=None) -> a seeded intercalate-switched loop table."""
     return _switched_table
+
+
+def _relabelled_regular(spec, seed=0):
+    """(degree, generators) of the left-regular action of a catalog group,
+    points renamed at random; the generating set is greedy in index order."""
+    G = catalog_group(spec)
+    gens, span = [], frozenset({0})
+    for g in range(1, G.order):
+        if len(span) == G.order:
+            break
+        if g not in span:
+            gens.append(g)
+            span = subgroup_generated(G, gens)
+    point = np.random.default_rng(seed).permutation(G.order)
+    inv = np.argsort(point)
+    return G.order, [point[G.table[g]][inv].tolist() for g in gens]
+
+
+@pytest.fixture(scope="session")
+def relabelled_regular():
+    """Factory (spec, seed=0) -> (degree, generators) of a relabelled regular action."""
+    return _relabelled_regular

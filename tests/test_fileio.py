@@ -108,6 +108,27 @@ def test_table_cells_that_are_not_int32_integers_are_parse_errors(tmp_path, cell
     assert rec.reason.startswith("ParseError: ") and "field 'table'" in rec.reason
 
 
+def test_boolean_table_cells_among_integers_are_parse_errors(tmp_path):
+    # [[0, true], [true, 0]] comes back from numpy as an int64 array
+    p = _write(tmp_path, "bool.json", {"order": 2, "table": [[0, True], [True, 0]]})
+    with pytest.raises(ParseError, match="field 'table' must hold integers"):
+        parse_group_file(p)
+    # the word in a name alone does not refuse an integer table
+    p = _write(tmp_path, "named.json", {"name": "true", "order": 2, "table": [[0, 1], [1, 0]]})
+    assert parse_group_file(p).order == 2
+
+
+@pytest.mark.parametrize("doc,fragment", [
+    ({"degree": 2, "generators": [[True, False]]}, "generator 0 must be a list of 2 integers"),
+    ({"degree": True, "generators": [[0]]}, "field 'degree' must be a positive integer"),
+    ({"order": True, "table": [[0]]}, "field 'order' must be a positive integer"),
+])
+def test_boolean_sizes_and_generator_entries_are_parse_errors(tmp_path, doc, fragment):
+    # isinstance(True, int) holds, so these parsed as C2 or the trivial group
+    with pytest.raises(ParseError, match=fragment):
+        parse_group_file(_write(tmp_path, "bool.json", doc))
+
+
 def test_non_utf8_file_is_a_parse_error(tmp_path):
     p = tmp_path / "latin1.json"
     p.write_bytes(b'{"name": "\xe9", "order": 1, "table": [[0]]}')

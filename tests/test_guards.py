@@ -1,10 +1,15 @@
 """Guards run in a fresh interpreter: invariant guards raise GyrolabError
-subclasses, so they hold under -O, and no CLI command imports numpy.ma."""
+subclasses, so they hold under -O, and no CLI command imports numpy.ma.
+A permutation file's table is read from base images, hashing no composite."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from gyrolab import perms
+from gyrolab.fileio import parse_group_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -60,3 +65,20 @@ def test_cli_never_imports_numpy_ma(tmp_path):
                          env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def test_permutation_table_hashes_no_composite(tmp_path, monkeypatch, relabelled_regular):
+    # the closure hashes (|gens| + 1) n rows at most; the table must hash none
+    degree, gens = relabelled_regular("product:wreath33,cyclic:3")
+    (tmp_path / "p243.json").write_text(json.dumps({"degree": degree, "generators": gens}))
+    k = len(gens)
+    hashed = []
+    add = perms.RowIndex.add
+
+    def counting_add(self, slab):
+        hashed.append(len(slab))
+        return add(self, slab)
+    monkeypatch.setattr(perms.RowIndex, "add", counting_add)
+    G = parse_group_file(tmp_path / "p243.json")
+    assert G.order == 243
+    assert 0 < sum(hashed) <= (k + 1) * G.order + k

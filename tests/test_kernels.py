@@ -122,17 +122,18 @@ def test_first_violations_stops_once_every_mask_has_a_witness():
     late = np.zeros((3, 3), dtype=bool)
     calls = []
 
-    def slab(x, late_x):
-        calls.append(x)
+    def slab(x, open_, late_x):
+        calls.append((x, open_))
         early[:] = late[:] = False
         early[2, 1] = x >= 1                      # fails first at x = 1
         late[0, 2] = x == late_x
-        return early, late
-    assert first_violations(6, lambda x: slab(x, late_x=3)) == [(1, 2, 1), (3, 0, 2)]
-    assert calls == [0, 1, 2, 3]
+        return (early if open_[0] else None), late
+    both, late_only = (True, True), (False, True)
+    assert first_violations(6, 2, lambda x, o: slab(x, o, late_x=3)) == [(1, 2, 1), (3, 0, 2)]
+    assert calls == [(0, both), (1, both), (2, late_only), (3, late_only)]
     calls.clear()
-    assert first_violations(6, lambda x: slab(x, late_x=-1)) == [(1, 2, 1), None]
-    assert calls == [0, 1, 2, 3, 4, 5]
+    assert first_violations(6, 2, lambda x, o: slab(x, o, late_x=-1)) == [(1, 2, 1), None]
+    assert calls == [(0, both), (1, both)] + [(x, late_only) for x in range(2, 6)]
 
 
 def test_first_violation_takes_masks_of_any_rank():

@@ -13,10 +13,11 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gyrolab import (
+    InvariantViolated,
     OrderCapExceeded,
     build_gyro,
     catalog_group,
@@ -25,7 +26,6 @@ from gyrolab import (
     gyration_table,
     inner_mapping_group,
     multiplication_group,
-    subgroup_generated,
 )
 from gyrolab.loops import loop_from_table
 from gyrolab.mappings import inner_generators
@@ -44,6 +44,8 @@ def _ref_mulclose(generators, degree, cap):
         new = []
         for h in frontier:
             compose_h = itemgetter(*h)                  # g -> g o h, as a tuple
+            if degree == 1:                             # itemgetter(i) gives no tuple
+                compose_h = lambda g: (g[0],)           # noqa: E731
             for g in generators:
                 p = compose_h(g)
                 if p not in index:
@@ -164,27 +166,49 @@ def test_closure_cap_message_names_cap_plus_one(d16_loop, monkeypatch):
         group_from_permutations(8, [rot, refl])
 
 
-def _relabelled_regular(spec, seed=0):
-    """Left-regular generators of a catalog group, points renamed at random;
-    the generating set is greedy in index order."""
-    G = catalog_group(spec)
-    gens, span = [], frozenset({0})
-    for g in range(1, G.order):
-        if len(span) == G.order:
-            break
-        if g not in span:
-            gens.append(g)
-            span = subgroup_generated(G, gens)
-    point = np.random.default_rng(seed).permutation(G.order)
-    inv = np.argsort(point)
-    return G.order, [point[G.table[g]][inv].tolist() for g in gens]
+def _transpositions(degree, pairs):
+    gens = []
+    for a, b in pairs:
+        g = list(range(degree))
+        g[a], g[b] = b, a
+        gens.append(g)
+    return degree, gens
 
 
-@pytest.mark.parametrize("spec", ["wreath33", "product:wreath33,cyclic:3"])
-def test_group_from_permutations_matches_tuple_reference(spec):
-    degree, gens = _relabelled_regular(spec)
+# Actions that are not regular, where the base has more than one point or
+# starts late: D8 and C3 wr C3 on their natural points, S5, six far-apart
+# transpositions at degree 5000 (one mixed-radix key of the base images
+# would be 5000^6 > 2^63), and transpositions that fix every point below 200.
+PERMUTATION_CASES = {
+    "dihedral-8-on-8-points": (8, [[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]]),
+    "symmetric-5": (5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]),
+    "wreath-c3-c3-on-9-points": (9, [[1, 2, 0, 3, 4, 5, 6, 7, 8],
+                                     [3, 4, 5, 6, 7, 8, 0, 1, 2]]),
+    "far-transpositions-5000": _transpositions(5000, [(i, i + 2500) for i in range(6)]),
+    "high-points-only": _transpositions(210, [(200, 201), (202, 203), (201, 205), (207, 209)]),
+}
+
+
+@pytest.mark.parametrize("spec", ["wreath33", "product:wreath33,cyclic:3",
+                                  *PERMUTATION_CASES])
+def test_group_from_permutations_matches_tuple_reference(spec, relabelled_regular):
+    degree, gens = PERMUTATION_CASES.get(spec) or relabelled_regular(spec)
     G = group_from_permutations(degree, gens + gens[:1])    # a repeated generator too
     assert np.array_equal(G.table, _ref_group_table(degree, gens))
+
+
+def test_base_table_does_not_depend_on_chunk_size(monkeypatch):
+    degree, gens = PERMUTATION_CASES["wreath-c3-c3-on-9-points"]
+    expected = group_from_permutations(degree, gens).table
+    monkeypatch.setattr(perms, "CHUNK_CELLS", 5)
+    assert np.array_equal(group_from_permutations(degree, gens).table, expected)
+
+
+def test_base_table_refuses_elements_that_agree_on_every_moved_point():
+    gens = np.array([[1, 0, 2, 3]], dtype=np.int32)
+    E = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 3, 2]], dtype=np.int32)
+    with pytest.raises(InvariantViolated, match="agree on every point"):
+        perms.base_table(gens, E)
 
 
 @pytest.mark.parametrize("spec", ["wreath33", "product:dihedral:16,cyclic:5"])
@@ -221,6 +245,14 @@ def _generator_sets(draw):
 def test_chain_order_matches_closure(case):
     degree, gens = case
     assert perms.chain_order(gens, degree) == len(perms._mulclose(gens, degree, CAP))
+
+
+@given(_generator_sets())
+def test_group_from_permutations_matches_tuple_reference_on_random_sets(case):
+    degree, gens = case
+    assume(perms.chain_order(gens, degree) <= 720)      # the reference is quadratic
+    G = group_from_permutations(degree, gens.tolist())
+    assert np.array_equal(G.table, _ref_group_table(degree, gens))
 
 
 @pytest.mark.parametrize("spec", LADDER + ["product:dihedral:16,cyclic:5", "dihedral:32"])

@@ -215,6 +215,28 @@ def test_associator_scan_class_four_witnesses():
     assert ctx.associator_scan() == ((16, 1, 16), (16, 1, 16))
 
 
+def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatch):
+    # wreath33xC4's twisted table as a "group": the formula fails at x = 4,
+    # and no associator is non-central, so the central mask runs for every x
+    ctx = SuiteContext(_wrapped(_gyro("product:wreath33,cyclic:4")))
+    computed = []
+    scan = checks.first_violations
+
+    def counting(n, count, slab):
+        def counted(x, open_):
+            masks = slab(x, open_)
+            computed.append(tuple(m is not None for m in masks))
+            return masks
+        return scan(n, count, counted)
+    monkeypatch.setattr(checks, "first_violations", counting)
+    formula, central = ctx.associator_scan()
+    assert (formula, central) == _ref_associator_scan(ctx)
+    assert formula[0] == 4 and central is None
+    assert len(computed) == ctx.n
+    assert sum(f for f, _ in computed) == formula[0] + 1
+    assert all(c for _, c in computed)
+
+
 def _expansions(G):
     ctx = SuiteContext(G)
     return (checks._check_commutator_expansion_left(ctx).witness,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import gyrolab.search as search
+from gyrolab.gyro import build_gyro
 from gyrolab.search import (
     COND_CUBES,
     COND_EXP,
@@ -69,7 +70,7 @@ def test_elapsed_not_serialized():
 def test_hit_payoff_path(monkeypatch):
     # no known group satisfies all three conditions (that is the open
     # problem), so force the conditions to exercise the payoff branch
-    monkeypatch.setattr(search, "class2_criterion", lambda G: (False, (0, 1)))
+    monkeypatch.setattr(search, "_cube_criterion", lambda G, C: (False, (0, 1)))
     monkeypatch.setattr(search, "subset_exponent", lambda G, S: 9)
     monkeypatch.setattr(search, "nine_identity", lambda G: (True, None))
     rec = evaluate_source("wreath33")
@@ -77,3 +78,14 @@ def test_hit_payoff_path(monkeypatch):
     assert set(rec.payoff) == {"inner_mapping_abelian", "loop_class"}
     assert rec.payoff["loop_class"] == 2
     assert rec.witnesses == {COND_CUBES: [0, 1]}
+
+
+def test_class3_source_builds_its_twisted_loop_once(monkeypatch):
+    # the cube criterion and a hit's payoff read the same loop
+    built = []
+    monkeypatch.setattr(search, "build_gyro", lambda G: built.append(G) or build_gyro(G))
+    monkeypatch.setattr(search, "subset_exponent", lambda G, S: 9)
+    monkeypatch.setattr(search, "nine_identity", lambda G: (True, None))
+    monkeypatch.setattr(search, "_cube_criterion", lambda G, C: (False, (0, 1)))
+    assert evaluate_source("wreath33").status == "hit"
+    assert len(built) == 1
