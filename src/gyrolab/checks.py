@@ -42,9 +42,10 @@ from .groups import (
 from .gyro import build_gyro, is_gyrogroup
 from .invariants import (
     NUCLEUS_KINDS,
-    _loop_class,
     commutant,
     commutator_bracket_table,
+    loop_center,
+    loop_nilpotency_class,
     nuclei,
 )
 from .loops import (
@@ -217,7 +218,10 @@ class SuiteContext:
         return self._get("com", lambda: commutant(self.loop))
 
     def nuc(self, kind: str):
-        """A nucleus of the loop; all kinds come from one cached nuclei pass."""
+        """A nucleus of the loop by the brute-force nuclei scan, the oracle
+        that the char-*-nucleus and loop-center-intersection checks hold the
+        group side and the gyration reading against; all kinds come from
+        one cached pass."""
         if kind == "full":
             return self._get(("nuc", "full"), lambda: (
                 self.nuc("left") & self.nuc("middle") & self.nuc("right")))
@@ -225,14 +229,11 @@ class SuiteContext:
 
     @property
     def zl(self):
-        """The loop center, by the definition of loop_center: the commutant
-        met with the nucleus."""
-        return self._get("zl", lambda: self.com & self.nuc("full"))
+        return self._get("zl", lambda: loop_center(self.loop))
 
     @property
     def loop_class(self):
-        """loop_nilpotency_class(loop), with its series started from zl."""
-        return self._get("lc", lambda: _loop_class(self.loop, self.zl))
+        return self._get("lc", lambda: loop_nilpotency_class(self.loop))
 
     @property
     def bracket(self):
@@ -840,13 +841,13 @@ def verify_suite(G: FiniteGroup, selection: list[str] | None = None) -> list[Che
         wanted = known
     ctx = SuiteContext(G)
     reports: list[CheckReport] = []
-    for cid, _, gate, run in CHECKS:
+    for cid, short, gate, run in CHECKS:
         if cid not in wanted:
             continue
         t0 = time.perf_counter()
         reason = gate(ctx)
         if reason is not None:
-            rep = skipped(cid, _statement_for(cid, ctx), reason)
+            rep = skipped(cid, short, reason)
         else:
             rep = run(ctx)
             if rep.witness is not None and rep.witness_names is None:
@@ -854,10 +855,3 @@ def verify_suite(G: FiniteGroup, selection: list[str] | None = None) -> list[Che
         rep.timing = time.perf_counter() - t0
         reports.append(rep)
     return reports
-
-
-def _statement_for(cid: str, ctx: SuiteContext) -> str:
-    for c, short, _, _ in CHECKS:
-        if c == cid:
-            return short
-    return cid

@@ -2,7 +2,8 @@
 
 Subcommands: analyze, verify, search, export, catalog.  Exit codes: 0 on
 success (verify: no check failed), 1 when at least one check failed, 2 for
-usage and input errors.
+usage and input errors, including an --out or --inputs path that cannot be
+written or read.
 """
 
 from __future__ import annotations
@@ -159,10 +160,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GyrolabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (GyrolabError, ValueError, OSError) as exc:   # OSError: --out or --inputs
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,10 @@
 """Nuclei, commutant, center, commutators/associators and nilpotency class of loops.
 
-All sets are returned as frozensets of element indices.  Scans follow the
-definitions directly (no structure theory is assumed), so these functions
-serve as the brute-force side of every characterization cross-check.
+All sets are returned as frozensets of element indices.  The nuclei, the
+loop center and the upper central series read the gyration table
+(_gyration_nuclei); the one exception is nuclei(L), the cubic scan of the
+definitions, which assumes no structure at all and is kept as the
+brute-force side of the verify suite's nucleus cross-checks.
 """
 
 from __future__ import annotations
@@ -13,28 +15,18 @@ import numpy as np
 
 from .errors import NotALoop
 from .groups import pair_slabs
+from .gyro import gyration_table
 from .loops import FiniteLoop, quotient_loop
 
 NUCLEUS_KINDS = ("left", "middle", "right")
 
 
-def _nucleus_member(L: FiniteLoop, a: int, kind: str) -> bool:
-    """Test one element against the associativity pattern of a nucleus kind."""
-    T = L.table
-    if kind == "left":
-        row = T[a]
-        return np.array_equal(T[row, :], row[T])
-    if kind == "middle":
-        col, row = T[:, a], T[a]
-        return np.array_equal(T[col, :], T[:, row])
-    if kind == "right":
-        col = T[:, a]
-        return np.array_equal(col[T], T[:, col])
-    raise ValueError(f"unknown nucleus kind {kind!r}")
-
-
 def nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """The left, middle and right nuclei by definition, in one pass over x.
+
+    This scan is the oracle: nucleus, loop_center and invariant_bundle read
+    the gyration table instead (_gyration_nuclei), and the verify suite
+    compares this scan with the group-side characterizations.
 
     For each x the [y, z] slab of (x y) z != x (y z) holds all three
     definitions: x is in the left nucleus when no cell of the slab fails,
@@ -57,16 +49,40 @@ def nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], frozenset[int
                  for m in (left, middle, right))
 
 
+def _gyration_nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The left, middle and right nuclei read off gyration_table(L).
+
+    By the definition gyr(y,z)(x) = ((x*y)*z) / (y*z),
+
+      (x*y)*z = gyr(y,z)(x) * (y*z),
+
+    and right division is unique, so x*(y*z) = (x*y)*z exactly when
+    gyr(y,z) fixes x.  Hence a is in the left nucleus iff every gyration
+    fixes a; in the middle nucleus iff gyr(a,z) is the identity map for all
+    z; in the right nucleus iff gyr(y,a) is the identity map for all y.
+    gyr(0,z) is the identity map, as (x*0)*z = x*z = x*(0*z), and ids
+    numbers the distinct gyrations in row-major first-occurrence order, so
+    the identity map is id 0: the middle nucleus is the rows of ids that
+    hold only 0, the right nucleus the columns.  Raises NotRightLoop when
+    L has no right division.
+    """
+    gt = gyration_table(L)
+    fixed = (np.array(gt.perms) == np.arange(L.order)).all(axis=0)
+    trivial = gt.ids == 0
+    return tuple(frozenset(int(i) for i in np.flatnonzero(m))
+                 for m in (fixed, trivial.all(axis=1), trivial.all(axis=0)))
+
+
 def nucleus(L: FiniteLoop, kind: str = "full") -> frozenset[int]:
-    """Nucleus by definition: elements that associate in the given slot.
+    """Nucleus: elements that associate in the given slot.
 
     kind "left" fixes a in (a x) y == a (x y), "middle" in (x a) y == x (a y),
     "right" in (x y) a == x (y a); "full" is the intersection of the three.
-    All kinds come from the one pass of nuclei(L).
+    All kinds are read off the gyration table (_gyration_nuclei).
     """
     if kind != "full" and kind not in NUCLEUS_KINDS:
         raise ValueError(f"unknown nucleus kind {kind!r}")
-    sets = nuclei(L)
+    sets = _gyration_nuclei(L)
     if kind == "full":
         return sets[0] & sets[1] & sets[2]
     return sets[NUCLEUS_KINDS.index(kind)]
@@ -79,14 +95,9 @@ def commutant(L: FiniteLoop) -> frozenset[int]:
 
 
 def loop_center(L: FiniteLoop) -> frozenset[int]:
-    """Center = commutant intersected with the (full) nucleus.
-
-    Nucleus membership is only tested on commutant elements, which is the
-    same set as commutant & nucleus but much cheaper on large loops.
-    """
-    return frozenset(
-        a for a in sorted(commutant(L))
-        if all(_nucleus_member(L, a, k) for k in NUCLEUS_KINDS))
+    """Center = commutant intersected with the left, middle and right nuclei."""
+    left, middle, right = _gyration_nuclei(L)
+    return commutant(L) & left & middle & right
 
 
 def loop_commutator(L: FiniteLoop, x: int, y: int) -> int:
@@ -109,22 +120,14 @@ def loop_associator(L: FiniteLoop, x: int, y: int, z: int) -> int:
 
 def loop_upper_central_series(L: FiniteLoop) -> list[frozenset[int]]:
     """Z_0 = {0}, Z_{i+1} = preimage of the center of L/Z_i; stops when stable."""
-    return _upper_central_series(L, None)
-
-
-def _upper_central_series(L: FiniteLoop, center) -> list[frozenset[int]]:
-    """The series of loop_upper_central_series, started from the center of
-    L when the caller has it already (None: loop_center(L) is taken here)."""
     if not L.is_loop:
         raise NotALoop("central series needs a full loop")
     n = L.order
     chain: list[frozenset[int]] = [frozenset({0})]
     current = L
     proj = np.arange(n)
-    zc = center
     while len(chain[-1]) < n:
-        if zc is None:
-            zc = loop_center(current)
+        zc = loop_center(current)
         z_orig = frozenset(i for i in range(n) if int(proj[i]) in zc)
         if z_orig == chain[-1]:
             break                        # stalled: not nilpotent
@@ -133,19 +136,12 @@ def _upper_central_series(L: FiniteLoop, center) -> list[frozenset[int]]:
             break
         current, qproj = quotient_loop(current, zc)
         proj = qproj[proj]
-        zc = None
     return chain
 
 
 def loop_nilpotency_class(L: FiniteLoop) -> int | None:
     """Length of the upper central series if it reaches L, else None."""
-    return _loop_class(L, None)
-
-
-def _loop_class(L: FiniteLoop, center) -> int | None:
-    """loop_nilpotency_class(L), with the series started from the given
-    center of L (None: computed)."""
-    chain = _upper_central_series(L, center)
+    chain = loop_upper_central_series(L)
     if len(chain[-1]) == L.order:
         return len(chain) - 1
     return None
@@ -172,7 +168,7 @@ class InvariantBundle:
 
 
 def invariant_bundle(L: FiniteLoop) -> InvariantBundle:
-    left, middle, right = nuclei(L)
+    left, middle, right = _gyration_nuclei(L)
     nuc = left & middle & right
     com = commutant(L)
     return InvariantBundle(left, middle, right, nuc, com, com & nuc)

@@ -90,6 +90,23 @@ def test_analyze_refuses_mlt_not_loop_order_times_inn(monkeypatch, capsys):
     assert "invariant violated" in err and "|Mlt| = 256" in err
 
 
+def test_unwritable_out_and_unreadable_inputs_exit_two(tmp_path, monkeypatch, capsys):
+    # exit 1 means that a check failed, so an I/O error is a usage error
+    assert main(["verify", "--group", "cyclic:2", "--out", str(tmp_path / "no" / "doc.json")]) == 2
+    assert main(["analyze", "--group", "cyclic:2", "--out", str(tmp_path)]) == 2
+    sources = tmp_path / "sources.txt"
+    sources.write_text("cyclic:3\n")
+
+    def unreadable(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    assert main(["search", "--inputs", str(sources)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: [Errno ") for line in err), err
+
+
 def test_verify_exit_zero_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--group", "dihedral:16", "--out", str(out1)]) == 0

@@ -1,14 +1,18 @@
 """Guards run in a fresh interpreter: invariant guards raise GyrolabError
 subclasses, so they hold under -O, and no CLI command imports numpy.ma.
-A permutation file's table is read from base images, hashing no composite."""
+A permutation file's table is read from base images, hashing no composite.
+The cubic nuclei scan runs once per verify, as its oracle, and never in
+analyze."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from gyrolab import perms
+from gyrolab import checks, invariants, perms
+from gyrolab.cli import main
 from gyrolab.fileio import parse_group_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -82,3 +86,25 @@ def test_permutation_table_hashes_no_composite(tmp_path, monkeypatch, relabelled
     G = parse_group_file(tmp_path / "p243.json")
     assert G.order == 243
     assert 0 < sum(hashed) <= (k + 1) * G.order + k
+
+
+def test_nuclei_scan_is_only_the_verify_oracle(monkeypatch, capsys):
+    golden = json.loads((SRC.parent / "perfbench" / "goldens.json").read_text())
+    scan = invariants.nuclei
+    calls = []
+
+    def refused(L):
+        raise AssertionError("analyze ran the nuclei scan")
+    for module in (invariants, checks):
+        monkeypatch.setattr(module, "nuclei", refused)
+    assert main(["analyze", "--group", "wreath33"]) == 0
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            == golden["analyze-ladder"]["analyze-wreath33"]["sha256"])
+
+    def counted(L):
+        calls.append(L.order)
+        return scan(L)
+    for module in (invariants, checks):
+        monkeypatch.setattr(module, "nuclei", counted)
+    assert main(["verify", "--group", "wreath33"]) == 0
+    assert calls == [81]

@@ -5,7 +5,9 @@ per-element nuclei, the associator scan, both commutator expansions, the
 ninth-power identity, the group-table associativity scan, the sort-based
 subloop normality test and the dict relabel of a nucleus's induced product.  Verdicts and witnesses must be equal, on passing
 inputs and on failing ones: twisted tables wrapped as (non-associative)
-"groups", a class-4 source, and random loops.
+"groups", a class-4 source, and random loops.  The nuclei read off the
+gyration table are pinned against both the nuclei scan and the per-element
+reference.
 """
 
 import os
@@ -25,6 +27,7 @@ from gyrolab import (
     build_gyro,
     catalog_group,
     commutant,
+    invariant_bundle,
     loop_center,
     loop_nilpotency_class,
     nine_identity,
@@ -39,8 +42,9 @@ from gyrolab.groups import (
     associativity_violation,
     first_violation,
 )
+from gyrolab.errors import NotRightLoop
 from gyrolab.gyro import GyroConstruction
-from gyrolab.invariants import NUCLEUS_KINDS, _nucleus_member, nuclei
+from gyrolab.invariants import NUCLEUS_KINDS, nuclei
 from gyrolab.loops import loop_from_table, normal_subloop_violation
 
 SPECS = ["dihedral:16", "wreath33", "heisenberg:5",
@@ -78,7 +82,19 @@ def _ref_associativity_violation(table):
 
 
 def _ref_nuclei(L):
-    return tuple(frozenset(a for a in range(L.order) if _nucleus_member(L, a, kind))
+    """Each element tested against the associativity pattern of each kind."""
+    T = L.table
+
+    def member(a, kind):
+        if kind == "left":
+            row = T[a]
+            return np.array_equal(T[row, :], row[T])
+        if kind == "middle":
+            col, row = T[:, a], T[a]
+            return np.array_equal(T[col, :], T[:, row])
+        col = T[:, a]
+        return np.array_equal(col[T], T[:, col])
+    return tuple(frozenset(a for a in range(L.order) if member(a, kind))
                  for kind in NUCLEUS_KINDS)
 
 
@@ -190,18 +206,65 @@ def _opposite(L):
     return loop_from_table(L.table.T)
 
 
-@pytest.mark.parametrize("spec", SPECS)
+def _assert_gyration_reading(L, ref):
+    """nucleus, loop_center and invariant_bundle, which read the gyration
+    table, against the nuclei scan and the per-element reference ref."""
+    assert nuclei(L) == ref
+    for kind, expected in zip(NUCLEUS_KINDS, ref):
+        assert nucleus(L, kind) == expected, kind
+    full = ref[0] & ref[1] & ref[2]
+    assert nucleus(L, "full") == full
+    assert loop_center(L) == commutant(L) & full
+    b = invariant_bundle(L)
+    assert (b.left_nucleus, b.middle_nucleus, b.right_nucleus, b.nucleus) == ref + (full,)
+
+
+@pytest.mark.parametrize("spec", SPECS + ["unitriangular4:3"])
 def test_nuclei_match_per_element_definition(spec):
+    # the ladder, class-4 dihedral:32 and D16xC5; gyrations in closed form
     gc = _gyro(spec)
     ref = _ref_nuclei(gc.loop)
-    assert nuclei(gc.loop) == ref
+    _assert_gyration_reading(gc.loop, ref)
     ctx = SuiteContext(gc.source)
     for kind, expected in zip(NUCLEUS_KINDS, ref):
-        assert nucleus(gc.loop, kind) == expected
         assert ctx.nuc(kind) == expected
-    assert ctx.nuc("full") == nucleus(gc.loop, "full") == ref[0] & ref[1] & ref[2]
-    op = _opposite(gc.loop)
-    assert nuclei(op) == _ref_nuclei(op) == (ref[2], ref[1], ref[0])
+    assert ctx.nuc("full") == ref[0] & ref[1] & ref[2]
+    assert ctx.zl == loop_center(gc.loop)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_gyration_reading_on_opposite_loops(spec):
+    # the opposite loop has no source, so its gyrations come from _map_family
+    L = _gyro(spec).loop
+    ref = _ref_nuclei(L)
+    op = _opposite(L)
+    assert _ref_nuclei(op) == (ref[2], ref[1], ref[0])
+    _assert_gyration_reading(op, (ref[2], ref[1], ref[0]))
+
+
+@pytest.mark.parametrize("spec", ["dihedral:16", "wreath33", "dihedral:32",
+                                  "product:dihedral:16,cyclic:5"])
+def test_gyration_reading_on_a_non_associative_source(spec):
+    # a non-associative twisted table wrapped as a "group" fails
+    # _is_group_table, so the loop built on it takes _map_family too
+    H = _wrapped(_gyro(spec))
+    assert not gyrolab.gyro._is_group_table(H)
+    L = build_gyro(H).loop
+    assert gyrolab.gyro._central_labels(L) is None
+    _assert_gyration_reading(L, _ref_nuclei(L))
+
+
+def test_gyration_reading_needs_right_division():
+    # column 2 is no permutation: the scan still reads the table, the
+    # gyration reading raises the typed error
+    L = loop_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 0]], lenient=True)
+    assert L.right_division is None
+    assert nuclei(L) == _ref_nuclei(L)
+    for kind in NUCLEUS_KINDS + ("full",):
+        with pytest.raises(NotRightLoop):
+            nucleus(L, kind)
+    with pytest.raises(NotRightLoop):
+        loop_center(L)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -376,9 +439,7 @@ def test_normal_subloop_sweep_reaches_every_tag():
        choices=st.lists(st.integers(min_value=0, max_value=10_000), max_size=5))
 def test_nuclei_property_on_random_loops(n, choices):
     L = _random_loop(n, choices)
-    ref = _ref_nuclei(L)
-    assert nuclei(L) == ref
-    assert nucleus(L, "full") == ref[0] & ref[1] & ref[2]
+    _assert_gyration_reading(L, _ref_nuclei(L))
     assert associativity_violation(L.table) == _ref_associativity_violation(L.table)
 
 
