@@ -46,7 +46,6 @@ from .invariants import (
     commutator_bracket_table,
     loop_center,
     loop_nilpotency_class,
-    nuclei,
 )
 from .loops import (
     FiniteLoop,
@@ -218,14 +217,14 @@ class SuiteContext:
         return self._get("com", lambda: commutant(self.loop))
 
     def nuc(self, kind: str):
-        """A nucleus of the loop by the brute-force nuclei scan, the oracle
-        that the char-*-nucleus and loop-center-intersection checks hold the
-        group side and the gyration reading against; all kinds come from
-        one cached pass."""
+        """A nucleus of the loop by definition, reduced from the associators
+        of associator_scan: the brute-force oracle that the char-*-nucleus
+        and loop-center-intersection checks hold the group side and the
+        gyration reading against."""
         if kind == "full":
             return self._get(("nuc", "full"), lambda: (
                 self.nuc("left") & self.nuc("middle") & self.nuc("right")))
-        return self._get("nuclei", lambda: nuclei(self.loop))[NUCLEUS_KINDS.index(kind)]
+        return self.associator_scan()[2][NUCLEUS_KINDS.index(kind)]
 
     @property
     def zl(self):
@@ -268,9 +267,10 @@ class SuiteContext:
         return tuple(out)
 
     def associator_scan(self):
-        """One pass over all triples: first formula violation and first
-        non-central associator (None when absent).  Once a mask has its
-        witness, the slabs of later x skip it."""
+        """One pass over all triples: the first formula violation, the first
+        non-central associator (None when absent) and the left, middle and
+        right nuclei.  Once a mask has its witness, the slabs of later x skip
+        it; the nuclei are a reduction, so every x is visited."""
         def run():
             G, L = self.G, self.loop
             n = self.n
@@ -283,25 +283,39 @@ class SuiteContext:
             off = np.empty((n, n), dtype=np.intp)
             vals = np.empty_like(T)
             expected = np.empty_like(T)
-            formula_bad = np.empty((n, n), dtype=bool)
+            formula_bad = np.empty((n, n), dtype=bool)     # A != 0 first
             central_bad = np.empty((n, n), dtype=bool)
+            left = np.zeros(n, dtype=bool)
+            middle = np.ones(n, dtype=bool)
+            right = np.ones(n, dtype=bool)
 
             def slab(x, open_):
                 # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset
                 # (x*(y*z))*n + (x*y)*z; (x*y)*z are the rows of T taken by
-                # row x
-                formula_open, central_open = open_
+                # row x.  Right division is unique, so A is the identity 0
+                # exactly when the triple associates: x is in the left
+                # nucleus when no cell of the slab fails, y in the middle
+                # one when its row holds for every x, z in the right one
+                # when its column does
+                formula_open, central_open, _ = open_
                 np.take(Ti[x] * n, Ti, out=off, mode="clip")
                 np.add(off, np.take(T, T[x], axis=0, out=vals, mode="clip"), out=off)
+                np.take(rdivT, off, out=vals, mode="clip")
+                nonassoc = np.not_equal(vals, 0, out=formula_bad)
+                rows = nonassoc.any(axis=1)
+                left[x] = not rows.any()
+                middle[rows] = False
+                right[nonassoc.any(axis=0)] = False
                 formula = central = None
                 if formula_open:
-                    np.take(rdivT, off, out=vals, mode="clip")
                     np.take(self.cm[:, x], K, out=expected, mode="clip")   # [[z^-1, y], x]
                     formula = np.not_equal(vals, expected, out=formula_bad)
                 if central_open:
                     central = np.take(noncentral, off, out=central_bad, mode="clip")
-                return formula, central
-            return tuple(first_violations(n, 2, slab))
+                return formula, central, None
+            formula, central, _ = first_violations(n, 3, slab)
+            return formula, central, tuple(
+                frozenset(int(i) for i in np.flatnonzero(m)) for m in (left, middle, right))
         return self._get("assoc-scan", run)
 
 
@@ -693,7 +707,7 @@ def _check_circ_commutator_formula(ctx):
 
 def _check_associator_formula(ctx):
     stmt = "the loop associator equals [[z^-1, y], x] for all triples"
-    formula_bad, _ = ctx.associator_scan()
+    formula_bad = ctx.associator_scan()[0]
     if formula_bad is None:
         return passed("associator-formula", stmt)
     return failed("associator-formula", stmt, witness=formula_bad)
@@ -701,7 +715,7 @@ def _check_associator_formula(ctx):
 
 def _check_associators_central(ctx):
     stmt = "every loop associator lies in the group center"
-    _, central_bad = ctx.associator_scan()
+    central_bad = ctx.associator_scan()[1]
     if central_bad is None:
         return passed("associators-central", stmt)
     return failed("associators-central", stmt, witness=central_bad)

@@ -211,17 +211,19 @@ def first_violations(n: int, count: int, slab) -> list[tuple[int, ...] | None]:
     slab(x, open) returns a tuple of count failure masks for one x, where
     open[k] says whether mask k still lacks a witness; a mask that is not
     open is never read, so slab may skip computing it (and return None in
-    its place).  The witness of mask k is x followed by first_cell of the
-    k-th mask at the least x where it has a True cell.  The scan stops once
-    every mask has a witness.  slab may return the same buffers on every
-    call: each mask is read before slab is called again.  Every cubic scan
-    that looks for a witness goes through here.
+    its place).  None for an open mask means no witness at this x, so a
+    slot that is always None keeps the scan going over all x, for a slab
+    that also reduces over them.  The witness of mask k is x followed by
+    first_cell of the k-th mask at the least x where it has a True cell.
+    The scan stops once every mask has a witness.  slab may return the same
+    buffers on every call: each mask is read before slab is called again.
+    Every cubic scan that looks for a witness goes through here.
     """
     found: list = [None] * count
     for x in range(n):
         open_ = tuple(w is None for w in found)
         for k, mask in enumerate(slab(x, open_)):
-            if open_[k] and (cell := first_cell(mask)) is not None:
+            if open_[k] and mask is not None and (cell := first_cell(mask)) is not None:
                 found[k] = (x,) + cell
         if None not in found:
             break

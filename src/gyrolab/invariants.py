@@ -2,9 +2,9 @@
 
 All sets are returned as frozensets of element indices.  The nuclei, the
 loop center and the upper central series read the gyration table
-(_gyration_nuclei); the one exception is nuclei(L), the cubic scan of the
-definitions, which assumes no structure at all and is kept as the
-brute-force side of the verify suite's nucleus cross-checks.
+(_gyration_nuclei).  The brute-force side of the verify suite's nucleus
+cross-checks is not here: it is reduced from the associators of
+checks.SuiteContext.associator_scan, which assumes no structure at all.
 """
 
 from __future__ import annotations
@@ -14,39 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotALoop
-from .groups import pair_slabs
 from .gyro import gyration_table
 from .loops import FiniteLoop, quotient_loop
 
 NUCLEUS_KINDS = ("left", "middle", "right")
-
-
-def nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """The left, middle and right nuclei by definition, in one pass over x.
-
-    This scan is the oracle: nucleus, loop_center and invariant_bundle read
-    the gyration table instead (_gyration_nuclei), and the verify suite
-    compares this scan with the group-side characterizations.
-
-    For each x the [y, z] slab of (x y) z != x (y z) holds all three
-    definitions: x is in the left nucleus when no cell of the slab fails,
-    y is in the middle nucleus when its row holds for every x, and z is in
-    the right nucleus when its column holds for every x.  The slabs are
-    those of associativity_violation, written into buffers reused for
-    every x; it is a reduction over all x, so it does not stop early.
-    """
-    n = L.order
-    slab = pair_slabs(L.table, L.table)
-    left = np.zeros(n, dtype=bool)
-    middle = np.ones(n, dtype=bool)
-    right = np.ones(n, dtype=bool)
-    for x in range(n):
-        bad = slab(x)                                 # [y, z]: (xy)z != x(yz)
-        left[x] = not bad.any()
-        middle &= ~bad.any(axis=1)
-        right &= ~bad.any(axis=0)
-    return tuple(frozenset(int(i) for i in np.flatnonzero(m))
-                 for m in (left, middle, right))
 
 
 def _gyration_nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:

@@ -73,6 +73,16 @@ def test_suite_selection(d16):
     reports = verify_suite(d16, ["gyro-axioms", "char-commutant"])
     assert [r.check_id for r in reports] == ["gyro-axioms", "char-commutant"]
     assert all(r.status == "pass" for r in reports)
+    # a nucleus check or an associator check alone runs the associator scan
+    # that both read, and reports as in the full suite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")            # dihedral:32 has class 4
+        for spec in ("product:wreath33,cyclic:4", "product:dihedral:16,cyclic:5",
+                     "dihedral:32"):
+            G = catalog_group(spec)
+            full = {r.check_id: r.to_dict() for r in verify_suite(G)}
+            for cid in ("char-left-nucleus", "associator-formula"):
+                assert [r.to_dict() for r in verify_suite(G, [cid])] == [full[cid]], (spec, cid)
 
 
 def test_suite_rejects_unknown_id(d16):

@@ -1,8 +1,8 @@
 """Guards run in a fresh interpreter: invariant guards raise GyrolabError
 subclasses, so they hold under -O, and no CLI command imports numpy.ma.
 A permutation file's table is read from base images, hashing no composite.
-The cubic nuclei scan runs once per verify, as its oracle, and never in
-analyze."""
+The fused associator and nuclei scan runs once per verify, as its oracle,
+and never in analyze."""
 
 import hashlib
 import json
@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gyrolab import checks, invariants, perms
+from gyrolab import checks, perms
 from gyrolab.cli import main
 from gyrolab.fileio import parse_group_file
 
@@ -89,22 +89,22 @@ def test_permutation_table_hashes_no_composite(tmp_path, monkeypatch, relabelled
 
 
 def test_nuclei_scan_is_only_the_verify_oracle(monkeypatch, capsys):
+    # the one x-loop that checks calls itself is the associator scan, which
+    # also reduces the nuclei
     golden = json.loads((SRC.parent / "perfbench" / "goldens.json").read_text())
-    scan = invariants.nuclei
+    scan = checks.first_violations
     calls = []
 
-    def refused(L):
-        raise AssertionError("analyze ran the nuclei scan")
-    for module in (invariants, checks):
-        monkeypatch.setattr(module, "nuclei", refused)
+    def refused(n, count, slab):
+        raise AssertionError("analyze ran the associator scan")
+    monkeypatch.setattr(checks, "first_violations", refused)
     assert main(["analyze", "--group", "wreath33"]) == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
             == golden["analyze-ladder"]["analyze-wreath33"]["sha256"])
 
-    def counted(L):
-        calls.append(L.order)
-        return scan(L)
-    for module in (invariants, checks):
-        monkeypatch.setattr(module, "nuclei", counted)
+    def counted(n, count, slab):
+        calls.append((n, count))
+        return scan(n, count, slab)
+    monkeypatch.setattr(checks, "first_violations", counted)
     assert main(["verify", "--group", "wreath33"]) == 0
-    assert calls == [81]
+    assert calls == [(81, 3)]

@@ -1,0 +1,87 @@
+"""Laws of groups of class <= 3 that the package relies on, proved symbolically.
+
+The Magnus map sends a generator g to 1 + G, in the ring of power series
+with integer coefficients in non-commuting variables, and g^-1 to
+1 - G + G^2 - ...  Modulo the terms of degree 4 and more it is faithful on
+the free nilpotent group of class 3, because the dimension subgroups of a
+free group are its lower central terms (Magnus 1937; Magnus, Karrass and
+Solitar, Combinatorial Group Theory, section 5.7).  So a word is trivial in
+every group of class <= 3 exactly when its truncated image is 1, and each
+law below holds in all such groups at once, where the catalog tests can
+only show it on the groups they build.  Each law has a false variant that
+the same map must reject.
+"""
+
+from functools import reduce
+
+TOP = 4                          # terms of degree TOP and more are dropped
+ONE = {(): 1}
+X, Y, Z = ({(): 1, (i,): 1} for i in range(3))
+
+
+def _mul(a, b):
+    """The truncated product of two series, dicts from words to integers."""
+    out = {}
+    for u, c in a.items():
+        for v, d in b.items():
+            if len(u) + len(v) < TOP:
+                out[u + v] = out.get(u + v, 0) + c * d
+    return {w: c for w, c in out.items() if c}
+
+
+def _inv(a):
+    """a = 1 + t, with t of degree >= 1, has the inverse sum of (-t)^k."""
+    neg = {w: -c for w, c in a.items() if w}
+    out, term = dict(ONE), ONE
+    for _ in range(TOP - 1):
+        term = _mul(term, neg)
+        for w, c in term.items():
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def _prod(*xs):
+    return reduce(_mul, xs, ONE)
+
+
+def _comm(a, b):
+    """[a, b] = a b a^-1 b^-1, the package's commutator."""
+    return _prod(a, b, _inv(a), _inv(b))
+
+
+def _dot(a, b):
+    """The twisted product a.b = b^-1 a b^2."""
+    return _prod(_inv(b), a, b, b)
+
+
+def test_truncation_is_class_three():
+    assert _mul(X, _inv(X)) == ONE
+    assert _comm(_comm(X, Y), Z) != ONE                 # weight 3 survives
+    assert _comm(_comm(_comm(X, Y), Z), X) == ONE       # weight 4 is gone
+    assert _comm(_comm(X, Y), _comm(X, Z)) == ONE
+
+
+def test_associator_formula():
+    # (x.y).z = [[z^-1, y], x] . (x.(y.z)), as checks.associator_scan reads it
+    lhs = _dot(_dot(X, Y), Z)
+    rhs = _dot(X, _dot(Y, Z))
+    assert lhs == _dot(_comm(_comm(_inv(Z), Y), X), rhs)
+    assert lhs != _dot(_comm(_comm(Z, Y), X), rhs)
+
+
+def test_gyration_is_conjugation():
+    # (x.y).z = gyr(y,z)(x) . (y.z) with gyr(y,z)(x) = c^-1 x c and
+    # c = y z^-1 y^-1 z, as gyro._conjugation_family computes it; a law of
+    # every group, where the other two need class <= 3
+    c = _prod(Y, _inv(Z), _inv(Y), Z)
+    lhs = _dot(_dot(X, Y), Z)
+    assert lhs == _dot(_prod(_inv(c), X, c), _dot(Y, Z))
+    assert lhs != _dot(_prod(c, X, _inv(c)), _dot(Y, Z))
+
+
+def test_inner_mapping_l_closed_form():
+    # L(x,y)(z) = (y.x) \ (y.(x.z)) is z [[z,x],y], and not z [[z,y],x]:
+    # (y.x) . L(x,y)(z) = y.(x.z), and left division is unique
+    rhs = _dot(Y, _dot(X, Z))
+    assert _dot(_dot(Y, X), _mul(Z, _comm(_comm(Z, X), Y))) == rhs
+    assert _dot(_dot(Y, X), _mul(Z, _comm(_comm(Z, Y), X))) != rhs

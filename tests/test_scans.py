@@ -1,13 +1,14 @@
 """The row-local cubic scans against the 2-D-gather bodies they replaced.
 
 Each _ref_* function below is the earlier kernel, kept as the reference:
-per-element nuclei, the associator scan, both commutator expansions, the
-ninth-power identity, the group-table associativity scan, the sort-based
-subloop normality test and the dict relabel of a nucleus's induced product.  Verdicts and witnesses must be equal, on passing
-inputs and on failing ones: twisted tables wrapped as (non-associative)
-"groups", a class-4 source, and random loops.  The nuclei read off the
-gyration table are pinned against both the nuclei scan and the per-element
-reference.
+per-element nuclei, the nuclei scan of the definitions, the associator
+scan, both commutator expansions, the ninth-power identity, the group-table
+associativity scan, the sort-based subloop normality test and the dict
+relabel of a nucleus's induced product.  Verdicts and witnesses must be
+equal, on passing inputs and on failing ones: twisted tables wrapped as
+(non-associative) "groups", a class-4 source, and random loops.  The nuclei
+read off the gyration table are pinned against both the nuclei that the
+associator scan reduces and the per-element reference.
 """
 
 import os
@@ -41,10 +42,11 @@ from gyrolab.groups import (
     _group_unchecked,
     associativity_violation,
     first_violation,
+    pair_slabs,
 )
 from gyrolab.errors import NotRightLoop
 from gyrolab.gyro import GyroConstruction
-from gyrolab.invariants import NUCLEUS_KINDS, nuclei
+from gyrolab.invariants import NUCLEUS_KINDS
 from gyrolab.loops import loop_from_table, normal_subloop_violation
 
 SPECS = ["dihedral:16", "wreath33", "heisenberg:5",
@@ -98,6 +100,36 @@ def _ref_nuclei(L):
                  for kind in NUCLEUS_KINDS)
 
 
+def _ref_scan_nuclei(L):
+    """The nuclei by definition in one pass over x, with no right division:
+    x is in the left nucleus when its [y, z] slab of (x y) z != x (y z) has
+    no True cell, y in the middle one when its row holds for every x, z in
+    the right one when its column does."""
+    n = L.order
+    slab = pair_slabs(L.table, L.table)
+    left = np.zeros(n, dtype=bool)
+    middle = np.ones(n, dtype=bool)
+    right = np.ones(n, dtype=bool)
+    for x in range(n):
+        bad = slab(x)
+        left[x] = not bad.any()
+        middle &= ~bad.any(axis=1)
+        right &= ~bad.any(axis=0)
+    return tuple(frozenset(int(i) for i in np.flatnonzero(m))
+                 for m in (left, middle, right))
+
+
+def _scan_nuclei(L, ctx=None):
+    """The nuclei that ctx.associator_scan reduces; without ctx, L's table
+    wrapped as a "group" with L as its loop, for any loop with right
+    division."""
+    if ctx is None:
+        H = _as_group(L.table)
+        ctx = SuiteContext(H)
+        ctx._cache["gyro"] = GyroConstruction(H, L, None)
+    return tuple(ctx.nuc(kind) for kind in NUCLEUS_KINDS)
+
+
 def _ref_associator_scan(ctx):
     G, L = ctx.G, ctx.loop
     cm, n = ctx.cm, ctx.n
@@ -117,7 +149,7 @@ def _ref_associator_scan(ctx):
                 central_bad = _witness(x, okc, True)
         if formula_bad is not None and central_bad is not None:
             break
-    return formula_bad, central_bad
+    return formula_bad, central_bad, _ref_scan_nuclei(L)
 
 
 def _ref_expansion_left(G):
@@ -206,10 +238,11 @@ def _opposite(L):
     return loop_from_table(L.table.T)
 
 
-def _assert_gyration_reading(L, ref):
+def _assert_gyration_reading(L, ref, ctx=None):
     """nucleus, loop_center and invariant_bundle, which read the gyration
-    table, against the nuclei scan and the per-element reference ref."""
-    assert nuclei(L) == ref
+    table, against the nuclei of the associator scan (of ctx, when given)
+    and the per-element reference ref."""
+    assert _scan_nuclei(L, ctx) == ref
     for kind, expected in zip(NUCLEUS_KINDS, ref):
         assert nucleus(L, kind) == expected, kind
     full = ref[0] & ref[1] & ref[2]
@@ -224,8 +257,8 @@ def test_nuclei_match_per_element_definition(spec):
     # the ladder, class-4 dihedral:32 and D16xC5; gyrations in closed form
     gc = _gyro(spec)
     ref = _ref_nuclei(gc.loop)
-    _assert_gyration_reading(gc.loop, ref)
     ctx = SuiteContext(gc.source)
+    _assert_gyration_reading(gc.loop, ref, ctx)
     for kind, expected in zip(NUCLEUS_KINDS, ref):
         assert ctx.nuc(kind) == expected
     assert ctx.nuc("full") == ref[0] & ref[1] & ref[2]
@@ -255,11 +288,11 @@ def test_gyration_reading_on_a_non_associative_source(spec):
 
 
 def test_gyration_reading_needs_right_division():
-    # column 2 is no permutation: the scan still reads the table, the
-    # gyration reading raises the typed error
+    # column 2 is no permutation: the scan of the definitions still reads
+    # the table, the gyration reading raises the typed error
     L = loop_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 0]], lenient=True)
     assert L.right_division is None
-    assert nuclei(L) == _ref_nuclei(L)
+    assert _ref_scan_nuclei(L) == _ref_nuclei(L)
     for kind in NUCLEUS_KINDS + ("full",):
         with pytest.raises(NotRightLoop):
             nucleus(L, kind)
@@ -275,7 +308,7 @@ def test_associator_scan_matches_reference(spec):
 
 def test_associator_scan_class_four_witnesses():
     ctx = SuiteContext(_gyro("dihedral:32").source)
-    assert ctx.associator_scan() == ((16, 1, 16), (16, 1, 16))
+    assert ctx.associator_scan() == ((16, 1, 16), (16, 1, 16), _ref_nuclei(ctx.loop))
 
 
 def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatch):
@@ -288,12 +321,12 @@ def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatc
     def counting(n, count, slab):
         def counted(x, open_):
             masks = slab(x, open_)
-            computed.append(tuple(m is not None for m in masks))
+            computed.append(tuple(m is not None for m in masks[:2]))
             return masks
         return scan(n, count, counted)
     monkeypatch.setattr(checks, "first_violations", counting)
-    formula, central = ctx.associator_scan()
-    assert (formula, central) == _ref_associator_scan(ctx)
+    formula, central, nuc = ctx.associator_scan()
+    assert (formula, central, nuc) == _ref_associator_scan(ctx)
     assert formula[0] == 4 and central is None
     assert len(computed) == ctx.n
     assert sum(f for f, _ in computed) == formula[0] + 1
@@ -333,7 +366,7 @@ def test_wrapped_twisted_tables_fail_the_group_laws(spec, left, right, nine):
 def test_normal_subloop_matches_reference_on_catalog_loops(spec):
     L = _gyro(spec).loop
     subloops = {subloop_generated(L, {a}) for a in range(L.order)}
-    subloops |= set(nuclei(L)) | {commutant(L)}
+    subloops |= set(_ref_scan_nuclei(L)) | {commutant(L)}
     for M in (L, _opposite(L)):
         for S in sorted(subloops, key=sorted):
             assert normal_subloop_violation(M, S) == _ref_normal_subloop_violation(M, S)
@@ -347,7 +380,7 @@ def test_induced_op_matches_reference(spec):
     rng = np.random.default_rng(4)
     sets = {subloop_generated(L, {a, b}) for a in range(0, L.order, 3) for b in range(a, L.order, 5)}
     sets |= {frozenset({0, *rng.choice(L.order, size=k).tolist()}) for k in (1, 2, 3, 5, 8)}
-    sets |= set(nuclei(L)) | {commutant(L), frozenset(range(L.order))}
+    sets |= set(_ref_scan_nuclei(L)) | {commutant(L), frozenset(range(L.order))}
     tags = Counter()
     for M in (L, _opposite(L)):
         for S in sorted(sets, key=sorted):
@@ -477,7 +510,10 @@ def _late_failing_table(m, Q):
 def test_late_witnesses_after_many_passing_slabs():
     rng = np.random.default_rng(3)
     m = 24
-    for _ in range(4):
+    closed = 0
+    # the fifth loop closes both masks at x = 24, and slabs past that still
+    # remove elements from its nuclei
+    for _ in range(5):
         Q = _random_loop(8, rng.integers(0, 1 << 30, size=3))
         if associativity_violation(Q.table) is None:
             continue
@@ -487,16 +523,23 @@ def test_late_witnesses_after_many_passing_slabs():
                         np.argmax(L.table == 0, axis=1).astype(np.int32))
         w = associativity_violation(L.table)
         assert w == _ref_associativity_violation(L.table) and w[0] >= m
-        assert nuclei(L) == _ref_nuclei(L)
+        ref = _ref_nuclei(L)
+        assert _ref_scan_nuclei(L) == ref
         left, right = _expansions(H)
         assert (left, right) == (_ref_expansion_left(H), _ref_expansion_right(H))
         assert nine_identity(H) == _ref_nine_identity(H)
         ctx = SuiteContext(H)
         ctx._cache["gyro"] = GyroConstruction(H, L, None)
-        formula, central = ctx.associator_scan()
-        assert (formula, central) == _ref_associator_scan(ctx)
+        formula, central, _ = ctx.associator_scan()
+        assert ctx.associator_scan() == _ref_associator_scan(ctx)
         for witness in (left, right, formula, central):
             assert witness is None or witness[0] >= m
+        # the masks close at x >= m, and the nuclei are reduced past them
+        closed += formula is not None and central is not None
+        for kind, expected in zip(NUCLEUS_KINDS, ref):
+            assert ctx.nuc(kind) == expected, kind
+        assert ctx.nuc("full") == ref[0] & ref[1] & ref[2]
+    assert closed
 
 
 def test_nuclei_and_associativity_past_uint16_cells():
@@ -504,7 +547,7 @@ def test_nuclei_and_associativity_past_uint16_cells():
     L = _gyro("product:wreath33,cyclic:4").loop
     assert L.order ** 2 > np.iinfo(np.uint16).max
     for M in (L, _opposite(L)):
-        assert nuclei(M) == _ref_nuclei(M)
+        assert _scan_nuclei(M) == _ref_nuclei(M)
         assert associativity_violation(M.table) == _ref_associativity_violation(M.table)
 
 
@@ -581,6 +624,35 @@ def test_associativity_scan_allocates_its_buffers_once():
     finally:
         tracemalloc.stop()
     assert peak < buffers + 256 * 1024, (peak, buffers)
+
+
+def test_associator_scan_allocates_its_buffers_once():
+    # The fused scan's buffers are intp copies of T, of the [z^-1, y] table
+    # and of the offsets, the transposed right division, two value slabs
+    # and three n x n masks (A != 0 then the formula mask, the central mask
+    # and the noncentral lookup).  Adding the int32 rows of T to the intp
+    # offsets casts through one ufunc buffer.  A fresh n x n bool array for
+    # every x, the smallest temporary the nuclei reduction could make
+    # (about 103 KiB here), raises the traced peak past them and the slack.
+    # A first scan fills Python's free lists, so that they are not traced
+    G = catalog_group("product:wreath33,cyclic:4")
+    SuiteContext(G).associator_scan()
+    ctx = SuiteContext(G)
+    L, n = ctx.loop, ctx.n
+    ctx.zg                                # built before tracing, as in a suite
+    assert n == 324
+    intp = np.dtype(np.intp).itemsize
+    buffers = n * n * (3 * intp + L.right_division.itemsize + 2 * L.table.itemsize + 3)
+    cast = np.getbufsize() * intp
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        formula, central, _ = ctx.associator_scan()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert formula is None and central is None
+    assert peak < buffers + cast + 48 * 1024, (peak, buffers)
 
 
 # ---------------------------------------------------------------------------
