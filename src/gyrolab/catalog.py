@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnknownSpec
-from .groups import FiniteGroup, _group_unchecked, check_order_cap, direct_product
+from .groups import FiniteGroup, _group_unchecked, check_order_cap, direct_product, elem_dtype
 
 CATALOG_HELP: list[tuple[str, str]] = [
     ("trivial", "one-element group"),
@@ -69,7 +69,7 @@ def _power_name(base: str, k: int) -> str:
 def _cyclic(n: int) -> FiniteGroup:
     table = np.add.outer(np.arange(n), np.arange(n)) % n
     names = ["e"] + [_power_name("g", k) for k in range(1, n)]
-    return _group_unchecked(table.astype(np.int32), names, name=f"cyclic:{n}")
+    return _group_unchecked(table, names, name=f"cyclic:{n}")
 
 
 def _semidirect(m: int, t: int, name: str) -> FiniteGroup:
@@ -106,11 +106,13 @@ _UPPER_ENTRIES = {
 def _unitriangular(p: int, entries: list[tuple[int, int]], name: str) -> FiniteGroup:
     """Upper unitriangular matrices over F_p, indexed by the mixed-radix rank
     of their entries a_ij in the order given; the product has entries
-    c_ij = a_ij + b_ij + sum over i < l < j of a_il b_lj."""
+    c_ij = a_ij + b_ij + sum over i < l < j of a_il b_lj.  Every partial
+    rank and every c_ij is below n, so the table is formed in its own
+    elem_dtype(n)."""
     n = p ** len(entries)
-    digits = np.array(np.unravel_index(np.arange(n), (p,) * len(entries))).astype(np.int32)
+    digits = np.array(np.unravel_index(np.arange(n), (p,) * len(entries))).astype(elem_dtype(n))
     a = dict(zip(entries, digits))
-    table = np.zeros((n, n), dtype=np.int32)
+    table = np.zeros((n, n), dtype=elem_dtype(n))
     for i, j in entries:
         c = a[i, j][:, None] + a[i, j]
         for l in range(i + 1, j):

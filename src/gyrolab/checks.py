@@ -276,13 +276,14 @@ class SuiteContext:
             n = self.n
             T = L.table
             Ti = index_table(T, n)
-            # a / b at the flat offset b*n + a
-            rdivT = np.ascontiguousarray(L.right_division.T).ravel()
+            # a / b at the flat offset b*n + a, in T's dtype, so that one
+            # value buffer takes from both
+            rdivT = np.ascontiguousarray(L.right_division.T, dtype=T.dtype).ravel()
             noncentral = ~self.zmask()[rdivT]             # at the same offsets
             K = index_table(self.cm[G.inverse, :].T, n)    # [y, z] -> [z^-1, y]
             off = np.empty((n, n), dtype=np.intp)
             vals = np.empty_like(T)
-            expected = np.empty_like(T)
+            expected = np.empty_like(self.cm)
             formula_bad = np.empty((n, n), dtype=bool)     # A != 0 first
             central_bad = np.empty((n, n), dtype=bool)
             left = np.zeros(n, dtype=bool)
@@ -504,6 +505,7 @@ def _check_commutator_expansion_right(ctx):
     present = np.zeros((n, n), dtype=bool)
     present[np.arange(n)[:, None], cm] = True
     m_max = int(present.sum(axis=1).max())
+    del present                                   # before the buffers below
     off = np.empty(n * m_max, dtype=np.intp)
     val = np.empty(n * m_max, dtype=T.dtype)
     lhs = np.empty_like(T)

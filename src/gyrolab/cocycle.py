@@ -41,6 +41,7 @@ from .groups import (
     FiniteGroup,
     _mark,
     _subgroup_witness,
+    elem_dtype,
     first_cell,
     first_violation,
     is_subgroup,
@@ -77,10 +78,11 @@ def make_transversal(G: FiniteGroup, Z: Iterable[int], policy: str = "least-inde
     Q, proj = quotient_group(G, Zs)
     cosets = [np.flatnonzero(proj == q) for q in range(Q.order)]
     if policy == "least-index":
-        reps = np.array([int(c.min()) for c in cosets], dtype=np.int32)
+        reps = np.array([int(c.min()) for c in cosets], dtype=elem_dtype(G.order))
     elif policy == "random-seeded":
         rng = random.Random(seed)
-        reps = np.array([int(rng.choice(c.tolist())) for c in cosets], dtype=np.int32)
+        reps = np.array([int(rng.choice(c.tolist())) for c in cosets],
+                        dtype=elem_dtype(G.order))
     else:
         raise ValueError(f"unknown transversal policy {policy!r}")
     reps[0] = 0
@@ -185,9 +187,11 @@ def build_gyro_extension(z_part: FiniteGroup, q_part: FiniteLoop,
     """
     nz, nq = z_part.order, q_part.order
     tf_local = tf.local_values()
-    # [a, x, b, y] -> index of (a b tf(x, y), x * y)
+    # [a, x, b, y] -> index of (a b tf(x, y), x * y), formed in the dtype of
+    # the nz * nq elements, where z_part's own dtype could wrap
     zsum = z_part.table[z_part.table[:, None, :, None], tf_local[None, :, None, :]]
-    table = (zsum * nq + q_part.table[None, :, None, :]).reshape(nz * nq, nz * nq)
+    table = (zsum.astype(elem_dtype(nz * nq), copy=False) * nq
+             + q_part.table[None, :, None, :]).reshape(nz * nq, nz * nq)
     names = [f"({z_part.names[a]},{q_part.names[x]})"
              for a in range(nz) for x in range(nq)]
     names[0] = "e"
@@ -204,7 +208,7 @@ def verify_extension_isomorphism(built: FiniteLoop, target: FiniteLoop,
     """
     G = T.group
     nz, nq = len(T.center), T.quotient.order
-    z_members = np.array(T.center, dtype=np.int32)
+    z_members = np.array(T.center, dtype=elem_dtype(G.order))
     phi = G.table[np.repeat(z_members, nq), np.tile(T.reps, nz)]
     repeated = first_cell(np.bincount(phi, minlength=G.order) > 1)
     if repeated is not None:

@@ -135,13 +135,13 @@ def parse_group_file(path) -> FiniteGroup:
         # a dtype check: JSON floats, integers past int64 and all-boolean
         # tables come back as float, object and bool arrays, but booleans
         # among integers come back as integers, so the cells are scanned for
-        # them when the text holds a JSON boolean at all
+        # them when the text holds a JSON boolean at all.  group_from_table
+        # checks the range against the order and casts the array once
         i32 = np.iinfo(np.int32)
         if (arr.dtype.kind not in "iu" or arr.min() < i32.min or arr.max() > i32.max
                 or (("true" in text or "false" in text)
                     and any(type(v) is bool for row in doc["table"] for v in row))):
             raise ParseError(str(path), "field 'table' must hold integers in the int32 range")
-        arr = arr.astype(np.int32)
         names = doc.get("names")
         if names is not None:
             if (not isinstance(names, list) or len(names) != order

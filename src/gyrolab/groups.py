@@ -3,7 +3,8 @@
 Conventions used across the package:
   * index 0 is always the identity (tables are relabeled on ingestion),
   * the group commutator is [x, y] = x y x^-1 y^-1,
-  * tables are numpy arrays and treated as immutable once constructed.
+  * tables are numpy arrays of elem_dtype(n), treated as immutable once
+    constructed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     NotNormal,
     OrderCapExceeded,
 )
-from .perms import RowIndex, _mulclose, base_table
+from .perms import RowIndex, _mulclose, base_table, elem_dtype
 
 log = logging.getLogger(__name__)
 
@@ -167,18 +168,6 @@ def offset_dtype(n: int):
     """Integer dtype for flat offsets i*n + j into an n x n table: int32
     whenever n*n fits, which halves the bytes a slab moves."""
     return np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
-
-
-def elem_dtype(n: int):
-    """Compact dtype for element indices 0..n-1: uint16 while n <= 65535,
-    otherwise int32.  Under NEP 50 a uint16 array times n stays uint16 and
-    wraps, so cast to offset_dtype(n) before forming any offset i*n + j.
-
-    These dtypes are for values.  An array passed as the indices of
-    np.take is intp (see index_table): numpy copies any other index array
-    into a fresh intp array on every call.
-    """
-    return np.uint16 if n <= np.iinfo(np.uint16).max else np.int32
 
 
 def index_table(table, n: int) -> np.ndarray:
@@ -355,16 +344,16 @@ def _relabel(table: np.ndarray, names: list[str], e: int):
     """Move element e to index 0, keeping the other elements in order."""
     n = table.shape[0]
     old_of_new = np.array([e] + [i for i in range(n) if i != e])
-    new_of_old = np.empty(n, dtype=np.int64)
+    new_of_old = np.empty(n, dtype=elem_dtype(n))
     new_of_old[old_of_new] = np.arange(n)
     new_table = new_of_old[table[np.ix_(old_of_new, old_of_new)]]
     new_names = [names[i] for i in old_of_new]
-    return np.ascontiguousarray(new_table.astype(np.int32)), new_names
+    return new_table, new_names
 
 
 def _inverse_array(table: np.ndarray) -> np.ndarray:
     # exactly one zero per row once the table is a validated Latin square
-    inv = np.argmax(table == 0, axis=1).astype(np.int32)
+    inv = np.argmax(table == 0, axis=1).astype(elem_dtype(len(table)))
     if not (table[inv, np.arange(table.shape[0])] == 0).all():
         raise InvariantViolated("a right inverse is not a left inverse")
     return inv
@@ -385,9 +374,10 @@ def group_from_table(table, names: Sequence[str] | None = None,
     associativity_violation, so NotAssociative carries the lexicographically
     least failing triple.  Use this for untrusted tables; catalog
     constructions go through the cheaper structural path since their tables
-    are groups by construction.
+    are groups by construction.  The range is checked in the dtype the
+    table comes in, and the table is then copied once, into elem_dtype(n).
     """
-    arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
+    arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("multiplication table must be a square matrix")
     n = arr.shape[0]
@@ -396,7 +386,7 @@ def group_from_table(table, names: Sequence[str] | None = None,
     if arr.min() < 0 or arr.max() >= n:
         cell = first_cell((arr < 0) | (arr >= n))
         raise NotLatinSquare("row", cell[0], cell, int(arr[cell]))
-    arr = arr.astype(np.int32)
+    arr = np.array(arr, dtype=elem_dtype(n), order="C")
     name_list = list(names) if names is not None else _default_names(n)
     if len(name_list) != n:
         raise ValueError(f"expected {n} names, got {len(name_list)}")
@@ -423,10 +413,11 @@ def _group_unchecked(table: np.ndarray, names: Sequence[str], name: str = "") ->
     """Wrap a table that is a group by construction (catalog, closures, quotients).
 
     Still performs the cheap structural checks (identity at 0, Latin square);
-    skips the O(n^3) associativity scan.
+    skips the O(n^3) associativity scan.  A table already in elem_dtype(n)
+    is kept as it is; any other is cast once.
     """
-    arr = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-    n = arr.shape[0]
+    n = len(table)
+    arr = np.ascontiguousarray(table, dtype=elem_dtype(n))
     ar = np.arange(n)
     if not (np.array_equal(arr[0], ar) and np.array_equal(arr[:, 0], ar)):
         raise InvariantViolated("index 0 is not the identity of a constructed table")
@@ -449,8 +440,8 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
         if len(t) != degree or sorted(t) != list(range(degree)):
             raise NotABijection("generator", gi)
         rows.append(t)
-    gens = RowIndex(degree, np.int32)
-    gens.add(np.array(rows, dtype=np.int32).reshape(-1, degree))
+    gens = RowIndex(degree, elem_dtype(degree))
+    gens.add(np.array(rows, dtype=elem_dtype(degree)).reshape(-1, degree))
 
     E = _mulclose(gens.rows, degree, order_cap()).rows
     table = base_table(gens.rows, E)
@@ -459,11 +450,12 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
 
 
 def _product_table(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The componentwise product of two tables, pair (a, b) at index a*|B| + b;
-    the order cap is checked before the table is allocated."""
+    """The componentwise product of two tables, pair (a, b) at index a*|B| + b,
+    formed in elem_dtype(|A| |B|); the order cap is checked before the table
+    is allocated."""
     na, nb = len(A), len(B)
     check_order_cap(na * nb)
-    table = A[:, None, :, None].astype(np.int32) * nb + B[None, :, None, :]
+    table = A[:, None, :, None].astype(elem_dtype(na * nb)) * nb + B[None, :, None, :]
     return table.reshape(na * nb, na * nb)
 
 
@@ -585,7 +577,7 @@ def _coset_labels(table: np.ndarray, members: Sequence[int]) -> tuple[np.ndarray
     element of each coset, ascending, and proj[x] is the position in reps of
     the least element of x*N, so the coset of the identity is label 0."""
     reps, proj = np.unique(table[:, members].min(axis=1), return_inverse=True)
-    return reps, proj.astype(np.int32)
+    return reps, proj.astype(elem_dtype(len(reps)))
 
 
 def quotient_group(G: FiniteGroup, N: Iterable[int],
@@ -620,7 +612,7 @@ def subgroup_as_group(G: FiniteGroup, S: Iterable[int],
     if not is_subgroup(G, Sf):
         raise NotASubgroup(_subgroup_witness(G, Sf))
     lst = sorted(Sf)
-    local = np.empty(G.order, dtype=np.int32)
+    local = np.empty(G.order, dtype=elem_dtype(len(lst)))
     local[lst] = np.arange(len(lst))
     table = local[G.table[np.ix_(lst, lst)]]
     names = [G.names[g] for g in lst]

@@ -80,7 +80,7 @@ def build_gyro(G: FiniteGroup) -> GyroConstruction:
         warnings.warn(
             f"source group has nilpotency class {cls}; twisted table may not "
             "be a loop", stacklevel=2)
-    loop = loop_from_table(np.array(twisted), names=G.names, lenient=True,
+    loop = loop_from_table(twisted, names=G.names, lenient=True,
                            name=f"gyro({G.name})" if G.name else "gyro")
     loop._cache["source"] = G                     # for _central_labels
     return GyroConstruction(G, loop, cls)
@@ -133,7 +133,7 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
         # row a of T.T is R_a and row a of right_division.T is R_a^-1
         ids = _map_family(T.T, L.right_division.T, T, index)
         rows = index.rows
-    rows = rows.astype(T.dtype)
+    rows = rows.astype(T.dtype, copy=False)
     for read_only in (ids, rows):
         read_only.setflags(write=False)
     L._cache["gyr"] = GyrationTable(ids, tuple(rows))

@@ -30,6 +30,7 @@ from .groups import (
     _relabel,
     associativity_violation,
     closed_under,
+    elem_dtype,
     first_cell,
     first_violation,
     generated,
@@ -89,18 +90,22 @@ def loop_from_table(table, names: Sequence[str] | None = None,
     division table is None) so that broken tables remain inspectable; an
     identity is required in both modes.
 
-    The division tables decide Latin-ness: each is scattered into a table
-    filled with -1, and column a is a permutation exactly when every b has
-    an x with x*a = b, that is when column a of right_division holds no -1;
-    the rows are read off left_division the same way.
+    The table and both division tables are in elem_dtype(n); the table is
+    range-checked in the dtype it comes in and copied once.  The division
+    tables decide Latin-ness: each is scattered into a table filled with n,
+    an index no element has (it holds in any unsigned dtype, where a -1
+    would not), and column a is a permutation exactly when every b has an x
+    with x*a = b, that is when column a of right_division holds no n; the
+    rows are read off left_division the same way.
     """
-    arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
+    arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("multiplication table must be a square matrix")
     n = arr.shape[0]
     if n == 0 or arr.min() < 0 or arr.max() >= n:
         raise ValueError("table entries must be element indices")
-    arr = arr.astype(np.int32)
+    elem = elem_dtype(n)
+    arr = np.array(arr, dtype=elem, order="C")
     name_list = list(names) if names is not None else _default_names(n)
 
     e = _find_identity(arr)
@@ -110,22 +115,22 @@ def loop_from_table(table, names: Sequence[str] | None = None,
         arr, name_list = _relabel(arr, name_list, e)
 
     ar = np.arange(n)
-    rdiv = np.full((n, n), -1, dtype=np.int32)
+    rdiv = np.full((n, n), n, dtype=elem)
     rdiv[arr, ar] = ar[:, None]                 # rdiv[x*a, a] = x
-    bad_col = first_cell(rdiv.min(axis=0) < 0)
+    bad_col = first_cell(rdiv.max(axis=0) == n)
     if bad_col is not None and not lenient:
         raise NotRightLoop(bad_col[0])
-    ldiv = np.full((n, n), -1, dtype=np.int32)
+    ldiv = np.full((n, n), n, dtype=elem)
     ldiv[ar[:, None], arr] = ar                 # ldiv[a, a*y] = y
     cols_ok = bad_col is None
-    rows_ok = bool(ldiv.min() >= 0)
+    rows_ok = bool(ldiv.max() < n)
     return FiniteLoop(arr, name_list, cols_ok, cols_ok and rows_ok,
                       rdiv if cols_ok else None, ldiv if rows_ok else None, name=name)
 
 
 def loop_from_group(G: FiniteGroup) -> FiniteLoop:
     """View a group table as a loop (trivially valid)."""
-    return loop_from_table(np.array(G.table), names=G.names, name=G.name)
+    return loop_from_table(G.table, names=G.names, name=G.name)
 
 
 def divide(L: FiniteLoop, mode: str, a: int, b: int) -> int:

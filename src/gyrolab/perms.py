@@ -8,7 +8,8 @@ set of rows generates, breadth first.  Composites are formed in slabs of at
 most CHUNK_CELLS cells, so no step holds every candidate of a closure level.
 base_table reads the Cayley table of an enumerated group from the images of
 a base, in row blocks of about CHUNK_CELLS cells.  chain_order counts such a
-group from a stabilizer chain, listing no elements.
+group from a stabilizer chain, listing no elements.  elem_dtype is the one
+dtype every element table of the package is built in.
 """
 
 from __future__ import annotations
@@ -18,6 +19,22 @@ import numpy as np
 from .errors import InvariantViolated, OrderCapExceeded
 
 CHUNK_CELLS = 1 << 18
+
+
+def elem_dtype(n: int):
+    """The dtype of every element table of an order-n group or loop: uint16
+    while n <= 65535, otherwise int32.  The Cayley, division, commutator,
+    bracket and power tables, the inverses and the coset labels are built in
+    it, each cast once where it is made; a gather from a uint16 table moves
+    half the bytes of one from an int32 table.
+
+    It is a dtype for values.  Under NEP 50 a uint16 array times n stays
+    uint16 and wraps (700 * 729 gives 51548), so every offset i*n + j is
+    formed in intp or groups.offset_dtype(n).  An array passed as the
+    indices of np.take is intp (groups.index_table): numpy copies any other
+    index array into a fresh intp array on every call.
+    """
+    return np.uint16 if n <= np.iinfo(np.uint16).max else np.int32
 
 
 class RowIndex:
@@ -90,8 +107,9 @@ def _mulclose(generators: np.ndarray, degree: int, cap: int) -> RowIndex:
 
 def base_table(generators: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """table[i, j], the row of elements[i] o elements[j] among the elements:
-    the int32 Cayley table of the group the generator rows generate, whose
-    distinct elements are the rows of elements (as _mulclose lists them).
+    the Cayley table, in elem_dtype(n), of the group the generator rows
+    generate, whose distinct elements are the rows of elements (as _mulclose
+    lists them).
 
     An element is fixed by its images of a base (Sims 1970; Seress 2003,
     ch. 4).  The base is taken from the points some generator moves, in
@@ -120,10 +138,10 @@ def base_table(generators: np.ndarray, elements: np.ndarray) -> np.ndarray:
             rank, classes = split, len(keys)
     if classes < n:
         raise InvariantViolated("two elements agree on every point the generators move")
-    elem = np.empty(n, dtype=np.int32)
-    elem[rank] = np.arange(n, dtype=np.int32)
+    elem = np.empty(n, dtype=elem_dtype(n))
+    elem[rank] = np.arange(n)
     flat = E.ravel()
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=elem.dtype)
     step = max(1, CHUNK_CELLS // n)
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n), dtype=np.intp)[:, None] * degree

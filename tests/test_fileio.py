@@ -26,6 +26,7 @@ from gyrolab.fileio import (
     max_group_file_bytes,
 )
 from gyrolab.cli import main
+from gyrolab.groups import elem_dtype
 from gyrolab.search import evaluate_source
 
 
@@ -301,8 +302,8 @@ def test_matrix_csv():
 
 def test_matrix_csv_matches_per_cell_format_on_arrays_and_lists(d16):
     table = catalog_group("heisenberg:5").table
-    assert table.dtype == np.int32
-    for m in (table, table.tolist(), d16.table[:3], [[7, 10, 123]]):
+    assert table.dtype == elem_dtype(len(table))
+    for m in (table, table.astype(np.int32), table.tolist(), d16.table[:3], [[7, 10, 123]]):
         rows = np.asarray(m)
         expected = "\n".join(",".join(str(int(v)) for v in row) for row in rows) + "\n"
         assert matrix_csv(m) == expected

@@ -152,7 +152,8 @@ def _ref_l_family(T, ldiv):
     index = RowIndex(n, ldiv.dtype)
     flat = np.ascontiguousarray(ldiv).ravel()
     for x in range(n):
-        ids[x] = index.add(flat.take(T[:, x][:, None] * n + T[:, T[x]]))   # [y, t]
+        # the offset in intp: a uint16 column times n would wrap
+        ids[x] = index.add(flat.take(T[:, x].astype(np.intp)[:, None] * n + T[:, T[x]]))
     return ids, index.rows
 
 
