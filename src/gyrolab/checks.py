@@ -1,10 +1,14 @@
 """Instance verification suite: every structural statement the package knows
 about the twisted loop of a nilpotent group, checked exhaustively on one group.
 
-Each check scans all relevant tuples (a pass never short-circuits), produces
-the lexicographically least witness on failure, and is gated by explicit
-hypotheses; a group outside a gate gets status "skipped" with a stable
-reason string.
+Each check scans all relevant tuples (a pass never short-circuits) and
+produces the lexicographically least witness on failure.  A check is one
+body registered by _check(check_id, short, statement, needs): the body takes
+the SuiteContext and returns (witness, details), where a witness of None
+means pass.  verify_suite turns that pair into the CheckReport.  Every check
+needs a group of class at most 3; needs names any further hypotheses by
+their skip reason, tested in the order given, and a group outside one gets
+status "skipped" with the first reason that fails.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .cocycle import (
     make_transversal,
     verify_extension_isomorphism,
 )
-from .errors import NotASubloop, NotWellDefined, WrongClass
+from .errors import NotACocycle, NotASubloop, NotWellDefined, WrongClass
 from .groups import (
     FiniteGroup,
     _mark,
@@ -39,7 +43,7 @@ from .groups import (
     quotient_group,
     subgroup_as_group,
 )
-from .gyro import build_gyro, is_gyrogroup
+from .gyro import GYRO_AXIOMS_STATEMENT, build_gyro, is_gyrogroup
 from .invariants import (
     NUCLEUS_KINDS,
     commutant,
@@ -56,7 +60,7 @@ from .loops import (
     table_associativity_violation,
 )
 from .mappings import bracket_associativity_violation, is_inner_abelian
-from .report import CheckReport, failed, passed, skipped
+from .report import CheckReport
 
 # stable skip reasons
 R_CLASS = "group-not-nilpotent-of-class-at-most-3"
@@ -64,6 +68,15 @@ R_THREE = "hypothesis-needs-order-coprime-to-3"
 R_CLASS3 = "group-class-not-3"
 R_ENGEL = "group-not-2-engel"
 R_EXP3 = "group-exponent-not-3"
+
+# whether a group meets the hypothesis that each skip reason names
+_HOLDS = {
+    R_CLASS: lambda ctx: ctx.cls is not None and ctx.cls <= 3,
+    R_CLASS3: lambda ctx: ctx.cls == 3,
+    R_THREE: lambda ctx: ctx.coprime_to_3,
+    R_ENGEL: lambda ctx: ctx.two_engel,
+    R_EXP3: lambda ctx: ctx.exponent == 3,
+}
 
 
 def class2_criterion(G: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
@@ -126,13 +139,8 @@ def charset_right_nucleus(G: FiniteGroup) -> frozenset[int]:
 def charset_commutant(G: FiniteGroup) -> frozenset[int]:
     """{a : (a x)^3 = a^3 x^3 for all x}."""
     cube = G.power_array(3)
-    out = []
-    for a in range(G.order):
-        lhs = cube[G.table[a]]
-        rhs = G.table[int(cube[a]), cube]
-        if np.array_equal(lhs, rhs):
-            out.append(a)
-    return frozenset(out)
+    return frozenset(a for a in range(G.order)
+                     if np.array_equal(cube[G.table[a]], G.table[int(cube[a]), cube]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,111 +329,133 @@ class SuiteContext:
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns a CheckReport (without gating)
+# the checks, registered in report order
+
+_REGISTRY: list[tuple[str, str, str, tuple[str, ...], object]] = []
+
+
+def _check(check_id: str, short: str, statement: str, needs: tuple[str, ...] = ()):
+    """Register the decorated body as check check_id.  A skipped report reads
+    short as its statement; a pass or a fail reads statement."""
+    def register(body):
+        _REGISTRY.append((check_id, short, statement, needs, body))
+        return body
+    return register
+
 
 def _set_mismatch_witness(A: frozenset, B: frozenset) -> tuple:
     return (min(A.symmetric_difference(B)),)
 
 
-def _check_gyro_axioms(ctx: SuiteContext) -> CheckReport:
-    return is_gyrogroup(ctx.loop, source=ctx.G)
+def _same_set(brute: frozenset, char: frozenset):
+    """A set computed two ways: pass with its size, or fail at the least
+    element of one only."""
+    if brute != char:
+        return _set_mismatch_witness(brute, char), None
+    return None, {"size": len(brute)}
 
 
+@_check("twisted-table-is-loop", "loop validity",
+        "the twisted table is a loop (two-sided identity, both divisions)")
 def _check_loop_valid(ctx):
-    stmt = "the twisted table is a loop (two-sided identity, both divisions)"
     L = ctx.loop
     if L.is_loop:
-        return passed("twisted-table-is-loop", stmt)
+        return None, None
     bad_rows = [i for i in range(ctx.n)
                 if len(set(L.table[i].tolist())) != ctx.n]
-    return failed("twisted-table-is-loop", stmt, witness=(bad_rows[0],))
+    return (bad_rows[0],), None
 
 
+@_check("gyro-axioms", "gyrogroup axioms", GYRO_AXIOMS_STATEMENT)
+def _check_gyro_axioms(ctx):
+    rep = is_gyrogroup(ctx.loop, source=ctx.G)
+    return rep.witness, rep.details
+
+
+@_check("commutant-subloop", "commutant subloop",
+        "the commutant of the twisted loop is a subloop")
 def _check_commutant_subloop(ctx):
-    stmt = "the commutant of the twisted loop is a subloop"
     C = ctx.com
-    if is_subloop(ctx.loop, C):
-        return passed("commutant-subloop", stmt)
-    return failed("commutant-subloop", stmt, witness=subloop_witness(ctx.loop, frozenset(C)))
+    return (None if is_subloop(ctx.loop, C) else subloop_witness(ctx.loop, frozenset(C))), None
 
 
+@_check("commutant-normal-subloop", "commutant normal",
+        "the commutant of the twisted loop is a normal subloop")
 def _check_commutant_normal(ctx):
-    stmt = "the commutant of the twisted loop is a normal subloop"
-    w = ctx.normal_subloop(ctx.com)
-    if w is None:
-        return passed("commutant-normal-subloop", stmt)
-    return failed("commutant-normal-subloop", stmt, witness=w)
+    return ctx.normal_subloop(ctx.com), None
 
 
-_CHAR_BUILDERS = {
-    "left": (charset_left_nucleus, "[a,[x,y^-1]] = e for all x,y"),
-    "middle": (charset_middle_nucleus, "[x,[a,y^-1]] = e for all x,y"),
-    "right": (charset_right_nucleus, "[x,[y,a^-1]] = e for all x,y"),
-}
+@_check("char-left-nucleus", "left nucleus characterization",
+        "the left nucleus computed from the loop table equals "
+        "{a : [a,[x,y^-1]] = e for all x,y} computed from group commutators")
+def _check_char_left(ctx):
+    return _same_set(ctx.nuc("left"), charset_left_nucleus(ctx.G))
 
 
-def _check_char(kind):
-    def run(ctx):
-        fn, frag = _CHAR_BUILDERS[kind]
-        stmt = (f"the {kind} nucleus computed from the loop table equals "
-                f"{{a : {frag}}} computed from group commutators")
-        brute = ctx.nuc(kind)
-        char = fn(ctx.G)
-        if brute == char:
-            return passed(f"char-{kind}-nucleus", stmt,
-                          details={"size": len(brute)})
-        return failed(f"char-{kind}-nucleus", stmt,
-                      witness=_set_mismatch_witness(brute, char))
-    return run
+@_check("char-middle-nucleus", "middle nucleus characterization",
+        "the middle nucleus computed from the loop table equals "
+        "{a : [x,[a,y^-1]] = e for all x,y} computed from group commutators")
+def _check_char_middle(ctx):
+    return _same_set(ctx.nuc("middle"), charset_middle_nucleus(ctx.G))
 
 
+@_check("char-right-nucleus", "right nucleus characterization",
+        "the right nucleus computed from the loop table equals "
+        "{a : [x,[y,a^-1]] = e for all x,y} computed from group commutators")
+def _check_char_right(ctx):
+    return _same_set(ctx.nuc("right"), charset_right_nucleus(ctx.G))
+
+
+@_check("char-commutant", "commutant characterization",
+        "the commutant computed from the loop table equals "
+        "{a : (a x)^3 = a^3 x^3 for all x} computed in the group")
 def _check_char_commutant(ctx):
-    stmt = ("the commutant computed from the loop table equals "
-            "{a : (a x)^3 = a^3 x^3 for all x} computed in the group")
-    brute = ctx.com
-    char = charset_commutant(ctx.G)
-    if brute == char:
-        return passed("char-commutant", stmt, details={"size": len(brute)})
-    return failed("char-commutant", stmt, witness=_set_mismatch_witness(brute, char))
+    return _same_set(ctx.com, charset_commutant(ctx.G))
 
 
-def _check_each_nucleus(check_id, stmt, violation):
-    """check_id passes when violation(ctx, N) is None for the left, middle,
-    right and full nucleus N, in that order; the witness of the first that
-    fails is its kind followed by the violation."""
-    def run(ctx):
-        for kind in ("left", "middle", "right", "full"):
-            w = violation(ctx, ctx.nuc(kind))
-            if w is not None:
-                return failed(check_id, stmt, witness=(kind,) + w)
-        return passed(check_id, stmt)
-    return run
+def _each_nucleus(ctx, violation):
+    """Pass when violation(ctx, N) is None for the left, middle, right and
+    full nucleus N, in that order; the witness of the first that fails is
+    its kind followed by the violation."""
+    for kind in ("left", "middle", "right", "full"):
+        w = violation(ctx, ctx.nuc(kind))
+        if w is not None:
+            return (kind,) + w, None
+    return None, None
 
 
-def _class_violation(ctx, N):
-    c = ctx.subgroup_class(N)
-    return None if c is not None and c <= 2 else (str(c),)
+@_check("nuclei-subgroups-of-group", "nuclei are subgroups",
+        "each nucleus of the twisted loop is a subgroup of the source group")
+def _check_nuclei_subgroups(ctx):
+    return _each_nucleus(ctx, lambda ctx, N: (
+        None if is_subgroup(ctx.G, N) else _subgroup_witness(ctx.G, frozenset(N))))
 
 
-_check_nuclei_subgroups = _check_each_nucleus(
-    "nuclei-subgroups-of-group",
-    "each nucleus of the twisted loop is a subgroup of the source group",
-    lambda ctx, N: None if is_subgroup(ctx.G, N) else _subgroup_witness(ctx.G, frozenset(N)))
-_check_nuclei_normal_in_group = _check_each_nucleus(
-    "nuclei-normal-in-group",
-    "each nucleus of the twisted loop is normal in the source group",
-    SuiteContext.group_normality)
-_check_nuclei_class = _check_each_nucleus(
-    "nuclei-class-at-most-2",
-    "each nucleus, as a subgroup of the source, has nilpotency class <= 2",
-    _class_violation)
-_check_nuclei_induced_group = _check_each_nucleus(
-    "nuclei-induced-op-associative",
-    "the twisted product restricted to each nucleus is associative (a group)",
-    SuiteContext.induced_associativity)
-_check_nuclei_normal_subloops = _check_each_nucleus(
-    "nuclei-normal-subloops", "each nucleus is a normal subloop of the twisted loop",
-    SuiteContext.normal_subloop)
+@_check("nuclei-normal-in-group", "nuclei normal in group",
+        "each nucleus of the twisted loop is normal in the source group")
+def _check_nuclei_normal_in_group(ctx):
+    return _each_nucleus(ctx, SuiteContext.group_normality)
+
+
+@_check("nuclei-class-at-most-2", "nuclei class <= 2",
+        "each nucleus, as a subgroup of the source, has nilpotency class <= 2")
+def _check_nuclei_class(ctx):
+    def violation(ctx, N):
+        c = ctx.subgroup_class(N)
+        return None if c is not None and c <= 2 else (str(c),)
+    return _each_nucleus(ctx, violation)
+
+
+@_check("nuclei-induced-op-associative", "nuclei induced groups",
+        "the twisted product restricted to each nucleus is associative (a group)")
+def _check_nuclei_induced_group(ctx):
+    return _each_nucleus(ctx, SuiteContext.induced_associativity)
+
+
+@_check("nuclei-normal-subloops", "nuclei normal subloops",
+        "each nucleus is a normal subloop of the twisted loop")
+def _check_nuclei_normal_subloops(ctx):
+    return _each_nucleus(ctx, SuiteContext.normal_subloop)
 
 
 def _induced_violation(T: np.ndarray, S) -> tuple | None:
@@ -445,27 +475,27 @@ def _induced_violation(T: np.ndarray, S) -> tuple | None:
     return tuple(int(lst[i]) for i in bad)
 
 
+@_check("middle-nucleus-equals-right", "middle = right nucleus",
+        "the middle and right nuclei coincide")
 def _check_mid_eq_right(ctx):
-    stmt = "the middle and right nuclei coincide"
-    if ctx.nuc("middle") == ctx.nuc("right"):
-        return passed("middle-nucleus-equals-right", stmt)
-    return failed("middle-nucleus-equals-right", stmt,
-                  witness=_set_mismatch_witness(ctx.nuc("middle"), ctx.nuc("right")))
+    M, R = ctx.nuc("middle"), ctx.nuc("right")
+    return (_set_mismatch_witness(M, R) if M != R else None), None
 
 
+@_check("middle-nucleus-in-left", "middle <= left nucleus",
+        "the middle nucleus is contained in the left nucleus")
 def _check_mid_in_left(ctx):
-    stmt = "the middle nucleus is contained in the left nucleus"
     diff = ctx.nuc("middle") - ctx.nuc("left")
-    if not diff:
-        return passed("middle-nucleus-in-left", stmt)
-    return failed("middle-nucleus-in-left", stmt, witness=(min(diff),))
+    return ((min(diff),) if diff else None), None
 
 
+# The two expansions are laws of every group: they follow from associativity
+# alone.  On a table that is a group they cannot fail, so what each scan tests
+# is the associativity of the table it is given.
+
+@_check("commutator-expansion-left", "product expansion of [xy,z]",
+        "[x y, z] = [x,[y,z]] [y,z] [x,z] for all triples")
 def _check_commutator_expansion_left(ctx):
-    """[xy, z] = [x,[y,z]] [y,z] [x,z] is a law of every group: it follows
-    from associativity alone.  On a table that is a group it cannot fail, so
-    what the scan tests is the associativity of the table it is given."""
-    stmt = "[x y, z] = [x,[y,z]] [y,z] [x,z] for all triples"
     T, cm, n = ctx.G.table, ctx.cm, ctx.n
     Tf = T.ravel()
     cmi = index_table(cm, n)
@@ -484,17 +514,12 @@ def _check_commutator_expansion_left(ctx):
         np.take(Tf, off, out=rhs, mode="clip")
         np.take(cm, T[x], axis=0, out=lhs, mode="clip")   # [xy, z]
         return np.not_equal(lhs, rhs, out=bad)
-    w = first_violation(n, slab)
-    if w is None:
-        return passed("commutator-expansion-left", stmt)
-    return failed("commutator-expansion-left", stmt, witness=w)
+    return first_violation(n, slab), None
 
 
+@_check("commutator-expansion-right", "product expansion of [x,yz]",
+        "[x, y z] = [x,y] [y,[x,z]] [x,z] for all triples")
 def _check_commutator_expansion_right(ctx):
-    """[x, yz] = [x,y] [y,[x,z]] [x,z] is a law of every group: it follows
-    from associativity alone.  On a table that is a group it cannot fail, so
-    what the scan tests is the associativity of the table it is given."""
-    stmt = "[x, y z] = [x,y] [y,[x,z]] [x,z] for all triples"
     T, cm, n = ctx.G.table, ctx.cm, ctx.n
     Tf = T.ravel()
     Ti = index_table(T, n)
@@ -527,17 +552,15 @@ def _check_commutator_expansion_right(ctx):
         np.take(g, zi, axis=1, out=rhs, mode="clip")
         np.take(cm[x], Ti, out=lhs, mode="clip")          # [x, yz]
         return np.not_equal(lhs, rhs, out=bad)
-    w = first_violation(n, slab)
-    if w is None:
-        return passed("commutator-expansion-right", stmt)
-    return failed("commutator-expansion-right", stmt, witness=w)
+    return first_violation(n, slab), None
 
 
+@_check("commutant-element-identities", "commutant element identities",
+        "for a in the commutant and any x: [[a,x],x] = [[a,x],a] = e; "
+        "[x^-1,a^-1] = [a,x^-1] = [x,a]; "
+        "[x^2,a] = [x,a]^2 = [x,a^2] = [x,a^-1] = [x^-1,a]; "
+        "[a,x^3] = [a,x]^3 = [a^3,x] = e")
 def _check_commutant_identities(ctx):
-    stmt = ("for a in the commutant and any x: [[a,x],x] = [[a,x],a] = e; "
-            "[x^-1,a^-1] = [a,x^-1] = [x,a]; "
-            "[x^2,a] = [x,a]^2 = [x,a^2] = [x,a^-1] = [x^-1,a]; "
-            "[a,x^3] = [a,x]^3 = [a^3,x] = e")
     G, cm = ctx.G, ctx.cm
     inv = G.inverse
     sq = G.power_array(2)
@@ -562,137 +585,123 @@ def _check_commutant_identities(ctx):
         ]
         for tag, ok in checks:
             if not ok.all():
-                return failed("commutant-element-identities", stmt,
-                              witness=(tag, a) + first_cell(~ok))
-    return passed("commutant-element-identities", stmt)
+                return (tag, a) + first_cell(~ok), None
+    return None, None
 
 
+@_check("commutant-cubes-central", "commutant cubes central",
+        "cubes of commutant elements lie in the group center")
 def _check_commutant_cubes_central(ctx):
-    stmt = "cubes of commutant elements lie in the group center"
     cube = ctx.G.power_array(3)
     for a in sorted(ctx.com):
         if int(cube[a]) not in ctx.zg:
-            return failed("commutant-cubes-central", stmt, witness=(a, int(cube[a])))
-    return passed("commutant-cubes-central", stmt)
+            return (a, int(cube[a])), None
+    return None, None
 
 
+@_check("loop-center-intersection", "center = commutant meet nucleus",
+        "the loop center equals the commutant intersected with each of "
+        "the left, middle and right nuclei")
 def _check_center_intersection(ctx):
-    stmt = ("the loop center equals the commutant intersected with each of "
-            "the left, middle and right nuclei")
     Z = ctx.zl
     for kind in ("left", "middle", "right"):
         other = ctx.com & ctx.nuc(kind)
         if other != Z:
-            return failed("loop-center-intersection", stmt,
-                          witness=(kind,) + _set_mismatch_witness(Z, other))
-    return passed("loop-center-intersection", stmt,
-                  details={"center_size": len(Z)})
+            return (kind,) + _set_mismatch_witness(Z, other), None
+    return None, {"center_size": len(Z)}
 
 
+@_check("commutant-equals-group-center", "commutant = group center (3 coprime)",
+        "with order coprime to 3, the commutant, the loop center and the "
+        "group center coincide", needs=(R_THREE,))
 def _check_commutant_equals_group_center(ctx):
-    stmt = ("with order coprime to 3, the commutant, the loop center and the "
-            "group center coincide")
-    C, ZL, ZG = ctx.com, ctx.zl, ctx.zg
-    if C == ZG and ZL == ZG:
-        return passed("commutant-equals-group-center", stmt)
-    bad = _set_mismatch_witness(C, ZG) if C != ZG else _set_mismatch_witness(ZL, ZG)
-    return failed("commutant-equals-group-center", stmt, witness=bad)
+    ZG = ctx.zg
+    other = ctx.com if ctx.com != ZG else ctx.zl
+    return (_set_mismatch_witness(other, ZG) if other != ZG else None), None
 
 
-def _check_quotient_group(check_id, what, subset, abelian=False):
-    """check_id: the loop modulo subset(ctx), its `what`, is a group, and
-    an abelian one when asked."""
-    stmt = f"the twisted loop modulo its {what} is {'an abelian' if abelian else 'a'} group"
-
-    def run(ctx):
-        S = subset(ctx)
-        try:
-            bad = ctx.quotient_associativity(S)
-        except (NotASubloop, NotWellDefined) as exc:
-            return failed(check_id, stmt, witness=exc.witness)
-        if bad is None and abelian:
-            Q = ctx.quotient(S)[0].table
-            bad = first_cell(Q != Q.T)
-        if bad is None:
-            return passed(check_id, stmt)
-        return failed(check_id, stmt, witness=bad)
-    return run
+def _quotient_group(ctx, S, abelian=False):
+    """Pass when the loop modulo S is a group, and an abelian one when asked."""
+    try:
+        bad = ctx.quotient_associativity(S)
+    except (NotASubloop, NotWellDefined) as exc:
+        return exc.witness, None
+    if bad is None and abelian:
+        Q = ctx.quotient(S)[0].table
+        bad = first_cell(Q != Q.T)
+    return bad, None
 
 
-_check_quotient_by_commutant_group = _check_quotient_group(
-    "quotient-by-commutant-group", "commutant", lambda ctx: ctx.com)
-_check_quotient_center_group = _check_quotient_group(
-    "quotient-by-center-group", "center", lambda ctx: ctx.zl)
-_check_quotient_nucleus_abelian = _check_quotient_group(
-    "quotient-by-nucleus-abelian-group", "nucleus", lambda ctx: ctx.nuc("full"), abelian=True)
+@_check("quotient-by-commutant-group", "loop/commutant is a group",
+        "the twisted loop modulo its commutant is a group")
+def _check_quotient_by_commutant_group(ctx):
+    return _quotient_group(ctx, ctx.com)
 
 
+@_check("quotient-by-commutant-matches-gyro-of-quotient",
+        "loop/commutant = twist of group/commutant",
+        "the twisted loop modulo its commutant has the same table as the "
+        "twisted loop built on the group modulo the commutant")
 def _check_quotient_commutant_matches(ctx):
-    stmt = ("the twisted loop modulo its commutant has the same table as the "
-            "twisted loop built on the group modulo the commutant")
     C = ctx.com
     if not is_subgroup(ctx.G, C):
-        return failed("quotient-by-commutant-matches-gyro-of-quotient", stmt,
-                      witness=("commutant-not-a-subgroup",))
+        return ("commutant-not-a-subgroup",), None
     w = ctx.group_normality(C)
     if w is not None:
-        return failed("quotient-by-commutant-matches-gyro-of-quotient", stmt,
-                      witness=("commutant-not-normal",) + w)
-    QG, _ = quotient_group(ctx.G, C)
-    circ_of_quotient = build_gyro(QG).loop
-    quotient_of_circ, _ = ctx.quotient(C)
-    w = first_cell(circ_of_quotient.table != quotient_of_circ.table)
-    if w is None:
-        return passed("quotient-by-commutant-matches-gyro-of-quotient", stmt)
-    return failed("quotient-by-commutant-matches-gyro-of-quotient", stmt, witness=w)
+        return ("commutant-not-normal",) + w, None
+    circ_of_quotient = build_gyro(quotient_group(ctx.G, C)[0]).loop
+    return first_cell(circ_of_quotient.table != ctx.quotient(C)[0].table), None
 
 
-def _check_class_equivalence(k):
-    check_id = f"class{k}-equivalence"
-    stmt = (f"with order coprime to 3, the group has class exactly {k} iff the "
-            f"twisted loop has class exactly {k}")
-
-    def run(ctx):
-        if (ctx.cls == k) == (ctx.loop_class == k):
-            return passed(check_id, stmt,
-                          details={"group_class": ctx.cls, "loop_class": ctx.loop_class})
-        return failed(check_id, stmt,
-                      witness=("group-class", str(ctx.cls), "loop-class", str(ctx.loop_class)))
-    return run
+def _class_equivalence(ctx, k):
+    """Pass when the group has class k exactly when the loop has."""
+    if (ctx.cls == k) == (ctx.loop_class == k):
+        return None, {"group_class": ctx.cls, "loop_class": ctx.loop_class}
+    return ("group-class", str(ctx.cls), "loop-class", str(ctx.loop_class)), None
 
 
-_check_class2_equivalence = _check_class_equivalence(2)
-_check_class3_equivalence = _check_class_equivalence(3)
+@_check("class2-equivalence", "class-2 equivalence (3 coprime)",
+        "with order coprime to 3, the group has class exactly 2 iff the "
+        "twisted loop has class exactly 2", needs=(R_THREE,))
+def _check_class2_equivalence(ctx):
+    return _class_equivalence(ctx, 2)
 
 
+@_check("class3-equivalence", "class-3 equivalence (3 coprime)",
+        "with order coprime to 3, the group has class exactly 3 iff the "
+        "twisted loop has class exactly 3", needs=(R_THREE,))
+def _check_class3_equivalence(ctx):
+    return _class_equivalence(ctx, 3)
+
+
+@_check("class2-criterion", "cube criterion for loop class <= 2",
+        "for a class-3 group, all [x,y]^3 lie in the commutant iff the "
+        "twisted loop has class <= 2", needs=(R_CLASS3,))
 def _check_class2_criterion(ctx):
-    stmt = ("for a class-3 group, all [x,y]^3 lie in the commutant iff the "
-            "twisted loop has class <= 2")
     crit, w = _cube_criterion(ctx.G, ctx.com)
     small = ctx.loop_class is not None and ctx.loop_class <= 2
     if crit == small:
-        return passed("class2-criterion", stmt,
-                      details={"criterion": crit, "loop_class": ctx.loop_class})
-    witness = w if w is not None else ("loop-class", str(ctx.loop_class))
-    return failed("class2-criterion", stmt, witness=witness)
+        return None, {"criterion": crit, "loop_class": ctx.loop_class}
+    return (w if w is not None else ("loop-class", str(ctx.loop_class))), None
 
 
-def _check_loop_class_at_most_2(check_id, source):
-    stmt = f"{source} source gives a twisted loop of class <= 2"
-
-    def run(ctx):
-        if ctx.loop_class is not None and ctx.loop_class <= 2:
-            return passed(check_id, stmt, details={"loop_class": ctx.loop_class})
-        return failed(check_id, stmt, witness=("loop-class", str(ctx.loop_class)))
-    return run
+@_check("two-engel-implies-class2", "2-Engel source gives class <= 2",
+        "a 2-Engel source gives a twisted loop of class <= 2", needs=(R_ENGEL,))
+def _check_loop_class_at_most_2(ctx):
+    if ctx.loop_class is not None and ctx.loop_class <= 2:
+        return None, {"loop_class": ctx.loop_class}
+    return ("loop-class", str(ctx.loop_class)), None
 
 
-_check_two_engel = _check_loop_class_at_most_2("two-engel-implies-class2", "a 2-Engel")
-_check_exponent3 = _check_loop_class_at_most_2("exponent3-implies-class2", "an exponent-3")
+# the same verdict, under the other hypothesis that implies it
+_check("exponent3-implies-class2", "exponent-3 source gives class <= 2",
+       "an exponent-3 source gives a twisted loop of class <= 2",
+       needs=(R_EXP3,))(_check_loop_class_at_most_2)
 
 
+@_check("circ-commutator-formula", "loop commutator product formula",
+        "the loop commutator equals [x,y]^3 [x,[x,y]]^2 [y,[x,y]]^2 for all pairs")
 def _check_circ_commutator_formula(ctx):
-    stmt = "the loop commutator equals [x,y]^3 [x,[x,y]]^2 [y,[x,y]]^2 for all pairs"
     G, cm, n = ctx.G, ctx.cm, ctx.n
     T = G.table
     sq = G.power_array(2)
@@ -701,144 +710,91 @@ def _check_circ_commutator_formula(ctx):
     cm2 = cm[np.broadcast_to(ar[:, None], (n, n)), cm]      # [x, [x, y]]
     cm3 = cm[np.broadcast_to(ar[None, :], (n, n)), cm]      # [y, [x, y]]
     expected = T[T[cube[cm], sq[cm2]], sq[cm3]]
-    w = first_cell(ctx.bracket != expected)
-    if w is None:
-        return passed("circ-commutator-formula", stmt)
-    return failed("circ-commutator-formula", stmt, witness=w)
+    return first_cell(ctx.bracket != expected), None
 
 
+@_check("associator-formula", "loop associator formula",
+        "the loop associator equals [[z^-1, y], x] for all triples")
 def _check_associator_formula(ctx):
-    stmt = "the loop associator equals [[z^-1, y], x] for all triples"
-    formula_bad = ctx.associator_scan()[0]
-    if formula_bad is None:
-        return passed("associator-formula", stmt)
-    return failed("associator-formula", stmt, witness=formula_bad)
+    return ctx.associator_scan()[0], None
 
 
+@_check("associators-central", "associators central",
+        "every loop associator lies in the group center")
 def _check_associators_central(ctx):
-    stmt = "every loop associator lies in the group center"
-    central_bad = ctx.associator_scan()[1]
-    if central_bad is None:
-        return passed("associators-central", stmt)
-    return failed("associators-central", stmt, witness=central_bad)
+    return ctx.associator_scan()[1], None
 
 
+@_check("quotient-by-nucleus-abelian-group", "loop/nucleus abelian group",
+        "the twisted loop modulo its nucleus is an abelian group")
+def _check_quotient_nucleus_abelian(ctx):
+    return _quotient_group(ctx, ctx.nuc("full"), abelian=True)
+
+
+@_check("quotient-by-center-group", "loop/center group",
+        "the twisted loop modulo its center is a group")
+def _check_quotient_center_group(ctx):
+    return _quotient_group(ctx, ctx.zl)
+
+
+@_check("bracket-assoc-iff-ninth-power", "bracket associativity iff ninth powers",
+        "the loop-commutator bracket is associative iff "
+        "[[x,y],z]^9 == [x,[y,z]]^9 for all triples")
 def _check_bracket_iff_nine(ctx):
-    stmt = ("the loop-commutator bracket is associative iff "
-            "[[x,y],z]^9 == [x,[y,z]]^9 for all triples")
     bw = ctx.bracket_violation
     nine_ok, nw = nine_identity(ctx.G)
     if (bw is None) == nine_ok:
-        return passed("bracket-assoc-iff-ninth-power", stmt,
-                      details={"bracket_associative": bw is None})
-    witness = bw if bw is not None else nw
-    return failed("bracket-assoc-iff-ninth-power", stmt, witness=witness)
+        return None, {"bracket_associative": bw is None}
+    return (bw if bw is not None else nw), None
 
 
+@_check("bracket-not-associative", "bracket non-associative (class 3, 3 coprime)",
+        "for a class-3 group of order coprime to 3, the loop-commutator "
+        "bracket is not associative", needs=(R_CLASS3, R_THREE))
 def _check_bracket_not_associative(ctx):
-    stmt = ("for a class-3 group of order coprime to 3, the loop-commutator "
-            "bracket is not associative")
     bw = ctx.bracket_violation
-    if bw is not None:
-        return passed("bracket-not-associative", stmt,
-                      details={"witness_triple": list(bw)})
-    return failed("bracket-not-associative", stmt, witness=("no-violating-triple",))
+    if bw is None:
+        return ("no-violating-triple",), None
+    return None, {"witness_triple": list(bw)}
 
 
+@_check("inner-mapping-group-not-abelian",
+        "inner mapping group non-abelian (class 3, 3 coprime)",
+        "for a class-3 group of order coprime to 3, the inner mapping "
+        "group of the twisted loop is not abelian", needs=(R_CLASS3, R_THREE))
 def _check_inner_not_abelian(ctx):
-    stmt = ("for a class-3 group of order coprime to 3, the inner mapping "
-            "group of the twisted loop is not abelian")
     ok, w = is_inner_abelian(ctx.loop)
-    if not ok:
-        return passed("inner-mapping-group-not-abelian", stmt,
-                      details={"witness_pair": list(w)})
-    return failed("inner-mapping-group-not-abelian", stmt,
-                  witness=("all-generators-commute",))
+    if ok:
+        return ("all-generators-commute",), None
+    return None, {"witness_pair": list(w)}
 
 
+@_check("cocycle-reconstruction", "factor-set reconstruction",
+        "the twisted loop is reconstructed, up to the canonical pair "
+        "bijection, from the center factor set of the group")
 def _check_cocycle_reconstruction(ctx):
-    stmt = ("the twisted loop is reconstructed, up to the canonical pair "
-            "bijection, from the center factor set of the group")
     G = ctx.G
     Z = group_center(G)
     T = make_transversal(G, Z, policy="least-index")
-    fs = factor_set(G, T)
+    try:
+        fs = factor_set(G, T)
+    except NotACocycle as exc:                  # G is not associative
+        return ("not-a-cocycle",) + exc.witness, None
     q_circ = build_gyro(T.quotient).loop
     tf = gyro_factor_set(fs, q_circ)
     zgrp, _ = subgroup_as_group(G, Z)
     built = build_gyro_extension(zgrp, q_circ, tf)
     ok, w = verify_extension_isomorphism(built, ctx.loop, T)
     if ok:
-        return passed("cocycle-reconstruction", stmt,
-                      details={"center_size": len(Z), "quotient_order": T.quotient.order})
-    return failed("cocycle-reconstruction", stmt, witness=w)
+        return None, {"center_size": len(Z), "quotient_order": T.quotient.order}
+    return w, None
 
 
 # ---------------------------------------------------------------------------
-# registry and driver
-
-def _gate_class(ctx):
-    return None if (ctx.cls is not None and ctx.cls <= 3) else R_CLASS
-
-def _gate_coprime(ctx):
-    return _gate_class(ctx) or (None if ctx.coprime_to_3 else R_THREE)
-
-def _gate_class3(ctx):
-    return _gate_class(ctx) or (None if ctx.cls == 3 else R_CLASS3)
-
-def _gate_class3_coprime(ctx):
-    return _gate_class3(ctx) or (None if ctx.coprime_to_3 else R_THREE)
-
-def _gate_engel(ctx):
-    return _gate_class(ctx) or (None if ctx.two_engel else R_ENGEL)
-
-def _gate_exp3(ctx):
-    return _gate_class(ctx) or (None if ctx.exponent == 3 else R_EXP3)
-
-
-CHECKS: list[tuple[str, str, object, object]] = [
-    ("twisted-table-is-loop", "loop validity", _gate_class, _check_loop_valid),
-    ("gyro-axioms", "gyrogroup axioms", _gate_class, _check_gyro_axioms),
-    ("commutant-subloop", "commutant subloop", _gate_class, _check_commutant_subloop),
-    ("commutant-normal-subloop", "commutant normal", _gate_class, _check_commutant_normal),
-    ("char-left-nucleus", "left nucleus characterization", _gate_class, _check_char("left")),
-    ("char-middle-nucleus", "middle nucleus characterization", _gate_class, _check_char("middle")),
-    ("char-right-nucleus", "right nucleus characterization", _gate_class, _check_char("right")),
-    ("char-commutant", "commutant characterization", _gate_class, _check_char_commutant),
-    ("nuclei-subgroups-of-group", "nuclei are subgroups", _gate_class, _check_nuclei_subgroups),
-    ("nuclei-normal-in-group", "nuclei normal in group", _gate_class, _check_nuclei_normal_in_group),
-    ("nuclei-class-at-most-2", "nuclei class <= 2", _gate_class, _check_nuclei_class),
-    ("nuclei-induced-op-associative", "nuclei induced groups", _gate_class, _check_nuclei_induced_group),
-    ("nuclei-normal-subloops", "nuclei normal subloops", _gate_class, _check_nuclei_normal_subloops),
-    ("middle-nucleus-equals-right", "middle = right nucleus", _gate_class, _check_mid_eq_right),
-    ("middle-nucleus-in-left", "middle <= left nucleus", _gate_class, _check_mid_in_left),
-    ("commutator-expansion-left", "product expansion of [xy,z]", _gate_class, _check_commutator_expansion_left),
-    ("commutator-expansion-right", "product expansion of [x,yz]", _gate_class, _check_commutator_expansion_right),
-    ("commutant-element-identities", "commutant element identities", _gate_class, _check_commutant_identities),
-    ("commutant-cubes-central", "commutant cubes central", _gate_class, _check_commutant_cubes_central),
-    ("loop-center-intersection", "center = commutant meet nucleus", _gate_class, _check_center_intersection),
-    ("commutant-equals-group-center", "commutant = group center (3 coprime)", _gate_coprime, _check_commutant_equals_group_center),
-    ("quotient-by-commutant-group", "loop/commutant is a group", _gate_class, _check_quotient_by_commutant_group),
-    ("quotient-by-commutant-matches-gyro-of-quotient", "loop/commutant = twist of group/commutant", _gate_class, _check_quotient_commutant_matches),
-    ("class2-equivalence", "class-2 equivalence (3 coprime)", _gate_coprime, _check_class2_equivalence),
-    ("class3-equivalence", "class-3 equivalence (3 coprime)", _gate_coprime, _check_class3_equivalence),
-    ("class2-criterion", "cube criterion for loop class <= 2", _gate_class3, _check_class2_criterion),
-    ("two-engel-implies-class2", "2-Engel source gives class <= 2", _gate_engel, _check_two_engel),
-    ("exponent3-implies-class2", "exponent-3 source gives class <= 2", _gate_exp3, _check_exponent3),
-    ("circ-commutator-formula", "loop commutator product formula", _gate_class, _check_circ_commutator_formula),
-    ("associator-formula", "loop associator formula", _gate_class, _check_associator_formula),
-    ("associators-central", "associators central", _gate_class, _check_associators_central),
-    ("quotient-by-nucleus-abelian-group", "loop/nucleus abelian group", _gate_class, _check_quotient_nucleus_abelian),
-    ("quotient-by-center-group", "loop/center group", _gate_class, _check_quotient_center_group),
-    ("bracket-assoc-iff-ninth-power", "bracket associativity iff ninth powers", _gate_class, _check_bracket_iff_nine),
-    ("bracket-not-associative", "bracket non-associative (class 3, 3 coprime)", _gate_class3_coprime, _check_bracket_not_associative),
-    ("inner-mapping-group-not-abelian", "inner mapping group non-abelian (class 3, 3 coprime)", _gate_class3_coprime, _check_inner_not_abelian),
-    ("cocycle-reconstruction", "factor-set reconstruction", _gate_class, _check_cocycle_reconstruction),
-]
-
+# driver
 
 def suite_check_ids() -> list[str]:
-    return [cid for cid, _, _, _ in CHECKS]
+    return [cid for cid, *_ in _REGISTRY]
 
 
 def verify_suite(G: FiniteGroup, selection: list[str] | None = None) -> list[CheckReport]:
@@ -847,27 +803,28 @@ def verify_suite(G: FiniteGroup, selection: list[str] | None = None) -> list[Che
     Unknown selection ids raise ValueError.  Reports come back in registry
     order with wall-clock timing attached (timing is not serialized).
     """
-    known = set(suite_check_ids())
-    if selection is not None:
-        unknown = [s for s in selection if s not in known]
-        if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}")
-        wanted = set(selection)
-    else:
-        wanted = known
+    known = suite_check_ids()
+    unknown = sorted(s for s in selection or () if s not in known)
+    if unknown:
+        raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+    wanted = set(known if selection is None else selection)
     ctx = SuiteContext(G)
     reports: list[CheckReport] = []
-    for cid, short, gate, run in CHECKS:
+    for cid, short, statement, needs, body in _REGISTRY:
         if cid not in wanted:
             continue
         t0 = time.perf_counter()
-        reason = gate(ctx)
+        reason = next((r for r in (R_CLASS,) + needs if not _HOLDS[r](ctx)), None)
         if reason is not None:
-            rep = skipped(cid, short, reason)
+            rep = CheckReport(cid, short, "skipped", reason=reason)
         else:
-            rep = run(ctx)
-            if rep.witness is not None and rep.witness_names is None:
-                rep.witness_names = ctx.names_for(rep.witness)
+            witness, details = body(ctx)
+            if witness is None:
+                rep = CheckReport(cid, statement, "pass", details=details)
+            else:
+                witness = tuple(witness)
+                rep = CheckReport(cid, statement, "fail", witness=witness,
+                                  witness_names=ctx.names_for(witness), details=details)
         rep.timing = time.perf_counter() - t0
         reports.append(rep)
     return reports

@@ -263,8 +263,7 @@ def _automorphism_violation(L: FiniteLoop, p: np.ndarray) -> tuple[int, int] | N
     return first_cell(p[T] != T[np.ix_(p, p)])
 
 
-def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None,
-                 check_id: str = "gyro-axioms") -> CheckReport:
+def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None) -> CheckReport:
     """Check the two gyrogroup axioms over all pairs.
 
     A pass verdict always completes the full scan.  On failure the witness is
@@ -274,7 +273,7 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None,
     with a*b read as the group product instead of the loop product.
     """
     if L.right_division is None:
-        return failed(check_id, GYRO_AXIOMS_STATEMENT, witness=("not-a-right-loop",))
+        return failed("gyro-axioms", GYRO_AXIOMS_STATEMENT, witness=("not-a-right-loop",))
     n = L.order
     gt = gyration_table(L)
 
@@ -290,7 +289,7 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None,
     if bad_perm_ids:
         a, b = first_cell(_mark(len(gt.perms), bad_perm_ids)[gt.ids])
         u, v = inner_witness[int(gt.ids[a, b])]
-        return failed(check_id, GYRO_AXIOMS_STATEMENT, witness=(a, b, u, v),
+        return failed("gyro-axioms", GYRO_AXIOMS_STATEMENT, witness=(a, b, u, v),
                       details={**details, "axiom": "automorphism"})
 
     # pairing axiom: gyr(a, b) == gyr(a*b, a)^-1
@@ -311,6 +310,6 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None,
             (gt.ids == inverse_id[partner_group]).all())
     w = first_cell(~pairing_ok)
     if w is not None:
-        return failed(check_id, GYRO_AXIOMS_STATEMENT, witness=w,
+        return failed("gyro-axioms", GYRO_AXIOMS_STATEMENT, witness=w,
                       details={**details, "axiom": "pairing"})
-    return passed(check_id, GYRO_AXIOMS_STATEMENT, details=details)
+    return passed("gyro-axioms", GYRO_AXIOMS_STATEMENT, details=details)

@@ -54,20 +54,6 @@ class PermGroup:
                 return (self.labels[i], self.labels[i + 1 + int(bad[0])])
         return None
 
-    def orbit_of(self, point: int) -> frozenset[int]:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = int(g[p])
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return frozenset(seen)
-
 
 def _new_labels(ids: np.ndarray, start: int, label) -> list[str]:
     """label(i) for each id from start on, i its first occurrence in ids (flattened)."""

@@ -53,13 +53,8 @@ def passed(check_id: str, statement: str, details: dict | None = None) -> CheckR
 
 
 def failed(check_id: str, statement: str, witness: tuple,
-           names: tuple | None = None, details: dict | None = None) -> CheckReport:
-    return CheckReport(check_id, statement, "fail", witness=tuple(witness),
-                       witness_names=names, details=details)
-
-
-def skipped(check_id: str, statement: str, reason: str) -> CheckReport:
-    return CheckReport(check_id, statement, "skipped", reason=reason)
+           details: dict | None = None) -> CheckReport:
+    return CheckReport(check_id, statement, "fail", witness=tuple(witness), details=details)
 
 
 def summarize(reports: list[CheckReport]) -> dict:

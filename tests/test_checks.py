@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import warnings
@@ -29,12 +30,25 @@ from gyrolab import checks
 from gyrolab.checks import R_CLASS, R_CLASS3, R_THREE
 from gyrolab.cli import main
 from gyrolab.errors import NotASubloop
-from gyrolab.groups import group_from_permutations
+from gyrolab.groups import _group_unchecked, group_from_permutations
 from gyrolab.loops import normal_subloop_violation, subloop_witness
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_check_ids():
+    """CHECK_IDS of perfbench/run.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    value, = (node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["CHECK_IDS"])
+    return list(ast.literal_eval(value))
 
 
 def test_check_ids_are_stable():
+    # registration order is report order, and the benchmark names one
+    # per-layer metric for each id: a moved check body would change both
     ids = suite_check_ids()
+    assert ids == _perfbench_check_ids()
     assert len(ids) == len(set(ids))
     for expected in (
         "gyro-axioms",
@@ -97,6 +111,11 @@ def test_gate_reasons_class2_group():
     assert by_id["class2-criterion"].reason == R_CLASS3
     assert by_id["bracket-not-associative"].reason == R_CLASS3
     assert by_id["class2-equivalence"].status == "pass"
+    # order 27 and class 2 fail both hypotheses: the first one listed is
+    # the reason
+    by_id = {r.check_id: r for r in verify_suite(catalog_group("heisenberg:3"))}
+    assert by_id["bracket-not-associative"].reason == R_CLASS3
+    assert by_id["commutant-equals-group-center"].reason == R_THREE
 
 
 def test_everything_skipped_for_non_nilpotent():
@@ -147,9 +166,47 @@ def test_suite_reports_have_timing(d16):
 
 
 # ---------------------------------------------------------------------------
+# failing reports: the twisted table of a class-3 group, wrapped as a "group"
+# without the associativity scan
+
+def _wrapped_twist(spec):
+    G = catalog_group(spec)
+    return _group_unchecked(build_gyro(G).loop.table, G.names)
+
+
+# sha256 of the sorted-key JSON of the reports, with failure counts
+FAILING_PINS = {
+    "dihedral:16": (8, "b170dcb0a5b39187ffcc00ae569b7a4d72d1859bff430f5d23f1e84920e88cf8"),
+    "wreath33": (12, "7d6f90371ad795d7257c4798ad458dd41a5303d1919a29603775cb95bbcfcbb1"),
+    "product:dihedral:16,cyclic:5":
+        (8, "a4f02ffa75bd301aa32b165bdc84c157bfbcf225736fe920fe68907733ea57fa"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FAILING_PINS))
+def test_failing_reports_are_pinned(spec):
+    ids = [c for c in suite_check_ids() if c != "cocycle-reconstruction"]
+    reports = verify_suite(_wrapped_twist(spec), ids)
+    fails = sum(r.status == "fail" for r in reports)
+    doc = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+    assert (fails, hashlib.sha256(doc.encode()).hexdigest()) == FAILING_PINS[spec]
+
+
+def test_cocycle_reconstruction_fails_without_aborting_the_suite():
+    # the center factor set of a non-associative table is no cocycle: the
+    # check reports that, and the other 36 reports still come back
+    reports = verify_suite(_wrapped_twist("dihedral:16"))
+    assert len(reports) == 37
+    rep = reports[-1]
+    assert rep.check_id == "cocycle-reconstruction" and rep.status == "fail"
+    assert rep.witness == ("not-a-cocycle", 4, 1, 4)
+    assert rep.witness_names == ("not-a-cocycle", "r4", "r", "r4")
+
+
+# ---------------------------------------------------------------------------
 # set-level results computed once per distinct set
 
-GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+GOLDENS = ROOT / "perfbench" / "goldens.json"
 
 
 def _count_calls(monkeypatch, name):
@@ -192,8 +249,7 @@ def test_per_kind_checks_keep_their_kind_order(monkeypatch, d16):
     calls = _count_calls(monkeypatch, "normal_subloop_violation")
     ctx = SuiteContext(d16)
     for _ in range(2):
-        rep = checks._check_nuclei_normal_subloops(ctx)
-        assert rep.status == "fail" and rep.witness == ("middle",) + w
+        assert checks._check_nuclei_normal_subloops(ctx) == (("middle",) + w, None)
     assert calls == {commutant(L): 1, S: 1}
 
 

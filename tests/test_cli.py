@@ -8,7 +8,6 @@ import pytest
 import gyrolab.checks as checks
 import gyrolab.cli
 from gyrolab.cli import main
-from gyrolab.report import failed
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 
@@ -126,11 +125,10 @@ def test_verify_selection(capsys):
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
     # swap one check's runner for an unconditional failure to exercise the
     # exit-code path (no honest input makes the suite fail)
-    cid, short, gate, _run = checks.CHECKS[2]
-    patched = list(checks.CHECKS)
-    patched[2] = (cid, short, gate,
-                  lambda ctx: failed(cid, "forced failure", witness=(0,)))
-    monkeypatch.setattr(checks, "CHECKS", patched)
+    cid, short, statement, needs, _body = checks._REGISTRY[2]
+    patched = list(checks._REGISTRY)
+    patched[2] = (cid, short, statement, needs, lambda ctx: ((0,), None))
+    monkeypatch.setattr(checks, "_REGISTRY", patched)
     assert main(["verify", "--group", "cyclic:2"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["fail"] == 1

@@ -150,8 +150,8 @@ def _group_kernels(G, L):
     return {
         "associativity": associativity_violation(G.table),
         "nine": nine_identity(G),
-        "expansion-left": checks._check_commutator_expansion_left(ctx).witness,
-        "expansion-right": checks._check_commutator_expansion_right(ctx).witness,
+        "expansion-left": checks._check_commutator_expansion_left(ctx)[0],
+        "expansion-right": checks._check_commutator_expansion_right(ctx)[0],
         "two-engel": is_two_engel(G),
         "normality": normality_violation(G, [0, 1, 2]),
         "associator-formula": formula, "associators-central": central,

@@ -43,11 +43,6 @@ def test_group_inner_mappings_are_conjugations(d16):
     assert inn.order() == 8            # 16 / |{e, r4}|
 
 
-def test_orbit_transitive(d16_loop):
-    M = multiplication_group(d16_loop)
-    assert M.orbit_of(0) == frozenset(range(16))
-
-
 def test_mlt_inn_orbit_stabilizer(d16_loop):
     mlt, inn = mlt_inn_orders(d16_loop)
     assert (mlt, inn) == (256, 16)

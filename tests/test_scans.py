@@ -335,8 +335,8 @@ def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatc
 
 def _expansions(G):
     ctx = SuiteContext(G)
-    return (checks._check_commutator_expansion_left(ctx).witness,
-            checks._check_commutator_expansion_right(ctx).witness)
+    return (checks._check_commutator_expansion_left(ctx)[0],
+            checks._check_commutator_expansion_right(ctx)[0])
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -709,7 +709,7 @@ def test_expansion_right_allocates_its_buffers_once():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        assert checks._check_commutator_expansion_right(ctx).status == "pass"
+        assert checks._check_commutator_expansion_right(ctx)[0] is None
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
