@@ -34,7 +34,7 @@ from .groups import (
     first_cell,
     first_violation,
     generated,
-    offset_dtype,
+    index_table,
 )
 
 
@@ -194,38 +194,57 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
 
     Returns None when N is normal, else a tagged witness tuple.  Cosets are
     compared as sets.  Rows and columns of a loop are permutations, so both
-    sides of each product identity have |N| distinct elements and equality
-    is containment.  Once u*N == N*u for every u, one membership table
-    in_N[u, v] (v in u*N, which is N*u) serves both product tests.
+    sides of each identity have |N| distinct elements and equality is
+    containment: one membership table in_N[u, v] (v in u*N) decides the
+    cosets, and once u*N == N*u for every u, both product tests.
     """
     S = frozenset(int(x) for x in N)
     if not is_subloop(L, S):
         raise NotASubloop(subloop_witness(L, S))
     lst = sorted(S)
     n = L.order
-    T = L.table.astype(offset_dtype(n), copy=False)
-    xN = T[:, lst]                                      # [x, i] -> x*n_i
-    Nx = T[lst, :].T                                    # [x, i] -> n_i*x
+    Ti = index_table(L.table, n)
+    xN = Ti[:, lst]                                     # [x, i] -> x*n_i
+    Nx = Ti[lst, :].T                                   # [x, i] -> n_i*x
+    ar = np.arange(n)
+    in_N = np.zeros((n, n), dtype=bool)                 # in_N[u, v]: v in u*N
+    in_N[ar[:, None], xN] = True
 
-    bad = first_cell((np.sort(xN, axis=1) != np.sort(Nx, axis=1)).any(axis=1))
+    bad = first_cell(~in_N[ar[:, None], Nx].all(axis=1))
     if bad is not None:
         return ("left-right-coset",) + bad
 
     # flat: offset u*n + v; each slab below is [i, y] with u = x*y, reduced
-    # over i to the mask of the failing y
-    in_N = np.zeros((n, n), dtype=bool)
-    in_N[np.arange(n)[:, None], xN] = True
+    # over i to the mask of the failing y.  Both tests write into the same
+    # |N| x n buffers, allocated here once
     in_N = in_N.ravel()
-
     yN = np.ascontiguousarray(xN.T)                     # [i, y] -> y*n_i
-    w = first_violation(n, lambda x: ~in_N.take(        # x*(y*N) != (x*y)*N
-        T[x].take(yN) + T[x] * n).all(axis=0))
-    if w is not None:
-        return ("product-left",) + w
-    w = first_violation(n, lambda x: ~in_N.take(        # (N*x)*y != N*(x*y)
-        T.take(Nx[x], axis=0) + T[x] * n).all(axis=0))
-    if w is not None:
-        return ("product-right",) + w
+    off = np.empty((len(lst), n), dtype=np.intp)
+    hit = np.empty((len(lst), n), dtype=bool)
+    row_off = np.empty(n, dtype=np.intp)
+    fails = np.empty(n, dtype=bool)
+
+    def failing(x):
+        # off holds x*(y*n_i) or (n_i*x)*y at [i, y]; y fails where one of
+        # them is not in (x*y)*N, read at the offset (x*y)*n + off
+        np.multiply(Ti[x], n, out=row_off)
+        np.add(off, row_off, out=off)
+        np.take(in_N, off, out=hit, mode="clip")
+        np.logical_and.reduce(hit, axis=0, out=fails)
+        return np.logical_not(fails, out=fails)
+
+    def left(x):                                        # x*(y*N) != (x*y)*N
+        np.take(Ti[x], yN, out=off, mode="clip")
+        return failing(x)
+
+    def right(x):                                       # (N*x)*y != N*(x*y)
+        np.take(Ti, Nx[x], axis=0, out=off, mode="clip")
+        return failing(x)
+
+    for tag, slab in (("product-left", left), ("product-right", right)):
+        w = first_violation(n, slab)
+        if w is not None:
+            return (tag,) + w
     return None
 
 

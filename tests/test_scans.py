@@ -8,7 +8,9 @@ relabel of a nucleus's induced product.  Verdicts and witnesses must be
 equal, on passing inputs and on failing ones: twisted tables wrapped as
 (non-associative) "groups", a class-4 source, and random loops.  The nuclei
 read off the gyration table are pinned against both the nuclei that the
-associator scan reduces and the per-element reference.
+associator scan reduces and the per-element reference.  The keyed scans,
+which skip an x whose row repeats an earlier x's, are pinned against the
+same scans run with no key.
 """
 
 import os
@@ -36,7 +38,7 @@ from gyrolab import (
     subloop_generated,
 )
 import gyrolab
-from gyrolab import checks
+from gyrolab import checks, groups
 from gyrolab.groups import (
     FiniteGroup,
     _group_unchecked,
@@ -46,8 +48,9 @@ from gyrolab.groups import (
 )
 from gyrolab.errors import NotRightLoop
 from gyrolab.gyro import GyroConstruction
-from gyrolab.invariants import NUCLEUS_KINDS
+from gyrolab.invariants import NUCLEUS_KINDS, commutator_bracket_table
 from gyrolab.loops import loop_from_table, normal_subloop_violation
+from gyrolab.mappings import bracket_associativity_violation
 
 SPECS = ["dihedral:16", "wreath33", "heisenberg:5",
          "product:dihedral:16,cyclic:5", "dihedral:32"]
@@ -733,3 +736,191 @@ def test_expansion_right_past_uint16_cells():
     assert gc.source.order ** 2 > np.iinfo(np.uint16).max
     for G in (gc.source, _wrapped(gc)):
         assert _expansions(G)[1] == _ref_expansion_right(G)
+
+
+# ---------------------------------------------------------------------------
+# keyed scans: an x whose row repeats an earlier x's is skipped
+
+LADDER_324 = ["dihedral:16", "wreath33", "heisenberg:5",
+              "product:dihedral:16,cyclic:5", "product:wreath33,cyclic:4"]
+WRAPPED_PINS = ["dihedral:16", "wreath33", "product:dihedral:16,cyclic:5"]
+
+
+def _unkeyed(mp):
+    """Run every scan with rows=None from here on."""
+    scan = groups.first_violations
+    mp.setattr(groups, "first_violations",
+               lambda n, count, slab, rows=None: scan(n, count, slab))
+
+
+def _visits(mp):
+    """The x whose slab each scan computes, from here on, in call order."""
+    visits = []
+    scan = groups.first_violations
+
+    def counting(n, count, slab, rows=None):
+        def counted(x, open_):
+            visits.append(x)
+            return slab(x, open_)
+        return scan(n, count, counted, rows)
+    mp.setattr(groups, "first_violations", counting)
+    return visits
+
+
+def _keyed_scans(G, tables):
+    """The three keyed callers: the ninth-power identity and the right
+    expansion of G, and the associativity scan of each table."""
+    return ((nine_identity(G), checks._check_commutator_expansion_right(SuiteContext(G))[0])
+            + tuple(associativity_violation(t) for t in tables))
+
+
+def _first_rows(table):
+    """The x whose row differs from the rows of every smaller x."""
+    first = {}
+    for x, row in enumerate(table):
+        first.setdefault(row.tobytes(), x)
+    return sorted(first.values())
+
+
+def _keyed_cases(spec):
+    gc = _gyro(spec)
+    yield gc.source, (commutator_bracket_table(gc.loop), gc.source.table)
+    if spec in WRAPPED_PINS:
+        H = _wrapped(gc)
+        yield H, (H.table, H.commutator_table())
+
+
+@pytest.mark.parametrize("spec", LADDER_324)
+def test_keyed_scans_match_the_unkeyed_scans(spec):
+    # the sources with their bracket and group tables, and the wrapped
+    # twisted tables of the failing-report pins with their own tables and
+    # commutator tables (not Latin, with repeated rows, and failing); with
+    # every row hash colliding, only an x whose row equals the first row
+    # visited under the hash is skipped
+    for G, tables in _keyed_cases(spec):
+        keyed = _keyed_scans(G, tables)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "hash", lambda _b: 0, raising=False)
+            assert _keyed_scans(G, tables) == keyed
+        with pytest.MonkeyPatch.context() as mp:
+            _unkeyed(mp)
+            assert _keyed_scans(G, tables) == keyed
+        assert keyed[:3] == (_ref_nine_identity(G), _ref_expansion_right(G),
+                             _ref_associativity_violation(tables[0]))
+
+
+def test_keyed_scans_find_witnesses_on_the_wrapped_tables():
+    # the comparison above is not all passes: the wrapped D16xC5 fails all
+    # four scans, and its commutator table repeats rows
+    G, tables = list(_keyed_cases("product:dihedral:16,cyclic:5"))[1]
+    keyed = _keyed_scans(G, tables)
+    assert all(w is not None for w in (keyed[0][1],) + keyed[1:])
+    assert len(_first_rows(tables[1])) < G.order
+
+
+@st.composite
+def _repeated_rows(draw):
+    """A random n x n table and inverse map, with rows planted as copies of
+    other rows (the inverse copied along, so the commutator rows repeat)."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    cells = st.integers(min_value=0, max_value=n - 1)
+    table = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)))
+    inverse = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    for src, dst in draw(st.lists(st.tuples(cells, cells), min_size=1, max_size=n)):
+        table[dst], inverse[dst] = table[src], inverse[src]
+    return table, inverse
+
+
+@given(_repeated_rows())
+def test_keyed_scans_match_the_unkeyed_scans_on_repeated_rows(drawn):
+    table, inverse = drawn
+    H = _as_group(table, inverse)
+    tables = (H.table, H.commutator_table())
+    keyed = _keyed_scans(H, tables)
+    with pytest.MonkeyPatch.context() as mp:
+        _unkeyed(mp)
+        assert _keyed_scans(H, tables) == keyed
+    assert keyed == (_ref_nine_identity(H), _ref_expansion_right(H),
+                     _ref_associativity_violation(tables[0]),
+                     _ref_associativity_violation(tables[1]))
+
+
+def test_keyed_scans_visit_each_distinct_row_once():
+    # wreath33 x C4: 27 distinct rows of 324 in the commutator table and 9
+    # in the loop-commutator bracket table; the scans pass, so each visits
+    # the first x of every distinct row, as the suite runs them
+    ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
+    G, cm, B = ctx.G, ctx.cm, ctx.bracket
+    expected = {"nine": _first_rows(cm), "right": _first_rows(cm), "bracket": _first_rows(B)}
+    assert list(map(len, expected.values())) == [27, 27, 9]
+    runs = {"nine": lambda: nine_identity(G)[1],
+            "right": lambda: checks._check_commutator_expansion_right(ctx)[0],
+            "bracket": lambda: bracket_associativity_violation(ctx.loop)}
+    for name, run in runs.items():
+        with pytest.MonkeyPatch.context() as mp:
+            visits = _visits(mp)
+            assert run() is None
+        assert visits == expected[name], name
+
+
+def test_keyed_scan_visits_every_x_of_a_latin_table():
+    # a Latin table has no repeated row: a passing scan visits all n slabs,
+    # a failing one every x up to its witness
+    T = catalog_group("product:wreath33,cyclic:4").table
+    H = _wrapped(_gyro("dihedral:16"))
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        assert associativity_violation(T) is None
+        w = associativity_violation(H.table)
+    assert w == _ref_associativity_violation(H.table)
+    assert visits == list(range(len(T))) + list(range(w[0] + 1))
+
+
+def test_keyed_scans_allocate_their_buffers_once():
+    # n = 324.  The bracket scan's buffers are an intp copy of the table,
+    # two value slabs and a mask; the ninth-power scan's are those and the
+    # [a, b]^9 table.  The memo keeps one int per distinct row hash, so a
+    # copy of every row of a table (about 210 KiB here, the test above on
+    # the Latin table T) or a fresh n x n array per x raises the peak past
+    # the slack
+    ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
+    G, cm, B = ctx.G, ctx.cm, ctx.bracket
+    n, intp = ctx.n, np.dtype(np.intp).itemsize
+    G.power_array(9)
+    assert n == 324
+    runs = [(lambda: associativity_violation(B), n * n * (intp + 2 * B.itemsize + 1)),
+            (lambda: nine_identity(G)[1], n * n * (intp + 3 * cm.itemsize + 1))]
+    for run, buffers in runs:
+        run()                                 # fills Python's free lists
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run() is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers + 256 * 1024, (peak, buffers)
+
+
+def test_normal_subloop_allocates_its_buffers_once():
+    # the 108-element nucleus of wreath33 x C4's twisted loop, normal, so
+    # both product tests scan every x.  The buffers are an intp copy of the
+    # table, the membership table, the [x, n_i] and [n_i, x] tables and the
+    # |N| x n offsets, all intp, and a |N| x n mask; a fresh |N| x n intp
+    # array for every x (about 273 KiB here) raises the peak past them
+    ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
+    L, n = ctx.loop, ctx.n
+    N = max((ctx.nuc(kind) for kind in NUCLEUS_KINDS), key=len)
+    k, intp = len(N), np.dtype(np.intp).itemsize
+    assert k == 108
+    buffers = n * n * (intp + 1) + n * k * (3 * intp + 1)
+    assert normal_subloop_violation(L, N) is None
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert normal_subloop_violation(L, N) is None
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 256 * 1024, (peak, buffers)
