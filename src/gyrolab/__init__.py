@@ -22,13 +22,11 @@ from .checks import (
 )
 from .cocycle import (
     FactorSet,
-    GyroFactorSet,
     Transversal,
     build_gyro_extension,
-    coboundary_relate,
+    coboundary_violation,
     cocycle_violation,
     factor_set,
-    gyro_coboundary_relate,
     gyro_factor_set,
     make_transversal,
     transversal_tau,
@@ -110,11 +108,9 @@ from .loops import (
     normal_subloop_violation,
     quotient_loop,
     subloop_generated,
-    table_associativity_violation,
 )
 from .mappings import (
     PermGroup,
-    bracket_associativity_violation,
     inner_mapping_group,
     is_inner_abelian,
     mlt_inn_orders,

@@ -29,6 +29,7 @@ from .groups import (
     FiniteGroup,
     _mark,
     _subgroup_witness,
+    associativity_violation,
     first_cell,
     first_violation,
     first_violations,
@@ -57,9 +58,8 @@ from .loops import (
     normal_subloop_violation,
     quotient_loop,
     subloop_witness,
-    table_associativity_violation,
 )
-from .mappings import bracket_associativity_violation, is_inner_abelian
+from .mappings import is_inner_abelian
 from .report import CheckReport
 
 # stable skip reasons
@@ -188,7 +188,7 @@ class SuiteContext:
         """The associativity witness of the table of loop/S, None when
         associative; raises as quotient(S) does."""
         return self._per_set("quotient-assoc", S, lambda: (
-            table_associativity_violation(self.quotient(S)[0].table)))
+            associativity_violation(self.quotient(S)[0].table)))
 
     def group_normality(self, S):
         """normality_violation(G, S)."""
@@ -249,7 +249,7 @@ class SuiteContext:
 
     @property
     def bracket_violation(self):
-        return self._get("bracket-assoc", lambda: bracket_associativity_violation(self.loop))
+        return self._get("bracket-assoc", lambda: associativity_violation(self.bracket))
 
     @property
     def exponent(self):
@@ -470,7 +470,7 @@ def _induced_violation(T: np.ndarray, S) -> tuple | None:
     local = pos[sub]                                  # the products as positions in lst
     if (local < 0).any():
         return ("not-closed", int(sub[local < 0].min()))
-    bad = table_associativity_violation(local)
+    bad = associativity_violation(local)
     if bad is None:
         return None
     return tuple(int(lst[i]) for i in bad)
@@ -776,20 +776,15 @@ def _check_inner_not_abelian(ctx):
         "the twisted loop is reconstructed, up to the canonical pair "
         "bijection, from the center factor set of the group")
 def _check_cocycle_reconstruction(ctx):
-    G = ctx.G
-    Z = group_center(G)
-    T = make_transversal(G, Z, policy="least-index")
+    T = make_transversal(ctx.G, ctx.zg)
     try:
-        fs = factor_set(G, T)
+        fs = factor_set(ctx.G, T)
     except NotACocycle as exc:                  # G is not associative
         return ("not-a-cocycle",) + exc.witness, None
-    q_circ = build_gyro(T.quotient).loop
-    tf = gyro_factor_set(fs, q_circ)
-    zgrp, _ = subgroup_as_group(G, Z)
-    built = build_gyro_extension(zgrp, q_circ, tf)
+    built = build_gyro_extension(gyro_factor_set(fs))
     ok, w = verify_extension_isomorphism(built, ctx.loop, T)
     if ok:
-        return None, {"center_size": len(Z), "quotient_order": T.quotient.order}
+        return None, {"center_size": len(T.center), "quotient_order": T.quotient.order}
     return w, None
 
 

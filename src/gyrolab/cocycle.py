@@ -1,7 +1,8 @@
 """Central extensions, factor sets, and reconstruction of the twisted loop.
 
-Given a central subgroup Z <= Z(G) and a transversal rep: G/Z -> G with
-rep(identity coset) = identity, the factor set is
+Given a central subgroup Z <= Z(G), the transversal rep: G/Z -> G picks the
+least element of each coset, so rep(identity coset) = identity.  The factor
+set is
 
   f(x, y) = rep(x) rep(y) rep(xy)^-1   (values in Z)
 
@@ -11,20 +12,21 @@ twisted product on G induces a twisted factor set over the quotient loop:
   tf(x, y) = f(y, y^-1)^-1 f(y^-1, x) f(y, y) f(y^-1 x, y^2)
 
 and the loop built on pairs (a, x) by (a,x)*(b,y) = (a b tf(x,y), x*y) is
-isomorphic to the twisted loop of G via (a, x) -> a rep(x).  Two transversals
-differ by tau(x) = rep2(x) rep1(x)^-1 in Z, and the factor sets are related by
+isomorphic to the twisted loop of G via (a, x) -> a rep(x).  Both are a
+FactorSet: f (loop None) is defined on the quotient group, tf on the quotient
+loop it carries.  Two transversals differ by tau(x) = rep2(x) rep1(x)^-1 in Z,
+and two factor sets of either kind are related by one coboundary relation
+over the product x.y they are defined on (coboundary_violation):
 
-  g(x, y) = tau(x) tau(y) f(x, y) tau(x y)^-1          (group product x y)
-  tg(x, y) = tau(x) tau(y) tf(x, y) tau(x * y)^-1      (loop product x * y)
+  g(x, y) = tau(x) tau(y) f(x, y) tau(x.y)^-1
 
-The loop product appears in the twisted relation because tf's defining
-combination lands on the coset of y^-1 x y^2; substituting the plain relation
-into the definition of tf makes the last factor tau(y^-1 x y^2)^-1 exactly.
+For tf, x.y is the loop product x * y because tf's defining combination lands
+on the coset of y^-1 x y^2; substituting the plain relation into the
+definition of tf makes the last factor tau(y^-1 x y^2)^-1 exactly.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -46,7 +48,9 @@ from .groups import (
     first_violation,
     is_subgroup,
     quotient_group,
+    subgroup_as_group,
 )
+from .gyro import build_gyro
 from .loops import FiniteLoop, loop_from_table
 
 
@@ -57,16 +61,14 @@ class Transversal:
     quotient: FiniteGroup
     projection: np.ndarray               # G index -> quotient index
     reps: np.ndarray                     # quotient index -> G index
-    policy: str
 
 
-def make_transversal(G: FiniteGroup, Z: Iterable[int], policy: str = "least-index",
-                     seed: int | None = None) -> Transversal:
-    """Choose coset representatives for a central subgroup.
+def make_transversal(G: FiniteGroup, Z: Iterable[int]) -> Transversal:
+    """The least element of each coset of a central subgroup as its representative.
 
-    policy "least-index" picks the smallest element index of each coset;
-    "random-seeded" draws representatives from a seeded RNG.  Both force the
-    representative of the identity coset to be the identity (normalization).
+    That is the first occurrence of each label in the quotient projection;
+    the identity 0 is the first element of its coset, so the transversal is
+    normalized.
     """
     Zs = frozenset(int(z) for z in Z)
     if not is_subgroup(G, Zs):
@@ -76,27 +78,23 @@ def make_transversal(G: FiniteGroup, Z: Iterable[int], policy: str = "least-inde
     if bad is not None:
         raise NotCentral((zl[bad[0]], bad[1]))
     Q, proj = quotient_group(G, Zs)
-    cosets = [np.flatnonzero(proj == q) for q in range(Q.order)]
-    if policy == "least-index":
-        reps = np.array([int(c.min()) for c in cosets], dtype=elem_dtype(G.order))
-    elif policy == "random-seeded":
-        rng = random.Random(seed)
-        reps = np.array([int(rng.choice(c.tolist())) for c in cosets],
-                        dtype=elem_dtype(G.order))
-    else:
-        raise ValueError(f"unknown transversal policy {policy!r}")
-    reps[0] = 0
-    return Transversal(G, tuple(sorted(Zs)), Q, proj, reps, policy)
+    reps = np.unique(proj, return_index=True)[1].astype(elem_dtype(G.order))
+    return Transversal(G, tuple(zl), Q, proj, reps)
 
 
 @dataclass(frozen=True)
 class FactorSet:
-    """values[x, y] is a G-element index lying in the central subgroup."""
+    """values[x, y] is a G-element index lying in the central subgroup.
+
+    loop is None for the plain factor set, defined on the quotient group,
+    and the twisted loop of the quotient for the twisted factor set.
+    """
 
     group: FiniteGroup
     center: tuple[int, ...]
     quotient: FiniteGroup
     values: np.ndarray
+    loop: FiniteLoop | None = None
 
     def local_values(self) -> np.ndarray:
         """Values as positions within the sorted center list (for export)."""
@@ -148,43 +146,28 @@ def cocycle_violation(f: FactorSet) -> tuple[int, int, int] | None:
     return first_violation(len(Qt), slab)
 
 
-@dataclass(frozen=True)
-class GyroFactorSet:
-    """Twisted factor set over the quotient loop; values are G-element indices."""
-
-    group: FiniteGroup
-    center: tuple[int, ...]
-    quotient: FiniteGroup                 # the quotient as a group
-    quotient_loop: FiniteLoop             # the twisted loop on the quotient
-    values: np.ndarray
-
-    def local_values(self) -> np.ndarray:
-        """Values as positions within the sorted center list (for export)."""
-        return _center_positions(self.values, self.center)
-
-
-def gyro_factor_set(f: FactorSet, q_circ: FiniteLoop) -> GyroFactorSet:
-    """tf(x, y) = f(y, y^-1)^-1 f(y^-1, x) f(y, y) f(y^-1 x, y^2)."""
+def gyro_factor_set(f: FactorSet) -> FactorSet:
+    """tf(x, y) = f(y, y^-1)^-1 f(y^-1, x) f(y, y) f(y^-1 x, y^2) on the quotient loop."""
     G, Q, v = f.group, f.quotient, f.values
-    if q_circ.order != Q.order:
-        raise InvariantViolated("quotient loop must live on the quotient group")
     mul, x, yinv = G.table, np.arange(Q.order)[:, None], Q.inverse
     y = x.T
     # [x, y] cells: f(y, y^-1)^-1 f(y^-1, x) f(y, y) f(y^-1 x, y^2)
     values = mul[mul[mul[G.inverse[v[y, yinv]], v[yinv, x]], v[y, y]],
                  v[Q.table[yinv, x], Q.table[y, y]]]
     _center_positions(values, f.center)                  # every value is central
-    return GyroFactorSet(G, f.center, Q, q_circ, values)
+    return FactorSet(G, f.center, Q, values, loop=build_gyro(Q).loop)
 
 
-def build_gyro_extension(z_part: FiniteGroup, q_part: FiniteLoop,
-                         tf: GyroFactorSet) -> FiniteLoop:
+def build_gyro_extension(tf: FactorSet) -> FiniteLoop:
     """Loop on pairs (a, x), index a*|Q| + x, with the twisted cocycle product.
 
     (a, x) * (b, y) = (a b tf(x, y), x * y): first coordinate multiplied in
-    the central (abelian) group, second in the quotient loop.  Built leniently
-    so that deliberately corrupted factor sets stay representable.
+    the central (abelian) group Z, second in the quotient loop tf.loop.  Built
+    leniently so that deliberately corrupted factor sets stay representable.
     """
+    if tf.loop is None:
+        raise InvariantViolated("the extension needs the twisted factor set")
+    z_part, q_part = subgroup_as_group(tf.group, tf.center)[0], tf.loop
     nz, nq = z_part.order, q_part.order
     tf_local = tf.local_values()
     # [a, x, b, y] -> index of (a b tf(x, y), x * y), formed in the dtype of
@@ -229,20 +212,14 @@ def transversal_tau(t1: Transversal, t2: Transversal) -> np.ndarray:
     return tau
 
 
-def coboundary_relate(f: FactorSet, g: FactorSet, tau: np.ndarray) -> np.ndarray:
-    """Boolean matrix of g(x,y) == tau(x) tau(y) f(x,y) tau(xy)^-1 per pair."""
-    G, Q = f.group, f.quotient
-    t_prod = G.table[np.ix_(tau, tau)]
-    rhs = G.table[G.table[t_prod, f.values], G.inverse[tau[Q.table]]]
-    return g.values == rhs
+def coboundary_violation(f: FactorSet, g: FactorSet,
+                         tau: np.ndarray) -> tuple[int, int] | None:
+    """First (x, y) where g(x,y) != tau(x) tau(y) f(x,y) tau(x.y)^-1, else None.
 
-
-def gyro_coboundary_relate(tf: GyroFactorSet, tg: GyroFactorSet,
-                           tau: np.ndarray) -> tuple[bool, tuple[int, int] | None]:
-    """Check tg(x,y) == tau(x) tau(y) tf(x,y) tau(x*y)^-1 with the loop product."""
-    G = tf.group
-    Lq = tf.quotient_loop
-    t_prod = G.table[np.ix_(tau, tau)]
-    rhs = G.table[G.table[t_prod, tf.values], G.inverse[tau[Lq.table]]]
-    w = first_cell(tg.values != rhs)
-    return w is None, w
+    x.y is the product f is defined on: the quotient group's for a plain
+    factor set, the quotient loop's for a twisted one.
+    """
+    mul = f.group.table
+    xy = (f.quotient if f.loop is None else f.loop).table
+    rhs = mul[mul[mul[np.ix_(tau, tau)], f.values], f.group.inverse[tau[xy]]]
+    return first_cell(g.values != rhs)

@@ -271,23 +271,20 @@ def export_gyration_table(G: FiniteGroup) -> dict:
         "group": group_descriptor(G),
         "order": L.order,
         "ids": gt.ids.tolist(),
-        "gyrations": [np.asarray(p).tolist() for p in gt.perms],
+        "gyrations": gt.perms.tolist(),
     }
 
 
 def export_factor_set(G: FiniteGroup) -> dict:
     from .cocycle import factor_set, gyro_factor_set, make_transversal
-    from .gyro import build_gyro
-    Z = group_center(G)
-    T = make_transversal(G, Z, policy="least-index")
+    T = make_transversal(G, group_center(G))
     fs = factor_set(G, T)
-    tf = gyro_factor_set(fs, build_gyro(T.quotient).loop)
-    z_list = sorted(Z)
+    tf = gyro_factor_set(fs)
     return {
         "kind": "factor-set",
         "group": group_descriptor(G),
-        "center": z_list,
-        "center_names": [G.names[i] for i in z_list],
+        "center": list(T.center),
+        "center_names": [G.names[i] for i in T.center],
         "quotient_order": T.quotient.order,
         "reps": [int(r) for r in T.reps],
         "plain": fs.local_values().tolist(),

@@ -164,12 +164,6 @@ def is_index_perm(line: np.ndarray) -> bool:
     return bool((np.bincount(line, minlength=n) == 1).all())
 
 
-def offset_dtype(n: int):
-    """Integer dtype for flat offsets i*n + j into an n x n table: int32
-    whenever n*n fits, which halves the bytes a slab moves."""
-    return np.int32 if n * n <= np.iinfo(np.int32).max else np.intp
-
-
 def index_table(table, n: int) -> np.ndarray:
     """An intp copy of a table of indices into 0..n-1, built once per scan.
 

@@ -97,10 +97,13 @@ def gyration(L: FiniteLoop, y: int, z: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GyrationTable:
-    """All n^2 gyrations, deduplicated: ids[y, z] indexes into perms."""
+    """All n^2 gyrations, deduplicated: ids[y, z] indexes the rows of perms.
+
+    Both are read-only arrays; row k of perms is the k-th distinct gyration.
+    """
 
     ids: np.ndarray
-    perms: tuple[np.ndarray, ...]
+    perms: np.ndarray
 
     def perm(self, y: int, z: int) -> np.ndarray:
         return self.perms[int(self.ids[y, z])]
@@ -136,7 +139,7 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
     rows = rows.astype(T.dtype, copy=False)
     for read_only in (ids, rows):
         read_only.setflags(write=False)
-    L._cache["gyr"] = GyrationTable(ids, tuple(rows))
+    L._cache["gyr"] = GyrationTable(ids, rows)
     return L._cache["gyr"]
 
 
@@ -293,7 +296,7 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None) -> CheckRepor
                       details={**details, "axiom": "automorphism"})
 
     # pairing axiom: gyr(a, b) == gyr(a*b, a)^-1
-    perms = np.array(gt.perms)
+    perms = gt.perms
     inverses = np.empty_like(perms)
     np.put_along_axis(inverses, perms, np.arange(n, dtype=perms.dtype)[None, :], axis=1)
     index = RowIndex(n, perms.dtype)

@@ -38,7 +38,7 @@ def _gyration_nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], fro
     L has no right division.
     """
     gt = gyration_table(L)
-    fixed = (np.array(gt.perms) == np.arange(L.order)).all(axis=0)
+    fixed = (gt.perms == np.arange(L.order)).all(axis=0)
     trivial = gt.ids == 0
     return tuple(frozenset(int(i) for i in np.flatnonzero(m))
                  for m in (fixed, trivial.all(axis=1), trivial.all(axis=0)))

@@ -28,7 +28,6 @@ from .groups import (
     _find_identity,
     _product_table,
     _relabel,
-    associativity_violation,
     closed_under,
     elem_dtype,
     first_cell,
@@ -145,10 +144,6 @@ def divide(L: FiniteLoop, mode: str, a: int, b: int) -> int:
             raise NotALoop()
         return int(L.left_division[a, b])
     raise ValueError(f"mode must be 'right' or 'left', got {mode!r}")
-
-
-# The group-table scan needs only the table, so loop tables use it as is.
-table_associativity_violation = associativity_violation
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ import numpy as np
 from .errors import InvariantViolated, NotALoop
 from .groups import elem_dtype
 from .gyro import _central_labels, _map_family, gyration_table
-from .invariants import commutator_bracket_table
-from .loops import FiniteLoop, table_associativity_violation
+from .loops import FiniteLoop
 from .perms import RowIndex, chain_order
 from .perms import _mulclose  # noqa: F401  perfbench/tracer.py wraps it by this name
 
@@ -89,7 +88,7 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
     n = L.order
     gt = gyration_table(L)
     index = RowIndex(n, elem_dtype(n))
-    index.add(np.array(gt.perms))
+    index.add(gt.perms)
     labels = _new_labels(gt.ids, 0, lambda i: f"R({i // n},{i % n})")
     # L(x,y) = L_{y*x}^-1 o L_y o L_x: row a of T is L_a, row a of ldiv is L_a^-1
     start = len(index)
@@ -121,8 +120,3 @@ def is_inner_abelian(L: FiniteLoop) -> tuple[bool, tuple[str, str] | None]:
 
 def mlt_inn_orders(L: FiniteLoop) -> tuple[int, int]:
     return multiplication_group(L).order(), inner_mapping_group(L).order()
-
-
-def bracket_associativity_violation(L: FiniteLoop) -> tuple[int, int, int] | None:
-    """First triple where the loop-commutator bracket fails to associate."""
-    return table_associativity_violation(commutator_bracket_table(L))

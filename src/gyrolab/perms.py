@@ -30,7 +30,7 @@ def elem_dtype(n: int):
 
     It is a dtype for values.  Under NEP 50 a uint16 array times n stays
     uint16 and wraps (700 * 729 gives 51548), so every offset i*n + j is
-    formed in intp or groups.offset_dtype(n).  An array passed as the
+    formed in intp.  An array passed as the
     indices of np.take is intp (groups.index_table): numpy copies any other
     index array into a fresh intp array on every call.
     """

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -79,3 +82,19 @@ def _relabelled_regular(spec, seed=0):
 def relabelled_regular():
     """Factory (spec, seed=0) -> (degree, generators) of a relabelled regular action."""
     return _relabelled_regular
+
+
+def _seeded_transversal(T, seed):
+    """T with each representative drawn by random.Random(seed).choice over
+    its coset, cosets in quotient order; the identity coset keeps 0."""
+    rng = random.Random(seed)
+    reps = np.array([rng.choice(np.flatnonzero(T.projection == q).tolist())
+                     for q in range(T.quotient.order)], dtype=T.reps.dtype)
+    reps[0] = 0
+    return dataclasses.replace(T, reps=reps)
+
+
+@pytest.fixture(scope="session")
+def seeded_transversal():
+    """Factory (T, seed) -> T with seeded random coset representatives."""
+    return _seeded_transversal

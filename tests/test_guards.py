@@ -2,16 +2,19 @@
 subclasses, so they hold under -O, and no CLI command imports numpy.ma.
 A permutation file's table is read from base images, hashing no composite.
 The fused associator and nuclei scan runs once per verify, as its oracle,
-and never in analyze."""
+and never in analyze; the loop-commutator bracket table is built once per
+verify.  Every public routine has one name."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from gyrolab import checks, perms
+import gyrolab
+from gyrolab import catalog_group, checks, invariants, perms, verify_suite
 from gyrolab.cli import main
 from gyrolab.fileio import parse_group_file
 
@@ -108,3 +111,31 @@ def test_nuclei_scan_is_only_the_verify_oracle(monkeypatch, capsys):
     monkeypatch.setattr(checks, "first_violations", counted)
     assert main(["verify", "--group", "wreath33"]) == 0
     assert calls == [(81, 3)]
+
+
+def test_bracket_table_is_built_once_per_verify(monkeypatch):
+    # circ-commutator-formula and bracket-assoc-iff-ninth-power both read
+    # SuiteContext.bracket; the calls are counted at every module that binds
+    # the name
+    build = invariants.commutator_bracket_table
+    calls = []
+
+    def counted(L):
+        calls.append(L.order)
+        return build(L)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gyrolab" and hasattr(module, "commutator_bracket_table"):
+            monkeypatch.setattr(module, "commutator_bracket_table", counted)
+    reports = verify_suite(catalog_group("wreath33"))
+    ran = {r.check_id for r in reports if r.status != "skipped"}
+    assert {"circ-commutator-formula", "bracket-assoc-iff-ninth-power"} <= ran
+    assert calls == [81]
+
+
+def test_every_public_routine_has_one_name():
+    # an alias exported beside the routine it names would be a second
+    # public name for one job
+    aliases = [name for name in gyrolab.__all__
+               if (inspect.isfunction(obj := getattr(gyrolab, name)) or inspect.isclass(obj))
+               and obj.__name__ != name]
+    assert aliases == []

@@ -67,7 +67,7 @@ def test_gyration_is_commutator_conjugation(d16, d16_loop):
 def test_gyration_table_dedup(d16_loop):
     gt = gyration_table(d16_loop)
     assert gt.ids.shape == (16, 16)
-    assert len(gt.perms) == 2          # identity and conjugation by r2
+    assert gt.perms.shape == (2, 16)   # identity and conjugation by r2
     assert gt.ids[0, 0] == 0
     assert tuple(gt.perms[0]) == tuple(range(16))
 
@@ -127,7 +127,7 @@ def _ref_gyration_table(L):
         xyz = T[T[:, y], :]                       # [x, z] -> (x*y)*z
         gy = rdiv[xyz, T[y, :][None, :]]          # [x, z] -> gyr(y,z)(x)
         ids[y] = index.add(gy.T)                  # row z = images of gyr(y,z)
-    return GyrationTable(ids, list(index.rows))
+    return GyrationTable(ids, index.rows)
 
 
 @pytest.mark.parametrize("spec", ["wreath33", "product:dihedral:16,cyclic:5",
@@ -138,7 +138,7 @@ def test_gyration_table_matches_column_kernel(spec, monkeypatch):
         gc = build_gyro(catalog_group(spec))
     got, ref = gyration_table(gc.loop), _ref_gyration_table(gc.loop)
     assert np.array_equal(got.ids, ref.ids)
-    assert np.array_equal(np.array(got.perms), np.array(ref.perms))
+    assert np.array_equal(got.perms, ref.perms)
     report = is_gyrogroup(gc.loop, source=gc.source).to_dict()
     monkeypatch.setattr(gyro, "gyration_table", _ref_gyration_table)
     assert report == is_gyrogroup(gc.loop, source=gc.source).to_dict()
@@ -188,7 +188,7 @@ def _assert_families_match(L):
     got, ref = gyration_table(L), _ref_gyration_table(L)
     assert got.ids.dtype == np.int32 and got.perms[0].dtype == L.table.dtype
     assert np.array_equal(got.ids, ref.ids)
-    assert np.array_equal(np.array(got.perms), np.array(ref.perms))
+    assert np.array_equal(got.perms, ref.perms)
     if L.left_division is not None:
         ids, rows = _l_family(L.table, L.left_division)
         ref_ids, ref_rows = _ref_l_family(L.table, L.left_division)
@@ -222,7 +222,7 @@ def test_families_match_references_on_lenient_right_loops(n, seed, columns):
     ref = _ref_gyration_table(L)
     for ids, rows in (_ref_l_family(op, op_div), _l_family(op, op_div)):
         assert np.array_equal(ids, ref.ids)
-        assert np.array_equal(rows, np.array(ref.perms))
+        assert np.array_equal(rows, ref.perms)
 
 
 def test_families_match_references_past_uint16_offsets():
@@ -262,7 +262,7 @@ def _assert_equals_references(L, monkeypatch, paths):
     taken = _spy_paths(monkeypatch)
     gt = gyration_table(L)
     ids, rows = _generic_gyrations(L)
-    perms = np.array(gt.perms)
+    perms = gt.perms
     assert gt.ids.dtype == ids.dtype == np.int32
     assert perms.dtype == rows.dtype == L.table.dtype
     assert np.array_equal(gt.ids, ids)

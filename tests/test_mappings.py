@@ -11,8 +11,9 @@ from gyrolab import (
     multiplication_group,
     verify_suite,
 )
+from gyrolab.groups import associativity_violation
+from gyrolab.invariants import commutator_bracket_table
 from gyrolab.mappings import (
-    bracket_associativity_violation,
     inner_generators,
     translations,
 )
@@ -58,8 +59,8 @@ def test_inner_abelian_verdicts(d16_loop, heis3_loop):
 
 
 def test_bracket_associativity(d16_loop, heis3_loop):
-    assert bracket_associativity_violation(d16_loop) == (1, 8, 8)
-    assert bracket_associativity_violation(heis3_loop) is None
+    assert associativity_violation(commutator_bracket_table(d16_loop)) == (1, 8, 8)
+    assert associativity_violation(commutator_bracket_table(heis3_loop)) is None
 
 
 def _suite_by_id(G, selection):

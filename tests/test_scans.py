@@ -50,7 +50,6 @@ from gyrolab.errors import NotRightLoop
 from gyrolab.gyro import GyroConstruction
 from gyrolab.invariants import NUCLEUS_KINDS, commutator_bracket_table
 from gyrolab.loops import loop_from_table, normal_subloop_violation
-from gyrolab.mappings import bracket_associativity_violation
 
 SPECS = ["dihedral:16", "wreath33", "heisenberg:5",
          "product:dihedral:16,cyclic:5", "dihedral:32"]
@@ -856,7 +855,7 @@ def test_keyed_scans_visit_each_distinct_row_once():
     assert list(map(len, expected.values())) == [27, 27, 9]
     runs = {"nine": lambda: nine_identity(G)[1],
             "right": lambda: checks._check_commutator_expansion_right(ctx)[0],
-            "bracket": lambda: bracket_associativity_violation(ctx.loop)}
+            "bracket": lambda: ctx.bracket_violation}
     for name, run in runs.items():
         with pytest.MonkeyPatch.context() as mp:
             visits = _visits(mp)
