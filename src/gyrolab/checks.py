@@ -490,6 +490,15 @@ def _check_mid_in_left(ctx):
     return ((min(diff),) if diff else None), None
 
 
+def _most_values(table: np.ndarray) -> int:
+    """The most distinct values in any row of an n x n table of indices,
+    the m of the expansions' n x m buffers."""
+    n = len(table)
+    present = np.zeros((n, n), dtype=bool)
+    present[np.arange(n)[:, None], table] = True
+    return int(present.sum(axis=1).max())
+
+
 # The two expansions are laws of every group: they follow from associativity
 # alone.  On a table that is a group they cannot fail, so what each scan tests
 # is the associativity of the table it is given.
@@ -499,23 +508,39 @@ def _check_mid_in_left(ctx):
 def _check_commutator_expansion_left(ctx):
     T, cm, n = ctx.G.table, ctx.cm, ctx.n
     Tf = T.ravel()
-    cmi = index_table(cm, n)
-    ar = np.arange(n)
-    off = np.empty((n, n), dtype=np.intp)
+    Ti = index_table(T, n)
+    # z is the outer index: every term reads cm only through column z, and
+    # the columns repeat for z that differ by a central factor.  For fixed z
+    # the right side depends on y only through v = [y,z], which takes m <= n
+    # values: g[x, j] = ([x,v_j] v_j) [x,z] is an n x m table, and the slab
+    # takes its columns by the rank of [y,z].  The n x m buffers are
+    # allocated once, for the largest m of any z
+    m_max = _most_values(cm.T)
+    off = np.empty(n * m_max, dtype=np.intp)
+    val = np.empty(n * m_max, dtype=T.dtype)
     lhs = np.empty_like(T)
     rhs = np.empty_like(T)
     bad = np.empty((n, n), dtype=bool)
 
-    def slab(x):
-        # [x,[y,z]] [y,z] is f[c] = T[[x, c], c] at c = [y, z]; f is scaled
-        # by n here, to be the row offset of each cell into T
-        fn = Tf.take(cmi[x] * n + ar).astype(np.intp) * n
-        np.take(fn, cmi, out=off, mode="clip")
-        np.add(off, cmi[x], out=off)                  # + [x, z]
-        np.take(Tf, off, out=rhs, mode="clip")
-        np.take(cm, T[x], axis=0, out=lhs, mode="clip")   # [xy, z]
-        return np.not_equal(lhs, rhs, out=bad)
-    return first_violation(n, slab), None
+    def slab(z, k):
+        # the [x, y] mask of rows x < k, the only rows read
+        c = cm[:, z]
+        vs, yi = np.unique(c, return_inverse=True)    # [y, z] = vs[yi[y]]
+        v = vs.astype(np.intp)
+        m = len(v)
+        o = off[:k * m].reshape(k, m)
+        g = val[:k * m].reshape(k, m)
+        np.take(cm[:k], v, axis=1, out=g, mode="clip")    # [x, v_j]
+        np.multiply(g, n, out=o, dtype=np.intp)
+        np.add(o, v, out=o)
+        np.take(Tf, o, out=g, mode="clip")                # [x,v_j] v_j
+        np.multiply(g, n, out=o, dtype=np.intp)
+        np.add(o, c[:k, None], out=o)
+        np.take(Tf, o, out=g, mode="clip")                # ([x,v_j] v_j) [x,z]
+        np.take(g, yi, axis=1, out=rhs[:k], mode="clip")
+        np.take(c, Ti[:k], out=lhs[:k], mode="clip")      # [xy, z]
+        return np.not_equal(lhs[:k], rhs[:k], out=bad[:k])
+    return first_violation(n, slab, rows=cm.T, outer_last=True), None
 
 
 @_check("commutator-expansion-right", "product expansion of [x,yz]",
@@ -528,10 +553,7 @@ def _check_commutator_expansion_right(ctx):
     # takes m <= n values: g[y, j] = ([x,y] [y,v_j]) v_j is an n x m table,
     # and the slab takes its columns by the rank of [x,z].  The n x m
     # buffers are allocated once, for the largest m of any x
-    present = np.zeros((n, n), dtype=bool)
-    present[np.arange(n)[:, None], cm] = True
-    m_max = int(present.sum(axis=1).max())
-    del present                                   # before the buffers below
+    m_max = _most_values(cm)
     off = np.empty(n * m_max, dtype=np.intp)
     val = np.empty(n * m_max, dtype=T.dtype)
     lhs = np.empty_like(T)

@@ -188,53 +188,75 @@ def first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
-def first_violations(n: int, count: int, slab, rows=None) -> list[tuple[int, ...] | None]:
-    """The least witness (x, ...) of each of count masks, else None.
+def first_violations(n: int, count: int, slab, rows=None,
+                     outer_last: bool = False) -> list[tuple[int, ...] | None]:
+    """The least witness (s, ...) of each of count masks, else None.
 
-    slab(x, open) returns a tuple of count failure masks for one x, where
-    open[k] says whether mask k still lacks a witness; a mask that is not
-    open is never read, so slab may skip computing it (and return None in
-    its place).  None for an open mask means no witness at this x, so a
-    slot that is always None keeps the scan going over all x, for a slab
-    that also reduces over them.  The witness of mask k is x followed by
-    first_cell of the k-th mask at the least x where it has a True cell.
-    The scan stops once every mask has a witness.  slab may return the same
-    buffers on every call: each mask is read before slab is called again.
-    Every cubic scan that looks for a witness goes through here.
+    The scan goes over an outer index s in 0..n-1.  slab(s, open) returns a
+    tuple of count failure masks for one s, where open[k] says whether mask
+    k still lacks a witness; a mask that is not open is never read, so slab
+    may skip computing it (and return None in its place).  None for an open
+    mask means no witness at this s, so a slot that is always None keeps the
+    scan going over all s, for a slab that also reduces over them.  The
+    witness of mask k is s followed by first_cell of the k-th mask at the
+    least s where it has a True cell.  The scan stops once every mask has a
+    witness.  slab may return the same buffers on every call: each mask is
+    read before slab is called again.  Every cubic scan that looks for a
+    witness goes through here.
 
-    rows, when given, keys the scan: slab(x, open) must then be a pure
-    function of rows[x] and of state fixed for the whole scan (so no
-    reduction over x), and an x whose row equals the row of an x already
-    visited is skipped.  Masks only close, so every mask open at x was open
-    at that earlier x, where the same slab had no witness in it: witnesses
-    are unchanged, and every triple is still decided by a computation equal
-    to its own.  The memo maps the hash of a row's bytes to the first x
-    visited under it and keeps no copy of a row; a hit is confirmed with
-    array_equal, and an x whose row only collides is visited, which costs
-    a slab and changes no witness.  A commutator table repeats its rows
-    ([x c, y] = [x, y] for central c); a Latin table does not, and there
-    the key costs n hashes.
+    With outer_last, s is the last coordinate of the witness instead: it is
+    first_cell of the mask followed by s, least over every s, and slab(s,
+    bound) gets for each mask the number of its leading rows that are read.
+    That is n while the mask has no witness; after a witness (x0, ..., s0) a
+    later s can win only in a row x <= x0, so it is x0 + 1, and slab may
+    compute just those rows.  Every s is visited, with no early exit.
+
+    rows, when given, keys the scan: slab must then be a pure function of
+    rows[s], of what it is told to read and of state fixed for the whole
+    scan (so no reduction over s), and an s whose row equals the row of an
+    s' already visited is skipped.  What a slab reads only shrinks (masks
+    close, bounds drop), so every cell the skipped slab would read was read
+    at s', in the same mask, where it gave a witness no greater than it
+    would now: witnesses are unchanged, and every triple is still decided
+    by a computation equal to its own.  The memo maps the hash of a row's
+    bytes to the first s visited under it and keeps no copy of a row; a hit
+    is confirmed with array_equal, and an s whose row only collides is
+    visited, which costs a slab and changes no witness.  A commutator table
+    repeats its rows and columns ([x c, y] = [x, y] = [x, y c] for central
+    c); a Latin table does not, and there the key costs n hashes.
     """
     found: list = [None] * count
     first_of: dict[int, int] = {}
-    for x in range(n):
+    for s in range(n):
         if rows is not None:
-            v = first_of.setdefault(hash(rows[x].tobytes()), x)
-            if v != x and np.array_equal(rows[v], rows[x]):
+            v = first_of.setdefault(hash(rows[s].tobytes()), s)
+            if v != s and np.array_equal(rows[v], rows[s]):
                 continue
-        open_ = tuple(w is None for w in found)
-        for k, mask in enumerate(slab(x, open_)):
-            if open_[k] and mask is not None and (cell := first_cell(mask)) is not None:
-                found[k] = (x,) + cell
-        if None not in found:
+        if outer_last:
+            bound = tuple(n if w is None else w[0] + 1 for w in found)
+            masks = [m[:b] for m, b in zip(slab(s, bound), bound)]
+        else:
+            open_ = tuple(w is None for w in found)
+            masks = [m if o else None for m, o in zip(slab(s, open_), open_)]
+        for k, mask in enumerate(masks):
+            if mask is not None and (cell := first_cell(mask)) is not None:
+                w = cell + (s,) if outer_last else (s,) + cell
+                if found[k] is None or w < found[k]:
+                    found[k] = w
+        if not outer_last and None not in found:
             break
     return found
 
 
-def first_violation(n: int, slab, rows=None) -> tuple[int, ...] | None:
-    """Least (x, ...) with a True cell in the one mask slab(x), else None;
-    rows keys the scan as in first_violations."""
-    return first_violations(n, 1, lambda x, _open: (slab(x),), rows)[0]
+def first_violation(n: int, slab, rows=None,
+                    outer_last: bool = False) -> tuple[int, ...] | None:
+    """Least witness with a True cell in the one mask slab(s), else None;
+    rows keys the scan as in first_violations.  With outer_last the witness
+    is (..., s) and slab(s, bound) also gets the int bound of its mask, the
+    number of its leading rows that are read."""
+    if outer_last:
+        return first_violations(n, 1, lambda s, bound: (slab(s, bound[0]),), rows, True)[0]
+    return first_violations(n, 1, lambda s, _bound: (slab(s),), rows)[0]
 
 
 def pair_slabs(values: np.ndarray, index: np.ndarray):

@@ -55,9 +55,15 @@ class PermGroup:
 
 
 def _new_labels(ids: np.ndarray, start: int, label) -> list[str]:
-    """label(i) for each id from start on, i its first occurrence in ids (flattened)."""
-    found, first = np.unique(ids, return_index=True)
-    return [label(i) for i in first[found >= start].tolist()]
+    """label(i) for each id from start on, i its first occurrence in ids (flattened).
+
+    RowIndex numbers unseen rows densely in first-occurrence order, so each
+    id from start on first occurs where the running maximum of ids first
+    reaches it (ids below start, rows seen before, may occur anywhere): one
+    pass and a binary search per new id, no sort."""
+    top = np.maximum.accumulate(ids.ravel())
+    first = np.searchsorted(top, np.arange(start, top[-1] + 1))
+    return [label(i) for i in first.tolist()]
 
 
 def multiplication_group(L: FiniteLoop) -> PermGroup:

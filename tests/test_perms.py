@@ -29,7 +29,7 @@ from gyrolab import (
 )
 from gyrolab.loops import loop_from_table
 from gyrolab.mappings import inner_generators
-from gyrolab import perms
+from gyrolab import mappings, perms
 
 LADDER = ["dihedral:16", "wreath33", "heisenberg:5"]
 CAP = 1_000_000
@@ -143,6 +143,50 @@ def test_inner_generators_match_tuple_reference_on_switched_loops(n, seed, switc
     assert gens.dtype == L.table.dtype
     assert _as_tuples(gens) == ref_gens
     assert labels == tuple(ref_labels)
+
+
+@st.composite
+def _slab_sequences(draw):
+    """Slabs of rows drawn from a small pool, so that rows repeat within a
+    slab and across slabs."""
+    degree = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.integers(0, 3), min_size=degree, max_size=degree),
+                         min_size=1, max_size=6))
+    slabs = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), max_size=12),
+                          min_size=1, max_size=4))
+    return degree, [np.array([pool[i] for i in s], dtype=np.uint16).reshape(-1, degree)
+                    for s in slabs]
+
+
+@given(_slab_sequences())
+def test_row_index_ids_are_dense_in_first_occurrence_order(case):
+    # every row gets the id of its first occurrence over all slabs, so the
+    # ids new in a slab first occur as start, start + 1, ...: what
+    # mappings._new_labels reads off the running maximum of the ids
+    degree, slabs = case
+    index = perms.RowIndex(degree, np.uint16)
+    seen = {}
+    for slab in slabs:
+        start = len(index)
+        ids = index.add(slab).tolist()
+        assert ids == [seen.setdefault(row, len(seen)) for row in _as_tuples(slab)]
+        new = [i for k, i in enumerate(ids) if i >= start and i not in ids[:k]]
+        assert new == list(range(start, len(index)))
+        assert _as_tuples(index.rows) == list(seen)
+
+
+def _ref_new_labels(ids, start, label):
+    """The sort-based first occurrences that mappings._new_labels replaced."""
+    found, first = np.unique(ids, return_index=True)
+    return [label(i) for i in first[found >= start].tolist()]
+
+
+@pytest.mark.parametrize("spec", LADDER + ["unitriangular4:3"])
+def test_generator_labels_match_the_sort_based_first_occurrences(spec, monkeypatch):
+    L = build_gyro(catalog_group(spec)).loop
+    labels = (multiplication_group(L).labels, inner_generators(L)[1])
+    monkeypatch.setattr(mappings, "_new_labels", _ref_new_labels)
+    assert (multiplication_group(L).labels, inner_generators(L)[1]) == labels
 
 
 def test_mlt_order_is_loop_order_times_inn_order(ladder_loop):

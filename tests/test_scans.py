@@ -10,7 +10,8 @@ equal, on passing inputs and on failing ones: twisted tables wrapped as
 read off the gyration table are pinned against both the nuclei that the
 associator scan reduces and the per-element reference.  The keyed scans,
 which skip an x whose row repeats an earlier x's, are pinned against the
-same scans run with no key.
+same scans run with no key, and so is the left expansion, which goes over z
+and skips a z whose column of the commutator table repeats an earlier z's.
 """
 
 import os
@@ -356,6 +357,7 @@ def test_group_scans_match_reference(spec):
     ("wreath33", (1, 27, 27), (1, 27, 27), None),
     ("dihedral:32", (1, 16, 16), (1, 16, 16), (1, 16, 16)),
     ("product:dihedral:16,cyclic:5", (5, 40, 40), (40, 5, 40), (5, 40, 40)),
+    ("product:wreath33,cyclic:4", (4, 108, 108), (4, 108, 108), None),
 ])
 def test_wrapped_twisted_tables_fail_the_group_laws(spec, left, right, nine):
     # the expansions are group laws, so on a non-associative table they fail
@@ -749,7 +751,8 @@ def _unkeyed(mp):
     """Run every scan with rows=None from here on."""
     scan = groups.first_violations
     mp.setattr(groups, "first_violations",
-               lambda n, count, slab, rows=None: scan(n, count, slab))
+               lambda n, count, slab, rows=None, outer_last=False:
+               scan(n, count, slab, outer_last=outer_last))
 
 
 def _visits(mp):
@@ -757,11 +760,11 @@ def _visits(mp):
     visits = []
     scan = groups.first_violations
 
-    def counting(n, count, slab, rows=None):
+    def counting(n, count, slab, rows=None, outer_last=False):
         def counted(x, open_):
             visits.append(x)
             return slab(x, open_)
-        return scan(n, count, counted, rows)
+        return scan(n, count, counted, rows, outer_last)
     mp.setattr(groups, "first_violations", counting)
     return visits
 
@@ -923,3 +926,157 @@ def test_normal_subloop_allocates_its_buffers_once():
     finally:
         tracemalloc.stop()
     assert peak < buffers + 256 * 1024, (peak, buffers)
+
+
+# ---------------------------------------------------------------------------
+# the left expansion keyed on z: a z whose column of the commutator table
+# repeats an earlier z's is skipped
+
+def _left(G):
+    return checks._check_commutator_expansion_left(SuiteContext(G))[0]
+
+
+def _column_witnesses(G):
+    """For each z, the least (x, y) failing [xy,z] = [x,[y,z]] [y,z] [x,z],
+    from whole n x n gathers of column z, else None."""
+    cm, T = G.commutator_table(), G.table
+    out = []
+    for z in range(G.order):
+        c = cm[:, z]
+        lhs = c[T]
+        rhs = T[T[cm[:, c], c[None, :]], c[:, None]]
+        out.append(groups.first_cell(lhs != rhs))
+    return out
+
+
+def test_first_violation_outer_last_takes_the_least_witness_over_every_s():
+    # cells at (3, 2) for s = 1, (3, 1) for s = 2, (2, 4) for s = 4 and
+    # (2, 4) and (4, 0) for s = 5: the least triple is (2, 4, 4), and after
+    # each witness only the rows up to its x are read
+    cells = {1: [(3, 2)], 2: [(3, 1)], 4: [(2, 4)], 5: [(2, 4), (4, 0)]}
+    buf = np.zeros((6, 6), dtype=bool)
+    bounds = []
+
+    def slab(s, bound):
+        bounds.append(bound)
+        buf[:] = False
+        for cell in cells.get(s, []):
+            buf[cell] = True
+        return buf
+    assert first_violation(6, slab, outer_last=True) == (2, 4, 4)
+    assert bounds == [6, 6, 4, 4, 4, 3]
+    cells.clear()
+    assert first_violation(6, slab, outer_last=True) is None
+
+
+@pytest.mark.parametrize("spec", LADDER_324)
+def test_expansion_left_keyed_matches_the_unkeyed_scan_and_the_reference(spec):
+    # the sources and their wrapped twisted tables (failing, with repeated
+    # columns); with every row hash colliding, only a z whose column equals
+    # the first column visited under the hash is skipped
+    gc = _gyro(spec)
+    for G in (gc.source, _wrapped(gc)):
+        keyed = _left(G)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "hash", lambda _b: 0, raising=False)
+            assert _left(G) == keyed
+        with pytest.MonkeyPatch.context() as mp:
+            _unkeyed(mp)
+            assert _left(G) == keyed
+        assert keyed == _ref_expansion_left(G)
+    assert _left(gc.source) is None
+
+
+@pytest.mark.parametrize("spec, distinct", [("product:wreath33,cyclic:4", 27),
+                                            ("product:dihedral:16,cyclic:5", 8)])
+def test_expansion_left_visits_each_distinct_column_once(spec, distinct):
+    # [x, y c] = [x, y] for central c: wreath33 x C4 has 27 distinct columns
+    # of 324 in its commutator table, D16 x C5 8 of 80; the scan passes, so
+    # it visits the first z of every distinct column
+    ctx = SuiteContext(catalog_group(spec))
+    expected = _first_rows(ctx.cm.T)
+    assert len(expected) == distinct
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        assert checks._check_commutator_expansion_left(ctx)[0] is None
+    assert visits == expected
+
+
+@pytest.mark.parametrize("spec", WRAPPED_PINS + ["product:wreath33,cyclic:4"])
+def test_expansion_left_reads_only_the_rows_up_to_its_witness(spec):
+    # every slab after the first witness (x0, y0, z0) computes only the rows
+    # x <= x0 of the witness held, and the slabs after it still see a lesser
+    # witness when there is one (wreath33 x C4: (108, ., 4), then (4, 108, 108))
+    H = _wrapped(_gyro(spec))
+    n, per_column = H.order, _column_witnesses(H)
+    seen = []
+    scan = groups.first_violations
+
+    def recording(n, count, slab, rows=None, outer_last=False):
+        def recorded(s, bound):
+            masks = slab(s, bound)
+            seen.append((s, bound[0], masks[0].shape[0]))
+            return masks
+        return scan(n, count, recorded, rows, outer_last)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "first_violations", recording)
+        w = _left(H)
+    held = None
+    for z, bound, computed in seen:
+        assert bound == computed == (n if held is None else held[0] + 1), (z, held)
+        cell = per_column[z]
+        if cell is not None and cell[0] < bound and (held is None or cell + (z,) < held):
+            held = cell + (z,)
+    assert w == held == _ref_expansion_left(H)
+    assert seen[-1][1] == w[0] + 1 < n
+
+
+@st.composite
+def _repeated_columns(draw):
+    """A random n x n table and inverse map, with columns planted as copies
+    of other columns (the inverse copied along, so the columns of the
+    commutator table repeat)."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    cells = st.integers(min_value=0, max_value=n - 1)
+    table = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                   min_size=n, max_size=n)))
+    inverse = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    for src, dst in draw(st.lists(st.tuples(cells, cells), min_size=1, max_size=n)):
+        table[:, dst], inverse[dst] = table[:, src], inverse[src]
+    return table, inverse
+
+
+@given(_repeated_columns())
+def test_expansion_left_matches_the_reference_on_repeated_columns(drawn):
+    table, inverse = drawn
+    H = _as_group(table, inverse)
+    keyed = _left(H)
+    with pytest.MonkeyPatch.context() as mp:
+        _unkeyed(mp)
+        assert _left(H) == keyed
+    assert keyed == _ref_expansion_left(H)
+
+
+def test_expansion_left_allocates_its_buffers_once():
+    # wreath33 x C4: [y, z] takes at most m = 9 values in any column z.  The
+    # scan's buffers are an intp copy of T, two value slabs, a mask and the
+    # two n x m tables at the largest m; the n x m tables take the values
+    # into the intp offsets through one ufunc buffer.  A fresh n x n array
+    # for every z, even a bool mask (about 103 KiB here), raises the traced
+    # peak past them and the slack
+    ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
+    n, cm = ctx.n, ctx.cm
+    m = max(len(np.unique(col)) for col in cm.T)
+    assert (n, m) == (324, 9)
+    intp, item = np.dtype(np.intp).itemsize, cm.itemsize
+    buffers = n * n * (intp + 2 * item + 1) + n * m * (intp + item)
+    cast = np.getbufsize() * intp
+    checks._check_commutator_expansion_left(ctx)     # fills Python's free lists
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert checks._check_commutator_expansion_left(ctx)[0] is None
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + cast + 32 * 1024, (peak, buffers)
