@@ -75,6 +75,7 @@ from .groups import (
     quotient_group,
     subgroup_as_group,
     subgroup_generated,
+    subgroup_violation,
     subset_exponent,
 )
 from .gyro import (
@@ -100,14 +101,13 @@ from .invariants import (
 from .loops import (
     FiniteLoop,
     divide,
-    is_normal_subloop,
     is_subloop,
     loop_direct_product,
-    loop_from_group,
     loop_from_table,
     normal_subloop_violation,
     quotient_loop,
     subloop_generated,
+    subloop_violation,
 )
 from .mappings import (
     PermGroup,

@@ -28,7 +28,6 @@ from .errors import NotACocycle, NotASubloop, NotWellDefined, WrongClass
 from .groups import (
     FiniteGroup,
     _mark,
-    _subgroup_witness,
     associativity_violation,
     first_cell,
     first_violation,
@@ -38,11 +37,13 @@ from .groups import (
     index_table,
     is_subgroup,
     is_two_engel,
+    latin_violation,
     nilpotency_class,
     normality_violation,
     pair_slabs,
     quotient_group,
     subgroup_as_group,
+    subgroup_violation,
 )
 from .gyro import GYRO_AXIOMS_STATEMENT, build_gyro, is_gyrogroup
 from .invariants import (
@@ -54,10 +55,9 @@ from .invariants import (
 )
 from .loops import (
     FiniteLoop,
-    is_subloop,
     normal_subloop_violation,
     quotient_loop,
-    subloop_witness,
+    subloop_violation,
 )
 from .mappings import is_inner_abelian
 from .report import CheckReport
@@ -359,12 +359,11 @@ def _same_set(brute: frozenset, char: frozenset):
 @_check("twisted-table-is-loop", "loop validity",
         "the twisted table is a loop (two-sided identity, both divisions)")
 def _check_loop_valid(ctx):
-    L = ctx.loop
-    if L.is_loop:
+    # the columns of a twisted table are permutations, so the first line
+    # that fails is the first row that is not one
+    if ctx.loop.is_loop:
         return None, None
-    bad_rows = [i for i in range(ctx.n)
-                if len(set(L.table[i].tolist())) != ctx.n]
-    return (bad_rows[0],), None
+    return (latin_violation(ctx.loop.table)[1],), None
 
 
 @_check("gyro-axioms", "gyrogroup axioms", GYRO_AXIOMS_STATEMENT)
@@ -376,8 +375,7 @@ def _check_gyro_axioms(ctx):
 @_check("commutant-subloop", "commutant subloop",
         "the commutant of the twisted loop is a subloop")
 def _check_commutant_subloop(ctx):
-    C = ctx.com
-    return (None if is_subloop(ctx.loop, C) else subloop_witness(ctx.loop, frozenset(C))), None
+    return subloop_violation(ctx.loop, ctx.com), None
 
 
 @_check("commutant-normal-subloop", "commutant normal",
@@ -428,8 +426,7 @@ def _each_nucleus(ctx, violation):
 @_check("nuclei-subgroups-of-group", "nuclei are subgroups",
         "each nucleus of the twisted loop is a subgroup of the source group")
 def _check_nuclei_subgroups(ctx):
-    return _each_nucleus(ctx, lambda ctx, N: (
-        None if is_subgroup(ctx.G, N) else _subgroup_witness(ctx.G, frozenset(N))))
+    return _each_nucleus(ctx, lambda ctx, N: subgroup_violation(ctx.G, N))
 
 
 @_check("nuclei-normal-in-group", "nuclei normal in group",

@@ -42,13 +42,12 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     _mark,
-    _subgroup_witness,
     elem_dtype,
     first_cell,
     first_violation,
-    is_subgroup,
     quotient_group,
     subgroup_as_group,
+    subgroup_violation,
 )
 from .gyro import build_gyro
 from .loops import FiniteLoop, loop_from_table
@@ -71,8 +70,9 @@ def make_transversal(G: FiniteGroup, Z: Iterable[int]) -> Transversal:
     normalized.
     """
     Zs = frozenset(int(z) for z in Z)
-    if not is_subgroup(G, Zs):
-        raise NotASubgroup(_subgroup_witness(G, Zs))
+    w = subgroup_violation(G, Zs)
+    if w is not None:
+        raise NotASubgroup(w)
     zl = sorted(Zs)
     bad = first_cell(G.table[zl] != G.table[:, zl].T)        # [k, x]: z_k x != x z_k
     if bad is not None:

@@ -134,34 +134,34 @@ def group_commutator(G: FiniteGroup, x: int, y: int) -> int:
 # ---------------------------------------------------------------------------
 # construction and validation
 
-def _first_nonperm_cell(line: np.ndarray) -> tuple[int, int]:
-    """Position and value of the first repeated entry in a 1-d line."""
-    seen: set[int] = set()
-    for pos, v in enumerate(line.tolist()):
-        if v in seen:
-            return pos, v
-        seen.add(v)
-    raise InvariantViolated("line was a permutation after all")
+def latin_violation(table: np.ndarray) -> tuple[str, int, tuple[int, int], int] | None:
+    """None when every row and column of an n x n table is a permutation of
+    0..n-1, else (axis, index, cell, value) of the first row that is not, or
+    of the first column when every row is: the cell and value of the first
+    entry of that line that repeats an earlier one.  The failing line is
+    read off the sorted masks; a stable argsort of that one line puts each
+    repeat after the first of its value."""
+    n = table.shape[0]
+    ar = np.arange(n)
+    for axis, k, sorted_line in (("row", 1, ar), ("column", 0, ar[:, None])):
+        bad = first_cell((np.sort(table, axis=k) != sorted_line).any(axis=k))
+        if bad is None:
+            continue
+        i = bad[0]
+        line = table[i] if k else table[:, i]
+        order = np.argsort(line, kind="stable")
+        later = order[1:][line[order[1:]] == line[order[:-1]]]
+        if not len(later):
+            raise InvariantViolated(f"{axis} {i} has an entry outside 0..{n - 1}")
+        pos = int(later.min())
+        return axis, i, ((i, pos) if k else (pos, i)), int(line[pos])
+    return None
 
 
 def _check_latin(table: np.ndarray) -> None:
-    n = table.shape[0]
-    ar = np.arange(n)
-    if not (np.sort(table, axis=1) == ar).all():
-        for i in range(n):
-            if not is_index_perm(table[i]):
-                pos, v = _first_nonperm_cell(table[i])
-                raise NotLatinSquare("row", i, (i, pos), v)
-    if not (np.sort(table, axis=0) == ar[:, None]).all():
-        for j in range(n):
-            if not is_index_perm(table[:, j]):
-                pos, v = _first_nonperm_cell(table[:, j])
-                raise NotLatinSquare("column", j, (pos, j), v)
-
-
-def is_index_perm(line: np.ndarray) -> bool:
-    n = len(line)
-    return bool((np.bincount(line, minlength=n) == 1).all())
+    w = latin_violation(table)
+    if w is not None:
+        raise NotLatinSquare(*w)
 
 
 def index_table(table, n: int) -> np.ndarray:
@@ -327,13 +327,6 @@ def generated(tables: Sequence[np.ndarray], seed, n: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(member).tolist())
 
 
-def closed_under(tables: Sequence[np.ndarray], members, n: int) -> bool:
-    """Whether t[a, b] lies in members for all a, b in members and every table t."""
-    member = _mark(n, members)
-    lst = np.flatnonzero(member)
-    return all(member[t[np.ix_(lst, lst)]].all() for t in tables)
-
-
 def _right_generators(table: np.ndarray) -> list[int]:
     """Greedy set S, in index order, whose left-normed products
     ((s1 s2) s3)... starting from the identity 0 reach every element.
@@ -403,26 +396,20 @@ def _default_names(n: int) -> list[str]:
     return ["e"] + [f"x{i}" for i in range(1, n)]
 
 
-def group_from_table(table, names: Sequence[str] | None = None,
-                     name: str = "") -> FiniteGroup:
-    """Validate a full multiplication table and wrap it as a FiniteGroup.
-
-    Checks: square shape, entries in range, a two-sided identity (relocated to
-    index 0 if found elsewhere), Latin-square rows/columns, and associativity
-    by Light's test on a generating set (see _light_associative), which is
-    exact.  Only a table that fails it is scanned over all triples, by
-    associativity_violation, so NotAssociative carries the lexicographically
-    least failing triple.  Use this for untrusted tables; catalog
-    constructions go through the cheaper structural path since their tables
-    are groups by construction.  The range is checked in the dtype the
-    table comes in, and the table is then copied once, into elem_dtype(n).
-    """
+def _table_front_end(table, names: Sequence[str] | None):
+    """The checks group_from_table and loop_from_table share: a square,
+    nonempty table of an integer dtype (a cast would truncate floats), its
+    entries in 0..n-1 (checked before the one copy into elem_dtype(n)), n
+    names and a two-sided identity, moved to index 0.  Returns (table,
+    names, the identity's old index or None when it was 0)."""
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("multiplication table must be a square matrix")
     n = arr.shape[0]
     if n == 0:
         raise NoIdentity()
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"table entries must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= n:
         cell = first_cell((arr < 0) | (arr >= n))
         raise NotLatinSquare("row", cell[0], cell, int(arr[cell]))
@@ -434,12 +421,26 @@ def group_from_table(table, names: Sequence[str] | None = None,
     e = _find_identity(arr)
     if e is None:
         raise NoIdentity()
-    relabeled_from = None
-    if e != 0:
-        arr, name_list = _relabel(arr, name_list, e)
-        relabeled_from = e
-        log.info("identity relocated from index %d to 0", e)
+    if e == 0:
+        return arr, name_list, None
+    arr, name_list = _relabel(arr, name_list, e)
+    log.info("identity relocated from index %d to 0", e)
+    return arr, name_list, e
 
+
+def group_from_table(table, names: Sequence[str] | None = None,
+                     name: str = "") -> FiniteGroup:
+    """Validate a full multiplication table and wrap it as a FiniteGroup.
+
+    After _table_front_end come Latin-square rows/columns, and associativity
+    by Light's test on a generating set (see _light_associative), which is
+    exact.  Only a table that fails it is scanned over all triples, by
+    associativity_violation, so NotAssociative carries the lexicographically
+    least failing triple.  Use this for untrusted tables; catalog
+    constructions go through the cheaper structural path since their tables
+    are groups by construction.
+    """
+    arr, name_list, relabeled_from = _table_front_end(table, names)
     _check_latin(arr)
     if not _light_associative(arr):
         raise NotAssociative(associativity_violation(arr))
@@ -510,11 +511,29 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
 # ---------------------------------------------------------------------------
 # subgroups, series, centres
 
+def subgroup_violation(G: FiniteGroup, subset: Iterable[int]) -> tuple | None:
+    """None when subset holds the identity and is closed under the product
+    (a finite such set holds every inverse too), else ("identity-missing",)
+    or, over the sorted members a and then b, the first ("inverse", a) or
+    ("product", a, b) that leaves the set.  The inverse orders the witness
+    but never decides the verdict."""
+    member = _mark(G.order, subset)
+    if not member[0]:
+        return ("identity-missing",)
+    lst = np.flatnonzero(member)
+    bad = ~member[G.table[np.ix_(lst, lst)]]           # [i, j]: a_i a_j outside
+    row_bad = bad.any(axis=1)
+    if not row_bad.any():
+        return None
+    inv_bad = ~member[G.inverse[lst]]
+    i = int(np.argmax(row_bad | inv_bad))
+    if inv_bad[i]:
+        return ("inverse", int(lst[i]))
+    return ("product", int(lst[i]), int(lst[np.argmax(bad[i])]))
+
+
 def is_subgroup(G: FiniteGroup, subset: Iterable[int]) -> bool:
-    """Whether subset holds the identity and is closed under the product;
-    a finite such set holds every inverse too."""
-    S = frozenset(int(s) for s in subset)
-    return 0 in S and closed_under([G.table], S, G.order)
+    return subgroup_violation(G, subset) is None
 
 
 def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
@@ -566,25 +585,13 @@ def nilpotency_class(G: FiniteGroup) -> int | None:
 def subset_exponent(G: FiniteGroup, subset: Iterable[int]) -> int:
     """lcm of the element orders of a subgroup."""
     S = sorted(frozenset(int(s) for s in subset))
-    if not is_subgroup(G, S):
-        witness = _subgroup_witness(G, frozenset(S))
-        raise NotASubgroup(witness)
+    w = subgroup_violation(G, S)
+    if w is not None:
+        raise NotASubgroup(w)
     exp = 1
     for a in S:
         exp = math.lcm(exp, G.element_order(a))
     return exp
-
-
-def _subgroup_witness(G: FiniteGroup, S: frozenset[int]) -> tuple:
-    if 0 not in S:
-        return ("identity-missing",)
-    for a in sorted(S):
-        if G.inv(a) not in S:
-            return ("inverse", a)
-        for b in sorted(S):
-            if G.mul(a, b) not in S:
-                return ("product", a, b)
-    return ("not-a-subgroup",)
 
 
 def is_two_engel(G: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
@@ -628,8 +635,9 @@ def quotient_group(G: FiniteGroup, N: Iterable[int],
     coset of the identity is index 0 and labeling is deterministic.
     """
     S = frozenset(int(x) for x in N)
-    if not is_subgroup(G, S):
-        raise NotASubgroup(_subgroup_witness(G, S))
+    w = subgroup_violation(G, S)
+    if w is not None:
+        raise NotASubgroup(w)
     bad = normality_violation(G, sorted(S))
     if bad is not None:
         raise NotNormal(bad)
@@ -649,8 +657,9 @@ def subgroup_as_group(G: FiniteGroup, S: Iterable[int],
     identity keeps index 0.
     """
     Sf = frozenset(int(x) for x in S)
-    if not is_subgroup(G, Sf):
-        raise NotASubgroup(_subgroup_witness(G, Sf))
+    w = subgroup_violation(G, Sf)
+    if w is not None:
+        raise NotASubgroup(w)
     lst = sorted(Sf)
     local = np.empty(G.order, dtype=elem_dtype(len(lst)))
     local[lst] = np.arange(len(lst))

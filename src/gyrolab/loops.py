@@ -15,21 +15,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    NoIdentity,
     NotALoop,
     NotASubloop,
     NotRightLoop,
     NotWellDefined,
 )
 from .groups import (
-    FiniteGroup,
     _coset_labels,
-    _default_names,
-    _find_identity,
+    _mark,
     _product_table,
-    _relabel,
-    closed_under,
-    elem_dtype,
+    _table_front_end,
     first_cell,
     first_violation,
     generated,
@@ -83,53 +78,34 @@ def loop_from_table(table, names: Sequence[str] | None = None,
                     lenient: bool = False, name: str = "") -> FiniteLoop:
     """Validate a table as a (right) loop.
 
-    Strict mode requires a two-sided identity and permutation columns and
-    raises NoIdentity / NotRightLoop otherwise.  Lenient mode tolerates
-    defective rows/columns (flags come back false and the corresponding
-    division table is None) so that broken tables remain inspectable; an
-    identity is required in both modes.
+    The input checks and their errors are group_from_table's
+    (groups._table_front_end), in both modes.  Strict mode then requires
+    permutation columns and raises NotRightLoop otherwise.  Lenient mode
+    tolerates defective rows/columns (flags come back false and the
+    corresponding division table is None) so that broken tables remain
+    inspectable.
 
-    The table and both division tables are in elem_dtype(n); the table is
-    range-checked in the dtype it comes in and copied once.  The division
+    The table and both division tables are in elem_dtype(n).  The division
     tables decide Latin-ness: each is scattered into a table filled with n,
     an index no element has (it holds in any unsigned dtype, where a -1
     would not), and column a is a permutation exactly when every b has an x
     with x*a = b, that is when column a of right_division holds no n; the
     rows are read off left_division the same way.
     """
-    arr = np.asarray(table)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("multiplication table must be a square matrix")
-    n = arr.shape[0]
-    if n == 0 or arr.min() < 0 or arr.max() >= n:
-        raise ValueError("table entries must be element indices")
-    elem = elem_dtype(n)
-    arr = np.array(arr, dtype=elem, order="C")
-    name_list = list(names) if names is not None else _default_names(n)
-
-    e = _find_identity(arr)
-    if e is None:
-        raise NoIdentity()
-    if e != 0:
-        arr, name_list = _relabel(arr, name_list, e)
-
+    arr, name_list, _ = _table_front_end(table, names)
+    n = len(arr)
     ar = np.arange(n)
-    rdiv = np.full((n, n), n, dtype=elem)
+    rdiv = np.full_like(arr, n)
     rdiv[arr, ar] = ar[:, None]                 # rdiv[x*a, a] = x
     bad_col = first_cell(rdiv.max(axis=0) == n)
     if bad_col is not None and not lenient:
         raise NotRightLoop(bad_col[0])
-    ldiv = np.full((n, n), n, dtype=elem)
+    ldiv = np.full_like(arr, n)
     ldiv[ar[:, None], arr] = ar                 # ldiv[a, a*y] = y
     cols_ok = bad_col is None
     rows_ok = bool(ldiv.max() < n)
     return FiniteLoop(arr, name_list, cols_ok, cols_ok and rows_ok,
                       rdiv if cols_ok else None, ldiv if rows_ok else None, name=name)
-
-
-def loop_from_group(G: FiniteGroup) -> FiniteLoop:
-    """View a group table as a loop (trivially valid)."""
-    return loop_from_table(G.table, names=G.names, name=G.name)
 
 
 def divide(L: FiniteLoop, mode: str, a: int, b: int) -> int:
@@ -149,39 +125,37 @@ def divide(L: FiniteLoop, mode: str, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # subloops, normality, quotients
 
-def is_subloop(L: FiniteLoop, subset: Iterable[int]) -> bool:
-    """Closure of a subset under the product and both divisions."""
+def subloop_violation(L: FiniteLoop, subset: Iterable[int]) -> tuple | None:
+    """None when a nonempty subset is closed under the product and both
+    divisions, else the witness: ("not-a-subloop",) for the empty set, or
+    (tag, a, b) for the least pair of members, and at that pair the first
+    tag of product a*b, right division (x*a = b) and left division (a*y = b)
+    that leaves the set."""
     if not L.is_loop:
         raise NotALoop("subloop tests need a full loop")
-    S = frozenset(int(x) for x in subset)
-    return bool(S) and closed_under(_loop_tables(L), S, L.order)
+    member = _mark(L.order, subset)
+    lst = np.flatnonzero(member)
+    if not len(lst):
+        return ("not-a-subloop",)
+    ix = np.ix_(lst, lst)
+    bad = [~member[t[ix]] for t in (L.table, L.right_division.T, L.left_division)]
+    if not any(m.any() for m in bad):
+        return None
+    w = first_cell(np.stack(bad, axis=-1))                 # [i, j, tag]
+    return ("product", "right-division", "left-division")[w[2]], int(lst[w[0]]), int(lst[w[1]])
+
+
+def is_subloop(L: FiniteLoop, subset: Iterable[int]) -> bool:
+    return subloop_violation(L, subset) is None
 
 
 def subloop_generated(L: FiniteLoop, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subloop containing the seed."""
+    """Smallest subloop containing the seed.  right_division is indexed
+    [b, a], but closure over all pairs of a set is symmetric in the two
+    index roles, so it serves as it is."""
     if not L.is_loop:
         raise NotALoop("subloop closure needs a full loop")
-    return generated(_loop_tables(L), [0, *seed], L.order)
-
-
-def _loop_tables(L: FiniteLoop) -> tuple[np.ndarray, ...]:
-    """The product and both divisions.  right_division is indexed [b, a],
-    but closure over all pairs of a set is symmetric in the two index roles,
-    so it serves as it is."""
-    return (L.table, L.right_division, L.left_division)
-
-
-def subloop_witness(L: FiniteLoop, S: frozenset[int]) -> tuple:
-    lst = sorted(S)
-    for a in lst:
-        for b in lst:
-            if int(L.table[a, b]) not in S:
-                return ("product", a, b)
-            if int(L.right_division[b, a]) not in S:
-                return ("right-division", a, b)
-            if int(L.left_division[a, b]) not in S:
-                return ("left-division", a, b)
-    return ("not-a-subloop",)
+    return generated((L.table, L.right_division, L.left_division), [0, *seed], L.order)
 
 
 def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
@@ -194,8 +168,9 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     cosets, and once u*N == N*u for every u, both product tests.
     """
     S = frozenset(int(x) for x in N)
-    if not is_subloop(L, S):
-        raise NotASubloop(subloop_witness(L, S))
+    w = subloop_violation(L, S)
+    if w is not None:
+        raise NotASubloop(w)
     lst = sorted(S)
     n = L.order
     Ti = index_table(L.table, n)
@@ -243,10 +218,6 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     return None
 
 
-def is_normal_subloop(L: FiniteLoop, N: Iterable[int]) -> bool:
-    return normal_subloop_violation(L, N) is None
-
-
 def quotient_loop(L: FiniteLoop, N: Iterable[int],
                   name: str = "") -> tuple[FiniteLoop, np.ndarray]:
     """Quotient by a normal subloop; returns (Q, projection).
@@ -258,8 +229,9 @@ def quotient_loop(L: FiniteLoop, N: Iterable[int],
     (coset of a, coset of b, a, b) (a non-normal N surfaces here).
     """
     S = frozenset(int(x) for x in N)
-    if not is_subloop(L, S):
-        raise NotASubloop(subloop_witness(L, S))
+    w = subloop_violation(L, S)
+    if w is not None:
+        raise NotASubloop(w)
     lst = sorted(S)
     T = L.table
     rep_values, proj = _coset_labels(T, lst)

@@ -17,6 +17,7 @@ into the summary and the scan continues.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -162,12 +163,16 @@ def evaluate_source(source: str, max_order: int | None = None) -> SearchRecord:
 
 def search_scan(sources: Sequence[str], jobs: int = 1,
                 max_order: int | None = None) -> SearchSummary:
-    """Evaluate each source; results keep the input order regardless of jobs."""
+    """Evaluate each source; results keep the input order regardless of jobs.
+
+    The pool gets at most one worker per source and per CPU: under the fork
+    start method it launches every worker it is given at the first submit."""
     sources = list(sources)
-    if jobs <= 1 or len(sources) <= 1:
+    workers = min(jobs, len(sources), os.cpu_count() or 1)
+    if workers <= 1:
         records = [evaluate_source(s, max_order) for s in sources]
     else:
         work = partial(evaluate_source, max_order=max_order)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(work, sources))
     return SearchSummary(records=records)

@@ -4,7 +4,9 @@ import json
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gyrolab import (
@@ -31,7 +33,7 @@ from gyrolab.checks import R_CLASS, R_CLASS3, R_THREE
 from gyrolab.cli import main
 from gyrolab.errors import NotASubloop
 from gyrolab.groups import _group_unchecked, group_from_permutations
-from gyrolab.loops import normal_subloop_violation, subloop_witness
+from gyrolab.loops import loop_from_table, normal_subloop_violation, subloop_violation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -192,6 +194,22 @@ def test_failing_reports_are_pinned(spec):
     assert (fails, hashlib.sha256(doc.encode()).hexdigest()) == FAILING_PINS[spec]
 
 
+@pytest.mark.parametrize("spec", ["dihedral:16", "wreath33"])
+def test_loop_validity_witness_is_the_first_row_that_is_no_permutation(spec):
+    # columns shuffled below row 0 stay permutations and break rows; the
+    # witness is the row the per-row set count finds first
+    T = catalog_group(spec).table.astype(np.int64)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        bad = T.copy()
+        for j in rng.integers(1, len(T), 2).tolist():
+            bad[1:, j] = rng.permutation(bad[1:, j])
+        L = loop_from_table(bad, lenient=True)
+        rows = [i for i in range(L.order) if len(set(L.table[i].tolist())) != L.order]
+        assert L.is_right_loop and not L.is_loop and rows
+        assert checks._check_loop_valid(SimpleNamespace(loop=L)) == ((rows[0],), None)
+
+
 def test_cocycle_reconstruction_fails_without_aborting_the_suite():
     # the center factor set of a non-associative table is no cocycle: the
     # check reports that, and the other 36 reports still come back
@@ -266,7 +284,7 @@ def test_memo_keeps_a_raised_outcome(monkeypatch, d16):
         with pytest.raises(NotASubloop) as exc:
             ctx.quotient_associativity(S)
         witnesses.append(exc.value.witness)
-    assert witnesses == [subloop_witness(L, S)] * 3
+    assert witnesses == [subloop_violation(L, S)] * 3
     assert calls == {S: 1}
 
 

@@ -22,7 +22,6 @@ from gyrolab import (
     gyration_table,
     is_gyrogroup,
     loop_center,
-    loop_from_group,
     loop_from_table,
     multiplication_group,
     nine_identity,
@@ -80,7 +79,7 @@ def test_every_table_is_built_in_the_element_dtype(spec, tmp_path):
     LQ, lproj = quotient_loop(L, loop_center(L))
     H, _ = subgroup_as_group(G, Z)
     P = direct_product(G, c2)
-    PL = loop_direct_product(L, loop_from_group(c2))
+    PL = loop_direct_product(L, loop_from_table(c2.table, names=c2.names, name=c2.name))
     T = make_transversal(G, Z)
     fs = factor_set(G, T)
     tf = gyro_factor_set(fs)

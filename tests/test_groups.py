@@ -37,6 +37,7 @@ from gyrolab.groups import (
     associativity_violation,
     normality_violation,
 )
+from gyrolab.loops import loop_from_table
 from gyrolab.search import evaluate_source
 
 KLEIN = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
@@ -96,6 +97,71 @@ def test_latin_violation_rejected():
     with pytest.raises(NotLatinSquare) as exc:
         group_from_table(bad)
     assert exc.value.index in (2, 3)
+
+
+@pytest.mark.parametrize("build", [group_from_table, loop_from_table])
+@pytest.mark.parametrize("table", [
+    [[0, 1.5], [1.5, 0]],                              # would truncate to C2
+    [[True, False], [False, True]],                    # would move the identity from 1
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=object),
+    [[0, None], [None, 0]],
+])
+def test_constructors_refuse_non_integer_tables(build, table):
+    with pytest.raises(ValueError, match="must be integers"):
+        build(table)
+
+
+@pytest.mark.parametrize("build", [group_from_table, loop_from_table])
+def test_constructors_share_their_input_errors(build):
+    with pytest.raises(ValueError, match="expected 2 names, got 1"):
+        build([[0, 1], [1, 0]], names=["e"])
+    with pytest.raises(NotLatinSquare) as exc:
+        build([[0, 1], [1, 7]])
+    assert (exc.value.axis, exc.value.index, exc.value.cell, exc.value.value) == ("row", 1, (1, 1), 7)
+    with pytest.raises(NoIdentity):
+        build(np.zeros((0, 0), dtype=np.int64))
+
+
+_DEFECTS = ("shape", "negative", "too-large", "float", "bool", "complex", "object",
+            "names", "no-identity", "empty")
+
+
+def _malformed(kind, T, rng):
+    """(table, names, error type) for a table T of order n >= 2 with one defect."""
+    n = len(T)
+    cell = (rng.randrange(n), rng.randrange(n))
+    bad = T.copy()
+    if kind == "shape":
+        return rng.choice([T[:, :-1], T[:-1], T.ravel(), T[None], [list(T[0]), [0]]]), None, ValueError
+    if kind in ("negative", "too-large"):
+        bad[cell] = -rng.randint(1, 5) if kind == "negative" else n + rng.randint(0, 5)
+        return bad, None, NotLatinSquare
+    if kind in ("float", "bool", "complex", "object"):
+        return T.astype(kind), None, ValueError
+    if kind == "names":
+        return T, [f"g{k}" for k in range(n + rng.choice([-1, 1]))], ValueError
+    if kind == "no-identity":
+        bad[:, :] = rng.randrange(n)
+        return bad, None, NoIdentity
+    return np.zeros((0, 0), dtype=rng.choice([np.int64, np.float64])), None, NoIdentity
+
+
+@given(spec=st.sampled_from(["cyclic:2", "cyclic:5", "dihedral:8", "dihedral:16"]),
+       twisted=st.booleans(), kind=st.sampled_from(_DEFECTS),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_malformed_tables_raise_the_same_typed_error_from_both_constructors(spec, twisted, kind,
+                                                                            seed):
+    G = catalog_group(spec)
+    T = (build_gyro(G).loop.table if twisted else G.table).astype(np.int64)
+    table, names, expected = _malformed(kind, T, random.Random(seed))
+    raised = []
+    for build in (group_from_table, loop_from_table):
+        with pytest.raises(expected) as exc:
+            build(table, names=names)
+        assert not isinstance(exc.value, (IndexError, TypeError))
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1]
 
 
 def test_nonassociative_latin_square_rejected():

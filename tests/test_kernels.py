@@ -1,16 +1,21 @@
-"""The one witness rule, the one scan kernel and the one subset closure.
+"""The one witness rule, the one scan kernel, the one subset closure and
+the one-pass subset and Latin tests.
 
-first_cell, first_violations and generated/closed_under replaced about
-fifteen argmax witness sites, four private x-loops and two Python-set
-closures.  The _ref_* functions below are those earlier bodies, kept as the
-references: the breadth-first subgroup and subloop closures, the set-based
-subgroup and subloop tests and the per-x cocycle loop.
+first_cell, first_violations and generated replaced about fifteen argmax
+witness sites, four private x-loops and two Python-set closures;
+subgroup_violation, subloop_violation and latin_violation replaced a
+yes/no test followed by a Python loop that rescanned the set or the lines
+for the witness.  The _ref_* functions below are those earlier bodies, kept
+as the references: the breadth-first subgroup and subloop closures, the
+set-based subgroup and subloop tests, the per-pair subgroup and subloop
+witness loops, the per-line Latin scan and the per-x cocycle loop.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gyrolab import (
     build_gyro,
@@ -22,9 +27,18 @@ from gyrolab import (
     is_subloop,
     make_transversal,
     subgroup_generated,
+    subgroup_violation,
     subloop_generated,
+    subloop_violation,
 )
-from gyrolab.groups import first_cell, first_violation, first_violations
+from gyrolab.errors import NotLatinSquare
+from gyrolab.groups import (
+    first_cell,
+    first_violation,
+    first_violations,
+    group_from_table,
+    latin_violation,
+)
 from gyrolab.loops import loop_from_table
 
 
@@ -72,6 +86,44 @@ def _ref_is_subloop(L, S):
     lst = sorted(S)
     return bool(S) and all(int(v) in S for tab in (L.table, L.right_division, L.left_division)
                            for v in np.unique(tab[np.ix_(lst, lst)]))
+
+
+def _ref_subgroup_witness(G, S):
+    if 0 not in S:
+        return ("identity-missing",)
+    for a in sorted(S):
+        if G.inv(a) not in S:
+            return ("inverse", a)
+        for b in sorted(S):
+            if G.mul(a, b) not in S:
+                return ("product", a, b)
+    return ("not-a-subgroup",)
+
+
+def _ref_subloop_witness(L, S):
+    lst = sorted(S)
+    for a in lst:
+        for b in lst:
+            if int(L.table[a, b]) not in S:
+                return ("product", a, b)
+            if int(L.right_division[b, a]) not in S:
+                return ("right-division", a, b)
+            if int(L.left_division[a, b]) not in S:
+                return ("left-division", a, b)
+    return ("not-a-subloop",)
+
+
+def _ref_latin_violation(T):
+    """Each row, then each column, tested on its own; the first repeat of a
+    line is found with a Python set."""
+    for axis, lines in (("row", T), ("column", T.T)):
+        for i, line in enumerate(lines):
+            seen = set()
+            for pos, v in enumerate(line.tolist()):
+                if v in seen:
+                    return axis, i, ((i, pos) if axis == "row" else (pos, i)), v
+                seen.add(v)
+    return None
 
 
 def _ref_cocycle_violation(f):
@@ -216,3 +268,94 @@ def test_cocycle_violation_matches_the_per_x_reference(spec):
         assert w == _ref_cocycle_violation(bad), spec
         witnesses.add(w)
     assert len(witnesses) > 5                     # the mutations reach many cells
+
+
+# ---------------------------------------------------------------------------
+# the one-pass subset and Latin tests
+
+_LADDER = ("dihedral:16", "wreath33", "heisenberg:5")
+
+
+@st.composite
+def _subsets(draw, X, subloop):
+    """A random subset of X, or one grown from a closed span by adding and
+    dropping a few elements, with or without the identity."""
+    elems = st.integers(min_value=0, max_value=X.order - 1)
+    S = set(draw(st.sets(elems, max_size=6)))
+    if draw(st.booleans()):
+        span = (subloop_generated if subloop else subgroup_generated)(X, S)
+        S = set(span) | set(draw(st.sets(elems, max_size=2)))
+        S -= set(draw(st.sets(elems, max_size=2)))
+    if draw(st.booleans()):
+        S.add(0)
+    return frozenset(S)
+
+
+@given(spec=st.sampled_from(_LADDER), data=st.data())
+def test_subgroup_violation_matches_the_per_pair_reference(spec, data):
+    G = catalog_group(spec)
+    S = data.draw(_subsets(G, False))
+    expected = None if _ref_is_subgroup(G, S) else _ref_subgroup_witness(G, S)
+    assert subgroup_violation(G, S) == expected
+    assert subgroup_violation(G, sorted(S)) == expected
+
+
+@given(source=st.sampled_from(_LADDER + (16, 24)), data=st.data())
+def test_subloop_violation_matches_the_per_pair_reference(switched_table, source, data):
+    # a ladder group's twisted loop, or an intercalate-switched loop of that order
+    L = (loop_from_table(switched_table(source, 1)) if isinstance(source, int)
+         else build_gyro(catalog_group(source)).loop)
+    S = data.draw(_subsets(L, True))
+    expected = None if _ref_is_subloop(L, S) else _ref_subloop_witness(L, S)
+    assert subloop_violation(L, S) == expected
+
+
+def test_subset_witnesses_reach_every_tag(d16, d16_loop, switched_table):
+    # the cases the random draws may miss, each pinned to the reference
+    cases = [
+        (frozenset(), ("identity-missing",)),
+        (frozenset({1, 2}), ("identity-missing",)),
+        (frozenset({0, 1}), ("inverse", 1)),          # r^-1 = r^7: inverse before product
+        (frozenset({0, 1, 7}), ("product", 1, 1)),
+    ]
+    for S, w in cases:
+        assert subgroup_violation(d16, S) == _ref_subgroup_witness(d16, S) == w
+    L = loop_from_table(switched_table(16, 1))
+    cases = [
+        (d16_loop, frozenset(), ("not-a-subloop",)),
+        (L, frozenset({0, 1}), ("right-division", 1, 0)),
+        (L, frozenset({0, 1, 7}), ("left-division", 1, 0)),
+        (L, frozenset({0, 1, 7, 10}), ("product", 1, 1)),
+    ]
+    for X, S, w in cases:
+        assert subloop_violation(X, S) == _ref_subloop_witness(X, S) == w
+
+
+def _plant(T, rng, axis):
+    """T with one repeat planted off row and column 0: in a row (a cell
+    copied from its row), or in columns only (two cells of a row swapped)."""
+    n = len(T)
+    bad = T.copy()
+    i, j, k = rng.integers(1, n, 3).tolist()
+    while k == j:
+        k = int(rng.integers(1, n))
+    if axis == "row":
+        bad[i, j] = bad[i, k]
+    else:
+        bad[i, j], bad[i, k] = bad[i, k], bad[i, j]
+    return bad
+
+
+@pytest.mark.parametrize("spec", _LADDER)
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_latin_violation_matches_the_per_line_reference(spec, axis):
+    T = catalog_group(spec).table.astype(np.int64)
+    assert latin_violation(T) is None
+    rng = np.random.default_rng(len(T))
+    for _ in range(20):
+        bad = _plant(T, rng, axis)
+        w = _ref_latin_violation(bad)
+        assert w[0] == axis and latin_violation(bad) == w
+        with pytest.raises(NotLatinSquare) as exc:
+            group_from_table(bad)
+        assert (exc.value.axis, exc.value.index, exc.value.cell, exc.value.value) == w

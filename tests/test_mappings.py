@@ -6,7 +6,7 @@ from gyrolab import (
     catalog_group,
     inner_mapping_group,
     is_inner_abelian,
-    loop_from_group,
+    loop_from_table,
     mlt_inn_orders,
     multiplication_group,
     verify_suite,
@@ -21,7 +21,7 @@ from gyrolab.mappings import (
 
 def test_translations_regular_representation():
     G = catalog_group("cyclic:4")
-    L = loop_from_group(G)
+    L = loop_from_table(G.table, names=G.names, name=G.name)
     left, right = translations(L, 1)
     # for an abelian group left and right translations coincide
     assert np.array_equal(left, right)
@@ -39,7 +39,7 @@ def test_inner_generators_fix_identity(d16_loop):
 
 def test_group_inner_mappings_are_conjugations(d16):
     # for a group table the inner mapping group is G / Z(G)
-    L = loop_from_group(d16)
+    L = loop_from_table(d16.table, names=d16.names, name=d16.name)
     inn = inner_mapping_group(L)
     assert inn.order() == 8            # 16 / |{e, r4}|
 

@@ -61,6 +61,42 @@ def test_parallel_scan_matches_serial():
     assert serial == parallel
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker starts."""
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, n_sources, cpus, workers", [
+    (64, 3, 8, 3),         # no more workers than sources
+    (64, 6, 2, 2),         # nor than CPUs
+    (2, 6, 2, 2),          # the benchmark's --jobs 2 keeps its two workers
+    (4, 6, None, None),    # an unknown CPU count is one CPU: no pool
+    (4, 1, 8, None),       # one source: no pool
+])
+def test_scan_asks_for_no_more_workers_than_sources_or_cpus(monkeypatch, jobs, n_sources,
+                                                            cpus, workers):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    srcs = ["cyclic:3", "cyclic:9"] * 3
+    summary = search_scan(srcs[:n_sources], jobs=jobs)
+    assert _RecordingPool.asked == ([] if workers is None else [workers])
+    assert summary.to_dict() == search_scan(srcs[:n_sources], jobs=1).to_dict()
+
+
 def test_elapsed_not_serialized():
     rec = evaluate_source("cyclic:27")
     assert rec.elapsed > 0
