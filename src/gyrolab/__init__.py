@@ -91,9 +91,7 @@ from .invariants import (
     commutant,
     commutator_bracket_table,
     invariant_bundle,
-    loop_associator,
     loop_center,
-    loop_commutator,
     loop_nilpotency_class,
     loop_upper_central_series,
     nucleus,

@@ -279,7 +279,9 @@ class SuiteContext:
         """One pass over all triples: the first formula violation, the first
         non-central associator (None when absent) and the left, middle and
         right nuclei.  Once a mask has its witness, the slabs of later x skip
-        it; the nuclei are a reduction, so every x is visited."""
+        it.  The scan is keyed by the central translations it verifies: an x
+        whose slab is proven equal to an earlier x's is skipped, and its
+        place in the left nucleus is copied from that x."""
         def run():
             G, L = self.G, self.loop
             n = self.n
@@ -298,6 +300,37 @@ class SuiteContext:
             left = np.zeros(n, dtype=bool)
             middle = np.ones(n, dtype=bool)
             right = np.ones(n, dtype=bool)
+
+            # For c in Z(G), rho(p) = p c.  c is accepted when, cell by cell,
+            #   (a) T[rho p, z] = rho T[p, z],
+            #   (b) R[rho a, rho b] = R[a, b], with R[a, b] = a / b read off rdivT,
+            #   (c) cm[w, rho x] = cm[w, x].
+            # Then slab(rho x) = slab(x), for any tables.  By (a) with p = x,
+            # then with p = x*y, x' = rho x gives x'*y = rho(x*y), so
+            # (x'*y)*z = rho((x*y)*z) and x'*(y*z) = rho(x*(y*z)); by (b)
+            # A(x', y, z) = A(x, y, z) in every cell.  The A != 0 and central
+            # masks read A alone, and by (c) the expected [[z^-1, y], x'] is
+            # [[z^-1, y], x].  key[x] is x or rho(x) for an accepted c, so
+            # equal keys have equal slabs, and the scan visits the first x
+            # of each key.  The three tests write into the scan's buffers
+            key = np.arange(n)
+            cm = self.cm
+            rdiv = rdivT.reshape(n, n)                   # [b, a] -> a / b
+            for c in self.zg:
+                rho = index_table(G.table[:, c], n)
+                np.take(T, rho, axis=0, out=vals, mode="clip")
+                if not np.equal(vals, np.take(rho, Ti, out=off, mode="clip"),
+                                out=formula_bad).all():
+                    continue
+                off[:] = (rho * n)[:, None]                 # [b, a] -> rho b * n + rho a
+                np.add(off, rho, out=off)
+                np.take(rdivT, off, out=vals, mode="clip")
+                if not np.equal(vals, rdiv, out=formula_bad).all():
+                    continue
+                np.take(cm, rho, axis=1, out=expected, mode="clip")
+                if not np.equal(expected, cm, out=formula_bad).all():
+                    continue
+                np.minimum(key, rho, out=key)
 
             def slab(x, open_):
                 # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset
@@ -318,12 +351,18 @@ class SuiteContext:
                 right[nonassoc.any(axis=0)] = False
                 formula = central = None
                 if formula_open:
-                    np.take(self.cm[:, x], K, out=expected, mode="clip")   # [[z^-1, y], x]
+                    np.take(cm[:, x], K, out=expected, mode="clip")   # [[z^-1, y], x]
                     formula = np.not_equal(vals, expected, out=formula_bad)
                 if central_open:
                     central = np.take(noncentral, off, out=central_bad, mode="clip")
                 return formula, central, None
-            formula, central, _ = first_violations(n, 3, slab)
+            formula, central, _ = first_violations(n, 3, slab, rows=key[:, None])
+            # the middle and right nuclei are ANDs over the slabs, which an
+            # equal mask leaves as they are; left[x] is read at the first x
+            # of x's key
+            first = np.full(n, n)
+            np.minimum.at(first, key, np.arange(n))
+            left = left[first[key]]
             return formula, central, tuple(
                 frozenset(int(i) for i in np.flatnonzero(m)) for m in (left, middle, right))
         return self._get("assoc-scan", run)

@@ -211,19 +211,24 @@ def first_violations(n: int, count: int, slab, rows=None,
     later s can win only in a row x <= x0, so it is x0 + 1, and slab may
     compute just those rows.  Every s is visited, with no early exit.
 
-    rows, when given, keys the scan: slab must then be a pure function of
-    rows[s], of what it is told to read and of state fixed for the whole
-    scan (so no reduction over s), and an s whose row equals the row of an
-    s' already visited is skipped.  What a slab reads only shrinks (masks
-    close, bounds drop), so every cell the skipped slab would read was read
-    at s', in the same mask, where it gave a witness no greater than it
-    would now: witnesses are unchanged, and every triple is still decided
-    by a computation equal to its own.  The memo maps the hash of a row's
-    bytes to the first s visited under it and keeps no copy of a row; a hit
-    is confirmed with array_equal, and an s whose row only collides is
-    visited, which costs a slab and changes no witness.  A commutator table
-    repeats its rows and columns ([x c, y] = [x, y] = [x, y c] for central
-    c); a Latin table does not, and there the key costs n hashes.
+    rows, when given, keys the scan: the masks of slab must then be a pure
+    function of rows[s], of what it is told to read and of state fixed for
+    the whole scan, and an s whose row equals the row of an s' already
+    visited is skipped.  What a slab reads only shrinks (masks close, bounds
+    drop), so every cell the skipped slab would read was read at s', in the
+    same mask, where it gave a witness no greater than it would now:
+    witnesses are unchanged, and every triple is still decided by a
+    computation equal to its own.  A keyed slab may also reduce over s when
+    the reduction is idempotent over equal masks (an AND of them), as the
+    skipped s would add a mask already added; what it records for s itself
+    is the caller's to copy from the first s of the same row.  The memo maps
+    the hash of a row's bytes to the first s visited under it and keeps no
+    copy of a row; a hit is confirmed with array_equal, and an s whose row
+    only collides is visited, which costs a slab and changes no witness.  A
+    commutator table repeats its rows and columns ([x c, y] = [x, y] =
+    [x, y c] for central c).  The associator scan reads row x of a Latin
+    table, which no other row repeats; its key is a symmetry that it checks
+    cell by cell instead (checks.SuiteContext.associator_scan).
     """
     found: list = [None] * count
     first_of: dict[int, int] = {}
@@ -296,10 +301,13 @@ def associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
 def _mark(n: int, values) -> np.ndarray:
     """The length-n mask of values: an index array read from a table, or an
     iterable of ints, which must lie in 0..n-1 (a negative index would wrap)."""
-    if not isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray):
+        out_of_range = values.size and (values.min() < 0 or values.max() >= n)
+    else:
         values = [int(v) for v in values]
-        if not all(0 <= v < n for v in values):
-            raise IndexError(f"element indices must lie in 0..{n - 1}")
+        out_of_range = not all(0 <= v < n for v in values)
+    if out_of_range:
+        raise IndexError(f"element indices must lie in 0..{n - 1}")
     mask = np.zeros(n, dtype=bool)
     mask[values] = True
     return mask

@@ -1,10 +1,11 @@
-"""Nuclei, commutant, center, commutators/associators and nilpotency class of loops.
+"""Nuclei, commutant, center, the commutator table and nilpotency class of loops.
 
 All sets are returned as frozensets of element indices.  The nuclei, the
 loop center and the upper central series read the gyration table
 (_gyration_nuclei).  The brute-force side of the verify suite's nucleus
 cross-checks is not here: it is reduced from the associators of
-checks.SuiteContext.associator_scan, which assumes no structure at all.
+checks.SuiteContext.associator_scan, which assumes only the translations
+it has checked cell by cell.
 """
 
 from __future__ import annotations
@@ -71,22 +72,11 @@ def loop_center(L: FiniteLoop) -> frozenset[int]:
     return commutant(L) & left & middle & right
 
 
-def loop_commutator(L: FiniteLoop, x: int, y: int) -> int:
-    """The w with x*y = w*(y*x) (right division)."""
-    return int(L.right_division[L.table[x, y], L.table[y, x]])
-
-
 def commutator_bracket_table(L: FiniteLoop) -> np.ndarray:
     """All loop commutators as a table B[x, y]."""
     if L.right_division is None:
         raise NotALoop("commutators need right division")
     return L.right_division[L.table, L.table.T]
-
-
-def loop_associator(L: FiniteLoop, x: int, y: int, z: int) -> int:
-    """The w with (x*y)*z = w*(x*(y*z)) (right division)."""
-    T = L.table
-    return int(L.right_division[T[T[x, y], z], T[x, T[y, z]]])
 
 
 def loop_upper_central_series(L: FiniteLoop) -> list[frozenset[int]]:

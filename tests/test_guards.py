@@ -98,16 +98,16 @@ def test_nuclei_scan_is_only_the_verify_oracle(monkeypatch, capsys):
     scan = checks.first_violations
     calls = []
 
-    def refused(n, count, slab):
+    def refused(n, count, slab, rows=None):
         raise AssertionError("analyze ran the associator scan")
     monkeypatch.setattr(checks, "first_violations", refused)
     assert main(["analyze", "--group", "wreath33"]) == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
             == golden["analyze-ladder"]["analyze-wreath33"]["sha256"])
 
-    def counted(n, count, slab):
+    def counted(n, count, slab, rows=None):
         calls.append((n, count))
-        return scan(n, count, slab)
+        return scan(n, count, slab, rows)
     monkeypatch.setattr(checks, "first_violations", counted)
     assert main(["verify", "--group", "wreath33"]) == 0
     assert calls == [(81, 3)]

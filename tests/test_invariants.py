@@ -8,18 +8,27 @@ from gyrolab import (
     commutator_bracket_table,
     group_center,
     invariant_bundle,
-    loop_associator,
     loop_center,
-    loop_commutator,
     loop_nilpotency_class,
     loop_upper_central_series,
     nucleus,
 )
 
 
+def loop_commutator(L, x, y):
+    """The w with x*y = w*(y*x), read from the right division."""
+    return int(L.right_division[L.table[x, y], L.table[y, x]])
+
+
+def loop_associator(L, x, y, z):
+    """The w with (x*y)*z = w*(x*(y*z)), read from the right division."""
+    T = L.table
+    return int(L.right_division[T[T[x, y], z], T[x, T[y, z]]])
+
+
 def associator_plane(L, x):
     """Associators A(x, y, z) for one fixed x, as a (y, z) matrix, by one
-    2-D gather: the reference loop_associator is checked against."""
+    2-D gather: the per-element loop_associator is checked against it."""
     T = L.table
     lhs = T[T[x], :]                    # [y, z] -> (x*y)*z
     rhs = T[x, T]                       # [y, z] -> x*(y*z)

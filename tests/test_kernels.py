@@ -36,6 +36,7 @@ from gyrolab.groups import (
     first_cell,
     first_violation,
     first_violations,
+    generated,
     group_from_table,
     latin_violation,
 )
@@ -219,6 +220,17 @@ def test_subset_routines_refuse_indices_outside_the_table(d16, d16_loop):
         for call in (lambda: is_subgroup(d16, {0, bad}), lambda: subgroup_generated(d16, [bad]),
                      lambda: is_subloop(d16_loop, {0, bad}),
                      lambda: subloop_generated(d16_loop, [bad])):
+            with pytest.raises(IndexError):
+                call()
+
+
+def test_subset_routines_refuse_index_arrays_outside_the_table(d16, d16_loop):
+    # an index array is range-checked as a list is: np.array([0, -8]) would
+    # otherwise be read as {0, 8}, a subgroup of D16
+    assert subgroup_violation(d16, [0, 8]) is None
+    for bad in (np.array([0, -8]), np.array([0, 16])):
+        for call in (lambda: subgroup_violation(d16, bad), lambda: is_subloop(d16_loop, bad),
+                     lambda: generated([d16.table], bad, 16)):
             with pytest.raises(IndexError):
                 call()
 

@@ -12,6 +12,10 @@ associator scan reduces and the per-element reference.  The keyed scans,
 which skip an x whose row repeats an earlier x's, are pinned against the
 same scans run with no key, and so is the left expansion, which goes over z
 and skips a z whose column of the commutator table repeats an earlier z's.
+So is the associator scan, which skips an x whose slab a central
+translation it has verified proves equal to an earlier x's; planted tables
+on which a translation fails one of the three conditions pin that it is
+then refused.
 """
 
 import os
@@ -50,7 +54,7 @@ from gyrolab.groups import (
 from gyrolab.errors import NotRightLoop
 from gyrolab.gyro import GyroConstruction
 from gyrolab.invariants import NUCLEUS_KINDS, commutator_bracket_table
-from gyrolab.loops import loop_from_table, normal_subloop_violation
+from gyrolab.loops import FiniteLoop, loop_from_table, normal_subloop_violation
 
 SPECS = ["dihedral:16", "wreath33", "heisenberg:5",
          "product:dihedral:16,cyclic:5", "dihedral:32"]
@@ -316,23 +320,26 @@ def test_associator_scan_class_four_witnesses():
 
 def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatch):
     # wreath33xC4's twisted table as a "group": the formula fails at x = 4,
-    # and no associator is non-central, so the central mask runs for every x
+    # and no associator is non-central, so the central mask runs for the
+    # first x of every key.  The table's 36 commuting elements pass (a)-(c),
+    # so there are 9 keys, and of x <= 4 only 0 and 4 are visited
     ctx = SuiteContext(_wrapped(_gyro("product:wreath33,cyclic:4")))
     computed = []
     scan = checks.first_violations
 
-    def counting(n, count, slab):
+    def counting(n, count, slab, rows=None):
         def counted(x, open_):
             masks = slab(x, open_)
             computed.append(tuple(m is not None for m in masks[:2]))
             return masks
-        return scan(n, count, counted)
+        return scan(n, count, counted, rows)
     monkeypatch.setattr(checks, "first_violations", counting)
     formula, central, nuc = ctx.associator_scan()
     assert (formula, central, nuc) == _ref_associator_scan(ctx)
     assert formula[0] == 4 and central is None
-    assert len(computed) == ctx.n
-    assert sum(f for f, _ in computed) == formula[0] + 1
+    key = _central_key(ctx).tolist()
+    assert len(computed) == len(set(key)) == 9
+    assert sum(f for f, _ in computed) == len(set(key[:formula[0] + 1])) == 2
     assert all(c for _, c in computed)
 
 
@@ -748,11 +755,13 @@ WRAPPED_PINS = ["dihedral:16", "wreath33", "product:dihedral:16,cyclic:5"]
 
 
 def _unkeyed(mp):
-    """Run every scan with rows=None from here on."""
+    """Run every scan with rows=None from here on, the associator scan's
+    too."""
     scan = groups.first_violations
-    mp.setattr(groups, "first_violations",
-               lambda n, count, slab, rows=None, outer_last=False:
-               scan(n, count, slab, outer_last=outer_last))
+    for module in (groups, checks):
+        mp.setattr(module, "first_violations",
+                   lambda n, count, slab, rows=None, outer_last=False:
+                   scan(n, count, slab, outer_last=outer_last))
 
 
 def _visits(mp):
@@ -765,7 +774,8 @@ def _visits(mp):
             visits.append(x)
             return slab(x, open_)
         return scan(n, count, counted, rows, outer_last)
-    mp.setattr(groups, "first_violations", counting)
+    for module in (groups, checks):
+        mp.setattr(module, "first_violations", counting)
     return visits
 
 
@@ -1080,3 +1090,134 @@ def test_expansion_left_allocates_its_buffers_once():
     finally:
         tracemalloc.stop()
     assert peak < buffers + cast + 32 * 1024, (peak, buffers)
+
+
+# ---------------------------------------------------------------------------
+# the associator scan keyed by the central translations it verifies: for c
+# in Z(G) and rho(p) = p c, slab(rho x) = slab(x) once (a), (b) and (c) hold
+
+def _translation_conditions(ctx, c):
+    """Whether rho = G.table[:, c] passes (a) T[rho p, z] = rho T[p, z],
+    (b) R[rho a, rho b] = R[a, b] on the right division and (c)
+    cm[:, rho x] = cm[:, x], each by one whole-table gather."""
+    T, R, cm = ctx.loop.table, ctx.loop.right_division, ctx.cm
+    rho = ctx.G.table[:, c]
+    return (np.array_equal(T[rho, :], rho[T]), np.array_equal(R[np.ix_(rho, rho)], R),
+            np.array_equal(cm[:, rho], cm))
+
+
+def _central_key(ctx):
+    """Each x's least image under the translations of Z(G) that pass all
+    three conditions."""
+    rhos = [ctx.G.table[:, c] for c in ctx.zg if all(_translation_conditions(ctx, c))]
+    return np.min([np.arange(ctx.n), *rhos], axis=0)
+
+
+def _assert_associator_scans_agree(make_ctx):
+    """The keyed associator scan equals the scan with every row hash
+    colliding, the unkeyed scan and the reference; make_ctx gives a fresh
+    context, as each caches its scan."""
+    keyed = make_ctx().associator_scan()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "hash", lambda _b: 0, raising=False)
+        assert make_ctx().associator_scan() == keyed
+    with pytest.MonkeyPatch.context() as mp:
+        _unkeyed(mp)
+        assert make_ctx().associator_scan() == keyed
+    assert keyed == _ref_associator_scan(make_ctx())
+
+
+@pytest.mark.parametrize("spec", SPECS + ["product:wreath33,cyclic:4"])
+def test_associator_scan_keyed_matches_the_unkeyed_scan_and_the_reference(spec):
+    # the sources, and their twisted tables wrapped as "groups" (all but
+    # heisenberg:5's fail the formula), keyed on the translations they pass
+    gc = _gyro(spec)
+    for G in (gc.source, _wrapped(gc)):
+        _assert_associator_scans_agree(lambda: SuiteContext(G))
+
+
+def test_associator_scan_keyed_on_random_tables():
+    # a seeded random loop times C_k, wrapped as a "group" with itself as its
+    # twisted loop: (0, t) commutes and passes (a)-(c), so the key merges
+    # each x with its k translates
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        m, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        L1 = _random_loop(m, rng.integers(0, 1 << 30, size=int(rng.integers(1, 4))))
+        L = loop_from_table((k * L1.table[:, None, :, None]
+                             + np.add.outer(np.arange(k), np.arange(k))[None, :, None, :] % k
+                             ).reshape(m * k, m * k))
+        H = _as_group(L.table)
+
+        def make_ctx():
+            ctx = SuiteContext(H)
+            ctx._cache["gyro"] = GyroConstruction(H, L, None)
+            return ctx
+        _assert_associator_scans_agree(make_ctx)
+        assert len(set(_central_key(make_ctx()).tolist())) <= m
+
+
+@pytest.mark.parametrize("spec, cosets", [("product:wreath33,cyclic:4", 27),
+                                          ("product:dihedral:16,cyclic:5", 8),
+                                          ("unitriangular4:3", 243)])
+def test_associator_scan_visits_one_slab_per_coset_of_the_center(spec, cosets):
+    # every c of Z(G) passes, so the key is the least element of x Z(G), and
+    # a passing scan visits that element of each coset
+    ctx = SuiteContext(catalog_group(spec))
+    key = _central_key(ctx)
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        formula, central, _ = ctx.associator_scan()
+    assert formula is None and central is None
+    assert visits == _first_rows(key[:, None]) == sorted(set(key.tolist()))
+    assert len(visits) == cosets == ctx.n // len(ctx.zg)
+
+
+def _planted(fails):
+    """D16's twisted loop as the associator scan reads it, with one table
+    planted so that c = r^4, the one element of Z(D16) but e, fails one
+    condition:
+      (a) the loop table with 1*0 = 0;
+      (b) the loop table with columns 1 and 2 swapped, which still passes
+          (a), and a right division that is 0 on the diagonal and c off it,
+          so that A != 0 exactly where a triple does not associate, but
+          for 1 at (4, 6): slab 4 = 0 c reaches that cell and no earlier
+          slab does;
+      (c) the commutator table with [e, c] = 1."""
+    G = catalog_group("dihedral:16")
+    L = build_gyro(G).loop
+    T, R = L.table.copy(), L.right_division.copy()
+    if fails == "a":
+        T[1, 0] = 0
+    if fails == "b":
+        T = T[:, [0, 2, 1, *range(3, 16)]]
+        R = np.where(np.eye(16, dtype=bool), 0, 4).astype(R.dtype)
+        R[4, 6] = 1
+    H = FiniteGroup(G.table, G.names, G.inverse)
+    H._cache["cm"] = G.commutator_table().copy()
+    if fails == "c":
+        H._cache["cm"][0, 4] = 1
+    ctx = SuiteContext(H)
+    ctx._cache["gyro"] = GyroConstruction(H, FiniteLoop(T, L.names, True, True, R, None), None)
+    return ctx
+
+
+@pytest.mark.parametrize("fails, witnesses", [("a", ((1, 0, 1), (1, 0, 1))),
+                                               ("b", ((0, 0, 1), (4, 2, 7))),
+                                               ("c", ((4, 0, 0), None))])
+def test_associator_scan_refuses_a_translation_that_fails_one_condition(fails, witnesses):
+    # c fails the named condition alone, so no slab is merged with another.
+    # Merging x with x c anyway, as the scan would without that condition,
+    # changes the answer.  Slab 4 = 0 c holds the least non-central
+    # associator of (b) and the least formula failure of (c); in (a) it has
+    # A != 0 where slab 0 has none, so 4 would join the left nucleus
+    ctx = _planted(fails)
+    assert sorted(ctx.zg) == [0, 4]
+    failed = tuple(k != fails for k in "abc")
+    assert [_translation_conditions(ctx, c) for c in (0, 4)] == [(True,) * 3, failed]
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        result = ctx.associator_scan()
+    assert visits == list(range(16))
+    assert result == _ref_associator_scan(ctx)
+    assert result[:2] == witnesses
