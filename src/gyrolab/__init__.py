@@ -64,7 +64,6 @@ from .groups import (
     derived_subgroup,
     direct_product,
     group_center,
-    group_commutator,
     group_exponent,
     group_from_permutations,
     group_from_table,
@@ -111,7 +110,6 @@ from .mappings import (
     PermGroup,
     inner_mapping_group,
     is_inner_abelian,
-    mlt_inn_orders,
     multiplication_group,
 )
 from .report import CheckReport, summarize

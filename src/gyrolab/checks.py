@@ -44,6 +44,7 @@ from .groups import (
     quotient_group,
     subgroup_as_group,
     subgroup_violation,
+    translation_key,
 )
 from .gyro import GYRO_AXIOMS_STATEMENT, build_gyro, is_gyrogroup
 from .invariants import (
@@ -312,25 +313,23 @@ class SuiteContext:
             # masks read A alone, and by (c) the expected [[z^-1, y], x'] is
             # [[z^-1, y], x].  key[x] is x or rho(x) for an accepted c, so
             # equal keys have equal slabs, and the scan visits the first x
-            # of each key.  The three tests write into the scan's buffers
-            key = np.arange(n)
+            # of each key.  translation_key tests (a) and folds the key;
+            # (b) and (c) are its conditions here, and all three tests write
+            # into the scan's buffers
             cm = self.cm
             rdiv = rdivT.reshape(n, n)                   # [b, a] -> a / b
-            for c in self.zg:
-                rho = index_table(G.table[:, c], n)
-                np.take(T, rho, axis=0, out=vals, mode="clip")
-                if not np.equal(vals, np.take(rho, Ti, out=off, mode="clip"),
-                                out=formula_bad).all():
-                    continue
+
+            def holds_b(rho):
                 off[:] = (rho * n)[:, None]                 # [b, a] -> rho b * n + rho a
                 np.add(off, rho, out=off)
                 np.take(rdivT, off, out=vals, mode="clip")
-                if not np.equal(vals, rdiv, out=formula_bad).all():
-                    continue
+                return np.equal(vals, rdiv, out=formula_bad).all()
+
+            def holds_c(rho):
                 np.take(cm, rho, axis=1, out=expected, mode="clip")
-                if not np.equal(expected, cm, out=formula_bad).all():
-                    continue
-                np.minimum(key, rho, out=key)
+                return np.equal(expected, cm, out=formula_bad).all()
+            key = translation_key(T, Ti, (index_table(G.table[:, c], n) for c in self.zg),
+                                  vals, off, formula_bad, holds_b, holds_c)
 
             def slab(x, open_):
                 # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset

@@ -15,7 +15,8 @@ load (the group records the original index in `relabeled_from`).  A
 file longer than max_group_file_bytes(order_cap()) raises OrderCapExceeded
 once that many bytes and one more are read, and a declared order or degree
 above order_cap() before the table is built.  The name and each entry of
-"names" hold at most MAX_NAME_CHARS characters.
+"names" hold at most MAX_NAME_CHARS characters, and no two entries of
+"names" are equal.
 
 Report documents are schema-versioned JSON with sorted keys so identical runs
 serialize byte-identically; per-check wall-clock timing is deliberately left
@@ -34,6 +35,7 @@ from .catalog import catalog_group
 from .errors import OrderCapExceeded, ParseError
 from .groups import (
     FiniteGroup,
+    _first_repeat,
     check_order_cap,
     group_center,
     group_from_permutations,
@@ -150,6 +152,9 @@ def parse_group_file(path) -> FiniteGroup:
                                  f"field 'names' must be a list of {order} strings")
             for i, s in enumerate(names):
                 _check_name(path, s, f"names[{i}]")
+            j = _first_repeat(names)
+            if j is not None:
+                raise ParseError(str(path), f"names[{j}] repeats an earlier name")
         return group_from_table(arr, names=names, name=name or p.stem)
 
     degree = doc.get("degree")

@@ -126,11 +126,6 @@ class FiniteGroup:
         return bool(np.array_equal(self.table, self.table.T))
 
 
-def group_commutator(G: FiniteGroup, x: int, y: int) -> int:
-    """[x, y] = x y x^-1 y^-1."""
-    return G.mul(G.mul(G.mul(x, y), G.inv(x)), G.inv(y))
-
-
 # ---------------------------------------------------------------------------
 # construction and validation
 
@@ -226,9 +221,10 @@ def first_violations(n: int, count: int, slab, rows=None,
     copy of a row; a hit is confirmed with array_equal, and an s whose row
     only collides is visited, which costs a slab and changes no witness.  A
     commutator table repeats its rows and columns ([x c, y] = [x, y] =
-    [x, y c] for central c).  The associator scan reads row x of a Latin
-    table, which no other row repeats; its key is a symmetry that it checks
-    cell by cell instead (checks.SuiteContext.associator_scan).
+    [x, y c] for central c).  The associator scan and the product tests of
+    loops.normal_subloop_violation read row x of a Latin table, which no
+    other row repeats; each is keyed instead by a symmetry that it checks
+    cell by cell, the central translations of translation_key.
     """
     found: list = [None] * count
     first_of: dict[int, int] = {}
@@ -262,6 +258,27 @@ def first_violation(n: int, slab, rows=None,
     if outer_last:
         return first_violations(n, 1, lambda s, bound: (slab(s, bound[0]),), rows, True)[0]
     return first_violations(n, 1, lambda s, _bound: (slab(s),), rows)[0]
+
+
+def translation_key(T: np.ndarray, Ti: np.ndarray, rhos, vals: np.ndarray,
+                    off: np.ndarray, eq: np.ndarray, *conditions) -> np.ndarray:
+    """key[x], the least of x and rho[x] over the permutations rho in rhos
+    that pass (a) T[rho p, z] == rho T[p, z] on every cell of T and then
+    every condition(rho).
+
+    Ti is the intp copy of T (index_table).  The tests write into the
+    caller's n x n buffers, vals in T's dtype, off intp and eq bool, and off
+    holds rho T while the conditions run.  Equal keys mean equal slabs only
+    where the caller proves slab(rho x) = slab(x) from (a) and its
+    conditions; the key is passed to first_violations as rows=key[:, None].
+    """
+    key = np.arange(len(T))
+    for rho in rhos:
+        np.take(T, rho, axis=0, out=vals, mode="clip")
+        np.take(rho, Ti, out=off, mode="clip")
+        if np.equal(vals, off, out=eq).all() and all(cond(rho) for cond in conditions):
+            np.minimum(key, rho, out=key)
+    return key
 
 
 def pair_slabs(values: np.ndarray, index: np.ndarray):
@@ -404,12 +421,22 @@ def _default_names(n: int) -> list[str]:
     return ["e"] + [f"x{i}" for i in range(1, n)]
 
 
+def _first_repeat(values: Sequence) -> int | None:
+    """The least j with values[j] in values[:j], else None."""
+    seen = set()
+    for j, v in enumerate(values):
+        if v in seen:
+            return j
+        seen.add(v)
+    return None
+
+
 def _table_front_end(table, names: Sequence[str] | None):
     """The checks group_from_table and loop_from_table share: a square,
     nonempty table of an integer dtype (a cast would truncate floats), its
     entries in 0..n-1 (checked before the one copy into elem_dtype(n)), n
-    names and a two-sided identity, moved to index 0.  Returns (table,
-    names, the identity's old index or None when it was 0)."""
+    distinct names and a two-sided identity, moved to index 0.  Returns
+    (table, names, the identity's old index or None when it was 0)."""
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("multiplication table must be a square matrix")
@@ -425,6 +452,9 @@ def _table_front_end(table, names: Sequence[str] | None):
     name_list = list(names) if names is not None else _default_names(n)
     if len(name_list) != n:
         raise ValueError(f"expected {n} names, got {len(name_list)}")
+    j = _first_repeat(name_list)
+    if j is not None:
+        raise ValueError(f"names[{j}] = {name_list[j]!r} repeats an earlier name")
 
     e = _find_identity(arr)
     if e is None:

@@ -28,7 +28,9 @@ from .groups import (
     first_cell,
     first_violation,
     generated,
+    group_center,
     index_table,
+    translation_key,
 )
 
 
@@ -165,7 +167,10 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     compared as sets.  Rows and columns of a loop are permutations, so both
     sides of each identity have |N| distinct elements and equality is
     containment: one membership table in_N[u, v] (v in u*N) decides the
-    cosets, and once u*N == N*u for every u, both product tests.
+    cosets, and once u*N == N*u for every u, both product tests.  Both
+    product tests are keyed by _central_key: the slab of x c equals the slab
+    of x for each central c of L's recorded source that passes its checks,
+    so a scan visits one x per coset of that center.
     """
     S = frozenset(int(x) for x in N)
     w = subloop_violation(L, S)
@@ -211,11 +216,47 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
         np.take(Ti, Nx[x], axis=0, out=off, mode="clip")
         return failing(x)
 
+    key = _central_key(L, Ti)
     for tag, slab in (("product-left", left), ("product-right", right)):
-        w = first_violation(n, slab)
+        w = first_violation(n, slab, rows=key[:, None])
         if w is not None:
             return (tag,) + w
     return None
+
+
+def _central_key(L: FiniteLoop, Ti: np.ndarray) -> np.ndarray:
+    """The key of normal_subloop_violation's product tests, cached on L, as
+    it reads L alone: key[x] is the least of x and x*c over the c of the
+    center of the source that build_gyro records on L whose translation
+    rho = T[:, c] passes, on every cell,
+      (a)  T[rho p, z] == rho T[p, z],
+      (a') T[p, rho z] == rho T[p, z].
+    The center is only a list of candidates; a loop with no recorded source
+    (or a source of another order) keys to arange(n).
+
+    rho is a column of a loop, so a bijection.  By (a), x' = rho x gives
+    x'*w = rho(x*w); with p = u it gives (rho u)*N = rho(u*N), so
+    in_N[rho u, rho v] = in_N[u, v], and the product-left slab of x',
+    in_N[x'*y, x'*(y*n_i)], is that of x.  By (a') and then (a),
+    (n_i*x')*y = rho((n_i*x)*y), so the product-right slab,
+    in_N[x'*y, (n_i*x')*y], is unchanged too.  (a') keeps the second step
+    apart from the coset test: once x*N = N*x for every x, (a) alone gives
+    n_i*x' = rho(n_j*x) for a permutation i -> j of N, and so the same mask.
+    """
+    if "central_key" not in L._cache:
+        T, n = L.table, L.order
+        G = L._cache.get("source")
+        center = sorted(group_center(G) - {0}) if G is not None and G.order == n else []
+        vals = np.empty_like(T)
+        off = np.empty((n, n), dtype=np.intp)
+        eq = np.empty((n, n), dtype=bool)
+
+        def holds_a_prime(rho):                         # off holds rho T
+            np.take(T, rho, axis=1, out=vals, mode="clip")
+            return np.equal(vals, off, out=eq).all()
+        L._cache["central_key"] = translation_key(T, Ti, (Ti[:, c] for c in center),
+                                                  vals, off, eq, holds_a_prime)
+    return L._cache["central_key"]
 
 
 def quotient_loop(L: FiniteLoop, N: Iterable[int],

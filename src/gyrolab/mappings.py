@@ -122,7 +122,3 @@ def is_inner_abelian(L: FiniteLoop) -> tuple[bool, tuple[str, str] | None]:
     """
     w = inner_mapping_group(L).generator_commuting_violation()
     return (w is None), w
-
-
-def mlt_inn_orders(L: FiniteLoop) -> tuple[int, int]:
-    return multiplication_group(L).order(), inner_mapping_group(L).order()

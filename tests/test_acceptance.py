@@ -23,12 +23,13 @@ from gyrolab import (
     factor_set,
     group_center,
     gyro_factor_set,
+    inner_mapping_group,
     is_gyrogroup,
     is_inner_abelian,
     loop_center,
     loop_nilpotency_class,
     make_transversal,
-    mlt_inn_orders,
+    multiplication_group,
     nilpotency_class,
     nine_identity,
     normal_subloop_violation,
@@ -146,7 +147,7 @@ def test_criterion_6_dihedral16_quotients_powers_and_inner_mappings():
     assert associativity_violation(commutator_bracket_table(L)) == (1, 8, 8)
     abelian, witness = is_inner_abelian(L)
     assert not abelian and witness == ("T(1)", "T(8)")
-    mlt, inn = mlt_inn_orders(L)
+    mlt, inn = multiplication_group(L).order(), inner_mapping_group(L).order()
     assert (mlt, inn) == (256, 16)
     assert mlt == L.order * inn                     # orbit-stabilizer
 

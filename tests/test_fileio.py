@@ -1,10 +1,14 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gyrolab import (
+    FiniteGroup,
+    GyrolabError,
     NotAssociative,
     NotLatinSquare,
     OrderCapExceeded,
@@ -89,6 +93,8 @@ def test_identity_relocated_on_load(tmp_path):
     ({"degree": 3, "generators": []}, "non-empty"),
     ({"degree": 3, "generators": [[0, 1]]}, "generator 0"),
     ({"order": 2, "table": [["a", "b"], ["b", "a"]]}, "table"),
+    ({"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+      "names": ["e", "a", "b", "a"]}, "names[3] repeats an earlier name"),
 ])
 def test_parse_errors(tmp_path, doc, fragment):
     p = _write(tmp_path, "bad.json", doc)
@@ -135,6 +141,96 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
     p.write_bytes(b'{"name": "\xe9", "order": 1, "table": [[0]]}')
     with pytest.raises(ParseError, match="not UTF-8 text"):
         parse_group_file(p)
+
+
+# near-valid group files: a valid table or generating set with a few defects
+
+_BAD_VALUES = st.one_of(st.integers(min_value=-3, max_value=12), st.just(2 ** 40),
+                        st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2),
+                        st.none(), st.booleans(), st.lists(st.integers(0, 3), max_size=2),
+                        st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
+_VALID_TABLES = ["cyclic:3", "product:cyclic:2,cyclic:2", "dihedral:8"]
+_VALID_GENERATORS = [(3, [[1, 2, 0], [1, 0, 2]]), (4, [[1, 2, 3, 0], [0, 3, 2, 1]]), (2, [[1, 0]])]
+
+
+def _defective_table_file(draw):
+    G = catalog_group(draw(st.sampled_from(_VALID_TABLES)))
+    n = G.order
+    doc = {"order": n, "table": G.table.tolist()}
+    if draw(st.booleans()):
+        doc["names"] = list(G.names)
+    for defect in draw(st.lists(st.sampled_from(
+            ["ragged", "cell", "rows", "order", "short-names", "repeated-names", "name-type",
+             "table-type"]), min_size=1, max_size=3)):
+        rows = doc["table"]
+        row = (rows[draw(st.integers(0, len(rows) - 1))]
+               if isinstance(rows, list) and rows else None)
+        if defect == "ragged" and isinstance(row, list):
+            row[:] = row[:-1] if draw(st.booleans()) else row + [0]
+        elif defect == "cell" and isinstance(row, list) and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_VALUES)
+        elif defect == "rows" and isinstance(rows, list):
+            doc["table"] = rows[:-1] if draw(st.booleans()) else rows + [list(range(n))]
+        elif defect == "order":
+            doc["order"] = draw(st.one_of(st.integers(-1, n + 2), _BAD_VALUES))
+        elif defect == "short-names":
+            doc["names"] = list(G.names)[:draw(st.integers(0, n - 1))]
+        elif defect == "repeated-names":
+            names = list(G.names)
+            j = draw(st.integers(1, n - 1))
+            names[j] = names[draw(st.integers(0, j - 1))]
+            doc["names"] = names
+        elif defect == "name-type":
+            doc["names"] = draw(st.one_of(_BAD_VALUES, st.lists(_BAD_VALUES, min_size=n,
+                                                                max_size=n)))
+        elif defect == "table-type":
+            doc["table"] = draw(_BAD_VALUES)
+    return doc
+
+
+def _defective_generator_file(draw):
+    degree, gens = draw(st.sampled_from(_VALID_GENERATORS))
+    doc = {"degree": degree, "generators": [list(g) for g in gens]}
+    for defect in draw(st.lists(st.sampled_from(
+            ["degree", "non-bijective", "out-of-range", "ragged", "entry", "generators-type"]),
+            min_size=1, max_size=3)):
+        gens = doc["generators"]
+        g = gens[draw(st.integers(0, len(gens) - 1))] if isinstance(gens, list) and gens else None
+        if defect == "degree":
+            doc["degree"] = draw(st.one_of(st.integers(-1, degree + 2), _BAD_VALUES))
+        elif defect == "non-bijective" and isinstance(g, list) and len(g) > 1:
+            g[0] = g[1]
+        elif defect == "out-of-range" and isinstance(g, list) and g:
+            g[draw(st.integers(0, len(g) - 1))] = draw(st.sampled_from([-1, degree, 2 ** 40]))
+        elif defect == "ragged" and isinstance(g, list):
+            g[:] = g[:-1] if draw(st.booleans()) else g + [degree - 1]
+        elif defect == "entry" and isinstance(g, list) and g:
+            g[draw(st.integers(0, len(g) - 1))] = draw(_BAD_VALUES)
+        elif defect == "generators-type":
+            doc["generators"] = draw(st.one_of(_BAD_VALUES, st.just([]),
+                                               st.lists(_BAD_VALUES, min_size=1, max_size=2)))
+    return doc
+
+
+@st.composite
+def _near_valid_group_files(draw):
+    form = draw(st.sampled_from(["table", "generators"]))
+    return (_defective_table_file if form == "table" else _defective_generator_file)(draw)
+
+
+@given(_near_valid_group_files())
+def test_near_valid_group_files_parse_to_a_group_or_a_typed_error(doc):
+    # the parser's outcome is a group or a GyrolabError (ParseError for what
+    # the file states, the constructors' errors for what its table is),
+    # never a bare IndexError, TypeError, KeyError or ValueError
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "near.json"
+        path.write_text(json.dumps(doc))
+        try:
+            G = parse_group_file(path)
+        except GyrolabError:
+            return
+    assert isinstance(G, FiniteGroup)
 
 
 def test_math_validation_propagates(tmp_path):

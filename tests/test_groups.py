@@ -16,7 +16,6 @@ from gyrolab import (
     derived_subgroup,
     direct_product,
     group_center,
-    group_commutator,
     group_exponent,
     group_from_permutations,
     group_from_table,
@@ -116,6 +115,8 @@ def test_constructors_refuse_non_integer_tables(build, table):
 def test_constructors_share_their_input_errors(build):
     with pytest.raises(ValueError, match="expected 2 names, got 1"):
         build([[0, 1], [1, 0]], names=["e"])
+    with pytest.raises(ValueError, match=r"names\[3\] = 'a' repeats an earlier name"):
+        build(KLEIN, names=["e", "a", "b", "a"])
     with pytest.raises(NotLatinSquare) as exc:
         build([[0, 1], [1, 7]])
     assert (exc.value.axis, exc.value.index, exc.value.cell, exc.value.value) == ("row", 1, (1, 1), 7)
@@ -124,7 +125,7 @@ def test_constructors_share_their_input_errors(build):
 
 
 _DEFECTS = ("shape", "negative", "too-large", "float", "bool", "complex", "object",
-            "names", "no-identity", "empty")
+            "names", "repeated-names", "no-identity", "empty")
 
 
 def _malformed(kind, T, rng):
@@ -141,6 +142,11 @@ def _malformed(kind, T, rng):
         return T.astype(kind), None, ValueError
     if kind == "names":
         return T, [f"g{k}" for k in range(n + rng.choice([-1, 1]))], ValueError
+    if kind == "repeated-names":
+        names = [f"g{k}" for k in range(n)]
+        j = rng.randrange(1, n)
+        names[j] = names[rng.randrange(j)]
+        return T, names, ValueError
     if kind == "no-identity":
         bad[:, :] = rng.randrange(n)
         return bad, None, NoIdentity
@@ -205,7 +211,7 @@ def test_symmetric3_not_nilpotent():
 def test_commutator_convention(d16):
     # [x, y] = x y x^-1 y^-1; for the dihedral generators [r, s] = r^2
     r, s = d16.index_of("r"), d16.index_of("s")
-    assert d16.names[group_commutator(d16, r, s)] == "r2"
+    assert d16.names[d16.commutator_table()[r, s]] == "r2"
 
 
 def test_center_and_derived_d16(d16):

@@ -7,7 +7,6 @@ from gyrolab import (
     inner_mapping_group,
     is_inner_abelian,
     loop_from_table,
-    mlt_inn_orders,
     multiplication_group,
     verify_suite,
 )
@@ -45,7 +44,7 @@ def test_group_inner_mappings_are_conjugations(d16):
 
 
 def test_mlt_inn_orbit_stabilizer(d16_loop):
-    mlt, inn = mlt_inn_orders(d16_loop)
+    mlt, inn = multiplication_group(d16_loop).order(), inner_mapping_group(d16_loop).order()
     assert (mlt, inn) == (256, 16)
     assert mlt == 16 * inn
 

@@ -15,7 +15,9 @@ and skips a z whose column of the commutator table repeats an earlier z's.
 So is the associator scan, which skips an x whose slab a central
 translation it has verified proves equal to an earlier x's; planted tables
 on which a translation fails one of the three conditions pin that it is
-then refused.
+then refused.  The product tests of the normal-subloop scan are keyed the
+same way, on the center of the loop's recorded source, and pinned the same
+way; a source whose center fails the checks keys nothing.
 """
 
 import os
@@ -49,6 +51,7 @@ from gyrolab.groups import (
     _group_unchecked,
     associativity_violation,
     first_violation,
+    group_center,
     pair_slabs,
 )
 from gyrolab.errors import NotRightLoop
@@ -375,12 +378,15 @@ def test_wrapped_twisted_tables_fail_the_group_laws(spec, left, right, nine):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_normal_subloop_matches_reference_on_catalog_loops(spec):
+    # the twisted loop is keyed on the center of its source; its opposite
+    # records no source, so it is not
     L = _gyro(spec).loop
     subloops = {subloop_generated(L, {a}) for a in range(L.order)}
     subloops |= set(_ref_scan_nuclei(L)) | {commutant(L)}
     for M in (L, _opposite(L)):
-        for S in sorted(subloops, key=sorted):
-            assert normal_subloop_violation(M, S) == _ref_normal_subloop_violation(M, S)
+        _assert_normal_scans_agree(M, sorted(subloops, key=sorted))
+    key = _normal_key(L)
+    assert np.array_equal(L._cache["central_key"], key) and len(set(key.tolist())) < L.order
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -756,7 +762,7 @@ WRAPPED_PINS = ["dihedral:16", "wreath33", "product:dihedral:16,cyclic:5"]
 
 def _unkeyed(mp):
     """Run every scan with rows=None from here on, the associator scan's
-    too."""
+    and the normal-subloop product tests' too."""
     scan = groups.first_violations
     for module in (groups, checks):
         mp.setattr(module, "first_violations",
@@ -1221,3 +1227,169 @@ def test_associator_scan_refuses_a_translation_that_fails_one_condition(fails, w
     assert visits == list(range(16))
     assert result == _ref_associator_scan(ctx)
     assert result[:2] == witnesses
+
+
+# ---------------------------------------------------------------------------
+# the product tests of normal_subloop_violation keyed by the central
+# translations they verify: for c in the center of the loop's recorded
+# source and rho = T[:, c], slab(rho x) = slab(x) once (a) and (a') hold
+
+def _normal_conditions(L, c):
+    """Whether rho = L.table[:, c] passes (a) T[rho p, z] = rho T[p, z] and
+    (a') T[p, rho z] = rho T[p, z], each by one whole-table gather."""
+    T = L.table
+    rho = T[:, c]
+    return np.array_equal(T[rho, :], rho[T]), np.array_equal(T[:, rho], rho[T])
+
+
+def _normal_key(L):
+    """Each x's least image under the translations of the recorded source's
+    center that pass both conditions."""
+    G = L._cache.get("source")
+    center = group_center(G) if G is not None else ()
+    rhos = [L.table[:, c] for c in center if all(_normal_conditions(L, c))]
+    return np.min([np.arange(L.order), *rhos], axis=0)
+
+
+def _assert_normal_scans_agree(L, subsets):
+    """The keyed normal_subloop_violation equals the unkeyed one and the
+    reference on each subset; returns the count of each outcome's tag."""
+    tags = Counter()
+    for S in subsets:
+        keyed = normal_subloop_violation(L, S)
+        with pytest.MonkeyPatch.context() as mp:
+            _unkeyed(mp)
+            assert normal_subloop_violation(L, S) == keyed
+        assert keyed == _ref_normal_subloop_violation(L, S), sorted(S)
+        tags[keyed[0] if keyed else "normal"] += 1
+    return tags
+
+
+def test_normal_subloop_keyed_matches_the_unkeyed_scan_on_larger_loops():
+    # wreath33 x C4's twisted loop (27 keys) on its nuclei, its commutant
+    # and two cyclic subloops, and the twisted loops of the wrapped twisted
+    # tables, keyed on the commuting elements of their "source" that pass
+    L = _gyro("product:wreath33,cyclic:4").loop
+    subsets = set(_ref_scan_nuclei(L)) | {commutant(L), subloop_generated(L, {1}),
+                                          subloop_generated(L, {5})}
+    tags = _assert_normal_scans_agree(L, sorted(subsets, key=sorted))
+    assert len(set(_normal_key(L).tolist())) == 27 and tags["normal"] >= 2
+    for spec in SPECS:
+        M = build_gyro(_wrapped(_gyro(spec))).loop
+        assert M.is_loop and len(set(_normal_key(M).tolist())) < M.order
+        subsets = {subloop_generated(M, {a}) for a in range(0, M.order, 3)} | {commutant(M)}
+        _assert_normal_scans_agree(M, sorted(subsets, key=sorted))
+
+
+def _times_cyclic(T1, k):
+    """The loop T1 x C_k, with (a, t) at index a k + t."""
+    m = len(T1)
+    return loop_from_table((k * np.asarray(T1)[:, None, :, None]
+                            + np.add.outer(np.arange(k), np.arange(k))[None, :, None, :] % k
+                            ).reshape(m * k, m * k))
+
+
+def test_normal_subloop_keyed_on_random_loops():
+    # seeded random loops times C_k with their own table recorded as the
+    # source: its center holds every (0, t), whose translations pass both
+    # conditions, so each scan is keyed, and every tag is reached on a keyed
+    # scan (product-right through the pinned order-12 loop)
+    rng = np.random.default_rng(3)
+    loops = [_times_cyclic(PRODUCT_RIGHT_12, 2)]
+    for _ in range(16):
+        m, k = int(rng.integers(6, 10)), int(rng.integers(2, 4))
+        loops.append(_times_cyclic(_random_loop(m, rng.integers(0, 1 << 30, size=int(
+            rng.integers(1, 6)))).table, k))
+    tags = Counter()
+    for L in loops:
+        L._cache["source"] = _as_group(L.table)
+        key = _normal_key(L)
+        assert len(set(key.tolist())) < L.order
+        n = L.order
+        subloops = {subloop_generated(L, {a, b}) for a in range(n) for b in range(a, n)}
+        tags += _assert_normal_scans_agree(L, sorted(subloops, key=sorted))
+        assert np.array_equal(L._cache["central_key"], key)
+    assert set(tags) == {"normal", "left-right-coset", "product-left", "product-right"}, tags
+
+
+@pytest.mark.parametrize("spec, cosets", [("product:wreath33,cyclic:4", 27),
+                                          ("product:dihedral:16,cyclic:5", 8),
+                                          ("unitriangular4:3", 243)])
+def test_normal_subloop_visits_one_slab_per_coset_of_the_center(spec, cosets):
+    # every c of Z(G) passes, so each product test of a normal subloop
+    # visits the least element of each coset of Z(G)
+    G = catalog_group(spec)
+    L = build_gyro(G).loop
+    key = _normal_key(L)
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        assert normal_subloop_violation(L, commutant(L)) is None
+    first = sorted(set(key.tolist()))
+    assert visits == first + first
+    assert len(first) == cosets == L.order // len(group_center(G))
+
+
+def test_normal_subloop_never_trusts_its_candidates():
+    # D16's twisted loop with C2 x D8 recorded as its "source": that center,
+    # {e, 2, 8, 10}, holds no translation that passes (a), so nothing is
+    # keyed and both product tests visit every x
+    L = _gyro("dihedral:16").loop
+    L._cache["source"] = catalog_group("product:cyclic:2,dihedral:8")
+    assert sorted(group_center(L._cache["source"])) == [0, 2, 8, 10]
+    assert [_normal_conditions(L, c)[0] for c in (2, 8, 10)] == [False] * 3
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        assert normal_subloop_violation(L, range(16)) is None
+    assert visits == list(range(16)) * 2
+    assert np.array_equal(L._cache["central_key"], np.arange(16))
+
+
+def _planted_normal(fails):
+    """An order-16 loop with D16 recorded as its source, so that c = r^4
+    (index 4), the one element of Z(D16) but e, is the one candidate, and
+    rho = T[:, 4] fails one condition:
+      (a) D8 x C2, (q, s) at index 2 q + s, with the C2 coordinate of
+          every product of (sr2, s) by (sr, s') and by (sr3, s') flipped
+          (the flip reads only the D8 coordinates, so the table stays a
+          loop): rho passes (a') and fails (a);
+      (a') D16's twisted loop with the intercalates at rows 1, 8 and at
+          their images 5, 12 under rho, both in columns 2, 13, switched:
+          rho passes (a) and fails (a')."""
+    if fails == "a":
+        Q = catalog_group("dihedral:8").table.astype(np.int64)
+        f = np.zeros((8, 8), dtype=np.int64)
+        f[6, [5, 7]] = 1
+        T = (2 * Q[:, None, :, None] + (np.add.outer(np.arange(2), np.arange(2))[None, :, None, :]
+                                       + f[:, None, :, None]) % 2).reshape(16, 16)
+    else:
+        T = _gyro("dihedral:16").loop.table.astype(np.int64)
+        for r1, r2 in ((1, 8), (5, 12)):
+            T[[r1, r1, r2, r2], [2, 13, 2, 13]] = T[[r1, r1, r2, r2], [13, 2, 13, 2]]
+    L = loop_from_table(T)
+    L._cache["source"] = catalog_group("dihedral:16")
+    return L
+
+
+@pytest.mark.parametrize("fails, N, witness", [("a", [0, 2, 4, 6], ("product-left", 12, 8)),
+                                                ("a'", [0, 4], ("product-left", 1, 2))])
+def test_normal_subloop_refuses_a_translation_that_fails_one_condition(fails, N, witness):
+    # c fails the named condition alone, so no slab is merged with another
+    # and the scan visits every x up to its witness.  Merging x with x c
+    # anyway changes the answer in (a): slab 8 = 12 c passes, and the first
+    # product-left failure is at 12.  In (a') it does not: once x*N = N*x
+    # for every x, (a) alone makes the masks of x and x c equal, as
+    # (n_i*x c)*y = rho((n_j*x)*y) for a permutation i -> j of N
+    L = _planted_normal(fails)
+    assert sorted(group_center(L._cache["source"])) == [0, 4]
+    conditions = (fails != "a", fails != "a'")
+    assert [_normal_conditions(L, c) for c in (0, 4)] == [(True, True), conditions]
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        assert normal_subloop_violation(L, N) == witness
+    assert visits == list(range(witness[1] + 1))
+    assert np.array_equal(L._cache["central_key"], np.arange(16))
+    assert witness == _ref_normal_subloop_violation(L, N)
+    M = _planted_normal(fails)
+    M._cache["central_key"] = np.minimum(np.arange(16), M.table[:, 4])
+    merged = normal_subloop_violation(M, N)
+    assert (merged != witness) == (fails == "a"), merged
