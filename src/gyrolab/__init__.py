@@ -99,7 +99,6 @@ from .loops import (
     FiniteLoop,
     divide,
     is_subloop,
-    loop_direct_product,
     loop_from_table,
     normal_subloop_violation,
     quotient_loop,

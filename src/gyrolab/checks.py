@@ -44,7 +44,6 @@ from .groups import (
     quotient_group,
     subgroup_as_group,
     subgroup_violation,
-    translation_key,
 )
 from .gyro import GYRO_AXIOMS_STATEMENT, build_gyro, is_gyrogroup
 from .invariants import (
@@ -56,6 +55,7 @@ from .invariants import (
 )
 from .loops import (
     FiniteLoop,
+    central_translations,
     normal_subloop_violation,
     quotient_loop,
     subloop_violation,
@@ -280,12 +280,14 @@ class SuiteContext:
         """One pass over all triples: the first formula violation, the first
         non-central associator (None when absent) and the left, middle and
         right nuclei.  Once a mask has its witness, the slabs of later x skip
-        it.  The scan is keyed by the central translations it verifies: an x
-        whose slab is proven equal to an earlier x's is skipped, and its
-        place in the left nucleus is copied from that x."""
+        it.  The scan is keyed by the central translations of the loop that
+        also fix the commutator table: an x whose slab is proven equal to an
+        earlier x's is skipped, and its place in the left nucleus is copied
+        from that x."""
         def run():
             G, L = self.G, self.loop
             n = self.n
+            cs, _ = central_translations(L)              # before the n x n buffers
             T = L.table
             Ti = index_table(T, n)
             # a / b at the flat offset b*n + a, in T's dtype, so that one
@@ -302,34 +304,27 @@ class SuiteContext:
             middle = np.ones(n, dtype=bool)
             right = np.ones(n, dtype=bool)
 
-            # For c in Z(G), rho(p) = p c.  c is accepted when, cell by cell,
-            #   (a) T[rho p, z] = rho T[p, z],
-            #   (b) R[rho a, rho b] = R[a, b], with R[a, b] = a / b read off rdivT,
+            # Each c of central_translations gives rho = T[:, c] with, cell
+            # by cell, (a) T[rho p, z] = rho T[p, z] and (a')
+            # T[p, rho z] = rho T[p, z]; the scan keeps the c that also pass
             #   (c) cm[w, rho x] = cm[w, x].
             # Then slab(rho x) = slab(x), for any tables.  By (a) with p = x,
             # then with p = x*y, x' = rho x gives x'*y = rho(x*y), so
-            # (x'*y)*z = rho((x*y)*z) and x'*(y*z) = rho(x*(y*z)); by (b)
+            # (x'*y)*z = rho((x*y)*z) and x'*(y*z) = rho(x*(y*z)).  The right
+            # division is the table's, and by (a') u / v = x gives
+            # x*(rho v) = rho u, so rho u / rho v = u / v and
             # A(x', y, z) = A(x, y, z) in every cell.  The A != 0 and central
             # masks read A alone, and by (c) the expected [[z^-1, y], x'] is
-            # [[z^-1, y], x].  key[x] is x or rho(x) for an accepted c, so
-            # equal keys have equal slabs, and the scan visits the first x
-            # of each key.  translation_key tests (a) and folds the key;
-            # (b) and (c) are its conditions here, and all three tests write
-            # into the scan's buffers
+            # [[z^-1, y], x].  key[x] is x or rho(x) for a kept c, so equal
+            # keys have equal slabs, and the scan visits the first x of each
+            # key
             cm = self.cm
-            rdiv = rdivT.reshape(n, n)                   # [b, a] -> a / b
-
-            def holds_b(rho):
-                off[:] = (rho * n)[:, None]                 # [b, a] -> rho b * n + rho a
-                np.add(off, rho, out=off)
-                np.take(rdivT, off, out=vals, mode="clip")
-                return np.equal(vals, rdiv, out=formula_bad).all()
-
-            def holds_c(rho):
+            key = np.arange(n)
+            for c in cs:
+                rho = Ti[:, c]
                 np.take(cm, rho, axis=1, out=expected, mode="clip")
-                return np.equal(expected, cm, out=formula_bad).all()
-            key = translation_key(T, Ti, (index_table(G.table[:, c], n) for c in self.zg),
-                                  vals, off, formula_bad, holds_b, holds_c)
+                if np.equal(expected, cm, out=formula_bad).all():
+                    np.minimum(key, rho, out=key)
 
             def slab(x, open_):
                 # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset

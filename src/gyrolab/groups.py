@@ -223,8 +223,8 @@ def first_violations(n: int, count: int, slab, rows=None,
     commutator table repeats its rows and columns ([x c, y] = [x, y] =
     [x, y c] for central c).  The associator scan and the product tests of
     loops.normal_subloop_violation read row x of a Latin table, which no
-    other row repeats; each is keyed instead by a symmetry that it checks
-    cell by cell, the central translations of translation_key.
+    other row repeats; both are keyed instead by the central translations
+    that loops.central_translations verifies cell by cell, once per loop.
     """
     found: list = [None] * count
     first_of: dict[int, int] = {}
@@ -258,27 +258,6 @@ def first_violation(n: int, slab, rows=None,
     if outer_last:
         return first_violations(n, 1, lambda s, bound: (slab(s, bound[0]),), rows, True)[0]
     return first_violations(n, 1, lambda s, _bound: (slab(s),), rows)[0]
-
-
-def translation_key(T: np.ndarray, Ti: np.ndarray, rhos, vals: np.ndarray,
-                    off: np.ndarray, eq: np.ndarray, *conditions) -> np.ndarray:
-    """key[x], the least of x and rho[x] over the permutations rho in rhos
-    that pass (a) T[rho p, z] == rho T[p, z] on every cell of T and then
-    every condition(rho).
-
-    Ti is the intp copy of T (index_table).  The tests write into the
-    caller's n x n buffers, vals in T's dtype, off intp and eq bool, and off
-    holds rho T while the conditions run.  Equal keys mean equal slabs only
-    where the caller proves slab(rho x) = slab(x) from (a) and its
-    conditions; the key is passed to first_violations as rows=key[:, None].
-    """
-    key = np.arange(len(T))
-    for rho in rhos:
-        np.take(T, rho, axis=0, out=vals, mode="clip")
-        np.take(rho, Ti, out=off, mode="clip")
-        if np.equal(vals, off, out=eq).all() and all(cond(rho) for cond in conditions):
-            np.minimum(key, rho, out=key)
-    return key
 
 
 def pair_slabs(values: np.ndarray, index: np.ndarray):

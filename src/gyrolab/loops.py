@@ -23,14 +23,12 @@ from .errors import (
 from .groups import (
     _coset_labels,
     _mark,
-    _product_table,
     _table_front_end,
     first_cell,
     first_violation,
     generated,
     group_center,
     index_table,
-    translation_key,
 )
 
 
@@ -160,6 +158,45 @@ def subloop_generated(L: FiniteLoop, seed: Iterable[int]) -> frozenset[int]:
     return generated((L.table, L.right_division, L.left_division), [0, *seed], L.order)
 
 
+def central_translations(L: FiniteLoop) -> tuple[tuple[int, ...], np.ndarray]:
+    """The central translations of L that hold cell by cell, cached on L:
+    (cs, key).  cs are the c != e of the center of the source that
+    build_gyro records on L whose translation rho = T[:, c] passes, on every
+    cell,
+      (a)  T[rho p, z] == rho T[p, z],
+      (a') T[p, rho z] == rho T[p, z],
+    and key[x] is the least of x and rho(x) over those c.  The center is only
+    a list of candidates; a loop with no recorded source (or a source of
+    another order) has none, and keys to arange(n).
+
+    For c central in a group, x o c = c^-1 x c^2 = x c, and (x c) o y =
+    (x o y) c = x o (y c), which (a) and (a') state of rho.  rho is a column
+    of a loop, so a bijection.  The scans keyed on key prove from (a), (a')
+    and their own conditions that the slab of rho(x) is the slab of x.  The
+    tests write into n x n buffers allocated here once, so a caller that
+    allocates its own n x n buffers calls this first.
+    """
+    if "central" not in L._cache:
+        T, n = L.table, L.order
+        G = L._cache.get("source")
+        center = sorted(group_center(G) - {0}) if G is not None and G.order == n else []
+        Ti = index_table(T, n)
+        rho_t = np.empty_like(T)
+        vals = np.empty_like(T)
+        eq = np.empty((n, n), dtype=bool)
+        cs, key = [], np.arange(n)
+        for c in center:
+            rho = Ti[:, c]
+            np.take(T[:, c], Ti, out=rho_t, mode="clip")        # rho T[p, z]
+            if all(np.equal(np.take(T, rho, axis=axis, out=vals, mode="clip"), rho_t,
+                            out=eq).all() for axis in (0, 1)):
+                cs.append(c)
+                np.minimum(key, rho, out=key)
+        key.setflags(write=False)
+        L._cache["central"] = (tuple(cs), key)
+    return L._cache["central"]
+
+
 def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     """First failure of x*N == N*x, x*(y*N) == (x*y)*N, (N*x)*y == N*(x*y).
 
@@ -167,15 +204,23 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     compared as sets.  Rows and columns of a loop are permutations, so both
     sides of each identity have |N| distinct elements and equality is
     containment: one membership table in_N[u, v] (v in u*N) decides the
-    cosets, and once u*N == N*u for every u, both product tests.  Both
-    product tests are keyed by _central_key: the slab of x c equals the slab
-    of x for each central c of L's recorded source that passes its checks,
-    so a scan visits one x per coset of that center.
+    cosets, and once u*N == N*u for every u, both product tests.
+
+    Both product tests are keyed by the key of central_translations: for
+    each of its c, rho = T[:, c] and x' = rho x, the slab of x' is the slab
+    of x, so a scan visits one x per coset of those c.  By (a), x'*w =
+    rho(x*w) for every w; with x = u it gives (rho u)*N = rho(u*N), so
+    in_N[rho u, rho v] = in_N[u, v].  Product-left: the slab of x' is
+    in_N[x'*y, x'*(y*n_i)] = in_N[rho(x*y), rho(x*(y*n_i))], that of x.
+    Product-right: by (a'), n_i*x' = rho(n_i*x), and then by (a),
+    (n_i*x')*y = rho((n_i*x)*y), so the slab
+    in_N[x'*y, (n_i*x')*y] = in_N[rho(x*y), rho((n_i*x)*y)] is that of x.
     """
     S = frozenset(int(x) for x in N)
     w = subloop_violation(L, S)
     if w is not None:
         raise NotASubloop(w)
+    _, key = central_translations(L)
     lst = sorted(S)
     n = L.order
     Ti = index_table(L.table, n)
@@ -216,47 +261,11 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
         np.take(Ti, Nx[x], axis=0, out=off, mode="clip")
         return failing(x)
 
-    key = _central_key(L, Ti)
     for tag, slab in (("product-left", left), ("product-right", right)):
         w = first_violation(n, slab, rows=key[:, None])
         if w is not None:
             return (tag,) + w
     return None
-
-
-def _central_key(L: FiniteLoop, Ti: np.ndarray) -> np.ndarray:
-    """The key of normal_subloop_violation's product tests, cached on L, as
-    it reads L alone: key[x] is the least of x and x*c over the c of the
-    center of the source that build_gyro records on L whose translation
-    rho = T[:, c] passes, on every cell,
-      (a)  T[rho p, z] == rho T[p, z],
-      (a') T[p, rho z] == rho T[p, z].
-    The center is only a list of candidates; a loop with no recorded source
-    (or a source of another order) keys to arange(n).
-
-    rho is a column of a loop, so a bijection.  By (a), x' = rho x gives
-    x'*w = rho(x*w); with p = u it gives (rho u)*N = rho(u*N), so
-    in_N[rho u, rho v] = in_N[u, v], and the product-left slab of x',
-    in_N[x'*y, x'*(y*n_i)], is that of x.  By (a') and then (a),
-    (n_i*x')*y = rho((n_i*x)*y), so the product-right slab,
-    in_N[x'*y, (n_i*x')*y], is unchanged too.  (a') keeps the second step
-    apart from the coset test: once x*N = N*x for every x, (a) alone gives
-    n_i*x' = rho(n_j*x) for a permutation i -> j of N, and so the same mask.
-    """
-    if "central_key" not in L._cache:
-        T, n = L.table, L.order
-        G = L._cache.get("source")
-        center = sorted(group_center(G) - {0}) if G is not None and G.order == n else []
-        vals = np.empty_like(T)
-        off = np.empty((n, n), dtype=np.intp)
-        eq = np.empty((n, n), dtype=bool)
-
-        def holds_a_prime(rho):                         # off holds rho T
-            np.take(T, rho, axis=1, out=vals, mode="clip")
-            return np.equal(vals, off, out=eq).all()
-        L._cache["central_key"] = translation_key(T, Ti, (Ti[:, c] for c in center),
-                                                  vals, off, eq, holds_a_prime)
-    return L._cache["central_key"]
 
 
 def quotient_loop(L: FiniteLoop, N: Iterable[int],
@@ -296,12 +305,3 @@ def quotient_loop(L: FiniteLoop, N: Iterable[int],
     Q = loop_from_table(qtable, names=qnames, lenient=True,
                         name=name or f"{L.name}/N")
     return Q, proj
-
-
-def loop_direct_product(A: FiniteLoop, B: FiniteLoop, name: str = "") -> FiniteLoop:
-    """Componentwise product with index pairing (a, b) -> a*|B| + b."""
-    table = _product_table(A.table, B.table)
-    names = [f"{na}|{nbm}" for na in A.names for nbm in B.names]
-    names[0] = "e"
-    return loop_from_table(table, names=names, lenient=True,
-                           name=name or f"{A.name}x{B.name}")

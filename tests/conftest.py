@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gyrolab import build_gyro, catalog_group, subgroup_generated
+from gyrolab import build_gyro, catalog_group, loop_from_table, subgroup_generated
+from gyrolab.groups import _product_table
 
 settings.register_profile(
     "workbench",
@@ -60,6 +61,22 @@ def _switched_table(n, seed, switches=None):
 def switched_table():
     """Factory (n, seed, switches=None) -> a seeded intercalate-switched loop table."""
     return _switched_table
+
+
+def _loop_direct_product(A, B, name=""):
+    """The componentwise product of two loops, pair (a, b) at index
+    a*|B| + b, built as groups.direct_product builds a group's: the table of
+    groups._product_table, which checks the order cap first."""
+    table = _product_table(A.table, B.table)
+    names = [f"{na}|{nb}" for na in A.names for nb in B.names]
+    names[0] = "e"
+    return loop_from_table(table, names=names, lenient=True, name=name or f"{A.name}x{B.name}")
+
+
+@pytest.fixture(scope="session")
+def loop_direct_product():
+    """Factory (A, B, name="") -> the componentwise product loop of A and B."""
+    return _loop_direct_product
 
 
 def _relabelled_regular(spec, seed=0):

@@ -54,7 +54,7 @@ from gyrolab.groups import (
     normality_violation,
 )
 from gyrolab.gyro import GyroConstruction
-from gyrolab.loops import FiniteLoop, loop_direct_product, normal_subloop_violation
+from gyrolab.loops import FiniteLoop, normal_subloop_violation
 from gyrolab.mappings import inner_generators
 
 SPEC = "product:wreath33,cyclic:4"          # n = 324: n * n = 104,976
@@ -70,7 +70,7 @@ def _relabelled_doc(G):
 
 
 @pytest.mark.parametrize("spec", ["dihedral:16", SPEC])
-def test_every_table_is_built_in_the_element_dtype(spec, tmp_path):
+def test_every_table_is_built_in_the_element_dtype(spec, tmp_path, loop_direct_product):
     G = catalog_group(spec)
     L = build_gyro(G).loop
     Z = sorted(group_center(G))

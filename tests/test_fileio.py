@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -231,6 +233,24 @@ def test_near_valid_group_files_parse_to_a_group_or_a_typed_error(doc):
         except GyrolabError:
             return
     assert isinstance(G, FiniteGroup)
+
+
+@given(_near_valid_group_files())
+def test_near_valid_group_files_through_every_entry_point(doc):
+    # analyze and verify exit 0 or 1, or 2 with an error line; the search
+    # record is an error record at worst, and its reason never names a bare
+    # IndexError, KeyError or TypeError
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "near.json"
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "verify"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--group", f"file:{path}", "--out", str(Path(tmp) / "doc")])
+            assert code in (0, 1) or (code == 2 and err.getvalue().startswith("error: ")), (
+                command, code, err.getvalue())
+        rec = evaluate_source(f"file:{path}")
+    assert not (rec.reason or "").startswith(("IndexError", "KeyError", "TypeError")), rec.reason
 
 
 def test_math_validation_propagates(tmp_path):

@@ -3,7 +3,8 @@ subclasses, so they hold under -O, and no CLI command imports numpy.ma.
 A permutation file's table is read from base images, hashing no composite.
 The fused associator and nuclei scan runs once per verify, as its oracle,
 and never in analyze; the loop-commutator bracket table is built once per
-verify.  Every public routine has one name."""
+verify, and so are the central translations of its loop.  Every public
+routine has one name."""
 
 import hashlib
 import inspect
@@ -13,8 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gyrolab
-from gyrolab import catalog_group, checks, invariants, perms, verify_suite
+from gyrolab import catalog_group, checks, group_center, invariants, perms, verify_suite
 from gyrolab.cli import main
 from gyrolab.fileio import parse_group_file
 
@@ -130,6 +133,35 @@ def test_bracket_table_is_built_once_per_verify(monkeypatch):
     ran = {r.check_id for r in reports if r.status != "skipped"}
     assert {"circ-commutator-formula", "bracket-assoc-iff-ninth-power"} <= ran
     assert calls == [81]
+
+
+def test_central_translations_are_verified_once_per_verify(monkeypatch):
+    # the associator scan and both normal-subloop checks read one set of
+    # central translations, cached on the loop: (a) and (a') gather the
+    # loop table by the intp column rho = T[:, c], once each per candidate,
+    # and e, whose rho is the identity, is no candidate.  rho[0] = c, as row
+    # 0 of a loop is the identity.  Every loop the suite builds is watched
+    G = catalog_group("product:wreath33,cyclic:4")
+    build, take = checks.build_gyro, np.take
+    built, gathers = [], []
+
+    def counted_build(H):
+        gc = build(H)
+        built.append(gc.loop)
+        return gc
+
+    def counted_take(a, indices, axis=None, out=None, mode="raise"):
+        if axis is not None and getattr(indices, "dtype", None) == np.intp:
+            gathers.extend((k, int(indices[0]), axis) for k, L in enumerate(built) if a is L.table)
+        return take(a, indices, axis=axis, out=out, mode=mode)
+    monkeypatch.setattr(checks, "build_gyro", counted_build)
+    monkeypatch.setattr(np, "take", counted_take)
+    reports = verify_suite(G)
+    ran = {r.check_id for r in reports if r.status != "skipped"}
+    assert {"associator-formula", "commutant-normal-subloop", "nuclei-normal-subloops"} <= ran
+    center = sorted(group_center(G) - {0})
+    assert len(center) == 11
+    assert gathers == [(0, c, axis) for c in center for axis in (0, 1)]
 
 
 def test_every_public_routine_has_one_name():

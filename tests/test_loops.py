@@ -14,7 +14,7 @@ from gyrolab import (
     quotient_loop,
     subloop_generated,
 )
-from gyrolab.loops import loop_direct_product, normal_subloop_violation
+from gyrolab.loops import normal_subloop_violation
 
 
 def test_loop_from_group_matches_table(d16):
@@ -134,7 +134,7 @@ def test_quotient_loop_rejects_bad_subsets(d16_loop):
         quotient_loop(d16_loop, {0, 8})
 
 
-def test_loop_direct_product():
+def test_loop_direct_product(loop_direct_product):
     A = build_gyro(catalog_group("dihedral:16")).loop
     B = build_gyro(catalog_group("cyclic:3")).loop
     P = loop_direct_product(A, B)
@@ -144,7 +144,7 @@ def test_loop_direct_product():
     assert P.table[1 * 3 + 1, 2 * 3 + 2] == A.table[1, 2] * 3 + B.table[1, 2]
 
 
-def test_loop_direct_product_checks_the_order_cap(monkeypatch):
+def test_loop_direct_product_checks_the_order_cap(monkeypatch, loop_direct_product):
     A = build_gyro(catalog_group("dihedral:16")).loop
     monkeypatch.setenv("GYROLAB_ORDER_CAP", "100")
     with pytest.raises(OrderCapExceeded, match="^order 256 exceeds cap 100$"):

@@ -12,12 +12,13 @@ associator scan reduces and the per-element reference.  The keyed scans,
 which skip an x whose row repeats an earlier x's, are pinned against the
 same scans run with no key, and so is the left expansion, which goes over z
 and skips a z whose column of the commutator table repeats an earlier z's.
-So is the associator scan, which skips an x whose slab a central
-translation it has verified proves equal to an earlier x's; planted tables
-on which a translation fails one of the three conditions pin that it is
-then refused.  The product tests of the normal-subloop scan are keyed the
-same way, on the center of the loop's recorded source, and pinned the same
-way; a source whose center fails the checks keys nothing.
+So are the associator scan and the product tests of the normal-subloop
+scan, which skip an x whose slab a central translation of the loop's
+recorded source proves equal to an earlier x's, once the translation passes
+(a) and (a') on the loop table and, for the associator scan, (c) on the
+commutator table.  Planted tables on which a translation fails one condition
+pin that it is then refused; a source whose center fails the checks keys
+nothing.
 """
 
 import os
@@ -57,7 +58,7 @@ from gyrolab.groups import (
 from gyrolab.errors import NotRightLoop
 from gyrolab.gyro import GyroConstruction
 from gyrolab.invariants import NUCLEUS_KINDS, commutator_bracket_table
-from gyrolab.loops import FiniteLoop, loop_from_table, normal_subloop_violation
+from gyrolab.loops import loop_from_table, normal_subloop_violation
 
 SPECS = ["dihedral:16", "wreath33", "heisenberg:5",
          "product:dihedral:16,cyclic:5", "dihedral:32"]
@@ -340,7 +341,7 @@ def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatc
     formula, central, nuc = ctx.associator_scan()
     assert (formula, central, nuc) == _ref_associator_scan(ctx)
     assert formula[0] == 4 and central is None
-    key = _central_key(ctx).tolist()
+    key = _ref_key(ctx.loop, ctx.cm).tolist()
     assert len(computed) == len(set(key)) == 9
     assert sum(f for f, _ in computed) == len(set(key[:formula[0] + 1])) == 2
     assert all(c for _, c in computed)
@@ -385,8 +386,8 @@ def test_normal_subloop_matches_reference_on_catalog_loops(spec):
     subloops |= set(_ref_scan_nuclei(L)) | {commutant(L)}
     for M in (L, _opposite(L)):
         _assert_normal_scans_agree(M, sorted(subloops, key=sorted))
-    key = _normal_key(L)
-    assert np.array_equal(L._cache["central_key"], key) and len(set(key.tolist())) < L.order
+    key = _ref_key(L)
+    assert np.array_equal(L._cache["central"][1], key) and len(set(key.tolist())) < L.order
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -507,6 +508,7 @@ def test_group_scans_match_reference_on_random_tables():
                         np.argmax(L.table == 0, axis=1).astype(np.int32))
         assert _expansions(H) == (_ref_expansion_left(H), _ref_expansion_right(H))
         assert nine_identity(H) == _ref_nine_identity(H)
+        L._cache["source"] = H
         ctx = SuiteContext(H)
         ctx._cache["gyro"] = GyroConstruction(H, L, None)
         assert ctx.associator_scan() == _ref_associator_scan(ctx)
@@ -545,6 +547,7 @@ def test_late_witnesses_after_many_passing_slabs():
         left, right = _expansions(H)
         assert (left, right) == (_ref_expansion_left(H), _ref_expansion_right(H))
         assert nine_identity(H) == _ref_nine_identity(H)
+        L._cache["source"] = H
         ctx = SuiteContext(H)
         ctx._cache["gyro"] = GyroConstruction(H, L, None)
         formula, central, _ = ctx.associator_scan()
@@ -1099,24 +1102,29 @@ def test_expansion_left_allocates_its_buffers_once():
 
 
 # ---------------------------------------------------------------------------
-# the associator scan keyed by the central translations it verifies: for c
-# in Z(G) and rho(p) = p c, slab(rho x) = slab(x) once (a), (b) and (c) hold
+# the associator scan and the product tests of normal_subloop_violation keyed
+# by the central translations they verify: for c in the center of the loop's
+# recorded source and rho = T[:, c], slab(rho x) = slab(x) once (a) and (a')
+# hold, and for the associator scan (c) too
 
-def _translation_conditions(ctx, c):
-    """Whether rho = G.table[:, c] passes (a) T[rho p, z] = rho T[p, z],
-    (b) R[rho a, rho b] = R[a, b] on the right division and (c)
+def _conditions(L, c, cm=None):
+    """Whether rho = L.table[:, c] passes (a) T[rho p, z] = rho T[p, z],
+    (a') T[p, rho z] = rho T[p, z] and, given a commutator table cm, (c)
     cm[:, rho x] = cm[:, x], each by one whole-table gather."""
-    T, R, cm = ctx.loop.table, ctx.loop.right_division, ctx.cm
-    rho = ctx.G.table[:, c]
-    return (np.array_equal(T[rho, :], rho[T]), np.array_equal(R[np.ix_(rho, rho)], R),
-            np.array_equal(cm[:, rho], cm))
+    T = L.table
+    rho = T[:, c]
+    held = (np.array_equal(T[rho, :], rho[T]), np.array_equal(T[:, rho], rho[T]))
+    return held if cm is None else held + (np.array_equal(cm[:, rho], cm),)
 
 
-def _central_key(ctx):
-    """Each x's least image under the translations of Z(G) that pass all
-    three conditions."""
-    rhos = [ctx.G.table[:, c] for c in ctx.zg if all(_translation_conditions(ctx, c))]
-    return np.min([np.arange(ctx.n), *rhos], axis=0)
+def _ref_key(L, cm=None):
+    """Each x's least image under the translations of the recorded source's
+    center that pass every condition: (a) and (a'), the key of the product
+    tests, or with cm (c) too, the associator scan's."""
+    G = L._cache.get("source")
+    center = group_center(G) if G is not None else ()
+    rhos = [L.table[:, c] for c in center if all(_conditions(L, c, cm))]
+    return np.min([np.arange(L.order), *rhos], axis=0)
 
 
 def _assert_associator_scans_agree(make_ctx):
@@ -1143,9 +1151,9 @@ def test_associator_scan_keyed_matches_the_unkeyed_scan_and_the_reference(spec):
 
 
 def test_associator_scan_keyed_on_random_tables():
-    # a seeded random loop times C_k, wrapped as a "group" with itself as its
-    # twisted loop: (0, t) commutes and passes (a)-(c), so the key merges
-    # each x with its k translates
+    # a seeded random loop times C_k, wrapped as a "group" and recorded as
+    # the source of itself as its twisted loop: (0, t) commutes and passes
+    # (a), (a') and (c), so the key merges each x with its k translates
     rng = np.random.default_rng(5)
     for _ in range(40):
         m, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
@@ -1154,13 +1162,14 @@ def test_associator_scan_keyed_on_random_tables():
                              + np.add.outer(np.arange(k), np.arange(k))[None, :, None, :] % k
                              ).reshape(m * k, m * k))
         H = _as_group(L.table)
+        L._cache["source"] = H
 
         def make_ctx():
             ctx = SuiteContext(H)
             ctx._cache["gyro"] = GyroConstruction(H, L, None)
             return ctx
         _assert_associator_scans_agree(make_ctx)
-        assert len(set(_central_key(make_ctx()).tolist())) <= m
+        assert len(set(_ref_key(L, H.commutator_table()).tolist())) <= m
 
 
 @pytest.mark.parametrize("spec, cosets", [("product:wreath33,cyclic:4", 27),
@@ -1170,7 +1179,7 @@ def test_associator_scan_visits_one_slab_per_coset_of_the_center(spec, cosets):
     # every c of Z(G) passes, so the key is the least element of x Z(G), and
     # a passing scan visits that element of each coset
     ctx = SuiteContext(catalog_group(spec))
-    key = _central_key(ctx)
+    key = _ref_key(ctx.loop, ctx.cm)
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         formula, central, _ = ctx.associator_scan()
@@ -1180,76 +1189,62 @@ def test_associator_scan_visits_one_slab_per_coset_of_the_center(spec, cosets):
 
 
 def _planted(fails):
-    """D16's twisted loop as the associator scan reads it, with one table
-    planted so that c = r^4, the one element of Z(D16) but e, fails one
-    condition:
-      (a) the loop table with 1*0 = 0;
-      (b) the loop table with columns 1 and 2 swapped, which still passes
-          (a), and a right division that is 0 on the diagonal and c off it,
-          so that A != 0 exactly where a triple does not associate, but
-          for 1 at (4, 6): slab 4 = 0 c reaches that cell and no earlier
-          slab does;
-      (c) the commutator table with [e, c] = 1."""
+    """A context whose loop has D16 recorded as its source, so that c = r^4
+    (index 4), the one element of Z(D16) but e, is the one candidate, and
+    rho = T[:, 4] fails one condition:
+      (a), (a') the loops of _planted_normal, under D16 itself;
+      (c) D16's twisted loop under a copy of D16 whose commutator table has
+          [e, c] = 1."""
     G = catalog_group("dihedral:16")
-    L = build_gyro(G).loop
-    T, R = L.table.copy(), L.right_division.copy()
-    if fails == "a":
-        T[1, 0] = 0
-    if fails == "b":
-        T = T[:, [0, 2, 1, *range(3, 16)]]
-        R = np.where(np.eye(16, dtype=bool), 0, 4).astype(R.dtype)
-        R[4, 6] = 1
-    H = FiniteGroup(G.table, G.names, G.inverse)
-    H._cache["cm"] = G.commutator_table().copy()
     if fails == "c":
-        H._cache["cm"][0, 4] = 1
-    ctx = SuiteContext(H)
-    ctx._cache["gyro"] = GyroConstruction(H, FiniteLoop(T, L.names, True, True, R, None), None)
+        L = build_gyro(G).loop
+        G = FiniteGroup(G.table, G.names, G.inverse)
+        G._cache["cm"] = catalog_group("dihedral:16").commutator_table().copy()
+        G._cache["cm"][0, 4] = 1
+        L._cache["source"] = G
+    else:
+        L = _planted_normal(fails)
+    ctx = SuiteContext(G)
+    ctx._cache["gyro"] = GyroConstruction(G, L, None)
     return ctx
 
 
-@pytest.mark.parametrize("fails, witnesses", [("a", ((1, 0, 1), (1, 0, 1))),
-                                               ("b", ((0, 0, 1), (4, 2, 7))),
+@pytest.mark.parametrize("fails, witnesses", [("a", ((2, 12, 10), (2, 12, 10))),
+                                               ("a'", ((1, 1, 1), (1, 1, 1))),
                                                ("c", ((4, 0, 0), None))])
 def test_associator_scan_refuses_a_translation_that_fails_one_condition(fails, witnesses):
     # c fails the named condition alone, so no slab is merged with another.
-    # Merging x with x c anyway, as the scan would without that condition,
-    # changes the answer.  Slab 4 = 0 c holds the least non-central
-    # associator of (b) and the least formula failure of (c); in (a) it has
-    # A != 0 where slab 0 has none, so 4 would join the left nucleus
+    # central_translations refuses it for (a) and (a'); for (c) it passes
+    # both, and the scan refuses it itself.  Merging x with x c anyway
+    # changes the answer in (a): x c then takes the nuclei readings of x.
+    # In (c) slab 4 = 0 c holds the least formula failure, which a scan
+    # that merged 4 with 0 would skip.  In (a') the merged answer is the
+    # same: (a) alone carries A == 0, all that the nuclei read, from x to
+    # x c, and both witnesses lie in slab 1, which a merge does not skip
     ctx = _planted(fails)
+    L = ctx.loop
     assert sorted(ctx.zg) == [0, 4]
-    failed = tuple(k != fails for k in "abc")
-    assert [_translation_conditions(ctx, c) for c in (0, 4)] == [(True,) * 3, failed]
+    failed = tuple(k != fails for k in ("a", "a'", "c"))
+    assert [_conditions(L, c, ctx.cm) for c in (0, 4)] == [(True,) * 3, failed]
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         result = ctx.associator_scan()
     assert visits == list(range(16))
     assert result == _ref_associator_scan(ctx)
     assert result[:2] == witnesses
+    cs, key = L._cache["central"]
+    merged = np.minimum(np.arange(16), L.table[:, 4])
+    if fails == "c":
+        assert cs == (4,) and np.array_equal(key, merged) and key[witnesses[0][0]] == 0
+        return
+    assert cs == () and np.array_equal(key, np.arange(16))
+    M = _planted(fails)
+    M.loop._cache["central"] = ((4,), merged)
+    assert (M.associator_scan() != result) == (fails == "a")
 
 
 # ---------------------------------------------------------------------------
-# the product tests of normal_subloop_violation keyed by the central
-# translations they verify: for c in the center of the loop's recorded
-# source and rho = T[:, c], slab(rho x) = slab(x) once (a) and (a') hold
-
-def _normal_conditions(L, c):
-    """Whether rho = L.table[:, c] passes (a) T[rho p, z] = rho T[p, z] and
-    (a') T[p, rho z] = rho T[p, z], each by one whole-table gather."""
-    T = L.table
-    rho = T[:, c]
-    return np.array_equal(T[rho, :], rho[T]), np.array_equal(T[:, rho], rho[T])
-
-
-def _normal_key(L):
-    """Each x's least image under the translations of the recorded source's
-    center that pass both conditions."""
-    G = L._cache.get("source")
-    center = group_center(G) if G is not None else ()
-    rhos = [L.table[:, c] for c in center if all(_normal_conditions(L, c))]
-    return np.min([np.arange(L.order), *rhos], axis=0)
-
+# the product tests of normal_subloop_violation, keyed by _ref_key(L)
 
 def _assert_normal_scans_agree(L, subsets):
     """The keyed normal_subloop_violation equals the unkeyed one and the
@@ -1273,10 +1268,10 @@ def test_normal_subloop_keyed_matches_the_unkeyed_scan_on_larger_loops():
     subsets = set(_ref_scan_nuclei(L)) | {commutant(L), subloop_generated(L, {1}),
                                           subloop_generated(L, {5})}
     tags = _assert_normal_scans_agree(L, sorted(subsets, key=sorted))
-    assert len(set(_normal_key(L).tolist())) == 27 and tags["normal"] >= 2
+    assert len(set(_ref_key(L).tolist())) == 27 and tags["normal"] >= 2
     for spec in SPECS:
         M = build_gyro(_wrapped(_gyro(spec))).loop
-        assert M.is_loop and len(set(_normal_key(M).tolist())) < M.order
+        assert M.is_loop and len(set(_ref_key(M).tolist())) < M.order
         subsets = {subloop_generated(M, {a}) for a in range(0, M.order, 3)} | {commutant(M)}
         _assert_normal_scans_agree(M, sorted(subsets, key=sorted))
 
@@ -1303,12 +1298,12 @@ def test_normal_subloop_keyed_on_random_loops():
     tags = Counter()
     for L in loops:
         L._cache["source"] = _as_group(L.table)
-        key = _normal_key(L)
+        key = _ref_key(L)
         assert len(set(key.tolist())) < L.order
         n = L.order
         subloops = {subloop_generated(L, {a, b}) for a in range(n) for b in range(a, n)}
         tags += _assert_normal_scans_agree(L, sorted(subloops, key=sorted))
-        assert np.array_equal(L._cache["central_key"], key)
+        assert np.array_equal(L._cache["central"][1], key)
     assert set(tags) == {"normal", "left-right-coset", "product-left", "product-right"}, tags
 
 
@@ -1320,7 +1315,7 @@ def test_normal_subloop_visits_one_slab_per_coset_of_the_center(spec, cosets):
     # visits the least element of each coset of Z(G)
     G = catalog_group(spec)
     L = build_gyro(G).loop
-    key = _normal_key(L)
+    key = _ref_key(L)
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         assert normal_subloop_violation(L, commutant(L)) is None
@@ -1336,12 +1331,12 @@ def test_normal_subloop_never_trusts_its_candidates():
     L = _gyro("dihedral:16").loop
     L._cache["source"] = catalog_group("product:cyclic:2,dihedral:8")
     assert sorted(group_center(L._cache["source"])) == [0, 2, 8, 10]
-    assert [_normal_conditions(L, c)[0] for c in (2, 8, 10)] == [False] * 3
+    assert [_conditions(L, c)[0] for c in (2, 8, 10)] == [False] * 3
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         assert normal_subloop_violation(L, range(16)) is None
     assert visits == list(range(16)) * 2
-    assert np.array_equal(L._cache["central_key"], np.arange(16))
+    assert L._cache["central"][0] == () and np.array_equal(L._cache["central"][1], np.arange(16))
 
 
 def _planted_normal(fails):
@@ -1382,14 +1377,14 @@ def test_normal_subloop_refuses_a_translation_that_fails_one_condition(fails, N,
     L = _planted_normal(fails)
     assert sorted(group_center(L._cache["source"])) == [0, 4]
     conditions = (fails != "a", fails != "a'")
-    assert [_normal_conditions(L, c) for c in (0, 4)] == [(True, True), conditions]
+    assert [_conditions(L, c) for c in (0, 4)] == [(True, True), conditions]
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         assert normal_subloop_violation(L, N) == witness
     assert visits == list(range(witness[1] + 1))
-    assert np.array_equal(L._cache["central_key"], np.arange(16))
+    assert L._cache["central"][0] == () and np.array_equal(L._cache["central"][1], np.arange(16))
     assert witness == _ref_normal_subloop_violation(L, N)
     M = _planted_normal(fails)
-    M._cache["central_key"] = np.minimum(np.arange(16), M.table[:, 4])
+    M._cache["central"] = ((4,), np.minimum(np.arange(16), M.table[:, 4]))
     merged = normal_subloop_violation(M, N)
     assert (merged != witness) == (fails == "a"), merged
