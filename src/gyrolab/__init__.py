@@ -15,7 +15,6 @@ from .checks import (
     charset_left_nucleus,
     charset_middle_nucleus,
     charset_right_nucleus,
-    class2_criterion,
     nine_identity,
     suite_check_ids,
     verify_suite,

@@ -24,9 +24,10 @@ from .cocycle import (
     make_transversal,
     verify_extension_isomorphism,
 )
-from .errors import NotACocycle, NotASubloop, NotWellDefined, WrongClass
+from .errors import NotACocycle, NotASubloop, NotWellDefined
 from .groups import (
     FiniteGroup,
+    _least_reached,
     _mark,
     associativity_violation,
     first_cell,
@@ -34,6 +35,7 @@ from .groups import (
     first_violations,
     group_center,
     group_exponent,
+    group_translations,
     index_table,
     is_subgroup,
     is_two_engel,
@@ -80,18 +82,6 @@ _HOLDS = {
 }
 
 
-def class2_criterion(G: FiniteGroup) -> tuple[bool, tuple[int, int] | None]:
-    """Whether [x,y]^3 lies in the commutant of the twisted loop for all x, y.
-
-    Only meaningful for class-3 groups (raises WrongClass otherwise); for
-    those it is equivalent to the twisted loop having nilpotency class <= 2.
-    """
-    cls = nilpotency_class(G)
-    if cls != 3:
-        raise WrongClass("exactly 3", cls)
-    return _cube_criterion(G, commutant(build_gyro(G).loop))
-
-
 def _cube_criterion(G: FiniteGroup, C: frozenset[int]) -> tuple[bool, tuple[int, int] | None]:
     """Whether every [x,y]^3 lies in C, the commutant of the twisted loop,
     with the least failing (x, y) when not."""
@@ -100,14 +90,32 @@ def _cube_criterion(G: FiniteGroup, C: frozenset[int]) -> tuple[bool, tuple[int,
     return w is None, w
 
 
+def _cube_violation(G: FiniteGroup, make_slab):
+    """The least failing triple, as elements, of the scan make_slab(cm, cmc,
+    Tc) over R^3, R the least elements of the classes of the group key.  On
+    R x R, cm are the commutators, cmc their classes and Tc the classes of
+    the products, as positions in R.  The key's maps leave the masks of the
+    group-side scans unchanged on every axis, so the least failing triple
+    lies in R^3, and there (r) and (c) give cm[u, v] from the classes."""
+    _, key = group_translations(G)
+    n, cm = G.order, G.commutator_table()
+    R = np.flatnonzero(key == np.arange(n))
+    if len(R) == n:
+        tables = cm, cm, G.table
+    else:
+        pos = np.zeros(n, dtype=G.table.dtype)
+        pos[R] = np.arange(len(R))
+        cmR, cls = cm[np.ix_(R, R)], pos[key]
+        tables = cmR, cls[cmR], cls[G.table[np.ix_(R, R)]]
+    w = first_violation(len(R), make_slab(*tables))
+    return None if w is None else tuple(int(R[i]) for i in w)
+
+
 def nine_identity(G: FiniteGroup) -> tuple[bool, tuple[int, int, int] | None]:
     """Whether [[x,y],z]^9 == [x,[y,z]]^9 for all triples, with the least
     failing (x, y, z) when not."""
-    cm = G.commutator_table()
-    # values [a, b] -> [a, b]^9 read through index cm: [[x,y],z]^9 against
-    # [x,[y,z]]^9.  Slab x reads row x of both, a function of row x of cm,
-    # so x is skipped when [x, .] repeats an earlier row
-    w = first_violation(G.order, pair_slabs(G.power_array(9)[cm], cm), rows=cm)
+    # values [a, b]^9 read through the classes of [a, b]
+    w = _cube_violation(G, lambda cm, cmc, _: pair_slabs(G.power_array(9)[cm], cmc))
     return w is None, w
 
 
@@ -264,9 +272,6 @@ class SuiteContext:
     def coprime_to_3(self):
         return self.n % 3 != 0
 
-    def zmask(self):
-        return _mark(self.n, self.zg)
-
     def names_for(self, witness):
         out = []
         for w in witness:
@@ -280,10 +285,9 @@ class SuiteContext:
         """One pass over all triples: the first formula violation, the first
         non-central associator (None when absent) and the left, middle and
         right nuclei.  Once a mask has its witness, the slabs of later x skip
-        it.  The scan is keyed by the central translations of the loop that
-        also fix the commutator table: an x whose slab is proven equal to an
-        earlier x's is skipped, and its place in the left nucleus is copied
-        from that x."""
+        it.  The scan visits the least element of each class of the central
+        translations of the loop that also fix the commutator table, whose
+        slab is that of the whole class."""
         def run():
             G, L = self.G, self.loop
             n = self.n
@@ -293,7 +297,7 @@ class SuiteContext:
             # a / b at the flat offset b*n + a, in T's dtype, so that one
             # value buffer takes from both
             rdivT = np.ascontiguousarray(L.right_division.T, dtype=T.dtype).ravel()
-            noncentral = ~self.zmask()[rdivT]             # at the same offsets
+            noncentral = ~_mark(n, self.zg)[rdivT]        # at the same offsets
             K = index_table(self.cm[G.inverse, :].T, n)    # [y, z] -> [z^-1, y]
             off = np.empty((n, n), dtype=np.intp)
             vals = np.empty_like(T)
@@ -304,27 +308,15 @@ class SuiteContext:
             middle = np.ones(n, dtype=bool)
             right = np.ones(n, dtype=bool)
 
-            # Each c of central_translations gives rho = T[:, c] with, cell
-            # by cell, (a) T[rho p, z] = rho T[p, z] and (a')
-            # T[p, rho z] = rho T[p, z]; the scan keeps the c that also pass
-            #   (c) cm[w, rho x] = cm[w, x].
-            # Then slab(rho x) = slab(x), for any tables.  By (a) with p = x,
-            # then with p = x*y, x' = rho x gives x'*y = rho(x*y), so
-            # (x'*y)*z = rho((x*y)*z) and x'*(y*z) = rho(x*(y*z)).  The right
-            # division is the table's, and by (a') u / v = x gives
-            # x*(rho v) = rho u, so rho u / rho v = u / v and
-            # A(x', y, z) = A(x, y, z) in every cell.  The A != 0 and central
-            # masks read A alone, and by (c) the expected [[z^-1, y], x'] is
-            # [[z^-1, y], x].  key[x] is x or rho(x) for a kept c, so equal
-            # keys have equal slabs, and the scan visits the first x of each
-            # key
+            # the scan keeps the c of central_translations whose rho also
+            # passes (c) cm[w, rho x] = cm[w, x].  By (a), x' = rho x gives
+            # (x'*y)*z = rho((x*y)*z) and x'*(y*z) = rho(x*(y*z)); by (a')
+            # rho u / rho v = u / v, so A(x', y, z) = A(x, y, z), and by (c)
+            # the expected [[z^-1, y], x'] is [[z^-1, y], x]
             cm = self.cm
-            key = np.arange(n)
-            for c in cs:
-                rho = Ti[:, c]
-                np.take(cm, rho, axis=1, out=expected, mode="clip")
-                if np.equal(expected, cm, out=formula_bad).all():
-                    np.minimum(key, rho, out=key)
+            kept = [c for c in cs if np.equal(np.take(cm, Ti[:, c], axis=1, out=expected,
+                                                      mode="clip"), cm, out=formula_bad).all()]
+            key = _least_reached([Ti[:, c] for c in kept], n)
 
             def slab(x, open_):
                 # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset
@@ -350,13 +342,10 @@ class SuiteContext:
                 if central_open:
                     central = np.take(noncentral, off, out=central_bad, mode="clip")
                 return formula, central, None
-            formula, central, _ = first_violations(n, 3, slab, rows=key[:, None])
+            formula, central, _ = first_violations(n, 3, slab, np.flatnonzero(key == np.arange(n)))
             # the middle and right nuclei are ANDs over the slabs, which an
-            # equal mask leaves as they are; left[x] is read at the first x
-            # of x's key
-            first = np.full(n, n)
-            np.minimum.at(first, key, np.arange(n))
-            left = left[first[key]]
+            # equal mask leaves as they are; left[x] is its class's
+            left = left[key]
             return formula, central, tuple(
                 frozenset(int(i) for i in np.flatnonzero(m)) for m in (left, middle, right))
         return self._get("assoc-scan", run)
@@ -520,94 +509,55 @@ def _check_mid_in_left(ctx):
     return ((min(diff),) if diff else None), None
 
 
-def _most_values(table: np.ndarray) -> int:
-    """The most distinct values in any row of an n x n table of indices,
-    the m of the expansions' n x m buffers."""
-    n = len(table)
-    present = np.zeros((n, n), dtype=bool)
-    present[np.arange(n)[:, None], table] = True
-    return int(present.sum(axis=1).max())
-
-
 # The two expansions are laws of every group: they follow from associativity
 # alone.  On a table that is a group they cannot fail, so what each scan tests
 # is the associativity of the table it is given.
 
+def _expansion_violation(G: FiniteGroup, sides):
+    """The least (x, y, z) of the cube where lhs != (a b) c.  sides(x, cm,
+    cmc, Tc, row, lhs, val) writes the [y, z] slab of lhs and returns a, b
+    and c (at most one in val), with row(index, out) = cm[x, index].  Each
+    slab writes into |R| x |R| buffers allocated once per scan, and
+    products are read from G's table at the intp offsets u*n + v."""
+    Tf, n = G.table.ravel(), G.order
+
+    def make_slab(cm, cmc, Tc):
+        m, cmf = len(cm), cm.ravel()
+        lhs = np.empty((m, m), dtype=cm.dtype)
+        val = np.empty_like(lhs)
+        off = np.empty((m, m), dtype=np.intp)
+        bad = np.empty((m, m), dtype=bool)
+
+        def take(flat, u, k, v, out):               # flat[u*k + v] into out
+            np.multiply(u, k, out=off, dtype=np.intp)
+            np.add(off, v, out=off)
+            return np.take(flat, off, out=out, mode="clip")
+
+        def slab(x):
+            a, b, c = sides(x, cm, cmc, Tc, lambda index, out: take(cmf, x, m, index, out),
+                            lhs, val)
+            return np.not_equal(lhs, take(Tf, take(Tf, a, n, b, val), n, c, val), out=bad)
+        return slab
+    return _cube_violation(G, make_slab)
+
+
 @_check("commutator-expansion-left", "product expansion of [xy,z]",
         "[x y, z] = [x,[y,z]] [y,z] [x,z] for all triples")
 def _check_commutator_expansion_left(ctx):
-    T, cm, n = ctx.G.table, ctx.cm, ctx.n
-    Tf = T.ravel()
-    Ti = index_table(T, n)
-    # z is the outer index: every term reads cm only through column z, and
-    # the columns repeat for z that differ by a central factor.  For fixed z
-    # the right side depends on y only through v = [y,z], which takes m <= n
-    # values: g[x, j] = ([x,v_j] v_j) [x,z] is an n x m table, and the slab
-    # takes its columns by the rank of [y,z].  The n x m buffers are
-    # allocated once, for the largest m of any z
-    m_max = _most_values(cm.T)
-    off = np.empty(n * m_max, dtype=np.intp)
-    val = np.empty(n * m_max, dtype=T.dtype)
-    lhs = np.empty_like(T)
-    rhs = np.empty_like(T)
-    bad = np.empty((n, n), dtype=bool)
-
-    def slab(z, k):
-        # the [x, y] mask of rows x < k, the only rows read
-        c = cm[:, z]
-        vs, yi = np.unique(c, return_inverse=True)    # [y, z] = vs[yi[y]]
-        v = vs.astype(np.intp)
-        m = len(v)
-        o = off[:k * m].reshape(k, m)
-        g = val[:k * m].reshape(k, m)
-        np.take(cm[:k], v, axis=1, out=g, mode="clip")    # [x, v_j]
-        np.multiply(g, n, out=o, dtype=np.intp)
-        np.add(o, v, out=o)
-        np.take(Tf, o, out=g, mode="clip")                # [x,v_j] v_j
-        np.multiply(g, n, out=o, dtype=np.intp)
-        np.add(o, c[:k, None], out=o)
-        np.take(Tf, o, out=g, mode="clip")                # ([x,v_j] v_j) [x,z]
-        np.take(g, yi, axis=1, out=rhs[:k], mode="clip")
-        np.take(c, Ti[:k], out=lhs[:k], mode="clip")      # [xy, z]
-        return np.not_equal(lhs[:k], rhs[:k], out=bad[:k])
-    return first_violation(n, slab, rows=cm.T, outer_last=True), None
+    def sides(x, cm, cmc, Tc, row, lhs, val):
+        np.take(cm, Tc[x], axis=0, out=lhs, mode="clip")    # [xy, z]
+        return row(cmc, val), cm, cm[x]                     # ([x,[y,z]] [y,z]) [x,z]
+    return _expansion_violation(ctx.G, sides), None
 
 
 @_check("commutator-expansion-right", "product expansion of [x,yz]",
         "[x, y z] = [x,y] [y,[x,z]] [x,z] for all triples")
 def _check_commutator_expansion_right(ctx):
-    T, cm, n = ctx.G.table, ctx.cm, ctx.n
-    Tf = T.ravel()
-    Ti = index_table(T, n)
-    # for fixed x the right side depends on z only through v = [x,z], which
-    # takes m <= n values: g[y, j] = ([x,y] [y,v_j]) v_j is an n x m table,
-    # and the slab takes its columns by the rank of [x,z].  The n x m
-    # buffers are allocated once, for the largest m of any x
-    m_max = _most_values(cm)
-    off = np.empty(n * m_max, dtype=np.intp)
-    val = np.empty(n * m_max, dtype=T.dtype)
-    lhs = np.empty_like(T)
-    rhs = np.empty_like(T)
-    bad = np.empty((n, n), dtype=bool)
-
-    def slab(x):
-        vs, zi = np.unique(cm[x], return_inverse=True)   # [x, z] = vs[zi[z]]
-        v = vs.astype(np.intp)
-        m = len(v)
-        o = off[:n * m].reshape(n, m)
-        g = val[:n * m].reshape(n, m)
-        np.take(cm, v, axis=1, out=g, mode="clip")        # [y, v_j]
-        np.add(g, cm[x, :, None].astype(np.intp) * n, out=o)
-        np.take(Tf, o, out=g, mode="clip")                # [x,y] [y,v_j]
-        np.multiply(g, n, out=o, dtype=np.intp)
-        np.add(o, v, out=o)
-        np.take(Tf, o, out=g, mode="clip")                # ([x,y] [y,v_j]) v_j
-        np.take(g, zi, axis=1, out=rhs, mode="clip")
-        np.take(cm[x], Ti, out=lhs, mode="clip")          # [x, yz]
-        return np.not_equal(lhs, rhs, out=bad)
-    # x enters the slab only through [x, .], a row that repeats for x that
-    # differ by a central factor
-    return first_violation(n, slab, rows=cm), None
+    def sides(x, cm, cmc, Tc, row, lhs, val):
+        row(Tc, lhs)                                        # [x, yz]
+        np.take(cm, cmc[x], axis=1, out=val, mode="clip")   # [y,[x,z]]
+        return cm[x][:, None], val, cm[x]                   # ([x,y] [y,[x,z]]) [x,z]
+    return _expansion_violation(ctx.G, sides), None
 
 
 @_check("commutant-element-identities", "commutant element identities",

@@ -183,81 +183,36 @@ def first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
-def first_violations(n: int, count: int, slab, rows=None,
-                     outer_last: bool = False) -> list[tuple[int, ...] | None]:
+def first_violations(n: int, count: int, slab, visit=None) -> list[tuple[int, ...] | None]:
     """The least witness (s, ...) of each of count masks, else None.
 
-    The scan goes over an outer index s in 0..n-1.  slab(s, open) returns a
-    tuple of count failure masks for one s, where open[k] says whether mask
-    k still lacks a witness; a mask that is not open is never read, so slab
-    may skip computing it (and return None in its place).  None for an open
-    mask means no witness at this s, so a slot that is always None keeps the
-    scan going over all s, for a slab that also reduces over them.  The
-    witness of mask k is s followed by first_cell of the k-th mask at the
-    least s where it has a True cell.  The scan stops once every mask has a
-    witness.  slab may return the same buffers on every call: each mask is
-    read before slab is called again.  Every cubic scan that looks for a
-    witness goes through here.
-
-    With outer_last, s is the last coordinate of the witness instead: it is
-    first_cell of the mask followed by s, least over every s, and slab(s,
-    bound) gets for each mask the number of its leading rows that are read.
-    That is n while the mask has no witness; after a witness (x0, ..., s0) a
-    later s can win only in a row x <= x0, so it is x0 + 1, and slab may
-    compute just those rows.  Every s is visited, with no early exit.
-
-    rows, when given, keys the scan: the masks of slab must then be a pure
-    function of rows[s], of what it is told to read and of state fixed for
-    the whole scan, and an s whose row equals the row of an s' already
-    visited is skipped.  What a slab reads only shrinks (masks close, bounds
-    drop), so every cell the skipped slab would read was read at s', in the
-    same mask, where it gave a witness no greater than it would now:
-    witnesses are unchanged, and every triple is still decided by a
-    computation equal to its own.  A keyed slab may also reduce over s when
-    the reduction is idempotent over equal masks (an AND of them), as the
-    skipped s would add a mask already added; what it records for s itself
-    is the caller's to copy from the first s of the same row.  The memo maps
-    the hash of a row's bytes to the first s visited under it and keeps no
-    copy of a row; a hit is confirmed with array_equal, and an s whose row
-    only collides is visited, which costs a slab and changes no witness.  A
-    commutator table repeats its rows and columns ([x c, y] = [x, y] =
-    [x, y c] for central c).  The associator scan and the product tests of
-    loops.normal_subloop_violation read row x of a Latin table, which no
-    other row repeats; both are keyed instead by the central translations
-    that loops.central_translations verifies cell by cell, once per loop.
+    The scan goes over the outer indices visit, ascending (0..n-1 by
+    default).  slab(s, open) returns a tuple of count failure masks, where
+    open[k] says whether mask k still lacks a witness; a closed mask is
+    never read, and an open None means no witness at this s, so a slot that
+    is always None keeps the scan going for a slab that reduces over every
+    s.  The witness of mask k is s followed by first_cell of its first mask
+    with a True cell; the scan stops once every mask has one.  slab may
+    return the same buffers on every call.  visit may leave out only an s
+    whose masks are those of a visited s' < s: a repeated row, or a class
+    of a verified key (verify_translations) but its least element.
     """
     found: list = [None] * count
-    first_of: dict[int, int] = {}
-    for s in range(n):
-        if rows is not None:
-            v = first_of.setdefault(hash(rows[s].tobytes()), s)
-            if v != s and np.array_equal(rows[v], rows[s]):
-                continue
-        if outer_last:
-            bound = tuple(n if w is None else w[0] + 1 for w in found)
-            masks = [m[:b] for m, b in zip(slab(s, bound), bound)]
-        else:
-            open_ = tuple(w is None for w in found)
-            masks = [m if o else None for m, o in zip(slab(s, open_), open_)]
-        for k, mask in enumerate(masks):
-            if mask is not None and (cell := first_cell(mask)) is not None:
-                w = cell + (s,) if outer_last else (s,) + cell
-                if found[k] is None or w < found[k]:
-                    found[k] = w
-        if not outer_last and None not in found:
+    for s in range(n) if visit is None else visit:
+        s = int(s)
+        open_ = tuple(w is None for w in found)
+        for k, (mask, o) in enumerate(zip(slab(s, open_), open_)):
+            if o and mask is not None and (cell := first_cell(mask)) is not None:
+                found[k] = (s,) + cell
+        if None not in found:
             break
     return found
 
 
-def first_violation(n: int, slab, rows=None,
-                    outer_last: bool = False) -> tuple[int, ...] | None:
-    """Least witness with a True cell in the one mask slab(s), else None;
-    rows keys the scan as in first_violations.  With outer_last the witness
-    is (..., s) and slab(s, bound) also gets the int bound of its mask, the
-    number of its leading rows that are read."""
-    if outer_last:
-        return first_violations(n, 1, lambda s, bound: (slab(s, bound[0]),), rows, True)[0]
-    return first_violations(n, 1, lambda s, _bound: (slab(s),), rows)[0]
+def first_violation(n: int, slab, visit=None) -> tuple[int, ...] | None:
+    """Least witness with a True cell in the one mask slab(s), else None,
+    over the outer indices visit as in first_violations."""
+    return first_violations(n, 1, lambda s, _open: (slab(s),), visit)[0]
 
 
 def pair_slabs(values: np.ndarray, index: np.ndarray):
@@ -287,11 +242,14 @@ def pair_slabs(values: np.ndarray, index: np.ndarray):
 def associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (a, b, c) with (ab)c != a(bc) in lexicographic order, else None.
 
-    Slab a reads only row a of the table, so the scan is keyed by it: a
-    loop-commutator bracket table has few distinct rows (9 of 324 on the
-    twisted loop of wreath33 x C4)."""
-    T = np.asarray(table)
-    return first_violation(len(T), pair_slabs(T, T), rows=T)
+    Slab a reads only row a, so the scan visits the first of each distinct
+    row (9 of 324 in the loop-commutator bracket table of wreath33 x C4),
+    found before the slab buffers; np.unique of a void view of the rows
+    does not import numpy.ma."""
+    T = np.ascontiguousarray(table)
+    rows = T.view(np.dtype((np.void, T.itemsize * T.shape[1]))).ravel()
+    visit = np.sort(np.unique(rows, return_index=True)[1])
+    return first_violation(len(T), pair_slabs(T, T), visit)
 
 
 def _mark(n: int, values) -> np.ndarray:
@@ -350,6 +308,66 @@ def _right_generators(table: np.ndarray) -> list[int]:
             frontier = np.flatnonzero(hit & ~reached)
             reached[frontier] = True
     return gens
+
+
+def _least_reached(maps, n: int) -> np.ndarray:
+    """key[x], the least element that compositions of maps reach from x, x
+    included.  A pass lowers key[x] to key[rho^j x], j < 2^k, by squaring
+    each rho k times; once a pass changes nothing, key[x] <= key[rho x]."""
+    key = np.arange(n)
+    steps = max(n - 1, 1).bit_length()
+    while True:
+        before = key.copy()
+        for rho in maps:
+            for _ in range(steps):
+                np.minimum(key, key[rho], out=key)
+                rho = rho[rho]
+        if np.array_equal(key, before):
+            return key
+
+
+def verify_translations(table: np.ndarray, candidates, cm: np.ndarray | None = None):
+    """(cs, key): the candidates c, ascending, whose rho = table[:, c] is kept
+    because it passes on every cell
+      (a)  T[rho p, z] == rho T[p, z],      (a') T[p, rho z] == rho T[p, z],
+    and, given a commutator table, leaves its rows and columns unchanged,
+      (r)  cm[rho x, w] == cm[x, w],        (c)  cm[w, rho x] == cm[w, x];
+    key[x] (read-only) is the least element that compositions of kept maps
+    reach from x.  A composition of maps that pass a condition passes it, so
+    a scan may read a class at its least element.  A c already in the class
+    of 0 is skipped, as by (a') a composition phi is x -> T[x, phi(0)]: only
+    generators are verified (2 of the 11 c != e of Z(wreath33 x C4), 1 of
+    728 on cyclic:729).  A failing candidate makes the key finer, never
+    wrong.  The tests write into n x n buffers allocated here once."""
+    n = len(table)
+    Ti = index_table(table, n)
+    moved = np.empty_like(table)
+    vals = np.empty_like(table)
+    eq = np.empty((n, n), dtype=bool)
+    tests = [(table, 0, moved), (table, 1, moved)]          # (a), (a')
+    if cm is not None:
+        tests += [(cm, 0, cm), (cm, 1, cm)]                   # (r), (c)
+    cs, key = [], np.arange(n)
+    for c in candidates:
+        if key[c] == 0:
+            continue
+        rho = Ti[:, c]
+        np.take(table[:, c], Ti, out=moved, mode="clip")        # rho T[p, z]
+        if all(np.equal(np.take(t, rho, axis=axis, out=vals, mode="clip"), want, out=eq).all()
+               for t, axis, want in tests):
+            cs.append(int(c))
+            key = _least_reached([Ti[:, k] for k in cs], n)
+    key.setflags(write=False)
+    return tuple(cs), key
+
+
+def group_translations(G: FiniteGroup):
+    """verify_translations on G's table with the candidates Z(G) and G's
+    commutator table, cached on G: the key of the group-side scans."""
+    if "central" not in G._cache:
+        G._cache["central"] = verify_translations(G.table, sorted(group_center(G)),
+                                                  G.commutator_table())
+    return G._cache["central"]
 
 
 def _light_associative(table: np.ndarray) -> bool:

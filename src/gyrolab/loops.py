@@ -29,6 +29,7 @@ from .groups import (
     generated,
     group_center,
     index_table,
+    verify_translations,
 )
 
 
@@ -159,41 +160,15 @@ def subloop_generated(L: FiniteLoop, seed: Iterable[int]) -> frozenset[int]:
 
 
 def central_translations(L: FiniteLoop) -> tuple[tuple[int, ...], np.ndarray]:
-    """The central translations of L that hold cell by cell, cached on L:
-    (cs, key).  cs are the c != e of the center of the source that
-    build_gyro records on L whose translation rho = T[:, c] passes, on every
-    cell,
-      (a)  T[rho p, z] == rho T[p, z],
-      (a') T[p, rho z] == rho T[p, z],
-    and key[x] is the least of x and rho(x) over those c.  The center is only
-    a list of candidates; a loop with no recorded source (or a source of
-    another order) has none, and keys to arange(n).
-
-    For c central in a group, x o c = c^-1 x c^2 = x c, and (x c) o y =
-    (x o y) c = x o (y c), which (a) and (a') state of rho.  rho is a column
-    of a loop, so a bijection.  The scans keyed on key prove from (a), (a')
-    and their own conditions that the slab of rho(x) is the slab of x.  The
-    tests write into n x n buffers allocated here once, so a caller that
-    allocates its own n x n buffers calls this first.
-    """
+    """groups.verify_translations with (a) and (a') on the loop table, cached
+    on L: (cs, key).  The candidates are the center of the source that
+    build_gyro records on L (none for a loop with no recorded source, or a
+    source of another order).  For c central in a group, x o c = x c and
+    (x c) o y = (x o y) c = x o (y c), which (a) and (a') state."""
     if "central" not in L._cache:
-        T, n = L.table, L.order
         G = L._cache.get("source")
-        center = sorted(group_center(G) - {0}) if G is not None and G.order == n else []
-        Ti = index_table(T, n)
-        rho_t = np.empty_like(T)
-        vals = np.empty_like(T)
-        eq = np.empty((n, n), dtype=bool)
-        cs, key = [], np.arange(n)
-        for c in center:
-            rho = Ti[:, c]
-            np.take(T[:, c], Ti, out=rho_t, mode="clip")        # rho T[p, z]
-            if all(np.equal(np.take(T, rho, axis=axis, out=vals, mode="clip"), rho_t,
-                            out=eq).all() for axis in (0, 1)):
-                cs.append(c)
-                np.minimum(key, rho, out=key)
-        key.setflags(write=False)
-        L._cache["central"] = (tuple(cs), key)
+        center = sorted(group_center(G)) if G is not None and G.order == L.order else []
+        L._cache["central"] = verify_translations(L.table, center)
     return L._cache["central"]
 
 
@@ -206,15 +181,11 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     containment: one membership table in_N[u, v] (v in u*N) decides the
     cosets, and once u*N == N*u for every u, both product tests.
 
-    Both product tests are keyed by the key of central_translations: for
-    each of its c, rho = T[:, c] and x' = rho x, the slab of x' is the slab
-    of x, so a scan visits one x per coset of those c.  By (a), x'*w =
-    rho(x*w) for every w; with x = u it gives (rho u)*N = rho(u*N), so
-    in_N[rho u, rho v] = in_N[u, v].  Product-left: the slab of x' is
-    in_N[x'*y, x'*(y*n_i)] = in_N[rho(x*y), rho(x*(y*n_i))], that of x.
-    Product-right: by (a'), n_i*x' = rho(n_i*x), and then by (a),
-    (n_i*x')*y = rho((n_i*x)*y), so the slab
-    in_N[x'*y, (n_i*x')*y] = in_N[rho(x*y), rho((n_i*x)*y)] is that of x.
+    Both product tests visit the least element of each class of the key of
+    central_translations: for rho = T[:, c] of its c and x' = rho x, (a)
+    gives x'*w = rho(x*w), so in_N[rho u, rho v] = in_N[u, v], and the
+    product-left slab in_N[x'*y, x'*(y*n_i)] is that of x.  By (a') and
+    then (a), (n_i*x')*y = rho((n_i*x)*y), and so is the product-right one.
     """
     S = frozenset(int(x) for x in N)
     w = subloop_violation(L, S)
@@ -223,6 +194,7 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     _, key = central_translations(L)
     lst = sorted(S)
     n = L.order
+    visit = np.flatnonzero(key == np.arange(n))
     Ti = index_table(L.table, n)
     xN = Ti[:, lst]                                     # [x, i] -> x*n_i
     Nx = Ti[lst, :].T                                   # [x, i] -> n_i*x
@@ -262,7 +234,7 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
         return failing(x)
 
     for tag, slab in (("product-left", left), ("product-right", right)):
-        w = first_violation(n, slab, rows=key[:, None])
+        w = first_violation(n, slab, visit)
         if w is not None:
             return (tag,) + w
     return None

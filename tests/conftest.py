@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gyrolab import build_gyro, catalog_group, loop_from_table, subgroup_generated
+from gyrolab import (
+    WrongClass,
+    build_gyro,
+    catalog_group,
+    commutant,
+    loop_from_table,
+    nilpotency_class,
+    subgroup_generated,
+)
+from gyrolab.checks import _cube_criterion
 from gyrolab.groups import _product_table
 
 settings.register_profile(
@@ -77,6 +86,24 @@ def _loop_direct_product(A, B, name=""):
 def loop_direct_product():
     """Factory (A, B, name="") -> the componentwise product loop of A and B."""
     return _loop_direct_product
+
+
+def _class2_criterion(G):
+    """Whether [x,y]^3 lies in the commutant of the twisted loop for all x,
+    y, with the least failing (x, y) when not: the suite's cube criterion
+    with the class gate and the loop build of its own.  Only meaningful for
+    class-3 groups (raises WrongClass otherwise); for those it is
+    equivalent to the twisted loop having nilpotency class <= 2."""
+    cls = nilpotency_class(G)
+    if cls != 3:
+        raise WrongClass("exactly 3", cls)
+    return _cube_criterion(G, commutant(build_gyro(G).loop))
+
+
+@pytest.fixture(scope="session")
+def class2_criterion():
+    """G -> (criterion holds, least failing pair or None), for class-3 G."""
+    return _class2_criterion
 
 
 def _relabelled_regular(spec, seed=0):

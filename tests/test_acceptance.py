@@ -18,7 +18,6 @@ from gyrolab import (
     cocycle_violation,
     coboundary_violation,
     commutant,
-    class2_criterion,
     derived_subgroup,
     factor_set,
     group_center,
@@ -124,7 +123,7 @@ def test_criterion_4_commutator_and_associator_formulas_on_all_class3_groups():
     assert time.perf_counter() - started < 300.0
 
 
-def test_criterion_5_loop_class_matches_cube_criterion():
+def test_criterion_5_loop_class_matches_cube_criterion(class2_criterion):
     assert loop_nilpotency_class(_loop("dihedral:16")) == 3
     for spec in CLASS3:
         G = catalog_group(spec)

@@ -17,7 +17,6 @@ from gyrolab import (
     charset_left_nucleus,
     charset_middle_nucleus,
     charset_right_nucleus,
-    class2_criterion,
     commutant,
     build_gyro,
     nine_identity,
@@ -127,7 +126,7 @@ def test_everything_skipped_for_non_nilpotent():
     assert all(r.reason == R_CLASS for r in reports)
 
 
-def test_class2_criterion_values(d16):
+def test_class2_criterion_values(d16, class2_criterion):
     assert class2_criterion(d16) == (False, (1, 8))
     with pytest.raises(WrongClass):
         class2_criterion(catalog_group("dihedral:8"))
@@ -290,7 +289,7 @@ def test_memo_keeps_a_raised_outcome(monkeypatch, d16):
 
 @pytest.mark.parametrize("spec", ["dihedral:16", "wreath33", "heisenberg:5",
                                   "product:dihedral:16,cyclic:5", "dihedral:32"])
-def test_public_class_functions_match_the_suite(spec):
+def test_public_class_functions_match_the_suite(spec, class2_criterion):
     G = catalog_group(spec)
     ctx = SuiteContext(G)
     with warnings.catch_warnings():

@@ -364,8 +364,8 @@ def test_light_test_agrees_with_full_scan(n, seed):
 
 
 def test_lower_central_series_is_computed_once_per_group(tmp_path, monkeypatch, capsys):
-    # a class-3 search source asks for the class in evaluate_source,
-    # class2_criterion and build_gyro, and analyze in build_gyro and the
+    # a class-3 search source asks for the class in evaluate_source and
+    # build_gyro, and analyze in build_gyro and the
     # document; a group file is parsed afresh for each call
     computed = []
     series = groups._lower_central_series

@@ -3,8 +3,8 @@ subclasses, so they hold under -O, and no CLI command imports numpy.ma.
 A permutation file's table is read from base images, hashing no composite.
 The fused associator and nuclei scan runs once per verify, as its oracle,
 and never in analyze; the loop-commutator bracket table is built once per
-verify, and so are the central translations of its loop.  Every public
-routine has one name."""
+verify, and so are the central translations of its loop and of its group,
+each verified on generators only.  Every public routine has one name."""
 
 import hashlib
 import inspect
@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 
 import gyrolab
-from gyrolab import catalog_group, checks, group_center, invariants, perms, verify_suite
+from gyrolab import (
+    catalog_group,
+    checks,
+    group_center,
+    invariants,
+    perms,
+    subgroup_generated,
+    verify_suite,
+)
 from gyrolab.cli import main
 from gyrolab.fileio import parse_group_file
 
@@ -101,16 +109,16 @@ def test_nuclei_scan_is_only_the_verify_oracle(monkeypatch, capsys):
     scan = checks.first_violations
     calls = []
 
-    def refused(n, count, slab, rows=None):
+    def refused(n, count, slab, visit=None):
         raise AssertionError("analyze ran the associator scan")
     monkeypatch.setattr(checks, "first_violations", refused)
     assert main(["analyze", "--group", "wreath33"]) == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
             == golden["analyze-ladder"]["analyze-wreath33"]["sha256"])
 
-    def counted(n, count, slab, rows=None):
+    def counted(n, count, slab, visit=None):
         calls.append((n, count))
-        return scan(n, count, slab, rows)
+        return scan(n, count, slab, visit)
     monkeypatch.setattr(checks, "first_violations", counted)
     assert main(["verify", "--group", "wreath33"]) == 0
     assert calls == [(81, 3)]
@@ -135,33 +143,89 @@ def test_bracket_table_is_built_once_per_verify(monkeypatch):
     assert calls == [81]
 
 
+def _generators(G, center):
+    """The c of center, ascending, that the earlier kept ones do not
+    generate: the candidates that the translation routine verifies."""
+    kept = []
+    for c in center:
+        if c not in subgroup_generated(G, kept):
+            kept.append(c)
+    return kept
+
+
+def _watch_gathers(monkeypatch, watched):
+    """Record (k, indices[0], axis) for each np.take with an intp index and
+    an axis from table watched()[k], from here on.  A translation test
+    gathers by the intp column rho = T[:, c], and rho[0] = c, as row 0 of a
+    loop or a group is the identity."""
+    take = np.take
+    gathers = []
+
+    def counted_take(a, indices, axis=None, out=None, mode="raise"):
+        if axis is not None and getattr(indices, "dtype", None) == np.intp:
+            gathers.extend((k, int(indices[0]), axis)
+                           for k, t in enumerate(watched()) if a is t)
+        return take(a, indices, axis=axis, out=out, mode=mode)
+    monkeypatch.setattr(np, "take", counted_take)
+    return gathers
+
+
 def test_central_translations_are_verified_once_per_verify(monkeypatch):
     # the associator scan and both normal-subloop checks read one set of
     # central translations, cached on the loop: (a) and (a') gather the
-    # loop table by the intp column rho = T[:, c], once each per candidate,
-    # and e, whose rho is the identity, is no candidate.  rho[0] = c, as row
-    # 0 of a loop is the identity.  Every loop the suite builds is watched
+    # loop table once each per generator of Z(G), a candidate that the
+    # kept ones do not already reach (2 of the 11 c != e here).  Every loop
+    # the suite builds is watched
     G = catalog_group("product:wreath33,cyclic:4")
-    build, take = checks.build_gyro, np.take
-    built, gathers = [], []
+    build = checks.build_gyro
+    built = []
 
     def counted_build(H):
         gc = build(H)
         built.append(gc.loop)
         return gc
-
-    def counted_take(a, indices, axis=None, out=None, mode="raise"):
-        if axis is not None and getattr(indices, "dtype", None) == np.intp:
-            gathers.extend((k, int(indices[0]), axis) for k, L in enumerate(built) if a is L.table)
-        return take(a, indices, axis=axis, out=out, mode=mode)
     monkeypatch.setattr(checks, "build_gyro", counted_build)
-    monkeypatch.setattr(np, "take", counted_take)
+    gathers = _watch_gathers(monkeypatch, lambda: [L.table for L in built])
     reports = verify_suite(G)
     ran = {r.check_id for r in reports if r.status != "skipped"}
     assert {"associator-formula", "commutant-normal-subloop", "nuclei-normal-subloops"} <= ran
     center = sorted(group_center(G) - {0})
-    assert len(center) == 11
-    assert gathers == [(0, c, axis) for c in center for axis in (0, 1)]
+    generators = _generators(G, center)
+    assert (len(center), len(generators)) == (11, 2)
+    assert gathers == [(0, c, axis) for c in generators for axis in (0, 1)]
+
+
+def test_group_translations_are_verified_once_per_group(monkeypatch):
+    # both expansions and bracket-assoc-iff-ninth-power read one group key,
+    # cached on the group: (a) and (a') gather the group table once each
+    # per generator of Z(G), and no scan gathers it by an intp column.  The
+    # catalog's builds are cleared, so that no earlier test has cached a key
+    catalog_group.cache_clear()
+    G = catalog_group("product:wreath33,cyclic:4")
+    gathers = _watch_gathers(monkeypatch, lambda: [G.table])
+    reports = verify_suite(G)
+    ran = {r.check_id for r in reports if r.status != "skipped"}
+    assert {"commutator-expansion-left", "commutator-expansion-right",
+            "bracket-assoc-iff-ninth-power"} <= ran
+    generators = _generators(G, sorted(group_center(G) - {0}))
+    assert gathers == [(0, c, axis) for c in generators for axis in (0, 1)]
+
+
+def test_cyclic_verify_verifies_one_candidate(monkeypatch, tmp_path):
+    # cyclic:243: every element is central, and the generator 1 reaches all
+    # of them, so the loop key and then the group key each verify 1 of 242
+    catalog_group.cache_clear()
+    watched = []
+    build = checks.build_gyro
+
+    def counted_build(H):
+        gc = build(H)
+        watched.extend([gc.source.table, gc.loop.table])
+        return gc
+    monkeypatch.setattr(checks, "build_gyro", counted_build)
+    gathers = _watch_gathers(monkeypatch, lambda: watched)
+    assert main(["verify", "--group", "cyclic:243", "--out", str(tmp_path / "doc")]) == 0
+    assert gathers == [(k, 1, axis) for k in (1, 0) for axis in (0, 1)]
 
 
 def test_every_public_routine_has_one_name():

@@ -8,17 +8,18 @@ relabel of a nucleus's induced product.  Verdicts and witnesses must be
 equal, on passing inputs and on failing ones: twisted tables wrapped as
 (non-associative) "groups", a class-4 source, and random loops.  The nuclei
 read off the gyration table are pinned against both the nuclei that the
-associator scan reduces and the per-element reference.  The keyed scans,
-which skip an x whose row repeats an earlier x's, are pinned against the
-same scans run with no key, and so is the left expansion, which goes over z
-and skips a z whose column of the commutator table repeats an earlier z's.
-So are the associator scan and the product tests of the normal-subloop
-scan, which skip an x whose slab a central translation of the loop's
-recorded source proves equal to an earlier x's, once the translation passes
-(a) and (a') on the loop table and, for the associator scan, (c) on the
-commutator table.  Planted tables on which a translation fails one condition
-pin that it is then refused; a source whose center fails the checks keys
-nothing.
+associator scan reduces and the per-element reference.  Every keyed scan
+is pinned against the same scan run unkeyed: the associativity scan, which
+visits the first x of each distinct row; the two commutator expansions and
+the ninth-power identity, which read the cube R^3 of the least elements of
+the classes of the group key, translations by Z(G) that pass (a) and (a')
+on the group table and (r) and (c) on the commutator table; and the
+associator scan and the product tests of the normal-subloop scan, which
+visit the least element of each class of the key of the central
+translations of the loop's recorded source that pass (a) and (a') on the
+loop table and, for the associator scan, (c) on the commutator table.
+Planted tables on which a translation fails one condition pin that it is
+then refused; a source whose center fails the checks keys nothing.
 """
 
 import os
@@ -46,13 +47,14 @@ from gyrolab import (
     subloop_generated,
 )
 import gyrolab
-from gyrolab import checks, groups
+from gyrolab import checks, groups, loops
 from gyrolab.groups import (
     FiniteGroup,
     _group_unchecked,
     associativity_violation,
     first_violation,
     group_center,
+    group_translations,
     pair_slabs,
 )
 from gyrolab.errors import NotRightLoop
@@ -145,7 +147,7 @@ def _ref_associator_scan(ctx):
     G, L = ctx.G, ctx.loop
     cm, n = ctx.cm, ctx.n
     T, rdiv = L.table, L.right_division
-    zmask = ctx.zmask()
+    zmask = groups._mark(n, ctx.zg)
     formula_bad = central_bad = None
     cm_invz_y = cm[G.inverse, :]
     for x in range(n):
@@ -325,18 +327,18 @@ def test_associator_scan_class_four_witnesses():
 def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatch):
     # wreath33xC4's twisted table as a "group": the formula fails at x = 4,
     # and no associator is non-central, so the central mask runs for the
-    # first x of every key.  The table's 36 commuting elements pass (a)-(c),
-    # so there are 9 keys, and of x <= 4 only 0 and 4 are visited
+    # least element of every class.  The table's 36 commuting elements pass
+    # (a)-(c), so there are 9 classes, and of x <= 4 only 0 and 4 are visited
     ctx = SuiteContext(_wrapped(_gyro("product:wreath33,cyclic:4")))
     computed = []
     scan = checks.first_violations
 
-    def counting(n, count, slab, rows=None):
+    def counting(n, count, slab, visit=None):
         def counted(x, open_):
             masks = slab(x, open_)
             computed.append(tuple(m is not None for m in masks[:2]))
             return masks
-        return scan(n, count, counted, rows)
+        return scan(n, count, counted, visit)
     monkeypatch.setattr(checks, "first_violations", counting)
     formula, central, nuc = ctx.associator_scan()
     assert (formula, central, nuc) == _ref_associator_scan(ctx)
@@ -676,7 +678,7 @@ def test_associator_scan_allocates_its_buffers_once():
 
 
 # ---------------------------------------------------------------------------
-# the right expansion read through the values of [x, z]
+# the right expansion on tables whose commutators take many values
 
 def _as_group(table, inverse=None):
     """A table wrapped as a "group" with no checks, with its right inverses
@@ -691,8 +693,7 @@ def _as_group(table, inverse=None):
 @pytest.mark.parametrize("n, choices", [(12, [5, 99]), (40, [7, 123, 4567])])
 def test_expansion_right_with_n_values_of_the_commutator(n, choices):
     # with every inverse sent to the identity, [x, y] = x y, so on a Latin
-    # table [x, z] takes all n values for every x and the n x m tables are
-    # n x n
+    # table [x, z] takes all n values for every x
     L = _random_loop(n, choices)
     H = _as_group(L.table, np.zeros(n))
     assert all(len(np.unique(row)) == n for row in H.commutator_table())
@@ -715,11 +716,13 @@ def test_expansion_right_witness_past_half_the_slabs(m):
 
 
 def test_expansion_right_allocates_its_buffers_once():
-    # dihedral:326: [x, z] takes n/2 = 163 values for each reflection x.
-    # The scan's buffers are an intp copy of T, two value slabs, a mask and
-    # the two n x m tables at the largest m; a fresh n x n value slab for
-    # every x (about 415 KiB here) raises the traced peak past them.  Minor
-    # faults do not show it: the allocator hands the freed slab back
+    # dihedral:326: [x, z] takes n/2 = 163 values for each reflection x, and
+    # Z(G) is trivial, so the cube is all of G^3 and the slab buffers are
+    # n x n: two value slabs, the intp offsets and a mask.  The bound is
+    # the one an intp copy of T, two value slabs, a mask and two n x m
+    # tables at the largest m set; a fresh n x n value slab for every x
+    # (about 415 KiB here) raises the traced peak past it.  Minor faults do
+    # not show it: the allocator hands the freed slab back
     ctx = SuiteContext(catalog_group("dihedral:326"))
     n, cm = ctx.n, ctx.cm
     m = max(len(np.unique(row)) for row in cm)
@@ -756,7 +759,8 @@ def test_expansion_right_past_uint16_cells():
 
 
 # ---------------------------------------------------------------------------
-# keyed scans: an x whose row repeats an earlier x's is skipped
+# keyed scans: the associativity scan visits the first x of each distinct
+# row, and the group-side scans read the cube of the group key
 
 LADDER_324 = ["dihedral:16", "wreath33", "heisenberg:5",
               "product:dihedral:16,cyclic:5", "product:wreath33,cyclic:4"]
@@ -764,34 +768,40 @@ WRAPPED_PINS = ["dihedral:16", "wreath33", "product:dihedral:16,cyclic:5"]
 
 
 def _unkeyed(mp):
-    """Run every scan with rows=None from here on, the associator scan's
-    and the normal-subloop product tests' too."""
+    """Run every scan unkeyed from here on: first_violations visits every
+    s, and the group and loop keys are trivial, so the cube is all of
+    G x G x G and the associator scan and the product tests visit every x."""
     scan = groups.first_violations
     for module in (groups, checks):
         mp.setattr(module, "first_violations",
-                   lambda n, count, slab, rows=None, outer_last=False:
-                   scan(n, count, slab, outer_last=outer_last))
+                   lambda n, count, slab, visit=None: scan(n, count, slab))
+    trivial = lambda X: ((), np.arange(X.order))
+    for module, name in ((checks, "group_translations"), (checks, "central_translations"),
+                         (loops, "central_translations")):
+        mp.setattr(module, name, trivial)
 
 
 def _visits(mp):
-    """The x whose slab each scan computes, from here on, in call order."""
+    """The s whose slab each scan computes, from here on, in call order:
+    an element for the associativity scan, the associator scan and the
+    product tests, a position in R for the scans of the cube."""
     visits = []
     scan = groups.first_violations
 
-    def counting(n, count, slab, rows=None, outer_last=False):
+    def counting(n, count, slab, visit=None):
         def counted(x, open_):
             visits.append(x)
             return slab(x, open_)
-        return scan(n, count, counted, rows, outer_last)
+        return scan(n, count, counted, visit)
     for module in (groups, checks):
         mp.setattr(module, "first_violations", counting)
     return visits
 
 
 def _keyed_scans(G, tables):
-    """The three keyed callers: the ninth-power identity and the right
-    expansion of G, and the associativity scan of each table."""
-    return ((nine_identity(G), checks._check_commutator_expansion_right(SuiteContext(G))[0])
+    """The keyed callers: the ninth-power identity and both expansions of
+    G, and the associativity scan of each table."""
+    return ((nine_identity(G),) + _expansions(G)
             + tuple(associativity_violation(t) for t in tables))
 
 
@@ -815,24 +825,19 @@ def _keyed_cases(spec):
 def test_keyed_scans_match_the_unkeyed_scans(spec):
     # the sources with their bracket and group tables, and the wrapped
     # twisted tables of the failing-report pins with their own tables and
-    # commutator tables (not Latin, with repeated rows, and failing); with
-    # every row hash colliding, only an x whose row equals the first row
-    # visited under the hash is skipped
+    # commutator tables (not Latin, with repeated rows, and failing)
     for G, tables in _keyed_cases(spec):
         keyed = _keyed_scans(G, tables)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(groups, "hash", lambda _b: 0, raising=False)
-            assert _keyed_scans(G, tables) == keyed
-        with pytest.MonkeyPatch.context() as mp:
             _unkeyed(mp)
             assert _keyed_scans(G, tables) == keyed
-        assert keyed[:3] == (_ref_nine_identity(G), _ref_expansion_right(G),
-                             _ref_associativity_violation(tables[0]))
+        assert keyed[:4] == (_ref_nine_identity(G), _ref_expansion_left(G),
+                             _ref_expansion_right(G), _ref_associativity_violation(tables[0]))
 
 
 def test_keyed_scans_find_witnesses_on_the_wrapped_tables():
     # the comparison above is not all passes: the wrapped D16xC5 fails all
-    # four scans, and its commutator table repeats rows
+    # five scans, and its commutator table repeats rows
     G, tables = list(_keyed_cases("product:dihedral:16,cyclic:5"))[1]
     keyed = _keyed_scans(G, tables)
     assert all(w is not None for w in (keyed[0][1],) + keyed[1:])
@@ -862,18 +867,23 @@ def test_keyed_scans_match_the_unkeyed_scans_on_repeated_rows(drawn):
     with pytest.MonkeyPatch.context() as mp:
         _unkeyed(mp)
         assert _keyed_scans(H, tables) == keyed
-    assert keyed == (_ref_nine_identity(H), _ref_expansion_right(H),
+    assert keyed == (_ref_nine_identity(H), _ref_expansion_left(H), _ref_expansion_right(H),
                      _ref_associativity_violation(tables[0]),
                      _ref_associativity_violation(tables[1]))
 
 
 def test_keyed_scans_visit_each_distinct_row_once():
     # wreath33 x C4: 27 distinct rows of 324 in the commutator table and 9
-    # in the loop-commutator bracket table; the scans pass, so each visits
-    # the first x of every distinct row, as the suite runs them
+    # in the loop-commutator bracket table; the scans pass, so the bracket
+    # scan visits the first x of every distinct row, and the cube scans
+    # each of the 27 positions of R, the first x of every distinct row of
+    # the commutator table, as the suite runs them
     ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
     G, cm, B = ctx.G, ctx.cm, ctx.bracket
-    expected = {"nine": _first_rows(cm), "right": _first_rows(cm), "bracket": _first_rows(B)}
+    R = np.flatnonzero(group_translations(G)[1] == np.arange(ctx.n)).tolist()
+    assert R == _first_rows(cm)
+    cube = list(range(len(R)))
+    expected = {"nine": cube, "right": cube, "bracket": _first_rows(B)}
     assert list(map(len, expected.values())) == [27, 27, 9]
     runs = {"nine": lambda: nine_identity(G)[1],
             "right": lambda: checks._check_commutator_expansion_right(ctx)[0],
@@ -901,10 +911,10 @@ def test_keyed_scan_visits_every_x_of_a_latin_table():
 def test_keyed_scans_allocate_their_buffers_once():
     # n = 324.  The bracket scan's buffers are an intp copy of the table,
     # two value slabs and a mask; the ninth-power scan's are those and the
-    # [a, b]^9 table.  The memo keeps one int per distinct row hash, so a
-    # copy of every row of a table (about 210 KiB here, the test above on
-    # the Latin table T) or a fresh n x n array per x raises the peak past
-    # the slack
+    # [a, b]^9 table, on the cube.  The first rows are found, by a sort of
+    # the rows, before the buffers are allocated, so a copy of every row
+    # kept past that (about 210 KiB here) or a fresh n x n array per x
+    # raises the peak past the slack
     ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
     G, cm, B = ctx.G, ctx.cm, ctx.bracket
     n, intp = ctx.n, np.dtype(np.intp).itemsize
@@ -968,41 +978,21 @@ def _column_witnesses(G):
     return out
 
 
-def test_first_violation_outer_last_takes_the_least_witness_over_every_s():
-    # cells at (3, 2) for s = 1, (3, 1) for s = 2, (2, 4) for s = 4 and
-    # (2, 4) and (4, 0) for s = 5: the least triple is (2, 4, 4), and after
-    # each witness only the rows up to its x are read
-    cells = {1: [(3, 2)], 2: [(3, 1)], 4: [(2, 4)], 5: [(2, 4), (4, 0)]}
-    buf = np.zeros((6, 6), dtype=bool)
-    bounds = []
-
-    def slab(s, bound):
-        bounds.append(bound)
-        buf[:] = False
-        for cell in cells.get(s, []):
-            buf[cell] = True
-        return buf
-    assert first_violation(6, slab, outer_last=True) == (2, 4, 4)
-    assert bounds == [6, 6, 4, 4, 4, 3]
-    cells.clear()
-    assert first_violation(6, slab, outer_last=True) is None
-
-
 @pytest.mark.parametrize("spec", LADDER_324)
 def test_expansion_left_keyed_matches_the_unkeyed_scan_and_the_reference(spec):
     # the sources and their wrapped twisted tables (failing, with repeated
-    # columns); with every row hash colliding, only a z whose column equals
-    # the first column visited under the hash is skipped
+    # columns); the witness is also the least over every z of the least
+    # failing (x, y) of column z (wreath33 x C4's wrapped table: (108, ., 4)
+    # at z = 4, and (4, 108, 108) overall)
     gc = _gyro(spec)
     for G in (gc.source, _wrapped(gc)):
         keyed = _left(G)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(groups, "hash", lambda _b: 0, raising=False)
-            assert _left(G) == keyed
-        with pytest.MonkeyPatch.context() as mp:
             _unkeyed(mp)
             assert _left(G) == keyed
         assert keyed == _ref_expansion_left(G)
+        per_column = [cell + (z,) for z, cell in enumerate(_column_witnesses(G)) if cell]
+        assert keyed == min(per_column, default=None)
     assert _left(gc.source) is None
 
 
@@ -1010,44 +1000,37 @@ def test_expansion_left_keyed_matches_the_unkeyed_scan_and_the_reference(spec):
                                             ("product:dihedral:16,cyclic:5", 8)])
 def test_expansion_left_visits_each_distinct_column_once(spec, distinct):
     # [x, y c] = [x, y] for central c: wreath33 x C4 has 27 distinct columns
-    # of 324 in its commutator table, D16 x C5 8 of 80; the scan passes, so
-    # it visits the first z of every distinct column
+    # of 324 in its commutator table, D16 x C5 8 of 80.  The cube's R is the
+    # first z of every distinct column, and the scan passes, so it visits
+    # each position of R
     ctx = SuiteContext(catalog_group(spec))
     expected = _first_rows(ctx.cm.T)
     assert len(expected) == distinct
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         assert checks._check_commutator_expansion_left(ctx)[0] is None
-    assert visits == expected
+    assert np.flatnonzero(group_translations(ctx.G)[1] == np.arange(ctx.n)).tolist() == expected
+    assert visits == list(range(distinct))
 
 
 @pytest.mark.parametrize("spec", WRAPPED_PINS + ["product:wreath33,cyclic:4"])
 def test_expansion_left_reads_only_the_rows_up_to_its_witness(spec):
-    # every slab after the first witness (x0, y0, z0) computes only the rows
-    # x <= x0 of the witness held, and the slabs after it still see a lesser
-    # witness when there is one (wreath33 x C4: (108, ., 4), then (4, 108, 108))
+    # the cube is read x-outer over R: the scan computes the slabs of the
+    # positions of R up to the one of the witness's x, and no slab after it;
+    # the witness is still the least over every z of the least failing
+    # (x, y) of column z (wreath33 x C4: (108, ., 4) at z = 4, then
+    # (4, 108, 108) overall)
     H = _wrapped(_gyro(spec))
-    n, per_column = H.order, _column_witnesses(H)
-    seen = []
-    scan = groups.first_violations
-
-    def recording(n, count, slab, rows=None, outer_last=False):
-        def recorded(s, bound):
-            masks = slab(s, bound)
-            seen.append((s, bound[0], masks[0].shape[0]))
-            return masks
-        return scan(n, count, recorded, rows, outer_last)
+    R = np.flatnonzero(group_translations(H)[1] == np.arange(H.order))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "first_violations", recording)
+        visits = _visits(mp)
         w = _left(H)
-    held = None
-    for z, bound, computed in seen:
-        assert bound == computed == (n if held is None else held[0] + 1), (z, held)
-        cell = per_column[z]
-        if cell is not None and cell[0] < bound and (held is None or cell + (z,) < held):
-            held = cell + (z,)
-    assert w == held == _ref_expansion_left(H)
-    assert seen[-1][1] == w[0] + 1 < n
+    per_column = [cell + (z,) for z, cell in enumerate(_column_witnesses(H)) if cell]
+    assert w == min(per_column) == _ref_expansion_left(H)
+    last = int(np.searchsorted(R, w[0]))
+    assert R[last] == w[0]
+    assert visits == list(range(last + 1))
+    assert last + 1 < len(R)
 
 
 @st.composite
@@ -1076,13 +1059,25 @@ def test_expansion_left_matches_the_reference_on_repeated_columns(drawn):
     assert keyed == _ref_expansion_left(H)
 
 
+@given(_repeated_columns())
+def test_group_scans_match_the_reference_on_repeated_columns(drawn):
+    # the same tables for the right expansion and the ninth-power identity
+    table, inverse = drawn
+    H = _as_group(table, inverse)
+    keyed = (checks._check_commutator_expansion_right(SuiteContext(H))[0], nine_identity(H))
+    with pytest.MonkeyPatch.context() as mp:
+        _unkeyed(mp)
+        assert (checks._check_commutator_expansion_right(SuiteContext(H))[0],
+                nine_identity(H)) == keyed
+    assert keyed == (_ref_expansion_right(H), _ref_nine_identity(H))
+
+
 def test_expansion_left_allocates_its_buffers_once():
     # wreath33 x C4: [y, z] takes at most m = 9 values in any column z.  The
-    # scan's buffers are an intp copy of T, two value slabs, a mask and the
-    # two n x m tables at the largest m; the n x m tables take the values
-    # into the intp offsets through one ufunc buffer.  A fresh n x n array
-    # for every z, even a bool mask (about 103 KiB here), raises the traced
-    # peak past them and the slack
+    # bound is the one an intp copy of T, two value slabs, a mask and two
+    # n x m tables at the largest m set, with one ufunc buffer for a cast;
+    # the cube's 27 x 27 buffers are far below it, and
+    # test_group_scans_allocate_only_their_cube_buffers bounds them tightly
     ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
     n, cm = ctx.n, ctx.cm
     m = max(len(np.unique(col)) for col in cm.T)
@@ -1117,24 +1112,31 @@ def _conditions(L, c, cm=None):
     return held if cm is None else held + (np.array_equal(cm[:, rho], cm),)
 
 
+def _closed_key(rhos, n):
+    """Each x's least image under every composition of the maps rhos, by
+    one step at a time until no key changes."""
+    key = np.arange(n)
+    while True:
+        lower = np.min([key, *(key[rho] for rho in rhos)], axis=0)
+        if np.array_equal(lower, key):
+            return key
+        key = lower
+
+
 def _ref_key(L, cm=None):
-    """Each x's least image under the translations of the recorded source's
-    center that pass every condition: (a) and (a'), the key of the product
-    tests, or with cm (c) too, the associator scan's."""
+    """Each x's least image under the compositions of the translations of
+    the recorded source's center that pass every condition, each candidate
+    tested: (a) and (a'), the key of the product tests, or with cm (c) too,
+    the associator scan's."""
     G = L._cache.get("source")
     center = group_center(G) if G is not None else ()
-    rhos = [L.table[:, c] for c in center if all(_conditions(L, c, cm))]
-    return np.min([np.arange(L.order), *rhos], axis=0)
+    return _closed_key([L.table[:, c] for c in center if all(_conditions(L, c, cm))], L.order)
 
 
 def _assert_associator_scans_agree(make_ctx):
-    """The keyed associator scan equals the scan with every row hash
-    colliding, the unkeyed scan and the reference; make_ctx gives a fresh
-    context, as each caches its scan."""
+    """The keyed associator scan equals the unkeyed scan and the reference;
+    make_ctx gives a fresh context, as each caches its scan."""
     keyed = make_ctx().associator_scan()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "hash", lambda _b: 0, raising=False)
-        assert make_ctx().associator_scan() == keyed
     with pytest.MonkeyPatch.context() as mp:
         _unkeyed(mp)
         assert make_ctx().associator_scan() == keyed
@@ -1388,3 +1390,120 @@ def test_normal_subloop_refuses_a_translation_that_fails_one_condition(fails, N,
     M._cache["central"] = ((4,), np.minimum(np.arange(16), M.table[:, 4]))
     merged = normal_subloop_violation(M, N)
     assert (merged != witness) == (fails == "a"), merged
+
+
+# ---------------------------------------------------------------------------
+# the group key: translations rho = G.table[:, c] by c in Z(G) that pass (a)
+# and (a') on the group table and leave the rows (r) and columns (c) of the
+# commutator table unchanged; both expansions and the ninth-power identity
+# read the cube R^3 of the least elements of its classes
+
+def _group_conditions(G, c):
+    """Whether rho = G.table[:, c] passes (a) T[rho p, z] = rho T[p, z],
+    (a') T[p, rho z] = rho T[p, z], (r) cm[rho x, w] = cm[x, w] and (c)
+    cm[w, rho x] = cm[w, x], each by one whole-table gather."""
+    T, cm = G.table, G.commutator_table()
+    rho = T[:, c]
+    return (np.array_equal(T[rho, :], rho[T]), np.array_equal(T[:, rho], rho[T]),
+            np.array_equal(cm[rho, :], cm), np.array_equal(cm[:, rho], cm))
+
+
+def _ref_group_key(G):
+    """Each x's least image under the compositions of the translations by
+    Z(G) that pass all four conditions, each candidate tested."""
+    return _closed_key([G.table[:, c] for c in group_center(G) if all(_group_conditions(G, c))],
+                       G.order)
+
+
+def _group_scans(G):
+    return _expansions(G) + (nine_identity(G),)
+
+
+@pytest.mark.parametrize("spec, cosets, nine", [
+    ("product:wreath33,cyclic:4", 27, None),
+    ("product:dihedral:16,cyclic:5", 8, (5, 40, 40)),
+    ("unitriangular4:3", 243, None)])
+def test_group_scans_read_one_cube_per_coset_of_the_center(spec, cosets, nine):
+    # every c of Z(G) passes, so R holds the least element of each coset of
+    # Z(G), and each passing scan visits every position of R; D16 x C5
+    # fails the ninth-power identity (as test_group_scans_match_reference
+    # pins against the reference) in the slab of x = 5, position 1 of R
+    G = catalog_group(spec)
+    cs, key = group_translations(G)
+    assert np.array_equal(key, _ref_group_key(G))
+    R = np.flatnonzero(key == np.arange(G.order))
+    assert len(R) == cosets == G.order // len(group_center(G))
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        assert _group_scans(G) == (None, None, (nine is None, nine))
+    last = cosets if nine is None else R.tolist().index(nine[0]) + 1
+    assert visits == list(range(cosets)) * 2 + list(range(last))
+
+
+def _planted_group(fails):
+    """A copy of D16, whose center {e, c} with c = r^4 (index 4) gives the
+    one candidate, with rho = T[:, 4] failing one condition:
+      (a), (a') the intercalate at rows 1, 8 and columns 2, 11 switched,
+          and with it the one at its image under rho, columns 6, 15 for
+          (a) and rows 5, 12 for (a');
+      (r), (c) D16's table with [e, 1] = [e, 5] = 1, or [1, e] = [5, e] = 1,
+          in the commutator table.
+    The commutator table is D16's in the first two, so (r) and (c) hold."""
+    D = catalog_group("dihedral:16")
+    T, cm = D.table.copy(), D.commutator_table().copy()
+    if fails in ("a", "a'"):
+        image = (1, 8, 6, 15) if fails == "a" else (5, 12, 2, 11)
+        for r1, r2, c1, c2 in ((1, 8, 2, 11), image):
+            T[[r1, r1, r2, r2], [c1, c2, c1, c2]] = T[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+    elif fails == "r":
+        cm[0, [1, 5]] = 1
+    else:
+        cm[[1, 5], 0] = 1
+    G = FiniteGroup(T, D.names, D.inverse.copy())
+    G._cache["cm"] = cm
+    return G
+
+
+@pytest.mark.parametrize("fails, witnesses", [
+    ("a", ((1, 2, 1), (1, 1, 2), (False, (1, 8, 8)))),
+    ("a'", ((1, 2, 1), (1, 1, 2), (False, (1, 8, 8)))),
+    ("r", ((0, 0, 1), (0, 0, 1), (False, (0, 1, 8)))),
+    ("c", ((1, 0, 0), (0, 1, 0), (False, (1, 0, 1))))])
+def test_group_key_refuses_a_translation_that_fails_one_condition(fails, witnesses):
+    # c fails the named condition alone, so it is refused, the key is
+    # trivial and the cube is all of G^3; the three scans still give the
+    # references' witnesses
+    G = _planted_group(fails)
+    assert sorted(group_center(G)) == [0, 4]
+    assert _group_conditions(G, 4) == tuple(k != fails for k in ("a", "a'", "r", "c"))
+    cs, key = group_translations(G)
+    assert cs == () and np.array_equal(key, np.arange(16))
+    assert _group_scans(G) == witnesses
+    assert witnesses == (_ref_expansion_left(G), _ref_expansion_right(G), _ref_nine_identity(G))
+
+
+def test_group_scans_allocate_only_their_cube_buffers():
+    # wreath33 x C4: |R| = 27 of n = 324.  The cube's tables (commutators,
+    # their classes and the classes of the products) and each scan's slab
+    # buffers are |R| x |R| arrays, with intp offsets; any n x n array per
+    # call, even a bool mask (about 103 KiB here), raises the traced peak
+    # of a warm call past them and the slack
+    ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
+    G, n = ctx.G, ctx.n
+    m = int((group_translations(G)[1] == np.arange(n)).sum())
+    assert (n, m) == (324, 27)
+    intp, item = np.dtype(np.intp).itemsize, ctx.cm.itemsize
+    buffers = m * m * (2 * intp + 6 * item + 2)
+    runs = {"left": lambda: checks._check_commutator_expansion_left(ctx)[0],
+            "right": lambda: checks._check_commutator_expansion_right(ctx)[0],
+            "nine": lambda: nine_identity(G)[1]}
+    for name, run in runs.items():
+        run()                                 # fills Python's free lists
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run() is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers + 32 * 1024 < n * n, (name, peak, buffers)
