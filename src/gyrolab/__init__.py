@@ -50,7 +50,6 @@ from .errors import (
     ParseError,
     UnknownSpec,
     ValueOutsideCenter,
-    WrongClass,
 )
 from .fileio import (
     parse_group_file,

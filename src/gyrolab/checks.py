@@ -28,6 +28,7 @@ from .errors import NotACocycle, NotASubloop, NotWellDefined
 from .groups import (
     FiniteGroup,
     _least_reached,
+    _light_associative,
     _mark,
     associativity_violation,
     first_cell,
@@ -282,72 +283,74 @@ class SuiteContext:
         return tuple(out)
 
     def associator_scan(self):
-        """One pass over all triples: the first formula violation, the first
-        non-central associator (None when absent) and the left, middle and
-        right nuclei.  Once a mask has its witness, the slabs of later x skip
-        it.  The scan visits the least element of each class of the central
-        translations of the loop that also fix the commutator table, whose
-        slab is that of the whole class."""
+        """One pass over the cube R^3 of the associator key: the first
+        formula violation, the first non-central associator (None when
+        absent) and the left, middle and right nuclei.  Once a mask has its
+        witness, the slabs of later x skip it.  R holds the least element of
+        each class of the central translations of the loop that also leave
+        the columns of the commutator table and of [z^-1, y] unchanged; the
+        slab of x in R reads R x R, into buffers allocated once per scan."""
         def run():
-            G, L = self.G, self.loop
-            n = self.n
-            cs, _ = central_translations(L)              # before the n x n buffers
-            T = L.table
-            Ti = index_table(T, n)
-            # a / b at the flat offset b*n + a, in T's dtype, so that one
-            # value buffer takes from both
-            rdivT = np.ascontiguousarray(L.right_division.T, dtype=T.dtype).ravel()
-            noncentral = ~_mark(n, self.zg)[rdivT]        # at the same offsets
-            K = index_table(self.cm[G.inverse, :].T, n)    # [y, z] -> [z^-1, y]
-            off = np.empty((n, n), dtype=np.intp)
-            vals = np.empty_like(T)
-            expected = np.empty_like(self.cm)
-            formula_bad = np.empty((n, n), dtype=bool)     # A != 0 first
-            central_bad = np.empty((n, n), dtype=bool)
-            left = np.zeros(n, dtype=bool)
-            middle = np.ones(n, dtype=bool)
-            right = np.ones(n, dtype=bool)
-
+            L, cm, n = self.loop, self.cm, self.n
+            T, inv = L.table, self.G.inverse
+            cs, _ = central_translations(L)
             # the scan keeps the c of central_translations whose rho also
-            # passes (c) cm[w, rho x] = cm[w, x].  By (a), x' = rho x gives
-            # (x'*y)*z = rho((x*y)*z) and x'*(y*z) = rho(x*(y*z)); by (a')
-            # rho u / rho v = u / v, so A(x', y, z) = A(x, y, z), and by (c)
-            # the expected [[z^-1, y], x'] is [[z^-1, y], x]
-            cm = self.cm
-            kept = [c for c in cs if np.equal(np.take(cm, Ti[:, c], axis=1, out=expected,
-                                                      mode="clip"), cm, out=formula_bad).all()]
-            key = _least_reached([Ti[:, c] for c in kept], n)
+            # passes (c) cm[w, rho x] = cm[w, x] and (z) [(rho z)^-1, y] =
+            # [z^-1, y].  By (a) and (a'), moving any one of x, y, z to its
+            # image under rho moves both (x*y)*z and x*(y*z) to theirs, and
+            # by (a') rho u / rho v = u / v, so A(x, y, z) is unchanged on
+            # every axis; the expected [[z^-1, y], x] is unchanged on x and
+            # y by (c) and on z by (z).  So each mask is a class function on
+            # each axis: the least witness lies in R^3, and a nucleus is
+            # read at R and spread by the key
+            key = _least_reached([rho for rho in (T[:, c] for c in cs)
+                                  if np.array_equal(cm[:, rho], cm)
+                                  and np.array_equal(cm[inv[rho]], cm[inv])], n)
+            R = np.flatnonzero(key == np.arange(n))
+            m = len(R)
+            Tf, rdiv = T.ravel(), L.right_division.ravel()
+            yz = index_table(T[np.ix_(R, R)], n)                  # y*z at [y, z]
+            K = index_table(cm[np.ix_(inv[R], R)].T, n)           # [z^-1, y] at [y, z]
+            noncentral = ~_mark(n, self.zg)
+            off = np.empty((m, m), dtype=np.intp)
+            u = np.empty((m, m), dtype=T.dtype)                   # (x*y)*z, x*(y*z)
+            vals = np.empty((m, m), dtype=rdiv.dtype)             # A
+            expected = np.empty((m, m), dtype=cm.dtype)
+            formula_bad = np.empty((m, m), dtype=bool)            # A != 0 first
+            central_bad = np.empty((m, m), dtype=bool)
+            left = np.zeros(n, dtype=bool)
+            middle, right = np.ones((2, n), dtype=bool)
 
             def slab(x, open_):
-                # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read at the offset
-                # (x*(y*z))*n + (x*y)*z; (x*y)*z are the rows of T taken by
-                # row x.  Right division is unique, so A is the identity 0
-                # exactly when the triple associates: x is in the left
-                # nucleus when no cell of the slab fails, y in the middle
-                # one when its row holds for every x, z in the right one
-                # when its column does
+                # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read from the right
+                # division at the offset ((x*y)*z)*n + x*(y*z), with (x*y)*z
+                # read from T at (x*y)*n + z.  Right division is unique, so A
+                # is the identity 0 exactly when the triple associates: x is
+                # in the left nucleus when no cell of the slab fails, y in
+                # the middle one when its row holds for every x, z in the
+                # right one when its column does
                 formula_open, central_open, _ = open_
-                np.take(Ti[x] * n, Ti, out=off, mode="clip")
-                np.add(off, np.take(T, T[x], axis=0, out=vals, mode="clip"), out=off)
-                np.take(rdivT, off, out=vals, mode="clip")
+                np.multiply(T[x, R][:, None], n, out=off, dtype=np.intp)
+                np.add(off, R, out=off)
+                np.multiply(np.take(Tf, off, out=u, mode="clip"), n, out=off, dtype=np.intp)
+                np.add(off, np.take(T[x], yz, out=u, mode="clip"), out=off)
+                np.take(rdiv, off, out=vals, mode="clip")
                 nonassoc = np.not_equal(vals, 0, out=formula_bad)
                 rows = nonassoc.any(axis=1)
                 left[x] = not rows.any()
-                middle[rows] = False
-                right[nonassoc.any(axis=0)] = False
+                middle[R[rows]] = False
+                right[R[nonassoc.any(axis=0)]] = False
                 formula = central = None
                 if formula_open:
                     np.take(cm[:, x], K, out=expected, mode="clip")   # [[z^-1, y], x]
                     formula = np.not_equal(vals, expected, out=formula_bad)
                 if central_open:
-                    central = np.take(noncentral, off, out=central_bad, mode="clip")
+                    central = np.take(noncentral, vals, out=central_bad, mode="clip")
                 return formula, central, None
-            formula, central, _ = first_violations(n, 3, slab, np.flatnonzero(key == np.arange(n)))
-            # the middle and right nuclei are ANDs over the slabs, which an
-            # equal mask leaves as they are; left[x] is its class's
-            left = left[key]
-            return formula, central, tuple(
-                frozenset(int(i) for i in np.flatnonzero(m)) for m in (left, middle, right))
+            formula, central, _ = (None if w is None else (w[0], int(R[w[1]]), int(R[w[2]]))
+                                   for w in first_violations(n, 3, slab, R))
+            return formula, central, tuple(frozenset(int(i) for i in np.flatnonzero(mask[key]))
+                                           for mask in (left, middle, right))
         return self._get("assoc-scan", run)
 
 
@@ -481,7 +484,9 @@ def _check_nuclei_normal_subloops(ctx):
 def _induced_violation(T: np.ndarray, S) -> tuple | None:
     """Whether the product of the table T restricted to S is a closed,
     associative operation: ("not-closed", v) with v the least product
-    outside S, the least failing triple of S, or None."""
+    outside S, the least failing triple of S, or None.  A closed S that holds
+    T's identity 0 passes or fails by Light's test, as in group_from_table;
+    only a failing one is scanned for its witness."""
     lst = np.array(sorted(S), dtype=np.intp)
     pos = np.full(len(T), -1, dtype=np.intp)
     pos[lst] = np.arange(len(lst))
@@ -489,10 +494,10 @@ def _induced_violation(T: np.ndarray, S) -> tuple | None:
     local = pos[sub]                                  # the products as positions in lst
     if (local < 0).any():
         return ("not-closed", int(sub[local < 0].min()))
-    bad = associativity_violation(local)
-    if bad is None:
+    if pos[0] == 0 and _light_associative(local):
         return None
-    return tuple(int(lst[i]) for i in bad)
+    bad = associativity_violation(local)
+    return None if bad is None else tuple(int(lst[i]) for i in bad)
 
 
 @_check("middle-nucleus-equals-right", "middle = right nucleus",

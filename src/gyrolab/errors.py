@@ -138,13 +138,6 @@ class ValueOutsideCenter(GyrolabError):
         super().__init__(f"factor-set value {value} at cell {cell} is outside the center")
 
 
-class WrongClass(GyrolabError):
-    def __init__(self, needed: str, actual):
-        self.needed = needed
-        self.actual = actual
-        super().__init__(f"group has nilpotency class {actual}, needed {needed}")
-
-
 class ParseError(GyrolabError):
     """A group file could not be parsed; carries file and field context."""
 

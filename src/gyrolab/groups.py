@@ -195,7 +195,9 @@ def first_violations(n: int, count: int, slab, visit=None) -> list[tuple[int, ..
     with a True cell; the scan stops once every mask has one.  slab may
     return the same buffers on every call.  visit may leave out only an s
     whose masks are those of a visited s' < s: a repeated row, or a class
-    of a verified key (verify_translations) but its least element.
+    of a verified key (verify_translations) but its least element.  A scan
+    of the cube R^3 of such a key visits R, and its masks are the R x R
+    cells of each slab, which hold the least witness of the whole slab.
     """
     found: list = [None] * count
     for s in range(n) if visit is None else visit:
@@ -338,19 +340,19 @@ def verify_translations(table: np.ndarray, candidates, cm: np.ndarray | None = N
     of 0 is skipped, as by (a') a composition phi is x -> T[x, phi(0)]: only
     generators are verified (2 of the 11 c != e of Z(wreath33 x C4), 1 of
     728 on cyclic:729).  A failing candidate makes the key finer, never
-    wrong.  The tests write into n x n buffers allocated here once."""
+    wrong.  The tests write into n x n buffers allocated once, when the
+    first candidate needs a test."""
     n = len(table)
-    Ti = index_table(table, n)
-    moved = np.empty_like(table)
-    vals = np.empty_like(table)
-    eq = np.empty((n, n), dtype=bool)
-    tests = [(table, 0, moved), (table, 1, moved)]          # (a), (a')
-    if cm is not None:
-        tests += [(cm, 0, cm), (cm, 1, cm)]                   # (r), (c)
-    cs, key = [], np.arange(n)
+    cs, key, tests = [], np.arange(n), None
     for c in candidates:
         if key[c] == 0:
             continue
+        if tests is None:
+            Ti, moved, vals = index_table(table, n), np.empty_like(table), np.empty_like(table)
+            eq = np.empty((n, n), dtype=bool)
+            tests = [(table, 0, moved), (table, 1, moved)]      # (a), (a')
+            if cm is not None:
+                tests += [(cm, 0, cm), (cm, 1, cm)]               # (r), (c)
         rho = Ti[:, c]
         np.take(table[:, c], Ti, out=moved, mode="clip")        # rho T[p, z]
         if all(np.equal(np.take(t, rho, axis=axis, out=vals, mode="clip"), want, out=eq).all()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from gyrolab import (
-    WrongClass,
+    GyrolabError,
     build_gyro,
     catalog_group,
     commutant,
@@ -86,6 +86,15 @@ def _loop_direct_product(A, B, name=""):
 def loop_direct_product():
     """Factory (A, B, name="") -> the componentwise product loop of A and B."""
     return _loop_direct_product
+
+
+class WrongClass(GyrolabError):
+    """A group of another nilpotency class than a reference needs."""
+
+    def __init__(self, needed: str, actual):
+        self.needed = needed
+        self.actual = actual
+        super().__init__(f"group has nilpotency class {actual}, needed {needed}")
 
 
 def _class2_criterion(G):

@@ -11,7 +11,6 @@ import pytest
 
 from gyrolab import (
     SuiteContext,
-    WrongClass,
     catalog_group,
     charset_commutant,
     charset_left_nucleus,
@@ -33,6 +32,8 @@ from gyrolab.cli import main
 from gyrolab.errors import NotASubloop
 from gyrolab.groups import _group_unchecked, group_from_permutations
 from gyrolab.loops import loop_from_table, normal_subloop_violation, subloop_violation
+
+from conftest import WrongClass
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -13,13 +13,14 @@ is pinned against the same scan run unkeyed: the associativity scan, which
 visits the first x of each distinct row; the two commutator expansions and
 the ninth-power identity, which read the cube R^3 of the least elements of
 the classes of the group key, translations by Z(G) that pass (a) and (a')
-on the group table and (r) and (c) on the commutator table; and the
-associator scan and the product tests of the normal-subloop scan, which
-visit the least element of each class of the key of the central
+on the group table and (r) and (c) on the commutator table; the
+associator scan, which reads the cube R^3 of the key of the central
 translations of the loop's recorded source that pass (a) and (a') on the
-loop table and, for the associator scan, (c) on the commutator table.
-Planted tables on which a translation fails one condition pin that it is
-then refused; a source whose center fails the checks keys nothing.
+loop table and (c) and (z) on the commutator table; and the product tests
+of the normal-subloop scan, which visit the least element of each class
+of the key of those that pass (a) and (a').  Planted tables on which a
+translation fails one condition pin that it is then refused; a source
+whose center fails the checks keys nothing.
 """
 
 import os
@@ -328,7 +329,8 @@ def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatc
     # wreath33xC4's twisted table as a "group": the formula fails at x = 4,
     # and no associator is non-central, so the central mask runs for the
     # least element of every class.  The table's 36 commuting elements pass
-    # (a)-(c), so there are 9 classes, and of x <= 4 only 0 and 4 are visited
+    # (a), (a'), (c) and (z), so there are 9 classes, and of x <= 4 only 0
+    # and 4 are visited
     ctx = SuiteContext(_wrapped(_gyro("product:wreath33,cyclic:4")))
     computed = []
     scan = checks.first_violations
@@ -343,7 +345,7 @@ def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatc
     formula, central, nuc = ctx.associator_scan()
     assert (formula, central, nuc) == _ref_associator_scan(ctx)
     assert formula[0] == 4 and central is None
-    key = _ref_key(ctx.loop, ctx.cm).tolist()
+    key = _ref_key(ctx.loop, ctx.G).tolist()
     assert len(computed) == len(set(key)) == 9
     assert sum(f for f, _ in computed) == len(set(key[:formula[0] + 1])) == 2
     assert all(c for _, c in computed)
@@ -411,6 +413,28 @@ def test_induced_op_matches_reference(spec):
     if associativity_violation(L.table) is not None:
         expected.add("triple")                 # at least the whole loop
     assert set(tags) == expected, tags
+
+
+def test_induced_op_scans_only_a_failing_table(monkeypatch):
+    # Light's test decides a passing induced table, so no triple scan runs
+    # for it: cyclic:243's twisted loop is a group, its nuclei all of it,
+    # and the nuclei of wreath33 x C4's pass.  Only a failing table, here
+    # wreath33's whole loop, is scanned, once, for its least witness
+    scan, scanned = checks.associativity_violation, []
+
+    def counted(table):
+        scanned.append(len(table))
+        return scan(table)
+    monkeypatch.setattr(checks, "associativity_violation", counted)
+    for spec in ("cyclic:243", "product:wreath33,cyclic:4"):
+        L = _gyro(spec).loop
+        for S in set(_ref_scan_nuclei(L)):
+            assert checks._induced_violation(L.table, S) is None
+    assert scanned == []
+    T = _gyro("wreath33").loop.table
+    w = checks._induced_violation(T, range(81))
+    assert w is not None and w == _ref_induced_violation(T, range(81))
+    assert scanned == [81]
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +673,15 @@ def test_associativity_scan_allocates_its_buffers_once():
 
 
 def test_associator_scan_allocates_its_buffers_once():
-    # The fused scan's buffers are intp copies of T, of the [z^-1, y] table
-    # and of the offsets, the transposed right division, two value slabs
-    # and three n x n masks (A != 0 then the formula mask, the central mask
-    # and the noncentral lookup).  Adding the int32 rows of T to the intp
-    # offsets casts through one ufunc buffer.  A fresh n x n bool array for
-    # every x, the smallest temporary the nuclei reduction could make
-    # (about 103 KiB here), raises the traced peak past them and the slack.
-    # A first scan fills Python's free lists, so that they are not traced
+    # A cold call on a fresh loop: central_translations verifies the loop
+    # key under tracing (an intp copy of T, two value slabs and a mask), and
+    # the (c) and (z) tests gather the commutator table, all freed before
+    # the cube's |R| x |R| buffers (pinned in the test below) are made.  The
+    # bound is the one of the n x n scan the cube replaced: intp copies of
+    # T, of the [z^-1, y] table and of the offsets, the transposed right
+    # division, two value slabs, three n x n masks and one ufunc cast
+    # buffer.  A first scan fills Python's free lists, so that they are not
+    # traced
     G = catalog_group("product:wreath33,cyclic:4")
     SuiteContext(G).associator_scan()
     ctx = SuiteContext(G)
@@ -675,6 +700,46 @@ def test_associator_scan_allocates_its_buffers_once():
         tracemalloc.stop()
     assert formula is None and central is None
     assert peak < buffers + cast + 48 * 1024, (peak, buffers)
+
+
+def test_associator_scan_allocates_only_its_cube_buffers(monkeypatch):
+    # wreath33 x C4: |R| = 27 of n = 324.  The peak is traced from the start
+    # of a warm call, with the loop key cached, and reset as
+    # first_violations starts, once the (c) and (z) tests have freed their
+    # n x n gathers.
+    # The [y, z] tables of y*z and of [z^-1, y], the offsets, the intp
+    # indices of the central lookup, two value slabs, the expected values
+    # and two masks are |R| x |R| arrays; any n x n array kept across the
+    # slabs or made per slab, even a bool mask (about 103 KiB here), raises
+    # the peak past them and the slack
+    G = catalog_group("product:wreath33,cyclic:4")
+    gc = build_gyro(G)
+    SuiteContext(G).associator_scan()           # fills Python's free lists
+    ctx = SuiteContext(G)
+    ctx._cache["gyro"] = gc
+    n, cm = ctx.n, ctx.cm
+    ctx.zg
+    cs, _ = loops.central_translations(gc.loop)
+    scan, peaks = checks.first_violations, []
+
+    def traced(n, count, slab, visit=None):
+        tracemalloc.reset_peak()
+        found = scan(n, count, slab, visit)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return found
+    monkeypatch.setattr(checks, "first_violations", traced)
+    m = int((_ref_key(gc.loop, G) == np.arange(n)).sum())
+    assert (n, m, len(cs)) == (324, 27, 2)
+    intp, item = np.dtype(np.intp).itemsize, cm.itemsize
+    buffers = m * m * (4 * intp + 3 * item + 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        formula, central, _ = ctx.associator_scan()
+    finally:
+        tracemalloc.stop()
+    assert formula is None and central is None and len(peaks) == 1
+    assert peaks[0] - base < buffers + 32 * 1024 < n * n, (peaks[0] - base, buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +834,8 @@ WRAPPED_PINS = ["dihedral:16", "wreath33", "product:dihedral:16,cyclic:5"]
 
 def _unkeyed(mp):
     """Run every scan unkeyed from here on: first_violations visits every
-    s, and the group and loop keys are trivial, so the cube is all of
-    G x G x G and the associator scan and the product tests visit every x."""
+    s, and the group and loop keys are trivial, so the cubes are all of
+    G x G x G and L x L x L and the product tests visit every x."""
     scan = groups.first_violations
     for module in (groups, checks):
         mp.setattr(module, "first_violations",
@@ -783,8 +848,9 @@ def _unkeyed(mp):
 
 def _visits(mp):
     """The s whose slab each scan computes, from here on, in call order:
-    an element for the associativity scan, the associator scan and the
-    product tests, a position in R for the scans of the cube."""
+    an element for the associativity scan, the product tests and the
+    associator scan (an element of its R), a position in R for the
+    group-side scans of the cube."""
     visits = []
     scan = groups.first_violations
 
@@ -1100,7 +1166,7 @@ def test_expansion_left_allocates_its_buffers_once():
 # the associator scan and the product tests of normal_subloop_violation keyed
 # by the central translations they verify: for c in the center of the loop's
 # recorded source and rho = T[:, c], slab(rho x) = slab(x) once (a) and (a')
-# hold, and for the associator scan (c) too
+# hold; the associator scan reads the cube R^3, as (c) and (z) also hold
 
 def _conditions(L, c, cm=None):
     """Whether rho = L.table[:, c] passes (a) T[rho p, z] = rho T[p, z],
@@ -1110,6 +1176,13 @@ def _conditions(L, c, cm=None):
     rho = T[:, c]
     held = (np.array_equal(T[rho, :], rho[T]), np.array_equal(T[:, rho], rho[T]))
     return held if cm is None else held + (np.array_equal(cm[:, rho], cm),)
+
+
+def _z_condition(L, c, G):
+    """Whether rho = L.table[:, c] passes (z) K[:, rho] = K, where K[y, z] =
+    [z^-1, y] is read from G's commutator table and inverses."""
+    K = G.commutator_table()[G.inverse, :].T
+    return np.array_equal(K[:, L.table[:, c]], K)
 
 
 def _closed_key(rhos, n):
@@ -1123,14 +1196,17 @@ def _closed_key(rhos, n):
         key = lower
 
 
-def _ref_key(L, cm=None):
+def _ref_key(L, G=None):
     """Each x's least image under the compositions of the translations of
     the recorded source's center that pass every condition, each candidate
-    tested: (a) and (a'), the key of the product tests, or with cm (c) too,
-    the associator scan's."""
-    G = L._cache.get("source")
-    center = group_center(G) if G is not None else ()
-    return _closed_key([L.table[:, c] for c in center if all(_conditions(L, c, cm))], L.order)
+    tested: (a) and (a'), the key of the product tests, or with the
+    commutators and inverses of G (c) and (z) too, the associator scan's."""
+    source = L._cache.get("source")
+    center = group_center(source) if source is not None else ()
+    cm = None if G is None else G.commutator_table()
+    return _closed_key([L.table[:, c] for c in center
+                        if all(_conditions(L, c, cm)) and (G is None or _z_condition(L, c, G))],
+                       L.order)
 
 
 def _assert_associator_scans_agree(make_ctx):
@@ -1155,7 +1231,7 @@ def test_associator_scan_keyed_matches_the_unkeyed_scan_and_the_reference(spec):
 def test_associator_scan_keyed_on_random_tables():
     # a seeded random loop times C_k, wrapped as a "group" and recorded as
     # the source of itself as its twisted loop: (0, t) commutes and passes
-    # (a), (a') and (c), so the key merges each x with its k translates
+    # (a), (a'), (c) and (z), so the key merges each x with its k translates
     rng = np.random.default_rng(5)
     for _ in range(40):
         m, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
@@ -1171,7 +1247,7 @@ def test_associator_scan_keyed_on_random_tables():
             ctx._cache["gyro"] = GyroConstruction(H, L, None)
             return ctx
         _assert_associator_scans_agree(make_ctx)
-        assert len(set(_ref_key(L, H.commutator_table()).tolist())) <= m
+        assert len(set(_ref_key(L, H).tolist())) <= m
 
 
 @pytest.mark.parametrize("spec, cosets", [("product:wreath33,cyclic:4", 27),
@@ -1179,9 +1255,9 @@ def test_associator_scan_keyed_on_random_tables():
                                           ("unitriangular4:3", 243)])
 def test_associator_scan_visits_one_slab_per_coset_of_the_center(spec, cosets):
     # every c of Z(G) passes, so the key is the least element of x Z(G), and
-    # a passing scan visits that element of each coset
+    # a passing scan visits that element of each coset, R, and reads R^3
     ctx = SuiteContext(catalog_group(spec))
-    key = _ref_key(ctx.loop, ctx.cm)
+    key = _ref_key(ctx.loop, ctx.G)
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         formula, central, _ = ctx.associator_scan()
@@ -1196,13 +1272,20 @@ def _planted(fails):
     rho = T[:, 4] fails one condition:
       (a), (a') the loops of _planted_normal, under D16 itself;
       (c) D16's twisted loop under a copy of D16 whose commutator table has
-          [e, c] = 1."""
+          [e, c] = [c, c] = r (column 4 at the rows {0, rho 0}), so that
+          the rows, and with them (z), still hold;
+      (z) the same with [r, e] = [r, c] = r (row 1 at the cells {0, rho 0}),
+          so that (c) holds but [(rho 7)^-1, e] = [c r, e] = e differs from
+          [7^-1, e] = [r, e] = r."""
     G = catalog_group("dihedral:16")
-    if fails == "c":
+    if fails in ("c", "z"):
         L = build_gyro(G).loop
         G = FiniteGroup(G.table, G.names, G.inverse)
         G._cache["cm"] = catalog_group("dihedral:16").commutator_table().copy()
-        G._cache["cm"][0, 4] = 1
+        if fails == "c":
+            G._cache["cm"][[0, 4], 4] = 1
+        else:
+            G._cache["cm"][1, [0, 4]] = 1
         L._cache["source"] = G
     else:
         L = _planted_normal(fails)
@@ -1213,21 +1296,24 @@ def _planted(fails):
 
 @pytest.mark.parametrize("fails, witnesses", [("a", ((2, 12, 10), (2, 12, 10))),
                                                ("a'", ((1, 1, 1), (1, 1, 1))),
-                                               ("c", ((4, 0, 0), None))])
+                                               ("c", ((4, 0, 0), None)),
+                                               ("z", ((0, 0, 7), None))])
 def test_associator_scan_refuses_a_translation_that_fails_one_condition(fails, witnesses):
     # c fails the named condition alone, so no slab is merged with another.
-    # central_translations refuses it for (a) and (a'); for (c) it passes
-    # both, and the scan refuses it itself.  Merging x with x c anyway
-    # changes the answer in (a): x c then takes the nuclei readings of x.
-    # In (c) slab 4 = 0 c holds the least formula failure, which a scan
-    # that merged 4 with 0 would skip.  In (a') the merged answer is the
-    # same: (a) alone carries A == 0, all that the nuclei read, from x to
-    # x c, and both witnesses lie in slab 1, which a merge does not skip
+    # central_translations refuses it for (a) and (a'); for (c) and (z) it
+    # passes both, and the scan refuses it itself.  Merging x with x c
+    # anyway changes each answer.  In (a), x c takes the nuclei
+    # readings of x.  In (a'), which carries A from y to y c and from z to
+    # z c, the cube reads y and z at the classes' least elements, so the
+    # middle and right nuclei read {0, 4} where the scan reads {0}.  The
+    # least formula failure lies in slab 4 = 0 c in (c), and at z = 7 = 3 c
+    # in (z), both outside the merged cube
     ctx = _planted(fails)
     L = ctx.loop
     assert sorted(ctx.zg) == [0, 4]
     failed = tuple(k != fails for k in ("a", "a'", "c"))
     assert [_conditions(L, c, ctx.cm) for c in (0, 4)] == [(True,) * 3, failed]
+    assert [_z_condition(L, c, ctx.G) for c in (0, 4)] == [True, fails != "z"]
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         result = ctx.associator_scan()
@@ -1236,13 +1322,17 @@ def test_associator_scan_refuses_a_translation_that_fails_one_condition(fails, w
     assert result[:2] == witnesses
     cs, key = L._cache["central"]
     merged = np.minimum(np.arange(16), L.table[:, 4])
-    if fails == "c":
-        assert cs == (4,) and np.array_equal(key, merged) and key[witnesses[0][0]] == 0
-        return
-    assert cs == () and np.array_equal(key, np.arange(16))
-    M = _planted(fails)
-    M.loop._cache["central"] = ((4,), merged)
-    assert (M.associator_scan() != result) == (fails == "a")
+    if fails in ("c", "z"):
+        assert cs == (4,) and np.array_equal(key, merged)
+        assert any(key[w] != w for w in witnesses[0])
+    else:
+        assert cs == () and np.array_equal(key, np.arange(16))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "_least_reached", lambda maps, n: merged)
+        forced = _planted(fails).associator_scan()
+    assert forced != result
+    if fails == "a'":
+        assert forced[2][1:] == (frozenset({0, 4}),) * 2 and result[2][1:] == (frozenset({0}),) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -1480,6 +1570,25 @@ def test_group_key_refuses_a_translation_that_fails_one_condition(fails, witness
     assert cs == () and np.array_equal(key, np.arange(16))
     assert _group_scans(G) == witnesses
     assert witnesses == (_ref_expansion_left(G), _ref_expansion_right(G), _ref_nine_identity(G))
+
+
+def test_translations_allocate_nothing_when_no_candidate_needs_a_test():
+    # dihedral:326: Z(G) = {e}, and e is in the class of 0, so no candidate
+    # is tested, and neither the intp copy of the table nor the three n x n
+    # buffers (13 n^2 bytes together, about 1.4 MB here) are made
+    G = catalog_group("dihedral:326")
+    n, cm = G.order, G.commutator_table()
+    center = sorted(group_center(G))
+    assert center == [0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cs, key = groups.verify_translations(G.table, center, cm)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert cs == () and np.array_equal(key, np.arange(n))
+    assert peak < n * np.dtype(np.intp).itemsize + 16 * 1024 < n * n, peak
 
 
 def test_group_scans_allocate_only_their_cube_buffers():
