@@ -18,6 +18,14 @@ above order_cap() before the table is built.  The name and each entry of
 "names" hold at most MAX_NAME_CHARS characters, and no two entries of
 "names" are equal.
 
+A file in any JSON layout is read.  A "table" in the grammar below is
+decoded from the file's bytes, TABLE_BLOCK_ROWS rows at a time; any other
+file (a minus sign, a longer integer, a float, a boolean, a ragged row,
+malformed text) goes through json.loads, to the same group or error.
+
+  table = '[' ws row (ws ',' ws row)* ws ']'    int = 0 | [1-9][0-9]{0,8}
+  row = '[' ws int (ws ',' ws int)* ws ']'      ws = (space | tab | LF | CR)*
+
 Report documents are schema-versioned JSON with sorted keys so identical runs
 serialize byte-identically; per-check wall-clock timing is deliberately left
 out of the document for the same reason.
@@ -26,6 +34,7 @@ out of the document for the same reason.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +61,13 @@ MAX_NAME_CHARS = 256
 # puts 3k + 2 on each, so this admits indents up to 10.
 CELL_LAYOUT_BYTES = 32
 READ_CHUNK = 1 << 20
+# rows of a table decoded from bytes at a time, so no temporary outgrows a block
+TABLE_BLOCK_ROWS = 32
+_TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[')
+_ROW_END = re.compile(rb"\][ \t\n\r]*([,\]])")
+_WS, _DIGIT, _COMMA, _OPEN, _CLOSE = range(1, 6)
+_BYTE_KIND = np.zeros(256, dtype=np.uint8)          # 0: outside the grammar
+_BYTE_KIND[list(b" \t\n\r0123456789,[]")] = [_WS] * 4 + [_DIGIT] * 10 + [_COMMA, _OPEN, _CLOSE]
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +88,8 @@ def _check_name(path, value: str, what: str) -> None:
         raise ParseError(str(path), f"{what} is longer than {MAX_NAME_CHARS} characters")
 
 
-def _read_group_text(path, cap: int) -> str:
-    """The text of a group file, read in chunks: at most
+def _read_group_bytes(path, cap: int) -> bytearray:
+    """The bytes of a group file, read in chunks: at most
     max_group_file_bytes(cap) bytes and one more, also from a pipe or a
     device."""
     bound = max_group_file_bytes(cap)
@@ -92,20 +108,80 @@ def _read_group_text(path, cap: int) -> str:
                                f"file is longer than {bound} bytes, the bound for order "
                                f"cap {cap}, which counts whitespace: at most "
                                f"{CELL_LAYOUT_BYTES} bytes of it per table cell")
+    return data
+
+
+def _table_document(data: bytearray) -> dict | None:
+    """The document of a group file whose top-level "table" has the grammar of
+    the module docstring, that table decoded from the bytes into one int64
+    (order, order) array; None for any other file.  json.loads reads the rest,
+    the table's span replaced by an integer whose digits occur nowhere else:
+    read back as doc["table"], it proves the span is the value json.loads keeps."""
+    key = _TABLE_KEY.search(data)
+    if key is None:
+        return None
+    start, ends = key.end() - 1, []            # ends: the byte after each row's "]"
+    for row in _ROW_END.finditer(data, key.end()):
+        ends.append(row.start() + 1)
+        if row[1] == b"]":
+            break
+    else:
+        return None
+    head, tail = data[:start], data[row.end():]
+    sentinel = b"1"
+    while sentinel in head or sentinel in tail:
+        sentinel += b"0"
     try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        raise ParseError(str(path), f"not UTF-8 text: {exc.reason}") from exc
+        doc = json.loads((head + sentinel + tail).decode())
+    except (ValueError, RecursionError):      # not UTF-8, not JSON, or too deep
+        return None
+    n = doc.get("order") if type(doc) is dict else None   # checked before the table is made
+    if (type(n) is not int or type(doc.get("table")) is not int or doc["table"] != int(sentinel)
+            or not 1 <= n <= order_cap() or len(ends) != n or row.end() - start < n * (2 * n + 1)):
+        return None
+    table = np.zeros((n, n), dtype=np.int64)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # the kinds of ",[N,...,N]" per row of a block; the first row has no ","
+    want = np.tile(np.array([_COMMA, _OPEN] + [_DIGIT, _COMMA] * (n - 1) + [_DIGIT, _CLOSE],
+                            dtype=np.uint8), TABLE_BLOCK_ROWS)
+    lo = start + 1
+    for r in range(0, n, TABLE_BLOCK_ROWS):
+        rows = table[r:r + TABLE_BLOCK_ROWS]
+        block, lo = buf[lo:ends[r + len(rows) - 1]], ends[r + len(rows) - 1]
+        kinds = want[int(r == 0):len(rows) * (2 * n + 2)]
+        kind = _BYTE_KIND.take(block)
+        digit = kind == _DIGIT
+        first = digit > np.roll(digit, 1)             # a block ends in "]", not a digit
+        at = np.flatnonzero((kind != _WS) & (digit == first))      # where each token starts
+        if not np.array_equal(kind.take(at), kinds):
+            return None
+        starts = at[kinds == _DIGIT]
+        width = np.flatnonzero(digit > np.roll(digit, -1)) + 1 - starts
+        if width.max() > 9 or ((block.take(starts) == ord("0")) & (width > 1)).any():
+            return None
+        cells = rows.reshape(-1)
+        for k in range(int(width.max())):
+            # the digit k places left of each number's last, masked past its first
+            d = block.take(starts + width - 1 - k, mode="clip") - np.uint8(ord("0"))
+            cells += np.multiply(d, 10 ** k, dtype=np.int64) * (width > k)
+    doc["table"] = table
+    return doc
 
 
 def parse_group_file(path) -> FiniteGroup:
     p = Path(path)
-    text = _read_group_text(p, order_cap())
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path),
-                         f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    data = _read_group_bytes(p, order_cap())
+    doc = _table_document(data)
+    if doc is None:
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(path), f"not UTF-8 text: {exc.reason}") from exc
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(str(path),
+                             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(str(path), "top level must be a JSON object")
 
@@ -125,8 +201,9 @@ def parse_group_file(path) -> FiniteGroup:
         if type(order) is not int or order < 1:
             raise ParseError(str(path), "field 'order' must be a positive integer")
         check_order_cap(order, "declared order")
+        table = doc["table"]
         try:
-            arr = np.asarray(doc["table"])
+            arr = np.asarray(table)
         except (TypeError, ValueError) as exc:
             raise ParseError(str(path),
                              f"field 'table' is not a rectangular integer array: {exc}") from exc
@@ -137,12 +214,13 @@ def parse_group_file(path) -> FiniteGroup:
         # a dtype check: JSON floats, integers past int64 and all-boolean
         # tables come back as float, object and bool arrays, but booleans
         # among integers come back as integers, so the cells are scanned for
-        # them when the text holds a JSON boolean at all.  group_from_table
-        # checks the range against the order and casts the array once
+        # them when the file holds a JSON boolean at all (a table decoded
+        # from bytes holds none).  group_from_table checks the range against
+        # the order and casts the array once
         i32 = np.iinfo(np.int32)
         if (arr.dtype.kind not in "iu" or arr.min() < i32.min or arr.max() > i32.max
-                or (("true" in text or "false" in text)
-                    and any(type(v) is bool for row in doc["table"] for v in row))):
+                or (arr is not table and (b"true" in data or b"false" in data)
+                    and any(type(v) is bool for row in table for v in row))):
             raise ParseError(str(path), "field 'table' must hold integers in the int32 range")
         names = doc.get("names")
         if names is not None:
@@ -246,13 +324,20 @@ def search_document(summary_dict: dict) -> dict:
 def matrix_csv(matrix) -> str:
     """One line of comma-separated integers per row, each line ended by a newline.
 
-    Each cell is looked up in the list of the decimal strings of the values
-    from the least to the largest, so no cell is formatted on its own."""
+    Each cell is looked up in the table of the decimal words of the values
+    from the least to the largest, NUL-padded to the widest; the separators
+    fill one more byte per cell, and the padding is dropped in one pass."""
     m = np.asarray(matrix)
-    lo, hi = (int(m.min()), int(m.max())) if m.size else (0, -1)
-    words = [str(v) for v in range(lo, hi + 1)]
-    rows = (m - lo if lo else m).tolist()
-    return "\n".join(",".join(map(words.__getitem__, row)) for row in rows) + "\n"
+    if not m.size:
+        return "\n" * max(len(m), 1)
+    lo, hi = int(m.min()), int(m.max())
+    w = max(len(str(lo)), len(str(hi)))
+    words = np.arange(lo, hi + 1).astype(f"S{w}").view(np.uint8).reshape(-1, w)
+    out = np.empty(m.shape + (w + 1,), dtype=np.uint8)
+    out[..., :w] = words[m - lo if lo else m]
+    out[..., w] = ord(",")
+    out[:, -1, w] = ord("\n")
+    return out[out != 0].tobytes().decode()
 
 
 def export_circ_table(G: FiniteGroup) -> dict:
@@ -280,11 +365,16 @@ def export_gyration_table(G: FiniteGroup) -> dict:
     }
 
 
-def export_factor_set(G: FiniteGroup) -> dict:
+def _factor_sets(G: FiniteGroup):
+    """(T, fs, tf): the transversal of Z(G), its factor set and the twisted one."""
     from .cocycle import factor_set, gyro_factor_set, make_transversal
     T = make_transversal(G, group_center(G))
     fs = factor_set(G, T)
-    tf = gyro_factor_set(fs)
+    return T, fs, gyro_factor_set(fs)
+
+
+def export_factor_set(G: FiniteGroup) -> dict:
+    T, fs, tf = _factor_sets(G)
     return {
         "kind": "factor-set",
         "group": group_descriptor(G),
@@ -317,7 +407,7 @@ def _circ_table(G: FiniteGroup) -> np.ndarray:
 _CSV_MATRIX = {
     "circ-table": _circ_table,
     "gyration-table": _gyration_ids,
-    "factor-set": lambda G: export_factor_set(G)["twisted"],
+    "factor-set": lambda G: _factor_sets(G)[2].local_values(),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import numpy as np
@@ -151,3 +152,102 @@ def _seeded_transversal(T, seed):
 def seeded_transversal():
     """Factory (T, seed) -> T with seeded random coset representatives."""
     return _seeded_transversal
+
+
+def _ref_parse_group_file(path):
+    """The group file reader before tables were decoded from bytes: the
+    whole text through json.loads and the table through np.asarray, with the
+    same checks and messages; the reference of fileio.parse_group_file."""
+    from pathlib import Path
+
+    from gyrolab.errors import ParseError
+    from gyrolab.fileio import _check_name, _read_group_bytes
+    from gyrolab.groups import (_first_repeat, check_order_cap, group_from_permutations,
+                                group_from_table, order_cap)
+
+    p = Path(path)
+    try:
+        text = _read_group_bytes(p, order_cap()).decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), f"not UTF-8 text: {exc.reason}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path),
+                         f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(str(path), "top level must be a JSON object")
+    has_table = "table" in doc
+    has_gens = "generators" in doc
+    if has_table == has_gens:
+        raise ParseError(str(path),
+                         "exactly one of 'table' and 'generators' must be present")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError(str(path), "field 'name' must be a string")
+    _check_name(path, name, "field 'name'")
+    if has_table:
+        order = doc.get("order")
+        if type(order) is not int or order < 1:
+            raise ParseError(str(path), "field 'order' must be a positive integer")
+        check_order_cap(order, "declared order")
+        try:
+            arr = np.asarray(doc["table"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(str(path),
+                             f"field 'table' is not a rectangular integer array: {exc}") from exc
+        if arr.ndim != 2 or arr.shape != (order, order):
+            raise ParseError(str(path),
+                             f"field 'table' has shape {tuple(arr.shape)}, "
+                             f"expected ({order}, {order})")
+        i32 = np.iinfo(np.int32)
+        if (arr.dtype.kind not in "iu" or arr.min() < i32.min or arr.max() > i32.max
+                or (("true" in text or "false" in text)
+                    and any(type(v) is bool for row in doc["table"] for v in row))):
+            raise ParseError(str(path), "field 'table' must hold integers in the int32 range")
+        names = doc.get("names")
+        if names is not None:
+            if (not isinstance(names, list) or len(names) != order
+                    or not all(isinstance(s, str) for s in names)):
+                raise ParseError(str(path),
+                                 f"field 'names' must be a list of {order} strings")
+            for i, s in enumerate(names):
+                _check_name(path, s, f"names[{i}]")
+            j = _first_repeat(names)
+            if j is not None:
+                raise ParseError(str(path), f"names[{j}] repeats an earlier name")
+        return group_from_table(arr, names=names, name=name or p.stem)
+    degree = doc.get("degree")
+    if type(degree) is not int or degree < 1:
+        raise ParseError(str(path), "field 'degree' must be a positive integer")
+    check_order_cap(degree, "declared degree")
+    gens = doc["generators"]
+    if not isinstance(gens, list) or not gens:
+        raise ParseError(str(path), "field 'generators' must be a non-empty list")
+    for i, g in enumerate(gens):
+        if (not isinstance(g, list) or len(g) != degree
+                or not all(type(v) is int for v in g)):
+            raise ParseError(str(path),
+                             f"generator {i} must be a list of {degree} integers")
+    return group_from_permutations(degree, gens, name=name or p.stem)
+
+
+@pytest.fixture(scope="session")
+def ref_parse_group_file():
+    """path -> the group, or the exception, of the json.loads reader."""
+    return _ref_parse_group_file
+
+
+def _ref_matrix_csv(matrix):
+    """fileio.matrix_csv by str.join over the decimal strings of the values."""
+    m = np.asarray(matrix)
+    lo, hi = (int(m.min()), int(m.max())) if m.size else (0, -1)
+    words = [str(v) for v in range(lo, hi + 1)]
+    rows = (m - lo if lo else m).tolist()
+    return "\n".join(",".join(map(words.__getitem__, row)) for row in rows) + "\n"
+
+
+@pytest.fixture(scope="session")
+def ref_matrix_csv():
+    """matrix -> its CSV text, built by str.join."""
+    return _ref_matrix_csv

@@ -2,11 +2,12 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gyrolab import (
     FiniteGroup,
@@ -31,6 +32,7 @@ from gyrolab.fileio import (
     matrix_csv,
     max_group_file_bytes,
 )
+from gyrolab import fileio
 from gyrolab.cli import main
 from gyrolab.groups import elem_dtype
 from gyrolab.search import evaluate_source
@@ -253,6 +255,161 @@ def test_near_valid_group_files_through_every_entry_point(doc):
     assert not (rec.reason or "").startswith(("IndexError", "KeyError", "TypeError")), rec.reason
 
 
+# the table read from bytes against the json.loads reader kept in conftest:
+# the same group, names and relabeled_from, or the same exception and message
+
+_SMALL_GROUPS = ["cyclic:1", "cyclic:2", "cyclic:7", "product:cyclic:2,cyclic:2", "dihedral:8",
+                 "quaternion:8", "dihedral:12", "cyclic:12"]
+_JSON_WS = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+def _outcome(read, path):
+    try:
+        G = read(path)
+    except Exception as exc:           # compared by type and message
+        return type(exc), str(exc)
+    return G.name, list(G.names), G.relabeled_from, G.table.dtype.str, G.table.tolist()
+
+
+def _same_outcome(text, ref_parse_group_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(text)
+        got = _outcome(parse_group_file, path)
+        assert got == _outcome(ref_parse_group_file, path), text
+        return fileio._table_document(fileio._read_group_bytes(path, 1 << 20)) is not None
+
+
+@st.composite
+def _group_docs(draw):
+    """(doc, rows): a small group's file document, its elements renamed by a
+    drawn permutation (the identity may move), and the table's cells as text."""
+    G = catalog_group(draw(st.sampled_from(_SMALL_GROUPS)))
+    n = G.order
+    perm = np.array(draw(st.permutations(range(n))))
+    inv = np.argsort(perm)
+    table = perm[G.table[np.ix_(inv, inv)]].tolist()
+    doc = {"order": n, "table": table}
+    if draw(st.booleans()):
+        doc["names"] = [G.names[i] for i in inv]
+    if draw(st.booleans()):
+        doc["name"] = G.name
+    keys = draw(st.permutations(list(doc)))
+    return {k: doc[k] for k in keys}, [[str(v) for v in row] for row in table]
+
+
+def _spaced(draw, doc, rows):
+    """doc as JSON text with drawn runs of JSON whitespace between all
+    tokens of the table and around the object's separators."""
+    runs = draw(st.lists(_JSON_WS, min_size=7, max_size=7))
+    ws = iter(runs * (8 * len(rows) ** 2 + 32)).__next__
+
+    def sep(s):
+        return ws() + s + ws()
+
+    def table():
+        return ("[" + ws() + sep(",").join("[" + ws() + sep(",").join(row) + ws() + "]"
+                                           for row in rows) + ws() + "]")
+
+    return ("{" + ws() + sep(",").join(
+        json.dumps(k) + sep(":") + (table() if k == "table" else json.dumps(v))
+        for k, v in doc.items()) + ws() + "}")
+
+
+@given(data=st.data())
+def test_table_read_from_bytes_matches_json_loads_in_every_layout(ref_parse_group_file, data):
+    # and the table is read from bytes: the json.loads path is not taken
+    doc, rows = data.draw(_group_docs())
+    layout = data.draw(st.one_of(st.sampled_from(["compact", "spaced", "random"]),
+                                 st.integers(0, 10)))
+    if layout == "compact":
+        text = json.dumps(doc, separators=(",", ":"))
+    elif layout == "spaced":
+        text = json.dumps(doc)
+    elif layout == "random":
+        text = _spaced(data.draw, doc, rows)
+    else:
+        text = json.dumps(doc, indent=layout)
+    assert _same_outcome(text, ref_parse_group_file)
+
+
+def _mutate(draw, doc, rows, mutation):
+    """The text of doc with one defect in or around its table."""
+    n = len(rows)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    cell = rows[i][j]
+    if mutation == "ragged":
+        rows[i] = rows[i][:-1] if n > 1 and draw(st.booleans()) else rows[i] + ["0"]
+    elif mutation in _CELL_TEXT:
+        k = rows[i].index("0") if mutation == "minus-zero" else j    # -0 reads as 0
+        rows[i][k] = _CELL_TEXT[mutation].format(rows[i][k])
+    elif mutation == "double-comma":
+        rows[i][j] = cell + ","
+    elif mutation == "extra-bracket":
+        rows[i][-1] += "]"
+    elif mutation == "duplicate-key":
+        other = [[0] * n] * n if draw(st.booleans()) else [[0]]
+        text = _spaced(draw, doc, rows)
+        dup = '"table": ' + json.dumps(other)
+        return (text[:1] + dup + ", " + text[1:] if draw(st.booleans())
+                else text[:-1] + ", " + dup + "}")
+    elif mutation == "escaped-key":
+        text = _spaced(draw, doc, rows)
+        if draw(st.booleans()):
+            return text.replace('"table"', '"\\u0074able"')
+        return text[:-1] + ', "\\u0074able": [[0]]}'
+    elif mutation == "name-table":
+        doc = {"name": 'x"table', **doc} if draw(st.booleans()) else {'x"table': [[0]], **doc}
+    elif mutation == "nested-table":
+        doc = {"meta": {"table": [[int(v) for v in r] for r in rows]}, **doc}
+        if draw(st.booleans()):
+            rows[i][j] = str((int(cell) + 1) % n)
+    text = _spaced(draw, doc, rows)
+    if mutation in _BAD_SPACE:
+        at = text.index("[", text.index('"table"')) + 1
+        text = text[:at] + _BAD_SPACE[mutation] + text[at:]
+    return text
+
+
+_CELL_TEXT = {"leading-zero": "0{}", "minus-zero": "-{}", "float": "{}.0", "exponent": "{}e0",
+              "true": "true", "ten-digits": "100000000{}", "space-in-number": "{} 1"}
+_BAD_SPACE = {"vertical-tab": "\x0b", "form-feed": "\x0c", "no-break-space": "\u00a0"}
+
+
+@pytest.mark.parametrize("mutation", [*_CELL_TEXT, "ragged", "double-comma", "extra-bracket",
+                                      *_BAD_SPACE, "duplicate-key", "escaped-key", "name-table",
+                                      "nested-table"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_table_read_from_bytes_matches_json_loads_on_near_grammar_files(ref_parse_group_file,
+                                                                        mutation, data):
+    doc, rows = data.draw(_group_docs())
+    _same_outcome(_mutate(data.draw, doc, rows, mutation), ref_parse_group_file)
+
+
+def test_table_read_from_bytes_allocates_the_table_and_one_block():
+    # unitriangular4:3 in the compact layout, 2.0 MB of text: the traced
+    # peak is the int64 table and one block's buffers, 128 bytes per cell of
+    # TABLE_BLOCK_ROWS rows (the byte-kind masks of its text, the token
+    # offsets, the digit offsets and the digit values).  A temporary as long
+    # as the table's text, even one bool mask, raises the peak past them
+    T = catalog_group("unitriangular4:3").table
+    n = len(T)
+    data = bytearray(json.dumps({"order": n, "table": T.tolist()}, separators=(",", ":")).encode())
+    assert len(data) > 3 * n * n
+    assert fileio._table_document(data) is not None      # fills Python's free lists
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        doc = fileio._table_document(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert doc["table"].dtype == np.int64 and np.array_equal(doc["table"], T)
+    block = 128 * fileio.TABLE_BLOCK_ROWS * n
+    assert peak < doc["table"].nbytes + block, (peak, doc["table"].nbytes, block)
+
+
 def test_math_validation_propagates(tmp_path):
     latin_bad = _write(tmp_path, "lat.json",
                        {"order": 3, "table": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]})
@@ -425,6 +582,33 @@ def test_matrix_csv_matches_per_cell_format_on_arrays_and_lists(d16):
         assert matrix_csv(m) == expected
 
 
+
+_CSV_CASES = [[[5]], [[3, 1, 4, 1, 5]], [[2], [7], [1]], [[9, 10], [10, 9]], [[99, 100, 0]],
+              [[-3, 0, 7], [12, -100, 5]], [[-9, -10], [-99, 100]], [[8, 9, 10, 11], [98, 99, 100, 101]]]
+
+
+@pytest.mark.parametrize("m", [np.array(m, dtype=dtype) for m in _CSV_CASES
+                               for dtype in (np.uint16, np.int32, np.int64)
+                               if dtype is not np.uint16 or min(map(min, m)) >= 0] + _CSV_CASES)
+def test_matrix_csv_equals_the_str_join_reference(ref_matrix_csv, m):
+    # widths 1, 2 and 3 around 9/10 and 99/100, negative cells, 1 x 1, 1 x k
+    # and k x 1, as arrays of each dtype and as lists
+    assert matrix_csv(m) == ref_matrix_csv(m)
+
+
+@pytest.mark.parametrize("m", [[], np.zeros((0, 0), dtype=np.int64),
+                               np.zeros((0, 3), dtype=np.uint16), np.zeros((3, 0), dtype=np.int32)])
+def test_matrix_csv_of_an_empty_matrix_equals_the_reference(ref_matrix_csv, m):
+    assert matrix_csv(m) == ref_matrix_csv(m)
+
+
+def test_matrix_csv_equals_the_reference_on_ladder_tables(ref_matrix_csv):
+    for spec in ("dihedral:16", "wreath33", "heisenberg:5"):
+        G = catalog_group(spec)
+        assert matrix_csv(G.table) == ref_matrix_csv(G.table)
+        assert export_text(G, "circ-table", "csv") == ref_matrix_csv(
+            json.loads(export_text(G, "circ-table", "json"))["table"])
+
 def test_export_circ_table_csv(d16):
     text = export_text(d16, "circ-table", "csv")
     rows = text.strip().split("\n")
@@ -446,6 +630,8 @@ def test_export_factor_set_json(d16):
     assert len(doc["plain"]) == 8 and len(doc["twisted"]) == 8
     flat = {v for row in doc["plain"] for v in row}
     assert flat <= {0, 1}              # indices into the two-element center
+    # the CSV export is the twisted matrix of the document
+    assert export_text(d16, "factor-set", "csv") == matrix_csv(doc["twisted"])
 
 
 def test_export_bad_kind(d16):

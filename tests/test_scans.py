@@ -673,15 +673,14 @@ def test_associativity_scan_allocates_its_buffers_once():
 
 
 def test_associator_scan_allocates_its_buffers_once():
-    # A cold call on a fresh loop: central_translations verifies the loop
-    # key under tracing (an intp copy of T, two value slabs and a mask), and
-    # the (c) and (z) tests gather the commutator table, all freed before
-    # the cube's |R| x |R| buffers (pinned in the test below) are made.  The
-    # bound is the one of the n x n scan the cube replaced: intp copies of
-    # T, of the [z^-1, y] table and of the offsets, the transposed right
-    # division, two value slabs, three n x n masks and one ufunc cast
-    # buffer.  A first scan fills Python's free lists, so that they are not
-    # traced
+    # A cold call on a fresh loop peaks in verify_translations, which checks
+    # the loop key under tracing: an intp copy of T, two value slabs in T's
+    # dtype and a bool mask, 13 n^2 bytes here.  The (c) and (z) gathers of
+    # the commutator table and the cube's |R| x |R| buffers (pinned in the
+    # test below) stay under it, with one ufunc cast buffer.  A fresh n x n
+    # array kept past the verification (a bool mask is about 103 KiB here)
+    # raises the peak past the bound.  A first scan fills Python's free
+    # lists, so that they are not traced
     G = catalog_group("product:wreath33,cyclic:4")
     SuiteContext(G).associator_scan()
     ctx = SuiteContext(G)
@@ -689,7 +688,8 @@ def test_associator_scan_allocates_its_buffers_once():
     ctx.zg                                # built before tracing, as in a suite
     assert n == 324
     intp = np.dtype(np.intp).itemsize
-    buffers = n * n * (3 * intp + L.right_division.itemsize + 2 * L.table.itemsize + 3)
+    buffers = n * n * (intp + 2 * L.table.itemsize + 1)
+    assert buffers == 13 * n * n
     cast = np.getbufsize() * intp
     tracemalloc.start()
     try:
