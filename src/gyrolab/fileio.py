@@ -182,6 +182,8 @@ def parse_group_file(path) -> FiniteGroup:
         except json.JSONDecodeError as exc:
             raise ParseError(str(path),
                              f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except (RecursionError, ValueError) as exc:     # too deep, or too long an integer
+            raise ParseError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(str(path), "top level must be a JSON object")
 

@@ -316,7 +316,7 @@ def _least_reached(maps, n: int) -> np.ndarray:
     """key[x], the least element that compositions of maps reach from x, x
     included.  A pass lowers key[x] to key[rho^j x], j < 2^k, by squaring
     each rho k times; once a pass changes nothing, key[x] <= key[rho x]."""
-    key = np.arange(n)
+    key = np.arange(n, dtype=elem_dtype(n))
     steps = max(n - 1, 1).bit_length()
     while True:
         before = key.copy()
@@ -334,8 +334,8 @@ def verify_translations(table: np.ndarray, candidates, cm: np.ndarray | None = N
       (a)  T[rho p, z] == rho T[p, z],      (a') T[p, rho z] == rho T[p, z],
     and, given a commutator table, leaves its rows and columns unchanged,
       (r)  cm[rho x, w] == cm[x, w],        (c)  cm[w, rho x] == cm[w, x];
-    key[x] (read-only) is the least element that compositions of kept maps
-    reach from x.  A composition of maps that pass a condition passes it, so
+    key[x] (read-only, elem_dtype(n)) is the least element that compositions
+    of kept maps reach from x.  A composition of maps that pass a condition passes it, so
     a scan may read a class at its least element.  A c already in the class
     of 0 is skipped, as by (a') a composition phi is x -> T[x, phi(0)]: only
     generators are verified (2 of the 11 c != e of Z(wreath33 x C4), 1 of
@@ -343,7 +343,7 @@ def verify_translations(table: np.ndarray, candidates, cm: np.ndarray | None = N
     wrong.  The tests write into n x n buffers allocated once, when the
     first candidate needs a test."""
     n = len(table)
-    cs, key, tests = [], np.arange(n), None
+    cs, key, tests = [], np.arange(n, dtype=elem_dtype(n)), None
     for c in candidates:
         if key[c] == 0:
             continue

@@ -18,14 +18,15 @@ and right division in the twisted table is unique (its columns are
 permutations), so ((x*y)*z) / w = c^-1 x c.  Two pairs share a gyration
 exactly when their c lie in the same coset of Z(G).
 
-Both n^2 families of inner mappings, the gyrations and Inn's L(x,y), take
-one of two paths.  On a loop that build_gyro made from a table passing
-Light's associativity test (_central_labels), gyration_table reads the
-gyrations off c in O(n^2) (_conjugation_family), and inner_generators
-computes L(x,y) with _map_family for the pairs of least elements of the
-cosets of Z(G) alone: multiplying x or y by a central element changes no map
-built from translations and divisions (see _map_family).  Every other loop
-computes both families with _map_family over all n^2 pairs.
+Both n^2 families of inner mappings, the gyrations and Inn's L(x,y), read
+the classes of loops.central_translations, the one verified key of a loop.
+When build_gyro recorded a source that passes Light's associativity test
+(_is_group_table), gyration_table reads the gyrations off c in O(n^2)
+(_conjugation_family) with the key as labels: every element of Z(G) passes
+the key's checks, so its classes are the cosets of Z(G).  Every other
+loop's gyrations, and L(x,y) on every loop, come from _map_family for the
+pairs of least elements of the classes alone; a loop with no recorded
+source has one class per element.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from .groups import (
     _mark,
     elem_dtype,
     first_cell,
-    group_center,
     nilpotency_class,
 )
-from .loops import FiniteLoop, loop_from_table
+from .loops import FiniteLoop, central_translations, loop_from_table
 from .perms import RowIndex
 from .report import CheckReport, failed, passed
 
@@ -82,7 +82,7 @@ def build_gyro(G: FiniteGroup) -> GyroConstruction:
             "be a loop", stacklevel=2)
     loop = loop_from_table(twisted, names=G.names, lenient=True,
                            name=f"gyro({G.name})" if G.name else "gyro")
-    loop._cache["source"] = G                     # for _central_labels
+    loop._cache["source"] = G                     # for central_translations
     return GyroConstruction(G, loop, cls)
 
 
@@ -118,23 +118,24 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
     docstring: (x*y)*z = (yz)^-1 x (yz) w and (c^-1 x c)*w = (cw)^-1 x (cw) w
     with w = y*z and cw = yz), so the table is read off c in O(n^2) by
     _conjugation_family.  That holds only for an associative source, so the
-    closed form is taken when _central_labels finds one; every other loop
-    goes through _map_family over all pairs.  Both give the same ids and rows.
-    The coset pairs that inner_generators uses would also serve here, but
-    they cost n^3 / |Z(G)|^2 cells where the closed form costs n^2.
+    closed form is taken when the recorded source passes _is_group_table;
+    every other loop goes through _map_family on the classes of
+    central_translations.  Both give the same ids and rows.  The class
+    pairs cost n^3 / |Z(G)|^2 cells where the closed form costs n^2.
     """
     if L.right_division is None:
         raise NotRightLoop(-1)
     if "gyr" in L._cache:
         return L._cache["gyr"]
     T = L.table
-    label = _central_labels(L)
-    if label is not None:
-        ids, rows = _conjugation_family(L._cache["source"], label)
+    G = L._cache.get("source")
+    _, key = central_translations(L)
+    if G is not None and _is_group_table(G):
+        ids, rows = _conjugation_family(G, key)
     else:
         index = RowIndex(L.order, elem_dtype(L.order))
         # row a of T.T is R_a and row a of right_division.T is R_a^-1
-        ids = _map_family(T.T, L.right_division.T, T, index)
+        ids = _map_family(T.T, L.right_division.T, T, index, key)
         rows = index.rows
     rows = rows.astype(T.dtype, copy=False)
     for read_only in (ids, rows):
@@ -157,28 +158,13 @@ def _is_group_table(G: FiniteGroup) -> bool:
 BLOCK_CELLS = 1 << 16
 
 
-def _central_labels(L: FiniteLoop) -> np.ndarray | None:
-    """label[x], the least element of the coset x Z(G), when build_gyro
-    recorded a source G that passes _is_group_table; None otherwise.
-
-    Both inner-mapping families read it, so Light's test and the center run
-    once per loop: the result is cached on L.
-    """
-    if "central_labels" not in L._cache:
-        G = L._cache.get("source")
-        L._cache["central_labels"] = (
-            G.table[:, sorted(group_center(G))].min(axis=1)
-            if G is not None and _is_group_table(G) else None)
-    return L._cache["central_labels"]
-
-
 def _conjugation_family(G: FiniteGroup, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ids[y, z] and the distinct rows of the gyrations of G's twisted loop.
 
     gyr(y,z) is x -> c^-1 x c with c = y z^-1 y^-1 z, and two conjugators
     give the same map exactly when they share a coset of Z(G), whose least
-    element is label[c] (see _central_labels).  ids ranks the labels of
-    c[y, z] in row-major first-occurrence order, the numbering of
+    element is label[c] (the key of central_translations).  ids ranks the
+    labels of c[y, z] in row-major first-occurrence order, the numbering of
     _map_family; row k conjugates by the label of id k.  G must be a group
     (see _is_group_table).
     """
@@ -218,32 +204,31 @@ def _conjugation_family(G: FiniteGroup, label: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray, index: RowIndex,
-                reps: np.ndarray | None = None) -> np.ndarray:
+                reps: np.ndarray) -> np.ndarray:
     """Ids in index of the maps M(x,y) = A_{P[x,y]}^-1 o A_y o A_x, as ids[x, y].
 
     Row a of A is the permutation A_a and row a of Ainv is its inverse.  Maps
     not yet in index are added in first-occurrence order, x major.
 
-    When reps is given, M(x,y) depends only on the classes of x and y, and
-    reps[x] is the least element of the class of x; the maps are computed
-    for the pairs of representatives alone, in row-major order, and their
-    ids spread to all n^2 pairs with one gather.  As reps[x] <= x, the first
-    occurrence of a map is always at such a pair, so the ids are those of
-    every pair.
+    M(x,y) must depend only on the classes of x and y, and reps[x] is the
+    least element of the class of x (np.arange(n) for all pairs); the maps
+    are computed for the pairs of representatives alone, in row-major
+    order, and their ids spread to all n^2 pairs with one gather.  As
+    reps[x] <= x, the first occurrence of a map is always at such a pair,
+    so the ids are those of every pair.
 
-    The classes inner_generators passes are the cosets x Z(G) of a twisted
-    loop's source (_central_labels).  For w in Z(G) the twisted product
-    a*b = b^-1 a b^2 gives (xw)*t = (x*t)w and t*(yw) = (t*y)w, so
-    (aw)\\(bw) = a\\b and (aw)/(bw) = a/b, and every map built from
-    translations and divisions ignores w:
-    gyr(yw,z) = gyr(y,zw) = gyr(y,z) and L(xw,y) = L(x,yw) = L(x,y).  This
-    holds in every group, with no class hypothesis.
+    The classes both families pass are those of loops.central_translations.
+    Let rho = T[:, c] be one of its kept maps.  (a') gives x*(rho v) =
+    rho(x*v), so right division is unchanged: (rho u)/(rho v) = u/v; (a)
+    gives (rho a)*s = rho(a*s), so left division is unchanged:
+    (rho a)\\(rho b) = a\\b.  So gyr(rho y,z) = gyr(y,rho z) = gyr(y,z) and
+    L(rho x,y) = L(x,rho y) = L(x,y), with no group hypothesis.
     """
     n = len(A)
     elem = elem_dtype(n)
     A = np.ascontiguousarray(A, dtype=elem)
     flat, flat_inv = A.ravel(), np.ascontiguousarray(Ainv, dtype=elem).ravel()
-    keep = np.arange(n) if reps is None else np.flatnonzero(reps == np.arange(n))
+    keep = np.flatnonzero(reps == np.arange(n))
     k = len(keep)
     ids = np.empty(k * k, dtype=np.int32)
     step = max(1, BLOCK_CELLS // n)
@@ -253,11 +238,8 @@ def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray, index: RowIndex,
         inner = flat.take(ys[:, None] * n + A[xs])               # A_y(A_x(t))
         outer = P[xs, ys].astype(np.intp)[:, None] * n + inner
         ids[lo:lo + step] = index.add(flat_inv.take(outer))
-    ids = ids.reshape(k, k)
-    if reps is None:
-        return ids
     at = np.searchsorted(keep, reps)              # class of x -> its position in keep
-    return ids[np.ix_(at, at)]
+    return ids.reshape(k, k)[np.ix_(at, at)]
 
 
 def _automorphism_violation(L: FiniteLoop, p: np.ndarray) -> tuple[int, int] | None:

@@ -164,7 +164,11 @@ def central_translations(L: FiniteLoop) -> tuple[tuple[int, ...], np.ndarray]:
     on L: (cs, key).  The candidates are the center of the source that
     build_gyro records on L (none for a loop with no recorded source, or a
     source of another order).  For c central in a group, x o c = x c and
-    (x c) o y = (x o y) c = x o (y c), which (a) and (a') state."""
+    (x c) o y = (x o y) c = x o (y c), which (a) and (a') state, so every c
+    in Z(G) passes and, on a group source, the classes are the cosets of
+    Z(G).  It is the one key of the loop's central classes: the gyrations
+    and Inn's L(x,y) (gyro._map_family, and the labels of the closed form),
+    the associator scan and normal_subloop_violation read it."""
     if "central" not in L._cache:
         G = L._cache.get("source")
         center = sorted(group_center(G)) if G is not None and G.order == L.order else []

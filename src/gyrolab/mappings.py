@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InvariantViolated, NotALoop
 from .groups import elem_dtype
-from .gyro import _central_labels, _map_family, gyration_table
-from .loops import FiniteLoop
+from .gyro import _map_family, gyration_table
+from .loops import FiniteLoop, central_translations
 from .perms import RowIndex, chain_order
 from .perms import _mulclose  # noqa: F401  perfbench/tracer.py wraps it by this name
 
@@ -83,10 +83,11 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
     occurrence in that order.
 
     R(x,y) is the gyration of (x, y), so the R part is gyration_table's.  The
-    L part comes from gyro._map_family: on a loop that build_gyro made from a
-    group G it is computed for the pairs of least elements of the cosets of
-    Z(G) alone (L(xw,y) = L(x,yw) = L(x,y) for w in Z(G), see there), and on
-    every other loop for all n^2 pairs.
+    L part comes from gyro._map_family for the pairs of least elements of
+    the classes of loops.central_translations alone (L(rho x,y) =
+    L(x,rho y) = L(x,y) for its kept maps rho, see there): the cosets of
+    Z(G) on a loop that build_gyro made from a group G, and all n^2 pairs
+    on a loop with no recorded source.
     """
     if not L.is_loop:
         raise NotALoop("inner mappings need a full loop")
@@ -98,7 +99,7 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
     labels = _new_labels(gt.ids, 0, lambda i: f"R({i // n},{i % n})")
     # L(x,y) = L_{y*x}^-1 o L_y o L_x: row a of T is L_a, row a of ldiv is L_a^-1
     start = len(index)
-    ids = _map_family(T, ldiv, T.T, index, reps=_central_labels(L))
+    ids = _map_family(T, ldiv, T.T, index, central_translations(L)[1])
     labels += _new_labels(ids, start, lambda i: f"L({i // n},{i % n})")
     start = len(index)
     slab = ldiv[np.arange(n)[:, None], T.T]                 # [x, t] -> x\(t*x)

@@ -175,6 +175,8 @@ def _ref_parse_group_file(path):
     except json.JSONDecodeError as exc:
         raise ParseError(str(path),
                          f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(str(path), "top level must be a JSON object")
     has_table = "table" in doc

@@ -147,6 +147,25 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
         parse_group_file(p)
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("[" * 100_000, "recursion"),                                  # json.loads' RecursionError
+    ('{"order": 1, "table": [[' + "1" * 5000 + "]]}", "digits"),   # its ValueError on an int
+])
+def test_json_too_deep_or_too_long_an_integer_is_a_parse_error(tmp_path, capsys, text, fragment):
+    # json.loads raises RecursionError and ValueError past its limits; both
+    # are ParseErrors that name the file, so the CLI exits 2
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=fragment) as exc:
+        parse_group_file(p)
+    assert exc.value.path == str(p)
+    assert main(["analyze", "--group", f"file:{p}"]) == 2
+    assert str(p) in capsys.readouterr().err
+    rec = evaluate_source(f"file:{p}")
+    assert rec.status == "error"
+    assert rec.reason.startswith("ParseError: ") and str(p) in rec.reason
+
+
 # near-valid group files: a valid table or generating set with a few defects
 
 _BAD_VALUES = st.one_of(st.integers(min_value=-3, max_value=12), st.just(2 ** 40),

@@ -4,7 +4,8 @@ A permutation file's table is read from base images, hashing no composite.
 The fused associator and nuclei scan runs once per verify, as its oracle,
 and never in analyze; the loop-commutator bracket table is built once per
 verify, and so are the central translations of its loop and of its group,
-each verified on generators only.  Every public routine has one name."""
+each verified on generators only; analyze and the gyration export verify
+the loop's once.  Every public routine has one name."""
 
 import hashlib
 import inspect
@@ -15,11 +16,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gyrolab
 from gyrolab import (
     catalog_group,
     checks,
+    cli,
+    gyro,
     group_center,
     invariants,
     perms,
@@ -192,6 +196,31 @@ def test_central_translations_are_verified_once_per_verify(monkeypatch):
     center = sorted(group_center(G) - {0})
     generators = _generators(G, center)
     assert (len(center), len(generators)) == (11, 2)
+    assert gathers == [(0, c, axis) for c in generators for axis in (0, 1)]
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["export", "--what", "gyration-table",
+                                                "--format", "csv"]])
+def test_the_loop_key_is_verified_once_per_analyze_and_export(monkeypatch, tmp_path, argv):
+    # gyration_table and inner_generators read one verified key, cached on
+    # the loop: (a) and (a') gather the loop table once each per generator
+    # of Z(G), 2 of the 11 c != e here, in analyze and the gyration export
+    G = catalog_group("product:wreath33,cyclic:4")
+    build = gyro.build_gyro
+    built = []
+
+    def counted_build(H):
+        gc = build(H)
+        built.append(gc.loop)
+        return gc
+    monkeypatch.setattr(gyro, "build_gyro", counted_build)
+    monkeypatch.setattr(cli, "build_gyro", counted_build)
+    gathers = _watch_gathers(monkeypatch, lambda: [L.table for L in built])
+    assert main(argv + ["--group", "product:wreath33,cyclic:4",
+                        "--out", str(tmp_path / "doc")]) == 0
+    assert len(built) == 1
+    generators = _generators(G, sorted(group_center(G) - {0}))
+    assert len(generators) == 2
     assert gathers == [(0, c, axis) for c in generators for axis in (0, 1)]
 
 

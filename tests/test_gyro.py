@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,9 +14,9 @@ from gyrolab import (
 )
 from gyrolab import gyro, mappings
 from gyrolab.fileio import parse_group_file
-from gyrolab.groups import _group_unchecked, elem_dtype, group_center
+from gyrolab.groups import _group_unchecked, elem_dtype, group_center, group_translations
 from gyrolab.gyro import GyrationTable
-from gyrolab.loops import loop_from_table
+from gyrolab.loops import central_translations, loop_from_table
 from gyrolab.mappings import inner_generators
 from gyrolab.perms import RowIndex
 
@@ -159,7 +160,7 @@ def _ref_l_family(T, ldiv):
 def _l_family(T, ldiv):
     """The kernel on the L family over all pairs: A = T, A^-1 = ldiv, P = T.T."""
     index = RowIndex(len(T), np.int32)
-    return gyro._map_family(T, ldiv, T.T, index), index.rows
+    return gyro._map_family(T, ldiv, T.T, index, np.arange(len(T))), index.rows
 
 
 def _ref_inner_generators(L, r_ids, r_rows):
@@ -234,33 +235,37 @@ def test_families_match_references_past_uint16_offsets():
 # the closed form: gyr(y,z) is conjugation by y z^-1 y^-1 z in the source group
 
 def _generic_gyrations(L):
-    """ids and rows of gyration_table's generic path, _map_family on the
-    right translations over all pairs."""
+    """ids and rows of _map_family on the right translations over all pairs."""
     T = L.table
     index = RowIndex(L.order, elem_dtype(L.order))
-    ids = gyro._map_family(T.T, L.right_division.T, T, index)
+    ids = gyro._map_family(T.T, L.right_division.T, T, index, np.arange(L.order))
     return ids, index.rows.astype(T.dtype)
 
 
 def _spy_paths(monkeypatch):
     """The paths the two families take, in call order: "closed" when
-    gyration_table reads the conjugation form, and "cosets" or "all" for the
-    pairs inner_generators computes L(x,y) on."""
+    gyration_table reads the conjugation form, and for each _map_family
+    call (the gyrations, then L(x,y)) the number of classes it reads."""
     paths = []
-    closed_form, kernel = gyro._conjugation_family, mappings._map_family
+    closed_form, kernel = gyro._conjugation_family, gyro._map_family
+
+    def spy(*args):
+        reps = args[-1]
+        paths.append(int(np.count_nonzero(reps == np.arange(len(reps)))))
+        return kernel(*args)
     monkeypatch.setattr(gyro, "_conjugation_family",
                         lambda *args: paths.append("closed") or closed_form(*args))
-    monkeypatch.setattr(mappings, "_map_family", lambda *args, reps=None: paths.append(
-        "all" if reps is None else "cosets") or kernel(*args, reps=reps))
+    monkeypatch.setattr(gyro, "_map_family", spy)
+    monkeypatch.setattr(mappings, "_map_family", spy)
     return paths
 
 
 def _assert_equals_references(L, monkeypatch, paths):
     """Both families of L take the given paths and give the ids and rows of
     the all-pairs kernel (gyrations) and of the references (Inn's generators)."""
+    ids, rows = _generic_gyrations(L)
     taken = _spy_paths(monkeypatch)
     gt = gyration_table(L)
-    ids, rows = _generic_gyrations(L)
     perms = gt.perms
     assert gt.ids.dtype == ids.dtype == np.int32
     assert perms.dtype == rows.dtype == L.table.dtype
@@ -274,7 +279,7 @@ def _assert_equals_references(L, monkeypatch, paths):
         assert gens.dtype == L.table.dtype
         assert np.array_equal(gens, ref_gens)
         assert labels == ref_labels
-    assert taken == [p for p in paths if L.is_loop or p == "closed"]
+    assert taken == (paths if L.is_loop else paths[:1])
 
 
 @pytest.mark.parametrize("spec", ["dihedral:16", "quaternion:16", "semidihedral:16",
@@ -287,16 +292,18 @@ def test_closed_form_gyrations_equal_the_generic_kernel(spec, monkeypatch):
     # dihedral:202) too: both laws hold in every group, and a trivial center
     # (dihedral:10, dihedral:202) makes every pair a coset pair;
     # product:wreath33,cyclic:4 and unitriangular4:3 have n^2 past what
-    # uint16 holds
+    # uint16 holds.  L(x,y) is computed on the |G/Z(G)| cosets
+    G = catalog_group(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        L = build_gyro(catalog_group(spec)).loop
-    _assert_equals_references(L, monkeypatch, ["closed", "cosets"])
+        L = build_gyro(G).loop
+    _assert_equals_references(L, monkeypatch, ["closed", G.order // len(group_center(G))])
 
 
-def test_closed_form_on_a_relabelled_file_group(tmp_path, monkeypatch):
-    # a seeded renaming that moves the identity off index 0, read back from
-    # a group file, as the files-roundtrip inputs are
+def _relabelled_file_group(tmp_path):
+    """product:wreath33,cyclic:3 under a seeded renaming that moves the
+    identity off index 0, read back from a group file, as the
+    files-roundtrip inputs are."""
     G = catalog_group("product:wreath33,cyclic:3")
     rng = np.random.default_rng(0)
     perm = rng.permutation(G.order)                      # new index of element i
@@ -306,29 +313,98 @@ def test_closed_form_on_a_relabelled_file_group(tmp_path, monkeypatch):
     path.write_text(json.dumps({"order": G.order, "table": table.tolist()}))
     H = parse_group_file(path)
     assert H.relabeled_from == perm[0] != 0
+    return H
+
+
+def test_closed_form_on_a_relabelled_file_group(tmp_path, monkeypatch):
+    H = _relabelled_file_group(tmp_path)
     L = build_gyro(H).loop
-    _assert_equals_references(L, monkeypatch, ["closed", "cosets"])
+    _assert_equals_references(L, monkeypatch, ["closed", H.order // len(group_center(H))])
     assert len(gyration_table(L).perms) > 1
+
+
+C3_6 = "product:" + ",".join(["cyclic:3"] * 6)
+C2_9 = "product:" + ",".join(["cyclic:2"] * 9)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:16", "wreath33", "heisenberg:5", "dihedral:32",
+                                  "quaternion:16", "dihedral:10", "dihedral:202",
+                                  "cyclic:729", C3_6, C2_9, "file"])
+def test_closed_form_labels_are_the_cosets_of_the_center(spec, tmp_path):
+    # the closed form reads its labels from the verified key of the loop:
+    # every c in Z(G) passes (a) and (a'), so on a source that passes
+    # _is_group_table the key's classes are the cosets of Z(G), also with a
+    # trivial center (dihedral:10, dihedral:202) and class 4 (dihedral:32)
+    G = _relabelled_file_group(tmp_path) if spec == "file" else catalog_group(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        L = build_gyro(G).loop
+    assert gyro._is_group_table(G)
+    key = central_translations(L)[1]
+    assert np.array_equal(key, G.table[:, sorted(group_center(G))].min(axis=1))
+
+
+@pytest.mark.parametrize("spec,generators", [("cyclic:729", 1), (C3_6, 6), (C2_9, 9),
+                                             ("unitriangular4:3", 1)])
+def test_the_loop_key_verifies_generators_of_the_center(spec, generators):
+    # a c that the kept ones already reach is skipped: 1 of 728 candidates
+    # on cyclic:729, a basis of C3^6 and of C2^9, 1 of 2 on unitriangular4:3
+    cs, _ = central_translations(build_gyro(catalog_group(spec)).loop)
+    assert len(cs) == generators
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5", "wreath33", "product:wreath33,cyclic:4",
+                                  "unitriangular4:3"])
+def test_both_keys_are_in_the_element_dtype(spec):
+    # the key labels the closed form's conjugators: an int64 key would widen
+    # its block temporaries fourfold
+    G = catalog_group(spec)
+    L = build_gyro(G).loop
+    for key in (central_translations(L)[1], group_translations(G)[1],
+                central_translations(loop_from_table(L.table))[1]):
+        assert key.dtype == elem_dtype(G.order)
+
+
+def test_gyration_table_peak_stays_at_one_ids_table_and_its_blocks():
+    # a cold gyration_table on wreath33xC4 (n = 324), the key's check
+    # included: the n^2 int32 ids and five intp temporaries of one block,
+    # 2,460,183 B traced.  An int64 key gives 4,033,391 B
+    G = catalog_group("product:wreath33,cyclic:4")
+    L = build_gyro(G).loop
+    n = L.order
+    gyro._is_group_table(G)
+    tracemalloc.start()
+    try:
+        gyration_table(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n + 5 * 8 * gyro.BLOCK_CELLS
 
 
 def test_inner_generators_do_not_depend_on_the_gyration_path(monkeypatch):
     # labels of Inn's generators come from the gyration ids: the same rows
     # and labels in the same order whichever paths built the two families;
-    # _is_group_table, the gate of _central_labels, switches both
+    # _is_group_table, the gate of the closed form, switches the gyrations
+    # to _map_family on the 27 cosets of Z(G), and a loop with no source
+    # reads all 81 classes
     G = catalog_group("wreath33")
     paths = _spy_paths(monkeypatch)
     closed = inner_generators(build_gyro(G).loop)
+    all_pairs = inner_generators(loop_from_table(build_gyro(G).loop.table))
     monkeypatch.setattr(gyro, "_is_group_table", lambda G: False)
-    generic = inner_generators(build_gyro(G).loop)
-    assert paths == ["closed", "cosets", "all"]
-    assert np.array_equal(closed[0], generic[0])
-    assert closed[1] == generic[1]
+    keyed = inner_generators(build_gyro(G).loop)
+    assert paths == ["closed", 27, 81, 81, 27, 27]
+    for generic in (all_pairs, keyed):
+        assert np.array_equal(closed[0], generic[0])
+        assert closed[1] == generic[1]
 
 
 def test_non_associative_source_takes_the_generic_kernel(monkeypatch):
     # a Latin table with identity 0 that is no group, wrapped without the
     # associativity check: Light's test fails, so the closed form, which
-    # would give other gyrations here, is not taken
+    # would give other gyrations here, is not taken; both families read the
+    # 9 classes of the verified key, and equal the all-pairs references
     W = build_gyro(catalog_group("wreath33")).loop
     H = _group_unchecked(W.table, W.names)
     with warnings.catch_warnings():
@@ -336,13 +412,12 @@ def test_non_associative_source_takes_the_generic_kernel(monkeypatch):
         L = build_gyro(H).loop
     label = H.table[:, sorted(group_center(H))].min(axis=1)
     assert not np.array_equal(gyro._conjugation_family(H, label)[0], _generic_gyrations(L)[0])
-    assert gyro._central_labels(L) is None
-    _assert_equals_references(L, monkeypatch, ["all"])
+    _assert_equals_references(L, monkeypatch, [9, 9])
 
 
 def test_loop_without_a_source_takes_the_generic_kernel(monkeypatch):
     L = loop_from_table(build_gyro(catalog_group("wreath33")).loop.table)
-    _assert_equals_references(L, monkeypatch, ["all"])
+    _assert_equals_references(L, monkeypatch, [81, 81])
     assert len(gyration_table(L).perms) == 3
 
 

@@ -62,6 +62,7 @@ from gyrolab.errors import NotRightLoop
 from gyrolab.gyro import GyroConstruction
 from gyrolab.invariants import NUCLEUS_KINDS, commutator_bracket_table
 from gyrolab.loops import loop_from_table, normal_subloop_violation
+from gyrolab.perms import RowIndex
 
 SPECS = ["dihedral:16", "wreath33", "heisenberg:5",
          "product:dihedral:16,cyclic:5", "dihedral:32"]
@@ -289,15 +290,40 @@ def test_gyration_reading_on_opposite_loops(spec):
     _assert_gyration_reading(op, (ref[2], ref[1], ref[0]))
 
 
-@pytest.mark.parametrize("spec", ["dihedral:16", "wreath33", "dihedral:32",
-                                  "product:dihedral:16,cyclic:5"])
-def test_gyration_reading_on_a_non_associative_source(spec):
+# the classes of the verified key of the loop built on each wrapped source
+WRAPPED_CLASSES = {"dihedral:16": 8, "wreath33": 9, "dihedral:32": 16,
+                   "product:dihedral:16,cyclic:5": 8, "product:wreath33,cyclic:4": 9}
+
+
+@pytest.mark.parametrize("spec", list(WRAPPED_CLASSES))
+def test_gyration_reading_on_a_non_associative_source(spec, monkeypatch):
     # a non-associative twisted table wrapped as a "group" fails
-    # _is_group_table, so the loop built on it takes _map_family too
+    # _is_group_table, so the loop built on it takes _map_family too, for
+    # the gyrations and L(x,y) alike on the classes of its verified key;
+    # both families equal those of the kernel over all n^2 pairs
     H = _wrapped(_gyro(spec))
     assert not gyrolab.gyro._is_group_table(H)
     L = build_gyro(H).loop
-    assert gyrolab.gyro._central_labels(L) is None
+    n, T = L.order, L.table
+    kernel, classes = gyrolab.gyro._map_family, []
+
+    def spy(*args):
+        classes.append(int(np.count_nonzero(args[-1] == np.arange(n))))
+        return kernel(*args)
+    monkeypatch.setattr(gyrolab.gyro, "_map_family", spy)
+    monkeypatch.setattr(gyrolab.mappings, "_map_family", spy)
+    gt = gyrolab.gyration_table(L)
+    gyrolab.mappings.inner_generators(L)
+    assert classes == [WRAPPED_CLASSES[spec]] * 2
+    key, every_pair = loops.central_translations(L)[1], []
+    for A, Ainv, P in ((T.T, L.right_division.T, T), (T, L.left_division, T.T)):
+        keyed, every = (RowIndex(n, T.dtype) for _ in range(2))
+        ids = kernel(A, Ainv, P, every, np.arange(n))
+        assert np.array_equal(kernel(A, Ainv, P, keyed, key), ids)
+        assert np.array_equal(keyed.rows, every.rows)
+        every_pair.append((ids, every.rows))
+    assert np.array_equal(gt.ids, every_pair[0][0])
+    assert np.array_equal(gt.perms, every_pair[0][1])
     _assert_gyration_reading(L, _ref_nuclei(L))
 
 
