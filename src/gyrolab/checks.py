@@ -186,7 +186,7 @@ class SuiteContext:
         return value
 
     def normal_subloop(self, S):
-        """normal_subloop_violation(loop, S)."""
+        """normal_subloop_violation(loop, S), decided by quotient(S)'s test."""
         return self._per_set("normal-subloop", S,
                              lambda: normal_subloop_violation(self.loop, S))
 

@@ -286,14 +286,19 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None) -> CheckRepor
     inverse_id = index.add(inverses)
     inverse_id[inverse_id >= len(perms)] = -1             # inverse is no gyration
 
-    partner = gt.ids[L.table, np.broadcast_to(np.arange(n)[:, None], (n, n))]
-    pairing_ok = gt.ids == inverse_id[partner]
+    # in row blocks, with a*b read off the loop table (and the group's)
+    w, group_reading = None, source is not None
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        a = np.arange(lo, min(lo + step, n))[:, None]
+        if w is None:
+            cell = first_cell(gt.ids[rows] != inverse_id[gt.ids[L.table[rows], a]])
+            w = None if cell is None else (lo + cell[0], cell[1])
+        if group_reading:
+            group_reading = bool((gt.ids[rows] == inverse_id[gt.ids[source.table[rows], a]]).all())
     if source is not None:
-        partner_group = gt.ids[source.table,
-                               np.broadcast_to(np.arange(n)[:, None], (n, n))]
-        details["pairing_group_product_reading"] = bool(
-            (gt.ids == inverse_id[partner_group]).all())
-    w = first_cell(~pairing_ok)
+        details["pairing_group_product_reading"] = group_reading
     if w is not None:
         return failed("gyro-axioms", GYRO_AXIOMS_STATEMENT, witness=w,
                       details={**details, "axiom": "pairing"})

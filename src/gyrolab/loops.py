@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    InvariantViolated,
     NotALoop,
     NotASubloop,
     NotRightLoop,
@@ -28,7 +29,6 @@ from .groups import (
     first_violation,
     generated,
     group_center,
-    index_table,
     verify_translations,
 )
 
@@ -167,13 +167,37 @@ def central_translations(L: FiniteLoop) -> tuple[tuple[int, ...], np.ndarray]:
     (x c) o y = (x o y) c = x o (y c), which (a) and (a') state, so every c
     in Z(G) passes and, on a group source, the classes are the cosets of
     Z(G).  It is the one key of the loop's central classes: the gyrations
-    and Inn's L(x,y) (gyro._map_family, and the labels of the closed form),
-    the associator scan and normal_subloop_violation read it."""
+    and Inn's L(x,y) (gyro._map_family, and the labels of the closed form)
+    and the associator scan read it."""
     if "central" not in L._cache:
         G = L._cache.get("source")
         center = sorted(group_center(G)) if G is not None and G.order == L.order else []
         L._cache["central"] = verify_translations(L.table, center)
     return L._cache["central"]
+
+
+def _coset_congruence(T: np.ndarray, lst: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(reps, proj, qtable) of the quotient by the subloop N = lst when its
+    cosets x*N, labeled by least element (groups._coset_labels), form a
+    congruence of the table T, else NotWellDefined with the least x whose
+    coset is not that of its least element r, ("coset-overlap", x, r), or
+    else the cell (a, b) least in the order (coset of a, coset of b, a, b)
+    whose product leaves the coset of the product of their least elements.
+    """
+    rep_values, proj = _coset_labels(T, lst)
+    sets_sorted = np.sort(T[:, lst], axis=1)
+    reps_of_elem = rep_values[proj]
+    overlap = first_cell((sets_sorted != sets_sorted[reps_of_elem]).any(axis=1))
+    if overlap is not None:
+        x = overlap[0]
+        raise NotWellDefined(("coset-overlap", x, int(reps_of_elem[x])))
+    qtable = proj[T[np.ix_(rep_values, rep_values)]]
+    bad = proj[T] != qtable[proj[:, None], proj]
+    if bad.any():
+        a, b = np.nonzero(bad)                          # row-major (a, b) order
+        k = int(np.argmin(proj[a].astype(np.int64) * len(rep_values) + proj[b]))
+        raise NotWellDefined((int(a[k]), int(b[k])))
+    return rep_values, proj, qtable
 
 
 def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
@@ -185,23 +209,20 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     containment: one membership table in_N[u, v] (v in u*N) decides the
     cosets, and once u*N == N*u for every u, both product tests.
 
-    Both product tests visit the least element of each class of the key of
-    central_translations: for rho = T[:, c] of its c and x' = rho x, (a)
-    gives x'*w = rho(x*w), so in_N[rho u, rho v] = in_N[u, v], and the
-    product-left slab in_N[x'*y, x'*(y*n_i)] is that of x.  By (a') and
-    then (a), (n_i*x')*y = rho((n_i*x)*y), and so is the product-right one.
+    A subloop is normal exactly when its cosets x*N form a congruence, the
+    kernel of the quotient map (R. H. Bruck, Trans. AMS 60, 1946), which
+    _coset_congruence tests in O(n^2), so a subloop it accepts returns None.
+    A refused N is scanned over every x for its least product-left, then
+    product-right, witness; a refused N with neither breaks that theorem.
     """
     S = frozenset(int(x) for x in N)
     w = subloop_violation(L, S)
     if w is not None:
         raise NotASubloop(w)
-    _, key = central_translations(L)
     lst = sorted(S)
-    n = L.order
-    visit = np.flatnonzero(key == np.arange(n))
-    Ti = index_table(L.table, n)
-    xN = Ti[:, lst]                                     # [x, i] -> x*n_i
-    Nx = Ti[lst, :].T                                   # [x, i] -> n_i*x
+    n, T = L.order, L.table
+    xN = T[:, lst]                                      # [x, i] -> x*n_i
+    Nx = T[lst, :].T                                    # [x, i] -> n_i*x
     ar = np.arange(n)
     in_N = np.zeros((n, n), dtype=bool)                 # in_N[u, v]: v in u*N
     in_N[ar[:, None], xN] = True
@@ -209,74 +230,39 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     bad = first_cell(~in_N[ar[:, None], Nx].all(axis=1))
     if bad is not None:
         return ("left-right-coset",) + bad
+    try:
+        _coset_congruence(T, lst)
+        return None
+    except NotWellDefined:
+        pass
 
-    # flat: offset u*n + v; each slab below is [i, y] with u = x*y, reduced
-    # over i to the mask of the failing y.  Both tests write into the same
-    # |N| x n buffers, allocated here once
-    in_N = in_N.ravel()
-    yN = np.ascontiguousarray(xN.T)                     # [i, y] -> y*n_i
-    off = np.empty((len(lst), n), dtype=np.intp)
-    hit = np.empty((len(lst), n), dtype=bool)
-    row_off = np.empty(n, dtype=np.intp)
-    fails = np.empty(n, dtype=bool)
-
-    def failing(x):
-        # off holds x*(y*n_i) or (n_i*x)*y at [i, y]; y fails where one of
-        # them is not in (x*y)*N, read at the offset (x*y)*n + off
-        np.multiply(Ti[x], n, out=row_off)
-        np.add(off, row_off, out=off)
-        np.take(in_N, off, out=hit, mode="clip")
-        np.logical_and.reduce(hit, axis=0, out=fails)
-        return np.logical_not(fails, out=fails)
-
+    # each slab is [y, i], reduced over i to the mask of the failing y
     def left(x):                                        # x*(y*N) != (x*y)*N
-        np.take(Ti[x], yN, out=off, mode="clip")
-        return failing(x)
+        return ~in_N[T[x, :, None], T[x][xN]].all(axis=1)
 
     def right(x):                                       # (N*x)*y != N*(x*y)
-        np.take(Ti, Nx[x], axis=0, out=off, mode="clip")
-        return failing(x)
+        return ~in_N[T[x, :, None], T[Nx[x]].T].all(axis=1)
 
     for tag, slab in (("product-left", left), ("product-right", right)):
-        w = first_violation(n, slab, visit)
+        w = first_violation(n, slab)
         if w is not None:
             return (tag,) + w
-    return None
+    raise InvariantViolated(f"cosets of {lst} form no congruence, yet no product test fails")
 
 
 def quotient_loop(L: FiniteLoop, N: Iterable[int],
                   name: str = "") -> tuple[FiniteLoop, np.ndarray]:
     """Quotient by a normal subloop; returns (Q, projection).
 
-    Cosets x*N are labeled by least element index.  Well-definedness is
-    verified cellwise: each product a*b must land in the coset of the
-    product of the least elements of the cosets of a and b, otherwise
-    NotWellDefined carries the offending cell (a, b) least in the order
-    (coset of a, coset of b, a, b) (a non-normal N surfaces here).
+    Cosets x*N are labeled by least element index.  _coset_congruence
+    verifies them cell by cell and raises NotWellDefined on the first
+    failure (a non-normal N surfaces there).
     """
     S = frozenset(int(x) for x in N)
     w = subloop_violation(L, S)
     if w is not None:
         raise NotASubloop(w)
-    lst = sorted(S)
-    T = L.table
-    rep_values, proj = _coset_labels(T, lst)
-    # cosets of a normal subloop partition the set; verify to catch bad input
-    sets_sorted = np.sort(T[:, lst], axis=1)
-    reps_of_elem = rep_values[proj]
-    overlap = first_cell((sets_sorted != sets_sorted[reps_of_elem]).any(axis=1))
-    if overlap is not None:
-        x = overlap[0]
-        raise NotWellDefined(("coset-overlap", x, int(reps_of_elem[x])))
-
-    # the product of two cosets is that of their least elements; the witness
-    # is the least (proj[a], proj[b], a, b) among the cells that disagree
-    qtable = proj[T[np.ix_(rep_values, rep_values)]]
-    bad = proj[T] != qtable[proj[:, None], proj]
-    if bad.any():
-        a, b = np.nonzero(bad)                          # row-major (a, b) order
-        k = int(np.argmin(proj[a].astype(np.int64) * len(rep_values) + proj[b]))
-        raise NotWellDefined((int(a[k]), int(b[k])))
+    rep_values, proj, qtable = _coset_congruence(L.table, sorted(S))
     qnames = [f"[{L.names[int(r)]}]" for r in rep_values]
     Q = loop_from_table(qtable, names=qnames, lenient=True,
                         name=name or f"{L.name}/N")

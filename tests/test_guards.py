@@ -1,5 +1,6 @@
 """Guards run in a fresh interpreter: invariant guards raise GyrolabError
 subclasses, so they hold under -O, and no CLI command imports numpy.ma.
+The package's source holds no assert statement, which -O would strip.
 A permutation file's table is read from base images, hashing no composite.
 The fused associator and nuclei scan runs once per verify, as its oracle,
 and never in analyze; the loop-commutator bracket table is built once per
@@ -7,6 +8,7 @@ verify, and so are the central translations of its loop and of its group,
 each verified on generators only; analyze and the gyration export verify
 the loop's once.  Every public routine has one name."""
 
+import ast
 import hashlib
 import inspect
 import json
@@ -63,6 +65,16 @@ def test_invariant_guards_survive_optimized_mode():
         "invariant violated: failing check some-check lacks a witness",
         "invariant violated: a right inverse is not a left inverse",
     ]
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, so the package states its
+    # invariants as GyrolabError raises, which the test above runs under -O
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "gyrolab").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 NO_MASKED_ARRAYS = """
@@ -175,7 +187,7 @@ def _watch_gathers(monkeypatch, watched):
 
 
 def test_central_translations_are_verified_once_per_verify(monkeypatch):
-    # the associator scan and both normal-subloop checks read one set of
+    # the gyrations, Inn's L(x,y) and the associator scan read one set of
     # central translations, cached on the loop: (a) and (a') gather the
     # loop table once each per generator of Z(G), a candidate that the
     # kept ones do not already reach (2 of the 11 c != e here).  Every loop

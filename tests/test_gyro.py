@@ -117,6 +117,66 @@ def test_class_four_source_warns_and_fails_pairing():
     assert rep.witness == (1, 16)
 
 
+def _ref_pairing(L, source=None):
+    """The pairing axiom cell by cell: the least (a, b) where gyr(a, b) is
+    not the inverse of gyr(a*b, a), and whether no cell fails with a*b read
+    off the source's table."""
+    n, ar = L.order, np.arange(L.order)
+
+    def failing(T):
+        return [(a, b) for a in range(n) for b in range(n)
+                if not np.array_equal(gyration(L, a, b)[gyration(L, int(T[a, b]), a)], ar)]
+    bad = failing(L.table)
+    return (bad[0] if bad else None), (None if source is None else not failing(source.table))
+
+
+@pytest.mark.parametrize("spec, source", [("dihedral:32", "dihedral:32"),
+                                          ("quaternion:32", "dihedral:32"),
+                                          ("semidihedral:32", None),
+                                          ("dihedral:16", "cyclic:16"),
+                                          ("dihedral:16", "quaternion:16"),
+                                          ("wreath33", "wreath33")])
+def test_pairing_blocks_match_the_cellwise_reference(spec, source, monkeypatch):
+    # blocks of 1 and 3 rows (BLOCK_CELLS = n, 3 n) and one block of all
+    # rows give the cell-by-cell witness and group-product reading, with a
+    # source that is the loop's own or another group of its order: the
+    # pairing fails at (1, 16) on the class-4 loops, and the reading fails
+    # with it, or alone for D16 read in C16
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        L = build_gyro(catalog_group(spec)).loop
+    H = None if source is None else catalog_group(source)
+    witness, reading = _ref_pairing(L, H)
+    for cells in (L.order, 3 * L.order, gyro.BLOCK_CELLS):
+        monkeypatch.setattr(gyro, "BLOCK_CELLS", cells)
+        rep = is_gyrogroup(L, H)
+        assert (rep.status == "fail") == (witness is not None)
+        assert rep.witness == witness and rep.details.get("axiom") in (None, "pairing")
+        assert rep.details.get("pairing_group_product_reading") == reading
+
+
+def test_gyro_axioms_peak_is_one_automorphism_test():
+    # unitriangular4:3 (n = 729) with its gyrations built: the automorphism
+    # test of one gyration p holds p[T] and T[p][:, p] in the element dtype
+    # and their bool comparison, and the pairing test one block of
+    # BLOCK_CELLS cells at a time: int32 ids, their intp index and the
+    # int64 ids of the inverses, and a bool mask.  The n^2 pairing arrays
+    # it replaced peaked at 9.2 MiB here
+    G = catalog_group("unitriangular4:3")
+    L = build_gyro(G).loop
+    n, elem, intp = L.order, L.table.dtype.itemsize, np.dtype(np.intp).itemsize
+    gyration_table(L)
+    bound = max(n * n * (2 * elem + 1), gyro.BLOCK_CELLS * (4 + 2 * intp + 1)) + 256 * 1024
+    tracemalloc.start()
+    try:
+        rep = is_gyrogroup(L, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "pass" and rep.details["pairing_group_product_reading"]
+    assert peak <= bound, (peak, bound)
+
+
 def _ref_gyration_table(L):
     """The column-wise kernel gyration_table replaced: a 2-D gather per y."""
     n = L.order

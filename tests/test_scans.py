@@ -16,11 +16,12 @@ the classes of the group key, translations by Z(G) that pass (a) and (a')
 on the group table and (r) and (c) on the commutator table; the
 associator scan, which reads the cube R^3 of the key of the central
 translations of the loop's recorded source that pass (a) and (a') on the
-loop table and (c) and (z) on the commutator table; and the product tests
-of the normal-subloop scan, which visit the least element of each class
-of the key of those that pass (a) and (a').  Planted tables on which a
-translation fails one condition pin that it is then refused; a source
-whose center fails the checks keys nothing.
+loop table and (c) and (z) on the commutator table.  The normal-subloop
+test reads no key: the coset congruence of quotient_loop decides a normal
+subloop with no product-test slab, and a key forced into the loop's cache
+changes no answer.  Planted tables on which a translation fails one
+condition pin that it is then refused; a source whose center fails the
+checks keys nothing.
 """
 
 import os
@@ -58,10 +59,10 @@ from gyrolab.groups import (
     group_translations,
     pair_slabs,
 )
-from gyrolab.errors import NotRightLoop
+from gyrolab.errors import InvariantViolated, NotRightLoop, NotWellDefined
 from gyrolab.gyro import GyroConstruction
 from gyrolab.invariants import NUCLEUS_KINDS, commutator_bracket_table
-from gyrolab.loops import loop_from_table, normal_subloop_violation
+from gyrolab.loops import loop_from_table, normal_subloop_violation, quotient_loop
 from gyrolab.perms import RowIndex
 
 SPECS = ["dihedral:16", "wreath33", "heisenberg:5",
@@ -409,15 +410,16 @@ def test_wrapped_twisted_tables_fail_the_group_laws(spec, left, right, nine):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_normal_subloop_matches_reference_on_catalog_loops(spec):
-    # the twisted loop is keyed on the center of its source; its opposite
-    # records no source, so it is not
+    # the twisted loop has a key of central translations, its opposite
+    # records no source and has none; normal_subloop_violation reads
+    # neither, so it leaves no key on the loop
     L = _gyro(spec).loop
     subloops = {subloop_generated(L, {a}) for a in range(L.order)}
     subloops |= set(_ref_scan_nuclei(L)) | {commutant(L)}
     for M in (L, _opposite(L)):
         _assert_normal_scans_agree(M, sorted(subloops, key=sorted))
-    key = _ref_key(L)
-    assert np.array_equal(L._cache["central"][1], key) and len(set(key.tolist())) < L.order
+        _assert_normal_iff_quotient(M, subloops)
+    assert "central" not in L._cache and len(set(_ref_key(L).tolist())) < L.order
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -518,6 +520,18 @@ def test_product_right_fixture():
     assert _ref_normal_subloop_violation(L, {0, 6}) == ("product-right", 1, 2)
 
 
+def _assert_normal_iff_quotient(L, subsets):
+    """normal_subloop_violation(L, S) is None exactly when quotient_loop(L, S)
+    raises nothing, on each subloop S."""
+    for S in subsets:
+        try:
+            quotient_loop(L, S)
+            well_defined = True
+        except NotWellDefined:
+            well_defined = False
+        assert (normal_subloop_violation(L, S) is None) == well_defined, sorted(S)
+
+
 def test_normal_subloop_sweep_reaches_every_tag():
     # product-right is reported only when the coset and product-left tests
     # hold everywhere, which random loops rarely give, so the sweep starts
@@ -536,6 +550,19 @@ def test_normal_subloop_sweep_reaches_every_tag():
             assert w == _ref_normal_subloop_violation(L, S), (L.table.tolist(), sorted(S))
             tags[w[0] if w else "normal"] += 1
     assert set(tags) == {"normal", "left-right-coset", "product-left", "product-right"}, tags
+
+
+def test_normal_exactly_when_the_quotient_is_well_defined():
+    # the loops of the sweep above, whose subloops reach every tag
+    rng = np.random.default_rng(1)
+    loops = [loop_from_table(PRODUCT_RIGHT_12)]
+    for _ in range(120):
+        n = int(rng.integers(6, 13))
+        loops.append(_random_loop(n, rng.integers(0, 1 << 30, size=int(rng.integers(1, 6)))))
+    for L in loops:
+        n = L.order
+        _assert_normal_iff_quotient(L, {subloop_generated(L, {a, b})
+                                        for a in range(n) for b in range(a, n)})
 
 
 @given(n=st.integers(min_value=1, max_value=10),
@@ -861,7 +888,7 @@ WRAPPED_PINS = ["dihedral:16", "wreath33", "product:dihedral:16,cyclic:5"]
 def _unkeyed(mp):
     """Run every scan unkeyed from here on: first_violations visits every
     s, and the group and loop keys are trivial, so the cubes are all of
-    G x G x G and L x L x L and the product tests visit every x."""
+    G x G x G and L x L x L."""
     scan = groups.first_violations
     for module in (groups, checks):
         mp.setattr(module, "first_violations",
@@ -1028,16 +1055,19 @@ def test_keyed_scans_allocate_their_buffers_once():
 
 def test_normal_subloop_allocates_its_buffers_once():
     # the 108-element nucleus of wreath33 x C4's twisted loop, normal, so
-    # both product tests scan every x.  The buffers are an intp copy of the
-    # table, the membership table, the [x, n_i] and [n_i, x] tables and the
-    # |N| x n offsets, all intp, and a |N| x n mask; a fresh |N| x n intp
-    # array for every x (about 273 KiB here) raises the peak past them
+    # the coset congruence decides it and no product test runs.  The
+    # buffers are the bool membership table, the [x, n_i] and [n_i, x]
+    # tables, the cosets T[:, N], their sort and its gather by the least
+    # element, all in the element dtype, and the congruence test's three
+    # n x n arrays: proj[T] and the quotient product at each cell, at most
+    # in the element dtype, and their bool comparison.  An intp copy of the
+    # table (820 KiB here) raises the peak past them
     ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
     L, n = ctx.loop, ctx.n
     N = max((ctx.nuc(kind) for kind in NUCLEUS_KINDS), key=len)
-    k, intp = len(N), np.dtype(np.intp).itemsize
+    k, elem = len(N), L.table.dtype.itemsize
     assert k == 108
-    buffers = n * n * (intp + 1) + n * k * (3 * intp + 1)
+    buffers = n * n * (2 + 2 * elem) + n * k * 5 * elem
     assert normal_subloop_violation(L, N) is None
     tracemalloc.start()
     try:
@@ -1189,10 +1219,10 @@ def test_expansion_left_allocates_its_buffers_once():
 
 
 # ---------------------------------------------------------------------------
-# the associator scan and the product tests of normal_subloop_violation keyed
-# by the central translations they verify: for c in the center of the loop's
-# recorded source and rho = T[:, c], slab(rho x) = slab(x) once (a) and (a')
-# hold; the associator scan reads the cube R^3, as (c) and (z) also hold
+# the associator scan keyed by the central translations it verifies: for c
+# in the center of the loop's recorded source and rho = T[:, c], slab(rho x)
+# = slab(x) once (a) and (a') hold, and the scan reads the cube R^3, as (c)
+# and (z) also hold
 
 def _conditions(L, c, cm=None):
     """Whether rho = L.table[:, c] passes (a) T[rho p, z] = rho T[p, z],
@@ -1225,8 +1255,8 @@ def _closed_key(rhos, n):
 def _ref_key(L, G=None):
     """Each x's least image under the compositions of the translations of
     the recorded source's center that pass every condition, each candidate
-    tested: (a) and (a'), the key of the product tests, or with the
-    commutators and inverses of G (c) and (z) too, the associator scan's."""
+    tested: (a) and (a'), the loop key, or with the commutators and
+    inverses of G (c) and (z) too, the associator scan's."""
     source = L._cache.get("source")
     center = group_center(source) if source is not None else ()
     cm = None if G is None else G.commutator_table()
@@ -1362,7 +1392,8 @@ def test_associator_scan_refuses_a_translation_that_fails_one_condition(fails, w
 
 
 # ---------------------------------------------------------------------------
-# the product tests of normal_subloop_violation, keyed by _ref_key(L)
+# normal_subloop_violation on loops with a key of central translations,
+# which it does not read, against the same test run unkeyed and the reference
 
 def _assert_normal_scans_agree(L, subsets):
     """The keyed normal_subloop_violation equals the unkeyed one and the
@@ -1386,12 +1417,14 @@ def test_normal_subloop_keyed_matches_the_unkeyed_scan_on_larger_loops():
     subsets = set(_ref_scan_nuclei(L)) | {commutant(L), subloop_generated(L, {1}),
                                           subloop_generated(L, {5})}
     tags = _assert_normal_scans_agree(L, sorted(subsets, key=sorted))
+    _assert_normal_iff_quotient(L, subsets)
     assert len(set(_ref_key(L).tolist())) == 27 and tags["normal"] >= 2
     for spec in SPECS:
         M = build_gyro(_wrapped(_gyro(spec))).loop
         assert M.is_loop and len(set(_ref_key(M).tolist())) < M.order
         subsets = {subloop_generated(M, {a}) for a in range(0, M.order, 3)} | {commutant(M)}
         _assert_normal_scans_agree(M, sorted(subsets, key=sorted))
+        _assert_normal_iff_quotient(M, subsets)
 
 
 def _times_cyclic(T1, k):
@@ -1405,8 +1438,9 @@ def _times_cyclic(T1, k):
 def test_normal_subloop_keyed_on_random_loops():
     # seeded random loops times C_k with their own table recorded as the
     # source: its center holds every (0, t), whose translations pass both
-    # conditions, so each scan is keyed, and every tag is reached on a keyed
-    # scan (product-right through the pinned order-12 loop)
+    # conditions, so each loop has a key, which normal_subloop_violation
+    # does not read, and every tag is reached (product-right through the
+    # pinned order-12 loop)
     rng = np.random.default_rng(3)
     loops = [_times_cyclic(PRODUCT_RIGHT_12, 2)]
     for _ in range(16):
@@ -1421,40 +1455,54 @@ def test_normal_subloop_keyed_on_random_loops():
         n = L.order
         subloops = {subloop_generated(L, {a, b}) for a in range(n) for b in range(a, n)}
         tags += _assert_normal_scans_agree(L, sorted(subloops, key=sorted))
-        assert np.array_equal(L._cache["central"][1], key)
+        _assert_normal_iff_quotient(L, subloops)
+        assert "central" not in L._cache
     assert set(tags) == {"normal", "left-right-coset", "product-left", "product-right"}, tags
 
 
-@pytest.mark.parametrize("spec, cosets", [("product:wreath33,cyclic:4", 27),
-                                          ("product:dihedral:16,cyclic:5", 8),
-                                          ("unitriangular4:3", 243)])
-def test_normal_subloop_visits_one_slab_per_coset_of_the_center(spec, cosets):
-    # every c of Z(G) passes, so each product test of a normal subloop
-    # visits the least element of each coset of Z(G)
-    G = catalog_group(spec)
-    L = build_gyro(G).loop
-    key = _ref_key(L)
+@pytest.mark.parametrize("spec", ["product:wreath33,cyclic:4", "product:dihedral:16,cyclic:5",
+                                  "unitriangular4:3"])
+def test_normal_subloop_computes_no_slab_for_a_normal_subloop(spec):
+    # the commutant and the nuclei are normal: the coset congruence decides
+    # that, and neither product test computes a slab
+    ctx = SuiteContext(catalog_group(spec))
+    L = ctx.loop
+    subsets = {ctx.com, *(ctx.nuc(kind) for kind in NUCLEUS_KINDS)}
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
-        assert normal_subloop_violation(L, commutant(L)) is None
-    first = sorted(set(key.tolist()))
-    assert visits == first + first
-    assert len(first) == cosets == L.order // len(group_center(G))
+        assert all(normal_subloop_violation(L, S) is None for S in subsets)
+    assert visits == []
 
 
 def test_normal_subloop_never_trusts_its_candidates():
-    # D16's twisted loop with C2 x D8 recorded as its "source": that center,
-    # {e, 2, 8, 10}, holds no translation that passes (a), so nothing is
-    # keyed and both product tests visit every x
+    # keys that no verified translation gives, one class and every x merged
+    # with x * 4, forced into the loop's cache change no answer: D16's
+    # twisted loop, the planted loops below and the pinned product-right
+    # loop, on all of their subloops
+    tags = Counter()
+    for M in (_gyro("dihedral:16").loop, _planted_normal("a"), _planted_normal("a'"),
+              loop_from_table(PRODUCT_RIGHT_12)):
+        n = M.order
+        subloops = sorted({subloop_generated(M, {a, b}) for a in range(n) for b in range(a, n)},
+                          key=sorted)
+        answers = [normal_subloop_violation(M, S) for S in subloops]
+        assert answers == [_ref_normal_subloop_violation(M, S) for S in subloops]
+        for key in (np.zeros(n, dtype=M.table.dtype), np.minimum(np.arange(n), M.table[:, 4])):
+            M._cache["central"] = ((4,), key)
+            assert [normal_subloop_violation(M, S) for S in subloops] == answers
+        tags.update(w[0] if w else "normal" for w in answers)
+    assert set(tags) == {"normal", "left-right-coset", "product-left", "product-right"}, tags
+
+
+def test_normal_subloop_raises_when_the_two_readings_disagree(monkeypatch):
+    # a congruence test that refused a normal subloop would contradict the
+    # product tests, which find no witness
+    def refuse(T, lst):
+        raise NotWellDefined((0, 0))
+    monkeypatch.setattr(loops, "_coset_congruence", refuse)
     L = _gyro("dihedral:16").loop
-    L._cache["source"] = catalog_group("product:cyclic:2,dihedral:8")
-    assert sorted(group_center(L._cache["source"])) == [0, 2, 8, 10]
-    assert [_conditions(L, c)[0] for c in (2, 8, 10)] == [False] * 3
-    with pytest.MonkeyPatch.context() as mp:
-        visits = _visits(mp)
-        assert normal_subloop_violation(L, range(16)) is None
-    assert visits == list(range(16)) * 2
-    assert L._cache["central"][0] == () and np.array_equal(L._cache["central"][1], np.arange(16))
+    with pytest.raises(InvariantViolated):
+        normal_subloop_violation(L, commutant(L))
 
 
 def _planted_normal(fails):
@@ -1486,26 +1534,27 @@ def _planted_normal(fails):
 @pytest.mark.parametrize("fails, N, witness", [("a", [0, 2, 4, 6], ("product-left", 12, 8)),
                                                 ("a'", [0, 4], ("product-left", 1, 2))])
 def test_normal_subloop_refuses_a_translation_that_fails_one_condition(fails, N, witness):
-    # c fails the named condition alone, so no slab is merged with another
-    # and the scan visits every x up to its witness.  Merging x with x c
-    # anyway changes the answer in (a): slab 8 = 12 c passes, and the first
-    # product-left failure is at 12.  In (a') it does not: once x*N = N*x
-    # for every x, (a) alone makes the masks of x and x c equal, as
-    # (n_i*x c)*y = rho((n_j*x)*y) for a permutation i -> j of N
+    # c fails the named condition alone.  The cosets of N form no
+    # congruence, so the product-left scan visits every x up to its
+    # witness.  Merging x with x c would change the answer in (a): slab
+    # 8 = 12 c passes, and the first product-left failure is at 12.  The
+    # scan reads no key, so a merged key forced into the cache changes
+    # nothing
     L = _planted_normal(fails)
     assert sorted(group_center(L._cache["source"])) == [0, 4]
     conditions = (fails != "a", fails != "a'")
     assert [_conditions(L, c) for c in (0, 4)] == [(True, True), conditions]
+    with pytest.raises(NotWellDefined):
+        quotient_loop(L, N)
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         assert normal_subloop_violation(L, N) == witness
     assert visits == list(range(witness[1] + 1))
-    assert L._cache["central"][0] == () and np.array_equal(L._cache["central"][1], np.arange(16))
+    assert "central" not in L._cache
     assert witness == _ref_normal_subloop_violation(L, N)
     M = _planted_normal(fails)
     M._cache["central"] = ((4,), np.minimum(np.arange(16), M.table[:, 4]))
-    merged = normal_subloop_violation(M, N)
-    assert (merged != witness) == (fails == "a"), merged
+    assert normal_subloop_violation(M, N) == witness
 
 
 # ---------------------------------------------------------------------------
