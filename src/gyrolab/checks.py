@@ -64,6 +64,7 @@ from .loops import (
     subloop_violation,
 )
 from .mappings import is_inner_abelian
+from .perms import RowIndex
 from .report import CheckReport
 
 # stable skip reasons
@@ -152,6 +153,26 @@ def charset_commutant(G: FiniteGroup) -> frozenset[int]:
     cube = G.power_array(3)
     return frozenset(a for a in range(G.order)
                      if np.array_equal(cube[G.table[a]], G.table[int(cube[a]), cube]))
+
+
+def _associator_key(T: np.ndarray, cm: np.ndarray, inv: np.ndarray, cs) -> np.ndarray:
+    """The associator scan's key: each x's least image under compositions
+    of the kept rho = T[:, c], c in cs.  (a) and (a') leave A(x, y, z), the
+    central mask and the nuclei unchanged when one of x, y, z moves by rho.
+    The expected cm[[z^-1, y], x], on the rows W of cm's values, is kept by
+      x: cm[w, rho x] = cm[w, x] for w in W;
+      y: the rows of cm at [w, rho y] and [w, y] agree;
+      z: the rows of cm at [(rho z)^-1, y] and [z^-1, y] agree
+    (rows compared by a RowIndex label).  Each makes a function of one axis
+    rho-invariant, which compositions keep, so every mask's least witness
+    lies in R^3.  A refused rho only makes the key finer."""
+    n = len(T)
+    cmW = cm[_mark(n, cm.ravel())]
+    lab = RowIndex(n, cm.dtype).add(cm).astype(cm.dtype)[cm]      # [w, y] -> row label
+    return _least_reached([rho for rho in (T[:, c] for c in cs)
+                           if np.array_equal(np.take(cmW, rho, axis=1), cmW)
+                           and np.array_equal(np.take(lab, rho, axis=1), lab)
+                           and np.array_equal(lab[inv[rho[inv]]], lab)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +308,12 @@ class SuiteContext:
         formula violation, the first non-central associator (None when
         absent) and the left, middle and right nuclei.  Once a mask has its
         witness, the slabs of later x skip it.  R holds the least element of
-        each class of the central translations of the loop that also leave
-        the columns of the commutator table and of [z^-1, y] unchanged; the
-        slab of x in R reads R x R, into buffers allocated once per scan."""
+        each class of _associator_key; the slab of x in R reads R x R, into
+        buffers allocated once per scan."""
         def run():
             L, cm, n = self.loop, self.cm, self.n
             T, inv = L.table, self.G.inverse
-            cs, _ = central_translations(L)
-            # the scan keeps the c of central_translations whose rho also
-            # passes (c) cm[w, rho x] = cm[w, x] and (z) [(rho z)^-1, y] =
-            # [z^-1, y].  By (a) and (a'), moving any one of x, y, z to its
-            # image under rho moves both (x*y)*z and x*(y*z) to theirs, and
-            # by (a') rho u / rho v = u / v, so A(x, y, z) is unchanged on
-            # every axis; the expected [[z^-1, y], x] is unchanged on x and
-            # y by (c) and on z by (z).  So each mask is a class function on
-            # each axis: the least witness lies in R^3, and a nucleus is
-            # read at R and spread by the key
-            key = _least_reached([rho for rho in (T[:, c] for c in cs)
-                                  if np.array_equal(cm[:, rho], cm)
-                                  and np.array_equal(cm[inv[rho]], cm[inv])], n)
+            key = _associator_key(T, cm, inv, central_translations(L)[0])
             R = np.flatnonzero(key == np.arange(n))
             m = len(R)
             Tf, rdiv = T.ravel(), L.right_division.ravel()

@@ -16,17 +16,11 @@ gyr(y, z) is x -> c^-1 x c with c = y z^-1 y^-1 z.  With w = y*z = z^-1 y z^2,
 
 and right division in the twisted table is unique (its columns are
 permutations), so ((x*y)*z) / w = c^-1 x c.  Two pairs share a gyration
-exactly when their c lie in the same coset of Z(G).
-
-Both n^2 families of inner mappings, the gyrations and Inn's L(x,y), read
-the classes of loops.central_translations, the one verified key of a loop.
-When build_gyro recorded a source that passes Light's associativity test
-(_is_group_table), gyration_table reads the gyrations off c in O(n^2)
-(_conjugation_family) with the key as labels: every element of Z(G) passes
-the key's checks, so its classes are the cosets of Z(G).  Every other
-loop's gyrations, and L(x,y) on every loop, come from _map_family for the
-pairs of least elements of the classes alone; a loop with no recorded
-source has one class per element.
+exactly when their c lie in the same coset of Z(G).  On a recorded source
+that passes Light's associativity test (_is_group_table), gyration_table
+reads them off c in O(n^2) (_conjugation_family); every other loop's
+gyrations, and Inn's L(x,y), come from _map_family on the classes of
+loops.central_translations.
 """
 
 from __future__ import annotations
@@ -43,6 +37,7 @@ from .groups import (
     _mark,
     elem_dtype,
     first_cell,
+    group_center,
     nilpotency_class,
 )
 from .loops import FiniteLoop, central_translations, loop_from_table
@@ -82,7 +77,7 @@ def build_gyro(G: FiniteGroup) -> GyroConstruction:
             "be a loop", stacklevel=2)
     loop = loop_from_table(twisted, names=G.names, lenient=True,
                            name=f"gyro({G.name})" if G.name else "gyro")
-    loop._cache["source"] = G                     # for central_translations
+    loop._cache["source"] = G                     # for gyration_table's closed form
     return GyroConstruction(G, loop, cls)
 
 
@@ -114,14 +109,11 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
 
     ids[y, z] numbers the distinct gyrations in row-major first-occurrence
     order.  On a loop built by build_gyro from a group table, gyr(y,z) is
-    conjugation by c = y z^-1 y^-1 z in the group (see the module
-    docstring: (x*y)*z = (yz)^-1 x (yz) w and (c^-1 x c)*w = (cw)^-1 x (cw) w
-    with w = y*z and cw = yz), so the table is read off c in O(n^2) by
-    _conjugation_family.  That holds only for an associative source, so the
-    closed form is taken when the recorded source passes _is_group_table;
-    every other loop goes through _map_family on the classes of
-    central_translations.  Both give the same ids and rows.  The class
-    pairs cost n^3 / |Z(G)|^2 cells where the closed form costs n^2.
+    conjugation by c = y z^-1 y^-1 z (see the module docstring), read off c
+    in O(n^2) by _conjugation_family when the recorded source passes
+    _is_group_table.  Every other loop goes through _map_family on the
+    classes of central_translations, at n^3 / |Z(L)|^2 cells.  Both give
+    the same ids and rows.
     """
     if L.right_division is None:
         raise NotRightLoop(-1)
@@ -129,13 +121,12 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
         return L._cache["gyr"]
     T = L.table
     G = L._cache.get("source")
-    _, key = central_translations(L)
     if G is not None and _is_group_table(G):
-        ids, rows = _conjugation_family(G, key)
+        ids, rows = _conjugation_family(G)
     else:
         index = RowIndex(L.order, elem_dtype(L.order))
         # row a of T.T is R_a and row a of right_division.T is R_a^-1
-        ids = _map_family(T.T, L.right_division.T, T, index, key)
+        ids = _map_family(T.T, L.right_division.T, T, index, central_translations(L)[1])
         rows = index.rows
     rows = rows.astype(T.dtype, copy=False)
     for read_only in (ids, rows):
@@ -158,17 +149,17 @@ def _is_group_table(G: FiniteGroup) -> bool:
 BLOCK_CELLS = 1 << 16
 
 
-def _conjugation_family(G: FiniteGroup, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _conjugation_family(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """ids[y, z] and the distinct rows of the gyrations of G's twisted loop.
 
     gyr(y,z) is x -> c^-1 x c with c = y z^-1 y^-1 z, and two conjugators
     give the same map exactly when they share a coset of Z(G), whose least
-    element is label[c] (the key of central_translations).  ids ranks the
-    labels of c[y, z] in row-major first-occurrence order, the numbering of
-    _map_family; row k conjugates by the label of id k.  G must be a group
-    (see _is_group_table).
+    element labels c.  ids ranks the labels of c[y, z] in row-major
+    first-occurrence order, as _map_family numbers, and row k conjugates by
+    the label of id k.  G must be a group (see _is_group_table).
     """
     n = G.order
+    label = G.table[:, sorted(group_center(G))].min(axis=1)      # c -> least of c Z(G)
     flat = np.ascontiguousarray(G.table).ravel()
     inv = G.inverse.astype(np.intp)
     rank = np.full(n, -1, dtype=np.int32)         # label -> id
@@ -217,12 +208,12 @@ def _map_family(A: np.ndarray, Ainv: np.ndarray, P: np.ndarray, index: RowIndex,
     reps[x] <= x, the first occurrence of a map is always at such a pair,
     so the ids are those of every pair.
 
-    The classes both families pass are those of loops.central_translations.
-    Let rho = T[:, c] be one of its kept maps.  (a') gives x*(rho v) =
-    rho(x*v), so right division is unchanged: (rho u)/(rho v) = u/v; (a)
-    gives (rho a)*s = rho(a*s), so left division is unchanged:
-    (rho a)\\(rho b) = a\\b.  So gyr(rho y,z) = gyr(y,rho z) = gyr(y,z) and
-    L(rho x,y) = L(x,rho y) = L(x,y), with no group hypothesis.
+    Both families pass the classes of loops.central_translations, the
+    cosets of Z(L).  For one of its kept maps rho = T[:, c], (a') gives
+    x*(rho v) = rho(x*v), so (rho u)/(rho v) = u/v, and (a) gives
+    (rho a)*s = rho(a*s), so (rho a)\\(rho b) = a\\b.  So gyr(rho y,z) =
+    gyr(y,rho z) = gyr(y,z) and L(rho x,y) = L(x,rho y) = L(x,y), with no
+    group hypothesis.
     """
     n = len(A)
     elem = elem_dtype(n)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotALoop
 from .gyro import gyration_table
-from .loops import FiniteLoop, quotient_loop
+from .loops import FiniteLoop, commutant, quotient_loop
 
 NUCLEUS_KINDS = ("left", "middle", "right")
 
@@ -58,12 +58,6 @@ def nucleus(L: FiniteLoop, kind: str = "full") -> frozenset[int]:
     if kind == "full":
         return sets[0] & sets[1] & sets[2]
     return sets[NUCLEUS_KINDS.index(kind)]
-
-
-def commutant(L: FiniteLoop) -> frozenset[int]:
-    """Elements commuting with everything: a with a*x == x*a for all x."""
-    mask = (L.table == L.table.T).all(axis=1)
-    return frozenset(int(i) for i in np.flatnonzero(mask))
 
 
 def loop_center(L: FiniteLoop) -> frozenset[int]:

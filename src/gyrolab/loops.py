@@ -28,7 +28,6 @@ from .groups import (
     first_cell,
     first_violation,
     generated,
-    group_center,
     verify_translations,
 )
 
@@ -159,20 +158,20 @@ def subloop_generated(L: FiniteLoop, seed: Iterable[int]) -> frozenset[int]:
     return generated((L.table, L.right_division, L.left_division), [0, *seed], L.order)
 
 
+def commutant(L: FiniteLoop) -> frozenset[int]:
+    """Elements commuting with everything: a with a*x == x*a for all x."""
+    return frozenset(np.flatnonzero((L.table == L.table.T).all(axis=1)).tolist())
+
+
 def central_translations(L: FiniteLoop) -> tuple[tuple[int, ...], np.ndarray]:
-    """groups.verify_translations with (a) and (a') on the loop table, cached
-    on L: (cs, key).  The candidates are the center of the source that
-    build_gyro records on L (none for a loop with no recorded source, or a
-    source of another order).  For c central in a group, x o c = x c and
-    (x c) o y = (x o y) c = x o (y c), which (a) and (a') state, so every c
-    in Z(G) passes and, on a group source, the classes are the cosets of
-    Z(G).  It is the one key of the loop's central classes: the gyrations
-    and Inn's L(x,y) (gyro._map_family, and the labels of the closed form)
-    and the associator scan read it."""
+    """groups.verify_translations with (a) and (a') on the loop table and the
+    commutant of L as candidates, cached on L: (cs, key), read from the
+    table alone.  A map that passes (a) and (a') commutes with every
+    translation, so it is x -> x*c with c in Z(L) (R. H. Bruck, Trans. AMS
+    60, 1946): the classes are the cosets of Z(L).  Inn's L(x,y), the
+    gyrations of a loop with no group source and the associator scan read it."""
     if "central" not in L._cache:
-        G = L._cache.get("source")
-        center = sorted(group_center(G)) if G is not None and G.order == L.order else []
-        L._cache["central"] = verify_translations(L.table, center)
+        L._cache["central"] = verify_translations(L.table, sorted(commutant(L)))
     return L._cache["central"]
 
 
@@ -200,6 +199,19 @@ def _coset_congruence(T: np.ndarray, lst: list[int]) -> tuple[np.ndarray, np.nda
     return rep_values, proj, qtable
 
 
+def _congruence(L: FiniteLoop, lst: list[int]):
+    """_coset_congruence(L.table, lst) or its NotWellDefined, once per set of L."""
+    sets = L._cache.setdefault("congruence", {})
+    if (key := frozenset(lst)) not in sets:
+        try:
+            sets[key] = _coset_congruence(L.table, lst)
+            for read_only in sets[key]:                 # shared by every caller
+                read_only.setflags(write=False)
+        except NotWellDefined as exc:
+            sets[key] = exc
+    return sets[key]
+
+
 def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     """First failure of x*N == N*x, x*(y*N) == (x*y)*N, (N*x)*y == N*(x*y).
 
@@ -209,11 +221,10 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     containment: one membership table in_N[u, v] (v in u*N) decides the
     cosets, and once u*N == N*u for every u, both product tests.
 
-    A subloop is normal exactly when its cosets x*N form a congruence, the
-    kernel of the quotient map (R. H. Bruck, Trans. AMS 60, 1946), which
-    _coset_congruence tests in O(n^2), so a subloop it accepts returns None.
-    A refused N is scanned over every x for its least product-left, then
-    product-right, witness; a refused N with neither breaks that theorem.
+    N is normal exactly when its cosets x*N form a congruence (R. H. Bruck,
+    Trans. AMS 60, 1946), which _congruence tests in O(n^2).  A refused N
+    is scanned over every x for its least product-left, then product-right,
+    witness; a refused N with neither breaks that theorem.
     """
     S = frozenset(int(x) for x in N)
     w = subloop_violation(L, S)
@@ -230,11 +241,8 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     bad = first_cell(~in_N[ar[:, None], Nx].all(axis=1))
     if bad is not None:
         return ("left-right-coset",) + bad
-    try:
-        _coset_congruence(T, lst)
+    if not isinstance(_congruence(L, lst), NotWellDefined):
         return None
-    except NotWellDefined:
-        pass
 
     # each slab is [y, i], reduced over i to the mask of the failing y
     def left(x):                                        # x*(y*N) != (x*y)*N
@@ -254,15 +262,17 @@ def quotient_loop(L: FiniteLoop, N: Iterable[int],
                   name: str = "") -> tuple[FiniteLoop, np.ndarray]:
     """Quotient by a normal subloop; returns (Q, projection).
 
-    Cosets x*N are labeled by least element index.  _coset_congruence
-    verifies them cell by cell and raises NotWellDefined on the first
-    failure (a non-normal N surfaces there).
+    Cosets x*N are labeled by least element index and verified cell by
+    cell (_congruence): a non-normal N raises its NotWellDefined.
     """
     S = frozenset(int(x) for x in N)
     w = subloop_violation(L, S)
     if w is not None:
         raise NotASubloop(w)
-    rep_values, proj, qtable = _coset_congruence(L.table, sorted(S))
+    congruence = _congruence(L, sorted(S))
+    if isinstance(congruence, NotWellDefined):
+        raise congruence
+    rep_values, proj, qtable = congruence
     qnames = [f"[{L.names[int(r)]}]" for r in rep_values]
     Q = loop_from_table(qtable, names=qnames, lenient=True,
                         name=name or f"{L.name}/N")

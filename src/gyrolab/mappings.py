@@ -83,11 +83,9 @@ def inner_generators(L: FiniteLoop) -> tuple[np.ndarray, tuple[str, ...]]:
     occurrence in that order.
 
     R(x,y) is the gyration of (x, y), so the R part is gyration_table's.  The
-    L part comes from gyro._map_family for the pairs of least elements of
-    the classes of loops.central_translations alone (L(rho x,y) =
-    L(x,rho y) = L(x,y) for its kept maps rho, see there): the cosets of
-    Z(G) on a loop that build_gyro made from a group G, and all n^2 pairs
-    on a loop with no recorded source.
+    L part comes from gyro._map_family on the classes of
+    loops.central_translations, the cosets of Z(L): 27 at n = 729 and
+    n = 2187 (L(rho x,y) = L(x,rho y) = L(x,y) for its kept maps rho).
     """
     if not L.is_loop:
         raise NotALoop("inner mappings need a full loop")

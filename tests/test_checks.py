@@ -26,7 +26,7 @@ from gyrolab import (
     summarize,
     verify_suite,
 )
-from gyrolab import checks
+from gyrolab import checks, loops
 from gyrolab.checks import R_CLASS, R_CLASS3, R_THREE
 from gyrolab.cli import main
 from gyrolab.errors import NotASubloop
@@ -253,6 +253,28 @@ def test_suite_tests_each_distinct_set_once(monkeypatch, tmp_path):
     assert sorted(map(len, normal)) == [36, 108]
     assert set(normal.values()) == {1}
     assert list(map(len, quotient)) == [36] and set(quotient.values()) == {1}
+
+
+@pytest.mark.parametrize("spec, sets", [
+    ("product:wreath33,cyclic:4", [(324, 36), (324, 108)]),
+    ("product:dihedral:16,cyclic:5", [(8, 2), (80, 10), (80, 20), (80, 40)])])
+def test_suite_runs_the_coset_congruence_once_per_set(monkeypatch, spec, sets):
+    # normal_subloop_violation, quotient_loop and the loop-class series
+    # read one congruence per (loop, set), cached on the loop.  On wreath33
+    # x C4 the commutant and the loop center are one 36-element set, tested
+    # for normality and quotiented by; on D16 x C5 the series also
+    # quotients L/Z(L), of order 8, by its center
+    calls = Counter()
+    inner = loops._coset_congruence
+
+    def counted(T, lst):
+        calls[(len(T), len(lst), T.tobytes(), frozenset(lst))] += 1
+        return inner(T, lst)
+    monkeypatch.setattr(loops, "_coset_congruence", counted)
+    reports = verify_suite(catalog_group(spec))
+    assert all(r.status != "fail" for r in reports)
+    assert sorted(k[:2] for k in calls) == sets
+    assert set(calls.values()) == {1}
 
 
 def test_per_kind_checks_keep_their_kind_order(monkeypatch, d16):

@@ -5,8 +5,9 @@ A permutation file's table is read from base images, hashing no composite.
 The fused associator and nuclei scan runs once per verify, as its oracle,
 and never in analyze; the loop-commutator bracket table is built once per
 verify, and so are the central translations of its loop and of its group,
-each verified on generators only; analyze and the gyration export verify
-the loop's once.  Every public routine has one name."""
+each verified on generators only; analyze verifies the loop's once, and
+the gyration export, which reads the closed form, none.  Every public
+routine has one name."""
 
 import ast
 import hashlib
@@ -22,14 +23,17 @@ import pytest
 
 import gyrolab
 from gyrolab import (
+    build_gyro,
     catalog_group,
     checks,
     cli,
+    commutant,
     gyro,
     group_center,
     invariants,
     perms,
     subgroup_generated,
+    subloop_generated,
     verify_suite,
 )
 from gyrolab.cli import main
@@ -159,14 +163,22 @@ def test_bracket_table_is_built_once_per_verify(monkeypatch):
     assert calls == [81]
 
 
-def _generators(G, center):
-    """The c of center, ascending, that the earlier kept ones do not
-    generate: the candidates that the translation routine verifies."""
+def _generators(candidates, generated):
+    """The c of candidates, ascending, outside generated(the earlier kept
+    ones): the candidates that the translation routine verifies, when each
+    one it verifies passes."""
     kept = []
-    for c in center:
-        if c not in subgroup_generated(G, kept):
+    for c in candidates:
+        if c not in generated(kept):
             kept.append(c)
     return kept
+
+
+def _loop_generators(G):
+    """_generators of the c != e of the commutant of G's twisted loop, in
+    the subloops they generate: every one of them passes on the ladder."""
+    L = build_gyro(G).loop
+    return _generators(sorted(commutant(L) - {0}), lambda kept: subloop_generated(L, kept))
 
 
 def _watch_gathers(monkeypatch, watched):
@@ -189,9 +201,9 @@ def _watch_gathers(monkeypatch, watched):
 def test_central_translations_are_verified_once_per_verify(monkeypatch):
     # the gyrations, Inn's L(x,y) and the associator scan read one set of
     # central translations, cached on the loop: (a) and (a') gather the
-    # loop table once each per generator of Z(G), a candidate that the
-    # kept ones do not already reach (2 of the 11 c != e here).  Every loop
-    # the suite builds is watched
+    # loop table once each per generator of the commutant, a candidate that
+    # the kept ones do not already reach (3 of the 35 c != e here).  Every
+    # loop the suite builds is watched
     G = catalog_group("product:wreath33,cyclic:4")
     build = checks.build_gyro
     built = []
@@ -205,19 +217,23 @@ def test_central_translations_are_verified_once_per_verify(monkeypatch):
     reports = verify_suite(G)
     ran = {r.check_id for r in reports if r.status != "skipped"}
     assert {"associator-formula", "commutant-normal-subloop", "nuclei-normal-subloops"} <= ran
-    center = sorted(group_center(G) - {0})
-    generators = _generators(G, center)
-    assert (len(center), len(generators)) == (11, 2)
+    generators = _loop_generators(G)
+    assert (len(commutant(build_gyro(G).loop)) - 1, len(generators)) == (35, 3)
     assert gathers == [(0, c, axis) for c in generators for axis in (0, 1)]
 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["export", "--what", "gyration-table",
                                                 "--format", "csv"]])
 def test_the_loop_key_is_verified_once_per_analyze_and_export(monkeypatch, tmp_path, argv):
-    # gyration_table and inner_generators read one verified key, cached on
-    # the loop: (a) and (a') gather the loop table once each per generator
-    # of Z(G), 2 of the 11 c != e here, in analyze and the gyration export
+    # inner_generators reads one verified key, cached on the loop: (a) and
+    # (a') gather the loop table once each per generator of the commutant,
+    # 3 of the 35 c != e here, in analyze.  The gyration export reads the
+    # closed form, which labels its conjugators by the cosets of Z(G), and
+    # verifies no key
     G = catalog_group("product:wreath33,cyclic:4")
+    closed_form, closed = gyro._conjugation_family, []
+    monkeypatch.setattr(gyro, "_conjugation_family",
+                        lambda H: closed.append(H.order) or closed_form(H))
     build = gyro.build_gyro
     built = []
 
@@ -230,9 +246,9 @@ def test_the_loop_key_is_verified_once_per_analyze_and_export(monkeypatch, tmp_p
     gathers = _watch_gathers(monkeypatch, lambda: [L.table for L in built])
     assert main(argv + ["--group", "product:wreath33,cyclic:4",
                         "--out", str(tmp_path / "doc")]) == 0
-    assert len(built) == 1
-    generators = _generators(G, sorted(group_center(G) - {0}))
-    assert len(generators) == 2
+    assert len(built) == 1 and closed == [G.order]
+    generators = _loop_generators(G) if argv[0] == "analyze" else []
+    assert len(generators) == {"analyze": 3, "export": 0}[argv[0]]
     assert gathers == [(0, c, axis) for c in generators for axis in (0, 1)]
 
 
@@ -248,7 +264,8 @@ def test_group_translations_are_verified_once_per_group(monkeypatch):
     ran = {r.check_id for r in reports if r.status != "skipped"}
     assert {"commutator-expansion-left", "commutator-expansion-right",
             "bracket-assoc-iff-ninth-power"} <= ran
-    generators = _generators(G, sorted(group_center(G) - {0}))
+    generators = _generators(sorted(group_center(G) - {0}),
+                             lambda kept: subgroup_generated(G, kept))
     assert gathers == [(0, c, axis) for c in generators for axis in (0, 1)]
 
 

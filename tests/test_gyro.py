@@ -11,6 +11,7 @@ from gyrolab import (
     gyration,
     gyration_table,
     is_gyrogroup,
+    loop_center,
 )
 from gyrolab import gyro, mappings
 from gyrolab.fileio import parse_group_file
@@ -352,12 +353,14 @@ def test_closed_form_gyrations_equal_the_generic_kernel(spec, monkeypatch):
     # dihedral:202) too: both laws hold in every group, and a trivial center
     # (dihedral:10, dihedral:202) makes every pair a coset pair;
     # product:wreath33,cyclic:4 and unitriangular4:3 have n^2 past what
-    # uint16 holds.  L(x,y) is computed on the |G/Z(G)| cosets
+    # uint16 holds.  L(x,y) is computed on the |L/Z(L)| cosets of the loop
+    # center
     G = catalog_group(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         L = build_gyro(G).loop
-    _assert_equals_references(L, monkeypatch, ["closed", G.order // len(group_center(G))])
+        center = loop_center(build_gyro(G).loop)      # a second loop: L's caches stay cold
+    _assert_equals_references(L, monkeypatch, ["closed", G.order // len(center)])
 
 
 def _relabelled_file_group(tmp_path):
@@ -379,7 +382,8 @@ def _relabelled_file_group(tmp_path):
 def test_closed_form_on_a_relabelled_file_group(tmp_path, monkeypatch):
     H = _relabelled_file_group(tmp_path)
     L = build_gyro(H).loop
-    _assert_equals_references(L, monkeypatch, ["closed", H.order // len(group_center(H))])
+    center = loop_center(build_gyro(H).loop)          # a second loop: L's caches stay cold
+    _assert_equals_references(L, monkeypatch, ["closed", H.order // len(center)])
     assert len(gyration_table(L).perms) > 1
 
 
@@ -391,33 +395,63 @@ C2_9 = "product:" + ",".join(["cyclic:2"] * 9)
                                   "quaternion:16", "dihedral:10", "dihedral:202",
                                   "cyclic:729", C3_6, C2_9, "file"])
 def test_closed_form_labels_are_the_cosets_of_the_center(spec, tmp_path):
-    # the closed form reads its labels from the verified key of the loop:
-    # every c in Z(G) passes (a) and (a'), so on a source that passes
-    # _is_group_table the key's classes are the cosets of Z(G), also with a
-    # trivial center (dihedral:10, dihedral:202) and class 4 (dihedral:32)
+    # the closed form labels each conjugator c = y z^-1 y^-1 z by the least
+    # element of c Z(G), read from G alone, also with a trivial center
+    # (dihedral:10, dihedral:202) and class 4 (dihedral:32): ids rank the
+    # labels in row-major first-occurrence order and row k conjugates by
+    # the label of id k.  Z(G) lies in Z(L), so each coset of Z(G) lies in
+    # one class of the loop key, which reads the loop table alone
     G = _relabelled_file_group(tmp_path) if spec == "file" else catalog_group(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         L = build_gyro(G).loop
     assert gyro._is_group_table(G)
+    n, T, inv = G.order, G.table.astype(np.intp), G.inverse.astype(np.intp)
+    label = T[:, sorted(group_center(G))].min(axis=1)
+    c = T[T[T[:, inv], inv[:, None]], np.arange(n)]         # [y, z] -> y z^-1 y^-1 z
+    reps, first = np.unique(label[c], return_index=True)
+    reps = reps[np.argsort(first)]
+    rank = np.empty(n, dtype=np.int64)
+    rank[reps] = np.arange(len(reps))
+    ids, rows = gyro._conjugation_family(G)
+    assert np.array_equal(ids, rank[label[c]])
+    assert np.array_equal(rows, T[T[inv[reps][:, None], np.arange(n)], reps[:, None]])
     key = central_translations(L)[1]
-    assert np.array_equal(key, G.table[:, sorted(group_center(G))].min(axis=1))
+    assert np.array_equal(key[label], key)
 
 
 @pytest.mark.parametrize("spec,generators", [("cyclic:729", 1), (C3_6, 6), (C2_9, 9),
-                                             ("unitriangular4:3", 1)])
+                                             ("unitriangular4:3", 3)])
 def test_the_loop_key_verifies_generators_of_the_center(spec, generators):
-    # a c that the kept ones already reach is skipped: 1 of 728 candidates
-    # on cyclic:729, a basis of C3^6 and of C2^9, 1 of 2 on unitriangular4:3
+    # a c of the commutant that the kept ones already reach is skipped: 1
+    # of 728 candidates on cyclic:729, a basis of C3^6 and of C2^9, 3 of
+    # the 26 on unitriangular4:3
     cs, _ = central_translations(build_gyro(catalog_group(spec)).loop)
     assert len(cs) == generators
+
+
+@pytest.mark.parametrize("spec, classes", [("dihedral:16", 8), ("heisenberg:5", 25),
+                                           ("product:dihedral:16,cyclic:5", 8),
+                                           ("wreath33", 9), ("product:wreath33,cyclic:4", 9),
+                                           ("unitriangular4:3", 27),
+                                           ("product:unitriangular4:3,cyclic:3", 27)])
+def test_the_loop_key_is_the_cosets_of_the_loop_center(spec, classes):
+    # the key reads the loop table alone: the same key on the loop that
+    # loop_from_table rebuilds from the table, with no recorded source,
+    # whose classes are the cosets of Z(L): 27 at n = 729 and n = 2187
+    L = build_gyro(catalog_group(spec)).loop
+    cs, key = central_translations(L)
+    M = loop_from_table(L.table)
+    assert "source" not in M._cache
+    got = central_translations(M)
+    assert got[0] == cs and np.array_equal(got[1], key)
+    assert len(set(key.tolist())) == classes == L.order // len(loop_center(L))
 
 
 @pytest.mark.parametrize("spec", ["cyclic:5", "wreath33", "product:wreath33,cyclic:4",
                                   "unitriangular4:3"])
 def test_both_keys_are_in_the_element_dtype(spec):
-    # the key labels the closed form's conjugators: an int64 key would widen
-    # its block temporaries fourfold
+    # the keys are element tables, as every class label of the package is
     G = catalog_group(spec)
     L = build_gyro(G).loop
     for key in (central_translations(L)[1], group_translations(G)[1],
@@ -426,9 +460,9 @@ def test_both_keys_are_in_the_element_dtype(spec):
 
 
 def test_gyration_table_peak_stays_at_one_ids_table_and_its_blocks():
-    # a cold gyration_table on wreath33xC4 (n = 324), the key's check
-    # included: the n^2 int32 ids and five intp temporaries of one block,
-    # 2,460,183 B traced.  An int64 key gives 4,033,391 B
+    # a cold gyration_table on wreath33xC4 (n = 324), the closed form's
+    # coset labels included: the n^2 int32 ids and five intp temporaries of
+    # one block, 2,458,951 B traced.  An int64 label gives 4,031,647 B
     G = catalog_group("product:wreath33,cyclic:4")
     L = build_gyro(G).loop
     n = L.order
@@ -446,16 +480,16 @@ def test_inner_generators_do_not_depend_on_the_gyration_path(monkeypatch):
     # labels of Inn's generators come from the gyration ids: the same rows
     # and labels in the same order whichever paths built the two families;
     # _is_group_table, the gate of the closed form, switches the gyrations
-    # to _map_family on the 27 cosets of Z(G), and a loop with no source
-    # reads all 81 classes
+    # to _map_family, and a loop with no source reads the same 9 cosets of
+    # Z(L) as the loop built on the group
     G = catalog_group("wreath33")
     paths = _spy_paths(monkeypatch)
     closed = inner_generators(build_gyro(G).loop)
-    all_pairs = inner_generators(loop_from_table(build_gyro(G).loop.table))
+    no_source = inner_generators(loop_from_table(build_gyro(G).loop.table))
     monkeypatch.setattr(gyro, "_is_group_table", lambda G: False)
     keyed = inner_generators(build_gyro(G).loop)
-    assert paths == ["closed", 27, 81, 81, 27, 27]
-    for generic in (all_pairs, keyed):
+    assert paths == ["closed", 9, 9, 9, 9, 9]
+    for generic in (no_source, keyed):
         assert np.array_equal(closed[0], generic[0])
         assert closed[1] == generic[1]
 
@@ -470,14 +504,25 @@ def test_non_associative_source_takes_the_generic_kernel(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         L = build_gyro(H).loop
-    label = H.table[:, sorted(group_center(H))].min(axis=1)
-    assert not np.array_equal(gyro._conjugation_family(H, label)[0], _generic_gyrations(L)[0])
+    assert not np.array_equal(gyro._conjugation_family(H)[0], _generic_gyrations(L)[0])
     _assert_equals_references(L, monkeypatch, [9, 9])
 
 
 def test_loop_without_a_source_takes_the_generic_kernel(monkeypatch):
+    # the key reads the loop table alone: 9 classes, as on the loop that
+    # build_gyro made
     L = loop_from_table(build_gyro(catalog_group("wreath33")).loop.table)
-    _assert_equals_references(L, monkeypatch, [81, 81])
+    _assert_equals_references(L, monkeypatch, [9, 9])
+
+
+def test_opposite_loop_reads_the_wide_key(monkeypatch):
+    # x o y = y*x on wreath33 x C4 records no source; its center is L's, so
+    # its key has the 9 cosets of Z(L), and both families equal the
+    # all-pairs references
+    L = build_gyro(catalog_group("product:wreath33,cyclic:4")).loop
+    op = loop_from_table(L.table.T)
+    _assert_equals_references(op, monkeypatch, [9, 9])
+    assert loop_center(op) == loop_center(L) and len(loop_center(L)) == 36
     assert len(gyration_table(L).perms) == 3
 
 

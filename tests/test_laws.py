@@ -85,3 +85,38 @@ def test_inner_mapping_l_closed_form():
     rhs = _dot(Y, _dot(X, Z))
     assert _dot(_dot(Y, X), _mul(Z, _comm(_comm(Z, X), Y))) == rhs
     assert _dot(_dot(Y, X), _mul(Z, _comm(_comm(Z, Y), X))) != rhs
+
+
+def _rdiv(u, v):
+    """Right division in the twisted loop: u / v = v u v^-2, the x with
+    x.v = v^-1 (v u v^-2) v^2 = u."""
+    return _prod(v, u, _inv(v), _inv(v))
+
+
+def _bracket(a, b):
+    """The loop commutator (a.b) / (b.a), as invariants.commutator_bracket_table
+    reads it."""
+    return _rdiv(_dot(a, b), _dot(b, a))
+
+
+def _power(a, k):
+    return _prod(*[a] * k)
+
+
+def test_circ_commutator_formula():
+    # circ-commutator-formula: (x.y) / (y.x) = [x,y]^3 [x,[x,y]]^2 [y,[x,y]]^2,
+    # with _rdiv the two-sided inverse of right multiplication
+    assert _dot(_rdiv(X, Y), Y) == X == _rdiv(_dot(X, Y), Y)
+    c = _comm(X, Y)
+    assert _bracket(X, Y) == _prod(_power(c, 3), _power(_comm(X, c), 2), _power(_comm(Y, c), 2))
+    assert _bracket(X, Y) != _prod(_power(c, 3), _power(_comm(c, X), 2), _power(_comm(Y, c), 2))
+
+
+def test_bracket_compositions_are_ninth_powers():
+    # bracket-assoc-iff-ninth-power: B(B(x,y),z) = [[x,y],z]^9 and
+    # B(x,B(y,z)) = [x,[y,z]]^9, so in class <= 3 the bracket is
+    # associative exactly when nine_identity holds
+    assert _bracket(_bracket(X, Y), Z) == _power(_comm(_comm(X, Y), Z), 9)
+    assert _bracket(X, _bracket(Y, Z)) == _power(_comm(X, _comm(Y, Z)), 9)
+    assert _bracket(_bracket(X, Y), Z) != _power(_comm(_comm(X, Y), Z), 3)
+    assert _bracket(X, _bracket(Y, Z)) != _power(_comm(_comm(Y, Z), X), 9)

@@ -14,14 +14,13 @@ visits the first x of each distinct row; the two commutator expansions and
 the ninth-power identity, which read the cube R^3 of the least elements of
 the classes of the group key, translations by Z(G) that pass (a) and (a')
 on the group table and (r) and (c) on the commutator table; the
-associator scan, which reads the cube R^3 of the key of the central
-translations of the loop's recorded source that pass (a) and (a') on the
-loop table and (c) and (z) on the commutator table.  The normal-subloop
+associator scan, which reads the cube R^3 of the key of the translations
+by the loop's commuting elements that pass (a) and (a') on the loop table
+and the x, y and z conditions on the commutator table.  The normal-subloop
 test reads no key: the coset congruence of quotient_loop decides a normal
 subloop with no product-test slab, and a key forced into the loop's cache
 changes no answer.  Planted tables on which a translation fails one
-condition pin that it is then refused; a source whose center fails the
-checks keys nothing.
+condition pin that it is then refused.
 """
 
 import os
@@ -356,8 +355,8 @@ def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatc
     # wreath33xC4's twisted table as a "group": the formula fails at x = 4,
     # and no associator is non-central, so the central mask runs for the
     # least element of every class.  The table's 36 commuting elements pass
-    # (a), (a'), (c) and (z), so there are 9 classes, and of x <= 4 only 0
-    # and 4 are visited
+    # (a), (a') and the x, y and z conditions, so there are 9 classes, and
+    # of x <= 4 only 0 and 4 are visited
     ctx = SuiteContext(_wrapped(_gyro("product:wreath33,cyclic:4")))
     computed = []
     scan = checks.first_violations
@@ -410,9 +409,9 @@ def test_wrapped_twisted_tables_fail_the_group_laws(spec, left, right, nine):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_normal_subloop_matches_reference_on_catalog_loops(spec):
-    # the twisted loop has a key of central translations, its opposite
-    # records no source and has none; normal_subloop_violation reads
-    # neither, so it leaves no key on the loop
+    # the twisted loop and its opposite have keys of central translations;
+    # normal_subloop_violation reads neither, so it leaves no key on the
+    # loop
     L = _gyro(spec).loop
     subloops = {subloop_generated(L, {a}) for a in range(L.order)}
     subloops |= set(_ref_scan_nuclei(L)) | {commutant(L)}
@@ -587,7 +586,6 @@ def test_group_scans_match_reference_on_random_tables():
                         np.argmax(L.table == 0, axis=1).astype(np.int32))
         assert _expansions(H) == (_ref_expansion_left(H), _ref_expansion_right(H))
         assert nine_identity(H) == _ref_nine_identity(H)
-        L._cache["source"] = H
         ctx = SuiteContext(H)
         ctx._cache["gyro"] = GyroConstruction(H, L, None)
         assert ctx.associator_scan() == _ref_associator_scan(ctx)
@@ -626,7 +624,6 @@ def test_late_witnesses_after_many_passing_slabs():
         left, right = _expansions(H)
         assert (left, right) == (_ref_expansion_left(H), _ref_expansion_right(H))
         assert nine_identity(H) == _ref_nine_identity(H)
-        L._cache["source"] = H
         ctx = SuiteContext(H)
         ctx._cache["gyro"] = GyroConstruction(H, L, None)
         formula, central, _ = ctx.associator_scan()
@@ -728,9 +725,10 @@ def test_associativity_scan_allocates_its_buffers_once():
 def test_associator_scan_allocates_its_buffers_once():
     # A cold call on a fresh loop peaks in verify_translations, which checks
     # the loop key under tracing: an intp copy of T, two value slabs in T's
-    # dtype and a bool mask, 13 n^2 bytes here.  The (c) and (z) gathers of
-    # the commutator table and the cube's |R| x |R| buffers (pinned in the
-    # test below) stay under it, with one ufunc cast buffer.  A fresh n x n
+    # dtype and a bool mask, 13 n^2 bytes here.  The row labels of the
+    # commutator table, the gathers of the x, y and z tests and the cube's
+    # |R| x |R| buffers (pinned in the test below) stay under it, with one
+    # ufunc cast buffer.  A fresh n x n
     # array kept past the verification (a bool mask is about 103 KiB here)
     # raises the peak past the bound.  A first scan fills Python's free
     # lists, so that they are not traced
@@ -756,10 +754,10 @@ def test_associator_scan_allocates_its_buffers_once():
 
 
 def test_associator_scan_allocates_only_its_cube_buffers(monkeypatch):
-    # wreath33 x C4: |R| = 27 of n = 324.  The peak is traced from the start
+    # wreath33 x C4: |R| = 9 of n = 324.  The peak is traced from the start
     # of a warm call, with the loop key cached, and reset as
-    # first_violations starts, once the (c) and (z) tests have freed their
-    # n x n gathers.
+    # first_violations starts, once the x, y and z tests have freed their
+    # n x n gathers and row labels.
     # The [y, z] tables of y*z and of [z^-1, y], the offsets, the intp
     # indices of the central lookup, two value slabs, the expected values
     # and two masks are |R| x |R| arrays; any n x n array kept across the
@@ -782,7 +780,7 @@ def test_associator_scan_allocates_only_its_cube_buffers(monkeypatch):
         return found
     monkeypatch.setattr(checks, "first_violations", traced)
     m = int((_ref_key(gc.loop, G) == np.arange(n)).sum())
-    assert (n, m, len(cs)) == (324, 27, 2)
+    assert (n, m, len(cs)) == (324, 9, 3)
     intp, item = np.dtype(np.intp).itemsize, cm.itemsize
     buffers = m * m * (4 * intp + 3 * item + 2)
     tracemalloc.start()
@@ -1220,25 +1218,34 @@ def test_expansion_left_allocates_its_buffers_once():
 
 # ---------------------------------------------------------------------------
 # the associator scan keyed by the central translations it verifies: for c
-# in the center of the loop's recorded source and rho = T[:, c], slab(rho x)
-# = slab(x) once (a) and (a') hold, and the scan reads the cube R^3, as (c)
-# and (z) also hold
+# in the commutant of the loop and rho = T[:, c], slab(rho x) = slab(x)
+# once (a) and (a') hold, and the scan reads the cube R^3, as the x, y and
+# z conditions also hold
 
-def _conditions(L, c, cm=None):
-    """Whether rho = L.table[:, c] passes (a) T[rho p, z] = rho T[p, z],
-    (a') T[p, rho z] = rho T[p, z] and, given a commutator table cm, (c)
-    cm[:, rho x] = cm[:, x], each by one whole-table gather."""
+def _conditions(L, c):
+    """Whether rho = L.table[:, c] passes (a) T[rho p, z] = rho T[p, z] and
+    (a') T[p, rho z] = rho T[p, z], each by one whole-table gather."""
     T = L.table
     rho = T[:, c]
-    held = (np.array_equal(T[rho, :], rho[T]), np.array_equal(T[:, rho], rho[T]))
-    return held if cm is None else held + (np.array_equal(cm[:, rho], cm),)
+    return np.array_equal(T[rho, :], rho[T]), np.array_equal(T[:, rho], rho[T])
 
 
-def _z_condition(L, c, G):
-    """Whether rho = L.table[:, c] passes (z) K[:, rho] = K, where K[y, z] =
-    [z^-1, y] is read from G's commutator table and inverses."""
-    K = G.commutator_table()[G.inverse, :].T
-    return np.array_equal(K[:, L.table[:, c]], K)
+def _scan_conditions(L, c, G):
+    """Whether rho = L.table[:, c] passes the conditions of the associator
+    scan on G's commutator table cm, with rows labelled by np.unique:
+    (x) cm[W][:, rho] = cm[W], W the values of cm; (y) the rows of cm at
+    [w, rho y] and [w, y] agree; (z) the rows at [(rho z)^-1, y] and
+    [z^-1, y] agree."""
+    cm, inv, rho = G.commutator_table(), G.inverse, L.table[:, c]
+    W = np.unique(cm)
+    label = np.unique(cm, axis=0, return_inverse=True)[1].ravel()[cm]
+    return (np.array_equal(cm[W][:, rho], cm[W]), np.array_equal(label[:, rho], label),
+            np.array_equal(label[inv[rho]], label[inv]))
+
+
+def _commuting(L):
+    """The c with T[c] = T[:, c]: the candidates of the loop key."""
+    return np.flatnonzero((L.table == L.table.T).all(axis=1)).tolist()
 
 
 def _closed_key(rhos, n):
@@ -1253,15 +1260,12 @@ def _closed_key(rhos, n):
 
 
 def _ref_key(L, G=None):
-    """Each x's least image under the compositions of the translations of
-    the recorded source's center that pass every condition, each candidate
+    """Each x's least image under the compositions of the translations by
+    the commuting elements of L that pass every condition, each candidate
     tested: (a) and (a'), the loop key, or with the commutators and
-    inverses of G (c) and (z) too, the associator scan's."""
-    source = L._cache.get("source")
-    center = group_center(source) if source is not None else ()
-    cm = None if G is None else G.commutator_table()
-    return _closed_key([L.table[:, c] for c in center
-                        if all(_conditions(L, c, cm)) and (G is None or _z_condition(L, c, G))],
+    inverses of G the x, y and z conditions too, the associator scan's."""
+    return _closed_key([L.table[:, c] for c in _commuting(L)
+                        if all(_conditions(L, c)) and (G is None or all(_scan_conditions(L, c, G)))],
                        L.order)
 
 
@@ -1285,9 +1289,9 @@ def test_associator_scan_keyed_matches_the_unkeyed_scan_and_the_reference(spec):
 
 
 def test_associator_scan_keyed_on_random_tables():
-    # a seeded random loop times C_k, wrapped as a "group" and recorded as
-    # the source of itself as its twisted loop: (0, t) commutes and passes
-    # (a), (a'), (c) and (z), so the key merges each x with its k translates
+    # a seeded random loop times C_k, wrapped as a "group" with itself as
+    # its twisted loop: (0, t) commutes and passes (a), (a') and the x, y
+    # and z conditions, so the key merges each x with its k translates
     rng = np.random.default_rng(5)
     for _ in range(40):
         m, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
@@ -1296,7 +1300,6 @@ def test_associator_scan_keyed_on_random_tables():
                              + np.add.outer(np.arange(k), np.arange(k))[None, :, None, :] % k
                              ).reshape(m * k, m * k))
         H = _as_group(L.table)
-        L._cache["source"] = H
 
         def make_ctx():
             ctx = SuiteContext(H)
@@ -1306,12 +1309,13 @@ def test_associator_scan_keyed_on_random_tables():
         assert len(set(_ref_key(L, H).tolist())) <= m
 
 
-@pytest.mark.parametrize("spec, cosets", [("product:wreath33,cyclic:4", 27),
+@pytest.mark.parametrize("spec, cosets", [("product:wreath33,cyclic:4", 9),
                                           ("product:dihedral:16,cyclic:5", 8),
-                                          ("unitriangular4:3", 243)])
+                                          ("unitriangular4:3", 27)])
 def test_associator_scan_visits_one_slab_per_coset_of_the_center(spec, cosets):
-    # every c of Z(G) passes, so the key is the least element of x Z(G), and
-    # a passing scan visits that element of each coset, R, and reads R^3
+    # every c of Z(L) passes, so the key is the least element of x Z(L), and
+    # a passing scan visits that element of each coset, R, and reads R^3:
+    # 9 of 324 slabs on wreath33 x C4 and 27 of 729 on unitriangular4:3
     ctx = SuiteContext(catalog_group(spec))
     key = _ref_key(ctx.loop, ctx.G)
     with pytest.MonkeyPatch.context() as mp:
@@ -1319,32 +1323,33 @@ def test_associator_scan_visits_one_slab_per_coset_of_the_center(spec, cosets):
         formula, central, _ = ctx.associator_scan()
     assert formula is None and central is None
     assert visits == _first_rows(key[:, None]) == sorted(set(key.tolist()))
-    assert len(visits) == cosets == ctx.n // len(ctx.zg)
+    assert len(visits) == cosets == ctx.n // len(ctx.zl)
 
 
 def _planted(fails):
-    """A context whose loop has D16 recorded as its source, so that c = r^4
-    (index 4), the one element of Z(D16) but e, is the one candidate, and
+    """A context whose loop holds c = r^4 (index 4) in its commutant, and
     rho = T[:, 4] fails one condition:
       (a), (a') the loops of _planted_normal, under D16 itself;
-      (c) D16's twisted loop under a copy of D16 whose commutator table has
-          [e, c] = [c, c] = r (column 4 at the rows {0, rho 0}), so that
-          the rows, and with them (z), still hold;
-      (z) the same with [r, e] = [r, c] = r (row 1 at the cells {0, rho 0}),
-          so that (c) holds but [(rho 7)^-1, e] = [c r, e] = e differs from
-          [7^-1, e] = [r, e] = r."""
+      (x), (y), (z) D16's twisted loop, where rho passes (a) and (a'),
+          under a copy of D16 with one change to its commutator table.
+    The rows of cm at w and w c are equal in D16, and W = {e, r2, r4, r6}:
+      (x) [r2, sr4] = e for r4: row r2 lies in W and [r2, rho sr4] =
+          [r2, s] = r4 differs, while the rows of e and r4 (both e) agree;
+      (y) [r, sr4] = [r5, sr4] = e for r2: rows r and r5 lie outside W;
+          the rows of [r, sr4] = e and [r, s] = r2 differ, and r, r5 are
+          the two z^-1 of one z-class, so the z rows agree;
+      (z) [r, s] = [r, sr4] = e for r2: the y rows agree, and the rows of
+          [(rho r7)^-1, s] = [r5, s] = r2 and [r, s] = e differ."""
     G = catalog_group("dihedral:16")
-    if fails in ("c", "z"):
-        L = build_gyro(G).loop
-        G = FiniteGroup(G.table, G.names, G.inverse)
-        G._cache["cm"] = catalog_group("dihedral:16").commutator_table().copy()
-        if fails == "c":
-            G._cache["cm"][[0, 4], 4] = 1
-        else:
-            G._cache["cm"][1, [0, 4]] = 1
-        L._cache["source"] = G
-    else:
+    if fails in ("a", "a'"):
         L = _planted_normal(fails)
+    else:
+        L = build_gyro(G).loop
+        cm = G.commutator_table().copy()
+        cell = {"x": (2, 12), "y": ([1, 5], 12), "z": (1, [8, 12])}[fails]
+        cm[cell] = 0
+        G = FiniteGroup(G.table, G.names, G.inverse)
+        G._cache["cm"] = cm
     ctx = SuiteContext(G)
     ctx._cache["gyro"] = GyroConstruction(G, L, None)
     return ctx
@@ -1352,37 +1357,35 @@ def _planted(fails):
 
 @pytest.mark.parametrize("fails, witnesses", [("a", ((2, 12, 10), (2, 12, 10))),
                                                ("a'", ((1, 1, 1), (1, 1, 1))),
-                                               ("c", ((4, 0, 0), None)),
-                                               ("z", ((0, 0, 7), None))])
+                                               ("x", ((12, 3, 8), None)),
+                                               ("z", ((8, 8, 7), None)),
+                                               ("y", ((8, 12, 3), None))])
 def test_associator_scan_refuses_a_translation_that_fails_one_condition(fails, witnesses):
-    # c fails the named condition alone, so no slab is merged with another.
-    # central_translations refuses it for (a) and (a'); for (c) and (z) it
-    # passes both, and the scan refuses it itself.  Merging x with x c
-    # anyway changes each answer.  In (a), x c takes the nuclei
-    # readings of x.  In (a'), which carries A from y to y c and from z to
-    # z c, the cube reads y and z at the classes' least elements, so the
-    # middle and right nuclei read {0, 4} where the scan reads {0}.  The
-    # least formula failure lies in slab 4 = 0 c in (c), and at z = 7 = 3 c
-    # in (z), both outside the merged cube
+    # c = 4 commutes and fails the named condition alone.
+    # central_translations refuses it for (a) and (a'); for x, y and z it
+    # passes both, and the scan refuses it itself.  Each keeps keyed =
+    # unkeyed = reference.  Merging x with x c anyway changes each answer.
+    # In (a), x c takes the nuclei readings of x.  In (a'), which carries A
+    # from y to y c and from z to z c, the cube reads y and z at the
+    # classes' least elements, so the middle and right nuclei read {0, 4}
+    # where the scan reads {0}.  The least formula failure lies at x = sr4
+    # in (x), at y = sr4 in (y) and at z = r7 in (z), each the larger
+    # element of its class, outside the merged cube
     ctx = _planted(fails)
     L = ctx.loop
-    assert sorted(ctx.zg) == [0, 4]
-    failed = tuple(k != fails for k in ("a", "a'", "c"))
-    assert [_conditions(L, c, ctx.cm) for c in (0, 4)] == [(True,) * 3, failed]
-    assert [_z_condition(L, c, ctx.G) for c in (0, 4)] == [True, fails != "z"]
+    assert 4 in _commuting(L)
+    assert _conditions(L, 4) == (fails != "a", fails != "a'")
+    if fails in ("x", "y", "z"):
+        assert _scan_conditions(L, 4, ctx.G) == tuple(k != fails for k in ("x", "y", "z"))
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         result = ctx.associator_scan()
-    assert visits == list(range(16))
-    assert result == _ref_associator_scan(ctx)
+    assert visits == sorted(set(_ref_key(L, ctx.G).tolist())) == list(range(16))
+    _assert_associator_scans_agree(lambda: _planted(fails))
     assert result[:2] == witnesses
     cs, key = L._cache["central"]
+    assert np.array_equal(key, _ref_key(L)) and (4 in cs) == (fails in ("x", "y", "z"))
     merged = np.minimum(np.arange(16), L.table[:, 4])
-    if fails in ("c", "z"):
-        assert cs == (4,) and np.array_equal(key, merged)
-        assert any(key[w] != w for w in witnesses[0])
-    else:
-        assert cs == () and np.array_equal(key, np.arange(16))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "_least_reached", lambda maps, n: merged)
         forced = _planted(fails).associator_scan()
@@ -1410,15 +1413,15 @@ def _assert_normal_scans_agree(L, subsets):
 
 
 def test_normal_subloop_keyed_matches_the_unkeyed_scan_on_larger_loops():
-    # wreath33 x C4's twisted loop (27 keys) on its nuclei, its commutant
+    # wreath33 x C4's twisted loop (9 keys) on its nuclei, its commutant
     # and two cyclic subloops, and the twisted loops of the wrapped twisted
-    # tables, keyed on the commuting elements of their "source" that pass
+    # tables, keyed on their commuting elements that pass
     L = _gyro("product:wreath33,cyclic:4").loop
     subsets = set(_ref_scan_nuclei(L)) | {commutant(L), subloop_generated(L, {1}),
                                           subloop_generated(L, {5})}
     tags = _assert_normal_scans_agree(L, sorted(subsets, key=sorted))
     _assert_normal_iff_quotient(L, subsets)
-    assert len(set(_ref_key(L).tolist())) == 27 and tags["normal"] >= 2
+    assert len(set(_ref_key(L).tolist())) == 9 and tags["normal"] >= 2
     for spec in SPECS:
         M = build_gyro(_wrapped(_gyro(spec))).loop
         assert M.is_loop and len(set(_ref_key(M).tolist())) < M.order
@@ -1436,11 +1439,10 @@ def _times_cyclic(T1, k):
 
 
 def test_normal_subloop_keyed_on_random_loops():
-    # seeded random loops times C_k with their own table recorded as the
-    # source: its center holds every (0, t), whose translations pass both
-    # conditions, so each loop has a key, which normal_subloop_violation
-    # does not read, and every tag is reached (product-right through the
-    # pinned order-12 loop)
+    # seeded random loops times C_k: every (0, t) commutes and its
+    # translation passes both conditions, so each loop has a key, which
+    # normal_subloop_violation does not read, and every tag is reached
+    # (product-right through the pinned order-12 loop)
     rng = np.random.default_rng(3)
     loops = [_times_cyclic(PRODUCT_RIGHT_12, 2)]
     for _ in range(16):
@@ -1449,7 +1451,6 @@ def test_normal_subloop_keyed_on_random_loops():
             rng.integers(1, 6)))).table, k))
     tags = Counter()
     for L in loops:
-        L._cache["source"] = _as_group(L.table)
         key = _ref_key(L)
         assert len(set(key.tolist())) < L.order
         n = L.order
@@ -1506,9 +1507,8 @@ def test_normal_subloop_raises_when_the_two_readings_disagree(monkeypatch):
 
 
 def _planted_normal(fails):
-    """An order-16 loop with D16 recorded as its source, so that c = r^4
-    (index 4), the one element of Z(D16) but e, is the one candidate, and
-    rho = T[:, 4] fails one condition:
+    """An order-16 loop whose commutant holds c = r^4 (index 4), a
+    candidate of its key, and rho = T[:, 4] fails one condition:
       (a) D8 x C2, (q, s) at index 2 q + s, with the C2 coordinate of
           every product of (sr2, s) by (sr, s') and by (sr3, s') flipped
           (the flip reads only the D8 coordinates, so the table stays a
@@ -1526,9 +1526,7 @@ def _planted_normal(fails):
         T = _gyro("dihedral:16").loop.table.astype(np.int64)
         for r1, r2 in ((1, 8), (5, 12)):
             T[[r1, r1, r2, r2], [2, 13, 2, 13]] = T[[r1, r1, r2, r2], [13, 2, 13, 2]]
-    L = loop_from_table(T)
-    L._cache["source"] = catalog_group("dihedral:16")
-    return L
+    return loop_from_table(T)
 
 
 @pytest.mark.parametrize("fails, N, witness", [("a", [0, 2, 4, 6], ("product-left", 12, 8)),
@@ -1541,7 +1539,7 @@ def test_normal_subloop_refuses_a_translation_that_fails_one_condition(fails, N,
     # scan reads no key, so a merged key forced into the cache changes
     # nothing
     L = _planted_normal(fails)
-    assert sorted(group_center(L._cache["source"])) == [0, 4]
+    assert 4 in _commuting(L)
     conditions = (fails != "a", fails != "a'")
     assert [_conditions(L, c) for c in (0, 4)] == [(True, True), conditions]
     with pytest.raises(NotWellDefined):
