@@ -27,6 +27,7 @@ from .cocycle import (
 from .errors import NotACocycle, NotASubloop, NotWellDefined
 from .groups import (
     FiniteGroup,
+    _cached,
     _least_reached,
     _light_associative,
     _mark,
@@ -78,9 +79,9 @@ R_EXP3 = "group-exponent-not-3"
 _HOLDS = {
     R_CLASS: lambda ctx: ctx.cls is not None and ctx.cls <= 3,
     R_CLASS3: lambda ctx: ctx.cls == 3,
-    R_THREE: lambda ctx: ctx.coprime_to_3,
-    R_ENGEL: lambda ctx: ctx.two_engel,
-    R_EXP3: lambda ctx: ctx.exponent == 3,
+    R_THREE: lambda ctx: ctx.n % 3 != 0,
+    R_ENGEL: lambda ctx: is_two_engel(ctx.G)[0],
+    R_EXP3: lambda ctx: group_exponent(ctx.G) == 3,
 }
 
 
@@ -178,71 +179,61 @@ def _associator_key(T: np.ndarray, cm: np.ndarray, inv: np.ndarray, cs) -> np.nd
 # ---------------------------------------------------------------------------
 # suite context: shared cached computations
 
+# the refusals that a per-set result keeps and raises again
+_REFUSED = (NotASubloop, NotWellDefined)
+
+
 class SuiteContext:
+    """What the checks of one suite share.  Values of the group or the loop
+    alone (Z(G), the commutant, the nuclei, the keys, the congruences) are
+    cached on those; the rest goes through groups._cached into _cache,
+    which holds the loop under "gyro".  The nuclei, the commutant and the
+    loop center are often the same set, so a set-level result is keyed by
+    (operation, frozenset) and computed once however many kinds share it."""
+
     def __init__(self, G: FiniteGroup):
         self.G = G
         self.n = G.order
         self._cache: dict = {}
-        self._sets: dict = {}
-
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    def _per_set(self, op: str, S, fn):
-        """fn() once per (op, set) in this suite.  The nuclei, the commutant
-        and the loop center are often the same set, so a set-level result
-        is computed once however many kinds share it.  An outcome that
-        raised NotASubloop or NotWellDefined is kept and raised again."""
-        key = (op, frozenset(S))
-        if key not in self._sets:
-            try:
-                self._sets[key] = (fn(), None)
-            except (NotASubloop, NotWellDefined) as exc:
-                self._sets[key] = (None, exc)
-        value, exc = self._sets[key]
-        if exc is not None:
-            raise exc
-        return value
 
     def normal_subloop(self, S):
         """normal_subloop_violation(loop, S), decided by quotient(S)'s test."""
-        return self._per_set("normal-subloop", S,
-                             lambda: normal_subloop_violation(self.loop, S))
+        return _cached(self, ("normal-subloop", frozenset(S)),
+                       lambda: normal_subloop_violation(self.loop, S), _REFUSED)
 
     def quotient(self, S) -> tuple[FiniteLoop, np.ndarray]:
         """quotient_loop(loop, S)."""
-        return self._per_set("quotient", S, lambda: quotient_loop(self.loop, S))
+        return _cached(self, ("quotient", frozenset(S)),
+                       lambda: quotient_loop(self.loop, S), _REFUSED)
 
     def quotient_associativity(self, S):
         """The associativity witness of the table of loop/S, None when
         associative; raises as quotient(S) does."""
-        return self._per_set("quotient-assoc", S, lambda: (
-            associativity_violation(self.quotient(S)[0].table)))
+        return _cached(self, ("quotient-assoc", frozenset(S)), lambda: (
+            associativity_violation(self.quotient(S)[0].table)), _REFUSED)
 
     def group_normality(self, S):
         """normality_violation(G, S)."""
-        return self._per_set("group-normal", S,
-                             lambda: normality_violation(self.G, sorted(S)))
+        return _cached(self, ("group-normal", frozenset(S)),
+                       lambda: normality_violation(self.G, sorted(S)), _REFUSED)
 
     def subgroup_class(self, S):
         """The nilpotency class of S as a subgroup of G."""
-        return self._per_set("subgroup-class", S,
-                             lambda: nilpotency_class(subgroup_as_group(self.G, S)[0]))
+        return _cached(self, ("subgroup-class", frozenset(S)),
+                       lambda: nilpotency_class(subgroup_as_group(self.G, S)[0]), _REFUSED)
 
     def induced_associativity(self, S):
         """_induced_violation(loop table, S)."""
-        return self._per_set("induced-assoc", S,
-                             lambda: _induced_violation(self.loop.table, S))
+        return _cached(self, ("induced-assoc", frozenset(S)),
+                       lambda: _induced_violation(self.loop.table, S), _REFUSED)
 
     @property
     def cls(self):
-        return self._get("cls", lambda: nilpotency_class(self.G))
+        return _cached(self, "cls", lambda: nilpotency_class(self.G))
 
     @property
     def loop(self) -> FiniteLoop:
-        return self._get("gyro", lambda: build_gyro(self.G)).loop
+        return _cached(self, "gyro", lambda: build_gyro(self.G)).loop
 
     @property
     def cm(self):
@@ -250,11 +241,11 @@ class SuiteContext:
 
     @property
     def zg(self):
-        return self._get("zg", lambda: group_center(self.G))
+        return group_center(self.G)
 
     @property
     def com(self):
-        return self._get("com", lambda: commutant(self.loop))
+        return commutant(self.loop)
 
     def nuc(self, kind: str):
         """A nucleus of the loop by definition, reduced from the associators
@@ -262,37 +253,24 @@ class SuiteContext:
         and loop-center-intersection checks hold the group side and the
         gyration reading against."""
         if kind == "full":
-            return self._get(("nuc", "full"), lambda: (
-                self.nuc("left") & self.nuc("middle") & self.nuc("right")))
+            return self.nuc("left") & self.nuc("middle") & self.nuc("right")
         return self.associator_scan()[2][NUCLEUS_KINDS.index(kind)]
 
     @property
     def zl(self):
-        return self._get("zl", lambda: loop_center(self.loop))
+        return loop_center(self.loop)
 
     @property
     def loop_class(self):
-        return self._get("lc", lambda: loop_nilpotency_class(self.loop))
+        return _cached(self, "lc", lambda: loop_nilpotency_class(self.loop))
 
     @property
     def bracket(self):
-        return self._get("bracket", lambda: commutator_bracket_table(self.loop))
+        return _cached(self, "bracket", lambda: commutator_bracket_table(self.loop))
 
     @property
     def bracket_violation(self):
-        return self._get("bracket-assoc", lambda: associativity_violation(self.bracket))
-
-    @property
-    def exponent(self):
-        return self._get("exp", lambda: group_exponent(self.G))
-
-    @property
-    def two_engel(self):
-        return self._get("engel", lambda: is_two_engel(self.G)[0])
-
-    @property
-    def coprime_to_3(self):
-        return self.n % 3 != 0
+        return _cached(self, "bracket-assoc", lambda: associativity_violation(self.bracket))
 
     def names_for(self, witness):
         out = []
@@ -359,7 +337,7 @@ class SuiteContext:
                                    for w in first_violations(n, 3, slab, R))
             return formula, central, tuple(frozenset(int(i) for i in np.flatnonzero(mask[key]))
                                            for mask in (left, middle, right))
-        return self._get("assoc-scan", run)
+        return _cached(self, "assoc-scan", run)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Conventions used across the package:
   * index 0 is always the identity (tables are relabeled on ingestion),
   * the group commutator is [x, y] = x y x^-1 y^-1,
   * tables are numpy arrays of elem_dtype(n), treated as immutable once
-    constructed.
+    constructed,
+  * a value computed from one group or loop and kept for later calls goes
+    through _cached, the one memo of the package, into the object's _cache;
+    every caller shares it, so its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -46,6 +49,27 @@ def check_order_cap(size: int, what: str = "order") -> None:
     cap = order_cap()
     if size > cap:
         raise OrderCapExceeded(cap, size, f"{what} {size} exceeds cap {cap}")
+
+
+def _cached(obj, key, fn, keep=()):
+    """fn(), computed once per key in obj._cache and shared by every later
+    call.  An ndarray in the value, itself or an item of a tuple, is made
+    read-only.  An exception of a type in keep is stored and raised again;
+    any other stores nothing."""
+    cache = obj._cache
+    if key not in cache:
+        try:
+            value = fn()
+        except keep as exc:
+            value = exc
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
+        cache[key] = value
+    value = cache[key]
+    if isinstance(value, keep):
+        raise value
+    return value
 
 
 class FiniteGroup:
@@ -100,26 +124,24 @@ class FiniteGroup:
         return self._name_index[name]
 
     def power_array(self, k: int) -> np.ndarray:
-        """Vectorized k-th power of every element (k >= 0)."""
-        key = ("pow", k)
-        if key not in self._cache:
+        """Vectorized k-th power of every element (k >= 0), cached."""
+        def powers():
             ar = np.arange(self.order)
             acc = np.zeros(self.order, dtype=self.table.dtype)
             for _ in range(k):
                 acc = self.table[acc, ar]
-            self._cache[key] = acc
-        return self._cache[key]
+            return acc
+        return _cached(self, ("pow", k), powers)
 
     def commutator_table(self) -> np.ndarray:
-        """CM[a, b] = a b a^-1 b^-1 for all pairs, as an n x n array."""
-        if "cm" not in self._cache:
+        """CM[a, b] = a b a^-1 b^-1 for all pairs, as an n x n array, cached."""
+        def commutators():
             n = self.order
             inv_rows = np.broadcast_to(self.inverse[:, None], (n, n))
             inv_cols = np.broadcast_to(self.inverse[None, :], (n, n))
-            ab = self.table
-            ab_ainv = self.table[ab, inv_rows]
-            self._cache["cm"] = self.table[ab_ainv, inv_cols]
-        return self._cache["cm"]
+            ab_ainv = self.table[self.table, inv_rows]
+            return self.table[ab_ainv, inv_cols]
+        return _cached(self, "cm", commutators)
 
     @property
     def is_abelian(self) -> bool:
@@ -334,8 +356,8 @@ def verify_translations(table: np.ndarray, candidates, cm: np.ndarray | None = N
       (a)  T[rho p, z] == rho T[p, z],      (a') T[p, rho z] == rho T[p, z],
     and, given a commutator table, leaves its rows and columns unchanged,
       (r)  cm[rho x, w] == cm[x, w],        (c)  cm[w, rho x] == cm[w, x];
-    key[x] (read-only, elem_dtype(n)) is the least element that compositions
-    of kept maps, which pass each condition too, reach from x.  A c already
+    key[x] (elem_dtype(n)) is the least element that compositions of kept
+    maps, which pass each condition too, reach from x.  A c already
     in the class of 0 is skipped, as by (a') a composition phi is x ->
     T[x, phi(0)]: only generators are verified (3 of the 35 c != e of the
     loop commutant of wreath33 x C4, 1 of 728 on cyclic:729).  A failing
@@ -358,17 +380,14 @@ def verify_translations(table: np.ndarray, candidates, cm: np.ndarray | None = N
                for t, axis, want in tests):
             cs.append(int(c))
             key = _least_reached([Ti[:, k] for k in cs], n)
-    key.setflags(write=False)
     return tuple(cs), key
 
 
 def group_translations(G: FiniteGroup):
     """verify_translations on G's table with the candidates Z(G) and G's
     commutator table, cached on G: the key of the group-side scans."""
-    if "central" not in G._cache:
-        G._cache["central"] = verify_translations(G.table, sorted(group_center(G)),
-                                                  G.commutator_table())
-    return G._cache["central"]
+    return _cached(G, "central", lambda: verify_translations(
+        G.table, sorted(group_center(G)), G.commutator_table()))
 
 
 def _light_associative(table: np.ndarray) -> bool:
@@ -578,9 +597,14 @@ def subgroup_generated(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     return generated([G.table], [0, *seed], G.order)
 
 
+def _commuting(table: np.ndarray) -> frozenset[int]:
+    """The elements a with a*x == x*a for every x of the table."""
+    return frozenset(np.flatnonzero((table == table.T).all(axis=1)).tolist())
+
+
 def group_center(G: FiniteGroup) -> frozenset[int]:
-    mask = (G.table == G.table.T).all(axis=1)
-    return frozenset(int(i) for i in np.flatnonzero(mask))
+    """Z(G), cached on G."""
+    return _cached(G, "center", lambda: _commuting(G.table))
 
 
 def derived_subgroup(G: FiniteGroup) -> frozenset[int]:
@@ -592,9 +616,7 @@ def lower_central_series(G: FiniteGroup) -> list[frozenset[int]]:
 
     Computed once per group and cached; each call returns a new list.
     """
-    if "lcs" not in G._cache:
-        G._cache["lcs"] = _lower_central_series(G)
-    return list(G._cache["lcs"])
+    return list(_cached(G, "lcs", lambda: _lower_central_series(G)))
 
 
 def _lower_central_series(G: FiniteGroup) -> tuple[frozenset[int], ...]:

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import NotRightLoop
 from .groups import (
     FiniteGroup,
+    _cached,
     _light_associative,
     _mark,
     elem_dtype,
@@ -100,6 +101,10 @@ class GyrationTable:
     ids: np.ndarray
     perms: np.ndarray
 
+    def __post_init__(self):
+        self.ids.setflags(write=False)
+        self.perms.setflags(write=False)
+
     def perm(self, y: int, z: int) -> np.ndarray:
         return self.perms[int(self.ids[y, z])]
 
@@ -117,22 +122,18 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
     """
     if L.right_division is None:
         raise NotRightLoop(-1)
-    if "gyr" in L._cache:
-        return L._cache["gyr"]
-    T = L.table
-    G = L._cache.get("source")
-    if G is not None and _is_group_table(G):
-        ids, rows = _conjugation_family(G)
-    else:
-        index = RowIndex(L.order, elem_dtype(L.order))
-        # row a of T.T is R_a and row a of right_division.T is R_a^-1
-        ids = _map_family(T.T, L.right_division.T, T, index, central_translations(L)[1])
-        rows = index.rows
-    rows = rows.astype(T.dtype, copy=False)
-    for read_only in (ids, rows):
-        read_only.setflags(write=False)
-    L._cache["gyr"] = GyrationTable(ids, rows)
-    return L._cache["gyr"]
+
+    def build():
+        T, G = L.table, L._cache.get("source")
+        if G is not None and _is_group_table(G):
+            ids, rows = _conjugation_family(G)
+        else:
+            index = RowIndex(L.order, elem_dtype(L.order))
+            # row a of T.T is R_a and row a of right_division.T is R_a^-1
+            ids = _map_family(T.T, L.right_division.T, T, index, central_translations(L)[1])
+            rows = index.rows
+        return GyrationTable(ids, rows.astype(T.dtype, copy=False))
+    return _cached(L, "gyr", build)
 
 
 def _is_group_table(G: FiniteGroup) -> bool:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotALoop
+from .groups import _cached
 from .gyro import gyration_table
 from .loops import FiniteLoop, commutant, quotient_loop
 
@@ -35,14 +36,16 @@ def _gyration_nuclei(L: FiniteLoop) -> tuple[frozenset[int], frozenset[int], fro
     gyr(0,z) is the identity map, as (x*0)*z = x*z = x*(0*z), and ids
     numbers the distinct gyrations in row-major first-occurrence order, so
     the identity map is id 0: the middle nucleus is the rows of ids that
-    hold only 0, the right nucleus the columns.  Raises NotRightLoop when
-    L has no right division.
+    hold only 0, the right nucleus the columns.  Cached on L; raises
+    NotRightLoop when L has no right division.
     """
-    gt = gyration_table(L)
-    fixed = (gt.perms == np.arange(L.order)).all(axis=0)
-    trivial = gt.ids == 0
-    return tuple(frozenset(int(i) for i in np.flatnonzero(m))
-                 for m in (fixed, trivial.all(axis=1), trivial.all(axis=0)))
+    def read():
+        gt = gyration_table(L)
+        fixed = (gt.perms == np.arange(L.order)).all(axis=0)
+        trivial = gt.ids == 0
+        return tuple(frozenset(np.flatnonzero(m).tolist())
+                     for m in (fixed, trivial.all(axis=1), trivial.all(axis=0)))
+    return _cached(L, "nuclei", read)
 
 
 def nucleus(L: FiniteLoop, kind: str = "full") -> frozenset[int]:

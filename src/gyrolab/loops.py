@@ -22,6 +22,8 @@ from .errors import (
     NotWellDefined,
 )
 from .groups import (
+    _cached,
+    _commuting,
     _coset_labels,
     _mark,
     _table_front_end,
@@ -159,8 +161,9 @@ def subloop_generated(L: FiniteLoop, seed: Iterable[int]) -> frozenset[int]:
 
 
 def commutant(L: FiniteLoop) -> frozenset[int]:
-    """Elements commuting with everything: a with a*x == x*a for all x."""
-    return frozenset(np.flatnonzero((L.table == L.table.T).all(axis=1)).tolist())
+    """Elements commuting with everything: a with a*x == x*a for all x,
+    cached on L."""
+    return _cached(L, "commutant", lambda: _commuting(L.table))
 
 
 def central_translations(L: FiniteLoop) -> tuple[tuple[int, ...], np.ndarray]:
@@ -170,9 +173,7 @@ def central_translations(L: FiniteLoop) -> tuple[tuple[int, ...], np.ndarray]:
     translation, so it is x -> x*c with c in Z(L) (R. H. Bruck, Trans. AMS
     60, 1946): the classes are the cosets of Z(L).  Inn's L(x,y), the
     gyrations of a loop with no group source and the associator scan read it."""
-    if "central" not in L._cache:
-        L._cache["central"] = verify_translations(L.table, sorted(commutant(L)))
-    return L._cache["central"]
+    return _cached(L, "central", lambda: verify_translations(L.table, sorted(commutant(L))))
 
 
 def _coset_congruence(T: np.ndarray, lst: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,16 +201,10 @@ def _coset_congruence(T: np.ndarray, lst: list[int]) -> tuple[np.ndarray, np.nda
 
 
 def _congruence(L: FiniteLoop, lst: list[int]):
-    """_coset_congruence(L.table, lst) or its NotWellDefined, once per set of L."""
-    sets = L._cache.setdefault("congruence", {})
-    if (key := frozenset(lst)) not in sets:
-        try:
-            sets[key] = _coset_congruence(L.table, lst)
-            for read_only in sets[key]:                 # shared by every caller
-                read_only.setflags(write=False)
-        except NotWellDefined as exc:
-            sets[key] = exc
-    return sets[key]
+    """_coset_congruence(L.table, lst), or its NotWellDefined raised again,
+    computed once per set of L."""
+    return _cached(L, ("congruence", frozenset(lst)),
+                   lambda: _coset_congruence(L.table, lst), keep=(NotWellDefined,))
 
 
 def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
@@ -241,8 +236,11 @@ def normal_subloop_violation(L: FiniteLoop, N: Iterable[int]):
     bad = first_cell(~in_N[ar[:, None], Nx].all(axis=1))
     if bad is not None:
         return ("left-right-coset",) + bad
-    if not isinstance(_congruence(L, lst), NotWellDefined):
+    try:
+        _congruence(L, lst)
         return None
+    except NotWellDefined:
+        pass
 
     # each slab is [y, i], reduced over i to the mask of the failing y
     def left(x):                                        # x*(y*N) != (x*y)*N
@@ -269,10 +267,7 @@ def quotient_loop(L: FiniteLoop, N: Iterable[int],
     w = subloop_violation(L, S)
     if w is not None:
         raise NotASubloop(w)
-    congruence = _congruence(L, sorted(S))
-    if isinstance(congruence, NotWellDefined):
-        raise congruence
-    rep_values, proj, qtable = congruence
+    rep_values, proj, qtable = _congruence(L, sorted(S))
     qnames = [f"[{L.names[int(r)]}]" for r in rep_values]
     Q = loop_from_table(qtable, names=qnames, lenient=True,
                         name=name or f"{L.name}/N")

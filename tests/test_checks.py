@@ -29,7 +29,7 @@ from gyrolab import (
 from gyrolab import checks, loops
 from gyrolab.checks import R_CLASS, R_CLASS3, R_THREE
 from gyrolab.cli import main
-from gyrolab.errors import NotASubloop
+from gyrolab.errors import NotASubloop, NotWellDefined
 from gyrolab.groups import _group_unchecked, group_from_permutations
 from gyrolab.loops import loop_from_table, normal_subloop_violation, subloop_violation
 
@@ -271,10 +271,34 @@ def test_suite_runs_the_coset_congruence_once_per_set(monkeypatch, spec, sets):
         calls[(len(T), len(lst), T.tobytes(), frozenset(lst))] += 1
         return inner(T, lst)
     monkeypatch.setattr(loops, "_coset_congruence", counted)
-    reports = verify_suite(catalog_group(spec))
+    G = catalog_group(spec)
+    reports = verify_suite(G)
     assert all(r.status != "fail" for r in reports)
     assert sorted(k[:2] for k in calls) == sets
     assert set(calls.values()) == {1}
+
+    # a refused set, the subloop of the least a that is not normal: two
+    # quotients read one congruence test, whose NotWellDefined is kept and
+    # raised again with the same witness, and the normality test, which
+    # refuses S by its cosets x*N != N*x here, adds none
+    L = build_gyro(G).loop
+    S = next(S for a in range(1, L.order)
+             if normal_subloop_violation(L, S := subloop_generated(L, [a])) is not None)
+    calls.clear()
+    witnesses = []
+    for _ in range(2):
+        with pytest.raises(NotWellDefined) as exc:
+            loops.quotient_loop(L, S)
+        witnesses.append(exc.value.witness)
+    assert normal_subloop_violation(L, S) is not None
+    assert witnesses[0] == witnesses[1] and list(calls.values()) == [1]
+
+    # an exception of a type that is not kept stores nothing: an index
+    # outside the table raises IndexError at every call
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            loops._congruence(L, [0, L.order])
+    assert calls[len(L.table), 2, L.table.tobytes(), frozenset({0, L.order})] == 2
 
 
 def test_per_kind_checks_keep_their_kind_order(monkeypatch, d16):

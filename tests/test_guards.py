@@ -1,6 +1,9 @@
 """Guards run in a fresh interpreter: invariant guards raise GyrolabError
 subclasses, so they hold under -O, and no CLI command imports numpy.ma.
-The package's source holds no assert statement, which -O would strip.
+The package's source holds no assert statement, which -O would strip, and
+reads or writes a memo only through groups._cached, whose shared arrays
+are read-only; the commuting elements of each table and the nuclei of
+each loop are computed once per verify and per analyze.
 A permutation file's table is read from base images, hashing no composite.
 The fused associator and nuclei scan runs once per verify, as its oracle,
 and never in analyze; the loop-commutator bracket table is built once per
@@ -11,6 +14,7 @@ routine has one name."""
 
 import ast
 import hashlib
+from collections import Counter
 import inspect
 import json
 import os
@@ -28,16 +32,22 @@ from gyrolab import (
     checks,
     cli,
     commutant,
-    gyro,
     group_center,
+    groups,
+    gyration_table,
+    gyro,
     invariants,
+    loops,
     perms,
     subgroup_generated,
     subloop_generated,
     verify_suite,
 )
+from gyrolab.checks import SuiteContext
 from gyrolab.cli import main
+from gyrolab.loops import central_translations
 from gyrolab.fileio import parse_group_file
+from gyrolab.groups import group_translations
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -79,6 +89,85 @@ def test_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _stray_memo_uses(module: str, tree: ast.AST) -> list[int]:
+    """Lines of the module that touch an attribute _cache anywhere but in
+    groups._cached, a constructor's self._cache = {} and, in gyro, the
+    "source" record that build_gyro writes and gyration_table reads."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def functions(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, ast.FunctionDef):
+                yield node.name
+
+    def allowed(node):
+        up = parents[node]
+        if module == "groups" and "_cached" in functions(node):
+            return True
+        if isinstance(up, (ast.Assign, ast.AnnAssign)) and next(functions(node), None) == "__init__":
+            return (isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and isinstance(up.value, ast.Dict) and not up.value.keys)
+        if isinstance(up, ast.Attribute) and up.attr == "get":
+            up = parents[up]
+            key = up.args[0] if isinstance(up, ast.Call) and up.args else None
+        else:
+            key = up.slice if isinstance(up, ast.Subscript) else None
+        return module == "gyro" and isinstance(key, ast.Constant) and key.value == "source"
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_cache" and not allowed(node)]
+
+
+def test_every_memo_goes_through_cached():
+    # one memo routine: a value kept on a group, a loop or a suite context
+    # is stored, read-only, and raised again only by groups._cached
+    found = [f"{path.name}:{line}"
+             for path in sorted((SRC / "gyrolab").glob("*.py"))
+             for line in _stray_memo_uses(path.stem, ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_shared_values_are_read_only():
+    # every caller reads the one cached array, so none may write into it
+    G = catalog_group("wreath33")
+    ctx = SuiteContext(G)
+    L = ctx.loop
+    gt = gyration_table(L)
+    shared = [G.commutator_table(), G.power_array(3), ctx.bracket, gt.ids, gt.perms,
+              group_translations(G)[1], central_translations(L)[1],
+              *loops._congruence(L, sorted(commutant(L)))]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+
+
+@pytest.mark.parametrize("run", ["verify", "analyze"])
+def test_commuting_elements_and_nuclei_are_read_once_per_table(monkeypatch, tmp_path, run):
+    # Z(G) and the commutant of each loop are one commuting scan each,
+    # cached on the group or the loop, and each loop's nuclei are read off
+    # its gyrations once: on wreath33 x C4, G, L and L/Z(L) of order 9
+    calls, nuclei = Counter(), []
+    commuting = groups._commuting
+
+    def counted(table):
+        calls[len(table), table.tobytes()] += 1
+        return commuting(table)
+    monkeypatch.setattr(groups, "_commuting", counted)
+    monkeypatch.setattr(loops, "_commuting", counted)
+    read = invariants.gyration_table
+    monkeypatch.setattr(invariants, "gyration_table", lambda L: nuclei.append(L) or read(L))
+    catalog_group.cache_clear()
+    spec = "product:wreath33,cyclic:4"
+    if run == "verify":
+        assert all(r.status != "fail" for r in verify_suite(catalog_group(spec)))
+    else:
+        assert main(["analyze", "--group", spec, "--out", str(tmp_path / "doc")]) == 0
+    assert sorted(n for n, _ in calls) == [9, 324, 324]
+    assert set(calls.values()) == {1}
+    assert sorted(L.order for L in nuclei) == [9, 324]
+    assert len({id(L) for L in nuclei}) == 2
 
 
 NO_MASKED_ARRAYS = """

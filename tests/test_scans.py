@@ -512,11 +512,24 @@ PRODUCT_RIGHT_12 = [
 ]
 
 
-def test_product_right_fixture():
+def test_product_right_fixture(monkeypatch):
+    # {0, 6} passes x*N == N*x, so the normality test reads the congruence;
+    # its NotWellDefined is kept on the loop and raised again by both
+    # quotients, with the same witness
+    calls = []
+    inner = loops._coset_congruence
+    monkeypatch.setattr(loops, "_coset_congruence",
+                        lambda T, lst: calls.append(lst) or inner(T, lst))
     L = loop_from_table(PRODUCT_RIGHT_12)
     assert subloop_generated(L, {6}) == {0, 6}
     assert normal_subloop_violation(L, {0, 6}) == ("product-right", 1, 2)
     assert _ref_normal_subloop_violation(L, {0, 6}) == ("product-right", 1, 2)
+    witnesses = []
+    for _ in range(2):
+        with pytest.raises(NotWellDefined) as exc:
+            quotient_loop(L, {0, 6})
+        witnesses.append(exc.value.witness)
+    assert witnesses[0] == witnesses[1] and calls == [[0, 6]]
 
 
 def _assert_normal_iff_quotient(L, subsets):
