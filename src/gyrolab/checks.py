@@ -29,7 +29,6 @@ from .groups import (
     FiniteGroup,
     _cached,
     _least_reached,
-    _light_associative,
     _mark,
     associativity_violation,
     first_cell,
@@ -93,23 +92,26 @@ def _cube_criterion(G: FiniteGroup, C: frozenset[int]) -> tuple[bool, tuple[int,
     return w is None, w
 
 
-def _cube_violation(G: FiniteGroup, make_slab):
-    """The least failing triple, as elements, of the scan make_slab(cm, cmc,
-    Tc) over R^3, R the least elements of the classes of the group key.  On
-    R x R, cm are the commutators, cmc their classes and Tc the classes of
-    the products, as positions in R.  The key's maps leave the masks of the
-    group-side scans unchanged on every axis, so the least failing triple
-    lies in R^3, and there (r) and (c) give cm[u, v] from the classes."""
-    _, key = group_translations(G)
-    n, cm = G.order, G.commutator_table()
+def _cube_violation(key: np.ndarray, table: np.ndarray, make_slab, products=None):
+    """The least failing triple, as elements, of the scan make_slab(t, tc,
+    pc) over R^3, R the least elements of the classes of a verified key.
+    On R x R, t are the values of table, tc their classes and pc those of
+    products (None when not given), as positions in R.  The key's maps leave
+    the mask unchanged on every axis, so the least failing triple lies in
+    R^3.  The group key keeps the group-side scans on G's commutator table,
+    where (r) and (c) give cm[u, v] from the classes.  The loop key keeps
+    the associativity of the bracket B(x, y) = (x*y) / (y*x): a kept rho
+    passes (a) and (a'), so (rho x)*y = rho(x*y), y*(rho x) = rho(y*x) and
+    (rho u) / (rho v) = u / v, hence B(rho x, y) = B(x, rho y) = B(x, y)."""
+    n = len(table)
     R = np.flatnonzero(key == np.arange(n))
     if len(R) == n:
-        tables = cm, cm, G.table
+        tables = table, table, products
     else:
-        pos = np.zeros(n, dtype=G.table.dtype)
+        pos = np.zeros(n, dtype=table.dtype)
         pos[R] = np.arange(len(R))
-        cmR, cls = cm[np.ix_(R, R)], pos[key]
-        tables = cmR, cls[cmR], cls[G.table[np.ix_(R, R)]]
+        cls, tR = pos[key], table[np.ix_(R, R)]
+        tables = tR, cls[tR], None if products is None else cls[products[np.ix_(R, R)]]
     w = first_violation(len(R), make_slab(*tables))
     return None if w is None else tuple(int(R[i]) for i in w)
 
@@ -118,7 +120,8 @@ def nine_identity(G: FiniteGroup) -> tuple[bool, tuple[int, int, int] | None]:
     """Whether [[x,y],z]^9 == [x,[y,z]]^9 for all triples, with the least
     failing (x, y, z) when not."""
     # values [a, b]^9 read through the classes of [a, b]
-    w = _cube_violation(G, lambda cm, cmc, _: pair_slabs(G.power_array(9)[cm], cmc))
+    w = _cube_violation(group_translations(G)[1], G.commutator_table(),
+                        lambda cm, cmc, _: pair_slabs(G.power_array(9)[cm], cmc))
     return w is None, w
 
 
@@ -270,7 +273,10 @@ class SuiteContext:
 
     @property
     def bracket_violation(self):
-        return _cached(self, "bracket-assoc", lambda: associativity_violation(self.bracket))
+        """The bracket's least non-associative triple, read on the loop key's cube."""
+        return _cached(self, "bracket-assoc", lambda: _cube_violation(
+            central_translations(self.loop)[1], self.bracket,
+            lambda B, Bc, _: pair_slabs(B, Bc)))
 
     def names_for(self, witness):
         out = []
@@ -470,9 +476,7 @@ def _check_nuclei_normal_subloops(ctx):
 def _induced_violation(T: np.ndarray, S) -> tuple | None:
     """Whether the product of the table T restricted to S is a closed,
     associative operation: ("not-closed", v) with v the least product
-    outside S, the least failing triple of S, or None.  A closed S that holds
-    T's identity 0 passes or fails by Light's test, as in group_from_table;
-    only a failing one is scanned for its witness."""
+    outside S, the least failing triple of S, or None."""
     lst = np.array(sorted(S), dtype=np.intp)
     pos = np.full(len(T), -1, dtype=np.intp)
     pos[lst] = np.arange(len(lst))
@@ -480,8 +484,6 @@ def _induced_violation(T: np.ndarray, S) -> tuple | None:
     local = pos[sub]                                  # the products as positions in lst
     if (local < 0).any():
         return ("not-closed", int(sub[local < 0].min()))
-    if pos[0] == 0 and _light_associative(local):
-        return None
     bad = associativity_violation(local)
     return None if bad is None else tuple(int(lst[i]) for i in bad)
 
@@ -529,7 +531,7 @@ def _expansion_violation(G: FiniteGroup, sides):
                             lhs, val)
             return np.not_equal(lhs, take(Tf, take(Tf, a, n, b, val), n, c, val), out=bad)
         return slab
-    return _cube_violation(G, make_slab)
+    return _cube_violation(group_translations(G)[1], G.commutator_table(), make_slab, G.table)
 
 
 @_check("commutator-expansion-left", "product expansion of [xy,z]",

@@ -54,21 +54,21 @@ def check_order_cap(size: int, what: str = "order") -> None:
 def _cached(obj, key, fn, keep=()):
     """fn(), computed once per key in obj._cache and shared by every later
     call.  An ndarray in the value, itself or an item of a tuple, is made
-    read-only.  An exception of a type in keep is stored and raised again;
-    any other stores nothing."""
+    read-only.  An exception of a type in keep is stored and raised again,
+    with no traceback: it holds no frame of fn and grows none per hit."""
     cache = obj._cache
     if key not in cache:
         try:
             value = fn()
         except keep as exc:
-            value = exc
+            value = exc.with_traceback(None)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, np.ndarray):
                 item.setflags(write=False)
         cache[key] = value
     value = cache[key]
     if isinstance(value, keep):
-        raise value
+        raise value.with_traceback(None)
     return value
 
 
@@ -216,10 +216,10 @@ def first_violations(n: int, count: int, slab, visit=None) -> list[tuple[int, ..
     s.  The witness of mask k is s followed by first_cell of its first mask
     with a True cell; the scan stops once every mask has one.  slab may
     return the same buffers on every call.  visit may leave out only an s
-    whose masks are those of a visited s' < s: a repeated row, or a class
-    of a verified key (verify_translations) but its least element.  A scan
-    of the cube R^3 of such a key visits R, and its masks are the R x R
-    cells of each slab, which hold the least witness of the whole slab.
+    whose masks are those of a visited s' < s: a class of a verified key
+    (verify_translations) but its least element.  A scan of the cube R^3
+    of such a key visits R, and its masks are the R x R cells of each slab,
+    which hold the least witness of the whole slab.
     """
     found: list = [None] * count
     for s in range(n) if visit is None else visit:
@@ -233,10 +233,10 @@ def first_violations(n: int, count: int, slab, visit=None) -> list[tuple[int, ..
     return found
 
 
-def first_violation(n: int, slab, visit=None) -> tuple[int, ...] | None:
+def first_violation(n: int, slab) -> tuple[int, ...] | None:
     """Least witness with a True cell in the one mask slab(s), else None,
-    over the outer indices visit as in first_violations."""
-    return first_violations(n, 1, lambda s, _open: (slab(s),), visit)[0]
+    over every s as in first_violations."""
+    return first_violations(n, 1, lambda s, _open: (slab(s),))[0]
 
 
 def pair_slabs(values: np.ndarray, index: np.ndarray):
@@ -264,16 +264,15 @@ def pair_slabs(values: np.ndarray, index: np.ndarray):
 
 
 def associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
-    """First (a, b, c) with (ab)c != a(bc) in lexicographic order, else None.
-
-    Slab a reads only row a, so the scan visits the first of each distinct
-    row (9 of 324 in the loop-commutator bracket table of wreath33 x C4),
-    found before the slab buffers; np.unique of a void view of the rows
-    does not import numpy.ma."""
+    """First (a, b, c) with (ab)c != a(bc) in lexicographic order, else None:
+    the one associativity test.  A table whose row 0 and column 0 are the
+    identity map is decided by Light's test; only a table that it refuses,
+    or one without that identity, is scanned, over every a."""
     T = np.ascontiguousarray(table)
-    rows = T.view(np.dtype((np.void, T.itemsize * T.shape[1]))).ravel()
-    visit = np.sort(np.unique(rows, return_index=True)[1])
-    return first_violation(len(T), pair_slabs(T, T), visit)
+    ar = np.arange(len(T))
+    if np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar) and _light_associative(T):
+        return None
+    return first_violation(len(T), pair_slabs(T, T))
 
 
 def _mark(n: int, values) -> np.ndarray:
@@ -391,14 +390,13 @@ def group_translations(G: FiniteGroup):
 
 
 def _light_associative(table: np.ndarray) -> bool:
-    """Light's test (Clifford-Preston 1961, section 1.2) on a Latin table
-    with identity 0.
-
-    The set N of a with (xa)y = x(ay) for all x, y holds the identity and is
-    closed under the product, so the table is associative exactly when N
-    contains a set whose left-normed products reach every element.  Checks
-    each a of _right_generators(table): O(n^2) work per generator.
-    """
+    """Light's test (Clifford-Preston 1961, section 1.2) on a table whose
+    row 0 and column 0 are the identity map.  N = {a : (xa)y = x(ay) for all
+    x, y} holds 0, and for a, b in N, (x(ab))y = ((xa)b)y = (xa)(by) =
+    x(a(by)) = x((ab)y): N is closed under the product in any magma with an
+    identity, Latin or not.  So the table is associative exactly when N holds
+    a set whose left-normed products from 0 reach every element.  Checks
+    each a of _right_generators(table): O(n^2) work per generator."""
     for a in _right_generators(table):
         if not np.array_equal(table[table[:, a], :], table[:, table[a]]):
             return False
@@ -488,17 +486,15 @@ def group_from_table(table, names: Sequence[str] | None = None,
     """Validate a full multiplication table and wrap it as a FiniteGroup.
 
     After _table_front_end come Latin-square rows/columns, and associativity
-    by Light's test on a generating set (see _light_associative), which is
-    exact.  Only a table that fails it is scanned over all triples, by
-    associativity_violation, so NotAssociative carries the lexicographically
-    least failing triple.  Use this for untrusted tables; catalog
-    constructions go through the cheaper structural path since their tables
-    are groups by construction.
+    by associativity_violation, so NotAssociative carries the
+    lexicographically least failing triple.  Use this for untrusted tables;
+    catalog constructions go through the cheaper structural path since their
+    tables are groups by construction.
     """
     arr, name_list, relabeled_from = _table_front_end(table, names)
     _check_latin(arr)
-    if not _light_associative(arr):
-        raise NotAssociative(associativity_violation(arr))
+    if (bad := associativity_violation(arr)) is not None:
+        raise NotAssociative(bad)
 
     G = FiniteGroup(arr, name_list, _inverse_array(arr), name=name)
     G.relabeled_from = relabeled_from

@@ -2,8 +2,10 @@
 subclasses, so they hold under -O, and no CLI command imports numpy.ma.
 The package's source holds no assert statement, which -O would strip, and
 reads or writes a memo only through groups._cached, whose shared arrays
-are read-only; the commuting elements of each table and the nuclei of
-each loop are computed once per verify and per analyze.
+are read-only.  Light's test is read only by the one associativity test
+and the gyration gate, and no scan skips rows by np.unique.  The
+commuting elements of each table and the nuclei of each loop are
+computed once per verify and per analyze.
 A permutation file's table is read from base images, hashing no composite.
 The fused associator and nuclei scan runs once per verify, as its oracle,
 and never in analyze; the loop-commutator bracket table is built once per
@@ -127,6 +129,28 @@ def test_every_memo_goes_through_cached():
              for path in sorted((SRC / "gyrolab").glob("*.py"))
              for line in _stray_memo_uses(path.stem, ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_one_associativity_test():
+    # Light's test is read by the one associativity test and by the yes/no
+    # gate of the closed-form gyrations, and no function skips repeated
+    # rows by np.unique over a void view of them
+    light, row_skips, imports = [], [], []
+    for path in sorted((SRC / "gyrolab").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.ImportFrom):
+                imports += [path.stem for a in fn.names if a.name == "_light_associative"]
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(fn)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if "_light_associative" in names:
+                light.append((path.stem, fn.name))
+            if {"unique", "void"} <= names:
+                row_skips.append((path.stem, fn.name))
+    assert light == [("groups", "associativity_violation"), ("gyro", "_is_group_table")]
+    assert imports == ["gyro"]
+    assert row_skips == []
 
 
 def test_shared_values_are_read_only():

@@ -1,3 +1,5 @@
+import traceback
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,22 @@ def test_quotient_loop_rejects_bad_subsets(d16_loop):
         quotient_loop(d16_loop, {0, 1})
     with pytest.raises((NotASubloop, NotWellDefined)):
         quotient_loop(d16_loop, {0, 8})
+
+
+def test_a_kept_refusal_holds_no_frame_and_gains_none_per_hit():
+    # {e, s} of dihedral:16's loop is refused by the coset congruence, which
+    # is kept on the loop and raised again on each later call: its
+    # traceback must not hold the frame of _coset_congruence, with its
+    # n x n arrays, nor grow by the frames of every call that raised it
+    L = loop_from_table(build_gyro(catalog_group("dihedral:16")).loop.table)
+    refusals = []
+    for _ in range(3):
+        with pytest.raises(NotWellDefined) as exc:
+            quotient_loop(L, {0, 8})
+        refusals.append([frame.f_code.co_name
+                         for frame, _ in traceback.walk_tb(exc.value.__traceback__)])
+    assert all("_coset_congruence" not in names for names in refusals)
+    assert refusals[0] == refusals[1] == refusals[2]
 
 
 def test_loop_direct_product(loop_direct_product):

@@ -9,14 +9,17 @@ equal, on passing inputs and on failing ones: twisted tables wrapped as
 (non-associative) "groups", a class-4 source, and random loops.  The nuclei
 read off the gyration table are pinned against both the nuclei that the
 associator scan reduces and the per-element reference.  Every keyed scan
-is pinned against the same scan run unkeyed: the associativity scan, which
-visits the first x of each distinct row; the two commutator expansions and
-the ninth-power identity, which read the cube R^3 of the least elements of
-the classes of the group key, translations by Z(G) that pass (a) and (a')
-on the group table and (r) and (c) on the commutator table; the
-associator scan, which reads the cube R^3 of the key of the translations
-by the loop's commuting elements that pass (a) and (a') on the loop table
-and the x, y and z conditions on the commutator table.  The normal-subloop
+is pinned against the same scan run unkeyed: the two commutator
+expansions and the ninth-power identity, which read the cube R^3 of the
+least elements of the classes of the group key, translations by Z(G) that
+pass (a) and (a') on the group table and (r) and (c) on the commutator
+table; the associativity scan of the loop-commutator bracket, which reads
+the cube R^3 of the loop key, translations by the loop's commuting elements
+that pass (a) and (a') on the loop table; the associator scan, which reads
+the cube R^3 of a finer key, those of the loop key that also pass the x, y
+and z conditions on the commutator table.  The associativity test decides
+a table with an identity by Light's test and scans only one that it
+refuses, or one with no identity, over every x.  The normal-subloop
 test reads no key: the coset congruence of quotient_loop decides a normal
 subloop with no product-test slab, and a key forced into the loop's cache
 changes no answer.  Planted tables on which a translation fails one
@@ -447,12 +450,12 @@ def test_induced_op_scans_only_a_failing_table(monkeypatch):
     # for it: cyclic:243's twisted loop is a group, its nuclei all of it,
     # and the nuclei of wreath33 x C4's pass.  Only a failing table, here
     # wreath33's whole loop, is scanned, once, for its least witness
-    scan, scanned = checks.associativity_violation, []
+    scan, scanned = groups.first_violations, []
 
-    def counted(table):
-        scanned.append(len(table))
-        return scan(table)
-    monkeypatch.setattr(checks, "associativity_violation", counted)
+    def counted(n, count, slab, visit=None):
+        scanned.append(n)
+        return scan(n, count, slab, visit)
+    monkeypatch.setattr(groups, "first_violations", counted)
     for spec in ("cyclic:243", "product:wreath33,cyclic:4"):
         L = _gyro(spec).loop
         for S in set(_ref_scan_nuclei(L)):
@@ -460,8 +463,8 @@ def test_induced_op_scans_only_a_failing_table(monkeypatch):
     assert scanned == []
     T = _gyro("wreath33").loop.table
     w = checks._induced_violation(T, range(81))
-    assert w is not None and w == _ref_induced_violation(T, range(81))
     assert scanned == [81]
+    assert w is not None and w == _ref_induced_violation(T, range(81))
 
 
 # ---------------------------------------------------------------------------
@@ -888,8 +891,8 @@ def test_expansion_right_past_uint16_cells():
 
 
 # ---------------------------------------------------------------------------
-# keyed scans: the associativity scan visits the first x of each distinct
-# row, and the group-side scans read the cube of the group key
+# keyed scans: the group-side scans read the cube of the group key, and the
+# bracket's associativity scan the cube of the loop key
 
 LADDER_324 = ["dihedral:16", "wreath33", "heisenberg:5",
               "product:dihedral:16,cyclic:5", "product:wreath33,cyclic:4"]
@@ -974,6 +977,71 @@ def test_keyed_scans_find_witnesses_on_the_wrapped_tables():
     assert len(_first_rows(tables[1])) < G.order
 
 
+def _bracket_context(kind, spec):
+    """A fresh suite context: of the source, of the twisted table wrapped as
+    a "group", or of the source with the opposite of its twisted loop."""
+    gc = _gyro(spec)
+    if kind == "wrapped":
+        return SuiteContext(_wrapped(gc))
+    ctx = SuiteContext(gc.source)
+    if kind == "opposite":
+        ctx._cache["gyro"] = GyroConstruction(gc.source, _opposite(gc.loop), None)
+    return ctx
+
+
+@pytest.mark.parametrize("kind, spec", [("source", s) for s in LADDER_324]
+                         + [("wrapped", s) for s in WRAPPED_PINS]
+                         + [("opposite", "unitriangular4:3")])
+def test_bracket_scan_matches_the_unkeyed_scan_and_the_reference(kind, spec):
+    # the bracket is read on the cube of the loop key: 8 to 27 classes here,
+    # and D16 and D16 x C5 fail, in the sources and the wrapped tables
+    ctx = _bracket_context(kind, spec)
+    keyed = ctx.bracket_violation
+    assert len(set(loops.central_translations(ctx.loop)[1].tolist())) < ctx.n
+    with pytest.MonkeyPatch.context() as mp:
+        _unkeyed(mp)
+        assert _bracket_context(kind, spec).bracket_violation == keyed
+    assert keyed == _ref_associativity_violation(ctx.bracket)
+    assert (keyed is not None) == ("dihedral:16" in spec)
+
+
+@st.composite
+def _identity_magmas(draw):
+    """A random n x n table whose row 0 and column 0 are the identity map:
+    random cells, seldom Latin, or the table of the monoid that up to three
+    random maps of {0, 1, 2} generate under composition, identity first,
+    with one cell off row 0 and column 0 planted with a random value."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=7))
+        cells = st.integers(min_value=0, max_value=n - 1)
+        table = np.array(draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                       min_size=n, max_size=n)), dtype=np.int64)
+    else:
+        maps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=3))
+        elements, index = [(0, 1, 2)], {(0, 1, 2): 0}
+        for f in elements:
+            for g in maps:
+                fg = tuple(g[f[i]] for i in range(3))
+                if fg not in index:
+                    index[fg] = len(elements)
+                    elements.append(fg)
+        n = len(elements)
+        table = np.array([[index[tuple(g[f[i]] for i in range(3))] for g in elements]
+                          for f in elements], dtype=np.int64)
+        if n > 1 and draw(st.booleans()):
+            a, b = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            table[a, b] = draw(st.integers(0, n - 1))
+    table[0] = table[:, 0] = np.arange(n)
+    return table
+
+
+@given(_identity_magmas())
+def test_associativity_matches_the_reference_on_magmas_with_an_identity(table):
+    # Light's test needs only the identity: it decides non-Latin tables and
+    # monoids of maps, associative or planted, as the scan of every triple
+    assert associativity_violation(table) == _ref_associativity_violation(table)
+
+
 @st.composite
 def _repeated_rows(draw):
     """A random n x n table and inverse map, with rows planted as copies of
@@ -1003,17 +1071,21 @@ def test_keyed_scans_match_the_unkeyed_scans_on_repeated_rows(drawn):
 
 
 def test_keyed_scans_visit_each_distinct_row_once():
-    # wreath33 x C4: 27 distinct rows of 324 in the commutator table and 9
-    # in the loop-commutator bracket table; the scans pass, so the bracket
-    # scan visits the first x of every distinct row, and the cube scans
-    # each of the 27 positions of R, the first x of every distinct row of
-    # the commutator table, as the suite runs them
+    # wreath33 x C4: 27 distinct rows of 324 in the commutator table, the
+    # classes of the group key, and 9 in the loop-commutator bracket table,
+    # as many as the classes of the loop key, the cosets of the loop's 36
+    # commuting elements.  The scans pass, so the cube scans each visit
+    # every position of their R once: the 27 of the group key, the first x
+    # of every distinct row of the commutator table, and the 9 of the loop
+    # key for the bracket, as the suite runs them
     ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
-    G, cm, B = ctx.G, ctx.cm, ctx.bracket
+    G, cm = ctx.G, ctx.cm
     R = np.flatnonzero(group_translations(G)[1] == np.arange(ctx.n)).tolist()
     assert R == _first_rows(cm)
+    loop_key = loops.central_translations(ctx.loop)[1]
+    assert len(set(loop_key.tolist())) == len(_first_rows(ctx.bracket)) == 9
     cube = list(range(len(R)))
-    expected = {"nine": cube, "right": cube, "bracket": _first_rows(B)}
+    expected = {"nine": cube, "right": cube, "bracket": list(range(9))}
     assert list(map(len, expected.values())) == [27, 27, 9]
     runs = {"nine": lambda: nine_identity(G)[1],
             "right": lambda: checks._check_commutator_expansion_right(ctx)[0],
@@ -1025,17 +1097,22 @@ def test_keyed_scans_visit_each_distinct_row_once():
         assert visits == expected[name], name
 
 
-def test_keyed_scan_visits_every_x_of_a_latin_table():
-    # a Latin table has no repeated row: a passing scan visits all n slabs,
-    # a failing one every x up to its witness
+def test_keyed_scan_visits_only_the_x_up_to_a_refused_tables_witness():
+    # a table whose row 0 and column 0 are the identity is decided by
+    # Light's test: a passing one visits no slab, a refused one every x up
+    # to its witness.  The bracket's row 0 is all 0, so its table is
+    # scanned from x = 0 on
     T = catalog_group("product:wreath33,cyclic:4").table
     H = _wrapped(_gyro("dihedral:16"))
+    B = commutator_bracket_table(_gyro("wreath33").loop)
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         assert associativity_violation(T) is None
         w = associativity_violation(H.table)
+        assert visits == list(range(w[0] + 1))
+        assert associativity_violation(B) is None
     assert w == _ref_associativity_violation(H.table)
-    assert visits == list(range(len(T))) + list(range(w[0] + 1))
+    assert visits == list(range(w[0] + 1)) + list(range(len(B)))
 
 
 def test_keyed_scans_allocate_their_buffers_once():
