@@ -33,7 +33,6 @@ from .groups import (
     associativity_violation,
     first_cell,
     first_violation,
-    first_violations,
     group_center,
     group_exponent,
     group_translations,
@@ -290,10 +289,11 @@ class SuiteContext:
     def associator_scan(self):
         """One pass over the cube R^3 of the associator key: the first
         formula violation, the first non-central associator (None when
-        absent) and the left, middle and right nuclei.  Once a mask has its
-        witness, the slabs of later x skip it.  R holds the least element of
-        each class of _associator_key; the slab of x in R reads R x R, into
-        buffers allocated once per scan."""
+        absent) and the left, middle and right nuclei.  The pass visits
+        every x of R, which holds the least element of each class of
+        _associator_key, since the nuclei reduce over all of them; once a
+        mask has its witness, later x skip it.  The slab of x reads R x R,
+        into buffers allocated once per scan."""
         def run():
             L, cm, n = self.loop, self.cm, self.n
             T, inv = L.table, self.G.inverse
@@ -312,8 +312,12 @@ class SuiteContext:
             central_bad = np.empty((m, m), dtype=bool)
             left = np.zeros(n, dtype=bool)
             middle, right = np.ones((2, n), dtype=bool)
+            formula = central = None
 
-            def slab(x, open_):
+            def witness(x, mask):
+                cell = first_cell(mask)
+                return None if cell is None else (x, int(R[cell[0]]), int(R[cell[1]]))
+            for x in R.tolist():
                 # A(x, y, z) = ((x*y)*z) / (x*(y*z)) is read from the right
                 # division at the offset ((x*y)*z)*n + x*(y*z), with (x*y)*z
                 # read from T at (x*y)*n + z.  Right division is unique, so A
@@ -321,7 +325,6 @@ class SuiteContext:
                 # in the left nucleus when no cell of the slab fails, y in
                 # the middle one when its row holds for every x, z in the
                 # right one when its column does
-                formula_open, central_open, _ = open_
                 np.multiply(T[x, R][:, None], n, out=off, dtype=np.intp)
                 np.add(off, R, out=off)
                 np.multiply(np.take(Tf, off, out=u, mode="clip"), n, out=off, dtype=np.intp)
@@ -332,15 +335,11 @@ class SuiteContext:
                 left[x] = not rows.any()
                 middle[R[rows]] = False
                 right[R[nonassoc.any(axis=0)]] = False
-                formula = central = None
-                if formula_open:
+                if formula is None:
                     np.take(cm[:, x], K, out=expected, mode="clip")   # [[z^-1, y], x]
-                    formula = np.not_equal(vals, expected, out=formula_bad)
-                if central_open:
-                    central = np.take(noncentral, vals, out=central_bad, mode="clip")
-                return formula, central, None
-            formula, central, _ = (None if w is None else (w[0], int(R[w[1]]), int(R[w[2]]))
-                                   for w in first_violations(n, 3, slab, R))
+                    formula = witness(x, np.not_equal(vals, expected, out=formula_bad))
+                if central is None:
+                    central = witness(x, np.take(noncentral, vals, out=central_bad, mode="clip"))
             return formula, central, tuple(frozenset(int(i) for i in np.flatnonzero(mask[key]))
                                            for mask in (left, middle, right))
         return _cached(self, "assoc-scan", run)

@@ -205,38 +205,15 @@ def first_cell(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
-def first_violations(n: int, count: int, slab, visit=None) -> list[tuple[int, ...] | None]:
-    """The least witness (s, ...) of each of count masks, else None.
-
-    The scan goes over the outer indices visit, ascending (0..n-1 by
-    default).  slab(s, open) returns a tuple of count failure masks, where
-    open[k] says whether mask k still lacks a witness; a closed mask is
-    never read, and an open None means no witness at this s, so a slot that
-    is always None keeps the scan going for a slab that reduces over every
-    s.  The witness of mask k is s followed by first_cell of its first mask
-    with a True cell; the scan stops once every mask has one.  slab may
-    return the same buffers on every call.  visit may leave out only an s
-    whose masks are those of a visited s' < s: a class of a verified key
-    (verify_translations) but its least element.  A scan of the cube R^3
-    of such a key visits R, and its masks are the R x R cells of each slab,
-    which hold the least witness of the whole slab.
-    """
-    found: list = [None] * count
-    for s in range(n) if visit is None else visit:
-        s = int(s)
-        open_ = tuple(w is None for w in found)
-        for k, (mask, o) in enumerate(zip(slab(s, open_), open_)):
-            if o and mask is not None and (cell := first_cell(mask)) is not None:
-                found[k] = (s,) + cell
-        if None not in found:
-            break
-    return found
-
-
 def first_violation(n: int, slab) -> tuple[int, ...] | None:
-    """Least witness with a True cell in the one mask slab(s), else None,
-    over every s as in first_violations."""
-    return first_violations(n, 1, lambda s, _open: (slab(s),))[0]
+    """The least witness (s,) + first_cell(slab(s)) over s = 0..n-1, else
+    None: the one witness loop of the package.  It stops at the first s
+    whose mask has a True cell; slab may return the same buffer on every
+    call."""
+    for s in range(n):
+        if (cell := first_cell(slab(s))) is not None:
+            return (s,) + cell
+    return None
 
 
 def pair_slabs(values: np.ndarray, index: np.ndarray):

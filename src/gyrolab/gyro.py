@@ -35,7 +35,6 @@ from .groups import (
     FiniteGroup,
     _cached,
     _light_associative,
-    _mark,
     elem_dtype,
     first_cell,
     group_center,
@@ -253,21 +252,15 @@ def is_gyrogroup(L: FiniteLoop, source: FiniteGroup | None = None) -> CheckRepor
         return failed("gyro-axioms", GYRO_AXIOMS_STATEMENT, witness=("not-a-right-loop",))
     n = L.order
     gt = gyration_table(L)
-
-    bad_perm_ids = set()
-    inner_witness: dict[int, tuple[int, int]] = {}
-    for gid, p in enumerate(gt.perms):
-        w = _automorphism_violation(L, p)
-        if w is not None:
-            bad_perm_ids.add(gid)
-            inner_witness[gid] = w
     details: dict = {"distinct_gyrations": len(gt.perms)}
 
-    if bad_perm_ids:
-        a, b = first_cell(_mark(len(gt.perms), bad_perm_ids)[gt.ids])
-        u, v = inner_witness[int(gt.ids[a, b])]
-        return failed("gyro-axioms", GYRO_AXIOMS_STATEMENT, witness=(a, b, u, v),
-                      details={**details, "axiom": "automorphism"})
+    # the ids number the gyrations in row-major first-occurrence order, so
+    # the first failing (a, b) is the first cell of the least failing id
+    for gid, p in enumerate(gt.perms):
+        if (w := _automorphism_violation(L, p)) is not None:
+            return failed("gyro-axioms", GYRO_AXIOMS_STATEMENT,
+                          witness=first_cell(gt.ids == gid) + w,
+                          details={**details, "axiom": "automorphism"})
 
     # pairing axiom: gyr(a, b) == gyr(a*b, a)^-1
     perms = gt.perms

@@ -3,7 +3,8 @@ subclasses, so they hold under -O, and no CLI command imports numpy.ma.
 The package's source holds no assert statement, which -O would strip, and
 reads or writes a memo only through groups._cached, whose shared arrays
 are read-only.  Light's test is read only by the one associativity test
-and the gyration gate, and no scan skips rows by np.unique.  The
+and the gyration gate, and no scan skips rows by np.unique.  The one
+witness loop is groups.first_violation(n, slab).  The
 commuting elements of each table and the nuclei of each loop are
 computed once per verify and per analyze.
 A permutation file's table is read from base images, hashing no composite.
@@ -153,6 +154,29 @@ def test_one_associativity_test():
     assert row_skips == []
 
 
+def test_one_witness_loop():
+    # groups.first_violation(n, slab) is the one witness loop: no module
+    # defines or imports a multi-mask driver beside it, and no function
+    # takes a visit list of outer indices
+    found = []
+    for path in sorted((SRC / "gyrolab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "first_violations":
+                found.append((path.stem, node.lineno, "defines"))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "first_violations":
+                found.append((path.stem, node.lineno, "defines"))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [(path.stem, node.lineno, "imports") for a in node.names
+                          if "first_violations" in (a.name.split(".")[-1], a.asname)]
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                found += [(path.stem, node.lineno, "visit")
+                          for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                          if arg is not None and arg.arg == "visit"]
+    assert found == []
+    assert list(inspect.signature(groups.first_violation).parameters) == ["n", "slab"]
+
+
 def test_shared_values_are_read_only():
     # every caller reads the one cached array, so none may write into it
     G = catalog_group("wreath33")
@@ -236,25 +260,25 @@ def test_permutation_table_hashes_no_composite(tmp_path, monkeypatch, relabelled
 
 
 def test_nuclei_scan_is_only_the_verify_oracle(monkeypatch, capsys):
-    # the one x-loop that checks calls itself is the associator scan, which
-    # also reduces the nuclei
+    # the one x-loop that checks runs itself is the associator scan, which
+    # also reduces the nuclei; only it reads the associator key
     golden = json.loads((SRC.parent / "perfbench" / "goldens.json").read_text())
-    scan = checks.first_violations
+    key = checks._associator_key
     calls = []
 
-    def refused(n, count, slab, visit=None):
+    def refused(T, cm, inv, cs):
         raise AssertionError("analyze ran the associator scan")
-    monkeypatch.setattr(checks, "first_violations", refused)
+    monkeypatch.setattr(checks, "_associator_key", refused)
     assert main(["analyze", "--group", "wreath33"]) == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
             == golden["analyze-ladder"]["analyze-wreath33"]["sha256"])
 
-    def counted(n, count, slab, visit=None):
-        calls.append((n, count))
-        return scan(n, count, slab, visit)
-    monkeypatch.setattr(checks, "first_violations", counted)
+    def counted(T, cm, inv, cs):
+        calls.append(len(T))
+        return key(T, cm, inv, cs)
+    monkeypatch.setattr(checks, "_associator_key", counted)
     assert main(["verify", "--group", "wreath33"]) == 0
-    assert calls == [(81, 3)]
+    assert calls == [81]
 
 
 def test_bracket_table_is_built_once_per_verify(monkeypatch):

@@ -1,7 +1,7 @@
 """The one witness rule, the one scan kernel, the one subset closure and
 the one-pass subset and Latin tests.
 
-first_cell, first_violations and generated replaced about fifteen argmax
+first_cell, first_violation and generated replaced about fifteen argmax
 witness sites, four private x-loops and two Python-set closures;
 subgroup_violation, subloop_violation and latin_violation replaced a
 yes/no test followed by a Python loop that rescanned the set or the lines
@@ -35,7 +35,6 @@ from gyrolab.errors import NotLatinSquare
 from gyrolab.groups import (
     first_cell,
     first_violation,
-    first_violations,
     generated,
     group_from_table,
     latin_violation,
@@ -170,23 +169,20 @@ def test_first_cell_reads_views_in_their_own_order():
 # ---------------------------------------------------------------------------
 # the scan kernel
 
-def test_first_violations_stops_once_every_mask_has_a_witness():
-    early = np.zeros((3, 3), dtype=bool)
-    late = np.zeros((3, 3), dtype=bool)
+def test_first_violation_stops_at_the_first_failing_s():
+    mask = np.zeros((3, 3), dtype=bool)
     calls = []
 
-    def slab(x, open_, late_x):
-        calls.append((x, open_))
-        early[:] = late[:] = False
-        early[2, 1] = x >= 1                      # fails first at x = 1
-        late[0, 2] = x == late_x
-        return (early if open_[0] else None), late
-    both, late_only = (True, True), (False, True)
-    assert first_violations(6, 2, lambda x, o: slab(x, o, late_x=3)) == [(1, 2, 1), (3, 0, 2)]
-    assert calls == [(0, both), (1, both), (2, late_only), (3, late_only)]
+    def slab(x, fail_x):
+        calls.append(x)
+        mask[:] = False
+        mask[2, 1] = mask[0, 2] = x == fail_x      # (0, 2) is the least cell
+        return mask
+    assert first_violation(6, lambda x: slab(x, fail_x=3)) == (3, 0, 2)
+    assert calls == [0, 1, 2, 3]
     calls.clear()
-    assert first_violations(6, 2, lambda x, o: slab(x, o, late_x=-1)) == [(1, 2, 1), None]
-    assert calls == [(0, both), (1, both)] + [(x, late_only) for x in range(2, 6)]
+    assert first_violation(6, lambda x: slab(x, fail_x=-1)) is None
+    assert calls == list(range(6))
 
 
 def test_first_violation_takes_masks_of_any_rank():

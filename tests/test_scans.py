@@ -51,7 +51,7 @@ from gyrolab import (
     subloop_generated,
 )
 import gyrolab
-from gyrolab import checks, groups, loops
+from gyrolab import checks, cocycle, groups, loops
 from gyrolab.groups import (
     FiniteGroup,
     _group_unchecked,
@@ -361,23 +361,24 @@ def test_associator_scan_stops_computing_a_mask_once_it_has_a_witness(monkeypatc
     # (a), (a') and the x, y and z conditions, so there are 9 classes, and
     # of x <= 4 only 0 and 4 are visited
     ctx = SuiteContext(_wrapped(_gyro("product:wreath33,cyclic:4")))
-    computed = []
-    scan = checks.first_violations
+    masks = []
+    cell = checks.first_cell
 
-    def counting(n, count, slab, visit=None):
-        def counted(x, open_):
-            masks = slab(x, open_)
-            computed.append(tuple(m is not None for m in masks[:2]))
-            return masks
-        return scan(n, count, counted, visit)
-    monkeypatch.setattr(checks, "first_violations", counting)
+    def counting(mask):
+        masks.append(mask)                    # a mask buffer, told apart by identity
+        return cell(mask)
+    monkeypatch.setattr(checks, "first_cell", counting)
+    visits = _visits(monkeypatch)
     formula, central, nuc = ctx.associator_scan()
     assert (formula, central, nuc) == _ref_associator_scan(ctx)
     assert formula[0] == 4 and central is None
     key = _ref_key(ctx.loop, ctx.G).tolist()
-    assert len(computed) == len(set(key)) == 9
-    assert sum(f for f, _ in computed) == len(set(key[:formula[0] + 1])) == 2
-    assert all(c for _, c in computed)
+    assert len(visits) == len(set(key)) == 9
+    formula_mask, central_mask = masks[:2]
+    assert formula_mask is not central_mask
+    assert sum(m is formula_mask for m in masks) == len(set(key[:formula[0] + 1])) == 2
+    assert sum(m is central_mask for m in masks) == len(visits)
+    assert len(masks) == 2 + len(visits)
 
 
 def _expansions(G):
@@ -450,12 +451,12 @@ def test_induced_op_scans_only_a_failing_table(monkeypatch):
     # for it: cyclic:243's twisted loop is a group, its nuclei all of it,
     # and the nuclei of wreath33 x C4's pass.  Only a failing table, here
     # wreath33's whole loop, is scanned, once, for its least witness
-    scan, scanned = groups.first_violations, []
+    scan, scanned = groups.first_violation, []
 
-    def counted(n, count, slab, visit=None):
+    def counted(n, slab):
         scanned.append(n)
-        return scan(n, count, slab, visit)
-    monkeypatch.setattr(groups, "first_violations", counted)
+        return scan(n, slab)
+    monkeypatch.setattr(groups, "first_violation", counted)
     for spec in ("cyclic:243", "product:wreath33,cyclic:4"):
         L = _gyro(spec).loop
         for S in set(_ref_scan_nuclei(L)):
@@ -696,28 +697,45 @@ def test_out_of_range_table_is_refused_not_clipped():
 
 FAULT_PROBE = """
 import resource
-from gyrolab import catalog_group
+import sys
+import numpy as np
 from gyrolab.groups import associativity_violation
-T = catalog_group("product:wreath33,cyclic:4").table
+T = np.load(sys.argv[1])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 assert associativity_violation(T) is None
 print(len(T), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+def _shifted_group_table():
+    """wreath33 x C4's group table relabelled by x -> x + 1 mod n.  The
+    table is still associative, but its identity is 1, so Light's test does
+    not decide it; the visits assert that the scan computes every slab."""
+    T = catalog_group("product:wreath33,cyclic:4").table
+    n = len(T)
+    up, down = (np.arange(n) + 1) % n, (np.arange(n) - 1) % n
+    T = up[T[np.ix_(down, down)]].astype(T.dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        assert associativity_violation(T) is None
+    assert visits == list(range(n))
+    return T
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts minor faults on Linux")
-def test_associativity_scan_does_not_fault_per_slab():
+def test_associativity_scan_does_not_fault_per_slab(tmp_path):
     # a fresh interpreter, so that the count does not depend on what earlier
     # tests left in the allocator; fresh n x n temporaries for every slab
     # fault about 380 pages per x at n = 324, one set of buffers about none
     pytest.importorskip("resource")
+    np.save(tmp_path / "table.npy", _shifted_group_table())
     src = str(Path(gyrolab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(tmp_path / "table.npy")],
+                         env=env, check=True, capture_output=True, text=True).stdout
     n, faults = map(int, out.split())
-    assert faults < 20 * n, faults
+    assert n == 324 and faults < 20 * n, faults
 
 
 def test_associativity_scan_allocates_its_buffers_once():
@@ -725,7 +743,7 @@ def test_associativity_scan_allocates_its_buffers_once():
     # a fresh n x n array for every x (about 410 KiB here) raises the traced
     # peak past them, which the fault count above cannot see: the allocator
     # hands the freed slab back on the next x
-    T = catalog_group("product:wreath33,cyclic:4").table
+    T = _shifted_group_table()
     n = len(T)
     buffers = n * n * (np.dtype(np.intp).itemsize + 2 * T.itemsize + 1)
     tracemalloc.start()
@@ -772,8 +790,9 @@ def test_associator_scan_allocates_its_buffers_once():
 def test_associator_scan_allocates_only_its_cube_buffers(monkeypatch):
     # wreath33 x C4: |R| = 9 of n = 324.  The peak is traced from the start
     # of a warm call, with the loop key cached, and reset as
-    # first_violations starts, once the x, y and z tests have freed their
-    # n x n gathers and row labels.
+    # _associator_key returns, once the x, y and z tests have freed their
+    # n x n gathers and row labels; it includes the three nuclei built
+    # after the pass.
     # The [y, z] tables of y*z and of [z^-1, y], the offsets, the intp
     # indices of the central lookup, two value slabs, the expected values
     # and two masks are |R| x |R| arrays; any n x n array kept across the
@@ -787,14 +806,13 @@ def test_associator_scan_allocates_only_its_cube_buffers(monkeypatch):
     n, cm = ctx.n, ctx.cm
     ctx.zg
     cs, _ = loops.central_translations(gc.loop)
-    scan, peaks = checks.first_violations, []
+    key, peaks = checks._associator_key, []
 
-    def traced(n, count, slab, visit=None):
+    def traced(*args):
+        k = key(*args)
         tracemalloc.reset_peak()
-        found = scan(n, count, slab, visit)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        return found
-    monkeypatch.setattr(checks, "first_violations", traced)
+        return k
+    monkeypatch.setattr(checks, "_associator_key", traced)
     m = int((_ref_key(gc.loop, G) == np.arange(n)).sum())
     assert (n, m, len(cs)) == (324, 9, 3)
     intp, item = np.dtype(np.intp).itemsize, cm.itemsize
@@ -803,6 +821,7 @@ def test_associator_scan_allocates_only_its_cube_buffers(monkeypatch):
     try:
         base = tracemalloc.get_traced_memory()[0]
         formula, central, _ = ctx.associator_scan()
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert formula is None and central is None and len(peaks) == 1
@@ -900,13 +919,8 @@ WRAPPED_PINS = ["dihedral:16", "wreath33", "product:dihedral:16,cyclic:5"]
 
 
 def _unkeyed(mp):
-    """Run every scan unkeyed from here on: first_violations visits every
-    s, and the group and loop keys are trivial, so the cubes are all of
-    G x G x G and L x L x L."""
-    scan = groups.first_violations
-    for module in (groups, checks):
-        mp.setattr(module, "first_violations",
-                   lambda n, count, slab, visit=None: scan(n, count, slab))
+    """Run every scan unkeyed from here on: the group and loop keys are
+    trivial, so the cubes are all of G x G x G and L x L x L."""
     trivial = lambda X: ((), np.arange(X.order))
     for module, name in ((checks, "group_translations"), (checks, "central_translations"),
                          (loops, "central_translations")):
@@ -917,17 +931,24 @@ def _visits(mp):
     """The s whose slab each scan computes, from here on, in call order:
     an element for the associativity scan, the product tests and the
     associator scan (an element of its R), a position in R for the
-    group-side scans of the cube."""
+    group-side scans of the cube.  The associator scan runs its own pass
+    over every x of R, so its visits are R, read off its key."""
     visits = []
-    scan = groups.first_violations
+    scan, key = groups.first_violation, checks._associator_key
 
-    def counting(n, count, slab, visit=None):
-        def counted(x, open_):
+    def counting(n, slab):
+        def counted(x):
             visits.append(x)
-            return slab(x, open_)
-        return scan(n, count, counted, visit)
-    for module in (groups, checks):
-        mp.setattr(module, "first_violations", counting)
+            return slab(x)
+        return scan(n, counted)
+
+    def keyed(*args):
+        k = key(*args)
+        visits.extend(np.flatnonzero(k == np.arange(len(k))).tolist())
+        return k
+    for module in (groups, checks, loops, cocycle):
+        mp.setattr(module, "first_violation", counting)
+    mp.setattr(checks, "_associator_key", keyed)
     return visits
 
 
