@@ -26,6 +26,17 @@ malformed text) goes through json.loads, to the same group or error.
   table = '[' ws row (ws ',' ws row)* ws ']'    int = 0 | [1-9][0-9]{0,8}
   row = '[' ws int (ws ',' ws int)* ws ']'      ws = (space | tab | LF | CR)*
 
+A block's bytes are classified by comparisons alone.  A token starts at
+each byte that is no ws and no digit after a digit, so a block of m rows
+holds m (2 order + 2) tokens, ",[N,...,N]" per row, and one flatnonzero
+of the places where a digit run begins or ends gives each number's first
+and last digit.  The numbers must start at the token slots 2, 4, ..., 2
+order of each row; the slots 0, 1 and 2 order + 1 must hold "," "[" and
+"]", and the count of "," in the block puts one in every odd slot between.
+A number of ten digits or with a leading zero leaves the file to
+json.loads.  The digits are summed in int32, from each number's last digit
+leftwards, and stored into the int64 table.
+
 Report documents are schema-versioned JSON with sorted keys so identical runs
 serialize byte-identically; per-check wall-clock timing is deliberately left
 out of the document for the same reason.
@@ -65,9 +76,7 @@ READ_CHUNK = 1 << 20
 TABLE_BLOCK_ROWS = 32
 _TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[')
 _ROW_END = re.compile(rb"\][ \t\n\r]*([,\]])")
-_WS, _DIGIT, _COMMA, _OPEN, _CLOSE = range(1, 6)
-_BYTE_KIND = np.zeros(256, dtype=np.uint8)          # 0: outside the grammar
-_BYTE_KIND[list(b" \t\n\r0123456789,[]")] = [_WS] * 4 + [_DIGIT] * 10 + [_COMMA, _OPEN, _CLOSE]
+_ROW_MARKS = np.frombuffer(b",[]", dtype=np.uint8)   # a row's first two tokens and its last
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +150,47 @@ def _table_document(data: bytearray) -> dict | None:
         return None
     table = np.zeros((n, n), dtype=np.int64)
     buf = np.frombuffer(data, dtype=np.uint8)
-    # the kinds of ",[N,...,N]" per row of a block; the first row has no ","
-    want = np.tile(np.array([_COMMA, _OPEN] + [_DIGIT, _COMMA] * (n - 1) + [_DIGIT, _CLOSE],
-                            dtype=np.uint8), TABLE_BLOCK_ROWS)
-    lo = start + 1
+    lo = start                                 # block 0 opens with the table's "["
     for r in range(0, n, TABLE_BLOCK_ROWS):
         rows = table[r:r + TABLE_BLOCK_ROWS]
-        block, lo = buf[lo:ends[r + len(rows) - 1]], ends[r + len(rows) - 1]
-        kinds = want[int(r == 0):len(rows) * (2 * n + 2)]
-        kind = _BYTE_KIND.take(block)
-        digit = kind == _DIGIT
-        first = digit > np.roll(digit, 1)             # a block ends in "]", not a digit
-        at = np.flatnonzero((kind != _WS) & (digit == first))      # where each token starts
-        if not np.array_equal(kind.take(at), kinds):
+        m = len(rows)
+        block, lo = buf[lo:ends[r + m - 1]], ends[r + m - 1]
+        val = block - np.uint8(ord("0"))
+        digit = val < 10
+        lead = block != ord(" ")               # a token starts at each byte that is no
+        for ws in b"\t\n\r":                   # whitespace and no digit after a digit
+            lead &= block != ws
+        lead[1:] &= ~(digit[1:] & digit[:-1])
+        at = np.flatnonzero(lead)
+        # the byte before each number and its last digit, in pairs: the block
+        # ends in "]", and one that begins with a digit has an odd count
+        runs = np.flatnonzero(digit[1:] != digit[:-1])
+        if len(at) != m * (2 * n + 2) or len(runs) != 2 * m * n:
             return None
-        starts = at[kinds == _DIGIT]
-        width = np.flatnonzero(digit > np.roll(digit, -1)) + 1 - starts
-        if width.max() > 9 or ((block.take(starts) == ord("0")) & (width > 1)).any():
+        at = at.reshape(m, 2 * n + 2)          # ",[N,...,N]" per row
+        before, last = runs.reshape(-1, 2).T.copy()
+        marks = block.take(at[:, [0, 1, -1]])
+        if r == 0:
+            marks[0, 0] = ord(",")             # the table's "[", found by _TABLE_KEY
+        # the numbers start at the slots 2, 4, ..., 2n and every other token
+        # is one byte: "," "[" and "]" at the slots 0, 1 and 2n + 1, so the
+        # count of "," puts one in each odd slot between
+        if (not np.array_equal(at[:, 2::2], before.reshape(m, n) + 1)
+                or not (marks == _ROW_MARKS).all()
+                or np.count_nonzero(block == ord(",")) != m * n - (r == 0)):
             return None
-        cells = rows.reshape(-1)
-        for k in range(int(width.max())):
-            # the digit k places left of each number's last, masked past its first
-            d = block.take(starts + width - 1 - k, mode="clip") - np.uint8(ord("0"))
-            cells += np.multiply(d, 10 ** k, dtype=np.int64) * (width > k)
+        widest = int((last - before).max())    # digits of the longest number
+        if widest > 9 or (lead[:-1] & digit[1:] & (val[:-1] == 0)).any():
+            return None                        # ten digits, or a leading zero
+        val *= digit                           # 0 off the digits, at each `before` too
+        cells = val.take(last).astype(np.int32)     # every number is below 10^9
+        at_k = last.copy()
+        for k in range(1, widest):
+            # the digit k places left of the last, or 0 at `before` past the first
+            at_k -= 1
+            np.maximum(at_k, before, out=at_k)
+            cells += np.multiply(val.take(at_k), 10 ** k, dtype=np.int32)
+        rows[...] = cells.reshape(m, n)
     doc["table"] = table
     return doc
 

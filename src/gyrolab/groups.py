@@ -35,6 +35,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_ORDER_CAP = 10_000
 ORDER_CAP_ENV = "GYROLAB_ORDER_CAP"
+# The n^2 gathers are computed in row blocks of about this many cells, so that
+# no step holds n^2 index values.
+BLOCK_CELLS = 1 << 16
 
 
 def order_cap() -> int:
@@ -136,11 +139,17 @@ class FiniteGroup:
     def commutator_table(self) -> np.ndarray:
         """CM[a, b] = a b a^-1 b^-1 for all pairs, as an n x n array, cached."""
         def commutators():
-            n = self.order
-            inv_rows = np.broadcast_to(self.inverse[:, None], (n, n))
-            inv_cols = np.broadcast_to(self.inverse[None, :], (n, n))
-            ab_ainv = self.table[self.table, inv_rows]
-            return self.table[ab_ainv, inv_cols]
+            # flat takes at the offsets x*n + y, formed in intp
+            n, flat = self.order, self.table.ravel()
+            cm = np.empty_like(self.table)
+            step = max(1, BLOCK_CELLS // n)
+            for lo in range(0, n, step):
+                off = np.multiply(self.table[lo:lo + step], n, dtype=np.intp)
+                off += self.inverse[lo:lo + step, None]
+                off = np.multiply(flat.take(off), n, dtype=np.intp)     # [a, b] -> a b a^-1
+                off += self.inverse
+                cm[lo:lo + step] = flat.take(off)
+            return cm
         return _cached(self, "cm", commutators)
 
     @property
@@ -396,7 +405,7 @@ def _relabel(table: np.ndarray, names: list[str], e: int):
     old_of_new = np.array([e] + [i for i in range(n) if i != e])
     new_of_old = np.empty(n, dtype=elem_dtype(n))
     new_of_old[old_of_new] = np.arange(n)
-    new_table = new_of_old[table[np.ix_(old_of_new, old_of_new)]]
+    new_table = new_of_old[table.take(old_of_new, axis=0).take(old_of_new, axis=1)]
     new_names = [names[i] for i in old_of_new]
     return new_table, new_names
 
@@ -475,6 +484,7 @@ def group_from_table(table, names: Sequence[str] | None = None,
 
     G = FiniteGroup(arr, name_list, _inverse_array(arr), name=name)
     G.relabeled_from = relabeled_from
+    _cached(G, "is_group", lambda: True)        # the verdict gyro._is_group_table reads
     return G
 
 

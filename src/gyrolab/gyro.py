@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import NotRightLoop
 from .groups import (
+    BLOCK_CELLS,
     FiniteGroup,
     _cached,
     _light_associative,
@@ -64,12 +65,16 @@ def build_gyro(G: FiniteGroup) -> GyroConstruction:
     nilpotent of class <= 3, because the loop/gyrogroup properties may then
     fail -- which is exactly what the checkers are for.
     """
-    n = G.order
-    ar = np.arange(n)
-    sq = G.table[ar, ar]                          # y -> y^2
-    xy2 = G.table[:, sq]                          # [x, y] -> x * y^2
-    inv_cols = np.broadcast_to(G.inverse[None, :], (n, n))
-    twisted = G.table[inv_cols, xy2]              # [x, y] -> y^-1 x y^2
+    # flat takes at the offsets x*n + y, formed in intp
+    n, flat = G.order, G.table.ravel()
+    sq = G.table.diagonal()                       # y -> y^2
+    inv = np.multiply(G.inverse, n, dtype=np.intp)
+    twisted = np.empty_like(G.table)
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        off = G.table[lo:lo + step].take(sq, axis=1).astype(np.intp)    # [x, y] -> x * y^2
+        off += inv
+        twisted[lo:lo + step] = flat.take(off)    # [x, y] -> y^-1 x y^2
     cls = nilpotency_class(G)
     if cls is None or cls > 3:
         warnings.warn(
@@ -137,16 +142,13 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
 
 def _is_group_table(G: FiniteGroup) -> bool:
     """Whether G's table and inverse array are a group's: identity 0, a
-    right inverse at each inverse[g], and associative by Light's test."""
-    T, n = G.table, G.order
-    ar = np.arange(n)
-    return bool(np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar)
-                and (T[ar, G.inverse] == 0).all() and _light_associative(T))
-
-
-# The n^2 families are computed in blocks of about this many cells, so that no
-# step holds n^2 index values.
-BLOCK_CELLS = 1 << 16
+    right inverse at each inverse[g], and associative by Light's test.
+    Cached on G under "is_group", where group_from_table has already put
+    True for every table it validated."""
+    T, ar = G.table, np.arange(G.order)
+    return _cached(G, "is_group", lambda: bool(
+        np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar)
+        and (T[ar, G.inverse] == 0).all() and _light_associative(T)))
 
 
 def _conjugation_family(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:

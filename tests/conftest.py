@@ -253,3 +253,48 @@ def _ref_matrix_csv(matrix):
 def ref_matrix_csv():
     """matrix -> its CSV text, built by str.join."""
     return _ref_matrix_csv
+
+
+def _ref_relabel(table, names, e):
+    """groups._relabel by np.ix_: element e moved to index 0, the others in
+    order, the values renamed through an elem_dtype(n) map."""
+    from gyrolab.groups import elem_dtype
+
+    n = table.shape[0]
+    old_of_new = np.array([e] + [i for i in range(n) if i != e])
+    new_of_old = np.empty(n, dtype=elem_dtype(n))
+    new_of_old[old_of_new] = np.arange(n)
+    return new_of_old[table[np.ix_(old_of_new, old_of_new)]], [names[i] for i in old_of_new]
+
+
+@pytest.fixture(scope="session")
+def ref_relabel():
+    """(table, names, e) -> the relabelled table and names, built by np.ix_."""
+    return _ref_relabel
+
+
+def _ref_commutator_table(G):
+    """FiniteGroup.commutator_table by fancy indexing with broadcast inverses."""
+    n = G.order
+    inv_rows = np.broadcast_to(G.inverse[:, None], (n, n))
+    inv_cols = np.broadcast_to(G.inverse[None, :], (n, n))
+    return G.table[G.table[G.table, inv_rows], inv_cols]
+
+
+@pytest.fixture(scope="session")
+def ref_commutator_table():
+    """G -> its [a, b] = a b a^-1 b^-1 table, built by fancy indexing."""
+    return _ref_commutator_table
+
+
+def _ref_twisted_table(G):
+    """The table y^-1 x y^2 of gyro.build_gyro by fancy indexing."""
+    n, ar = G.order, np.arange(G.order)
+    xy2 = G.table[:, G.table[ar, ar]]
+    return G.table[np.broadcast_to(G.inverse[None, :], (n, n)), xy2]
+
+
+@pytest.fixture(scope="session")
+def ref_twisted_table():
+    """G -> the twisted table of build_gyro, built by fancy indexing."""
+    return _ref_twisted_table

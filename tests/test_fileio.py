@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -372,6 +373,13 @@ def _mutate(draw, doc, rows, mutation):
         dup = '"table": ' + json.dumps(other)
         return (text[:1] + dup + ", " + text[1:] if draw(st.booleans())
                 else text[:-1] + ", " + dup + "}")
+    elif mutation == "separator":
+        # a "," between two cells, or between two rows, made another byte
+        text = _spaced(draw, doc, rows)
+        between = re.finditer(r"[0-9\]][ \t\n\r]*,(?=[ \t\n\r]*[0-9\[])", text)
+        commas = [m.end() - 1 for m in between]
+        k = draw(st.sampled_from(commas)) if commas else len(text)
+        return text[:k] + draw(st.sampled_from(";:.x]")) + text[k + 1:]
     elif mutation == "escaped-key":
         text = _spaced(draw, doc, rows)
         if draw(st.booleans()):
@@ -395,9 +403,9 @@ _CELL_TEXT = {"leading-zero": "0{}", "minus-zero": "-{}", "float": "{}.0", "expo
 _BAD_SPACE = {"vertical-tab": "\x0b", "form-feed": "\x0c", "no-break-space": "\u00a0"}
 
 
-@pytest.mark.parametrize("mutation", [*_CELL_TEXT, "ragged", "double-comma", "extra-bracket",
-                                      *_BAD_SPACE, "duplicate-key", "escaped-key", "name-table",
-                                      "nested-table"])
+@pytest.mark.parametrize("mutation", [*_CELL_TEXT, "ragged", "double-comma", "separator",
+                                      "extra-bracket", *_BAD_SPACE, "duplicate-key", "escaped-key",
+                                      "name-table", "nested-table"])
 @settings(max_examples=20)
 @given(data=st.data())
 def test_table_read_from_bytes_matches_json_loads_on_near_grammar_files(ref_parse_group_file,
@@ -406,12 +414,76 @@ def test_table_read_from_bytes_matches_json_loads_on_near_grammar_files(ref_pars
     _same_outcome(_mutate(data.draw, doc, rows, mutation), ref_parse_group_file)
 
 
+# cells at the edges of the decoder's row blocks: the first cell of a
+# block's first row and the last cell of its last row, in tables of one,
+# one short of, exactly, and one past one and two blocks
+_BLOCK_ORDERS = [1, 31, 32, 33, 64, 65]
+_EDGE_CELLS = {"plain": "{}", "nine-digits": "123456789", "ten-digits": "1234567890",
+               "leading-zero": "0{}"}
+_FIXED_LAYOUTS = ["compact", "spaced", *range(11)]
+_MARK = 987654321                       # a cell no table here holds, replaced in the text
+
+
+def _edge_files(order, cell):
+    """(block, edge, doc, rows): cyclic:order renamed so that the identity
+    sits at its last index, with `cell` at the first or last cell of each
+    block; doc holds _MARK there and rows the cells as text."""
+    G = catalog_group(f"cyclic:{order}")
+    perm = np.roll(np.arange(order), 1)                # element i renamed i - 1 mod order
+    inv = np.argsort(perm)
+    table = perm[G.table.astype(np.int64)[np.ix_(inv, inv)]].tolist()
+    for r0 in range(0, order, fileio.TABLE_BLOCK_ROWS):
+        for edge, (i, j) in (("first", (r0, 0)),
+                             ("last", (min(r0 + fileio.TABLE_BLOCK_ROWS, order) - 1, order - 1))):
+            rows = [[str(v) for v in row] for row in table]
+            rows[i][j] = _EDGE_CELLS[cell].format(rows[i][j])
+            marked = [row[:] for row in table]
+            marked[i][j] = _MARK
+            yield r0 // fileio.TABLE_BLOCK_ROWS, edge, {"order": order, "table": marked}, rows
+
+
+def _laid_out(doc, rows, layout, draw=None):
+    if layout == "random":
+        return _spaced(draw, doc, rows)
+    text = (json.dumps(doc, separators=(",", ":")) if layout == "compact"
+            else json.dumps(doc) if layout == "spaced" else json.dumps(doc, indent=layout))
+    i, j = next((i, row.index(_MARK)) for i, row in enumerate(doc["table"]) if _MARK in row)
+    return text.replace(str(_MARK), rows[i][j])
+
+
+@pytest.mark.parametrize("cell", list(_EDGE_CELLS))
+@pytest.mark.parametrize("order", _BLOCK_ORDERS)
+def test_table_read_from_bytes_at_block_edges(ref_parse_group_file, order, cell):
+    # the same group, names, relabeled_from, dtype and table as json.loads,
+    # or the same error, in every fixed layout; a nine-digit cell is
+    # decoded from bytes, a ten-digit or leading-zero cell is left to json.loads
+    for block, edge, doc, rows in _edge_files(order, cell):
+        for layout in _FIXED_LAYOUTS:
+            text = _laid_out(doc, rows, layout)
+            from_bytes = _same_outcome(text, ref_parse_group_file)
+            assert from_bytes == (cell in ("plain", "nine-digits")), (block, edge, layout)
+            if cell == "nine-digits":
+                decoded = fileio._table_document(bytearray(text.encode()))["table"]
+                assert decoded.dtype == np.int64 and (decoded == 123456789).sum() == 1
+
+
+@pytest.mark.parametrize("cell", list(_EDGE_CELLS))
+@pytest.mark.parametrize("order", _BLOCK_ORDERS)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_table_read_from_bytes_at_block_edges_in_random_layouts(ref_parse_group_file, order,
+                                                                cell, data):
+    for block, edge, doc, rows in _edge_files(order, cell):
+        text = _laid_out(doc, rows, "random", data.draw)
+        assert _same_outcome(text, ref_parse_group_file) == (cell in ("plain", "nine-digits"))
+
+
 def test_table_read_from_bytes_allocates_the_table_and_one_block():
     # unitriangular4:3 in the compact layout, 2.0 MB of text: the traced
     # peak is the int64 table and one block's buffers, 128 bytes per cell of
-    # TABLE_BLOCK_ROWS rows (the byte-kind masks of its text, the token
-    # offsets, the digit offsets and the digit values).  A temporary as long
-    # as the table's text, even one bool mask, raises the peak past them
+    # TABLE_BLOCK_ROWS rows (the byte masks of its text, the token offsets,
+    # the digit-run offsets and the digit sums).  A temporary as long as the
+    # table's text, even one bool mask, raises the peak past them
     T = catalog_group("unitriangular4:3").table
     n = len(T)
     data = bytearray(json.dumps({"order": n, "table": T.tolist()}, separators=(",", ":")).encode())

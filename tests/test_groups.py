@@ -34,6 +34,7 @@ from gyrolab.groups import (
     _find_identity,
     _relabel,
     associativity_violation,
+    elem_dtype,
     normality_violation,
 )
 from gyrolab.loops import loop_from_table
@@ -407,3 +408,46 @@ def test_subgroup_as_group_matches_the_dict_reindex():
         local = {g: i for i, g in enumerate(members)}
         ref = [[local[int(v)] for v in row] for row in G.table[np.ix_(members, members)]]
         assert members == sorted(S) and H.table.tolist() == ref
+
+
+# ---------------------------------------------------------------------------
+# the take-based n^2 gathers against their fancy-index references
+
+_LADDER = ["dihedral:16", "wreath33", "heisenberg:5", "unitriangular4:3"]
+
+
+def _moved(G, where, seed=0):
+    """G's table renamed at random with the identity at 0, at n - 1 or in
+    the middle, as int64 cells the way a group file arrives."""
+    n = G.order
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    at = {"first": 0, "last": n - 1, "middle": n // 2}[where]
+    j = int(np.flatnonzero(perm == at)[0])
+    perm[[0, j]] = perm[[j, 0]]                        # the identity 0 goes to `at`
+    return _renamed(G.table.astype(np.int64), perm), at
+
+
+@pytest.mark.parametrize("spec", _LADDER + ["cyclic:1", "cyclic:2"])
+@pytest.mark.parametrize("where", ["first", "last", "middle"])
+def test_relabel_equals_the_ix_reference(ref_relabel, spec, where):
+    G = catalog_group(spec)
+    table, e = _moved(G, where)
+    table = table.astype(elem_dtype(G.order))         # as _table_front_end passes it
+    names = [f"g{i}" for i in range(G.order)]
+    got, want = _relabel(table, names, e), ref_relabel(table, names, e)
+    assert got[0].dtype == want[0].dtype == elem_dtype(G.order)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(got[0][0], np.arange(G.order))
+
+
+@pytest.mark.parametrize("spec", _LADDER + ["cyclic:1", "quaternion:8"])
+@pytest.mark.parametrize("where", [None, "first", "last", "middle"])
+def test_commutator_table_equals_the_fancy_index_reference(ref_commutator_table, spec, where):
+    G = catalog_group(spec)
+    if where is not None:
+        G = group_from_table(_moved(G, where, seed=1)[0])
+    got = G.commutator_table()
+    want = ref_commutator_table(G)
+    assert got.dtype == want.dtype == G.table.dtype
+    assert np.array_equal(got, want)

@@ -15,9 +15,11 @@ from gyrolab import (
     is_gyrogroup,
     loop_center,
 )
-from gyrolab import gyro, mappings
-from gyrolab.fileio import parse_group_file
-from gyrolab.groups import _group_unchecked, elem_dtype, group_center, group_translations
+from gyrolab import groups, gyro, mappings
+from gyrolab.cli import main
+from gyrolab.fileio import export_text, parse_group_file
+from gyrolab.groups import (_group_unchecked, elem_dtype, group_center, group_from_table,
+                             group_translations)
 from gyrolab.gyro import GyrationTable
 from gyrolab.loops import central_translations, loop_from_table
 from gyrolab.mappings import inner_generators
@@ -575,3 +577,61 @@ def test_elem_dtype():
     assert elem_dtype(729) == np.uint16
     assert elem_dtype(65535) == np.uint16
     assert elem_dtype(65536) == np.int32
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "dihedral:16", "wreath33", "heisenberg:5",
+                                  "unitriangular4:3", "dihedral:32"])
+@pytest.mark.parametrize("identity_at", [0, -1, "middle"])
+def test_twisted_table_equals_the_fancy_index_reference(ref_twisted_table, spec, identity_at):
+    # build_gyro's flat takes give the table y^-1 x y^2 of fancy indexing,
+    # in the element dtype, also on a group read back from a renamed table
+    # whose identity sat at n - 1 or in the middle
+    G = catalog_group(spec)
+    n = G.order
+    if identity_at:
+        at = n - 1 if identity_at == -1 else n // 2
+        perm = np.random.default_rng(n).permutation(n)
+        j = int(np.flatnonzero(perm == at)[0])
+        perm[[0, j]] = perm[[j, 0]]                    # the identity goes to `at`
+        old = np.argsort(perm)
+        G = group_from_table(perm[G.table.astype(np.int64)[np.ix_(old, old)]])
+        assert G.relabeled_from == (at or None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")                # dihedral:32 has class 4
+        L = build_gyro(G).loop
+    want = ref_twisted_table(G)
+    assert L.table.dtype == want.dtype == elem_dtype(n)
+    assert np.array_equal(L.table, want)
+
+
+def _counting_light(monkeypatch):
+    """The sizes of the tables that Light's test is run on, in call order."""
+    calls, light = [], gyro._light_associative
+
+    def counted(T):
+        calls.append(len(T))
+        return light(T)
+    monkeypatch.setattr(groups, "_light_associative", counted)
+    monkeypatch.setattr(gyro, "_light_associative", counted)
+    return calls
+
+
+def test_a_file_group_export_runs_lights_test_once(tmp_path, monkeypatch):
+    # group_from_table records its verdict under "is_group" and
+    # _is_group_table reads it: the gyration-table export of a group file
+    # tests the table once, in the parse.  A group built unchecked has no
+    # verdict, so its gate runs the test, once per group
+    path = tmp_path / "t243.json"
+    G = catalog_group("product:wreath33,cyclic:3")
+    perm = np.random.default_rng(0).permutation(G.order)
+    old = np.argsort(perm)
+    path.write_text(json.dumps({"order": G.order, "table": perm[G.table[np.ix_(old, old)]].tolist()}))
+    calls = _counting_light(monkeypatch)
+    assert main(["export", "--group", f"file:{path}", "--what", "gyration-table",
+                 "--format", "csv", "--out", str(tmp_path / "gyr.csv")]) == 0
+    assert calls == [243]
+    W = catalog_group("wreath33")
+    H = _group_unchecked(W.table, W.names)
+    for _ in range(2):
+        export_text(H, "gyration-table", "csv")
+    assert calls == [243, 81]
