@@ -1,14 +1,16 @@
 """Instance verification suite: every structural statement the package knows
 about the twisted loop of a nilpotent group, checked exhaustively on one group.
 
-Each check scans all relevant tuples (a pass never short-circuits) and
-produces the lexicographically least witness on failure.  A check is one
-body registered by _check(check_id, short, statement, needs): the body takes
-the SuiteContext and returns (witness, details), where a witness of None
-means pass.  verify_suite turns that pair into the CheckReport.  Every check
-needs a group of class at most 3; needs names any further hypotheses by
-their skip reason, tested in the order given, and a group outside one gets
-status "skipped" with the first reason that fails.
+A pass is an exact decision, by a scan of all relevant tuples or by a proof
+from a verified fact (laws of every group need no scan on a table that
+groups.is_group_table certifies), and a failure gives the lexicographically
+least witness.  A check is one body registered by _check(check_id, short,
+statement, needs): the body takes the SuiteContext and returns (witness,
+details), where a witness of None means pass.  verify_suite turns that pair
+into the CheckReport.  Every check needs a group of class at most 3; needs
+names any further hypotheses by their skip reason, tested in the order
+given, and a group outside one gets status "skipped" with the first reason
+that fails.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .cocycle import (
     make_transversal,
     verify_extension_isomorphism,
 )
-from .errors import NotACocycle, NotASubloop, NotWellDefined
+from .errors import NotACocycle, NotASubgroup, NotASubloop, NotNormal, NotWellDefined
 from .groups import (
     FiniteGroup,
     _cached,
@@ -37,7 +39,7 @@ from .groups import (
     group_exponent,
     group_translations,
     index_table,
-    is_subgroup,
+    is_group_table,
     is_two_engel,
     latin_violation,
     nilpotency_class,
@@ -91,26 +93,26 @@ def _cube_criterion(G: FiniteGroup, C: frozenset[int]) -> tuple[bool, tuple[int,
     return w is None, w
 
 
-def _cube_violation(key: np.ndarray, table: np.ndarray, make_slab, products=None):
-    """The least failing triple, as elements, of the scan make_slab(t, tc,
-    pc) over R^3, R the least elements of the classes of a verified key.
-    On R x R, t are the values of table, tc their classes and pc those of
-    products (None when not given), as positions in R.  The key's maps leave
-    the mask unchanged on every axis, so the least failing triple lies in
-    R^3.  The group key keeps the group-side scans on G's commutator table,
-    where (r) and (c) give cm[u, v] from the classes.  The loop key keeps
+def _cube_violation(key: np.ndarray, table: np.ndarray, make_slab):
+    """The least failing triple, as elements, of the scan make_slab(t, tc)
+    over R^3, R the least elements of the classes of a verified key.  On
+    R x R, t are the values of table and tc their classes, as positions in
+    R.  The key's maps leave the mask unchanged on every axis, so the least
+    failing triple lies in R^3.  The group key keeps nine_identity's scan
+    on G's commutator table, where (r) and (c) give cm[u, v] from the
+    classes.  The loop key keeps
     the associativity of the bracket B(x, y) = (x*y) / (y*x): a kept rho
     passes (a) and (a'), so (rho x)*y = rho(x*y), y*(rho x) = rho(y*x) and
     (rho u) / (rho v) = u / v, hence B(rho x, y) = B(x, rho y) = B(x, y)."""
     n = len(table)
     R = np.flatnonzero(key == np.arange(n))
     if len(R) == n:
-        tables = table, table, products
+        tables = table, table
     else:
         pos = np.zeros(n, dtype=table.dtype)
         pos[R] = np.arange(len(R))
-        cls, tR = pos[key], table[np.ix_(R, R)]
-        tables = tR, cls[tR], None if products is None else cls[products[np.ix_(R, R)]]
+        tR = table[np.ix_(R, R)]
+        tables = tR, pos[key][tR]
     w = first_violation(len(R), make_slab(*tables))
     return None if w is None else tuple(int(R[i]) for i in w)
 
@@ -120,7 +122,7 @@ def nine_identity(G: FiniteGroup) -> tuple[bool, tuple[int, int, int] | None]:
     failing (x, y, z) when not."""
     # values [a, b]^9 read through the classes of [a, b]
     w = _cube_violation(group_translations(G)[1], G.commutator_table(),
-                        lambda cm, cmc, _: pair_slabs(G.power_array(9)[cm], cmc))
+                        lambda cm, cmc: pair_slabs(G.power_array(9)[cm], cmc))
     return w is None, w
 
 
@@ -274,8 +276,7 @@ class SuiteContext:
     def bracket_violation(self):
         """The bracket's least non-associative triple, read on the loop key's cube."""
         return _cached(self, "bracket-assoc", lambda: _cube_violation(
-            central_translations(self.loop)[1], self.bracket,
-            lambda B, Bc, _: pair_slabs(B, Bc)))
+            central_translations(self.loop)[1], self.bracket, pair_slabs))
 
     def names_for(self, witness):
         out = []
@@ -501,55 +502,32 @@ def _check_mid_in_left(ctx):
     return ((min(diff),) if diff else None), None
 
 
-# The two expansions are laws of every group: they follow from associativity
-# alone.  On a table that is a group they cannot fail, so what each scan tests
-# is the associativity of the table it is given.
-
-def _expansion_violation(G: FiniteGroup, sides):
-    """The least (x, y, z) of the cube where lhs != (a b) c.  sides(x, cm,
-    cmc, Tc, row, lhs, val) writes the [y, z] slab of lhs and returns a, b
-    and c (at most one in val), with row(index, out) = cm[x, index].  Each
-    slab writes into |R| x |R| buffers allocated once per scan, and
-    products are read from G's table at the intp offsets u*n + v."""
-    Tf, n = G.table.ravel(), G.order
-
-    def make_slab(cm, cmc, Tc):
-        m, cmf = len(cm), cm.ravel()
-        lhs = np.empty((m, m), dtype=cm.dtype)
-        val = np.empty_like(lhs)
-        off = np.empty((m, m), dtype=np.intp)
-        bad = np.empty((m, m), dtype=bool)
-
-        def take(flat, u, k, v, out):               # flat[u*k + v] into out
-            np.multiply(u, k, out=off, dtype=np.intp)
-            np.add(off, v, out=off)
-            return np.take(flat, off, out=out, mode="clip")
-
-        def slab(x):
-            a, b, c = sides(x, cm, cmc, Tc, lambda index, out: take(cmf, x, m, index, out),
-                            lhs, val)
-            return np.not_equal(lhs, take(Tf, take(Tf, a, n, b, val), n, c, val), out=bad)
-        return slab
-    return _cube_violation(group_translations(G)[1], G.commutator_table(), make_slab, G.table)
+def _group_law_violation(G: FiniteGroup, slab):
+    """None when is_group_table(G), else the least (x, y, z) of the [y, z]
+    masks slab(x) over every x.  Both expansions below are identities of the
+    free group in the commutator [a, b] = a b a^-1 b^-1 (tests/test_laws.py
+    reduces them), so they hold in every group."""
+    return None if is_group_table(G) else first_violation(G.order, slab)
 
 
 @_check("commutator-expansion-left", "product expansion of [xy,z]",
         "[x y, z] = [x,[y,z]] [y,z] [x,z] for all triples")
 def _check_commutator_expansion_left(ctx):
-    def sides(x, cm, cmc, Tc, row, lhs, val):
-        np.take(cm, Tc[x], axis=0, out=lhs, mode="clip")    # [xy, z]
-        return row(cmc, val), cm, cm[x]                     # ([x,[y,z]] [y,z]) [x,z]
-    return _expansion_violation(ctx.G, sides), None
+    T, cm = ctx.G.table, ctx.cm
+
+    def slab(x):                # [xy, z] against ([x,[y,z]] [y,z]) [x,z]
+        return cm[T[x]] != T[T[cm[x][cm], cm], cm[x]]
+    return _group_law_violation(ctx.G, slab), None
 
 
 @_check("commutator-expansion-right", "product expansion of [x,yz]",
         "[x, y z] = [x,y] [y,[x,z]] [x,z] for all triples")
 def _check_commutator_expansion_right(ctx):
-    def sides(x, cm, cmc, Tc, row, lhs, val):
-        row(Tc, lhs)                                        # [x, yz]
-        np.take(cm, cmc[x], axis=1, out=val, mode="clip")   # [y,[x,z]]
-        return cm[x][:, None], val, cm[x]                   # ([x,y] [y,[x,z]]) [x,z]
-    return _expansion_violation(ctx.G, sides), None
+    T, cm = ctx.G.table, ctx.cm
+
+    def slab(x):                # [x, yz] against ([x,y] [y,[x,z]]) [x,z]
+        return cm[x][T] != T[T[cm[x][:, None], cm[:, cm[x]]], cm[x]]
+    return _group_law_violation(ctx.G, slab), None
 
 
 @_check("commutant-element-identities", "commutant element identities",
@@ -640,14 +618,13 @@ def _check_quotient_by_commutant_group(ctx):
         "the twisted loop modulo its commutant has the same table as the "
         "twisted loop built on the group modulo the commutant")
 def _check_quotient_commutant_matches(ctx):
-    C = ctx.com
-    if not is_subgroup(ctx.G, C):
+    try:
+        Q = quotient_group(ctx.G, ctx.com)[0]
+    except NotASubgroup:
         return ("commutant-not-a-subgroup",), None
-    w = ctx.group_normality(C)
-    if w is not None:
-        return ("commutant-not-normal",) + w, None
-    circ_of_quotient = build_gyro(quotient_group(ctx.G, C)[0]).loop
-    return first_cell(circ_of_quotient.table != ctx.quotient(C)[0].table), None
+    except NotNormal as exc:
+        return ("commutant-not-normal",) + exc.witness, None
+    return first_cell(build_gyro(Q).loop.table != ctx.quotient(ctx.com)[0].table), None
 
 
 def _class_equivalence(ctx, k):

@@ -45,6 +45,7 @@ from .groups import (
     elem_dtype,
     first_cell,
     first_violation,
+    is_group_table,
     quotient_group,
     subgroup_as_group,
     subgroup_violation,
@@ -73,13 +74,19 @@ def make_transversal(G: FiniteGroup, Z: Iterable[int]) -> Transversal:
     w = subgroup_violation(G, Zs)
     if w is not None:
         raise NotASubgroup(w)
-    zl = sorted(Zs)
-    bad = first_cell(G.table[zl] != G.table[:, zl].T)        # [k, x]: z_k x != x z_k
+    bad = _noncentral(G, Zs)
     if bad is not None:
-        raise NotCentral((zl[bad[0]], bad[1]))
+        raise NotCentral(bad)
     Q, proj = quotient_group(G, Zs)
     reps = np.unique(proj, return_index=True)[1].astype(elem_dtype(G.order))
-    return Transversal(G, tuple(zl), Q, proj, reps)
+    return Transversal(G, tuple(sorted(Zs)), Q, proj, reps)
+
+
+def _noncentral(G: FiniteGroup, members) -> tuple[int, int] | None:
+    """The first (z, x) with z x != x z, z over the members ascending."""
+    zl = sorted(int(z) for z in members)
+    bad = first_cell(G.table[zl] != G.table[:, zl].T)        # [k, x]: z_k x != x z_k
+    return None if bad is None else (zl[bad[0]], bad[1])
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,12 @@ def _center_positions(values: np.ndarray, center: tuple[int, ...]) -> np.ndarray
 
 
 def factor_set(G: FiniteGroup, T: Transversal) -> FactorSet:
-    """f(x, y) = rep(x) rep(y) rep(xy)^-1, verified to be a normalized cocycle."""
+    """f(x, y) = rep(x) rep(y) rep(xy)^-1, verified to be a normalized cocycle.
+
+    When G and T.quotient pass is_group_table and every value, one of
+    T.center, is central in G, the identity holds with no scan: both sides
+    are rep(x) rep(y) rep(z) rep(xyz)^-1, by associativity in G and in the
+    quotient and by moving the central f(y,z) past rep(x)."""
     reps = T.reps
     Q = T.quotient
     r_prod = G.table[np.ix_(reps, reps)]                 # rep(x) rep(y)
@@ -126,9 +138,11 @@ def factor_set(G: FiniteGroup, T: Transversal) -> FactorSet:
         k = int(off[0])
         raise NotACocycle("is not normalized", (0, k) if values[0, k] else (k, 0))
     fs = FactorSet(G, T.center, Q, values)
-    bad = cocycle_violation(fs)
-    if bad is not None:
-        raise NotACocycle("fails the cocycle identity", bad)
+    if not (is_group_table(G) and is_group_table(Q)
+            and _noncentral(G, np.flatnonzero(_mark(G.order, values))) is None):
+        bad = cocycle_violation(fs)
+        if bad is not None:
+            raise NotACocycle("fails the cocycle identity", bad)
     return fs
 
 

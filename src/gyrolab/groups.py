@@ -261,6 +261,17 @@ def associativity_violation(table: np.ndarray) -> tuple[int, int, int] | None:
     return first_violation(len(T), pair_slabs(T, T))
 
 
+def is_group_table(G: FiniteGroup) -> bool:
+    """The one group verdict: whether G's table and inverse array are a
+    group's, with identity 0, a right inverse at each inverse[g], and
+    associative by Light's test.  Cached on G under "is_group", where
+    group_from_table has already put True for every table it validated."""
+    T, ar = G.table, np.arange(G.order)
+    return _cached(G, "is_group", lambda: bool(
+        np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar)
+        and (T[ar, G.inverse] == 0).all() and _light_associative(T)))
+
+
 def _mark(n: int, values) -> np.ndarray:
     """The length-n mask of values: an index array read from a table, or an
     iterable of ints, which must lie in 0..n-1 (a negative index would wrap)."""
@@ -347,7 +358,9 @@ def verify_translations(table: np.ndarray, candidates, cm: np.ndarray | None = N
     T[x, phi(0)]: only generators are verified (3 of the 35 c != e of the
     loop commutant of wreath33 x C4, 1 of 728 on cyclic:729).  A failing
     candidate makes the key finer, never wrong.  The tests write into
-    n x n buffers allocated once, when the first candidate needs a test."""
+    n x n buffers allocated once, when the first candidate needs a test.
+    The loop key (loops.central_translations) serves the gyrations, Inn's
+    L(x,y) and the associator scan; the group key serves nine_identity."""
     n = len(table)
     cs, key, tests = [], np.arange(n, dtype=elem_dtype(n)), None
     for c in candidates:
@@ -370,7 +383,7 @@ def verify_translations(table: np.ndarray, candidates, cm: np.ndarray | None = N
 
 def group_translations(G: FiniteGroup):
     """verify_translations on G's table with the candidates Z(G) and G's
-    commutator table, cached on G: the key of the group-side scans."""
+    commutator table, cached on G: the key of nine_identity's scan."""
     return _cached(G, "central", lambda: verify_translations(
         G.table, sorted(group_center(G)), G.commutator_table()))
 
@@ -484,7 +497,7 @@ def group_from_table(table, names: Sequence[str] | None = None,
 
     G = FiniteGroup(arr, name_list, _inverse_array(arr), name=name)
     G.relabeled_from = relabeled_from
-    _cached(G, "is_group", lambda: True)        # the verdict gyro._is_group_table reads
+    _cached(G, "is_group", lambda: True)        # the verdict is_group_table reads
     return G
 
 

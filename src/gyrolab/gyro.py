@@ -17,9 +17,9 @@ gyr(y, z) is x -> c^-1 x c with c = y z^-1 y^-1 z.  With w = y*z = z^-1 y z^2,
 and right division in the twisted table is unique (its columns are
 permutations), so ((x*y)*z) / w = c^-1 x c.  Two pairs share a gyration
 exactly when their c lie in the same coset of Z(G).  On a recorded source
-that passes Light's associativity test (_is_group_table), gyration_table
-reads them off c in O(n^2) (_conjugation_family); every other loop's
-gyrations, and Inn's L(x,y), come from _map_family on the classes of
+that passes the group verdict (is_group_table), gyration_table reads them
+off c in O(n^2) (_conjugation_family); every other loop's gyrations, and
+Inn's L(x,y), come from _map_family on the classes of
 loops.central_translations.
 """
 
@@ -35,10 +35,10 @@ from .groups import (
     BLOCK_CELLS,
     FiniteGroup,
     _cached,
-    _light_associative,
     elem_dtype,
     first_cell,
     group_center,
+    is_group_table,
     nilpotency_class,
 )
 from .loops import FiniteLoop, central_translations, loop_from_table
@@ -120,7 +120,7 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
     order.  On a loop built by build_gyro from a group table, gyr(y,z) is
     conjugation by c = y z^-1 y^-1 z (see the module docstring), read off c
     in O(n^2) by _conjugation_family when the recorded source passes
-    _is_group_table.  Every other loop goes through _map_family on the
+    is_group_table.  Every other loop goes through _map_family on the
     classes of central_translations, at n^3 / |Z(L)|^2 cells.  Both give
     the same ids and rows.
     """
@@ -129,7 +129,7 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
 
     def build():
         T, G = L.table, L._cache.get("source")
-        if G is not None and _is_group_table(G):
+        if G is not None and is_group_table(G):
             ids, rows = _conjugation_family(G)
         else:
             index = RowIndex(L.order, elem_dtype(L.order))
@@ -140,17 +140,6 @@ def gyration_table(L: FiniteLoop) -> GyrationTable:
     return _cached(L, "gyr", build)
 
 
-def _is_group_table(G: FiniteGroup) -> bool:
-    """Whether G's table and inverse array are a group's: identity 0, a
-    right inverse at each inverse[g], and associative by Light's test.
-    Cached on G under "is_group", where group_from_table has already put
-    True for every table it validated."""
-    T, ar = G.table, np.arange(G.order)
-    return _cached(G, "is_group", lambda: bool(
-        np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar)
-        and (T[ar, G.inverse] == 0).all() and _light_associative(T)))
-
-
 def _conjugation_family(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """ids[y, z] and the distinct rows of the gyrations of G's twisted loop.
 
@@ -158,7 +147,7 @@ def _conjugation_family(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     give the same map exactly when they share a coset of Z(G), whose least
     element labels c.  ids ranks the labels of c[y, z] in row-major
     first-occurrence order, as _map_family numbers, and row k conjugates by
-    the label of id k.  G must be a group (see _is_group_table).
+    the label of id k.  G must be a group (see is_group_table).
     """
     n = G.order
     label = G.table[:, sorted(group_center(G))].min(axis=1)      # c -> least of c Z(G)

@@ -298,3 +298,23 @@ def _ref_twisted_table(G):
 def ref_twisted_table():
     """G -> the twisted table of build_gyro, built by fancy indexing."""
     return _ref_twisted_table
+
+
+def _ref_cocycle_violation(f):
+    """The first (x, y, z) failing f(x,y) f(xy,z) == f(y,z) f(x,yz), by one
+    pair of n x n gathers per x."""
+    mul, Q, v = f.group.table, f.quotient, f.values
+    q = Q.order
+    for x in range(q):
+        lhs = mul[np.broadcast_to(v[x][:, None], (q, q)), v[Q.table[x], :]]
+        rhs = mul[v, v[x, Q.table]]
+        if not np.array_equal(lhs, rhs):
+            flat = int(np.argmax(lhs != rhs))
+            return (x, flat // q, flat % q)
+    return None
+
+
+@pytest.fixture(scope="session")
+def ref_cocycle_violation():
+    """A factor set -> its least cocycle failure, scanned per x."""
+    return _ref_cocycle_violation

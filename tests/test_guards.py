@@ -3,7 +3,9 @@ subclasses, so they hold under -O, and no CLI command imports numpy.ma.
 The package's source holds no assert statement, which -O would strip, and
 reads or writes a memo only through groups._cached, whose shared arrays
 are read-only.  Light's test is read only by the one associativity test
-and the gyration gate, and no scan skips rows by np.unique.  The one
+and the one group verdict, groups.is_group_table; groups is the only
+module that names the verdict's cache key, and no scan skips rows by
+np.unique.  The one
 witness loop is groups.first_violation(n, slab).  The
 commuting elements of each table and the nuclei of each loop are
 computed once per verify and per analyze.
@@ -133,9 +135,9 @@ def test_every_memo_goes_through_cached():
 
 
 def test_one_associativity_test():
-    # Light's test is read by the one associativity test and by the yes/no
-    # gate of the closed-form gyrations, and no function skips repeated
-    # rows by np.unique over a void view of them
+    # Light's test is read by the one associativity test and by the one
+    # group verdict, both in groups, and imported nowhere; no function
+    # skips repeated rows by np.unique over a void view of them
     light, row_skips, imports = [], [], []
     for path in sorted((SRC / "gyrolab").glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -149,9 +151,18 @@ def test_one_associativity_test():
                 light.append((path.stem, fn.name))
             if {"unique", "void"} <= names:
                 row_skips.append((path.stem, fn.name))
-    assert light == [("groups", "associativity_violation"), ("gyro", "_is_group_table")]
-    assert imports == ["gyro"]
+    assert light == [("groups", "associativity_violation"), ("groups", "is_group_table")]
+    assert imports == []
     assert row_skips == []
+
+
+def test_one_module_names_the_group_verdict():
+    # group_from_table writes the "is_group" key and is_group_table reads
+    # it; every other module asks is_group_table
+    found = [path.stem for path in sorted((SRC / "gyrolab").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value == "is_group"]
+    assert found == ["groups", "groups"]
 
 
 def test_one_witness_loop():
@@ -390,9 +401,10 @@ def test_the_loop_key_is_verified_once_per_analyze_and_export(monkeypatch, tmp_p
 
 
 def test_group_translations_are_verified_once_per_group(monkeypatch):
-    # both expansions and bracket-assoc-iff-ninth-power read one group key,
-    # cached on the group: (a) and (a') gather the group table once each
-    # per generator of Z(G), and no scan gathers it by an intp column.  The
+    # only nine_identity, in bracket-assoc-iff-ninth-power, reads the group
+    # key, cached on the group; the expansions read the group verdict.  (a)
+    # and (a') gather the group table once each per generator of Z(G), and
+    # no scan gathers it by an intp column.  The
     # catalog's builds are cleared, so that no earlier test has cached a key
     catalog_group.cache_clear()
     G = catalog_group("product:wreath33,cyclic:4")

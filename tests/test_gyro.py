@@ -452,7 +452,7 @@ def test_closed_form_labels_are_the_cosets_of_the_center(spec, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         L = build_gyro(G).loop
-    assert gyro._is_group_table(G)
+    assert groups.is_group_table(G)
     n, T, inv = G.order, G.table.astype(np.intp), G.inverse.astype(np.intp)
     label = T[:, sorted(group_center(G))].min(axis=1)
     c = T[T[T[:, inv], inv[:, None]], np.arange(n)]         # [y, z] -> y z^-1 y^-1 z
@@ -513,7 +513,7 @@ def test_gyration_table_peak_stays_at_one_ids_table_and_its_blocks():
     G = catalog_group("product:wreath33,cyclic:4")
     L = build_gyro(G).loop
     n = L.order
-    gyro._is_group_table(G)
+    groups.is_group_table(G)
     tracemalloc.start()
     try:
         gyration_table(L)
@@ -526,14 +526,14 @@ def test_gyration_table_peak_stays_at_one_ids_table_and_its_blocks():
 def test_inner_generators_do_not_depend_on_the_gyration_path(monkeypatch):
     # labels of Inn's generators come from the gyration ids: the same rows
     # and labels in the same order whichever paths built the two families;
-    # _is_group_table, the gate of the closed form, switches the gyrations
+    # is_group_table, the gate of the closed form, switches the gyrations
     # to _map_family, and a loop with no source reads the same 9 cosets of
     # Z(L) as the loop built on the group
     G = catalog_group("wreath33")
     paths = _spy_paths(monkeypatch)
     closed = inner_generators(build_gyro(G).loop)
     no_source = inner_generators(loop_from_table(build_gyro(G).loop.table))
-    monkeypatch.setattr(gyro, "_is_group_table", lambda G: False)
+    monkeypatch.setattr(gyro, "is_group_table", lambda G: False)
     keyed = inner_generators(build_gyro(G).loop)
     assert paths == ["closed", 9, 9, 9, 9, 9]
     for generic in (no_source, keyed):
@@ -606,19 +606,18 @@ def test_twisted_table_equals_the_fancy_index_reference(ref_twisted_table, spec,
 
 def _counting_light(monkeypatch):
     """The sizes of the tables that Light's test is run on, in call order."""
-    calls, light = [], gyro._light_associative
+    calls, light = [], groups._light_associative
 
     def counted(T):
         calls.append(len(T))
         return light(T)
     monkeypatch.setattr(groups, "_light_associative", counted)
-    monkeypatch.setattr(gyro, "_light_associative", counted)
     return calls
 
 
 def test_a_file_group_export_runs_lights_test_once(tmp_path, monkeypatch):
     # group_from_table records its verdict under "is_group" and
-    # _is_group_table reads it: the gyration-table export of a group file
+    # is_group_table reads it: the gyration-table export of a group file
     # tests the table once, in the parse.  A group built unchecked has no
     # verdict, so its gate runs the test, once per group
     path = tmp_path / "t243.json"

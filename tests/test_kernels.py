@@ -8,7 +8,8 @@ yes/no test followed by a Python loop that rescanned the set or the lines
 for the witness.  The _ref_* functions below are those earlier bodies, kept
 as the references: the breadth-first subgroup and subloop closures, the
 set-based subgroup and subloop tests, the per-pair subgroup and subloop
-witness loops, the per-line Latin scan and the per-x cocycle loop.
+witness loops and the per-line Latin scan; the per-x cocycle loop is the
+ref_cocycle_violation fixture of conftest.
 """
 
 import dataclasses
@@ -123,18 +124,6 @@ def _ref_latin_violation(T):
                 if v in seen:
                     return axis, i, ((i, pos) if axis == "row" else (pos, i)), v
                 seen.add(v)
-    return None
-
-
-def _ref_cocycle_violation(f):
-    mul, Q, v = f.group.table, f.quotient, f.values
-    q = Q.order
-    for x in range(q):
-        lhs = mul[np.broadcast_to(v[x][:, None], (q, q)), v[Q.table[x], :]]
-        rhs = mul[v, v[x, Q.table]]
-        if not np.array_equal(lhs, rhs):
-            flat = int(np.argmax(lhs != rhs))
-            return (x, flat // q, flat % q)
     return None
 
 
@@ -259,7 +248,7 @@ def test_subloop_closure_matches_the_breadth_first_reference(switched_table):
 
 @pytest.mark.parametrize("spec", ["dihedral:16", "heisenberg:3", "unitriangular4:2",
                                   "quaternion:16"])
-def test_cocycle_violation_matches_the_per_x_reference(spec):
+def test_cocycle_violation_matches_the_per_x_reference(spec, ref_cocycle_violation):
     G = catalog_group(spec)
     fs = factor_set(G, make_transversal(G, group_center(G)))
     assert cocycle_violation(fs) is None
@@ -273,7 +262,7 @@ def test_cocycle_violation_matches_the_per_x_reference(spec):
             vals[x, y] = zl[(zl.index(int(vals[x, y])) + 1) % len(zl)]
         bad = dataclasses.replace(fs, values=vals)
         w = cocycle_violation(bad)
-        assert w == _ref_cocycle_violation(bad), spec
+        assert w == ref_cocycle_violation(bad), spec
         witnesses.add(w)
     assert len(witnesses) > 5                     # the mutations reach many cells
 

@@ -10,6 +10,12 @@ every group of class <= 3 exactly when its truncated image is 1, and each
 law below holds in all such groups at once, where the catalog tests can
 only show it on the groups they build.  Each law has a false variant that
 the same map must reject.
+
+The Magnus map proves a law for class <= 3 only.  A law of every group, as
+the commutator expansions that checks decides by the group verdict alone,
+is certified in the free group instead: lhs rhs^-1, a word of signed
+letters, freely reduces to the empty word, and a freely reduced word is
+trivial in the free group only when it is empty.
 """
 
 from functools import reduce
@@ -120,3 +126,58 @@ def test_bracket_compositions_are_ninth_powers():
     assert _bracket(X, _bracket(Y, Z)) == _power(_comm(X, _comm(Y, Z)), 9)
     assert _bracket(_bracket(X, Y), Z) != _power(_comm(_comm(X, Y), Z), 3)
     assert _bracket(X, _bracket(Y, Z)) != _power(_comm(_comm(Y, Z), X), 9)
+
+
+# words of the free group on x, y, z: tuples of signed letters (generator, +-1)
+FX, FY, FZ = (((i, 1),) for i in range(3))
+
+
+def _reduce(word):
+    """The free reduction of a word: cancel each letter against an
+    adjacent inverse until none is left."""
+    out = []
+    for g, e in word:
+        if out and out[-1] == (g, -e):
+            out.pop()
+        else:
+            out.append((g, e))
+    return tuple(out)
+
+
+def _winv(w):
+    return tuple((g, -e) for g, e in reversed(w))
+
+
+def _wprod(*ws):
+    return sum(ws, ())
+
+
+def _wcomm(a, b):
+    """[a, b] = a b a^-1 b^-1, the package's commutator, as a word."""
+    return _wprod(a, b, _winv(a), _winv(b))
+
+
+def _free_identity(lhs, rhs):
+    return _reduce(_wprod(lhs, _winv(rhs))) == ()
+
+
+def test_free_reduction():
+    assert _reduce(_wprod(FX, _winv(FX))) == ()
+    assert _reduce(_wcomm(FX, FX)) == ()
+    assert _reduce(_wcomm(FX, FY)) == ((0, 1), (1, 1), (0, -1), (1, -1))
+    assert _free_identity(_winv(_wcomm(FX, FY)), _wcomm(FY, FX))
+
+
+def test_commutator_expansions_hold_in_every_group():
+    # commutator-expansion-left and -right: identities of the free group,
+    # so laws of every group, whatever its class; each false variant, with
+    # two factors swapped, is a nonempty reduced word
+    xy, yz = _wprod(FX, FY), _wprod(FY, FZ)
+    left = _wprod(_wcomm(FX, _wcomm(FY, FZ)), _wcomm(FY, FZ), _wcomm(FX, FZ))
+    right = _wprod(_wcomm(FX, FY), _wcomm(FY, _wcomm(FX, FZ)), _wcomm(FX, FZ))
+    assert _free_identity(_wcomm(xy, FZ), left)
+    assert _free_identity(_wcomm(FX, yz), right)
+    assert not _free_identity(
+        _wcomm(xy, FZ), _wprod(_wcomm(FX, _wcomm(FY, FZ)), _wcomm(FX, FZ), _wcomm(FY, FZ)))
+    assert not _free_identity(
+        _wcomm(FX, yz), _wprod(_wcomm(FX, FY), _wcomm(FX, FZ), _wcomm(FY, _wcomm(FX, FZ))))

@@ -8,12 +8,14 @@ relabel of a nucleus's induced product.  Verdicts and witnesses must be
 equal, on passing inputs and on failing ones: twisted tables wrapped as
 (non-associative) "groups", a class-4 source, and random loops.  The nuclei
 read off the gyration table are pinned against both the nuclei that the
-associator scan reduces and the per-element reference.  Every keyed scan
-is pinned against the same scan run unkeyed: the two commutator
-expansions and the ninth-power identity, which read the cube R^3 of the
-least elements of the classes of the group key, translations by Z(G) that
-pass (a) and (a') on the group table and (r) and (c) on the commutator
-table; the associativity scan of the loop-commutator bracket, which reads
+associator scan reduces and the per-element reference.  The two commutator
+expansions and the cocycle identity of factor_set, laws of every group,
+compute no slab on a table that is_group_table certifies, and on any other
+give the references' witnesses.  Every keyed scan is pinned against the
+same scan run unkeyed: the ninth-power identity, which reads the cube R^3
+of the least elements of the classes of the group key, translations by
+Z(G) that pass (a) and (a') on the group table and (r) and (c) on the
+commutator table; the associativity scan of the loop-commutator bracket, which reads
 the cube R^3 of the loop key, translations by the loop's commuting elements
 that pass (a) and (a') on the loop table; the associator scan, which reads
 the cube R^3 of a finer key, those of the loop key that also pass the x, y
@@ -61,7 +63,8 @@ from gyrolab.groups import (
     group_translations,
     pair_slabs,
 )
-from gyrolab.errors import InvariantViolated, NotRightLoop, NotWellDefined
+from gyrolab.errors import (GyrolabError, InvariantViolated, NotACocycle, NotRightLoop,
+                            NotWellDefined)
 from gyrolab.gyro import GyroConstruction
 from gyrolab.invariants import NUCLEUS_KINDS, commutator_bracket_table
 from gyrolab.loops import loop_from_table, normal_subloop_violation, quotient_loop
@@ -301,11 +304,11 @@ WRAPPED_CLASSES = {"dihedral:16": 8, "wreath33": 9, "dihedral:32": 16,
 @pytest.mark.parametrize("spec", list(WRAPPED_CLASSES))
 def test_gyration_reading_on_a_non_associative_source(spec, monkeypatch):
     # a non-associative twisted table wrapped as a "group" fails
-    # _is_group_table, so the loop built on it takes _map_family too, for
+    # is_group_table, so the loop built on it takes _map_family too, for
     # the gyrations and L(x,y) alike on the classes of its verified key;
     # both families equal those of the kernel over all n^2 pairs
     H = _wrapped(_gyro(spec))
-    assert not gyrolab.gyro._is_group_table(H)
+    assert not groups.is_group_table(H)
     L = build_gyro(H).loop
     n, T = L.order, L.table
     kernel, classes = gyrolab.gyro._map_family, []
@@ -867,19 +870,12 @@ def test_expansion_right_witness_past_half_the_slabs(m):
 
 
 def test_expansion_right_allocates_its_buffers_once():
-    # dihedral:326: [x, z] takes n/2 = 163 values for each reflection x, and
-    # Z(G) is trivial, so the cube is all of G^3 and the slab buffers are
-    # n x n: two value slabs, the intp offsets and a mask.  The bound is
-    # the one an intp copy of T, two value slabs, a mask and two n x m
-    # tables at the largest m set; a fresh n x n value slab for every x
-    # (about 415 KiB here) raises the traced peak past it.  Minor faults do
-    # not show it: the allocator hands the freed slab back
+    # dihedral:326: Z(G) is trivial, so no key could shrink a scan, but the
+    # group is one: a warm call reads the cached group verdict and
+    # allocates no n x n array, where one bool mask of a slab is 104 KiB
     ctx = SuiteContext(catalog_group("dihedral:326"))
-    n, cm = ctx.n, ctx.cm
-    m = max(len(np.unique(row)) for row in cm)
-    assert m == n // 2
-    intp, item = np.dtype(np.intp).itemsize, cm.itemsize
-    buffers = n * n * (intp + 2 * item + 1) + n * m * (intp + item)
+    n = ctx.n
+    checks._check_commutator_expansion_right(ctx)    # fills Python's free lists
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -887,7 +883,7 @@ def test_expansion_right_allocates_its_buffers_once():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < buffers + 256 * 1024, (peak, buffers)
+    assert peak < 16 * 1024 < n * n, peak
 
 
 def test_suite_loop_class_starts_from_the_center():
@@ -953,8 +949,9 @@ def _visits(mp):
 
 
 def _keyed_scans(G, tables):
-    """The keyed callers: the ninth-power identity and both expansions of
-    G, and the associativity scan of each table."""
+    """The ninth-power identity of G, which reads the group key, both
+    expansions, which read none, and the associativity scan of each
+    table."""
     return ((nine_identity(G),) + _expansions(G)
             + tuple(associativity_violation(t) for t in tables))
 
@@ -1097,8 +1094,10 @@ def test_keyed_scans_visit_each_distinct_row_once():
     # as many as the classes of the loop key, the cosets of the loop's 36
     # commuting elements.  The scans pass, so the cube scans each visit
     # every position of their R once: the 27 of the group key, the first x
-    # of every distinct row of the commutator table, and the 9 of the loop
-    # key for the bracket, as the suite runs them
+    # of every distinct row of the commutator table, for the ninth-power
+    # identity, and the 9 of the loop key for the bracket, as the suite
+    # runs them.  The right expansion, a law of every group, reads the
+    # group verdict and visits none
     ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
     G, cm = ctx.G, ctx.cm
     R = np.flatnonzero(group_translations(G)[1] == np.arange(ctx.n)).tolist()
@@ -1106,8 +1105,8 @@ def test_keyed_scans_visit_each_distinct_row_once():
     loop_key = loops.central_translations(ctx.loop)[1]
     assert len(set(loop_key.tolist())) == len(_first_rows(ctx.bracket)) == 9
     cube = list(range(len(R)))
-    expected = {"nine": cube, "right": cube, "bracket": list(range(9))}
-    assert list(map(len, expected.values())) == [27, 27, 9]
+    expected = {"nine": cube, "right": [], "bracket": list(range(9))}
+    assert list(map(len, expected.values())) == [27, 0, 9]
     runs = {"nine": lambda: nine_identity(G)[1],
             "right": lambda: checks._check_commutator_expansion_right(ctx)[0],
             "bracket": lambda: ctx.bracket_violation}
@@ -1189,8 +1188,8 @@ def test_normal_subloop_allocates_its_buffers_once():
 
 
 # ---------------------------------------------------------------------------
-# the left expansion keyed on z: a z whose column of the commutator table
-# repeats an earlier z's is skipped
+# the left expansion on tables whose columns of the commutator table repeat:
+# it reads no key, so a run with every key made trivial gives its witness
 
 def _left(G):
     return checks._check_commutator_expansion_left(SuiteContext(G))[0]
@@ -1229,11 +1228,11 @@ def test_expansion_left_keyed_matches_the_unkeyed_scan_and_the_reference(spec):
 
 @pytest.mark.parametrize("spec, distinct", [("product:wreath33,cyclic:4", 27),
                                             ("product:dihedral:16,cyclic:5", 8)])
-def test_expansion_left_visits_each_distinct_column_once(spec, distinct):
+def test_group_key_classes_are_the_distinct_columns(spec, distinct):
     # [x, y c] = [x, y] for central c: wreath33 x C4 has 27 distinct columns
-    # of 324 in its commutator table, D16 x C5 8 of 80.  The cube's R is the
-    # first z of every distinct column, and the scan passes, so it visits
-    # each position of R
+    # of 324 in its commutator table, D16 x C5 8 of 80, and the group key's
+    # R is the first z of every distinct column.  The left expansion reads
+    # the group verdict instead, and computes no slab
     ctx = SuiteContext(catalog_group(spec))
     expected = _first_rows(ctx.cm.T)
     assert len(expected) == distinct
@@ -1241,27 +1240,24 @@ def test_expansion_left_visits_each_distinct_column_once(spec, distinct):
         visits = _visits(mp)
         assert checks._check_commutator_expansion_left(ctx)[0] is None
     assert np.flatnonzero(group_translations(ctx.G)[1] == np.arange(ctx.n)).tolist() == expected
-    assert visits == list(range(distinct))
+    assert visits == []
 
 
 @pytest.mark.parametrize("spec", WRAPPED_PINS + ["product:wreath33,cyclic:4"])
 def test_expansion_left_reads_only_the_rows_up_to_its_witness(spec):
-    # the cube is read x-outer over R: the scan computes the slabs of the
-    # positions of R up to the one of the witness's x, and no slab after it;
-    # the witness is still the least over every z of the least failing
-    # (x, y) of column z (wreath33 x C4: (108, ., 4) at z = 4, then
-    # (4, 108, 108) overall)
+    # a wrapped twisted table is no group, so the scan reads every x from 0:
+    # it computes the slabs up to the witness's x, and no slab after it;
+    # the witness is the least over every z of the least failing (x, y) of
+    # column z (wreath33 x C4: (108, ., 4) at z = 4, then (4, 108, 108)
+    # overall)
     H = _wrapped(_gyro(spec))
-    R = np.flatnonzero(group_translations(H)[1] == np.arange(H.order))
     with pytest.MonkeyPatch.context() as mp:
         visits = _visits(mp)
         w = _left(H)
     per_column = [cell + (z,) for z, cell in enumerate(_column_witnesses(H)) if cell]
     assert w == min(per_column) == _ref_expansion_left(H)
-    last = int(np.searchsorted(R, w[0]))
-    assert R[last] == w[0]
-    assert visits == list(range(last + 1))
-    assert last + 1 < len(R)
+    assert visits == list(range(w[0] + 1))
+    assert w[0] + 1 < H.order
 
 
 @st.composite
@@ -1304,18 +1300,11 @@ def test_group_scans_match_the_reference_on_repeated_columns(drawn):
 
 
 def test_expansion_left_allocates_its_buffers_once():
-    # wreath33 x C4: [y, z] takes at most m = 9 values in any column z.  The
-    # bound is the one an intp copy of T, two value slabs, a mask and two
-    # n x m tables at the largest m set, with one ufunc buffer for a cast;
-    # the cube's 27 x 27 buffers are far below it, and
-    # test_group_scans_allocate_only_their_cube_buffers bounds them tightly
+    # wreath33 x C4 is a group: a warm call reads the cached group verdict
+    # and allocates no n x n array, where one bool mask of a slab is
+    # 103 KiB here
     ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
-    n, cm = ctx.n, ctx.cm
-    m = max(len(np.unique(col)) for col in cm.T)
-    assert (n, m) == (324, 9)
-    intp, item = np.dtype(np.intp).itemsize, cm.itemsize
-    buffers = n * n * (intp + 2 * item + 1) + n * m * (intp + item)
-    cast = np.getbufsize() * intp
+    n = ctx.n
     checks._check_commutator_expansion_left(ctx)     # fills Python's free lists
     tracemalloc.start()
     try:
@@ -1324,7 +1313,7 @@ def test_expansion_left_allocates_its_buffers_once():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < buffers + cast + 32 * 1024, (peak, buffers)
+    assert peak < 16 * 1024 < n * n, peak
 
 
 # ---------------------------------------------------------------------------
@@ -1669,8 +1658,8 @@ def test_normal_subloop_refuses_a_translation_that_fails_one_condition(fails, N,
 # ---------------------------------------------------------------------------
 # the group key: translations rho = G.table[:, c] by c in Z(G) that pass (a)
 # and (a') on the group table and leave the rows (r) and columns (c) of the
-# commutator table unchanged; both expansions and the ninth-power identity
-# read the cube R^3 of the least elements of its classes
+# commutator table unchanged; the ninth-power identity reads the cube R^3 of
+# the least elements of its classes, and the expansions read no key
 
 def _group_conditions(G, c):
     """Whether rho = G.table[:, c] passes (a) T[rho p, z] = rho T[p, z],
@@ -1699,9 +1688,10 @@ def _group_scans(G):
     ("unitriangular4:3", 243, None)])
 def test_group_scans_read_one_cube_per_coset_of_the_center(spec, cosets, nine):
     # every c of Z(G) passes, so R holds the least element of each coset of
-    # Z(G), and each passing scan visits every position of R; D16 x C5
-    # fails the ninth-power identity (as test_group_scans_match_reference
-    # pins against the reference) in the slab of x = 5, position 1 of R
+    # Z(G), and the ninth-power identity visits every position of R when it
+    # passes; D16 x C5 fails it (as test_group_scans_match_reference pins
+    # against the reference) in the slab of x = 5, position 1 of R.  The
+    # expansions read the group verdict and visit none
     G = catalog_group(spec)
     cs, key = group_translations(G)
     assert np.array_equal(key, _ref_group_key(G))
@@ -1711,7 +1701,7 @@ def test_group_scans_read_one_cube_per_coset_of_the_center(spec, cosets, nine):
         visits = _visits(mp)
         assert _group_scans(G) == (None, None, (nine is None, nine))
     last = cosets if nine is None else R.tolist().index(nine[0]) + 1
-    assert visits == list(range(cosets)) * 2 + list(range(last))
+    assert visits == list(range(last))
 
 
 def _planted_group(fails):
@@ -1722,7 +1712,9 @@ def _planted_group(fails):
           (a) and rows 5, 12 for (a');
       (r), (c) D16's table with [e, 1] = [e, 5] = 1, or [1, e] = [5, e] = 1,
           in the commutator table.
-    The commutator table is D16's in the first two, so (r) and (c) hold."""
+    The commutator table is D16's in the first two, so (r) and (c) hold.  In
+    the last two the table is D16's own, a group, and the planted
+    commutator table is not its own, so only nine_identity reads it."""
     D = catalog_group("dihedral:16")
     T, cm = D.table.copy(), D.commutator_table().copy()
     if fails in ("a", "a'"):
@@ -1741,19 +1733,23 @@ def _planted_group(fails):
 @pytest.mark.parametrize("fails, witnesses", [
     ("a", ((1, 2, 1), (1, 1, 2), (False, (1, 8, 8)))),
     ("a'", ((1, 2, 1), (1, 1, 2), (False, (1, 8, 8)))),
-    ("r", ((0, 0, 1), (0, 0, 1), (False, (0, 1, 8)))),
-    ("c", ((1, 0, 0), (0, 1, 0), (False, (1, 0, 1))))])
+    ("r", (None, None, (False, (0, 1, 8)))),
+    ("c", (None, None, (False, (1, 0, 1))))])
 def test_group_key_refuses_a_translation_that_fails_one_condition(fails, witnesses):
     # c fails the named condition alone, so it is refused, the key is
-    # trivial and the cube is all of G^3; the three scans still give the
-    # references' witnesses
+    # trivial and the cube is all of G^3; the ninth-power identity still
+    # gives the reference's witness.  The expansions give theirs on the
+    # planted tables, which are no group, and pass on D16's own table
     G = _planted_group(fails)
     assert sorted(group_center(G)) == [0, 4]
     assert _group_conditions(G, 4) == tuple(k != fails for k in ("a", "a'", "r", "c"))
     cs, key = group_translations(G)
     assert cs == () and np.array_equal(key, np.arange(16))
     assert _group_scans(G) == witnesses
-    assert witnesses == (_ref_expansion_left(G), _ref_expansion_right(G), _ref_nine_identity(G))
+    assert witnesses[2] == _ref_nine_identity(G)
+    assert groups.is_group_table(G) == (fails in ("r", "c"))
+    if fails in ("a", "a'"):
+        assert witnesses[:2] == (_ref_expansion_left(G), _ref_expansion_right(G))
 
 
 def test_translations_allocate_nothing_when_no_candidate_needs_a_test():
@@ -1776,11 +1772,12 @@ def test_translations_allocate_nothing_when_no_candidate_needs_a_test():
 
 
 def test_group_scans_allocate_only_their_cube_buffers():
-    # wreath33 x C4: |R| = 27 of n = 324.  The cube's tables (commutators,
-    # their classes and the classes of the products) and each scan's slab
-    # buffers are |R| x |R| arrays, with intp offsets; any n x n array per
-    # call, even a bool mask (about 103 KiB here), raises the traced peak
-    # of a warm call past them and the slack
+    # wreath33 x C4: |R| = 27 of n = 324.  The cube's tables (commutators
+    # and their classes) and the ninth-power scan's slab buffers are
+    # |R| x |R| arrays, with intp offsets, and the expansions, on a group,
+    # allocate none; any n x n array per call, even a bool mask (about
+    # 103 KiB here), raises the traced peak of a warm call past them and
+    # the slack
     ctx = SuiteContext(catalog_group("product:wreath33,cyclic:4"))
     G, n = ctx.G, ctx.n
     m = int((group_translations(G)[1] == np.arange(n)).sum())
@@ -1800,3 +1797,75 @@ def test_group_scans_allocate_only_their_cube_buffers():
         finally:
             tracemalloc.stop()
         assert peak < buffers + 32 * 1024 < n * n, (name, peak, buffers)
+
+
+# ---------------------------------------------------------------------------
+# laws of every group: the two expansions and the cocycle identity of
+# factor_set compute no slab on a table that is_group_table certifies, and
+# scan every x of any other
+
+def _factor_set_witness(G, T, ref):
+    """factor_set(G, T) with its cocycle scan watched: (witness, scanned),
+    the witness that of NotACocycle, else None.  It must equal ref on the
+    factor set of the values factor_set computed."""
+    seen, scan = [], cocycle.cocycle_violation
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "cocycle_violation", lambda f: seen.append(f) or scan(f))
+        try:
+            fs, w = cocycle.factor_set(G, T), None
+        except NotACocycle as exc:
+            (fs,), w = seen, exc.witness
+    assert w == ref(fs)
+    return w, bool(seen)
+
+
+@pytest.mark.parametrize("spec", LADDER_324 + ["unitriangular4:3"])
+def test_group_laws_compute_no_slab_on_a_group(spec, ref_cocycle_violation):
+    # the expansions are identities of the free group (tests/test_laws.py),
+    # and the cocycle identity follows from associativity in G and in
+    # G/Z(G) with central values, so on a group neither computes a slab
+    G = catalog_group(spec)
+    T = cocycle.make_transversal(G, group_center(G))
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _visits(mp)
+        assert _expansions(G) == (None, None)
+        assert _factor_set_witness(G, T, ref_cocycle_violation) == (None, False)
+    assert visits == []
+
+
+def test_factor_set_gives_the_reference_witness_on_other_inputs(ref_cocycle_violation):
+    # the wrapped twisted tables of the failing-report pins and seeded
+    # random loop tables wrapped as "groups" with their right inverses,
+    # refused by the group verdict, and D16 over its normal subgroups with
+    # every least coset representative, where a non-central one, such as
+    # <r2>, fails the centrality test: the cocycle scan gives the
+    # reference's witness.  The expansions' witnesses on the same tables
+    # are pinned by test_group_scans_match_reference and its random sweep
+    D = catalog_group("dihedral:16")
+    inputs = []
+    for N in sorted({groups.subgroup_generated(D, {a}) for a in range(16)}, key=sorted):
+        try:
+            Q, proj = groups.quotient_group(D, N)
+        except GyrolabError:
+            continue
+        reps = np.unique(proj, return_index=True)[1].astype(D.table.dtype)
+        inputs.append((D, cocycle.Transversal(D, tuple(sorted(N)), Q, proj, reps)))
+    tables = [_wrapped(_gyro(spec)) for spec in WRAPPED_PINS]
+    rng = np.random.default_rng(2)
+    for _ in range(120):
+        n = int(rng.integers(2, 11))
+        L = _random_loop(n, rng.integers(0, 1 << 30, size=int(rng.integers(1, 6))))
+        tables.append(_as_group(L.table))
+    for H in tables:
+        try:
+            inputs.append((H, cocycle.make_transversal(H, group_center(H))))
+        except GyrolabError:
+            pass
+    outcomes, r2 = Counter(), None
+    for G, T in inputs:
+        w, scanned = _factor_set_witness(G, T, ref_cocycle_violation)
+        outcomes[scanned, w is None] += 1
+        if G is D and T.center == (0, 2, 4, 6):
+            r2 = w, scanned
+    assert r2 == ((2, 1, 1), True)
+    assert set(outcomes) == {(True, True), (True, False), (False, True)}, outcomes
